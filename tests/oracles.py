@@ -2,17 +2,16 @@
 
 These deliberately avoid the code paths they check: the lower-envelope
 oracle enumerates affine supports by brute force instead of running the
-double-description sweep, and the crossing oracle realizes chords as exact
-rational segments and tests proper intersection, instead of applying the
-combinatorial crossing rules.
+double-description sweep, and solves its linear systems with its own
+Fraction elimination, so it imports nothing from ``tropd4.geometry``.  The
+crossing oracle realizes chords as exact rational segments and tests
+proper intersection, instead of applying the combinatorial crossing rules.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-
-from tropd4.geometry import PointConfiguration, _solve
 
 
 def brute_force_lower_cells(points, heights):
@@ -22,10 +21,9 @@ def brute_force_lower_cells(points, heights):
     function through the lifted points; if it supports the lift from below,
     its tight set is a cell.
     """
-    config = PointConfiguration(points)
-    d = config.dim
+    reduced = _affine_coordinates(points)
+    d = len(reduced[0])
     hs = [Fraction(h) for h in heights]
-    reduced = config.reduced
     cells = set()
     for subset in itertools.combinations(range(len(reduced)), d + 1):
         columns = [tuple(reduced[i][j] for i in subset) for j in range(d)]
@@ -49,7 +47,6 @@ def brute_force_lower_cells(points, heights):
 def _affine_rank(pts):
     base = pts[0]
     diffs = [tuple(x - o for x, o in zip(p, base)) for p in pts[1:]]
-    rank = 0
     rows = [list(map(Fraction, d)) for d in diffs]
     ncols = len(base)
     r = 0
@@ -64,6 +61,54 @@ def _affine_rank(pts):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+def _solve(columns, target):
+    """Exact x with ``sum x_j * columns[j] == target``, or None if none.
+
+    Fraction Gauss-Jordan elimination on the augmented matrix; free
+    variables are set to zero.
+    """
+    n = len(columns)
+    aug = [[Fraction(col[i]) for col in columns] + [Fraction(t)]
+           for i, t in enumerate(target)]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+    if any(row[n] for row in aug[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, c in zip(aug, pivots):
+        x[c] = row[n]
+    return x
+
+
+def _affine_coordinates(points):
+    """Coordinates of every point in an affine basis of the points' span.
+
+    The basis is the first point plus each later point that raises the
+    affine rank; the coordinates of a point solve for its offset from the
+    first point in the differences of the basis points.
+    """
+    pts = [tuple(Fraction(x) for x in p) for p in points]
+    basis = [pts[0]]
+    for p in pts[1:]:
+        if _affine_rank(basis + [p]) == len(basis):
+            basis.append(p)
+    origin = basis[0]
+    columns = [tuple(x - o for x, o in zip(b, origin)) for b in basis[1:]]
+    return [tuple(_solve(columns, tuple(x - o for x, o in zip(p, origin))))
+            for p in pts]
 
 
 # -- geometric chord realization ----------------------------------------------
