@@ -134,10 +134,6 @@ def pair_crossing_count(a: Chord, b: Chord, n) -> int:
     return sum(crossing(ra, c, n) for c in {rb, partner(rb, n)})
 
 
-def compatible(a: Chord, b: Chord, n) -> bool:
-    return pair_crossing_count(a, b, n) == 0
-
-
 # -- symmetries --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -220,8 +216,3 @@ def parse_chord(text, n) -> Chord:
 
 def pairs_text(pairs, n) -> str:
     return ",".join(chord_text(c, n) for c in sorted(pairs))
-
-
-def parse_pairs(text, n):
-    return frozenset(pair_rep(parse_chord(t, n), n)
-                     for t in text.split(",") if t.strip())

@@ -15,33 +15,28 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import reference
 from .chords import chord_text
 from .clusters import enumerate_pseudotriangulations, flip_graph
 from .correspondence import (
-    classify_all_cones,
-    plane_type_of_cluster,
+    cluster_classes,
+    plane_type_split,
     table1_report,
     table2_report,
 )
 from .fan import compute_fan_f36, fan_to_json, trop_phi2
-from .hypersimplex import induced_subdivision, subdivision_to_json
+from .hypersimplex import (
+    classify_plane_type,
+    induced_subdivision,
+    subdivision_to_json,
+)
 from .verify import full_report
 
 
-@dataclass
-class RunConfig:
-    command: str
-    output_format: str = "json"
-    seed: int = 0
-    output_path: str | None = None
-
-
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output_path:
-        with open(config.output_path, "w") as fh:
+def _emit(args, text: str) -> None:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -62,63 +57,59 @@ def _csv(rows, fieldnames) -> str:
     return buf.getvalue()
 
 
-def cmd_enumerate(config: RunConfig, n: int) -> int:
+def cmd_enumerate(args) -> int:
+    n = args.n
     ts = enumerate_pseudotriangulations(n)
     names = [",".join(chord_text(c, n) for c in sorted(t)) for t in ts]
-    if config.output_format == "dot":
+    if args.format == "dot":
         adj = flip_graph(n)
         lines = ["graph flips {"]
         lines += [f'  {i} [label="{name}"];' for i, name in enumerate(names)]
         lines += [f"  {i} -- {j};" for i in sorted(adj)
                   for j in sorted(adj[i]) if i < j]
         lines.append("}")
-        _emit(config, "\n".join(lines) + "\n")
-    elif config.output_format == "json":
-        _emit(config, _json({"n": n, "count": len(ts),
-                             "pseudotriangulations": names}))
+        _emit(args, "\n".join(lines) + "\n")
+    elif args.format == "json":
+        _emit(args, _json({"n": n, "count": len(ts),
+                           "pseudotriangulations": names}))
     else:
-        _emit(config, f"{len(ts)} pseudotriangulations\n" +
+        _emit(args, f"{len(ts)} pseudotriangulations\n" +
               "\n".join(names) + "\n")
     return 0
 
 
-def cmd_classify_clusters(config: RunConfig) -> int:
+def cmd_classify_clusters(args) -> int:
     n = 4
-    from .correspondence import cluster_classes
     labeled = cluster_classes()
     rows = []
     for label in sorted(labeled):
         orbit = labeled[label]
-        split = {}
-        for t in orbit:
-            pt = plane_type_of_cluster(t)
-            split[pt] = split.get(pt, 0) + 1
         rows.append({
             "class": label,
             "size": len(orbit),
-            "plane_types": dict(sorted(split.items())),
+            "plane_types": plane_type_split(orbit),
             "members": sorted(",".join(chord_text(c, n) for c in sorted(t))
                               for t in orbit),
         })
-    if config.output_format == "csv":
+    if args.format == "csv":
         flat = [{"class": r["class"], "size": r["size"],
                  "plane_types": ";".join(f"{k}:{v}"
                                          for k, v in r["plane_types"].items())}
                 for r in rows]
-        _emit(config, _csv(flat, ["class", "size", "plane_types"]))
+        _emit(args, _csv(flat, ["class", "size", "plane_types"]))
     else:
-        _emit(config, _json({"classes": rows}))
+        _emit(args, _json({"classes": rows}))
     return 0
 
 
-def cmd_fan(config: RunConfig) -> int:
+def cmd_fan(args) -> int:
     data = fan_to_json(compute_fan_f36(), reference.LABEL_OF_RAY)
-    _emit(config, _json(data))
+    _emit(args, _json(data))
     return 0
 
 
-def cmd_subdivision(config: RunConfig, cone_labels: str) -> int:
-    labels = tuple(l.strip() for l in cone_labels.split(",") if l.strip())
+def cmd_subdivision(args) -> int:
+    labels = tuple(l.strip() for l in args.cone.split(",") if l.strip())
     unknown = [l for l in labels if l not in reference.RAY_COORDS]
     if unknown:
         print(f"unknown ray labels: {', '.join(unknown)}", file=sys.stderr)
@@ -131,111 +122,107 @@ def cmd_subdivision(config: RunConfig, cone_labels: str) -> int:
               file=sys.stderr)
         return 2
     cone = match[0]
-    point = tuple(sum(col) for col in zip(*sorted(cone.rays)))
+    point = cone.interior_point()
     cells = induced_subdivision(trop_phi2(point))
     data = subdivision_to_json(cells)
     data["cone"] = sorted(labels, key=lambda l: int(l[1:]))
     data["interior_point"] = list(point)
-    data["plane_type"] = classify_all_cones()[rays]
-    _emit(config, _json(data))
+    data["plane_type"] = classify_plane_type(cone)
+    _emit(args, _json(data))
     return 0
 
 
-def cmd_table1(config: RunConfig) -> int:
+def cmd_table1(args) -> int:
     rows = [{"rays": " ".join(r["rays"]), "type": r["type"]}
             for r in table1_report()]
-    if config.output_format == "csv":
-        _emit(config, _csv(rows, ["rays", "type"]))
+    if args.format == "csv":
+        _emit(args, _csv(rows, ["rays", "type"]))
     else:
-        _emit(config, _json({"table1": rows}))
+        _emit(args, _json({"table1": rows}))
     return 0
 
 
-def cmd_table2(config: RunConfig) -> int:
+def cmd_table2(args) -> int:
     rows = [{"class": r["class"], "type": r["type"], "count": r["count"]}
             for r in table2_report()]
-    if config.output_format == "csv":
-        _emit(config, _csv(rows, ["class", "type", "count"]))
+    if args.format == "csv":
+        _emit(args, _csv(rows, ["class", "type", "count"]))
     else:
-        _emit(config, _json({"table2": rows}))
+        _emit(args, _json({"table2": rows}))
     return 0
 
 
-def cmd_verify_all(config: RunConfig, samples_per_cone: int,
-                   cover_samples: int) -> int:
-    report = full_report(seed=config.seed,
-                         samples_per_cone=samples_per_cone,
-                         cover_samples=cover_samples)
-    _emit(config, _json(report))
+def cmd_verify_all(args) -> int:
+    report = full_report(seed=args.seed,
+                         samples_per_cone=args.samples_per_cone,
+                         cover_samples=args.cover_samples)
+    _emit(args, _json(report))
     return 0 if not report["violations"] else 1
+
+
+def _sample_count(text: str) -> int:
+    """A nonnegative integer; anything else is a usage error (exit 2)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+def _run_options(seed, output) -> argparse.ArgumentParser:
+    """``--seed`` and ``--output``, accepted before and after the command.
+
+    The copies after the command default to ``argparse.SUPPRESS``, so that
+    they leave a value given before the command in place.
+    """
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--seed", type=int, default=seed,
+                        help="seed for randomized verification sweeps")
+    parser.add_argument("--output", default=output,
+                        help="write output to this path")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tropd4",
         description="Exact pipeline: pseudotriangulations, the rank-4 "
-                    "positive tropical fan, and matroid subdivisions.")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized verification sweeps")
-    parser.add_argument("--output", help="write output to this path")
+                    "positive tropical fan, and matroid subdivisions.",
+        parents=[_run_options(0, None)])
     sub = parser.add_subparsers(dest="command", required=True)
+    options = _run_options(argparse.SUPPRESS, argparse.SUPPRESS)
 
-    p = sub.add_parser("enumerate", help="list pseudotriangulations")
+    def command(name, func, formats, **kwargs):
+        p = sub.add_parser(name, parents=[options], **kwargs)
+        p.add_argument("--format", default=formats[0], choices=formats)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("enumerate", cmd_enumerate, ("text", "json", "dot"),
+                help="list pseudotriangulations")
     p.add_argument("-n", type=int, required=True, choices=(3, 4, 5),
                    help="half the polygon size")
-    p.add_argument("--format", default="text",
-                   choices=("text", "json", "dot"))
-
-    p = sub.add_parser("classify-clusters",
-                       help="the 7 symmetry classes with plane-type splits")
-    p.add_argument("--format", default="json", choices=("json", "csv"))
-
-    p = sub.add_parser("fan", help="rays, cones, and f-vector of the fan")
-    p.add_argument("--format", default="json", choices=("json",))
-
-    p = sub.add_parser("subdivision",
-                       help="matroid subdivision induced by one maximal cone")
+    command("classify-clusters", cmd_classify_clusters, ("json", "csv"),
+            help="the 7 symmetry classes with plane-type splits")
+    command("fan", cmd_fan, ("json",),
+            help="rays, cones, and f-vector of the fan")
+    p = command("subdivision", cmd_subdivision, ("json",),
+                help="matroid subdivision induced by one maximal cone")
     p.add_argument("--cone", required=True,
                    help="comma-separated ray labels, e.g. r3,r9,r10,r12")
-    p.add_argument("--format", default="json", choices=("json",))
-
-    p = sub.add_parser("table1", help="plane type of each maximal cone")
-    p.add_argument("--format", default="json", choices=("json", "csv"))
-
-    p = sub.add_parser("table2", help="class-by-type incidence counts")
-    p.add_argument("--format", default="json", choices=("json", "csv"))
-
-    p = sub.add_parser("verify-all", help="run every verification check")
-    p.add_argument("--format", default="json", choices=("json",))
-    p.add_argument("--samples-per-cone", type=int, default=20)
-    p.add_argument("--cover-samples", type=int, default=10000)
+    command("table1", cmd_table1, ("json", "csv"),
+            help="plane type of each maximal cone")
+    command("table2", cmd_table2, ("json", "csv"),
+            help="class-by-type incidence counts")
+    p = command("verify-all", cmd_verify_all, ("json",),
+                help="run every verification check")
+    p.add_argument("--samples-per-cone", type=_sample_count, default=20)
+    p.add_argument("--cover-samples", type=_sample_count, default=10000)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(command=args.command,
-                       output_format=getattr(args, "format", "json"),
-                       seed=args.seed,
-                       output_path=args.output)
-    if args.command == "enumerate":
-        return cmd_enumerate(config, args.n)
-    if args.command == "classify-clusters":
-        return cmd_classify_clusters(config)
-    if args.command == "fan":
-        return cmd_fan(config)
-    if args.command == "subdivision":
-        return cmd_subdivision(config, args.cone)
-    if args.command == "table1":
-        return cmd_table1(config)
-    if args.command == "table2":
-        return cmd_table2(config)
-    if args.command == "verify-all":
-        return cmd_verify_all(config, args.samples_per_cone,
-                              args.cover_samples)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    args = build_parser().parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":

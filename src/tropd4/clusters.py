@@ -203,10 +203,6 @@ def compatibility_degree(a, b):
     return pair_crossing_count(pair_of_root(a), pair_of_root(b), N4)
 
 
-def compatible_roots(a, b):
-    return tuple(a) != tuple(b) and compatibility_degree(a, b) == 0
-
-
 def tau_on_root(r):
     return root_of_pair(apply_symmetry(TAU, {pair_of_root(r)}, N4).__iter__().__next__())
 

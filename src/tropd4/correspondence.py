@@ -10,8 +10,7 @@ plane type of a cone is constant on the pseudotriangulations it carries.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from functools import lru_cache
 
 from . import reference
@@ -79,24 +78,20 @@ def cone_of_cluster(t, fan=None):
 
 @lru_cache(maxsize=1)
 def classify_all_cones():
-    """Plane type of every maximal cone, keyed by its frozen ray set.
-
-    The per-cone classifications are independent; TROPD4_THREADS caps the
-    worker pool used to spread them out.
-    """
-    fan = compute_fan_f36()
-    cones = list(fan.maximal_cones)
-    workers = max(1, int(os.environ.get("TROPD4_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            types = list(pool.map(classify_plane_type, cones))
-    else:
-        types = [classify_plane_type(c) for c in cones]
-    return {frozenset(c.rays): t for c, t in zip(cones, types)}
+    """Plane type of every maximal cone, keyed by its frozen ray set."""
+    return {frozenset(c.rays): classify_plane_type(c)
+            for c in compute_fan_f36().maximal_cones}
 
 
 def plane_type_of_cluster(t, fan=None):
     return classify_all_cones()[frozenset(cone_of_cluster(t, fan).rays)]
+
+
+def plane_type_split(orbit):
+    """``{plane type: count}`` over the pseudotriangulations of ``orbit``,
+    sorted by plane type."""
+    counts = Counter(plane_type_of_cluster(t) for t in orbit)
+    return dict(sorted(counts.items()))
 
 
 def split_bipyramid_facets(fan=None):
@@ -212,11 +207,8 @@ def cluster_classes():
         for label, split in reference.TABLE2.items()}
     labeled = {}
     for orbit in orbits:
-        split = {}
-        for t in orbit:
-            pt = plane_type_of_cluster(t)
-            split[pt] = split.get(pt, 0) + 1
-        key = (len(orbit), tuple(sorted(split.items())))
+        split = plane_type_split(orbit)
+        key = (len(orbit), tuple(split.items()))
         matches = [l for l, k in expected.items() if k == key]
         if len(matches) != 1:
             raise RuntimeError(
@@ -240,17 +232,11 @@ def table1_report(fan=None):
 
 def table2_report():
     """Computed class-by-type incidence with expected counts."""
-    rows = []
-    for label in sorted(cluster_classes()):
-        orbit = cluster_classes()[label]
-        split = {}
-        for t in orbit:
-            pt = plane_type_of_cluster(t)
-            split[pt] = split.get(pt, 0) + 1
-        for pt in sorted(split):
-            rows.append({"class": label, "type": pt, "count": split[pt],
-                         "expected": reference.TABLE2[label].get(pt, 0)})
-    return rows
+    classes = cluster_classes()
+    return [{"class": label, "type": pt, "count": count,
+             "expected": reference.TABLE2[label].get(pt, 0)}
+            for label in sorted(classes)
+            for pt, count in plane_type_split(classes[label]).items()]
 
 
 # -- reflection theorem -------------------------------------------------------

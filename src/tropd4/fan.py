@@ -16,7 +16,6 @@ from .geometry import (
     Fan,
     _double_description,
     _rank,
-    canonicalize_ray,
     facet_normals,
 )
 from .webmatrix import PLUECKER_TRIPLES, all_tropical_minors
@@ -84,10 +83,6 @@ def compute_fan_f36() -> Fan:
     if len(set(keys)) != len(keys):
         raise RuntimeError("refinement produced duplicate cones")
     return Fan(dim, tuple(cones))
-
-
-def fan_rays():
-    return [canonicalize_ray(r) for r in compute_fan_f36().rays]
 
 
 def bipyramid_cones(fan=None):

@@ -58,30 +58,51 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _rank(vectors):
-    """Rank of a list of integer vectors (fraction-free elimination)."""
-    rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
+def _minus(p, q):
+    return tuple(x - y for x, y in zip(p, q))
+
+
+def _integer_rows(rows):
+    """Rational ``rows`` scaled to integers by the lcm of all denominators.
+
+    Ints and Fractions both carry ``denominator``, so integer input is
+    scaled by 1 without building Fractions.  Returns ``(rows, scale)``.
+    """
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [tuple(int(x * scale) for x in row) for row in rows], scale
+
+
+def _pivot_columns(vectors):
+    """Pivot columns of integer ``vectors`` under fraction-free elimination.
+
+    Bareiss elimination (Bareiss 1968, Math. Comp. 22): every update
+    ``(p * x - g * y) // prev`` divides exactly, so all entries stay
+    integers.  The number of pivots is the rank, and the projection of the
+    row span onto the pivot columns is injective.
+    """
+    rows = [list(v) for v in vectors]
+    pivots = []
+    prev = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         head = rows[r]
+        p = head[c]
         for i in range(r + 1, len(rows)):
-            if rows[i][c]:
-                f, g = head[c], rows[i][c]
-                rows[i] = [f * x - g * y for x, y in zip(rows[i], head)]
-                h = gcd(*(abs(x) for x in rows[i]))
-                if h > 1:
-                    rows[i] = [x // h for x in rows[i]]
-        r += 1
-        if r == len(rows):
+            g = rows[i][c]
+            rows[i] = [(p * x - g * y) // prev for x, y in zip(rows[i], head)]
+        prev = p
+        pivots.append(c)
+        if r + 1 == len(rows):
             break
-    return r
+    return pivots
+
+
+def _rank(vectors):
+    return len(_pivot_columns(vectors))
 
 
 def _double_description(halfspaces, dim):
@@ -210,16 +231,6 @@ class Cone:
             return tuple(0 for _ in range(self.ambient_dim))
         return tuple(sum(c) for c in zip(*self.rays))
 
-    def with_minimal_halfspaces(self):
-        gens = list(self.rays)
-        for l in self.lines:
-            gens.append(l)
-            gens.append(tuple(-x for x in l))
-        return Cone(self.ambient_dim, tuple(facet_normals(gens, self.ambient_dim)))
-
-    def key(self):
-        return self.rays
-
 
 def intersect_cones(a: Cone, b: Cone) -> Cone:
     if a.ambient_dim != b.ambient_dim:
@@ -246,18 +257,20 @@ def cone_face_ray_sets(cone: Cone):
         return {frozenset(s) for k in range(1, len(rays) + 1)
                 for s in itertools.combinations(rays, k)}
     normals = facet_normals(list(rays), cone.ambient_dim)
-    facets = [frozenset(r for r in rays if _dot(h, r) == 0) for h in normals]
-    faces = set(facets)
+    faces = _face_closure([frozenset(r for r in rays if _dot(h, r) == 0)
+                           for h in normals])
     faces.add(frozenset(rays))
-    frontier = set(facets)
+    return faces
+
+
+def _face_closure(facets):
+    """Every nonempty intersection of one or more of ``facets``."""
+    faces = set(facets)
+    frontier = set(faces)
     while frontier:
-        new = set()
-        for f, g in itertools.product(frontier, facets):
-            h = f & g
-            if h and h not in faces:
-                new.add(h)
-        faces |= new
-        frontier = new
+        frontier = {f & g for f in frontier for g in facets} - faces
+        frontier.discard(frozenset())
+        faces |= frontier
     return faces
 
 
@@ -293,71 +306,34 @@ class Fan:
         return [i for i, c in enumerate(self.maximal_cones) if c.contains(x)]
 
 
-def _solve(columns, target):
-    """Exact solution x of ``sum x_j * columns[j] = target`` or None."""
-    m = len(target)
-    n = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(n)] + [Fraction(target[i])]
-           for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        aug[r] = [x / aug[r][c] for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if any(row[n] for row in aug[r:]):
-        return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
-    return x
-
-
 class PointConfiguration:
-    """A finite point set with exact affine coordinates on its span."""
+    """A finite point set with exact integer affine coordinates on its span.
+
+    The differences from ``origin``, scaled to integers by the lcm of their
+    denominators, are projected onto the pivot columns of their
+    elimination; ``reduced`` holds these projections.  The projection maps
+    the affine span bijectively onto ``R^dim``, and lower envelopes, face
+    lattices and hull membership do not change under an affine bijection.
+    """
 
     def __init__(self, points):
-        pts = [tuple(Fraction(x) for x in p) for p in points]
-        if len(set(pts)) != len(pts):
+        self.points = [tuple(p) for p in points]
+        if len(set(self.points)) != len(self.points):
             raise ValueError("points must be distinct")
-        self.points = pts
-        self.origin = pts[0]
-        basis = []
-        for p in pts[1:]:
-            d = tuple(x - o for x, o in zip(p, self.origin))
-            if _frac_rank(basis + [d]) > len(basis):
-                basis.append(d)
-        self.basis = basis
-        self.dim = len(basis)
-        reduced = []
-        for p in pts:
-            coords = _solve(self.basis,
-                            tuple(x - o for x, o in zip(p, self.origin)))
-            reduced.append(tuple(coords))
-        scale = lcm(*(c.denominator for row in reduced for c in row)) \
-            if self.dim else 1
-        self.reduced = [tuple(int(c * scale) for c in row) for row in reduced]
-        self._scale = scale
+        self.origin = self.points[0]
+        self._diffs, self._scale = _integer_rows(
+            [_minus(p, self.origin) for p in self.points])
+        self._pivots = _pivot_columns(self._diffs)
+        self.dim = len(self._pivots)
+        self.reduced = [tuple(d[c] for c in self._pivots) for d in self._diffs]
 
     def reduce_point(self, y):
-        """Affine coordinates of ``y`` (same scaling as ``reduced``), or None."""
-        target = tuple(Fraction(v) - o for v, o in zip(y, self.origin))
-        coords = _solve(self.basis, target)
-        if coords is None:
+        """Coordinates of ``y`` (same scaling as ``reduced``), or None when
+        ``y`` is off the affine span of the points."""
+        d = tuple((v - o) * self._scale for v, o in zip(y, self.origin))
+        if _rank(self._diffs + _integer_rows([d])[0]) > self.dim:
             return None
-        return tuple(Fraction(c) * self._scale for c in coords)
-
-
-def _frac_rank(vectors):
-    return _rank([_as_integer_vector(v) for v in vectors])
+        return tuple(d[c] for c in self._pivots)
 
 
 def regular_subdivision(points, heights):
@@ -373,9 +349,7 @@ def regular_subdivision(points, heights):
         raise ValueError("points and heights must have equal length")
     if config.dim < 1:
         raise ValueError("points must affinely span dimension >= 1")
-    h_fracs = [Fraction(h) for h in heights]
-    scale = lcm(*(h.denominator for h in h_fracs))
-    h_ints = [int(h * scale) for h in h_fracs]
+    [h_ints], _ = _integer_rows([heights])
 
     d = config.dim
     # Affine supports (c, c0, t):  <u_i, c> + c0 <= t * h_i,  t >= 0.
@@ -402,12 +376,8 @@ def intersection_dim(points, cell_a, cell_b):
     if not shared:
         return -1
     base = points[shared[0]]
-    diffs = [tuple(Fraction(x) - Fraction(o) for x, o in zip(points[i], base))
-             for i in shared[1:]]
-    return _frac_rank(diffs)
-
-
-_FACE_CACHE = {}
+    return _rank(_integer_rows([_minus(points[i], base)
+                                for i in shared[1:]])[0])
 
 
 def polytope_proper_faces(vertices):
@@ -416,41 +386,20 @@ def polytope_proper_faces(vertices):
     Returns a dict mapping face dimension to the set of frozensets of vertex
     indices.  The polytope itself is not included.
     """
-    key = tuple(tuple(Fraction(x) for x in v) for v in vertices)
-    if key in _FACE_CACHE:
-        return _FACE_CACHE[key]
     config = PointConfiguration(vertices)
     k = config.dim
-    result = {}
     if k == 0:
-        result = {0: {frozenset([0])}}
-        _FACE_CACHE[key] = result
-        return result
+        return {0: {frozenset([0])}}
     # Facets = extreme rays of the cone of affine functionals nonnegative
     # on every vertex.
-    constraints = [u + (1,) for u in config.reduced]
-    lines, rays = _double_description(constraints, k + 1)
-    facets = []
-    for a in rays:
-        tight = frozenset(i for i, u in enumerate(config.reduced)
-                          if _dot(a[:k], u) + a[k] == 0)
-        facets.append(tight)
-    faces = set(facets)
-    frontier = set(facets)
-    while frontier:
-        new = set()
-        for f, g in itertools.product(frontier, facets):
-            h = f & g
-            if h and h not in faces:
-                new.add(h)
-        faces |= new
-        frontier = new
-    for f in faces:
+    _, rays = _double_description([u + (1,) for u in config.reduced], k + 1)
+    facets = [frozenset(i for i, u in enumerate(config.reduced)
+                        if _dot(a[:k], u) + a[k] == 0) for a in rays]
+    result = {}
+    for f in _face_closure(facets):
         pts = [config.reduced[i] for i in sorted(f)]
-        base = pts[0]
-        d = _rank([tuple(x - o for x, o in zip(p, base)) for p in pts[1:]])
+        d = _rank([_minus(p, pts[0]) for p in pts[1:]])
         result.setdefault(d, set()).add(f)
-    _FACE_CACHE[key] = result
     return result
 
 
@@ -467,11 +416,6 @@ def point_in_hull(y, vertices):
     u = config.reduce_point(y)
     if u is None:
         return False
-    if config.dim == 0:
-        return True
     k = config.dim
-    constraints = [v + (1,) for v in config.reduced]
-    _, rays = _double_description(constraints, k + 1)
-    scale = lcm(*(c.denominator for c in u)) if u else 1
-    ui = tuple(int(c * scale) for c in u)
-    return all(_dot(a[:k], ui) + a[k] * scale >= 0 for a in rays)
+    _, rays = _double_description([v + (1,) for v in config.reduced], k + 1)
+    return all(_dot(a[:k], u) + a[k] >= 0 for a in rays)

@@ -145,8 +145,8 @@ def classify_signature(sig):
 
 def classify_plane_type(cone) -> str:
     """Plane type of a maximal cone, from its canonical interior point."""
-    rays = cone.rays if isinstance(cone, Cone) else tuple(cone)
-    point = tuple(sum(c) for c in zip(*sorted(rays)))
+    point = cone.interior_point() if isinstance(cone, Cone) \
+        else tuple(sum(c) for c in zip(*cone))
     return classify_signature(
         subdivision_signature(subdivision_of_point(point)))
 

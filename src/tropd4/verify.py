@@ -158,9 +158,8 @@ def check_interior_point_stability(seed, samples_per_cone=20):
     fan = compute_fan_f36()
     for c in fan.maximal_cones:
         rays = sorted(c.rays)
-        canonical = tuple(sum(col) for col in zip(*rays))
         base_sig = subdivision_signature(induced_subdivision(
-            trop_phi2(canonical)))
+            trop_phi2(c.interior_point())))
         base_type = classify_signature(base_sig)
         for _ in range(samples_per_cone):
             coeffs = [Fraction(rng.randint(1, 50), rng.randint(1, 8))

@@ -1,11 +1,27 @@
 import csv
 import io
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
 import tropd4.reference as reference
-from tropd4.cli import main
+from tropd4.cli import build_parser, main
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_command_lines():
+    """Every ``tropd4 ...`` command in the README's shell blocks and inline
+    code, as argument lists without the program name."""
+    text = README.read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
+    lines = [l for b in blocks for l in b.splitlines()]
+    lines += re.findall(r"`(tropd4 [^`]+)`", text)
+    return [shlex.split(l, comments=True)[1:] for l in dict.fromkeys(lines)
+            if l.startswith("tropd4 ")]
 
 
 def run_cli(capsys, *argv):
@@ -129,3 +145,48 @@ class TestVerifyAll:
                 if v["check"] == "ray dictionary row"]
         assert {v["ray"] for v in rows} == {"r1", "r2"}
         assert all("computed_root" in v and "expected_root" in v for v in rows)
+
+
+class TestReadmeCommands:
+    COMMANDS = readme_command_lines()
+
+    def test_readme_lists_commands(self):
+        assert len(self.COMMANDS) >= 9
+        assert ["verify-all", "--seed", "7"] in self.COMMANDS
+        assert ["--seed", "7", "verify-all"] in self.COMMANDS
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_parses_with_its_seed(self, argv):
+        args = build_parser().parse_args(argv)
+        expected = int(argv[argv.index("--seed") + 1]) \
+            if "--seed" in argv else 0
+        assert args.seed == expected
+        assert callable(args.func)
+
+
+class TestRunOptions:
+    def test_seed_before_and_after_command_agree(self):
+        before = build_parser().parse_args(["--seed", "7", "verify-all"])
+        after = build_parser().parse_args(["verify-all", "--seed", "7"])
+        assert vars(before) == vars(after)
+
+    def test_option_after_command_wins(self):
+        args = build_parser().parse_args(
+            ["--seed", "3", "--output", "a", "fan", "--seed", "5",
+             "--output", "b"])
+        assert (args.seed, args.output) == (5, "b")
+
+    def test_output_after_command(self, capsys, tmp_path):
+        path = tmp_path / "fan.json"
+        code, out = run_cli(capsys, "fan", "--output", str(path))
+        assert code == 0 and out == ""
+        assert json.loads(path.read_text())["f_vector"] == [16, 66, 98, 48]
+
+    @pytest.mark.parametrize("option", ["--samples-per-cone",
+                                        "--cover-samples"])
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_bad_sample_count_exits_2(self, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-all", option, value])
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err

@@ -21,7 +21,10 @@ from tropd4.geometry import (
     regular_subdivision,
 )
 
-from oracles import brute_force_lower_cells
+from tropd4.fan import trop_phi2
+from tropd4.hypersimplex import hypersimplex_vertices, induced_subdivision
+
+from oracles import _affine_rank, brute_force_lower_cells
 
 R = {  # the sixteen fan rays, by conventional label number
     1: (0, 0, 1, 0), 2: (0, 0, -1, 0), 3: (1, 0, 0, 0), 4: (1, 0, -1, 0),
@@ -215,6 +218,16 @@ class TestRegularSubdivision:
         with pytest.raises(ValueError):
             regular_subdivision([(0, 0)], [1])
 
+    @given(st.lists(st.integers(-9, 9), min_size=9, max_size=9))
+    @settings(max_examples=20)
+    def test_rational_points_in_a_plane(self, heights):
+        # The grid scaled by 1/3 and placed in the plane z = x + 1/2 of
+        # R^3 is an affine image of the grid: the cells are the same.
+        points = [(Fraction(x, 3), Fraction(y, 3), Fraction(2 * x + 3, 6))
+                  for x, y in self.GRID]
+        assert regular_subdivision(points, heights) == \
+            regular_subdivision(self.GRID, heights)
+
 
 class TestIntersectionDim:
     def test_shared_edge(self):
@@ -228,6 +241,79 @@ class TestIntersectionDim:
     def test_single_shared_vertex(self):
         points = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)]
         assert intersection_dim(points, {0, 1, 2}, {0, 3, 4}) == 0
+
+    def test_fraction_points(self):
+        points = [(Fraction(1, 2), 0), (0, Fraction(1, 3)),
+                  (Fraction(1, 2), Fraction(1, 3)),
+                  (Fraction(1, 4), Fraction(1, 6))]  # 3 is on edge 0-1
+        assert intersection_dim(points, {0, 1, 2}, {0, 1, 3}) == 1
+        assert intersection_dim(points, {0, 1, 3}, {0, 1, 2, 3}) == 1
+        assert intersection_dim(points, {0, 1, 2}, {0, 1, 2, 3}) == 2
+        assert intersection_dim(points, {2}, {2, 3}) == 0
+
+    @given(st.lists(st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * 4),
+                    min_size=1, max_size=6))
+    def test_matches_fraction_elimination(self, points):
+        everything = set(range(len(points)))
+        assert intersection_dim(points, everything, everything) == \
+            _affine_rank(points)
+
+
+class TestPointInHull:
+    @staticmethod
+    def cell():
+        """A 5-dimensional cell of a matroid subdivision of Delta(3,6)."""
+        cells = induced_subdivision(trop_phi2((1, 1, 1, -1)))
+        verts = hypersimplex_vertices()
+        triples = [tuple(m + 1 for m in range(6) if v[m]) for v in verts]
+        cell = max(cells, key=len)
+        assert len(cell) > 6  # full-dimensional and not a simplex
+        return [v for v, t in zip(verts, triples) if t in cell], \
+            [v for v, t in zip(verts, triples) if t not in cell]
+
+    def test_centroid_inside(self):
+        inside, _ = self.cell()
+        centroid = [Fraction(sum(c), len(inside)) for c in zip(*inside)]
+        assert point_in_hull(centroid, inside)
+
+    def test_off_span_point_projecting_inside(self):
+        # Raising one coordinate of the centroid leaves the hyperplane of
+        # coordinate sum 3.  For a coordinate outside the pivot columns the
+        # projection is the centroid's, which lies inside the cell.
+        inside, _ = self.cell()
+        centroid = [Fraction(sum(c), len(inside)) for c in zip(*inside)]
+        for j in range(6):
+            y = list(centroid)
+            y[j] += Fraction(1, 7)
+            assert sum(y) != 3
+            assert not point_in_hull(y, inside)
+
+    def test_in_span_outside_cell(self):
+        inside, outside = self.cell()
+        assert outside
+        for v in outside:
+            assert not point_in_hull(v, inside)
+        assert all(point_in_hull(v, inside) for v in inside)
+
+    RATIONAL_TRIANGLE = [(Fraction(1, 2), 0, 0), (0, Fraction(1, 3), 0),
+                         (0, 0, Fraction(1, 5))]  # in 2x + 3y + 5z = 1
+
+    def test_rational_vertices(self):
+        tri = self.RATIONAL_TRIANGLE
+        assert point_in_hull((Fraction(1, 6), Fraction(1, 9),
+                              Fraction(1, 15)), tri)
+        assert point_in_hull((Fraction(1, 4), Fraction(1, 6), 0), tri)
+        assert point_in_hull(tri[2], tri)
+        # in the plane, but with a negative barycentric coordinate
+        assert not point_in_hull((Fraction(1, 2), Fraction(1, 3),
+                                  Fraction(-1, 5)), tri)
+        # off the plane
+        assert not point_in_hull((Fraction(1, 6), Fraction(1, 9),
+                                  Fraction(1, 10)), tri)
+
+    def test_single_vertex(self):
+        assert point_in_hull((Fraction(1, 2), 3), [(Fraction(1, 2), 3)])
+        assert not point_in_hull((Fraction(1, 3), 3), [(Fraction(1, 2), 3)])
 
 
 class TestPolytopeFaces:
