@@ -4,13 +4,16 @@ These deliberately avoid the code paths they check: the lower-envelope
 oracle enumerates affine supports by brute force instead of running the
 double-description sweep, and solves its linear systems with its own
 Fraction elimination, so it imports nothing from ``tropd4.geometry``.  The
-crossing oracle realizes chords as exact rational segments and tests
-proper intersection, instead of applying the combinatorial crossing rules.
+cone-ray oracle solves every (d-1)-subset of halfspaces by cofactors instead
+of inserting them one at a time.  The crossing oracle realizes chords as
+exact rational segments and tests proper intersection, instead of applying
+the combinatorial crossing rules.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -109,6 +112,41 @@ def _affine_coordinates(points):
     columns = [tuple(x - o for x, o in zip(b, origin)) for b in basis[1:]]
     return [tuple(_solve(columns, tuple(x - o for x, o in zip(p, origin))))
             for p in pts]
+
+
+# -- extreme rays by brute force ----------------------------------------------
+
+def _det(rows):
+    """Determinant by Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
+
+
+def brute_force_cone_rays(halfspaces, dim):
+    """Extreme rays of the pointed cone ``{x : <h, x> >= 0}``, by brute force.
+
+    An extreme ray is cut out by ``dim - 1`` linearly independent tight
+    halfspaces.  For every such subset, the vector of signed maximal minors
+    (the generalized cross product) spans the common kernel; it is zero
+    exactly when the subset has lower rank.  Each feasible sign of it is
+    kept, as a primitive integer vector.  Returns the sorted distinct rays.
+    """
+    hs = [tuple(int(x) for x in h) for h in halfspaces]
+    rays = set()
+    for subset in itertools.combinations(hs, dim - 1):
+        rows = [list(h) for h in subset]
+        v = tuple((-1) ** j * _det([r[:j] + r[j + 1:] for r in rows])
+                  for j in range(dim))
+        if not any(v):
+            continue
+        for s in (1, -1):
+            w = tuple(s * x for x in v)
+            if all(sum(a * b for a, b in zip(h, w)) >= 0 for h in hs):
+                g = math.gcd(*w)
+                rays.add(tuple(x // g for x in w))
+    return sorted(rays)
 
 
 # -- geometric chord realization ----------------------------------------------

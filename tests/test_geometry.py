@@ -24,7 +24,7 @@ from tropd4.geometry import (
 from tropd4.fan import trop_phi2
 from tropd4.hypersimplex import hypersimplex_vertices, induced_subdivision
 
-from oracles import _affine_rank, brute_force_lower_cells
+from oracles import _affine_rank, brute_force_cone_rays, brute_force_lower_cells
 
 R = {  # the sixteen fan rays, by conventional label number
     1: (0, 0, 1, 0), 2: (0, 0, -1, 0), 3: (1, 0, 0, 0), 4: (1, 0, -1, 0),
@@ -97,6 +97,23 @@ class TestConeRays:
         for r in rays:
             assert all(sum(a * b for a, b in zip(h, r)) >= 0
                        for h in halfspaces if any(h))
+
+
+    @given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+        st.just(d), st.booleans(),
+        st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=d + 3))))
+    @settings(max_examples=150)
+    def test_matches_brute_force_oracle(self, case):
+        dim, in_orthant, halfspaces = case
+        if in_orthant:  # pointed, and usually more than the origin
+            halfspaces += [tuple(int(i == j) for j in range(dim))
+                           for i in range(dim)]
+        if _affine_rank([(0,) * dim] + halfspaces) < dim:
+            with pytest.raises(NotPointedError):
+                cone_rays(halfspaces, dim)
+            return
+        assert cone_rays(halfspaces, dim) == \
+            brute_force_cone_rays(halfspaces, dim)
 
 
 class TestIntersectCones:
