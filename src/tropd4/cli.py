@@ -5,7 +5,8 @@ pseudotriangulations, ``classify-clusters`` into the 7 symmetry classes,
 ``fan`` for the refined fan, ``subdivision`` for the matroid subdivision of
 a chosen cone, ``table1`` / ``table2`` for the type tables, and
 ``verify-all`` to run every check.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure, 2 usage error, including an ``--output`` file that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import reference
@@ -35,9 +37,26 @@ from .verify import full_report
 
 
 def _emit(args, text: str) -> None:
+    """Print ``text``, or write it to ``--output``.
+
+    The file is written to a temporary name in the same directory and then
+    renamed over the target, so the target is never left half written.  A
+    file that cannot be written ends the run with one line on stderr and
+    exit code 2.
+    """
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        tmp = f"{args.output}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, args.output)
+        except OSError as exc:
+            print(f"tropd4: cannot write {args.output}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            raise SystemExit(2) from None
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):

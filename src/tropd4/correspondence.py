@@ -14,7 +14,14 @@ from collections import Counter
 from functools import lru_cache
 
 from . import reference
-from .chords import SIGMA, parse_chord, chord_text, pair_rep, reflect
+from .chords import (
+    SIGMA,
+    apply_symmetry,
+    chord_text,
+    pair_rep,
+    parse_chord,
+    reflect,
+)
 from .clusters import (
     N4,
     classify_modulo,
@@ -262,7 +269,6 @@ def verify_parity_reflection_theorem():
         base = plane_type_of_cluster(t)
         for op in ops:
             for with_sigma in (False, True):
-                from .chords import apply_symmetry
                 u = apply_symmetry(op, t, N4)
                 if with_sigma:
                     u = apply_symmetry(SIGMA, u, N4)

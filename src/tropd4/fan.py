@@ -8,8 +8,10 @@ the argmin choice, keeping only full-dimensional pieces.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .geometry import (
     Cone,
@@ -43,11 +45,16 @@ def linearity_fan(forms, dim=4) -> Fan:
 
 
 def trop_phi2(x):
-    """Values of all 20 tropical minors at x, in lexicographic triple order."""
-    xs = tuple(Fraction(v) for v in x)
+    """Values of all 20 tropical minors at x, in lexicographic triple order.
+
+    ``x`` is scaled to integers by the lcm of its denominators, so the
+    minima are taken over integers; each value is returned as a Fraction.
+    """
+    scale = lcm(*(v.denominator for v in x))
+    xs = tuple(v.numerator * (scale // v.denominator) for v in x)
     minors = all_tropical_minors()
-    return tuple(min(sum(c * v for c, v in zip(form, xs))
-                     for form in minors[idx])
+    return tuple(Fraction(min(sum(map(operator.mul, form, xs))
+                              for form in minors[idx]), scale)
                  for idx in PLUECKER_TRIPLES)
 
 

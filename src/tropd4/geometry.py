@@ -14,6 +14,7 @@ a suitable cone.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -33,6 +34,8 @@ class NotPointedError(ValueError):
 
 def _as_integer_vector(v):
     """Scale a rational vector by a positive rational into coprime integers."""
+    if all(type(x) is int for x in v):
+        return tuple(v)
     fracs = [Fraction(x) for x in v]
     scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
     return tuple(int(f * scale) for f in fracs)
@@ -48,14 +51,14 @@ def canonicalize_ray(v):
 
 
 def _reduce(v):
-    g = gcd(*(abs(x) for x in v))
+    g = gcd(*v)
     if g > 1:
         return tuple(x // g for x in v)
     return tuple(v)
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def _minus(p, q):
@@ -69,7 +72,8 @@ def _integer_rows(rows):
     scaled by 1 without building Fractions.  Returns ``(rows, scale)``.
     """
     scale = lcm(*(x.denominator for row in rows for x in row))
-    return [tuple(int(x * scale) for x in row) for row in rows], scale
+    return [tuple(x.numerator * (scale // x.denominator) for x in row)
+            for row in rows], scale
 
 
 def _pivot_columns(vectors):
@@ -160,14 +164,24 @@ def _double_description(halfspaces, dim):
         if not minus:
             rays = zero + [(r, m) for r, m, _ in plus]
             continue
-        all_masks = [m for _, m in rays]
+        complements = [~m for _, m in rays]
         new_rays = zero + [(r, m) for r, m, _ in plus]
-        for (p, pm, pv), (m, mm, mv) in itertools.product(plus, minus):
-            common = pm & mm
-            if any(o != pm and o != mm and common & ~o == 0 for o in all_masks):
-                continue  # a third ray lies on every face through p and m
-            w = _reduce(tuple(pv * y - mv * x for x, y in zip(p, m)))
-            new_rays.append((w, (pm & mm) | bit))
+        # Adjacent rays span a 2-face of the pointed part, whose dimension
+        # is dim - len(lines), so they share at least this many tight
+        # constraints (Fukuda & Prodon 1996).
+        min_common = dim - len(lines) - 2
+        minus_masks = [mm for _, mm, _ in minus]
+        for p, pm, pv in plus:
+            shares_enough = map(min_common.__le__, map(
+                int.bit_count, map(pm.__and__, minus_masks)))
+            for m, mm, mv in itertools.compress(minus, shares_enough):
+                common = pm & mm
+                # Extreme rays have distinct tight sets, so p and m are
+                # adjacent exactly when no third ray is tight on `common`.
+                if operator.countOf(map(common.__and__, complements), 0) > 2:
+                    continue
+                w = _reduce(tuple(pv * y - mv * x for x, y in zip(p, m)))
+                new_rays.append((w, common | bit))
         rays = new_rays
 
     return lines, [r for r, _ in rays]
@@ -220,7 +234,10 @@ class Cone:
         return _rank(self.rays + self.lines)
 
     def contains(self, x):
-        return all(_dot(h, x) >= 0 for h in self.halfspaces)
+        for h in self.halfspaces:
+            if _dot(h, x) < 0:
+                return False
+        return True
 
     def contains_strictly(self, x):
         return all(_dot(h, x) > 0 for h in self.halfspaces)
@@ -390,6 +407,10 @@ def polytope_proper_faces(vertices):
     k = config.dim
     if k == 0:
         return {0: {frozenset([0])}}
+    if len(config.points) == k + 1:  # a simplex: every proper subset is a face
+        return {d: {frozenset(s) for s in itertools.combinations(range(k + 1),
+                                                                 d + 1)}
+                for d in range(k)}
     # Facets = extreme rays of the cone of affine functionals nonnegative
     # on every vertex.
     _, rays = _double_description([u + (1,) for u in config.reduced], k + 1)

@@ -33,6 +33,7 @@ class UnknownTypeError(ValueError):
     """A subdivision signature matches no bootstrapped reference type."""
 
 
+@lru_cache(maxsize=1)
 def hypersimplex_vertices():
     """The 20 zero-one vectors with coordinate sum 3, in lex triple order."""
     verts = []
@@ -46,14 +47,33 @@ def _configuration():
     return PointConfiguration(hypersimplex_vertices())
 
 
+def _bits(mask):
+    """The set bits of ``mask``, lowest first, each as a one-bit mask."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 def is_matroid_basis_set(bases) -> bool:
-    """Basis-exchange axiom, checked by brute force over all pairs."""
-    bset = {frozenset(b) for b in bases}
-    if not bset:
+    """Basis-exchange axiom, checked by brute force over all pairs.
+
+    Bases are bitmasks over the union of the bases.  For every basis A and
+    element a of A, ``partners`` holds the elements b outside A for which
+    A - a + b is a basis; every basis B without a must contain one of them.
+    """
+    bases = [frozenset(b) for b in bases]
+    if not bases:
         raise ValueError("empty basis set")
-    for A, B in itertools.product(bset, repeat=2):
-        for a in A - B:
-            if not any(frozenset(A - {a} | {b}) in bset for b in B - A):
+    bit = {e: 1 << i for i, e in enumerate(frozenset().union(*bases))}
+    ground = (1 << len(bit)) - 1
+    masks = {sum(bit[e] for e in b) for b in bases}
+    for A in masks:
+        outside = list(_bits(ground & ~A))
+        for a in _bits(A):
+            rest = A ^ a
+            partners = sum(b for b in outside if rest | b in masks)
+            if 0 in map((a | partners).__and__, masks):
                 return False
     return True
 
@@ -77,6 +97,19 @@ def _cell_vertex_list(cell):
     return [verts[_TRIPLE_INDEX[t]] for t in sorted(cell)]
 
 
+def _cell_mask(cell):
+    """The cell's vertex set as a 20-bit mask, bit i for vertex i."""
+    return sum(1 << _TRIPLE_INDEX[t] for t in cell)
+
+
+@lru_cache(maxsize=1 << 16)
+def _shared_face_dim(mask):
+    """Dimension of the face spanned by the vertices in ``mask`` (-1 if
+    none).  Pairs of cells that share a vertex set share this value."""
+    shared = [i for i in range(len(PLUECKER_TRIPLES)) if mask >> i & 1]
+    return intersection_dim(hypersimplex_vertices(), shared, shared)
+
+
 @lru_cache(maxsize=None)
 def _cell_invariant(cell):
     f_vec = polytope_f_vector(_cell_vertex_list(cell))
@@ -93,15 +126,12 @@ def subdivision_signature(cells):
     with the cell invariants is needed to tell all six plane types apart.
     """
     cells = [frozenset(c) for c in cells]
-    per_cell = tuple(sorted(_cell_invariant(c) for c in cells))
-    verts = hypersimplex_vertices()
-    records = []
-    for a, b in itertools.combinations(cells, 2):
-        ia = [_TRIPLE_INDEX[t] for t in a]
-        ib = [_TRIPLE_INDEX[t] for t in b]
-        d = intersection_dim(verts, ia, ib)
-        records.append((tuple(sorted((_cell_invariant(a), _cell_invariant(b)))), d))
-    return (per_cell, tuple(sorted(records)))
+    invariants = [_cell_invariant(c) for c in cells]
+    masks = [_cell_mask(c) for c in cells]
+    records = [(tuple(sorted((ia, ib))), _shared_face_dim(ma & mb))
+               for (ia, ma), (ib, mb)
+               in itertools.combinations(zip(invariants, masks), 2)]
+    return (tuple(sorted(invariants)), tuple(sorted(records)))
 
 
 def signature_intersection_dims(sig):

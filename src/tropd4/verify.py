@@ -28,16 +28,18 @@ from .clusters import (
     tau_on_root,
 )
 from .correspondence import (
+    classify_all_cones,
     table1_report,
     table2_report,
     verify_cluster_fan_correspondence,
     verify_parity_reflection_theorem,
 )
 from .fan import bipyramid_cones, compute_fan_f36, trop_phi2
+from .geometry import cone_from_rays
 from .hypersimplex import (
-    classify_signature,
     is_matroid_basis_set,
     induced_subdivision,
+    reference_signatures,
     subdivision_signature,
 )
 from .webmatrix import all_tropical_minors
@@ -152,15 +154,20 @@ def check_table2():
 
 
 def check_interior_point_stability(seed, samples_per_cone=20):
-    """Random interior points of every cone: matroidal cells, one signature."""
+    """Random interior points of every cone: matroidal cells, one signature.
+
+    Each cone's base signature is the reference signature of the type
+    :func:`classify_all_cones` found at its canonical interior point.
+    """
     rng = random.Random(seed)
     violations = []
     fan = compute_fan_f36()
+    cone_types = classify_all_cones()
+    references = reference_signatures()
     for c in fan.maximal_cones:
         rays = sorted(c.rays)
-        base_sig = subdivision_signature(induced_subdivision(
-            trop_phi2(c.interior_point())))
-        base_type = classify_signature(base_sig)
+        base_type = cone_types[frozenset(c.rays)]
+        base_sig = references[base_type]
         for _ in range(samples_per_cone):
             coeffs = [Fraction(rng.randint(1, 50), rng.randint(1, 8))
                       for _ in rays]
@@ -194,7 +201,6 @@ def check_fan_covering(seed, n_samples=10000):
             shared = frozenset.intersection(
                 *(frozenset(fan.maximal_cones[i].rays) for i in hits))
             # the point must lie in the cone spanned by the shared rays
-            from .geometry import cone_from_rays
             if shared:
                 common = cone_from_rays(sorted(shared), 4)
                 if not common.contains(x):

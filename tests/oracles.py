@@ -5,7 +5,9 @@ oracle enumerates affine supports by brute force instead of running the
 double-description sweep, and solves its linear systems with its own
 Fraction elimination, so it imports nothing from ``tropd4.geometry``.  The
 cone-ray oracle solves every (d-1)-subset of halfspaces by cofactors instead
-of inserting them one at a time.  The crossing oracle realizes chords as
+of inserting them one at a time.  The basis-exchange oracle works on
+frozensets, and the matroid subdivisions of Delta(3,6) are also recognized
+by their tropical Plücker relations.  The crossing oracle realizes chords as
 exact rational segments and tests proper intersection, instead of applying
 the combinatorial crossing rules.
 """
@@ -147,6 +149,46 @@ def brute_force_cone_rays(halfspaces, dim):
                 g = math.gcd(*w)
                 rays.add(tuple(x // g for x in w))
     return sorted(rays)
+
+
+# -- matroid verdicts -----------------------------------------------------------
+
+def brute_force_matroid_basis_set(bases):
+    """Basis-exchange axiom over frozensets, by brute force over all pairs."""
+    bset = {frozenset(b) for b in bases}
+    if not bset:
+        raise ValueError("empty basis set")
+    for A, B in itertools.product(bset, repeat=2):
+        for a in A - B:
+            if not any(frozenset(A - {a} | {b}) in bset for b in B - A):
+                return False
+    return True
+
+
+def satisfies_tropical_plucker_relations(w):
+    """Min-convention 3-term tropical Plücker relations for heights ``w``.
+
+    ``w`` lists the heights of the 20 vertices of Delta(3,6) in
+    lexicographic triple order.  For each s and each 4-set ijkl avoiding s
+    (the 30 octahedral faces), the minimum of w(sij)+w(skl), w(sik)+w(sjl),
+    w(sil)+w(sjk) must be attained at least twice.  Heights satisfy them
+    exactly when they induce a matroid subdivision (Speyer, "Tropical
+    linear spaces", math/0410455).
+    """
+    index = {t: i for i, t in
+             enumerate(itertools.combinations(range(1, 7), 3))}
+
+    def p(*triple):
+        return w[index[tuple(sorted(triple))]]
+
+    for s in range(1, 7):
+        rest = [x for x in range(1, 7) if x != s]
+        for i, j, k, l in itertools.combinations(rest, 4):
+            terms = sorted((p(s, i, j) + p(s, k, l), p(s, i, k) + p(s, j, l),
+                            p(s, i, l) + p(s, j, k)))
+            if terms[0] != terms[1]:
+                return False
+    return True
 
 
 # -- geometric chord realization ----------------------------------------------

@@ -69,6 +69,21 @@ class TestFan:
         code, _ = run_cli(capsys, "--output", str(path), "fan")
         assert code == 0
         assert json.loads(path.read_text())["f_vector"] == [16, 66, 98, 48]
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("target", ["missing/fan.json", "taken"])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, target):
+        (tmp_path / "taken").mkdir()  # a directory where the file would go
+        with pytest.raises(SystemExit) as exc:
+            main(["--output", str(tmp_path / target), "fan"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "cannot write" in captured.err
+        assert "Traceback" not in captured.err
+        # no partial file and no temporary file is left behind
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["taken"]
 
 
 class TestSubdivision:

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from tropd4.fan import (
     bipyramid_cones,
     fan_to_json,
@@ -111,6 +114,15 @@ class TestTropPhi2:
         assert values[(2, 3, 5)] == 0
         assert values[(4, 5, 6)] == 5
         assert values[(1, 4, 5)] == 1
+
+    @given(st.tuples(*[st.fractions(-20, 20, max_denominator=12)] * 4))
+    def test_matches_fraction_evaluation(self, x):
+        minors = all_tropical_minors()
+        expected = tuple(min(_dot(form, x) for form in minors[idx])
+                         for idx in PLUECKER_TRIPLES)
+        got = trop_phi2(x)
+        assert got == expected
+        assert all(type(v) is Fraction for v in got)
 
     def test_linear_on_maximal_cones(self, fan36):
         rng = random.Random(13)

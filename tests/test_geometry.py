@@ -1,11 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tropd4.geometry as geometry
 from tropd4.geometry import (
     Cone,
     NotPointedError,
@@ -18,6 +20,7 @@ from tropd4.geometry import (
     intersection_dim,
     point_in_hull,
     polytope_f_vector,
+    polytope_proper_faces,
     regular_subdivision,
 )
 
@@ -225,7 +228,6 @@ class TestRegularSubdivision:
                     verts = [self.GRID[i] for i in sorted(cell)]
                     local = frozenset(sorted(cell).index(i)
                                       for i in sorted(shared))
-                    from tropd4.geometry import polytope_proper_faces
                     faces = polytope_proper_faces(verts)
                     all_faces = {f for fs in faces.values() for f in fs}
                     all_faces.add(frozenset(range(len(verts))))
@@ -343,3 +345,37 @@ class TestPolytopeFaces:
     def test_tetrahedron(self):
         simplex = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
         assert polytope_f_vector(simplex) == (4, 6, 4)
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_simplices_have_binomial_f_vectors(self, d, monkeypatch):
+        calls = count_double_descriptions(monkeypatch)
+        # a d-simplex in R^(d+1), with rational vertices off the origin
+        simplex = [tuple(Fraction(int(i == j) + 1, 3) for j in range(d + 1))
+                   for i in range(d + 1)]
+        assert polytope_f_vector(simplex) == \
+            tuple(comb(d + 1, k + 1) for k in range(d))
+        faces = polytope_proper_faces(simplex)
+        assert {f for fs in faces.values() for f in fs} == {
+            frozenset(s) for k in range(1, d + 1)
+            for s in itertools.combinations(range(d + 1), k)}
+        assert calls == []
+
+    def test_octahedron_in_hypersimplex_goes_through_dd(self, monkeypatch):
+        # Delta(2,4) as the face {1 in S, 6 not in S} of Delta(3,6)
+        octahedron = [v for v in hypersimplex_vertices() if v[0] and not v[5]]
+        assert len(octahedron) == 6
+        calls = count_double_descriptions(monkeypatch)
+        assert polytope_f_vector(octahedron) == (6, 12, 8)
+        assert len(calls) == 1
+
+
+def count_double_descriptions(monkeypatch):
+    """Record each call of the double-description sweep in a list."""
+    calls = []
+    sweep = geometry._double_description
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+    monkeypatch.setattr(geometry, "_double_description", counted)
+    return calls

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tropd4.fan import trop_phi2
 from tropd4.hypersimplex import (
@@ -18,10 +21,21 @@ from tropd4.hypersimplex import (
     subdivision_signature,
     subdivision_to_json,
 )
-from tropd4.reference import CONES_PER_TYPE, TABLE1, ray_set
+from tropd4.geometry import polytope_f_vector
+from tropd4.reference import (
+    CONES_PER_TYPE,
+    TABLE1,
+    ray_set,
+    representative_cones,
+)
 from tropd4.webmatrix import PLUECKER_TRIPLES
 
-from oracles import brute_force_lower_cells
+from oracles import (
+    _affine_rank,
+    brute_force_lower_cells,
+    brute_force_matroid_basis_set,
+    satisfies_tropical_plucker_relations,
+)
 
 
 def interior_point(labels):
@@ -58,6 +72,63 @@ class TestMatroidCheck:
 
     def test_singleton(self):
         assert is_matroid_basis_set([(1, 2, 3)])
+
+    @given(st.lists(st.sampled_from(PLUECKER_TRIPLES), min_size=1,
+                    max_size=20))
+    def test_matches_frozenset_oracle(self, family):
+        assert is_matroid_basis_set(family) == \
+            brute_force_matroid_basis_set(family)
+
+    def test_matches_frozenset_oracle_on_cells(self):
+        rng = random.Random(29)
+        weights = [trop_phi2(interior_point(labels))
+                   for rows in TABLE1.values() for labels in rows[:2]]
+        weights += [[rng.randint(0, 30) for _ in range(20)]
+                    for _ in range(4)]
+        verdicts = set()
+        for w in weights:
+            for cell in induced_subdivision(w):
+                verdict = is_matroid_basis_set(cell)
+                assert verdict == brute_force_matroid_basis_set(cell)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+def tropical_minors(matrix):
+    """Min-plus 3x3 minors of a 3x6 matrix, in lexicographic triple order."""
+    return [min(sum(matrix[r][cols[p]] for r, p in enumerate(perm))
+                for perm in itertools.permutations(range(3)))
+            for cols in ((i - 1, j - 1, k - 1) for i, j, k in PLUECKER_TRIPLES)]
+
+
+class TestPluckerRelations:
+    """Basis exchange on every cell agrees with the 3-term tropical
+    Plücker relations on the 30 octahedral faces."""
+
+    def test_uniform_heights(self):
+        rng = random.Random(31)
+        for _ in range(6):
+            w = [rng.randint(0, 1000) for _ in range(20)]
+            cells = induced_subdivision(w)
+            assert all(is_matroid_basis_set(c) for c in cells) == \
+                satisfies_tropical_plucker_relations(w)
+
+    def test_tropical_minors_of_random_matrices(self):
+        rng = random.Random(37)
+        verdicts = []
+        for _ in range(6):
+            w = tropical_minors([[rng.randint(0, 60) for _ in range(6)]
+                                 for _ in range(3)])
+            verdict = satisfies_tropical_plucker_relations(w)
+            cells = induced_subdivision(w)
+            assert all(is_matroid_basis_set(c) for c in cells) == verdict
+            verdicts.append(verdict)
+        assert all(verdicts)
+
+    def test_both_verdicts_occur(self):
+        assert not satisfies_tropical_plucker_relations(list(range(20)))
+        assert satisfies_tropical_plucker_relations(
+            trop_phi2(interior_point(("r3", "r9", "r10", "r12"))))
 
 
 class TestInducedSubdivision:
@@ -128,6 +199,31 @@ class TestSignature:
         for _ in range(5):
             rng.shuffle(cells)
             assert subdivision_signature(cells) == base
+
+    @pytest.mark.parametrize("lift", [*sorted(CONES_PER_TYPE), 41, 43, 47])
+    def test_matches_oracle_recomputation(self, lift):
+        # a reference cone by plane type, or a seeded generic lift
+        if isinstance(lift, str):
+            rays = representative_cones()[lift]
+            w = trop_phi2(tuple(sum(c) for c in zip(*rays)))
+        else:
+            w = [random.Random(lift).randint(0, 1000) for _ in range(20)]
+        cells = induced_subdivision(w)
+        verts = hypersimplex_vertices()
+
+        def vertex_list(triples):
+            return [verts[PLUECKER_TRIPLES.index(t)] for t in sorted(triples)]
+
+        invariant = {c: (len(c), polytope_f_vector(vertex_list(c)))
+                     for c in cells}
+        records = []
+        for a, b in itertools.combinations(cells, 2):
+            shared = vertex_list(a & b)
+            d = _affine_rank(shared) if shared else -1
+            records.append((tuple(sorted((invariant[a], invariant[b]))), d))
+        expected = (tuple(sorted(invariant[c] for c in cells)),
+                    tuple(sorted(records)))
+        assert subdivision_signature(cells) == expected
 
     def test_reference_signatures_distinct(self):
         sigs = reference_signatures()
