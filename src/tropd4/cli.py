@@ -37,13 +37,9 @@ from .verify import full_report
 
 
 def _emit(args, text: str) -> None:
-    """Print ``text``, or write it to ``--output``.
-
-    The file is written to a temporary name in the same directory and then
-    renamed over the target, so the target is never left half written.  A
-    file that cannot be written ends the run with one line on stderr and
-    exit code 2.
-    """
+    """Print ``text``, or write it to ``--output`` through a temporary file
+    and a rename, so the target is never left half written.  An unwritable
+    file ends the run with one line on stderr and exit code 2."""
     if args.output:
         tmp = f"{args.output}.{os.getpid()}.tmp"
         try:

@@ -14,14 +14,8 @@ from collections import Counter
 from functools import lru_cache
 
 from . import reference
-from .chords import (
-    SIGMA,
-    apply_symmetry,
-    chord_text,
-    pair_rep,
-    parse_chord,
-    reflect,
-)
+from .chords import (SIGMA, apply_symmetry, chord_text, pair_rep, parse_chord,
+                     reflect)
 from .clusters import (
     N4,
     classify_modulo,

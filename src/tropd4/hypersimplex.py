@@ -97,15 +97,11 @@ def _cell_vertex_list(cell):
     return [verts[_TRIPLE_INDEX[t]] for t in sorted(cell)]
 
 
-def _cell_mask(cell):
-    """The cell's vertex set as a 20-bit mask, bit i for vertex i."""
-    return sum(1 << _TRIPLE_INDEX[t] for t in cell)
-
-
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=None)
 def _shared_face_dim(mask):
     """Dimension of the face spanned by the vertices in ``mask`` (-1 if
-    none).  Pairs of cells that share a vertex set share this value."""
+    none).  Pairs of cells that share a vertex set share this value; the
+    keys are subsets of the 20 vertices, so the cache is finite."""
     shared = [i for i in range(len(PLUECKER_TRIPLES)) if mask >> i & 1]
     return intersection_dim(hypersimplex_vertices(), shared, shared)
 
@@ -127,7 +123,8 @@ def subdivision_signature(cells):
     """
     cells = [frozenset(c) for c in cells]
     invariants = [_cell_invariant(c) for c in cells]
-    masks = [_cell_mask(c) for c in cells]
+    # bit i of a cell's mask stands for vertex i
+    masks = [sum(1 << _TRIPLE_INDEX[t] for t in c) for c in cells]
     records = [(tuple(sorted((ia, ib))), _shared_face_dim(ma & mb))
                for (ia, ma), (ib, mb)
                in itertools.combinations(zip(invariants, masks), 2)]

@@ -151,7 +151,7 @@ def brute_force_cone_rays(halfspaces, dim):
     return sorted(rays)
 
 
-# -- matroid verdicts -----------------------------------------------------------
+# -- matroid verdicts ---------------------------------------------------------
 
 def brute_force_matroid_basis_set(bases):
     """Basis-exchange axiom over frozensets, by brute force over all pairs."""

@@ -27,7 +27,11 @@ from tropd4.geometry import (
 from tropd4.fan import trop_phi2
 from tropd4.hypersimplex import hypersimplex_vertices, induced_subdivision
 
-from oracles import _affine_rank, brute_force_cone_rays, brute_force_lower_cells
+from oracles import (
+    _affine_rank,
+    brute_force_cone_rays,
+    brute_force_lower_cells,
+)
 
 R = {  # the sixteen fan rays, by conventional label number
     1: (0, 0, 1, 0), 2: (0, 0, -1, 0), 3: (1, 0, 0, 0), 4: (1, 0, -1, 0),

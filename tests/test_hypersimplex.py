@@ -96,9 +96,9 @@ class TestMatroidCheck:
 
 def tropical_minors(matrix):
     """Min-plus 3x3 minors of a 3x6 matrix, in lexicographic triple order."""
-    return [min(sum(matrix[r][cols[p]] for r, p in enumerate(perm))
-                for perm in itertools.permutations(range(3)))
-            for cols in ((i - 1, j - 1, k - 1) for i, j, k in PLUECKER_TRIPLES)]
+    return [min(sum(matrix[r][col - 1] for r, col in enumerate(perm))
+                for perm in itertools.permutations(triple))
+            for triple in PLUECKER_TRIPLES]
 
 
 class TestPluckerRelations:
