@@ -105,7 +105,6 @@ class TestConeRays:
             assert all(sum(a * b for a, b in zip(h, r)) >= 0
                        for h in halfspaces if any(h))
 
-
     @given(st.integers(1, 5).flatmap(lambda d: st.tuples(
         st.just(d), st.booleans(),
         st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=d + 3))))

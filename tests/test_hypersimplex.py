@@ -207,8 +207,10 @@ class TestSignature:
             rays = representative_cones()[lift]
             w = trop_phi2(tuple(sum(c) for c in zip(*rays)))
         else:
-            w = [random.Random(lift).randint(0, 1000) for _ in range(20)]
+            rng = random.Random(lift)
+            w = [rng.randint(0, 1000) for _ in range(20)]
         cells = induced_subdivision(w)
+        assert len(cells) > 1
         verts = hypersimplex_vertices()
 
         def vertex_list(triples):
