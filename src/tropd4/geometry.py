@@ -298,9 +298,22 @@ class Fan:
     ambient_dim: int
     maximal_cones: tuple
 
+    _normals: tuple = field(init=False, repr=False, compare=False)
+    _masks: tuple = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         self.maximal_cones = tuple(sorted(self.maximal_cones,
                                           key=lambda c: c.rays))
+        # Cones share most of their facets, so point location evaluates
+        # each distinct normal once; bit j of a cone's mask stands for
+        # ``_normals[j]``.
+        bit = {}
+        for c in self.maximal_cones:
+            for h in c.halfspaces:
+                bit.setdefault(h, 1 << len(bit))
+        self._normals = tuple(bit)
+        self._masks = tuple(sum({bit[h] for h in c.halfspaces})
+                            for c in self.maximal_cones)
 
     @property
     def rays(self):
@@ -320,7 +333,12 @@ class Fan:
         return tuple(counts.get(d, 0) for d in range(1, self.ambient_dim + 1))
 
     def cones_containing(self, x):
-        return [i for i, c in enumerate(self.maximal_cones) if c.contains(x)]
+        """Indices of the maximal cones that contain ``x``."""
+        violated = 0
+        for j, h in enumerate(self._normals):
+            if _dot(h, x) < 0:
+                violated |= 1 << j
+        return [i for i, m in enumerate(self._masks) if not m & violated]
 
 
 class PointConfiguration:
@@ -359,6 +377,12 @@ def regular_subdivision(points, heights):
     Each lifted point is ``(p_i, h_i)``; a cell is the frozenset of indices
     of the points lying on one lower facet of the lifted convex hull.  Cells
     are returned sorted, as frozensets of point indices.
+
+    The sweep inserts ``t >= 0`` first, so it never builds the upper half of
+    the lifted hull, and then the points from the lowest height up, so the
+    intermediate cones stay close to the lower envelope (ties keep index
+    order).  The cells do not depend on this order: they are the tight sets
+    of the final extreme rays, read off with the original indices.
     """
     config = points if isinstance(points, PointConfiguration) \
         else PointConfiguration(points)
@@ -369,10 +393,10 @@ def regular_subdivision(points, heights):
     [h_ints], _ = _integer_rows([heights])
 
     d = config.dim
-    # Affine supports (c, c0, t):  <u_i, c> + c0 <= t * h_i,  t >= 0.
-    halfspaces = [tuple(-x for x in u) + (-1, h)
-                  for u, h in zip(config.reduced, h_ints)]
-    halfspaces.append(tuple(0 for _ in range(d + 1)) + (1,))
+    # Affine supports (c, c0, t):  t >= 0,  <u_i, c> + c0 <= t * h_i.
+    halfspaces = [tuple(0 for _ in range(d + 1)) + (1,)]
+    lifted = sorted(zip(h_ints, config.reduced), key=operator.itemgetter(0))
+    halfspaces += [tuple(-x for x in u) + (-1, h) for h, u in lifted]
     lines, rays = _double_description(halfspaces, d + 2)
     if lines:  # cannot happen for a spanning configuration
         raise NotPointedError(lines[0])

@@ -158,9 +158,18 @@ def check_interior_point_stability(seed, samples_per_cone=20):
 
     Each cone's base signature is the reference signature of the type
     :func:`classify_all_cones` found at its canonical interior point.
+    Samples share most of their cells, so each distinct cell is checked
+    for basis exchange once per call and its verdict reused.
     """
     rng = random.Random(seed)
     violations = []
+    verdicts = {}  # cell -> basis-exchange verdict
+
+    def matroidal(cell):
+        if cell not in verdicts:
+            verdicts[cell] = is_matroid_basis_set(cell)
+        return verdicts[cell]
+
     fan = compute_fan_f36()
     cone_types = classify_all_cones()
     references = reference_signatures()
@@ -174,7 +183,7 @@ def check_interior_point_stability(seed, samples_per_cone=20):
             point = tuple(sum(f * r[i] for f, r in zip(coeffs, rays))
                           for i in range(4))
             cells = induced_subdivision(trop_phi2(point))
-            if not all(is_matroid_basis_set(cell) for cell in cells):
+            if not all(map(matroidal, cells)):
                 violations.append({"check": "matroidal cells",
                                    "cone": [list(r) for r in rays],
                                    "point": [str(x) for x in point]})
@@ -191,6 +200,7 @@ def check_fan_covering(seed, n_samples=10000):
     rng = random.Random(seed)
     violations = []
     fan = compute_fan_f36()
+    spanned = {}  # shared ray set -> the cone it spans
     for _ in range(n_samples):
         x = tuple(rng.randint(-40, 40) for _ in range(4))
         hits = fan.cones_containing(x)
@@ -202,8 +212,9 @@ def check_fan_covering(seed, n_samples=10000):
                 *(frozenset(fan.maximal_cones[i].rays) for i in hits))
             # the point must lie in the cone spanned by the shared rays
             if shared:
-                common = cone_from_rays(sorted(shared), 4)
-                if not common.contains(x):
+                if shared not in spanned:
+                    spanned[shared] = cone_from_rays(sorted(shared), 4)
+                if not spanned[shared].contains(x):
                     violations.append({"check": "overlap is a common face",
                                        "point": list(x)})
             elif any(x):

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: the lower-envelope
 oracle enumerates affine supports by brute force instead of running the
 double-description sweep, and solves its linear systems with its own
-Fraction elimination, so it imports nothing from ``tropd4.geometry``.  The
+Fraction and fraction-free eliminations, so it imports nothing from
+``tropd4``.  The
 cone-ray oracle solves every (d-1)-subset of halfspaces by cofactors instead
 of inserting them one at a time.  The basis-exchange oracle works on
 frozensets, and the matroid subdivisions of Delta(3,6) are also recognized
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 
@@ -24,29 +26,63 @@ def brute_force_lower_cells(points, heights):
 
     For every affinely independent (d+1)-subset, solve for the affine
     function through the lifted points; if it supports the lift from below,
-    its tight set is a cell.
+    its tight set is a cell.  The lifted rows ``(u_i, 1, h_i)`` are scaled
+    to integers once, and each subset's system is solved fraction-free for
+    ``D`` and ``D * (a, c)`` with ``D`` = +-det, so ``D * (h_i - value_i)``
+    is an integer whose sign decides support.
     """
     reduced = _affine_coordinates(points)
     d = len(reduced[0])
-    hs = [Fraction(h) for h in heights]
+    lifted = [u + (1, Fraction(h)) for u, h in zip(reduced, heights)]
+    scale = math.lcm(*(x.denominator for row in lifted for x in row))
+    rows = [tuple(int(x * scale) for x in row) for row in lifted]
     cells = set()
-    for subset in itertools.combinations(range(len(reduced)), d + 1):
-        columns = [tuple(reduced[i][j] for i in subset) for j in range(d)]
-        columns.append(tuple(1 for _ in subset))
-        sol = _solve(columns, tuple(hs[i] for i in subset))
-        if sol is None:
+    for subset in itertools.combinations(rows, d + 1):
+        sol = _fraction_free_solve(subset)
+        if sol is None:  # affinely dependent: no unique affine function
             continue
-        # affinely dependent subsets admit a solution only if consistent;
-        # require the subset to determine the function uniquely
-        if _affine_rank([reduced[i] for i in subset]) < d:
+        det, x = sol
+        if det < 0:
+            det, x = -det, [-v for v in x]
+        # map stops at the end of x, before the height column
+        slack = [det * r[-1] - sum(map(operator.mul, x, r)) for r in rows]
+        if min(slack) < 0:
             continue
-        a, c = sol[:d], sol[d]
-        values = [sum(ai * ui for ai, ui in zip(a, u)) + c for u in reduced]
-        if any(v > h for v, h in zip(values, hs)):
-            continue
-        cells.add(frozenset(i for i, (v, h) in enumerate(zip(values, hs))
-                            if v == h))
+        cells.add(frozenset(i for i, s in enumerate(slack) if s == 0))
     return sorted(cells, key=sorted)
+
+
+def _fraction_free_solve(aug):
+    """``(D, D * x)`` for the square system with augmented integer rows
+    ``aug``, where ``D`` is +-det and ``D * x`` is integral; None when the
+    system is singular.
+
+    Bareiss elimination keeps every entry an integer.  Back-substitution
+    runs on ``D * x``, which is integral by Cramer's rule, so each of its
+    divisions is exact too.
+    """
+    rows = [list(r) for r in aug]
+    n = len(rows)
+    prev = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        head = rows[c]
+        p = head[c]
+        for i in range(c + 1, n):
+            g = rows[i][c]
+            rows[i] = [(p * v - g * w) // prev for v, w in zip(rows[i], head)]
+        prev = p
+    x = [0] * n
+    for c in reversed(range(n)):
+        row = rows[c]
+        q, r = divmod(prev * row[n] - sum(row[k] * x[k]
+                                          for k in range(c + 1, n)), row[c])
+        assert r == 0, "inexact back-substitution"
+        x[c] = q
+    return prev, x
 
 
 def _affine_rank(pts):

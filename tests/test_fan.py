@@ -10,6 +10,7 @@ from tropd4.fan import (
     linearity_fan,
     trop_phi2,
 )
+from tropd4.geometry import cone_face_ray_sets
 from tropd4.reference import (
     BIPYRAMIDS,
     FAN_F_VECTOR,
@@ -83,6 +84,20 @@ class TestFanF36:
                 assert shared, x
                 from tropd4.geometry import cone_from_rays
                 assert cone_from_rays(sorted(shared), 4).contains(x)
+
+    def test_cones_containing_matches_each_cone(self, fan36):
+        rng = random.Random(29)
+        points = [tuple(rng.randint(-40, 40) for _ in range(4))
+                  for _ in range(500)]
+        points += fan36.rays
+        faces = {f for c in fan36.maximal_cones
+                 for f in cone_face_ray_sets(c)}
+        points += [tuple(map(sum, zip(*f))) for f in sorted(faces, key=sorted)]
+        for x in points:
+            assert fan36.cones_containing(x) == [
+                i for i, c in enumerate(fan36.maximal_cones)
+                if c.contains(x)], x
+        assert fan36.cones_containing(Z) == list(range(48))
 
     def test_single_form_minimal_on_each_cone(self, fan36):
         """On every maximal cone each minor selects one linear form."""

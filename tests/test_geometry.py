@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tropd4.geometry as geometry
@@ -249,6 +249,43 @@ class TestRegularSubdivision:
                   for x, y in self.GRID]
         assert regular_subdivision(points, heights) == \
             regular_subdivision(self.GRID, heights)
+
+
+DELTA_2_5 = [tuple(1 if i in s else 0 for i in range(5))
+             for s in itertools.combinations(range(5), 2)]
+
+# Heights for the 10 vertices of Delta(2,5): a narrow integer range gives
+# ties and cells that are not simplices, a wide one generic heights.
+DELTA_2_5_HEIGHTS = st.one_of(
+    st.lists(st.integers(-2, 2), min_size=10, max_size=10),
+    st.lists(st.integers(-500, 500), min_size=10, max_size=10),
+    st.lists(st.fractions(-2, 2, max_denominator=3), min_size=10,
+             max_size=10),
+)
+
+
+class TestLowerEnvelopeOrder:
+    """The sweep inserts halfspaces in height order; the cells must not
+    depend on it."""
+
+    @given(DELTA_2_5_HEIGHTS)
+    @example([0] * 10)
+    @example([0, 0, 0, 0, 1, 1, 1, 1, 1, 1])
+    @example([Fraction(1, 2)] * 5 + [0] * 5)
+    @settings(max_examples=60)
+    def test_delta_2_5_against_brute_force(self, heights):
+        assert regular_subdivision(DELTA_2_5, heights) == \
+            brute_force_lower_cells(DELTA_2_5, heights)
+
+    @given(DELTA_2_5_HEIGHTS, st.permutations(range(10)))
+    @settings(max_examples=60)
+    def test_permuting_points_permutes_cells(self, heights, perm):
+        # position j of the permuted input holds point perm[j]
+        cells = regular_subdivision([DELTA_2_5[i] for i in perm],
+                                    [heights[i] for i in perm])
+        relabelled = sorted((frozenset(perm[j] for j in c) for c in cells),
+                            key=sorted)
+        assert relabelled == regular_subdivision(DELTA_2_5, heights)
 
 
 class TestIntersectionDim:
