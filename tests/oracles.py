@@ -4,13 +4,12 @@ These deliberately avoid the code paths they check: the lower-envelope
 oracle enumerates affine supports by brute force instead of running the
 double-description sweep, and solves its linear systems with its own
 Fraction and fraction-free eliminations, so it imports nothing from
-``tropd4``.  The
-cone-ray oracle solves every (d-1)-subset of halfspaces by cofactors instead
-of inserting them one at a time.  The basis-exchange oracle works on
-frozensets, and the matroid subdivisions of Delta(3,6) are also recognized
-by their tropical Plücker relations.  The crossing oracle realizes chords as
-exact rational segments and tests proper intersection, instead of applying
-the combinatorial crossing rules.
+``tropd4``.  The cone-ray oracle solves every (d-1)-subset of halfspaces by
+cofactors instead of inserting them one at a time.  The basis-exchange
+oracle works on frozensets, and the matroid subdivisions of Delta(3,6) are
+also recognized by their tropical Plücker relations.  The crossing oracle
+realizes chords as exact rational segments and tests proper intersection,
+instead of applying the combinatorial crossing rules.
 """
 
 from __future__ import annotations
