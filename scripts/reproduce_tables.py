@@ -6,12 +6,10 @@ the flip graph, and the consolidated verification report.  Everything is
 deterministic; rerunning overwrites byte-identical files.
 """
 
-import json
 import pathlib
 import sys
 
 from tropd4.cli import main as cli_main
-from tropd4.verify import full_report
 
 
 def run(outdir):
@@ -24,29 +22,22 @@ def run(outdir):
         (["classify-clusters"], "classes.json"),
         (["table1", "--format", "csv"], "table1.csv"),
         (["table2", "--format", "csv"], "table2.csv"),
+        (["subdivision", "--cone", "r3,r9,r10,r12"],
+         "subdivision_r3_r9_r10_r12.json"),
+        (["subdivision", "--cone", "r1,r5,r7,r11,r13"],
+         "subdivision_r1_r5_r7_r11_r13.json"),
+        (["--seed", "0", "verify-all"], "verification_report.json"),
     ]
     for argv, name in jobs:
         path = outdir / name
         code = cli_main(["--output", str(path)] + argv)
-        if code != 0:
+        # Only verify-all, the last job, exits 1: its report is written
+        # and lists the failed checks.
+        if code not in (0, 1):
             return code
         print(f"wrote {path}")
-    for labels in (("r3", "r9", "r10", "r12"),
-                   ("r1", "r5", "r7", "r11", "r13")):
-        name = "subdivision_" + "_".join(labels) + ".json"
-        code = cli_main(["--output", str(outdir / name),
-                         "subdivision", "--cone", ",".join(labels)])
-        if code != 0:
-            return code
-        print(f"wrote {outdir / name}")
-    report = full_report(seed=0)
-    path = outdir / "verification_report.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True))
-    print(f"wrote {path}")
-    ok = not report["violations"]
-    print("verification:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
-
+    print("verification:", "PASS" if code == 0 else "FAIL")
+    return code
 
 if __name__ == "__main__":
     target = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 \

@@ -23,7 +23,6 @@ from .geometry import (
     Cone,
     Fan,
     canonicalize_ray,
-    cone_dim,
     cone_rays,
     intersect_cones,
     intersection_dim,

@@ -27,10 +27,11 @@ from .correspondence import (
     table1_report,
     table2_report,
 )
-from .fan import compute_fan_f36, fan_to_json, trop_phi2
+from .fan import compute_fan_f36, fan_to_json
 from .hypersimplex import (
-    classify_plane_type,
-    induced_subdivision,
+    classify_signature,
+    subdivision_of_point,
+    subdivision_signature,
     subdivision_to_json,
 )
 from .verify import full_report
@@ -138,11 +139,11 @@ def cmd_subdivision(args) -> int:
         return 2
     cone = match[0]
     point = cone.interior_point()
-    cells = induced_subdivision(trop_phi2(point))
+    cells = subdivision_of_point(point)
     data = subdivision_to_json(cells)
     data["cone"] = sorted(labels, key=lambda l: int(l[1:]))
     data["interior_point"] = list(point)
-    data["plane_type"] = classify_plane_type(cone)
+    data["plane_type"] = classify_signature(subdivision_signature(cells))
     _emit(args, _json(data))
     return 0
 

@@ -165,8 +165,11 @@ def snake():
     return frozenset(snake_pairs())
 
 
+@lru_cache(maxsize=None)
 def root_of_pair(p: Chord):
-    """Almost positive root of a chord pair (coefficients over alpha_1..4)."""
+    """Almost positive root of a chord pair (coefficients over alpha_1..4).
+
+    The keys are chords of the 8-gon model, so the cache is finite."""
     sp = snake_pairs()
     p = pair_rep(p, N4)
     if p in sp:

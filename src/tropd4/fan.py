@@ -13,13 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .geometry import (
-    Cone,
-    Fan,
-    _double_description,
-    _rank,
-    facet_normals,
-)
+from .geometry import Cone, Fan, facet_normals
 from .webmatrix import PLUECKER_TRIPLES, all_tropical_minors
 
 
@@ -75,14 +69,12 @@ def compute_fan_f36() -> Fan:
         refined = []
         for hs in regions:
             for i in range(len(forms)):
-                cand = hs + _argmin_halfspaces(forms, i)
-                lines, rays = _double_description(cand, dim)
-                if _rank(list(lines) + list(rays)) < dim:
+                c = Cone(dim, hs + _argmin_halfspaces(forms, i))
+                if c.dim() < dim:
                     continue
-                gens = [tuple(r) for r in rays]
-                for l in lines:
-                    gens.append(tuple(l))
-                    gens.append(tuple(-x for x in l))
+                gens = list(c.rays)
+                for l in c.lines:
+                    gens += [l, tuple(-x for x in l)]
                 refined.append(tuple(facet_normals(gens, dim)))
         regions = refined
     cones = [Cone(dim, hs) for hs in regions]

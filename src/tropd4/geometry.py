@@ -9,6 +9,12 @@ that inserts halfspaces one at a time while maintaining a line basis and the
 extreme rays of the pointed part.  Everything else (facet enumeration,
 polytope face lattices, lower envelopes) is phrased as a ray enumeration of
 a suitable cone.
+
+The sweep takes integer rows and returns primitive integer lines and
+primitive rays, each ray paired with the bitmask of the rows it is tight
+on (bit i for input row i).  Public entries scale rational input to
+integer rows once, with :func:`_integer_rows`; callers read incidences off
+the masks and never canonicalize sweep output again.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -32,22 +37,12 @@ class NotPointedError(ValueError):
         super().__init__(f"cone contains the line through {self.direction}")
 
 
-def _as_integer_vector(v):
-    """Scale a rational vector by a positive rational into coprime integers."""
-    if all(type(x) is int for x in v):
-        return tuple(v)
-    fracs = [Fraction(x) for x in v]
-    scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return tuple(int(f * scale) for f in fracs)
-
-
 def canonicalize_ray(v):
     """Unique positive multiple of ``v`` with coprime integer entries."""
-    w = _as_integer_vector(v)
-    g = gcd(*(abs(x) for x in w)) if w else 0
-    if g == 0:
+    [w], _ = _integer_rows([v])
+    if not any(w):
         raise ZeroRayError(f"zero vector {tuple(v)} does not span a ray")
-    return tuple(x // g for x in w)
+    return _reduce(w)
 
 
 def _reduce(v):
@@ -71,6 +66,7 @@ def _integer_rows(rows):
     Ints and Fractions both carry ``denominator``, so integer input is
     scaled by 1 without building Fractions.  Returns ``(rows, scale)``.
     """
+    rows = list(rows)  # read twice below; callers may pass an iterator
     scale = lcm(*(x.denominator for row in rows for x in row))
     return [tuple(x.numerator * (scale // x.denominator) for x in row)
             for row in rows], scale
@@ -109,24 +105,23 @@ def _rank(vectors):
     return len(_pivot_columns(vectors))
 
 
-def _double_description(halfspaces, dim):
-    """Lines and extreme rays of ``{x : <h, x> >= 0 for h in halfspaces}``.
+def _double_description(rows, dim):
+    """Lines and extreme rays of ``{x : <h, x> >= 0 for h in rows}``.
 
-    Returns ``(lines, rays)`` where ``lines`` is an integer basis of the
-    lineality space and ``rays`` are the primitive extreme rays of the
-    pointed part (taken modulo the lineality space).
+    ``rows`` are integer vectors.  Returns ``(lines, rays)``: ``lines`` is a
+    basis of the lineality space of primitive integer vectors, and ``rays``
+    pairs each primitive extreme ray of the pointed part (taken modulo the
+    lineality space) with its tight mask, whose bit i is set exactly when
+    ``<rows[i], ray> == 0``.  A zero row is tight on every ray.
     """
-    constraints = []
     lines = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-    rays = []  # list of (vector, tight-bitmask over `constraints`)
+    rays = []  # list of (vector, tight mask)
 
-    for h in halfspaces:
-        a = _as_integer_vector(h)
-        if not any(a):
-            continue
-        idx = len(constraints)
-        constraints.append(a)
+    for idx, a in enumerate(rows):
         bit = 1 << idx
+        if not any(a):
+            rays = [(r, mask | bit) for r, mask in rays]
+            continue
         line_vals = [_dot(a, l) for l in lines]
         if any(line_vals):
             k = next(i for i, v in enumerate(line_vals) if v)
@@ -147,7 +142,8 @@ def _double_description(halfspaces, dim):
                 else:
                     new_rays.append((_reduce(tuple(
                         v0 * x - v * y for x, y in zip(r, l0))), mask | bit))
-            # The consumed line survives as a ray, tight on all earlier cuts.
+            # The consumed line survives as a ray.  It lies in the lineality
+            # space of the earlier rows, so it is tight on all of them.
             new_rays.append((l0, bit - 1))
             lines, rays = new_lines, new_rays
             continue
@@ -184,15 +180,15 @@ def _double_description(halfspaces, dim):
                 new_rays.append((w, common | bit))
         rays = new_rays
 
-    return lines, [r for r, _ in rays]
+    return lines, rays
 
 
 def cone_rays(halfspaces, dim):
-    """Extreme rays of a pointed cone, canonicalized and sorted."""
-    lines, rays = _double_description(halfspaces, dim)
+    """Extreme rays of a pointed cone, as sorted primitive integer vectors."""
+    lines, rays = _double_description(_integer_rows(halfspaces)[0], dim)
     if lines:
         raise NotPointedError(lines[0])
-    return sorted(canonicalize_ray(r) for r in rays)
+    return sorted(r for r, _ in rays)
 
 
 def facet_normals(generators, dim):
@@ -202,11 +198,11 @@ def facet_normals(generators, dim):
     both l and -l.  The result defines the cone as an intersection of
     halfspaces whenever the cone is full-dimensional.
     """
-    lines, rays = _double_description(generators, dim)
-    normals = sorted(canonicalize_ray(r) for r in rays)
+    lines, rays = _double_description(_integer_rows(generators)[0], dim)
+    normals = sorted(r for r, _ in rays)
     for l in lines:
-        normals.append(canonicalize_ray(l))
-        normals.append(canonicalize_ray([-x for x in l]))
+        normals.append(l)
+        normals.append(tuple(-x for x in l))
     return normals
 
 
@@ -220,11 +216,11 @@ class Cone:
     lines: tuple = field(init=False)
 
     def __post_init__(self):
-        self.halfspaces = tuple(_reduce(_as_integer_vector(h))
-                                for h in self.halfspaces if any(h))
+        rows, _ = _integer_rows([h for h in self.halfspaces if any(h)])
+        self.halfspaces = tuple(map(_reduce, rows))
         lines, rays = _double_description(self.halfspaces, self.ambient_dim)
-        self.rays = tuple(sorted(canonicalize_ray(r) for r in rays))
-        self.lines = tuple(sorted(canonicalize_ray(l) for l in lines))
+        self.rays = tuple(sorted(r for r, _ in rays))
+        self.lines = tuple(sorted(lines))
 
     @property
     def is_pointed(self):
@@ -256,13 +252,9 @@ def intersect_cones(a: Cone, b: Cone) -> Cone:
     return Cone(a.ambient_dim, a.halfspaces + b.halfspaces)
 
 
-def cone_dim(c: Cone) -> int:
-    return c.dim()
-
-
 def cone_from_rays(rays, dim):
     """Cone spanned by ``rays``, reconstructed through its facet normals."""
-    return Cone(dim, tuple(facet_normals([tuple(r) for r in rays], dim)))
+    return Cone(dim, tuple(facet_normals(list(rays), dim)))
 
 
 def cone_face_ray_sets(cone: Cone):
@@ -273,11 +265,17 @@ def cone_face_ray_sets(cone: Cone):
     if len(rays) == _rank(rays):  # simplicial: faces are the ray subsets
         return {frozenset(s) for k in range(1, len(rays) + 1)
                 for s in itertools.combinations(rays, k)}
-    normals = facet_normals(list(rays), cone.ambient_dim)
-    faces = _face_closure([frozenset(r for r in rays if _dot(h, r) == 0)
-                           for h in normals])
+    # The facet normals are the rays of the dual cone; each one's mask
+    # marks the rays of its facet.  Dual lines are tight on every ray.
+    _, normals = _double_description(rays, cone.ambient_dim)
+    faces = _face_closure([_members(mask, rays) for _, mask in normals])
     faces.add(frozenset(rays))
     return faces
+
+
+def _members(mask, items):
+    """The items whose positions are set bits of ``mask``, as a frozenset."""
+    return frozenset(x for i, x in enumerate(items) if mask >> i & 1)
 
 
 def _face_closure(facets):
@@ -381,8 +379,8 @@ def regular_subdivision(points, heights):
     The sweep inserts ``t >= 0`` first, so it never builds the upper half of
     the lifted hull, and then the points from the lowest height up, so the
     intermediate cones stay close to the lower envelope (ties keep index
-    order).  The cells do not depend on this order: they are the tight sets
-    of the final extreme rays, read off with the original indices.
+    order).  The cells do not depend on this order: they are the tight masks
+    of the final extreme rays, mapped back to the original indices.
     """
     config = points if isinstance(points, PointConfiguration) \
         else PointConfiguration(points)
@@ -394,20 +392,16 @@ def regular_subdivision(points, heights):
 
     d = config.dim
     # Affine supports (c, c0, t):  t >= 0,  <u_i, c> + c0 <= t * h_i.
+    # Row 0 is t >= 0; row j + 1 is the point order[j].
+    order = sorted(range(len(h_ints)), key=h_ints.__getitem__)
     halfspaces = [tuple(0 for _ in range(d + 1)) + (1,)]
-    lifted = sorted(zip(h_ints, config.reduced), key=operator.itemgetter(0))
-    halfspaces += [tuple(-x for x in u) + (-1, h) for h, u in lifted]
+    halfspaces += [tuple(-x for x in config.reduced[i]) + (-1, h_ints[i])
+                   for i in order]
     lines, rays = _double_description(halfspaces, d + 2)
     if lines:  # cannot happen for a spanning configuration
         raise NotPointedError(lines[0])
-    cells = set()
-    for ray in rays:
-        c, c0, t = ray[:d], ray[d], ray[d + 1]
-        if t <= 0:
-            continue
-        cell = frozenset(i for i, (u, h) in enumerate(zip(config.reduced, h_ints))
-                         if _dot(u, c) + c0 == t * h)
-        cells.add(cell)
+    # Rays tight on t >= 0 are vertical and bound no lower facet.
+    cells = {_members(mask >> 1, order) for _, mask in rays if not mask & 1}
     return sorted(cells, key=sorted)
 
 
@@ -438,8 +432,7 @@ def polytope_proper_faces(vertices):
     # Facets = extreme rays of the cone of affine functionals nonnegative
     # on every vertex.
     _, rays = _double_description([u + (1,) for u in config.reduced], k + 1)
-    facets = [frozenset(i for i, u in enumerate(config.reduced)
-                        if _dot(a[:k], u) + a[k] == 0) for a in rays]
+    facets = [_members(mask, range(len(config.points))) for _, mask in rays]
     result = {}
     for f in _face_closure(facets):
         pts = [config.reduced[i] for i in sorted(f)]
@@ -463,4 +456,4 @@ def point_in_hull(y, vertices):
         return False
     k = config.dim
     _, rays = _double_description([v + (1,) for v in config.reduced], k + 1)
-    return all(_dot(a[:k], u) + a[k] >= 0 for a in rays)
+    return all(_dot(a[:k], u) + a[k] >= 0 for a, _ in rays)

@@ -164,15 +164,6 @@ def ray_set(labels):
     return frozenset(RAY_COORDS[l] for l in labels)
 
 
-def table1_ray_sets():
-    """dict frozenset-of-ray-coords -> plane type, over all 48 cones."""
-    out = {}
-    for t, cones in TABLE1.items():
-        for labels in cones:
-            out[ray_set(labels)] = t
-    return out
-
-
 def representative_cones():
     """One labeled representative ray set per plane type (first table row)."""
     return {t: ray_set(cones[0]) for t, cones in TABLE1.items()}

@@ -5,7 +5,8 @@ oracle enumerates affine supports by brute force instead of running the
 double-description sweep, and solves its linear systems with its own
 Fraction and fraction-free eliminations, so it imports nothing from
 ``tropd4``.  The cone-ray oracle solves every (d-1)-subset of halfspaces by
-cofactors instead of inserting them one at a time.  The basis-exchange
+cofactors instead of inserting them one at a time; the cone-face oracle
+takes the facets from it and intersects them.  The basis-exchange
 oracle works on frozensets, and the matroid subdivisions of Delta(3,6) are
 also recognized by their tropical Plücker relations.  The crossing oracle
 realizes chords as exact rational segments and tests proper intersection,
@@ -184,6 +185,22 @@ def brute_force_cone_rays(halfspaces, dim):
                 g = math.gcd(*w)
                 rays.add(tuple(x // g for x in w))
     return sorted(rays)
+
+
+def brute_force_cone_faces(rays, dim):
+    """Nonzero faces of a full-dimensional pointed cone, as frozensets of
+    its extreme ``rays``.  The facet normals are the extreme rays of the
+    dual cone, found by :func:`brute_force_cone_rays`; every face is an
+    intersection of facets, or the whole cone."""
+    facets = {frozenset(r for r in rays
+                        if sum(map(operator.mul, h, r)) == 0)
+              for h in brute_force_cone_rays(rays, dim)}
+    faces = {frozenset(rays)}
+    for k in range(1, len(facets) + 1):
+        for group in itertools.combinations(facets, k):
+            faces.add(frozenset.intersection(*group))
+    faces.discard(frozenset())
+    return faces
 
 
 # -- matroid verdicts ---------------------------------------------------------

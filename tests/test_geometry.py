@@ -1,7 +1,9 @@
+import ast
 import itertools
+import pathlib
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,9 +15,10 @@ from tropd4.geometry import (
     NotPointedError,
     ZeroRayError,
     canonicalize_ray,
-    cone_dim,
+    cone_face_ray_sets,
     cone_from_rays,
     cone_rays,
+    facet_normals,
     intersect_cones,
     intersection_dim,
     point_in_hull,
@@ -29,6 +32,7 @@ from tropd4.hypersimplex import hypersimplex_vertices, induced_subdivision
 
 from oracles import (
     _affine_rank,
+    brute_force_cone_faces,
     brute_force_cone_rays,
     brute_force_lower_cells,
 )
@@ -80,6 +84,11 @@ class TestConeRays:
             cone_rays([(1, 0), (-1, 0)], 2)
         assert any(exc.value.direction)
 
+    def test_iterator_input(self):
+        orthant = [(1, 0, 0), (0, 1, 0), (0, 0, Fraction(1, 2))]
+        assert cone_rays(iter(orthant), 3) == cone_rays(orthant, 3)
+        assert facet_normals(iter(orthant), 3) == facet_normals(orthant, 3)
+
     def test_bipyramid_round_trip(self):
         rays = [R[1], R[5], R[7], R[11], R[13]]
         cone = cone_from_rays(rays, 4)
@@ -122,6 +131,111 @@ class TestConeRays:
             brute_force_cone_rays(halfspaces, dim)
 
 
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+# (dim, add the orthant, integer rows, insertions): each insertion puts a
+# zero row, or a repeat of a row already there, at a position of the list.
+SWEEP_INPUTS = st.integers(1, 5).flatmap(lambda d: st.tuples(
+    st.just(d), st.booleans(),
+    st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=d + 3),
+    st.lists(st.tuples(st.integers(0, 20), st.booleans()), max_size=3)))
+
+
+class TestDoubleDescriptionContract:
+    """Integer rows in; primitive lines, and primitive rays with exact
+    tight masks over the input positions, out."""
+
+    @given(SWEEP_INPUTS)
+    @example((2, False, [(0, 0), (1, 0), (0, 0), (1, 0), (0, 1)], []))
+    @example((3, True, [(0, 0, 0)], [(0, True), (2, False), (9, False)]))
+    @example((1, False, [(0,), (2,), (-1,)], []))
+    @settings(max_examples=200)
+    def test_masks_are_tight_sets(self, case):
+        dim, in_orthant, rows, insertions = case
+        if in_orthant:
+            rows += [tuple(int(i == j) for j in range(dim))
+                     for i in range(dim)]
+        for pos, zero in insertions:
+            row = (0,) * dim if zero or not rows else rows[pos % len(rows)]
+            rows.insert(pos % (len(rows) + 1), row)
+        lines, rays = geometry._double_description(rows, dim)
+        for l in lines:
+            assert gcd(*l) == 1
+            assert all(_dot(h, l) == 0 for h in rows)
+        for r, mask in rays:
+            assert gcd(*r) == 1
+            values = [_dot(h, r) for h in rows]
+            assert min(values, default=0) >= 0
+            assert mask == sum(1 << i for i, v in enumerate(values) if v == 0)
+        if not lines:
+            assert sorted(r for r, _ in rays) == \
+                brute_force_cone_rays(rows, dim)
+
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.just(d),
+        st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * d),
+                           st.integers(1, 6)), max_size=d + 3))))
+    @example((2, [((1, 0), 2), ((0, 0), 3), ((0, 2), 4)]))
+    @example((3, [((2, -1, 0), 3), ((-4, 2, 0), 5)]))
+    def test_fraction_input_matches_integer_scaled(self, case):
+        dim, scaled = case
+        rows = [row for row, _ in scaled]
+        fractions = [tuple(Fraction(x, k) for x in row) for row, k in scaled]
+        assert Cone(dim, fractions) == Cone(dim, rows)
+        assert facet_normals(fractions, dim) == facet_normals(rows, dim)
+        try:
+            rays = cone_rays(rows, dim)
+        except NotPointedError as exc:
+            with pytest.raises(NotPointedError) as again:
+                cone_rays(fractions, dim)
+            assert again.value.direction == exc.direction
+        else:
+            assert cone_rays(fractions, dim) == rays
+        assert cone_from_rays(fractions, dim) == cone_from_rays(rows, dim)
+
+
+class TestConeFaceRaySets:
+    def test_square_pyramid(self):
+        square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+        faces = cone_face_ray_sets(cone_from_rays(square, 3))
+        edges = {frozenset((a, b)) for a, b in zip(square, square[1:] +
+                                                   square[:1])}
+        assert faces == {frozenset((r,)) for r in square} | edges | \
+            {frozenset(square)}
+
+    @given(st.integers(3, 4).flatmap(lambda d: st.tuples(
+        st.just(d), st.lists(st.tuples(*[st.integers(-2, 2)] * (d - 1),
+                                       st.integers(1, 3)),
+                             min_size=d, max_size=d + 4))))
+    @settings(max_examples=60)
+    def test_matches_brute_force_oracle(self, case):
+        dim, generators = case
+        cone = cone_from_rays(generators, dim)
+        if cone.dim() < dim:
+            return
+        assert cone_face_ray_sets(cone) == \
+            brute_force_cone_faces(list(cone.rays), dim)
+
+
+class TestPrivateGeometryNames:
+    def test_no_module_imports_underscore_names_from_geometry(self):
+        package = pathlib.Path(geometry.__file__).parent
+        imported = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "geometry.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom) and (
+                        node.module == "geometry" and node.level == 1
+                        or node.module == "tropd4.geometry"):
+                    imported += [f"{path.name}: {alias.name}"
+                                 for alias in node.names
+                                 if alias.name.startswith("_")]
+        assert imported == []
+
+
 class TestIntersectCones:
     def test_idempotent(self):
         orthant = Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0),
@@ -142,7 +256,7 @@ class TestIntersectCones:
         a = cone_from_rays([R[3], R[9], R[10], R[12]], 4)
         b = cone_from_rays([R[3], R[9], R[12], R[13]], 4)
         c = intersect_cones(a, b)
-        assert cone_dim(c) == 3
+        assert c.dim() == 3
         assert set(c.rays) == {R[3], R[9], R[12]}
 
     def test_dimension_mismatch(self):
@@ -152,15 +266,15 @@ class TestIntersectCones:
 
 class TestConeDim:
     def test_orthant(self):
-        assert cone_dim(Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0),
-                                 (0, 0, 1, 0), (0, 0, 0, 1)])) == 4
+        assert Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0),
+                        (0, 0, 1, 0), (0, 0, 0, 1)]).dim() == 4
 
     def test_single_ray(self):
-        assert cone_dim(cone_from_rays([(1, 2, 3, 4)], 4)) == 1
+        assert cone_from_rays([(1, 2, 3, 4)], 4).dim() == 1
 
     def test_bipyramid_full_dimensional(self):
         c = cone_from_rays([R[4], R[8], R[10], R[15], R[16]], 4)
-        assert cone_dim(c) == 4
+        assert c.dim() == 4
 
 
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
