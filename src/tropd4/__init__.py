@@ -18,13 +18,11 @@ from .clusters import (
     flip_graph,
     root_of_pair,
 )
-from .fan import compute_fan_f36, linearity_fan, trop_phi2
+from .fan import compute_fan_f36, trop_phi2
 from .geometry import (
     Cone,
     Fan,
-    canonicalize_ray,
     cone_rays,
-    intersect_cones,
     intersection_dim,
     regular_subdivision,
 )

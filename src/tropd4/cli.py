@@ -130,6 +130,10 @@ def cmd_subdivision(args) -> int:
     if unknown:
         print(f"unknown ray labels: {', '.join(unknown)}", file=sys.stderr)
         return 2
+    repeated = list(dict.fromkeys(l for l in labels if labels.count(l) > 1))
+    if repeated:
+        print(f"repeated ray labels: {', '.join(repeated)}", file=sys.stderr)
+        return 2
     rays = reference.ray_set(labels)
     fan = compute_fan_f36()
     match = [c for c in fan.maximal_cones if frozenset(c.rays) == rays]

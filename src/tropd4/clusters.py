@@ -160,11 +160,6 @@ def snake_pairs():
             pair_rep(tangent(0, R, N4), N4))
 
 
-def snake():
-    """The base pseudotriangulation whose pairs carry -alpha_1..-alpha_4."""
-    return frozenset(snake_pairs())
-
-
 @lru_cache(maxsize=None)
 def root_of_pair(p: Chord):
     """Almost positive root of a chord pair (coefficients over alpha_1..4).

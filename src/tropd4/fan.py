@@ -1,9 +1,9 @@
-"""The complete rank-4 fan of linearity domains of the tropical minors.
+"""The complete rank-4 fan cut out by the tropical minors.
 
-Each tropicalized minor is a minimum of linear forms; its linearity regions
-cut out a complete fan in R^4.  The common refinement of the 20 such fans
-is computed by sweeping the minors and splitting every surviving region by
-the argmin choice, keeping only full-dimensional pieces.
+Each tropicalized minor is a minimum of linear forms, linear on the regions
+where one fixed form attains the minimum.  The fan is the common
+refinement of these linearity domains over the 20 minors: every surviving
+region is split by the argmin choice, keeping only full-dimensional pieces.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .geometry import Cone, Fan, facet_normals
+from .geometry import Cone, Fan
 from .webmatrix import PLUECKER_TRIPLES, all_tropical_minors
 
 
@@ -22,20 +22,6 @@ def _argmin_halfspaces(forms, i):
     fi = forms[i]
     return tuple(tuple(a - b for a, b in zip(fj, fi))
                  for j, fj in enumerate(forms) if j != i)
-
-
-def linearity_fan(forms, dim=4) -> Fan:
-    """Fan of closed regions on which one fixed form attains the minimum.
-
-    Regions that are not full-dimensional are dropped; the remaining closed
-    regions cover R^dim.
-    """
-    cones = []
-    for i in range(len(forms)):
-        c = Cone(dim, _argmin_halfspaces(tuple(forms), i))
-        if c.dim() == dim:
-            cones.append(c)
-    return Fan(dim, tuple(cones))
 
 
 def trop_phi2(x):
@@ -54,10 +40,13 @@ def trop_phi2(x):
 
 @lru_cache(maxsize=1)
 def compute_fan_f36() -> Fan:
-    """Common refinement of the 20 linearity fans, as full-dimensional cones.
+    """Common refinement of the minors' linearity domains, as cones.
 
-    Regions are carried as irredundant halfspace lists; a region survives a
-    refinement step when the cone it cuts out still has dimension 4.
+    Each region, an irredundant halfspace list, is split by the argmin
+    choice of each minor; a piece survives when its cone has dimension 4.
+    Its facets come from that cone's own sweep: a halfspace is a facet when
+    the rays tight on it, with the lines, span dimension 3 (Fukuda &
+    Prodon 1996, LNCS 1120).
     """
     dim = 4
     minors = all_tropical_minors()
@@ -70,12 +59,8 @@ def compute_fan_f36() -> Fan:
         for hs in regions:
             for i in range(len(forms)):
                 c = Cone(dim, hs + _argmin_halfspaces(forms, i))
-                if c.dim() < dim:
-                    continue
-                gens = list(c.rays)
-                for l in c.lines:
-                    gens += [l, tuple(-x for x in l)]
-                refined.append(tuple(facet_normals(gens, dim)))
+                if c.dim() == dim:
+                    refined.append(c.facets())
         regions = refined
     cones = [Cone(dim, hs) for hs in regions]
     keys = [c.rays for c in cones]

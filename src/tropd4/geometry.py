@@ -25,24 +25,12 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 
 
-class ZeroRayError(ValueError):
-    """A direction vector was identically zero."""
-
-
 class NotPointedError(ValueError):
     """A cone expected to be pointed contains a line."""
 
     def __init__(self, direction):
         self.direction = tuple(direction)
         super().__init__(f"cone contains the line through {self.direction}")
-
-
-def canonicalize_ray(v):
-    """Unique positive multiple of ``v`` with coprime integer entries."""
-    [w], _ = _integer_rows([v])
-    if not any(w):
-        raise ZeroRayError(f"zero vector {tuple(v)} does not span a ray")
-    return _reduce(w)
 
 
 def _reduce(v):
@@ -191,21 +179,6 @@ def cone_rays(halfspaces, dim):
     return sorted(r for r, _ in rays)
 
 
-def facet_normals(generators, dim):
-    """Irredundant inward facet normals of the cone spanned by ``generators``.
-
-    ``generators`` may include line directions; encode a line l by listing
-    both l and -l.  The result defines the cone as an intersection of
-    halfspaces whenever the cone is full-dimensional.
-    """
-    lines, rays = _double_description(_integer_rows(generators)[0], dim)
-    normals = sorted(r for r, _ in rays)
-    for l in lines:
-        normals.append(l)
-        normals.append(tuple(-x for x in l))
-    return normals
-
-
 @dataclass
 class Cone:
     """Polyhedral cone ``{x : <h, x> >= 0}`` with cached ray description."""
@@ -214,13 +187,20 @@ class Cone:
     halfspaces: tuple
     rays: tuple = field(init=False)
     lines: tuple = field(init=False)
+    _tight: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if {len(h) for h in self.halfspaces} - {self.ambient_dim}:
+            raise ValueError(f"halfspaces must have {self.ambient_dim} "
+                             f"entries: {self.halfspaces}")
         rows, _ = _integer_rows([h for h in self.halfspaces if any(h)])
         self.halfspaces = tuple(map(_reduce, rows))
         lines, rays = _double_description(self.halfspaces, self.ambient_dim)
-        self.rays = tuple(sorted(r for r, _ in rays))
+        rays.sort()
+        self.rays = tuple(r for r, _ in rays)
         self.lines = tuple(sorted(lines))
+        # bit i of ``_tight[k]`` is set when halfspace i is tight on rays[k]
+        self._tight = tuple(mask for _, mask in rays)
 
     @property
     def is_pointed(self):
@@ -229,14 +209,32 @@ class Cone:
     def dim(self):
         return _rank(self.rays + self.lines)
 
+    def facets(self):
+        """Sorted irredundant inward facet normals of a full-dimensional cone.
+
+        Halfspace h is a facet when the rays tight on it, with the lines,
+        span dimension ``ambient_dim - 1`` (Fukuda & Prodon 1996, LNCS
+        1120).  Those rays and lines span the face h cuts out, and every
+        facet is one of the halfspaces, so the facets are the halfspaces
+        with a maximal set of tight rays: the sweep's masks give them with
+        no rank and no second sweep.  Equal halfspaces count once.
+        """
+        # bit k of ``tight[h]`` is set when h is tight on ``rays[k]``
+        tight = {h: sum(1 << k for k, mask in enumerate(self._tight)
+                        if mask >> i & 1)
+                 for i, h in enumerate(self.halfspaces)}
+        # a halfspace tight on every ray is tight on the whole cone
+        if (1 << len(self.rays)) - 1 in tight.values():
+            raise ValueError("facets() needs a full-dimensional cone")
+        sets = set(tight.values())
+        return tuple(sorted(h for h, z in tight.items()
+                            if not any(z & w == z and z != w for w in sets)))
+
     def contains(self, x):
         for h in self.halfspaces:
             if _dot(h, x) < 0:
                 return False
         return True
-
-    def contains_strictly(self, x):
-        return all(_dot(h, x) > 0 for h in self.halfspaces)
 
     def interior_point(self):
         """Sum of the primitive rays; interior for full-dimensional cones."""
@@ -245,16 +243,14 @@ class Cone:
         return tuple(sum(c) for c in zip(*self.rays))
 
 
-def intersect_cones(a: Cone, b: Cone) -> Cone:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {a.ambient_dim} != {b.ambient_dim}")
-    return Cone(a.ambient_dim, a.halfspaces + b.halfspaces)
-
-
 def cone_from_rays(rays, dim):
-    """Cone spanned by ``rays``, reconstructed through its facet normals."""
-    return Cone(dim, tuple(facet_normals(list(rays), dim)))
+    """Cone spanned by ``rays``, cut out by the sorted extreme rays of its
+    dual cone and by both signs of each dual line."""
+    lines, normals = _double_description(_integer_rows(rays)[0], dim)
+    normals = sorted(r for r, _ in normals)
+    for l in lines:
+        normals += [l, tuple(-x for x in l)]
+    return Cone(dim, tuple(normals))
 
 
 def cone_face_ray_sets(cone: Cone):

@@ -92,24 +92,27 @@ def induced_subdivision(w):
 _TRIPLE_INDEX = {t: i for i, t in enumerate(PLUECKER_TRIPLES)}
 
 
-def _cell_vertex_list(cell):
-    verts = hypersimplex_vertices()
-    return [verts[_TRIPLE_INDEX[t]] for t in sorted(cell)]
+def _vertex_indices(mask):
+    """Indices of the vertices whose bits are set in ``mask``, ascending."""
+    return [i for i in range(len(PLUECKER_TRIPLES)) if mask >> i & 1]
 
 
+# Both caches below are keyed on 20-bit vertex masks, so their keys are
+# subsets of the 20 vertices and the caches are finite.
 @lru_cache(maxsize=None)
 def _shared_face_dim(mask):
     """Dimension of the face spanned by the vertices in ``mask`` (-1 if
-    none).  Pairs of cells that share a vertex set share this value; the
-    keys are subsets of the 20 vertices, so the cache is finite."""
-    shared = [i for i in range(len(PLUECKER_TRIPLES)) if mask >> i & 1]
+    none).  Pairs of cells that share a vertex set share this value."""
+    shared = _vertex_indices(mask)
     return intersection_dim(hypersimplex_vertices(), shared, shared)
 
 
 @lru_cache(maxsize=None)
-def _cell_invariant(cell):
-    f_vec = polytope_f_vector(_cell_vertex_list(cell))
-    return (len(cell), f_vec)
+def _cell_invariant(mask):
+    """Vertex count and f-vector of the cell whose vertices are ``mask``."""
+    verts = hypersimplex_vertices()
+    return (mask.bit_count(),
+            polytope_f_vector([verts[i] for i in _vertex_indices(mask)]))
 
 
 def subdivision_signature(cells):
@@ -121,10 +124,9 @@ def subdivision_signature(cells):
     common face (-1 when the cells do not meet).  Tagging the dimensions
     with the cell invariants is needed to tell all six plane types apart.
     """
-    cells = [frozenset(c) for c in cells]
-    invariants = [_cell_invariant(c) for c in cells]
     # bit i of a cell's mask stands for vertex i
-    masks = [sum(1 << _TRIPLE_INDEX[t] for t in c) for c in cells]
+    masks = [sum(1 << _TRIPLE_INDEX[t] for t in frozenset(c)) for c in cells]
+    invariants = [_cell_invariant(m) for m in masks]
     records = [(tuple(sorted((ia, ib))), _shared_face_dim(ma & mb))
                for (ia, ma), (ib, mb)
                in itertools.combinations(zip(invariants, masks), 2)]

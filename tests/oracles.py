@@ -6,11 +6,12 @@ double-description sweep, and solves its linear systems with its own
 Fraction and fraction-free eliminations, so it imports nothing from
 ``tropd4``.  The cone-ray oracle solves every (d-1)-subset of halfspaces by
 cofactors instead of inserting them one at a time; the cone-face oracle
-takes the facets from it and intersects them.  The basis-exchange
-oracle works on frozensets, and the matroid subdivisions of Delta(3,6) are
-also recognized by their tropical Plücker relations.  The crossing oracle
-realizes chords as exact rational segments and tests proper intersection,
-instead of applying the combinatorial crossing rules.
+takes the facets from it and intersects them, and the facet oracle takes
+the cone's generators and then the dual cone's rays from it.  The
+basis-exchange oracle works on frozensets, and the matroid subdivisions of
+Delta(3,6) are also recognized by their tropical Plücker relations.  The
+crossing oracle realizes chords as exact rational segments and tests
+proper intersection, instead of applying the combinatorial crossing rules.
 """
 
 from __future__ import annotations
@@ -185,6 +186,50 @@ def brute_force_cone_rays(halfspaces, dim):
                 g = math.gcd(*w)
                 rays.add(tuple(x // g for x in w))
     return sorted(rays)
+
+
+def _kernel(rows, dim):
+    """Primitive integer basis of ``{x : <h, x> = 0 for h in rows}``, by
+    Fraction Gauss-Jordan elimination; one vector per free column."""
+    aug = [[Fraction(x) for x in h] for h in rows]
+    pivots = []
+    for c in range(dim):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(dim) if c not in pivots):
+        v = [Fraction(int(c == free)) for c in range(dim)]
+        for row, c in zip(aug, pivots):
+            v[c] = -row[free]
+        scale = math.lcm(*(x.denominator for x in v))
+        w = [int(x * scale) for x in v]
+        g = math.gcd(*w)
+        basis.append(tuple(x // g for x in w))
+    return basis
+
+
+def brute_force_cone_facets(halfspaces, dim):
+    """Facet normals of the full-dimensional cone ``{x : <h, x> >= 0}``.
+
+    They are the extreme rays of the dual cone, which is cut out by the
+    cone's generators: its lines, both ways, and the extreme rays of the
+    pointed cone cut from it by the lines' orthogonal complement.  The
+    lines are the kernel of the halfspaces; both ray sets come from
+    :func:`brute_force_cone_rays`.  Returns the sorted primitive normals.
+    """
+    lines = _kernel(halfspaces, dim)
+    both = lines + [tuple(-x for x in l) for l in lines]
+    rays = brute_force_cone_rays(list(halfspaces) + both, dim)
+    return brute_force_cone_rays(rays + both, dim)
 
 
 def brute_force_cone_faces(rays, dim):

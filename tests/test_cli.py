@@ -102,6 +102,13 @@ class TestSubdivision:
         code = main(["subdivision", "--cone", "r1,r2,r3,r4"])
         assert code == 2
 
+    def test_repeated_label(self, capsys):
+        code = main(["subdivision", "--cone", "r3,r9,r10,r12,r12"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "repeated ray labels: r12\n"
+
 
 class TestTables:
     def test_table1_csv(self, capsys):

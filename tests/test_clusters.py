@@ -24,11 +24,13 @@ from tropd4.clusters import (
     graph_is_connected,
     root_of_pair,
     root_pair_bijection,
-    snake,
     snake_pairs,
     tau_on_root,
 )
 from tropd4.reference import PSI_TABLE, RAY_COORDS
+
+# the base pseudotriangulation, whose pairs carry -alpha_1..-alpha_4
+SNAKE = frozenset(snake_pairs())
 
 
 def cluster_count(n):
@@ -43,7 +45,7 @@ class TestEnumeration:
         assert len(enumerate_pseudotriangulations(n)) == expected
 
     def test_snake_is_enumerated(self, pseudotriangulations4):
-        assert snake() in pseudotriangulations4
+        assert SNAKE in pseudotriangulations4
 
     def test_all_have_n_pairs(self):
         for n in (3, 4, 5):
@@ -69,7 +71,7 @@ class TestFlips:
                 assert len(set(t) ^ set(u)) == 2
 
     def test_flip_of_snake_pair_unique(self):
-        t = snake()
+        t = SNAKE
         p = pair_rep(parse_chord("13", 4), 4)
         rest = t - {p}
         completions = [
@@ -88,7 +90,7 @@ class TestFlips:
 
     def test_flip_requires_membership(self):
         with pytest.raises(ValueError):
-            flip(snake(), pair_rep(parse_chord("02", 4), 4), 4)
+            flip(SNAKE, pair_rep(parse_chord("02", 4), 4), 4)
 
 
 class TestFlipGraph:

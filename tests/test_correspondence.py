@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from tropd4.chords import apply_symmetry, reflect
-from tropd4.clusters import compatibility_degree, snake
+from tropd4.clusters import compatibility_degree, snake_pairs
 from tropd4.correspondence import (
     cluster_classes,
     cone_of_cluster,
@@ -27,6 +27,9 @@ from tropd4.reference import (
     ray_set,
 )
 
+# the base pseudotriangulation, whose pairs carry -alpha_1..-alpha_4
+SNAKE = frozenset(snake_pairs())
+
 
 class TestPsi:
     def test_rows(self):
@@ -45,9 +48,9 @@ class TestPsi:
 
 class TestConeOfCluster:
     def test_snake_lands_in_bipyramid(self, fan36):
-        cone = cone_of_cluster(snake(), fan36)
+        cone = cone_of_cluster(SNAKE, fan36)
         assert frozenset(cone.rays) == ray_set(BIPYRAMIDS[0])
-        assert rays_of_cluster(snake()) < set(cone.rays)
+        assert rays_of_cluster(SNAKE) < set(cone.rays)
 
     def test_partition_between_simplicial_and_bipyramids(
             self, fan36, pseudotriangulations4):
@@ -122,7 +125,7 @@ class TestCorrespondenceTheorem:
 
 class TestPlaneTypesOfClusters:
     def test_snake_type(self):
-        assert plane_type_of_cluster(snake()) == "FFFGG"
+        assert plane_type_of_cluster(SNAKE) == "FFFGG"
 
     def test_distribution(self, pseudotriangulations4):
         counts = {}
@@ -162,7 +165,7 @@ class TestTables:
 
 class TestReflectionTheorem:
     def test_snake_reflection_example(self):
-        t = snake()
+        t = SNAKE
         image = apply_symmetry(reflect(0), t, 4)
         assert plane_type_of_cluster(t) == \
             plane_type_of_cluster(image) == "FFFGG"

@@ -4,13 +4,15 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tropd4.geometry as geometry
 from tropd4.fan import (
+    _argmin_halfspaces,
     bipyramid_cones,
+    compute_fan_f36,
     fan_to_json,
-    linearity_fan,
     trop_phi2,
 )
-from tropd4.geometry import cone_face_ray_sets
+from tropd4.geometry import Cone, cone_face_ray_sets, cone_from_rays
 from tropd4.reference import (
     BIPYRAMIDS,
     FAN_F_VECTOR,
@@ -29,28 +31,38 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def linearity_regions(forms, dim=4):
+    """Full-dimensional cones on which one fixed form attains the minimum:
+    a cone over each form's argmin rows."""
+    cones = [Cone(dim, _argmin_halfspaces(forms, i))
+             for i in range(len(forms))]
+    return [c for c in cones if c.dim() == dim]
+
+
 class TestLinearityFan:
     def test_constant_gives_full_space(self):
-        fan = linearity_fan((Z,))
-        assert len(fan.maximal_cones) == 1
-        cone = fan.maximal_cones[0]
+        cones = linearity_regions((Z,))
+        assert len(cones) == 1
+        cone = cones[0]
         assert cone.dim() == 4 and not cone.is_pointed
 
     def test_two_forms_split_by_hyperplane(self):
-        fan = linearity_fan((Z, X1))
-        assert len(fan.maximal_cones) == 2
-        assert {tuple(c.halfspaces) for c in fan.maximal_cones} == \
+        cones = linearity_regions((Z, X1))
+        assert len(cones) == 2
+        assert {tuple(c.halfspaces) for c in cones} == \
             {((1, 0, 0, 0),), ((-1, 0, 0, 0),)}
 
     def test_three_forms_three_regions(self):
-        fan = linearity_fan((Z, X1, X12))
-        assert len(fan.maximal_cones) == 3
+        cones = linearity_regions((Z, X1, X12))
+        assert len(cones) == 3
         # each region has an interior point where exactly its form is minimal
         witnesses = {Z: (1, 1, 0, 0), X1: (-1, 1, 0, 0), X12: (-1, -1, 0, 0)}
         for form, x in witnesses.items():
             values = {f: _dot(f, x) for f in (Z, X1, X12)}
             assert min(values, key=values.get) == form
-            assert sum(c.contains_strictly(x) for c in fan.maximal_cones) == 1
+            hits = [c for c in cones if c.contains(x)]
+            assert len(hits) == 1
+            assert all(_dot(h, x) != 0 for h in hits[0].halfspaces)
 
 
 class TestFanF36:
@@ -82,7 +94,6 @@ class TestFanF36:
                 shared = frozenset.intersection(
                     *(frozenset(fan36.maximal_cones[i].rays) for i in hits))
                 assert shared, x
-                from tropd4.geometry import cone_from_rays
                 assert cone_from_rays(sorted(shared), 4).contains(x)
 
     def test_cones_containing_matches_each_cone(self, fan36):
@@ -98,6 +109,19 @@ class TestFanF36:
                 i for i, c in enumerate(fan36.maximal_cones)
                 if c.contains(x)], x
         assert fan36.cones_containing(Z) == list(range(48))
+
+    def test_one_sweep_per_candidate_region(self, fan36, monkeypatch):
+        calls = []
+        sweep = geometry._double_description
+
+        def counted(*args):
+            calls.append(args)
+            return sweep(*args)
+        monkeypatch.setattr(geometry, "_double_description", counted)
+        assert compute_fan_f36.__wrapped__() == fan36
+        # 600 candidate regions, whose facets come from their own sweep,
+        # and the 48 maximal cones
+        assert len(calls) == 648
 
     def test_single_form_minimal_on_each_cone(self, fan36):
         """On every maximal cone each minor selects one linear form."""

@@ -13,13 +13,9 @@ import tropd4.geometry as geometry
 from tropd4.geometry import (
     Cone,
     NotPointedError,
-    ZeroRayError,
-    canonicalize_ray,
     cone_face_ray_sets,
     cone_from_rays,
     cone_rays,
-    facet_normals,
-    intersect_cones,
     intersection_dim,
     point_in_hull,
     polytope_f_vector,
@@ -33,6 +29,7 @@ from tropd4.hypersimplex import hypersimplex_vertices, induced_subdivision
 from oracles import (
     _affine_rank,
     brute_force_cone_faces,
+    brute_force_cone_facets,
     brute_force_cone_rays,
     brute_force_lower_cells,
 )
@@ -47,25 +44,29 @@ R = {  # the sixteen fan rays, by conventional label number
 
 
 class TestCanonicalizeRay:
+    """A cone scales its rows to integers and keeps each as the unique
+    positive multiple with coprime entries; zero rows are dropped."""
+
     def test_gcd_scaling(self):
-        assert canonicalize_ray((0, 0, -2, 0)) == (0, 0, -1, 0)
-        assert canonicalize_ray((2, 4, 6, 8)) == (1, 2, 3, 4)
+        assert Cone(4, [(0, 0, -2, 0), (2, 4, 6, 8)]).halfspaces == \
+            ((0, 0, -1, 0), (1, 2, 3, 4))
 
     def test_zero_vector(self):
-        with pytest.raises(ZeroRayError):
-            canonicalize_ray((0, 0, 0, 0))
+        assert Cone(4, [(0, 0, 0, 0)]).halfspaces == ()
+        assert Cone(2, [(0, 0), (0, 3), (0, 0)]).halfspaces == ((0, 1),)
 
     def test_rational_input(self):
-        assert canonicalize_ray((Fraction(1, 2), Fraction(3, 4))) == (2, 3)
+        assert Cone(2, [(Fraction(1, 2), Fraction(3, 4))]).halfspaces == \
+            ((2, 3),)
 
     @given(st.lists(st.integers(-30, 30), min_size=1, max_size=5),
            st.integers(1, 7))
     def test_positive_multiple(self, v, k):
         if not any(v):
             return
-        w = canonicalize_ray(v)
-        assert canonicalize_ray([k * x for x in v]) == w
-        from math import gcd
+        [w] = Cone(len(v), [v]).halfspaces
+        assert Cone(len(v), [[Fraction(k * x, 3) for x in v]]).halfspaces \
+            == (w,)
         assert gcd(*(abs(x) for x in w)) == 1
         # w is a positive multiple of v: proportional with matching signs
         i = next(i for i, x in enumerate(v) if x)
@@ -87,7 +88,8 @@ class TestConeRays:
     def test_iterator_input(self):
         orthant = [(1, 0, 0), (0, 1, 0), (0, 0, Fraction(1, 2))]
         assert cone_rays(iter(orthant), 3) == cone_rays(orthant, 3)
-        assert facet_normals(iter(orthant), 3) == facet_normals(orthant, 3)
+        assert cone_from_rays(iter(orthant), 3).halfspaces == \
+            cone_from_rays(orthant, 3).halfspaces
 
     def test_bipyramid_round_trip(self):
         rays = [R[1], R[5], R[7], R[11], R[13]]
@@ -184,7 +186,6 @@ class TestDoubleDescriptionContract:
         rows = [row for row, _ in scaled]
         fractions = [tuple(Fraction(x, k) for x in row) for row, k in scaled]
         assert Cone(dim, fractions) == Cone(dim, rows)
-        assert facet_normals(fractions, dim) == facet_normals(rows, dim)
         try:
             rays = cone_rays(rows, dim)
         except NotPointedError as exc:
@@ -194,6 +195,50 @@ class TestDoubleDescriptionContract:
         else:
             assert cone_rays(fractions, dim) == rays
         assert cone_from_rays(fractions, dim) == cone_from_rays(rows, dim)
+
+
+class TestConeFacets:
+    """``Cone.facets`` reads the facets off the cone's own sweep."""
+
+    @given(SWEEP_INPUTS)
+    @example((2, False, [(1, 0), (0, 0), (2, 0), (1, 1), (1, 0)], []))
+    @example((3, False, [], [(0, True)]))
+    @example((3, True, [(1, 1, 0), (2, 2, 0)], [(1, False)]))
+    @settings(max_examples=200)
+    def test_matches_brute_force_oracle(self, case):
+        dim, in_orthant, rows, insertions = case
+        if in_orthant:
+            rows += [tuple(int(i == j) for j in range(dim))
+                     for i in range(dim)]
+        for pos, zero in insertions:
+            row = (0,) * dim if zero or not rows else rows[pos % len(rows)]
+            rows.insert(pos % (len(rows) + 1), row)
+        cone = Cone(dim, rows)
+        if cone.dim() < dim:
+            with pytest.raises(ValueError):
+                cone.facets()
+            return
+        assert cone.facets() == tuple(brute_force_cone_facets(rows, dim))
+
+    def test_redundant_and_repeated_rows(self):
+        # the orthant of R^3, with a repeated row, a scaled copy of one and
+        # two rows that are sums of facet normals
+        cone = Cone(3, [(1, 1, 0), (0, 0, 1), (1, 0, 0), (0, 0, 2),
+                        (0, 1, 0), (1, 1, 1), (1, 0, 0)])
+        assert cone.facets() == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+    def test_lines(self):
+        # a wedge along the x_3 axis, and a halfspace
+        assert Cone(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]).facets() == \
+            ((0, 1, 0), (1, 0, 0))
+        assert Cone(3, [(0, 0, 2)]).facets() == ((0, 0, 1),)
+        assert Cone(3, []).facets() == ()
+
+    def test_lower_dimensional(self):
+        with pytest.raises(ValueError):
+            Cone(2, [(1, 0), (-1, 0)]).facets()
+        with pytest.raises(ValueError):
+            Cone(3, [(1, 0, 0), (0, 1, 0), (-1, -1, 0)]).facets()
 
 
 class TestConeFaceRaySets:
@@ -237,16 +282,22 @@ class TestPrivateGeometryNames:
 
 
 class TestIntersectCones:
+    """Two cones intersect in the cone of their joined halfspaces."""
+
+    @staticmethod
+    def meet(a, b):
+        return Cone(a.ambient_dim, a.halfspaces + b.halfspaces)
+
     def test_idempotent(self):
         orthant = Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0),
                            (0, 0, 1, 0), (0, 0, 0, 1)])
-        both = intersect_cones(orthant, orthant)
+        both = self.meet(orthant, orthant)
         assert both.rays == orthant.rays
 
     def test_hyperplane(self):
         a = Cone(2, [(1, 0)])
         b = Cone(2, [(-1, 0)])
-        c = intersect_cones(a, b)
+        c = self.meet(a, b)
         assert c.dim() == 1
         assert not c.is_pointed
         assert c.contains((0, 5)) and c.contains((0, -5))
@@ -255,13 +306,15 @@ class TestIntersectCones:
     def test_common_facet(self):
         a = cone_from_rays([R[3], R[9], R[10], R[12]], 4)
         b = cone_from_rays([R[3], R[9], R[12], R[13]], 4)
-        c = intersect_cones(a, b)
+        c = self.meet(a, b)
         assert c.dim() == 3
         assert set(c.rays) == {R[3], R[9], R[12]}
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            intersect_cones(Cone(2, [(1, 0)]), Cone(3, [(1, 0, 0)]))
+            self.meet(Cone(2, [(1, 0)]), Cone(3, [(1, 0, 0)]))
+        with pytest.raises(ValueError):
+            Cone(3, [(1, 0, 0), (0, 1)])
 
 
 class TestConeDim:
