@@ -27,3 +27,17 @@ def pseudotriangulations4():
 def cone_types(fan36):
     from tropd4.correspondence import classify_all_cones
     return classify_all_cones()
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """A list that records each call of the double-description sweep."""
+    import tropd4.geometry as geometry
+    calls = []
+    sweep = geometry._double_description
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+    monkeypatch.setattr(geometry, "_double_description", counted)
+    return calls

@@ -4,7 +4,6 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-import tropd4.geometry as geometry
 from tropd4.fan import (
     _argmin_halfspaces,
     bipyramid_cones,
@@ -110,18 +109,11 @@ class TestFanF36:
                 if c.contains(x)], x
         assert fan36.cones_containing(Z) == list(range(48))
 
-    def test_one_sweep_per_candidate_region(self, fan36, monkeypatch):
-        calls = []
-        sweep = geometry._double_description
-
-        def counted(*args):
-            calls.append(args)
-            return sweep(*args)
-        monkeypatch.setattr(geometry, "_double_description", counted)
+    def test_one_sweep_per_candidate_region(self, fan36, sweep_calls):
         assert compute_fan_f36.__wrapped__() == fan36
         # 600 candidate regions, whose facets come from their own sweep,
         # and the 48 maximal cones
-        assert len(calls) == 648
+        assert len(sweep_calls) == 648
 
     def test_single_form_minimal_on_each_cone(self, fan36):
         """On every maximal cone each minor selects one linear form."""

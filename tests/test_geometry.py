@@ -554,8 +554,7 @@ class TestPolytopeFaces:
         assert polytope_f_vector(simplex) == (4, 6, 4)
 
     @pytest.mark.parametrize("d", range(1, 6))
-    def test_simplices_have_binomial_f_vectors(self, d, monkeypatch):
-        calls = count_double_descriptions(monkeypatch)
+    def test_simplices_have_binomial_f_vectors(self, d, sweep_calls):
         # a d-simplex in R^(d+1), with rational vertices off the origin
         simplex = [tuple(Fraction(int(i == j) + 1, 3) for j in range(d + 1))
                    for i in range(d + 1)]
@@ -565,24 +564,11 @@ class TestPolytopeFaces:
         assert {f for fs in faces.values() for f in fs} == {
             frozenset(s) for k in range(1, d + 1)
             for s in itertools.combinations(range(d + 1), k)}
-        assert calls == []
+        assert sweep_calls == []
 
-    def test_octahedron_in_hypersimplex_goes_through_dd(self, monkeypatch):
+    def test_octahedron_in_hypersimplex_goes_through_dd(self, sweep_calls):
         # Delta(2,4) as the face {1 in S, 6 not in S} of Delta(3,6)
         octahedron = [v for v in hypersimplex_vertices() if v[0] and not v[5]]
         assert len(octahedron) == 6
-        calls = count_double_descriptions(monkeypatch)
         assert polytope_f_vector(octahedron) == (6, 12, 8)
-        assert len(calls) == 1
-
-
-def count_double_descriptions(monkeypatch):
-    """Record each call of the double-description sweep in a list."""
-    calls = []
-    sweep = geometry._double_description
-
-    def counted(*args):
-        calls.append(args)
-        return sweep(*args)
-    monkeypatch.setattr(geometry, "_double_description", counted)
-    return calls
+        assert len(sweep_calls) == 1
