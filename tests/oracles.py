@@ -7,7 +7,7 @@ Fraction and fraction-free eliminations, so it imports nothing from
 ``tropd4``.  The cone-ray oracle solves every (d-1)-subset of halfspaces by
 cofactors instead of inserting them one at a time; the cone-face oracle
 takes the facets from it and intersects them, and the facet oracle takes
-the cone's generators and then the dual cone's rays from it.  The
+the cone's generators from it and ranks the ones tight on each row.  The
 basis-exchange oracle works on frozensets, and the matroid subdivisions of
 Delta(3,6) are also recognized by their tropical Plücker relations.  The
 crossing oracle realizes chords as exact rational segments and tests
@@ -220,16 +220,20 @@ def _kernel(rows, dim):
 def brute_force_cone_facets(halfspaces, dim):
     """Facet normals of the full-dimensional cone ``{x : <h, x> >= 0}``.
 
-    They are the extreme rays of the dual cone, which is cut out by the
-    cone's generators: its lines, both ways, and the extreme rays of the
-    pointed cone cut from it by the lines' orthogonal complement.  The
-    lines are the kernel of the halfspaces; both ray sets come from
-    :func:`brute_force_cone_rays`.  Returns the sorted primitive normals.
+    The cone is generated by its lines, both ways, and the extreme rays of
+    the pointed cone cut from it by the lines' orthogonal complement; the
+    lines are the kernel of the halfspaces, and the rays come from
+    :func:`brute_force_cone_rays`.  A halfspace is a facet when the
+    generators tight on it span dimension ``dim - 1``, by Fraction
+    elimination.  Returns the sorted distinct primitive normals.
     """
-    lines = _kernel(halfspaces, dim)
+    hs = {tuple(x // math.gcd(*h) for x in h) for h in halfspaces if any(h)}
+    lines = _kernel(hs, dim)
     both = lines + [tuple(-x for x in l) for l in lines]
-    rays = brute_force_cone_rays(list(halfspaces) + both, dim)
-    return brute_force_cone_rays(rays + both, dim)
+    gens = brute_force_cone_rays(sorted(hs) + both, dim) + lines
+    origin = (0,) * dim
+    return sorted(h for h in hs if _affine_rank([origin] + [
+        g for g in gens if sum(map(operator.mul, h, g)) == 0]) == dim - 1)
 
 
 def brute_force_cone_faces(rays, dim):
