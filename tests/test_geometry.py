@@ -145,6 +145,17 @@ SWEEP_INPUTS = st.integers(1, 5).flatmap(lambda d: st.tuples(
     st.lists(st.tuples(st.integers(0, 20), st.booleans()), max_size=3)))
 
 
+def sweep_rows(case):
+    """The dimension and rows a ``SWEEP_INPUTS`` case describes."""
+    dim, in_orthant, rows, insertions = case
+    if in_orthant:
+        rows += [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    for pos, zero in insertions:
+        row = (0,) * dim if zero or not rows else rows[pos % len(rows)]
+        rows.insert(pos % (len(rows) + 1), row)
+    return dim, rows
+
+
 class TestDoubleDescriptionContract:
     """Integer rows in; primitive lines, and primitive rays with exact
     tight masks over the input positions, out."""
@@ -155,13 +166,7 @@ class TestDoubleDescriptionContract:
     @example((1, False, [(0,), (2,), (-1,)], []))
     @settings(max_examples=200)
     def test_masks_are_tight_sets(self, case):
-        dim, in_orthant, rows, insertions = case
-        if in_orthant:
-            rows += [tuple(int(i == j) for j in range(dim))
-                     for i in range(dim)]
-        for pos, zero in insertions:
-            row = (0,) * dim if zero or not rows else rows[pos % len(rows)]
-            rows.insert(pos % (len(rows) + 1), row)
+        dim, rows = sweep_rows(case)
         lines, rays = geometry._double_description(rows, dim)
         for l in lines:
             assert gcd(*l) == 1
@@ -206,13 +211,7 @@ class TestConeFacets:
     @example((3, True, [(1, 1, 0), (2, 2, 0)], [(1, False)]))
     @settings(max_examples=200)
     def test_matches_brute_force_oracle(self, case):
-        dim, in_orthant, rows, insertions = case
-        if in_orthant:
-            rows += [tuple(int(i == j) for j in range(dim))
-                     for i in range(dim)]
-        for pos, zero in insertions:
-            row = (0,) * dim if zero or not rows else rows[pos % len(rows)]
-            rows.insert(pos % (len(rows) + 1), row)
+        dim, rows = sweep_rows(case)
         cone = Cone(dim, rows)
         if cone.dim() < dim:
             with pytest.raises(ValueError):
