@@ -6,7 +6,7 @@ pseudotriangulations, ``classify-clusters`` into the 7 symmetry classes,
 a chosen cone, ``table1`` / ``table2`` for the type tables, and
 ``verify-all`` to run every check.  Exit codes: 0 success, 1 verification
 failure, 2 usage error, including an ``--output`` file that cannot be
-written.
+written.  A reader that closes stdout early ends the run with exit code 0.
 """
 
 from __future__ import annotations
@@ -242,7 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout early, as ``| head`` does; that ends the
+        # run with success.  Stdout now points at devnull, so the flush at
+        # exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -1,12 +1,16 @@
 import csv
 import io
 import json
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
+import tropd4
 import tropd4.reference as reference
 from tropd4.cli import build_parser, main
 
@@ -108,6 +112,21 @@ class TestSubdivision:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "repeated ray labels: r12\n"
+
+    def test_reader_closing_early_exits_0(self):
+        # The test closes its end of the pipe before the command writes,
+        # so the write meets a closed pipe, as under ``| head -3``.
+        src = str(pathlib.Path(tropd4.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tropd4.cli", "subdivision", "--cone",
+             "r3,r9,r10,r12"], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
 
 
 class TestTables:
