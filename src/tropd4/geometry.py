@@ -19,6 +19,7 @@ the masks and never canonicalize sweep output again.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -58,6 +59,17 @@ def _integer_rows(rows):
     scale = lcm(*(x.denominator for row in rows for x in row))
     return [tuple(x.numerator * (scale // x.denominator) for x in row)
             for row in rows], scale
+
+
+def _point_tuple(points):
+    """``points`` as a tuple of tuples, which must be nonempty and of one
+    length."""
+    points = tuple(map(tuple, points))
+    if not points:
+        raise ValueError("need at least one point")
+    if len(set(map(len, points))) > 1:
+        raise ValueError("points must all have the same length")
+    return points
 
 
 def _pivot_columns(vectors):
@@ -207,6 +219,12 @@ class Cone:
         return not self.lines
 
     def dim(self):
+        # The cone is full-dimensional exactly when no halfspace is tight on
+        # every ray (lines are tight on all of them), so only a
+        # lower-dimensional cone needs a rank.
+        if not functools.reduce(operator.and_, self._tight,
+                                (1 << len(self.halfspaces)) - 1):
+            return self.ambient_dim
         return _rank(self.rays + self.lines)
 
     def facets(self):
@@ -219,13 +237,12 @@ class Cone:
         with a maximal set of tight rays: the sweep's masks give them with
         no rank and no second sweep.  Equal halfspaces count once.
         """
+        if self.dim() < self.ambient_dim:
+            raise ValueError("facets() needs a full-dimensional cone")
         # bit k of ``tight[h]`` is set when h is tight on ``rays[k]``
         tight = {h: sum(1 << k for k, mask in enumerate(self._tight)
                         if mask >> i & 1)
                  for i, h in enumerate(self.halfspaces)}
-        # a halfspace tight on every ray is tight on the whole cone
-        if (1 << len(self.rays)) - 1 in tight.values():
-            raise ValueError("facets() needs a full-dimensional cone")
         sets = set(tight.values())
         return tuple(sorted(h for h, z in tight.items()
                             if not any(z & w == z and z != w for w in sets)))
@@ -341,28 +358,20 @@ class PointConfiguration:
     The differences from ``origin``, scaled to integers by the lcm of their
     denominators, are projected onto the pivot columns of their
     elimination; ``reduced`` holds these projections.  The projection maps
-    the affine span bijectively onto ``R^dim``, and lower envelopes, face
-    lattices and hull membership do not change under an affine bijection.
+    the affine span bijectively onto ``R^dim``, and lower envelopes and
+    face lattices do not change under an affine bijection.
     """
 
     def __init__(self, points):
-        self.points = [tuple(p) for p in points]
+        self.points = list(_point_tuple(points))
         if len(set(self.points)) != len(self.points):
             raise ValueError("points must be distinct")
         self.origin = self.points[0]
-        self._diffs, self._scale = _integer_rows(
+        diffs, _ = _integer_rows(
             [_minus(p, self.origin) for p in self.points])
-        self._pivots = _pivot_columns(self._diffs)
-        self.dim = len(self._pivots)
-        self.reduced = [tuple(d[c] for c in self._pivots) for d in self._diffs]
-
-    def reduce_point(self, y):
-        """Coordinates of ``y`` (same scaling as ``reduced``), or None when
-        ``y`` is off the affine span of the points."""
-        d = tuple((v - o) * self._scale for v, o in zip(y, self.origin))
-        if _rank(self._diffs + _integer_rows([d])[0]) > self.dim:
-            return None
-        return tuple(d[c] for c in self._pivots)
+        pivots = _pivot_columns(diffs)
+        self.dim = len(pivots)
+        self.reduced = [tuple(d[c] for c in pivots) for d in diffs]
 
 
 def regular_subdivision(points, heights):
@@ -445,11 +454,31 @@ def polytope_f_vector(vertices):
 
 
 def point_in_hull(y, vertices):
-    """Exact membership test ``y in conv(vertices)`` via facet inequalities."""
-    config = PointConfiguration(vertices)
-    u = config.reduce_point(y)
-    if u is None:
-        return False
-    k = config.dim
-    _, rays = _double_description([v + (1,) for v in config.reduced], k + 1)
-    return all(_dot(a[:k], u) + a[k] >= 0 for a, _ in rays)
+    """Exact membership test ``y in conv(vertices)``.
+
+    By Farkas' lemma, the hull is the set of points at which every affine
+    functional that is nonnegative on the vertices is nonnegative
+    (Ziegler, *Lectures on Polytopes*, ch. 1).  Those functionals form the
+    cone ``{a : <(v, 1), a> >= 0}``, and one sweep gives its lines, the
+    equations of the affine span, and its rays, the facet functionals.  The
+    sweep is kept per vertex list in a cache of at most 256 lists, so a
+    repeated list costs one evaluation of each functional at ``y``.
+    Repeated vertices are allowed.
+    """
+    key = _point_tuple(vertices)
+    if len(y) != len(key[0]):
+        raise ValueError(f"query has {len(y)} coordinates, the vertices "
+                         f"have {len(key[0])}")
+    lines, rays = _hull_functionals(key)
+    [u], _ = _integer_rows([tuple(y) + (1,)])
+    return not any(_dot(l, u) for l in lines) and \
+        all(_dot(a, u) >= 0 for a in rays)
+
+
+@functools.lru_cache(maxsize=256)
+def _hull_functionals(vertices):
+    """Lines and rays of the cone of affine functionals ``(a, a_0)`` with
+    ``<v, a> + a_0 >= 0`` on every vertex, as integer vectors."""
+    rows, _ = _integer_rows(v + (1,) for v in vertices)
+    lines, rays = _double_description(rows, len(vertices[0]) + 1)
+    return tuple(lines), tuple(r for r, _ in rays)

@@ -8,6 +8,8 @@ Fraction and fraction-free eliminations, so it imports nothing from
 cofactors instead of inserting them one at a time; the cone-face oracle
 takes the facets from it and intersects them, and the facet oracle takes
 the cone's generators from it and ranks the ones tight on each row.  The
+hull-membership oracle solves for barycentric coordinates over the affine
+bases among the vertices, instead of evaluating facet functionals.  The
 basis-exchange oracle works on frozensets, and the matroid subdivisions of
 Delta(3,6) are also recognized by their tropical Plücker relations.  The
 crossing oracle realizes chords as exact rational segments and tests
@@ -153,6 +155,29 @@ def _affine_coordinates(points):
             for p in pts]
 
 
+def brute_force_point_in_hull(y, vertices):
+    """``y in conv(vertices)``, by Carathéodory's theorem.
+
+    A point of the hull is a convex combination of affinely independent
+    vertices, and those extend, by further vertices, to an affine basis of
+    the vertices' span.  So ``y`` is in the hull exactly when, for some
+    ``dim + 1`` affinely independent vertices, its coordinates in that
+    basis exist and are nonnegative.  They are solved for with Fraction
+    elimination.
+    """
+    pts = [tuple(Fraction(x) for x in v) for v in vertices]
+    k = _affine_rank(pts)
+    for basis in itertools.combinations(pts, k + 1):
+        if _affine_rank(basis) < k:
+            continue
+        origin = basis[0]
+        columns = [tuple(x - o for x, o in zip(b, origin)) for b in basis[1:]]
+        x = _solve(columns, tuple(v - o for v, o in zip(y, origin)))
+        if x is not None and min(x, default=0) >= 0 and sum(x) <= 1:
+            return True
+    return False
+
+
 # -- extreme rays by brute force ----------------------------------------------
 
 def _det(rows):
@@ -228,12 +253,29 @@ def brute_force_cone_facets(halfspaces, dim):
     elimination.  Returns the sorted distinct primitive normals.
     """
     hs = {tuple(x // math.gcd(*h) for x in h) for h in halfspaces if any(h)}
-    lines = _kernel(hs, dim)
-    both = lines + [tuple(-x for x in l) for l in lines]
-    gens = brute_force_cone_rays(sorted(hs) + both, dim) + lines
+    gens = _cone_generators(hs, dim)
     origin = (0,) * dim
     return sorted(h for h in hs if _affine_rank([origin] + [
         g for g in gens if sum(map(operator.mul, h, g)) == 0]) == dim - 1)
+
+
+def brute_force_cone_dim(halfspaces, dim):
+    """Dimension of ``{x : <h, x> >= 0}``: the rank of its generators, by
+    Fraction elimination."""
+    hs = [tuple(h) for h in halfspaces if any(h)]
+    return _affine_rank([(0,) * dim] + _cone_generators(hs, dim))
+
+
+def _cone_generators(hs, dim):
+    """Lines and extreme rays that generate ``{x : <h, x> >= 0}``.
+
+    The lines are the kernel of the nonzero halfspaces ``hs``; the rays are
+    those of the pointed cone cut from the cone by the lines' orthogonal
+    complement, from :func:`brute_force_cone_rays`.
+    """
+    lines = _kernel(hs, dim)
+    both = lines + [tuple(-x for x in l) for l in lines]
+    return brute_force_cone_rays(sorted(hs) + both, dim) + lines
 
 
 def brute_force_cone_faces(rays, dim):

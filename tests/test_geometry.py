@@ -13,6 +13,7 @@ import tropd4.geometry as geometry
 from tropd4.geometry import (
     Cone,
     NotPointedError,
+    PointConfiguration,
     cone_face_ray_sets,
     cone_from_rays,
     cone_rays,
@@ -28,10 +29,12 @@ from tropd4.hypersimplex import hypersimplex_vertices, induced_subdivision
 
 from oracles import (
     _affine_rank,
+    brute_force_cone_dim,
     brute_force_cone_faces,
     brute_force_cone_facets,
     brute_force_cone_rays,
     brute_force_lower_cells,
+    brute_force_point_in_hull,
 )
 
 R = {  # the sixteen fan rays, by conventional label number
@@ -317,6 +320,15 @@ class TestIntersectCones:
 
 
 class TestConeDim:
+    @given(SWEEP_INPUTS)
+    @example((2, False, [(1, 0), (-1, 0)], []))
+    @example((3, False, [], [(0, True)]))
+    @example((2, False, [(1, 1), (-1, -1), (1, 0), (-1, 0)], []))
+    def test_matches_generator_rank(self, case):
+        # full-dimensional cones skip the rank; the others rank generators
+        dim, rows = sweep_rows(case)
+        assert Cone(dim, rows).dim() == brute_force_cone_dim(rows, dim)
+
     def test_orthant(self):
         assert Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0),
                         (0, 0, 1, 0), (0, 0, 0, 1)]).dim() == 4
@@ -330,6 +342,24 @@ class TestConeDim:
 
 
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+class TestPointConfiguration:
+    def test_no_points(self):
+        with pytest.raises(ValueError):
+            PointConfiguration([])
+        with pytest.raises(ValueError):
+            regular_subdivision([], [])
+
+    def test_points_of_different_lengths(self):
+        with pytest.raises(ValueError):
+            PointConfiguration([(0, 0), (1, 0, 0), (0, 1)])
+        with pytest.raises(ValueError):
+            polytope_f_vector([(0, 0, 0), (1, 0), (0, 1)])
+
+    def test_repeated_point(self):
+        with pytest.raises(ValueError):
+            PointConfiguration(SQUARE + [(1, 0)])
 
 
 class TestRegularSubdivision:
@@ -484,6 +514,57 @@ class TestIntersectionDim:
             _affine_rank(points)
 
 
+@st.composite
+def hull_cases(draw):
+    """A vertex list and query points for :func:`point_in_hull`.
+
+    The vertices are small lattice points of ``Z^k`` sent into ``Q^d`` by
+    a rational affine map, identity or not, so the configuration may be
+    full-dimensional or embedded in a lower-dimensional span.  A query is
+    a convex combination (on the boundary when some weights are zero), an
+    affine combination (in the span, often outside the hull), a convex
+    combination moved along a coordinate axis (often off the span), or a
+    random rational point.
+    """
+    d = draw(st.integers(1, 4))
+    ratio = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    if draw(st.booleans()):
+        k, linear = d, [[int(i == j) for j in range(d)] for i in range(d)]
+    else:
+        k = draw(st.integers(0, d))
+        linear = draw(st.lists(st.lists(ratio, min_size=d, max_size=d),
+                               min_size=k, max_size=k))
+    offset = draw(st.lists(ratio, min_size=d, max_size=d))
+    lattice = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k),
+                            min_size=1, max_size=6))
+    vertices = [tuple(o + sum(c * row[j] for c, row in zip(p, linear))
+                      for j, o in enumerate(offset)) for p in lattice]
+    queries = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["convex", "affine", "moved", "random"]))
+        if kind == "random":
+            queries.append(tuple(draw(st.lists(ratio, min_size=d,
+                                               max_size=d))))
+            continue
+        low = -2 if kind == "affine" else 0
+        w = draw(st.lists(st.integers(low, 3), min_size=len(vertices),
+                          max_size=len(vertices)))
+        if kind == "affine":
+            w[0] += 1 - sum(w)
+        elif not any(w):
+            w[0] = 1
+        total = sum(w)
+        y = [sum(Fraction(c, total) * v[j] for c, v in zip(w, vertices))
+             for j in range(d)]
+        if kind == "moved":
+            y[draw(st.integers(0, d - 1))] += draw(ratio)
+        queries.append(tuple(y))
+    return vertices, queries
+
+
+HULL_CASES = hull_cases()
+
+
 class TestPointInHull:
     @staticmethod
     def cell():
@@ -503,8 +584,9 @@ class TestPointInHull:
 
     def test_off_span_point_projecting_inside(self):
         # Raising one coordinate of the centroid leaves the hyperplane of
-        # coordinate sum 3.  For a coordinate outside the pivot columns the
-        # projection is the centroid's, which lies inside the cell.
+        # coordinate sum 3, the equation of the cell's span.  Dropped to
+        # any five of the coordinates, the point would still lie inside the
+        # cell, so only the span's equation rejects it.
         inside, _ = self.cell()
         centroid = [Fraction(sum(c), len(inside)) for c in zip(*inside)]
         for j in range(6):
@@ -539,6 +621,62 @@ class TestPointInHull:
     def test_single_vertex(self):
         assert point_in_hull((Fraction(1, 2), 3), [(Fraction(1, 2), 3)])
         assert not point_in_hull((Fraction(1, 3), 3), [(Fraction(1, 2), 3)])
+
+    def test_no_vertices(self):
+        with pytest.raises(ValueError):
+            point_in_hull((0, 0), [])
+
+    def test_ragged_vertices(self):
+        with pytest.raises(ValueError):
+            point_in_hull((0, 0), [(0, 0), (1, 0, 0)])
+
+    def test_query_length_differs(self):
+        # zip would read (0, 0, 5) as (0, 0), a vertex
+        with pytest.raises(ValueError):
+            point_in_hull((0, 0, 5), [(0, 0), (1, 0)])
+        with pytest.raises(ValueError):
+            point_in_hull((0,), [(0, 0), (1, 0)])
+
+    @given(HULL_CASES)
+    @example(([(0, 0), (2, 0), (0, 2), (2, 2)],
+              [(1, 0), (2, 1), (1, 1), (3, 1), (1, -1)]))
+    @example(([(Fraction(1, 2), 0, 1), (0, Fraction(1, 3), 1)],
+              [(Fraction(1, 4), Fraction(1, 6), 1), (0, 0, 1),
+               (Fraction(1, 4), Fraction(1, 6), 2), (1, Fraction(-2, 3), 1)]))
+    @example(([(1, 1, 1)], [(1, 1, 1), (1, 1, 2)]))
+    @settings(max_examples=150)
+    def test_matches_caratheodory_oracle(self, case):
+        vertices, queries = case
+        for y in queries:
+            assert point_in_hull(y, vertices) == \
+                brute_force_point_in_hull(y, vertices)
+        if len(vertices) > 1:
+            # the same list object, changed in place, must not be answered
+            # from the entry of its old contents
+            vertices.pop()
+            for y in queries:
+                assert point_in_hull(y, vertices) == \
+                    brute_force_point_in_hull(y, vertices)
+
+    def test_mutated_vertex_list(self):
+        segment = [[0, 0], [2, 0]]
+        assert point_in_hull((2, 0), segment)
+        segment[1][0] = 1
+        assert not point_in_hull((2, 0), segment)
+        segment.append([3, 0])
+        assert point_in_hull((2, 0), segment)
+
+    def test_repeated_vertex_list_sweeps_once(self, sweep_calls):
+        geometry._hull_functionals.cache_clear()
+        square = [[Fraction(i, 7), Fraction(j, 7), 5]
+                  for i in (0, 1) for j in (0, 1)]
+        assert point_in_hull((Fraction(1, 14), Fraction(1, 14), 5), square)
+        assert len(sweep_calls) == 1
+        assert not point_in_hull((Fraction(1, 7), Fraction(2, 7), 5),
+                                 tuple(map(tuple, square)))
+        assert len(sweep_calls) == 1
+        maxsize = geometry._hull_functionals.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
 
 
 class TestPolytopeFaces:
