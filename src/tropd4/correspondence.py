@@ -80,12 +80,12 @@ def cone_of_cluster(t, fan=None):
 @lru_cache(maxsize=1)
 def classify_all_cones():
     """Plane type of every maximal cone, keyed by its frozen ray set."""
-    return {frozenset(c.rays): classify_plane_type(c)
+    return {frozenset(c.rays): classify_plane_type(c.rays)
             for c in compute_fan_f36().maximal_cones}
 
 
-def plane_type_of_cluster(t, fan=None):
-    return classify_all_cones()[frozenset(cone_of_cluster(t, fan).rays)]
+def plane_type_of_cluster(t):
+    return classify_all_cones()[frozenset(cone_of_cluster(t).rays)]
 
 
 def plane_type_split(orbit):
@@ -219,7 +219,7 @@ def cluster_classes():
     return labeled
 
 
-def table1_report(fan=None):
+def table1_report():
     """Computed (cone ray labels, plane type) rows, in printed-table order."""
     types = classify_all_cones()
     rows = []

@@ -6,9 +6,10 @@ envelopes.  All arithmetic is over the integers / rationals; no floats.
 
 The workhorse is a double-description sweep (:func:`_double_description`)
 that inserts halfspaces one at a time while maintaining a line basis and the
-extreme rays of the pointed part.  Everything else (facet enumeration,
-polytope face lattices, lower envelopes) is phrased as a ray enumeration of
-a suitable cone.
+extreme rays of the pointed part.  Everything else is phrased as a ray
+enumeration of a suitable cone, by five callers: :class:`Cone`,
+:func:`cone_from_rays`, :func:`_faces` (faces of cones and polytopes),
+:func:`regular_subdivision` and :func:`_hull_functionals`.
 
 The sweep takes integer rows and returns primitive integer lines and
 primitive rays, each ray paired with the bitmask of the rows it is tight
@@ -69,6 +70,14 @@ def _point_tuple(points):
         raise ValueError("need at least one point")
     if len(set(map(len, points))) > 1:
         raise ValueError("points must all have the same length")
+    return points
+
+
+def _distinct_points(points):
+    """:func:`_point_tuple`, which must also hold no point twice."""
+    points = _point_tuple(points)
+    if len(set(points)) != len(points):
+        raise ValueError("points must be distinct")
     return points
 
 
@@ -185,10 +194,10 @@ def _double_description(rows, dim):
 
 def cone_rays(halfspaces, dim):
     """Extreme rays of a pointed cone, as sorted primitive integer vectors."""
-    lines, rays = _double_description(_integer_rows(halfspaces)[0], dim)
-    if lines:
-        raise NotPointedError(lines[0])
-    return sorted(r for r, _ in rays)
+    cone = Cone(dim, tuple(halfspaces))
+    if cone.lines:
+        raise NotPointedError(cone.lines[0])
+    return list(cone.rays)
 
 
 @dataclass
@@ -275,15 +284,8 @@ def cone_face_ray_sets(cone: Cone):
     if not cone.is_pointed:
         raise NotPointedError(cone.lines[0])
     rays = cone.rays
-    if len(rays) == _rank(rays):  # simplicial: faces are the ray subsets
-        return {frozenset(s) for k in range(1, len(rays) + 1)
-                for s in itertools.combinations(rays, k)}
-    # The facet normals are the rays of the dual cone; each one's mask
-    # marks the rays of its facet.  Dual lines are tight on every ray.
-    _, normals = _double_description(rays, cone.ambient_dim)
-    faces = _face_closure([_members(mask, rays) for _, mask in normals])
-    faces.add(frozenset(rays))
-    return faces
+    return {frozenset(rays[i] for i in f)
+            for faces in _faces(rays).values() for f in faces}
 
 
 def _members(mask, items):
@@ -291,15 +293,36 @@ def _members(mask, items):
     return frozenset(x for i, x in enumerate(items) if mask >> i & 1)
 
 
-def _face_closure(facets):
-    """Every nonempty intersection of one or more of ``facets``."""
-    faces = set(facets)
-    frontier = set(faces)
+def _faces(rows):
+    """Nonzero faces of the pointed cone spanned by integer ``rows``.
+
+    Returns ``{dimension: set of faces}``, each face the frozenset of the
+    indices of its rows.  Independent rows span a simplicial cone.
+    Otherwise the masks of the dual cone's rays mark the facets, the other
+    proper faces are their intersections, and, as the face lattice is
+    graded with the extreme rays as atoms, a face's dimension is one more
+    than the largest among the faces inside it (Ziegler, *Lectures on
+    Polytopes*, Lecture 2).
+    """
+    n = len(rows)
+    if _rank(rows) == n:
+        return {k: set(map(frozenset, itertools.combinations(range(n), k)))
+                for k in range(1, n + 1)}
+    _, normals = _double_description(rows, len(rows[0]))
+    facets = [mask for _, mask in normals]
+    masks = {(1 << n) - 1, *facets}
+    frontier = set(facets)
     while frontier:
-        frontier = {f & g for f in frontier for g in facets} - faces
-        frontier.discard(frozenset())
-        faces |= frontier
-    return faces
+        frontier = {f & g for f in frontier for g in facets} - masks
+        masks |= frontier
+    masks.discard(0)
+    dims = {}
+    result = {}
+    for mask in sorted(masks, key=int.bit_count):
+        d = dims[mask] = 1 + max((dims[g] for g in dims if g & mask == g),
+                                 default=0)
+        result.setdefault(d, set()).add(_members(mask, range(n)))
+    return result
 
 
 @dataclass
@@ -352,26 +375,16 @@ class Fan:
         return [i for i, m in enumerate(self._masks) if not m & violated]
 
 
-class PointConfiguration:
-    """A finite point set with exact integer affine coordinates on its span.
-
-    The differences from ``origin``, scaled to integers by the lcm of their
-    denominators, are projected onto the pivot columns of their
-    elimination; ``reduced`` holds these projections.  The projection maps
-    the affine span bijectively onto ``R^dim``, and lower envelopes and
-    face lattices do not change under an affine bijection.
-    """
-
-    def __init__(self, points):
-        self.points = list(_point_tuple(points))
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("points must be distinct")
-        self.origin = self.points[0]
-        diffs, _ = _integer_rows(
-            [_minus(p, self.origin) for p in self.points])
-        pivots = _pivot_columns(diffs)
-        self.dim = len(pivots)
-        self.reduced = [tuple(d[c] for c in pivots) for d in diffs]
+@functools.lru_cache(maxsize=256)
+def _affine_frame(points):
+    """Integer coordinates of ``points`` on their affine span, and its
+    dimension: the differences from the first point, scaled to integers and
+    projected onto the pivot columns of their elimination, an affine
+    bijection of the span onto ``R^dim`` that keeps lower envelopes.  Kept
+    for at most 256 point tuples."""
+    diffs, _ = _integer_rows(_minus(p, points[0]) for p in points)
+    pivots = _pivot_columns(diffs)
+    return tuple(tuple(d[c] for c in pivots) for d in diffs), len(pivots)
 
 
 def regular_subdivision(points, heights):
@@ -379,7 +392,8 @@ def regular_subdivision(points, heights):
 
     Each lifted point is ``(p_i, h_i)``; a cell is the frozenset of indices
     of the points lying on one lower facet of the lifted convex hull.  Cells
-    are returned sorted, as frozensets of point indices.
+    are returned sorted, as frozensets of point indices.  The points must be
+    distinct: a cell could not tell a repeated point from its copy.
 
     The sweep inserts ``t >= 0`` first, so it never builds the upper half of
     the lifted hull, and then the points from the lowest height up, so the
@@ -387,20 +401,19 @@ def regular_subdivision(points, heights):
     order).  The cells do not depend on this order: they are the tight masks
     of the final extreme rays, mapped back to the original indices.
     """
-    config = points if isinstance(points, PointConfiguration) \
-        else PointConfiguration(points)
-    if len(config.points) != len(heights):
+    points = _distinct_points(points)
+    if len(points) != len(heights):
         raise ValueError("points and heights must have equal length")
-    if config.dim < 1:
+    reduced, d = _affine_frame(points)
+    if d < 1:
         raise ValueError("points must affinely span dimension >= 1")
     [h_ints], _ = _integer_rows([heights])
 
-    d = config.dim
     # Affine supports (c, c0, t):  t >= 0,  <u_i, c> + c0 <= t * h_i.
     # Row 0 is t >= 0; row j + 1 is the point order[j].
     order = sorted(range(len(h_ints)), key=h_ints.__getitem__)
     halfspaces = [tuple(0 for _ in range(d + 1)) + (1,)]
-    halfspaces += [tuple(-x for x in config.reduced[i]) + (-1, h_ints[i])
+    halfspaces += [tuple(-x for x in reduced[i]) + (-1, h_ints[i])
                    for i in order]
     lines, rays = _double_description(halfspaces, d + 2)
     if lines:  # cannot happen for a spanning configuration
@@ -424,33 +437,21 @@ def polytope_proper_faces(vertices):
     """Vertex sets of all nonempty proper faces of ``conv(vertices)``.
 
     Returns a dict mapping face dimension to the set of frozensets of vertex
-    indices.  The polytope itself is not included.
+    indices: the faces of the cone over the rows ``(v, 1)``, one dimension
+    lower.  The vertices must be distinct.  The polytope itself is not
+    included, unless it is a single point.
     """
-    config = PointConfiguration(vertices)
-    k = config.dim
-    if k == 0:
-        return {0: {frozenset([0])}}
-    if len(config.points) == k + 1:  # a simplex: every proper subset is a face
-        return {d: {frozenset(s) for s in itertools.combinations(range(k + 1),
-                                                                 d + 1)}
-                for d in range(k)}
-    # Facets = extreme rays of the cone of affine functionals nonnegative
-    # on every vertex.
-    _, rays = _double_description([u + (1,) for u in config.reduced], k + 1)
-    facets = [_members(mask, range(len(config.points))) for _, mask in rays]
-    result = {}
-    for f in _face_closure(facets):
-        pts = [config.reduced[i] for i in sorted(f)]
-        d = _rank([_minus(p, pts[0]) for p in pts[1:]])
-        result.setdefault(d, set()).add(f)
-    return result
+    rows, _ = _integer_rows(v + (1,) for v in _distinct_points(vertices))
+    faces = _faces(rows)
+    if len(rows) > 1:
+        del faces[max(faces)]
+    return {d - 1: fs for d, fs in faces.items()}
 
 
 def polytope_f_vector(vertices):
     """Counts of proper faces by dimension: ``(f_0, ..., f_{dim-1})``."""
     faces = polytope_proper_faces(vertices)
-    top = max(faces) if faces else 0
-    return tuple(len(faces.get(d, ())) for d in range(top + 1))
+    return tuple(len(faces.get(d, ())) for d in range(max(faces) + 1))
 
 
 def point_in_hull(y, vertices):
@@ -463,7 +464,7 @@ def point_in_hull(y, vertices):
     equations of the affine span, and its rays, the facet functionals.  The
     sweep is kept per vertex list in a cache of at most 256 lists, so a
     repeated list costs one evaluation of each functional at ``y``.
-    Repeated vertices are allowed.
+    Repeated vertices are allowed: they leave the hull as it is.
     """
     key = _point_tuple(vertices)
     if len(y) != len(key[0]):

@@ -16,8 +16,6 @@ from functools import lru_cache
 from . import reference
 from .fan import trop_phi2
 from .geometry import (
-    Cone,
-    PointConfiguration,
     intersection_dim,
     polytope_f_vector,
     regular_subdivision,
@@ -40,11 +38,6 @@ def hypersimplex_vertices():
     for (i, j, k) in PLUECKER_TRIPLES:
         verts.append(tuple(1 if m + 1 in (i, j, k) else 0 for m in range(6)))
     return tuple(verts)
-
-
-@lru_cache(maxsize=1)
-def _configuration():
-    return PointConfiguration(hypersimplex_vertices())
 
 
 def _bits(mask):
@@ -84,7 +77,7 @@ def induced_subdivision(w):
     ``w`` is the 20-entry weight vector in lexicographic triple order; each
     cell is returned as a frozenset of index triples.
     """
-    cells = regular_subdivision(_configuration(), list(w))
+    cells = regular_subdivision(hypersimplex_vertices(), list(w))
     return tuple(frozenset(PLUECKER_TRIPLES[i] for i in cell)
                  for cell in cells)
 
@@ -152,13 +145,17 @@ def subdivision_of_point(x):
     return cells
 
 
+def _canonical_signature(rays):
+    """Signature of the subdivision at the sum of a cone's ``rays``."""
+    point = tuple(sum(c) for c in zip(*rays))
+    return subdivision_signature(subdivision_of_point(point))
+
+
 @lru_cache(maxsize=1)
 def reference_signatures():
     """Signature of one labeled representative cone per plane type."""
-    sigs = {}
-    for plane_type, rays in reference.representative_cones().items():
-        point = tuple(sum(c) for c in zip(*sorted(rays)))
-        sigs[plane_type] = subdivision_signature(subdivision_of_point(point))
+    sigs = {plane_type: _canonical_signature(rays) for plane_type, rays
+            in reference.representative_cones().items()}
     values = list(sigs.values())
     if len(set(values)) != len(values):
         raise RuntimeError("reference signatures are not pairwise distinct")
@@ -172,12 +169,10 @@ def classify_signature(sig):
     raise UnknownTypeError(f"signature matches no reference type: {sig}")
 
 
-def classify_plane_type(cone) -> str:
-    """Plane type of a maximal cone, from its canonical interior point."""
-    point = cone.interior_point() if isinstance(cone, Cone) \
-        else tuple(sum(c) for c in zip(*cone))
-    return classify_signature(
-        subdivision_signature(subdivision_of_point(point)))
+def classify_plane_type(rays) -> str:
+    """Plane type of a maximal cone, from the canonical interior point of
+    its ``rays``."""
+    return classify_signature(_canonical_signature(rays))
 
 
 def subdivision_to_json(cells):

@@ -3,7 +3,7 @@ import itertools
 import pathlib
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +13,6 @@ import tropd4.geometry as geometry
 from tropd4.geometry import (
     Cone,
     NotPointedError,
-    PointConfiguration,
     cone_face_ray_sets,
     cone_from_rays,
     cone_rays,
@@ -28,6 +27,7 @@ from tropd4.fan import trop_phi2
 from tropd4.hypersimplex import hypersimplex_vertices, induced_subdivision
 
 from oracles import (
+    _affine_coordinates,
     _affine_rank,
     brute_force_cone_dim,
     brute_force_cone_faces,
@@ -345,21 +345,44 @@ SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
 class TestPointConfiguration:
+    """``regular_subdivision`` and ``polytope_proper_faces`` take a point
+    list that is nonempty, of one length and without repeats."""
+
+    @staticmethod
+    def rejected(points, message):
+        for entry in (lambda: regular_subdivision(points, [0] * len(points)),
+                      lambda: polytope_proper_faces(points),
+                      lambda: polytope_f_vector(points)):
+            with pytest.raises(ValueError, match=message):
+                entry()
+
     def test_no_points(self):
-        with pytest.raises(ValueError):
-            PointConfiguration([])
-        with pytest.raises(ValueError):
-            regular_subdivision([], [])
+        self.rejected([], "at least one point")
 
     def test_points_of_different_lengths(self):
-        with pytest.raises(ValueError):
-            PointConfiguration([(0, 0), (1, 0, 0), (0, 1)])
-        with pytest.raises(ValueError):
-            polytope_f_vector([(0, 0, 0), (1, 0), (0, 1)])
+        self.rejected([(0, 0), (1, 0, 0), (0, 1)], "same length")
+        self.rejected([(0, 0, 0), (1, 0), (0, 1)], "same length")
 
     def test_repeated_point(self):
-        with pytest.raises(ValueError):
-            PointConfiguration(SQUARE + [(1, 0)])
+        self.rejected(SQUARE + [(1, 0)], "distinct")
+        self.rejected([(Fraction(1, 2), 0), (0, 1), (Fraction(2, 4), 0)],
+                      "distinct")
+
+    def test_affine_frame_cache(self):
+        maxsize = geometry._affine_frame.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
+        geometry._affine_frame.cache_clear()
+        points = [[0, 0], [1, 0], [0, 1], [1, 1]]
+        cells = regular_subdivision(points, [0, 0, 0, 1])
+        assert regular_subdivision(tuple(map(tuple, points)),
+                                   [0, 0, 0, 1]) == cells
+        info = geometry._affine_frame.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        # the same list, changed in place: a triangle with the lifted point
+        # inside it
+        points[0] = [2, 2]
+        assert regular_subdivision(points, [0, 0, 0, 1]) == \
+            brute_force_lower_cells(points, [0, 0, 0, 1]) != cells
 
 
 class TestRegularSubdivision:
@@ -679,7 +702,50 @@ class TestPointInHull:
         assert isinstance(maxsize, int) and maxsize > 0
 
 
+# Distinct 0/1 points are vertices of the cube, so any set of them is in
+# convex position: full-dimensional in the small cubes, embedded in the
+# hyperplane of coordinate sum 3 in Delta(3,6).
+ZERO_ONE_GROUNDS = [list(itertools.product((0, 1), repeat=d))
+                    for d in (1, 2, 3, 4)] + [list(hypersimplex_vertices())]
+
+
+@st.composite
+def zero_one_polytopes(draw):
+    """Distinct 0/1 points, at most ten of one ground set, sent by an
+    injective rational affine map that scales each coordinate and appends
+    one more coordinate that is an affine function of them."""
+    ground = draw(st.sampled_from(ZERO_ONE_GROUNDS))
+    points = draw(st.lists(st.sampled_from(ground), min_size=1, max_size=10,
+                           unique=True))
+    d = len(ground[0])
+    ratio = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    scale = draw(st.lists(ratio.filter(bool), min_size=d, max_size=d))
+    offset = draw(st.lists(ratio, min_size=d + 1, max_size=d + 1))
+    last = draw(st.lists(ratio, min_size=d, max_size=d))
+    return [tuple(s * x + o for s, x, o in zip(scale, p, offset))
+            + (sum(c * x for c, x in zip(last, p)) + offset[d],)
+            for p in points]
+
+
 class TestPolytopeFaces:
+    @given(zero_one_polytopes())
+    @example([(Fraction(1, 2), 3, 0)])
+    @settings(max_examples=60)
+    def test_matches_brute_force_oracle(self, points):
+        # the faces of the cone over the rows (u, 1), where u are affine
+        # coordinates on the span, scaled to integers
+        lifted = [u + (1,) for u in _affine_coordinates(points)]
+        scale = lcm(*(x.denominator for row in lifted for x in row))
+        rows = [tuple(int(x * scale) for x in row) for row in lifted]
+        index = {row: i for i, row in enumerate(rows)}
+        expected = {}
+        for face in brute_force_cone_faces(rows, len(rows[0])):
+            if len(face) < len(points) or len(points) == 1:
+                members = frozenset(index[r] for r in face)
+                dim = _affine_rank([points[i] for i in sorted(members)])
+                expected.setdefault(dim, set()).add(members)
+        assert polytope_proper_faces(points) == expected
+
     def test_square_f_vector(self):
         assert polytope_f_vector(SQUARE) == (4, 4)
 
