@@ -5,7 +5,9 @@ Vertices are labeled 0..2n-1 counterclockwise; the antipode of p is p+n
 flavors: polygon diagonals that avoid the center (cyclic distance 2..2n-2
 but not n) and tangent chords ``pL`` / ``pR`` running from a vertex to the
 central disk.  The half-turn pairs every chord with its antipodal copy; a
-pair is named by its lexicographically smallest member.
+pair is named by its lexicographically smallest member.  Every motion of
+the model, the half-turn included, moves vertices by a map
+``k -> sign * k + shift (mod 2n)``, with or without a swap of tangency sides.
 """
 
 from __future__ import annotations
@@ -49,15 +51,18 @@ def tangent(p, side, n):
     return Chord(p % (2 * n), -1, side)
 
 
-def antipode(v, n):
-    return (v + n) % (2 * n)
+def _move(c: Chord, sign, shift, swap, n) -> Chord:
+    """Image of ``c`` under the vertex map ``k -> sign * k + shift``, with
+    the tangency side swapped when ``swap`` is set."""
+    if c.is_tangent:
+        return tangent(sign * c.p + shift,
+                       (R if c.side == L else L) if swap else c.side, n)
+    return arc(sign * c.p + shift, sign * c.q + shift, n)
 
 
 def partner(c: Chord, n) -> Chord:
     """The centrally symmetric copy of a chord (tangency side is preserved)."""
-    if c.is_tangent:
-        return tangent(antipode(c.p, n), c.side, n)
-    return arc(antipode(c.p, n), antipode(c.q, n), n)
+    return _move(c, 1, n, False, n)
 
 
 def pair_rep(c: Chord, n) -> Chord:
@@ -140,9 +145,10 @@ def pair_crossing_count(a: Chord, b: Chord, n) -> int:
 class SymmetryOp:
     """Rigid or combinatorial symmetry of the configuration.
 
-    kind "rho": one-step ccw vertex rotation; "reflect": vertex k -> axis-k
-    with tangency sides swapped; "tau": rotation followed by a side swap;
-    "sigma": global side swap.
+    Each kind maps vertex k to ``sign * k + shift (mod 2n)``: "rho" (one-step
+    ccw rotation) to k+1; "tau" to k+1 with tangency sides swapped;
+    "reflect" to axis-k with sides swapped; "sigma" to k with sides swapped.
+    Only "reflect" reads ``axis``.
     """
 
     kind: str
@@ -158,29 +164,16 @@ def reflect(axis):
     return SymmetryOp("reflect", axis)
 
 
-def _swap(side):
-    return R if side == L else L
+# kind -> (sign, shift, multiple of the axis added to the shift, side swap)
+_MOTIONS = {"rho": (1, 1, 0, False), "tau": (1, 1, 0, True),
+            "reflect": (-1, 0, 1, True), "sigma": (1, 0, 0, True)}
 
 
 def apply_to_chord(op: SymmetryOp, c: Chord, n) -> Chord:
-    m = 2 * n
-    if op.kind == "rho":
-        if c.is_tangent:
-            return tangent(c.p + 1, c.side, n)
-        return arc(c.p + 1, c.q + 1, n)
-    if op.kind == "tau":
-        if c.is_tangent:
-            return tangent(c.p + 1, _swap(c.side), n)
-        return arc(c.p + 1, c.q + 1, n)
-    if op.kind == "reflect":
-        if c.is_tangent:
-            return tangent(op.axis - c.p, _swap(c.side), n)
-        return arc(op.axis - c.p, op.axis - c.q, n)
-    if op.kind == "sigma":
-        if c.is_tangent:
-            return tangent(c.p, _swap(c.side), n)
-        return c
-    raise ValueError(f"unknown symmetry kind {op.kind!r}")
+    if op.kind not in _MOTIONS:
+        raise ValueError(f"unknown symmetry kind {op.kind!r}")
+    sign, shift, axis_multiple, swap = _MOTIONS[op.kind]
+    return _move(c, sign, shift + axis_multiple * op.axis, swap, n)
 
 
 def apply_symmetry(op: SymmetryOp, pairs, n):

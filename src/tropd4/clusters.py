@@ -22,6 +22,7 @@ from .chords import (
     Chord,
     all_chord_pairs,
     apply_symmetry,
+    apply_to_chord,
     arc,
     chord_text,
     pair_crossing_count,
@@ -202,7 +203,7 @@ def compatibility_degree(a, b):
 
 
 def tau_on_root(r):
-    return root_of_pair(apply_symmetry(TAU, {pair_of_root(r)}, N4).__iter__().__next__())
+    return root_of_pair(apply_to_chord(TAU, pair_of_root(r), N4))
 
 
 @lru_cache(maxsize=1)

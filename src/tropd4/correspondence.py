@@ -14,8 +14,7 @@ from collections import Counter
 from functools import lru_cache
 
 from . import reference
-from .chords import (SIGMA, apply_symmetry, chord_text, pair_rep, parse_chord,
-                     reflect)
+from .chords import SIGMA, apply_symmetry, chord_text, reflect
 from .clusters import (
     N4,
     classify_modulo,
@@ -29,20 +28,11 @@ from .geometry import cone_face_ray_sets
 from .hypersimplex import classify_plane_type
 
 
-def psi_table():
-    """Rows (ray coords, root, chord pair) of the three-column dictionary."""
-    rows = []
-    for label, coords in reference.RAY_COORDS.items():
-        root, chord = reference.PSI_TABLE[label]
-        rows.append((coords, root, pair_rep(parse_chord(chord, N4), N4)))
-    return rows
-
-
 @lru_cache(maxsize=1)
 def _psi_maps():
-    to_root = {coords: root for coords, root, _ in psi_table()}
-    to_ray = {root: coords for coords, root, _ in psi_table()}
-    return to_root, to_ray
+    to_root = {coords: reference.PSI_TABLE[label][0]
+               for label, coords in reference.RAY_COORDS.items()}
+    return to_root, {root: coords for coords, root in to_root.items()}
 
 
 def psi(ray):

@@ -24,6 +24,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -57,9 +58,12 @@ def _integer_rows(rows):
     scaled by 1 without building Fractions.  Returns ``(rows, scale)``.
     """
     rows = list(rows)  # read twice below; callers may pass an iterator
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    return [tuple(x.numerator * (scale // x.denominator) for x in row)
-            for row in rows], scale
+    try:
+        scale = lcm(*(x.denominator for row in rows for x in row))
+        return [tuple(x.numerator * (scale // x.denominator) for x in row)
+                for row in rows], scale
+    except AttributeError:
+        raise ValueError("coordinates must be ints or Fractions") from None
 
 
 def _point_tuple(points):
@@ -74,8 +78,11 @@ def _point_tuple(points):
 
 
 def _distinct_points(points):
-    """:func:`_point_tuple`, which must also hold no point twice."""
+    """:func:`_point_tuple` of distinct points with int or Fraction
+    coordinates: a float would hit the cache entry of an equal rational."""
     points = _point_tuple(points)
+    if not all(isinstance(x, (int, Fraction)) for p in points for x in p):
+        raise ValueError("coordinates must be ints or Fractions")
     if len(set(points)) != len(points):
         raise ValueError("points must be distinct")
     return points
@@ -281,11 +288,14 @@ def cone_from_rays(rays, dim):
 
 def cone_face_ray_sets(cone: Cone):
     """All nonzero faces of a pointed cone, each as a frozenset of its rays."""
+    return set().union(*_cone_faces(cone).values())
+
+
+def _cone_faces(cone: Cone):
+    """Nonzero faces of a pointed cone by dimension, as frozensets of rays."""
     if not cone.is_pointed:
         raise NotPointedError(cone.lines[0])
-    rays = cone.rays
-    return {frozenset(rays[i] for i in f)
-            for faces in _faces(rays).values() for f in faces}
+    return _faces(cone.rays, cone.rays)
 
 
 def _members(mask, items):
@@ -293,11 +303,11 @@ def _members(mask, items):
     return frozenset(x for i, x in enumerate(items) if mask >> i & 1)
 
 
-def _faces(rows):
+def _faces(rows, labels):
     """Nonzero faces of the pointed cone spanned by integer ``rows``.
 
     Returns ``{dimension: set of faces}``, each face the frozenset of the
-    indices of its rows.  Independent rows span a simplicial cone.
+    ``labels`` of its rows.  Independent rows span a simplicial cone.
     Otherwise the masks of the dual cone's rays mark the facets, the other
     proper faces are their intersections, and, as the face lattice is
     graded with the extreme rays as atoms, a face's dimension is one more
@@ -306,7 +316,7 @@ def _faces(rows):
     """
     n = len(rows)
     if _rank(rows) == n:
-        return {k: set(map(frozenset, itertools.combinations(range(n), k)))
+        return {k: set(map(frozenset, itertools.combinations(labels, k)))
                 for k in range(1, n + 1)}
     _, normals = _double_description(rows, len(rows[0]))
     facets = [mask for _, mask in normals]
@@ -321,7 +331,7 @@ def _faces(rows):
     for mask in sorted(masks, key=int.bit_count):
         d = dims[mask] = 1 + max((dims[g] for g in dims if g & mask == g),
                                  default=0)
-        result.setdefault(d, set()).add(_members(mask, range(n)))
+        result.setdefault(d, set()).add(_members(mask, labels))
     return result
 
 
@@ -353,18 +363,21 @@ class Fan:
     def rays(self):
         return sorted({r for c in self.maximal_cones for r in c.rays})
 
-    def face_ray_sets(self):
-        faces = set()
+    @functools.cached_property
+    def _faces_by_dim(self):
+        """Faces of the maximal cones by dimension, graded on first use."""
+        faces = {}
         for c in self.maximal_cones:
-            faces |= cone_face_ray_sets(c)
+            for d, fs in _cone_faces(c).items():
+                faces.setdefault(d, set()).update(fs)
         return faces
 
+    def face_ray_sets(self):
+        return set().union(*self._faces_by_dim.values())
+
     def f_vector(self):
-        counts = {}
-        for f in self.face_ray_sets():
-            d = _rank(sorted(f))
-            counts[d] = counts.get(d, 0) + 1
-        return tuple(counts.get(d, 0) for d in range(1, self.ambient_dim + 1))
+        return tuple(len(self._faces_by_dim.get(d, ()))
+                     for d in range(1, self.ambient_dim + 1))
 
     def cones_containing(self, x):
         """Indices of the maximal cones that contain ``x``."""
@@ -442,7 +455,7 @@ def polytope_proper_faces(vertices):
     included, unless it is a single point.
     """
     rows, _ = _integer_rows(v + (1,) for v in _distinct_points(vertices))
-    faces = _faces(rows)
+    faces = _faces(rows, range(len(rows)))
     if len(rows) > 1:
         del faces[max(faces)]
     return {d - 1: fs for d, fs in faces.items()}
@@ -465,6 +478,8 @@ def point_in_hull(y, vertices):
     sweep is kept per vertex list in a cache of at most 256 lists, so a
     repeated list costs one evaluation of each functional at ``y``.
     Repeated vertices are allowed: they leave the hull as it is.
+    Coordinates must be ints or Fractions, yet a list equal to a cached
+    rational list, floats included, is answered exactly from the cache.
     """
     key = _point_tuple(vertices)
     if len(y) != len(key[0]):

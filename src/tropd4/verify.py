@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from . import reference
-from .chords import parse_chord, pair_rep
+from .chords import parse_chord
 from .clusters import (
     N4,
     classify_modulo,
@@ -85,8 +85,7 @@ def check_psi_rows():
     violations = []
     for label, coords in reference.RAY_COORDS.items():
         root, chord = reference.PSI_TABLE[label]
-        pair = pair_rep(parse_chord(chord, N4), N4)
-        computed = root_of_pair(pair)
+        computed = root_of_pair(parse_chord(chord, N4))
         if computed != root:
             violations.append({"check": "ray dictionary row", "ray": label,
                                "chord": chord, "computed_root": computed,

@@ -8,6 +8,7 @@ from tropd4.chords import (
     SIGMA,
     TAU,
     SamePairError,
+    SymmetryOp,
     all_chord_pairs,
     all_chords,
     apply_to_chord,
@@ -160,6 +161,33 @@ class TestSymmetries:
             op = reflect(a)
             for c in all_chords(n):
                 assert apply_to_chord(op, apply_to_chord(op, c, n), n) == c
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_each_kind_is_its_vertex_map(self, n):
+        """Each kind, and the half-turn, moves both ends of a diagonal and
+        the vertex of a tangent as its docstring says; only a reflection
+        reads its axis."""
+        flip = {"L": "R", "R": "L"}
+
+        def moved(c, vertex, swap):
+            if c.is_tangent:
+                return tangent(vertex(c.p), flip[c.side] if swap else c.side,
+                               n)
+            return arc(vertex(c.p), vertex(c.q), n)
+
+        for c in all_chords(n):
+            assert partner(c, n) == moved(c, lambda k: k + n, False)
+            for axis in range(2 * n):
+                for op, vertex, swap in [
+                        (SymmetryOp("rho", axis), lambda k: k + 1, False),
+                        (SymmetryOp("tau", axis), lambda k: k + 1, True),
+                        (reflect(axis), lambda k: axis - k, True),
+                        (SymmetryOp("sigma", axis), lambda k: k, True)]:
+                    assert apply_to_chord(op, c, n) == moved(c, vertex, swap)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown symmetry kind 'spin'"):
+            apply_to_chord(SymmetryOp("spin"), arc(0, 2, 4), 4)
 
     def test_apply_symmetry_recanonicalizes(self):
         n = 4

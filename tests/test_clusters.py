@@ -151,6 +151,22 @@ class TestRootLabels:
         for label, (root, chord) in PSI_TABLE.items():
             assert root_of_pair(pair_rep(parse_chord(chord, 4), 4)) == root
 
+    def test_tau_on_root_follows_its_chords(self):
+        """tau takes the root of 0L to that of 1R and the root of 13 to
+        that of 20b (one step ccw, sides swapped), and has order 4: four
+        steps turn the disk by a half-turn, which fixes every pair, and
+        swap the sides back."""
+        def root(text):
+            return root_of_pair(parse_chord(text, 4))
+        assert tau_on_root(root("0L")) == root("1R")
+        assert tau_on_root(root("13")) == root("20b")
+        roots = sorted(root_pair_bijection())
+        powers = [roots]
+        for _ in range(4):
+            powers.append([tau_on_root(r) for r in powers[-1]])
+        assert sorted(powers[1]) == roots
+        assert powers[4] == roots != powers[2]
+
     def test_bijection_onto_sixteen_roots(self):
         table = root_pair_bijection()
         assert len(table) == 16

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import tropd4.geometry as geometry
 from tropd4.geometry import (
     Cone,
+    Fan,
     NotPointedError,
     cone_face_ray_sets,
     cone_from_rays,
@@ -25,6 +26,7 @@ from tropd4.geometry import (
 
 from tropd4.fan import trop_phi2
 from tropd4.hypersimplex import hypersimplex_vertices, induced_subdivision
+from tropd4.reference import FAN_F_VECTOR
 
 from oracles import (
     _affine_coordinates,
@@ -266,6 +268,37 @@ class TestConeFaceRaySets:
             brute_force_cone_faces(list(cone.rays), dim)
 
 
+class TestFanFaces:
+    def test_graded_once_on_first_use(self, fan36, sweep_calls,
+                                      monkeypatch):
+        """A fan grades its faces on first use, not when it is built, and
+        a second ``f_vector`` or ``face_ray_sets`` call sweeps and ranks
+        nothing."""
+        ranks = []
+        rank = geometry._rank
+        monkeypatch.setattr(geometry, "_rank",
+                            lambda rows: ranks.append(rows) or rank(rows))
+        fan = Fan(4, fan36.maximal_cones)
+        assert sweep_calls == [] and ranks == []
+        assert fan.f_vector() == FAN_F_VECTOR
+        assert len(sweep_calls) == 2  # the two bipyramids
+        sweep_calls.clear()
+        ranks.clear()
+        assert fan.f_vector() == FAN_F_VECTOR
+        faces = fan.face_ray_sets()
+        assert len(faces) == sum(FAN_F_VECTOR)
+        faces.clear()  # the caller's copy, not the fan's
+        assert len(fan.face_ray_sets()) == sum(FAN_F_VECTOR)
+        assert sweep_calls == [] and ranks == []
+
+    def test_not_pointed(self):
+        fan = Fan(2, (Cone(2, ((1, 0),)),))
+        # f_vector twice: a failed first use must not leave faces behind
+        for entry in (fan.f_vector, fan.face_ray_sets, fan.f_vector):
+            with pytest.raises(NotPointedError):
+                entry()
+
+
 class TestPrivateGeometryNames:
     def test_no_module_imports_underscore_names_from_geometry(self):
         package = pathlib.Path(geometry.__file__).parent
@@ -367,6 +400,18 @@ class TestPointConfiguration:
         self.rejected(SQUARE + [(1, 0)], "distinct")
         self.rejected([(Fraction(1, 2), 0), (0, 1), (Fraction(2, 4), 0)],
                       "distinct")
+
+    def test_float_coordinates(self):
+        """Floats are rejected, also after the equal int points have
+        filled the affine frame cache."""
+        geometry._affine_frame.cache_clear()
+        points = [(0, 0), (1, 0), (0, 1)]
+        assert regular_subdivision(points, [0, 0, 0]) == [frozenset({0, 1, 2})]
+        assert polytope_f_vector(points) == (3, 3)
+        self.rejected([tuple(map(float, p)) for p in points],
+                      "ints or Fractions")
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            regular_subdivision(points, [0, 0.5, 0])
 
     def test_affine_frame_cache(self):
         maxsize = geometry._affine_frame.cache_info().maxsize
@@ -680,6 +725,19 @@ class TestPointInHull:
             for y in queries:
                 assert point_in_hull(y, vertices) == \
                     brute_force_point_in_hull(y, vertices)
+
+    def test_float_coordinates(self):
+        """A float query, or float vertices on a cache miss, raise
+        ValueError; a float list equal to a cached rational list is
+        answered from the cache, exactly."""
+        geometry._hull_functionals.cache_clear()
+        triangle = [(0, 0), (2, 0), (0, 2)]
+        assert point_in_hull((1, 1), triangle)
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            point_in_hull((0.5, 0.5), triangle)
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            point_in_hull((1, 1), [(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)])
+        assert not point_in_hull((1, 2), [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)])
 
     def test_mutated_vertex_list(self):
         segment = [[0, 0], [2, 0]]
