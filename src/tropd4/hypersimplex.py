@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import comb
 
 from . import reference
 from .fan import trop_phi2
@@ -85,6 +86,16 @@ def induced_subdivision(w):
 _TRIPLE_INDEX = {t: i for i, t in enumerate(PLUECKER_TRIPLES)}
 
 
+def _vertex_mask(cell):
+    """The cell's vertices as a 20-bit mask: bit i stands for vertex i."""
+    mask = 0
+    for t in frozenset(cell):
+        if t not in _TRIPLE_INDEX:
+            raise ValueError(f"{t!r} is not a vertex of Delta(3,6)")
+        mask |= 1 << _TRIPLE_INDEX[t]
+    return mask
+
+
 def _vertex_indices(mask):
     """Indices of the vertices whose bits are set in ``mask``, ascending."""
     return [i for i in range(len(PLUECKER_TRIPLES)) if mask >> i & 1]
@@ -93,19 +104,40 @@ def _vertex_indices(mask):
 # Both caches below are keyed on 20-bit vertex masks, so their keys are
 # subsets of the 20 vertices and the caches are finite.
 @lru_cache(maxsize=None)
-def _shared_face_dim(mask):
-    """Dimension of the face spanned by the vertices in ``mask`` (-1 if
+def _span_dim(mask):
+    """Dimension of the affine span of the vertices in ``mask`` (-1 if
     none).  Pairs of cells that share a vertex set share this value."""
     shared = _vertex_indices(mask)
     return intersection_dim(hypersimplex_vertices(), shared, shared)
 
 
+# Invariant and simplex flag of an (n-1)-simplex, for n = 1, ..., 6.  One
+# shared object per n lets the signature's sorts compare equal invariants
+# by identity.
+_SIMPLEX_INVARIANTS = {
+    n: ((n, tuple(comb(n, k) for k in range(1, n)) or (1,)), True)
+    for n in range(1, 7)}
+
+
 @lru_cache(maxsize=None)
 def _cell_invariant(mask):
-    """Vertex count and f-vector of the cell whose vertices are ``mask``."""
+    """Vertex count and f-vector of the cell whose vertices are ``mask``,
+    and whether the cell is a simplex.
+
+    The faces of a simplex are exactly its nonempty vertex subsets
+    (Ziegler, *Lectures on Polytopes*, Lecture 2), so n affinely
+    independent vertices have the f-vector ``(C(n,1), ..., C(n,n-1))``, or
+    ``(1,)`` for a single point: one rank, and no face enumeration.  At
+    most six points of the 5-dimensional hypersimplex are affinely
+    independent, so a larger cell is not ranked; it and every other
+    non-simplex are graded by :func:`polytope_f_vector`.
+    """
+    n = mask.bit_count()
+    if 0 < n <= 6 and _span_dim(mask) == n - 1:
+        return _SIMPLEX_INVARIANTS[n]
     verts = hypersimplex_vertices()
-    return (mask.bit_count(),
-            polytope_f_vector([verts[i] for i in _vertex_indices(mask)]))
+    f = polytope_f_vector([verts[i] for i in _vertex_indices(mask)])
+    return (n, f), False
 
 
 def subdivision_signature(cells):
@@ -116,14 +148,23 @@ def subdivision_signature(cells):
     each the two cells' invariants together with the dimension of their
     common face (-1 when the cells do not meet).  Tagging the dimensions
     with the cell invariants is needed to tell all six plane types apart.
+
+    A cell not seen before costs one rank if it has at most six vertices,
+    and a face enumeration only if it is not a simplex.  The vertices a
+    simplex shares with any cell are affinely independent, so a pair that
+    touches a simplex meets in dimension one less than its number of
+    shared vertices, with no rank; only a pair of two non-simplices ranks
+    its shared vertex set, once per distinct set.  Cells are vertex sets
+    of ``PLUECKER_TRIPLES``; an empty cell or a triple outside Delta(3,6)
+    raises ``ValueError``.
     """
-    # bit i of a cell's mask stands for vertex i
-    masks = [sum(1 << _TRIPLE_INDEX[t] for t in frozenset(c)) for c in cells]
-    invariants = [_cell_invariant(m) for m in masks]
-    records = [(tuple(sorted((ia, ib))), _shared_face_dim(ma & mb))
-               for (ia, ma), (ib, mb)
-               in itertools.combinations(zip(invariants, masks), 2)]
-    return (tuple(sorted(invariants)), tuple(sorted(records)))
+    # sorted once, so that each pair below has its invariants in order
+    graded = sorted((*_cell_invariant(m), m) for m in map(_vertex_mask, cells))
+    records = [((ia, ib), (ma & mb).bit_count() - 1 if sa or sb
+                else _span_dim(ma & mb))
+               for (ia, sa, ma), (ib, sb, mb)
+               in itertools.combinations(graded, 2)]
+    return (tuple(inv for inv, _, _ in graded), tuple(sorted(records)))
 
 
 def signature_intersection_dims(sig):

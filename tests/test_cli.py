@@ -38,6 +38,13 @@ PINNED_STDOUT = {
     "table1 --format csv": "1807bcb8980d3fe2d11ba6c0a01318b5",
     "table2 --format csv": "06ed8404fcb28c6092705cdd1b1f4849",
     "classify-clusters": "fb540201009282746ba66b9252cbb8c3",
+    # one representative cone per plane type
+    "subdivision --cone r3,r9,r10,r12": "621c6d0e56839405e5aaf2ca409efea1",
+    "subdivision --cone r3,r4,r6,r15": "0d87321e988ac71410532f8df3af21f7",
+    "subdivision --cone r2,r5,r8,r14": "066ac8056f98bb1ba7519907909f3222",
+    "subdivision --cone r5,r9,r12,r13": "3b3275a8916cc9556dd3dda63b78ff6c",
+    "subdivision --cone r8,r9,r10,r15": "5f07eb38de99c7455af4be1f5731f616",
+    "subdivision --cone r4,r8,r10,r15,r16": "fdbd1769a443a117285d1c60706c17ae",
 }
 
 

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 from hypothesis import given
@@ -31,7 +33,9 @@ from tropd4.reference import (
 from tropd4.webmatrix import PLUECKER_TRIPLES
 
 from oracles import (
+    _affine_coordinates,
     _affine_rank,
+    brute_force_cone_faces,
     brute_force_lower_cells,
     brute_force_matroid_basis_set,
     satisfies_tropical_plucker_relations,
@@ -40,6 +44,50 @@ from oracles import (
 
 def interior_point(labels):
     return tuple(sum(c) for c in zip(*sorted(ray_set(labels))))
+
+
+def vertex_list(triples):
+    verts = hypersimplex_vertices()
+    return [verts[PLUECKER_TRIPLES.index(t)] for t in sorted(triples)]
+
+
+def is_simplex(triples):
+    return _affine_rank(vertex_list(triples)) == len(triples) - 1
+
+
+def lift_heights(lift):
+    """Heights on the 20 vertices: at the canonical point of a reference
+    cone, named by its plane type; seeded generic heights, for an int;
+    tied heights in 0..2, whose cells mix simplices and other polytopes;
+    or the tropical minors of a seeded integer matrix."""
+    if lift == "tied":
+        rng = random.Random(1)
+        return [rng.randint(0, 2) for _ in range(20)]
+    if lift == "minors":
+        rng = random.Random(5)
+        return tropical_minors([[rng.randint(0, 60) for _ in range(6)]
+                                for _ in range(3)])
+    if isinstance(lift, str):
+        rays = representative_cones()[lift]
+        return trop_phi2(tuple(sum(c) for c in zip(*rays)))
+    rng = random.Random(lift)
+    return [rng.randint(0, 1000) for _ in range(20)]
+
+
+@functools.cache
+def oracle_f_vector(points):
+    """Face counts by dimension of ``conv(points)``, without the polytope
+    itself: the faces of the cone over the rows ``(u, 1)``, where ``u`` are
+    affine coordinates on the span, scaled to integers."""
+    lifted = [u + (1,) for u in _affine_coordinates(points)]
+    scale = lcm(*(x.denominator for row in lifted for x in row))
+    rows = [tuple(int(x * scale) for x in row) for row in lifted]
+    counts = {}
+    for face in brute_force_cone_faces(rows, len(rows[0])):
+        if len(face) < len(rows) or len(rows) == 1:
+            dim = _affine_rank(sorted(face))
+            counts[dim] = counts.get(dim, 0) + 1
+    return tuple(counts[d] for d in range(len(counts)))
 
 
 class TestVertices:
@@ -200,23 +248,13 @@ class TestSignature:
             rng.shuffle(cells)
             assert subdivision_signature(cells) == base
 
-    @pytest.mark.parametrize("lift", [*sorted(CONES_PER_TYPE), 41, 43, 47])
+    @pytest.mark.parametrize("lift", [*sorted(CONES_PER_TYPE), 41, 43, 47,
+                                      "tied", "minors"])
     def test_matches_oracle_recomputation(self, lift):
-        # a reference cone by plane type, or a seeded generic lift
-        if isinstance(lift, str):
-            rays = representative_cones()[lift]
-            w = trop_phi2(tuple(sum(c) for c in zip(*rays)))
-        else:
-            rng = random.Random(lift)
-            w = [rng.randint(0, 1000) for _ in range(20)]
-        cells = induced_subdivision(w)
+        cells = induced_subdivision(lift_heights(lift))
         assert len(cells) > 1
-        verts = hypersimplex_vertices()
 
-        def vertex_list(triples):
-            return [verts[PLUECKER_TRIPLES.index(t)] for t in sorted(triples)]
-
-        invariant = {c: (len(c), polytope_f_vector(vertex_list(c)))
+        invariant = {c: (len(c), oracle_f_vector(tuple(vertex_list(c))))
                      for c in cells}
         records = []
         for a, b in itertools.combinations(cells, 2):
@@ -226,6 +264,55 @@ class TestSignature:
         expected = (tuple(sorted(invariant[c] for c in cells)),
                     tuple(sorted(records)))
         assert subdivision_signature(cells) == expected
+        if lift == "tied":
+            assert {is_simplex(c) for c in cells} == {True, False}
+
+    @pytest.mark.parametrize("lift", [41, "tied"])
+    def test_simplices_cost_one_rank(self, lift, monkeypatch):
+        # signed with cold caches: a simplex is ranked once and never
+        # graded, and only pairs of two non-simplices rank what they share
+        import tropd4.hypersimplex as hx
+        cells = induced_subdivision(lift_heights(lift))
+        others = [c for c in set(cells) if not is_simplex(c)]
+        hx._cell_invariant.cache_clear()
+        hx._span_dim.cache_clear()
+        graded, ranked = [], []
+        f_vector, intersection_dim = hx.polytope_f_vector, hx.intersection_dim
+
+        def counted_f_vector(vertices):
+            graded.append(len(vertices))
+            return f_vector(vertices)
+
+        def counted_intersection_dim(*args):
+            ranked.append(args)
+            return intersection_dim(*args)
+        monkeypatch.setattr(hx, "polytope_f_vector", counted_f_vector)
+        monkeypatch.setattr(hx, "intersection_dim", counted_intersection_dim)
+        hx.subdivision_signature(cells)
+        assert sorted(graded) == sorted(map(len, others))
+        assert len(ranked) <= len(set(cells)) + comb(len(others), 2)
+        # at most six points of Delta(3,6) are affinely independent
+        spans = {c for c in cells if len(c) <= 6}
+        spans.update(a & b for a, b in itertools.combinations(others, 2))
+        assert {frozenset(shared) for _, shared, _ in ranked} <= {
+            frozenset(map(PLUECKER_TRIPLES.index, s)) for s in spans}
+
+    def test_dependent_six_vertices_are_graded(self):
+        # {1} with each pair of {2, 3, 4, 5}: six vertices on the facet
+        # x_1 = 1 that span an octahedron, not a 5-simplex
+        cell = frozenset((1,) + p
+                         for p in itertools.combinations(range(2, 6), 2))
+        [invariant], _ = subdivision_signature([cell])
+        assert invariant == (6, polytope_f_vector(vertex_list(cell)))
+        assert invariant != (6, (6, 15, 20, 15, 6))
+
+    @pytest.mark.parametrize("cell,message", [
+        (frozenset(), "at least one point"),
+        (frozenset({(1, 2, 7)}), r"\(1, 2, 7\) is not a vertex"),
+    ])
+    def test_rejects_bad_cells(self, cell, message):
+        with pytest.raises(ValueError, match=message):
+            subdivision_signature([frozenset(PLUECKER_TRIPLES), cell])
 
     def test_reference_signatures_distinct(self):
         sigs = reference_signatures()
