@@ -2,9 +2,9 @@
 
 Subcommands surface each pipeline stage: ``enumerate`` the
 pseudotriangulations, ``classify-clusters`` into the 7 symmetry classes,
-``fan`` for the refined fan, ``subdivision`` for the matroid subdivision of
-a chosen cone, ``table1`` / ``table2`` for the type tables, and
-``verify-all`` to run every check.  Exit codes: 0 success, 1 verification
+``fan`` for the fan of the minors, ``subdivision`` for the matroid
+subdivision of a chosen cone, ``table1`` / ``table2`` for the type tables,
+and ``verify-all`` to run every check.  Exit codes: 0 success, 1 verification
 failure, 2 usage error, including an ``--output`` file that cannot be
 written.  A reader that closes stdout early ends the run with exit code 0.
 """

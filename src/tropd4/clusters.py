@@ -120,7 +120,7 @@ def graph_is_connected(adj):
     return len(seen) == len(adj)
 
 
-def full_symmetry_generators(n):
+def full_symmetry_generators():
     return (RHO, reflect(0), TAU, SIGMA)
 
 

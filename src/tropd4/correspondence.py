@@ -192,7 +192,7 @@ def verify_cluster_fan_correspondence(fan=None):
 def cluster_classes():
     """The 7 symmetry classes, labeled T1..T7 via size and type split."""
     ts = enumerate_pseudotriangulations(N4)
-    orbits = classify_modulo(ts, full_symmetry_generators(N4), N4)
+    orbits = classify_modulo(ts, full_symmetry_generators(), N4)
     expected = {
         label: (sum(split.values()), tuple(sorted(split.items())))
         for label, split in reference.TABLE2.items()}

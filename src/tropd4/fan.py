@@ -1,9 +1,13 @@
 """The complete rank-4 fan cut out by the tropical minors.
 
 Each tropicalized minor is a minimum of linear forms, linear on the regions
-where one fixed form attains the minimum.  The fan is the common
-refinement of these linearity domains over the 20 minors: every surviving
-region is split by the argmin choice, keeping only full-dimensional pieces.
+where one fixed form attains the minimum.  Those regions are the cones of
+the inner normal fan of the minor's Newton polytope, the convex hull of its
+forms.  The fan is the common refinement of these linearity domains over
+the 20 minors, and the common refinement of normal fans is the normal fan
+of the Minkowski sum (Gritzmann & Sturmfels, "Minkowski addition of
+polytopes", SIAM J. Discrete Math. 6, 1993): the inner normal fan of the
+Newton polytope of the product of the minors.
 """
 
 from __future__ import annotations
@@ -13,15 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .geometry import Cone, Fan
+from .geometry import Fan, cone_from_rays
 from .webmatrix import PLUECKER_TRIPLES, all_tropical_minors
-
-
-def _argmin_halfspaces(forms, i):
-    """Halfspaces selecting form i as the minimum: f_j - f_i >= 0 for all j."""
-    fi = forms[i]
-    return tuple(tuple(a - b for a, b in zip(fj, fi))
-                 for j, fj in enumerate(forms) if j != i)
 
 
 def trop_phi2(x):
@@ -40,33 +37,27 @@ def trop_phi2(x):
 
 @lru_cache(maxsize=1)
 def compute_fan_f36() -> Fan:
-    """Common refinement of the minors' linearity domains, as cones.
+    """Inner normal fan of the Newton polytope of the product of the minors.
 
-    Each region, an irredundant halfspace list, is split by the argmin
-    choice of each minor; a piece survives when its cone has dimension 4.
-    Its facets come from that cone's own sweep: a halfspace is a facet when
-    the rays tight on it, with the lines, span dimension 3 (Fukuda &
-    Prodon 1996, LNCS 1120).
+    The Minkowski sum is kept as the cone over the rows ``(p, 1)``, whose
+    rays are the sum's vertices and whose halfspaces ``(a, a_0)`` are its
+    facets, with inner normal ``a``; each minor's forms are added to the
+    vertices and the hull is taken again.  By Gritzmann & Sturmfels (SIAM
+    J. Discrete Math. 6, 1993) the normal fan of the sum is the common
+    refinement of the minors' linearity domains.  A vertex's maximal cone
+    is spanned by the inner normals of the facets through it.
     """
     dim = 4
     minors = all_tropical_minors()
-    regions = [()]  # halfspace tuples; () is all of R^4
+    newton = cone_from_rays([(0,) * dim + (1,)], dim + 1)
     for idx in PLUECKER_TRIPLES:
-        forms = minors[idx]
-        if len(forms) == 1:
-            continue
-        refined = []
-        for hs in regions:
-            for i in range(len(forms)):
-                c = Cone(dim, hs + _argmin_halfspaces(forms, i))
-                if c.dim() == dim:
-                    refined.append(c.facets())
-        regions = refined
-    cones = [Cone(dim, hs) for hs in regions]
-    keys = [c.rays for c in cones]
-    if len(set(keys)) != len(keys):
-        raise RuntimeError("refinement produced duplicate cones")
-    return Fan(dim, tuple(cones))
+        newton = cone_from_rays(sorted(
+            {tuple(map(operator.add, v, form + (0,)))
+             for v in newton.rays for form in minors[idx]}), dim + 1)
+    return Fan(dim, tuple(
+        cone_from_rays([h[:-1] for h in newton.halfspaces
+                        if not sum(map(operator.mul, h, v))], dim)
+        for v in newton.rays))
 
 
 def bipyramid_cones(fan=None):

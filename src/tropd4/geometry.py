@@ -215,7 +215,6 @@ class Cone:
     halfspaces: tuple
     rays: tuple = field(init=False)
     lines: tuple = field(init=False)
-    _tight: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if {len(h) for h in self.halfspaces} - {self.ambient_dim}:
@@ -224,44 +223,12 @@ class Cone:
         rows, _ = _integer_rows([h for h in self.halfspaces if any(h)])
         self.halfspaces = tuple(map(_reduce, rows))
         lines, rays = _double_description(self.halfspaces, self.ambient_dim)
-        rays.sort()
-        self.rays = tuple(r for r, _ in rays)
+        self.rays = tuple(sorted(r for r, _ in rays))
         self.lines = tuple(sorted(lines))
-        # bit i of ``_tight[k]`` is set when halfspace i is tight on rays[k]
-        self._tight = tuple(mask for _, mask in rays)
 
     @property
     def is_pointed(self):
         return not self.lines
-
-    def dim(self):
-        # The cone is full-dimensional exactly when no halfspace is tight on
-        # every ray (lines are tight on all of them), so only a
-        # lower-dimensional cone needs a rank.
-        if not functools.reduce(operator.and_, self._tight,
-                                (1 << len(self.halfspaces)) - 1):
-            return self.ambient_dim
-        return _rank(self.rays + self.lines)
-
-    def facets(self):
-        """Sorted irredundant inward facet normals of a full-dimensional cone.
-
-        Halfspace h is a facet when the rays tight on it, with the lines,
-        span dimension ``ambient_dim - 1`` (Fukuda & Prodon 1996, LNCS
-        1120).  Those rays and lines span the face h cuts out, and every
-        facet is one of the halfspaces, so the facets are the halfspaces
-        with a maximal set of tight rays: the sweep's masks give them with
-        no rank and no second sweep.  Equal halfspaces count once.
-        """
-        if self.dim() < self.ambient_dim:
-            raise ValueError("facets() needs a full-dimensional cone")
-        # bit k of ``tight[h]`` is set when h is tight on ``rays[k]``
-        tight = {h: sum(1 << k for k, mask in enumerate(self._tight)
-                        if mask >> i & 1)
-                 for i, h in enumerate(self.halfspaces)}
-        sets = set(tight.values())
-        return tuple(sorted(h for h, z in tight.items()
-                            if not any(z & w == z and z != w for w in sets)))
 
     def contains(self, x):
         for h in self.halfspaces:

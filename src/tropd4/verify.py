@@ -72,7 +72,7 @@ def check_cluster_complex():
 
 def check_symmetry_classes():
     ts = enumerate_pseudotriangulations(N4)
-    orbits = classify_modulo(ts, full_symmetry_generators(N4), N4)
+    orbits = classify_modulo(ts, full_symmetry_generators(), N4)
     sizes = sorted((len(o) for o in orbits), reverse=True)
     if len(orbits) != 7 or sizes != [16, 8, 8, 8, 4, 4, 2]:
         return [{"check": "symmetry classes", "orbits": len(orbits),

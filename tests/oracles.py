@@ -8,12 +8,15 @@ Fraction and fraction-free eliminations, so it imports nothing from
 cofactors instead of inserting them one at a time; the cone-face oracle
 takes the facets from it and intersects them, and the facet oracle takes
 the cone's generators from it and ranks the ones tight on each row.  The
-hull-membership oracle solves for barycentric coordinates over the affine
-bases among the vertices, instead of evaluating facet functionals.  The
-basis-exchange oracle works on frozensets, and the matroid subdivisions of
-Delta(3,6) are also recognized by their tropical Plücker relations.  The
-crossing oracle realizes chords as exact rational segments and tests
-proper intersection, instead of applying the combinatorial crossing rules.
+fan oracle cuts a maximal cone out of the differences of the forms that
+are minimal at one of its interior points, as the linearity domains of the
+minors define it, instead of taking a normal fan.  The hull-membership
+oracle solves for barycentric coordinates over the affine bases among the
+vertices, instead of evaluating facet functionals.  The basis-exchange
+oracle works on frozensets, and the matroid subdivisions of Delta(3,6) are
+also recognized by their tropical Plücker relations.  The crossing oracle
+realizes chords as exact rational segments and tests proper intersection,
+instead of applying the combinatorial crossing rules.
 """
 
 from __future__ import annotations
@@ -292,6 +295,33 @@ def brute_force_cone_faces(rays, dim):
             faces.add(frozenset.intersection(*group))
     faces.discard(frozenset())
     return faces
+
+
+# -- fan cones from argmin forms ----------------------------------------------
+
+def argmin_halfspaces(forms, i):
+    """Sorted distinct primitive normals of ``f_j - f_i >= 0`` over the
+    forms ``f_j`` unequal to ``f_i``: the region where form i is minimal."""
+    hs = set()
+    for f in forms:
+        d = tuple(a - b for a, b in zip(f, forms[i]))
+        if any(d):
+            g = math.gcd(*d)
+            hs.add(tuple(x // g for x in d))
+    return sorted(hs)
+
+
+def argmin_region(x, minors):
+    """Halfspaces of the region around ``x`` on which every minor keeps the
+    form that is minimal at ``x``, where ``minors`` lists each minor's
+    forms.  The minimum must be attained once: ``x`` lies on no wall."""
+    hs = set()
+    for forms in minors:
+        values = [sum(map(operator.mul, f, x)) for f in forms]
+        low = min(values)
+        assert values.count(low) == 1, f"{x} lies on a wall of {forms}"
+        hs.update(argmin_halfspaces(forms, values.index(low)))
+    return sorted(hs)
 
 
 # -- matroid verdicts ---------------------------------------------------------

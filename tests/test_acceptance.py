@@ -98,7 +98,7 @@ def test_criterion_02_cluster_complex_f_vector():
 def test_criterion_03_seven_symmetry_classes():
     start = time.monotonic()
     orbits = classify_modulo(enumerate_pseudotriangulations(4),
-                             full_symmetry_generators(4), 4)
+                             full_symmetry_generators(), 4)
     elapsed = time.monotonic() - start
     assert len(orbits) == 7
     assert sorted((len(o) for o in orbits), reverse=True) == \

@@ -111,7 +111,7 @@ class TestFlipGraph:
 class TestSymmetryClasses:
     def test_seven_classes(self, pseudotriangulations4):
         orbits = classify_modulo(pseudotriangulations4,
-                                 full_symmetry_generators(4), 4)
+                                 full_symmetry_generators(), 4)
         assert len(orbits) == 7
         assert sorted((len(o) for o in orbits), reverse=True) == \
             [16, 8, 8, 8, 4, 4, 2]
@@ -126,13 +126,13 @@ class TestSymmetryClasses:
         produces the same partition as the four-operation group."""
         small = tuple(reflect(a) for a in range(8)) + (TAU,)
         full = classify_modulo(pseudotriangulations4,
-                               full_symmetry_generators(4), 4)
+                               full_symmetry_generators(), 4)
         assert classify_modulo(pseudotriangulations4, small, 4) == full
 
     def test_symmetries_preserve_pseudotriangulations(
             self, pseudotriangulations4):
         ts = set(pseudotriangulations4)
-        for op in full_symmetry_generators(4) + (reflect(1), reflect(5)):
+        for op in full_symmetry_generators() + (reflect(1), reflect(5)):
             for t in ts:
                 assert apply_symmetry(op, t, 4) in ts
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,13 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tropd4.fan import (
-    _argmin_halfspaces,
     bipyramid_cones,
     compute_fan_f36,
     fan_to_json,
     trop_phi2,
 )
-from tropd4.geometry import Cone, cone_face_ray_sets, cone_from_rays
+from tropd4.geometry import cone_face_ray_sets, cone_from_rays
 from tropd4.reference import (
     BIPYRAMIDS,
     FAN_F_VECTOR,
@@ -20,6 +20,13 @@ from tropd4.reference import (
     ray_set,
 )
 from tropd4.webmatrix import PLUECKER_TRIPLES, all_tropical_minors
+
+from oracles import (
+    argmin_halfspaces,
+    argmin_region,
+    brute_force_cone_dim,
+    brute_force_cone_rays,
+)
 
 Z = (0, 0, 0, 0)
 X1 = (1, 0, 0, 0)
@@ -31,37 +38,61 @@ def _dot(a, b):
 
 
 def linearity_regions(forms, dim=4):
-    """Full-dimensional cones on which one fixed form attains the minimum:
-    a cone over each form's argmin rows."""
-    cones = [Cone(dim, _argmin_halfspaces(forms, i))
-             for i in range(len(forms))]
-    return [c for c in cones if c.dim() == dim]
+    """Halfspace lists of the full-dimensional regions on which one fixed
+    form attains the minimum, from the oracles alone."""
+    regions = [argmin_halfspaces(forms, i) for i in range(len(forms))]
+    return [hs for hs in regions if brute_force_cone_dim(hs, dim) == dim]
+
+
+def ray_sum(cone):
+    return tuple(map(sum, zip(*cone.rays)))
+
+
+MINORS = [all_tropical_minors()[idx] for idx in PLUECKER_TRIPLES]
 
 
 class TestLinearityFan:
     def test_constant_gives_full_space(self):
-        cones = linearity_regions((Z,))
-        assert len(cones) == 1
-        cone = cones[0]
-        assert cone.dim() == 4 and not cone.is_pointed
+        # one region with no halfspace: all of R^4, which is not pointed
+        assert linearity_regions((Z,)) == [[]]
 
     def test_two_forms_split_by_hyperplane(self):
-        cones = linearity_regions((Z, X1))
-        assert len(cones) == 2
-        assert {tuple(c.halfspaces) for c in cones} == \
+        regions = linearity_regions((Z, X1))
+        assert len(regions) == 2
+        assert {tuple(hs) for hs in regions} == \
             {((1, 0, 0, 0),), ((-1, 0, 0, 0),)}
 
     def test_three_forms_three_regions(self):
-        cones = linearity_regions((Z, X1, X12))
-        assert len(cones) == 3
+        regions = linearity_regions((Z, X1, X12))
+        assert len(regions) == 3
         # each region has an interior point where exactly its form is minimal
         witnesses = {Z: (1, 1, 0, 0), X1: (-1, 1, 0, 0), X12: (-1, -1, 0, 0)}
         for form, x in witnesses.items():
             values = {f: _dot(f, x) for f in (Z, X1, X12)}
             assert min(values, key=values.get) == form
-            hits = [c for c in cones if c.contains(x)]
+            hits = [hs for hs in regions if all(_dot(h, x) >= 0 for h in hs)]
             assert len(hits) == 1
-            assert all(_dot(h, x) != 0 for h in hits[0].halfspaces)
+            assert all(_dot(h, x) != 0 for h in hits[0])
+
+    def test_each_maximal_cone_is_an_argmin_region(self, fan36):
+        """Each maximal cone is the region around its ray sum on which every
+        minor keeps its minimal form, and its facets are among the
+        differences of those forms."""
+        for cone in fan36.maximal_cones:
+            hs = argmin_region(ray_sum(cone), MINORS)
+            assert brute_force_cone_rays(hs, 4) == list(cone.rays), cone
+            assert set(cone.halfspaces) <= set(hs), cone
+
+    def test_oracle_without_a_minor_fails(self, fan36):
+        """Leaving out any one minor that is not a single form makes some
+        cone's argmin region larger than the cone."""
+        for k, forms in enumerate(MINORS):
+            if len(forms) == 1:
+                continue
+            rest = MINORS[:k] + MINORS[k + 1:]
+            assert any(brute_force_cone_rays(argmin_region(ray_sum(c), rest),
+                                             4) != list(c.rays)
+                       for c in fan36.maximal_cones), PLUECKER_TRIPLES[k]
 
 
 class TestFanF36:
@@ -80,7 +111,8 @@ class TestFanF36:
     def test_48_distinct_pointed_cones(self, fan36):
         assert len(fan36.maximal_cones) == 48
         assert len({c.rays for c in fan36.maximal_cones}) == 48
-        assert all(c.is_pointed and c.dim() == 4
+        assert all(c.is_pointed and
+                   brute_force_cone_dim(c.halfspaces, 4) == 4
                    for c in fan36.maximal_cones)
 
     def test_complete_and_face_to_face(self, fan36):
@@ -109,11 +141,21 @@ class TestFanF36:
                 if c.contains(x)], x
         assert fan36.cones_containing(Z) == list(range(48))
 
-    def test_one_sweep_per_candidate_region(self, fan36, sweep_calls):
+    def test_cones_and_normals_pinned(self, fan36):
+        """The cones' halfspaces and rays, and the point-location normals in
+        their order, are pinned: the report, ``tropd4 fan`` and the
+        artifacts are read off them."""
+        key = repr(([(c.halfspaces, c.rays) for c in fan36.maximal_cones],
+                    fan36._normals))
+        assert hashlib.md5(key.encode()).hexdigest() == \
+            "518fa7a97b8d3779df086f2615b006f3"
+
+    def test_two_sweeps_per_minkowski_sum_and_cone(self, fan36, sweep_calls):
         assert compute_fan_f36.__wrapped__() == fan36
-        # 600 candidate regions, whose facets come from their own sweep,
-        # and the 48 maximal cones
-        assert len(sweep_calls) == 648
+        # cone_from_rays sweeps twice: once for the hull of the start point,
+        # once for each of the 20 Minkowski sums, and once for each of the
+        # 48 maximal cones
+        assert len(sweep_calls) == 2 * (1 + 20 + 48)
 
     def test_single_form_minimal_on_each_cone(self, fan36):
         """On every maximal cone each minor selects one linear form."""
