@@ -198,8 +198,8 @@ def chord_text(c: Chord, n) -> str:
 
 def parse_chord(text, n) -> Chord:
     m = _CHORD_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"cannot parse chord {text!r}")
+    if not m or any(int(d) >= n for d in m.group(1, 3) if d):
+        raise ValueError(f"cannot parse chord {text!r} of the 2*{n}-gon model")
     p = int(m.group(1)) + (n if m.group(2) else 0)
     if m.group(5):
         return tangent(p, m.group(5), n)

@@ -119,7 +119,7 @@ def cmd_classify_clusters(args) -> int:
 
 
 def cmd_fan(args) -> int:
-    data = fan_to_json(compute_fan_f36(), reference.LABEL_OF_RAY)
+    data = fan_to_json()
     _emit(args, _json(data))
     return 0
 

@@ -18,6 +18,7 @@ from functools import lru_cache
 from math import lcm
 
 from .geometry import Fan, cone_from_rays
+from .reference import LABEL_OF_RAY
 from .webmatrix import PLUECKER_TRIPLES, all_tropical_minors
 
 
@@ -26,7 +27,10 @@ def trop_phi2(x):
 
     ``x`` is scaled to integers by the lcm of its denominators, so the
     minima are taken over integers; each value is returned as a Fraction.
+    Raises ValueError unless ``x`` has 4 int or Fraction coordinates.
     """
+    if len(x) != 4 or not all(isinstance(v, (int, Fraction)) for v in x):
+        raise ValueError(f"expected 4 int or Fraction coordinates, got {x!r}")
     scale = lcm(*(v.denominator for v in x))
     xs = tuple(v.numerator * (scale // v.denominator) for v in x)
     minors = all_tropical_minors()
@@ -60,32 +64,25 @@ def compute_fan_f36() -> Fan:
         for v in newton.rays))
 
 
-def bipyramid_cones(fan=None):
+def bipyramid_cones():
     """The non-simplicial maximal cones (more rays than the dimension)."""
-    fan = fan or compute_fan_f36()
+    fan = compute_fan_f36()
     return [c for c in fan.maximal_cones if len(c.rays) > fan.ambient_dim]
 
 
-def fan_to_json(fan=None, ray_labels=None):
-    """JSON-ready fan description: rays, cones as ray indices, f-vector.
-
-    When every ray has a conventional label (r1..r16), rays are listed in
-    label order; otherwise lexicographically.
-    """
-    fan = fan or compute_fan_f36()
-    rays = fan.rays
-    if ray_labels and all(r in ray_labels for r in rays):
-        rays = sorted(rays, key=lambda r: int(ray_labels[r][1:]))
+def fan_to_json():
+    """JSON-ready fan description: rays in label order (r1..r16) with
+    their labels, cones as ray indices, f-vector, bipyramids."""
+    fan = compute_fan_f36()
+    rays = sorted(fan.rays, key=lambda r: int(LABEL_OF_RAY[r][1:]))
     index = {r: i for i, r in enumerate(rays)}
-    data = {
+    return {
         "ambient_dim": fan.ambient_dim,
         "rays": [list(r) for r in rays],
         "maximal_cones": [sorted(index[r] for r in c.rays)
                           for c in fan.maximal_cones],
         "f_vector": list(fan.f_vector()),
         "bipyramids": [sorted(index[r] for r in c.rays)
-                       for c in bipyramid_cones(fan)],
+                       for c in bipyramid_cones()],
+        "ray_labels": [LABEL_OF_RAY[r] for r in rays],
     }
-    if ray_labels:
-        data["ray_labels"] = [ray_labels.get(r, "") for r in rays]
-    return data

@@ -253,18 +253,6 @@ def cone_from_rays(rays, dim):
     return Cone(dim, tuple(normals))
 
 
-def cone_face_ray_sets(cone: Cone):
-    """All nonzero faces of a pointed cone, each as a frozenset of its rays."""
-    return set().union(*_cone_faces(cone).values())
-
-
-def _cone_faces(cone: Cone):
-    """Nonzero faces of a pointed cone by dimension, as frozensets of rays."""
-    if not cone.is_pointed:
-        raise NotPointedError(cone.lines[0])
-    return _faces(cone.rays, cone.rays)
-
-
 def _members(mask, items):
     """The items whose positions are set bits of ``mask``, as a frozenset."""
     return frozenset(x for i, x in enumerate(items) if mask >> i & 1)
@@ -335,7 +323,9 @@ class Fan:
         """Faces of the maximal cones by dimension, graded on first use."""
         faces = {}
         for c in self.maximal_cones:
-            for d, fs in _cone_faces(c).items():
+            if not c.is_pointed:
+                raise NotPointedError(c.lines[0])
+            for d, fs in _faces(c.rays, c.rays).items():
                 faces.setdefault(d, set()).update(fs)
         return faces
 

@@ -172,17 +172,13 @@ def signature_intersection_dims(sig):
     return tuple(sorted(d for _, d in sig[1]))
 
 
-def _check_matroidal(cells, context=""):
-    for cell in cells:
-        if not is_matroid_basis_set(cell):
-            raise NotMatroidalError(
-                f"cell {sorted(cell)} fails basis exchange{context}")
-
-
 def subdivision_of_point(x):
     """Matroid subdivision induced by the minor values at a point of R^4."""
     cells = induced_subdivision(trop_phi2(x))
-    _check_matroidal(cells, f" at x={tuple(x)}")
+    for cell in cells:
+        if not is_matroid_basis_set(cell):
+            raise NotMatroidalError(
+                f"cell {sorted(cell)} fails basis exchange at x={tuple(x)}")
     return cells
 
 

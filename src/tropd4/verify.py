@@ -129,7 +129,7 @@ def check_fan():
     if fv != reference.FAN_F_VECTOR:
         violations.append({"check": "fan f-vector", "got": list(fv),
                            "expected": list(reference.FAN_F_VECTOR)})
-    bips = {frozenset(c.rays) for c in bipyramid_cones(fan)}
+    bips = {frozenset(c.rays) for c in bipyramid_cones()}
     expected = {frozenset(reference.ray_set(b)) for b in reference.BIPYRAMIDS}
     if bips != expected:
         violations.append({"check": "bipyramid cones"})

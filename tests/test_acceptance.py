@@ -148,7 +148,7 @@ def test_criterion_06_fan():
     elapsed = time.monotonic() - start
     assert set(fan.rays) == set(RAY_COORDS.values())
     assert f_vector == (16, 66, 98, 48)
-    bips = {frozenset(c.rays) for c in bipyramid_cones(fan)}
+    bips = {frozenset(c.rays) for c in bipyramid_cones()}
     assert bips == {frozenset(ray_set(b)) for b in BIPYRAMIDS}
     assert sorted(len(c.rays) for c in fan.maximal_cones) == [4] * 46 + [5, 5]
     assert elapsed < 60.0
@@ -172,7 +172,7 @@ def test_criterion_07_correspondence_theorem():
     listed = {frozenset((RAY_COORDS[a], RAY_COORDS[b]))
               for a, b in SECOND_CHART_EDGES}
     assert listed <= fan_edges and len(listed) == 6
-    split = split_bipyramid_facets(fan)
+    split = split_bipyramid_facets()
     clusters_rays = [rays_of_cluster(t)
                      for t in enumerate_pseudotriangulations(4)]
     assert sorted(map(sorted, split)) == sorted(map(sorted, clusters_rays))

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -212,3 +213,32 @@ class TestTextForm:
     def test_bad_input(self):
         with pytest.raises(ValueError):
             parse_chord("xyz", 4)
+
+    def test_vertex_digit_out_of_range(self):
+        """Vertices are written 0..n-1, with ``b`` for the second copy; a
+        digit of n or more is rejected, not read modulo 2n."""
+        for text in ("5L", "7b2", "04", "4b0", "1b4b"):
+            with pytest.raises(ValueError, match=re.escape(repr(text))):
+                parse_chord(text, 4)
+
+    def test_every_text_in_range_round_trips(self):
+        """Over every text the syntax admits, a text with a digit of n or
+        more is rejected, and every text that parses round-trips."""
+        for n in (3, 4, 5):
+            vertices = [f"{d}{b}" for d in range(10) for b in ("", "b")]
+            texts = [v + s for v in vertices for s in ("L", "R")]
+            texts += [u + v for u in vertices for v in vertices]
+            parsed = set()
+            for text in texts:
+                if any(int(d) >= n for d in re.findall(r"\d", text)):
+                    with pytest.raises(ValueError,
+                                       match=re.escape(repr(text))):
+                        parse_chord(text, n)
+                    continue
+                try:
+                    c = parse_chord(text, n)
+                except ValueError:  # equal or adjacent endpoints
+                    continue
+                assert parse_chord(chord_text(c, n), n) == c
+                parsed.add(c)
+            assert parsed == set(all_chords(n))

@@ -2,6 +2,9 @@ import itertools
 
 import pytest
 
+import tropd4.correspondence as correspondence
+import tropd4.fan as fan_mod
+import tropd4.verify as verify
 from tropd4.chords import apply_symmetry, reflect
 from tropd4.clusters import compatibility_degree, snake_pairs
 from tropd4.correspondence import (
@@ -19,6 +22,7 @@ from tropd4.correspondence import (
     verify_cluster_fan_correspondence,
     verify_parity_reflection_theorem,
 )
+from tropd4.geometry import Fan
 from tropd4.reference import (
     BIPYRAMIDS,
     RAY_COORDS,
@@ -47,17 +51,17 @@ class TestPsi:
 
 
 class TestConeOfCluster:
-    def test_snake_lands_in_bipyramid(self, fan36):
-        cone = cone_of_cluster(SNAKE, fan36)
+    def test_snake_lands_in_bipyramid(self):
+        cone = cone_of_cluster(SNAKE)
         assert frozenset(cone.rays) == ray_set(BIPYRAMIDS[0])
         assert rays_of_cluster(SNAKE) < set(cone.rays)
 
     def test_partition_between_simplicial_and_bipyramids(
-            self, fan36, pseudotriangulations4):
+            self, pseudotriangulations4):
         bips = {frozenset(ray_set(b)) for b in BIPYRAMIDS}
         exact, into_bips = [], []
         for t in pseudotriangulations4:
-            cone = cone_of_cluster(t, fan36)
+            cone = cone_of_cluster(t)
             if frozenset(cone.rays) in bips:
                 into_bips.append(t)
                 assert len(rays_of_cluster(t)) == 4
@@ -66,7 +70,7 @@ class TestConeOfCluster:
                 assert rays_of_cluster(t) == frozenset(cone.rays)
         assert len(exact) == 46 and len(into_bips) == 4
         # injective on the 46, two-to-one onto each bipyramid
-        assert len({frozenset(cone_of_cluster(t, fan36).rays)
+        assert len({frozenset(cone_of_cluster(t).rays)
                     for t in exact}) == 46
         for b in bips:
             covering = [rays_of_cluster(t) for t in into_bips
@@ -75,18 +79,34 @@ class TestConeOfCluster:
             assert len(covering[0] & covering[1]) == 3
 
     def test_split_facets_biject_with_clusters(
-            self, fan36, pseudotriangulations4):
-        split = split_bipyramid_facets(fan36)
+            self, pseudotriangulations4):
+        split = split_bipyramid_facets()
         clusters = [rays_of_cluster(t) for t in pseudotriangulations4]
         assert sorted(map(sorted, split)) == sorted(map(sorted, clusters))
 
 
 class TestCorrespondenceTheorem:
-    def test_report_has_no_violations(self, fan36):
-        report = verify_cluster_fan_correspondence(fan36)
+    def test_report_has_no_violations(self):
+        report = verify_cluster_fan_correspondence()
         assert report["violations"] == []
         assert report["fan_edge_count"] == 66
         assert report["compatible_pair_count"] == 66
+
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_fan_missing_a_cone_fails(self, fan36, monkeypatch, size):
+        """With one simplicial cone or one bipyramid removed from the
+        cached fan, the split no longer gives the 50 clusters, and only the
+        missing bipyramid fails the fan check's bipyramid comparison."""
+        drop = next(c for c in fan36.maximal_cones if len(c.rays) == size)
+        broken = Fan(4, tuple(c for c in fan36.maximal_cones
+                              if c is not drop))
+        for module in (fan_mod, correspondence, verify):
+            monkeypatch.setattr(module, "compute_fan_f36", lambda: broken)
+        checks = {v["check"] for v in
+                  verify_cluster_fan_correspondence()["violations"]}
+        assert "split fan facets biject with the 50 clusters" in checks
+        fan_checks = {v["check"] for v in verify.check_fan()}
+        assert ("bipyramid cones" in fan_checks) == (size == 5)
 
     def test_negative_simple_neighborhood(self):
         """-alpha_1 is compatible with exactly nine roots."""
@@ -135,10 +155,10 @@ class TestPlaneTypesOfClusters:
         assert counts == {"EEFG": 12, "EFFG": 12, "EEFFa": 12,
                           "EEFFb": 6, "EEEG": 4, "FFFGG": 4}
 
-    def test_constant_on_cones(self, fan36, pseudotriangulations4):
+    def test_constant_on_cones(self, pseudotriangulations4):
         by_cone = {}
         for t in pseudotriangulations4:
-            key = frozenset(cone_of_cluster(t, fan36).rays)
+            key = frozenset(cone_of_cluster(t).rays)
             by_cone.setdefault(key, set()).add(plane_type_of_cluster(t))
         assert all(len(types) == 1 for types in by_cone.values())
 

@@ -65,3 +65,46 @@ class TestDeadExports:
                   if name.rpartition(".")[2] not in
                   (attributes if "." in name else used)}
         assert unused == ALLOWED
+
+
+class TestUnsetDefaults:
+    def test_every_default_is_overridden_somewhere(self):
+        """Each defaulted parameter of a public top-level function of the
+        package is passed, by position or by keyword, by some call in
+        ``src/``, ``scripts/`` or ``perfbench/``.  A default that no
+        caller overrides is a constant dressed as an option.  Calls are
+        matched by the called name alone; ``*args`` and ``**kwargs`` count
+        as passing every parameter."""
+        defaulted = {}
+        for path in sorted(PACKAGE.glob("*.py")):
+            for node in ast.parse(path.read_text(), str(path)).body:
+                if not isinstance(node, ast.FunctionDef) \
+                        or node.name.startswith("_"):
+                    continue
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    defaulted[node.name, arg.arg] = i
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        defaulted[node.name, arg.arg] = None
+        passed = set()
+        for folder in ("src", "scripts", "perfbench"):
+            for path in sorted((ROOT / folder).rglob("*.py")):
+                for call in ast.walk(ast.parse(path.read_text(), str(path))):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    func = call.func
+                    name = func.id if isinstance(func, ast.Name) else \
+                        func.attr if isinstance(func, ast.Attribute) else None
+                    positions = len(call.args)
+                    if any(isinstance(a, ast.Starred) for a in call.args):
+                        positions = float("inf")
+                    keywords = {k.arg for k in call.keywords}
+                    passed |= {
+                        (fn, arg) for (fn, arg), i in defaulted.items()
+                        if fn == name and (
+                            arg in keywords or None in keywords
+                            or i is not None and i < positions)}
+        assert sorted(set(defaulted) - passed) == []

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,11 +12,10 @@ from tropd4.fan import (
     fan_to_json,
     trop_phi2,
 )
-from tropd4.geometry import cone_face_ray_sets, cone_from_rays
+from tropd4.geometry import cone_from_rays
 from tropd4.reference import (
     BIPYRAMIDS,
     FAN_F_VECTOR,
-    LABEL_OF_RAY,
     RAY_COORDS,
     ray_set,
 )
@@ -103,7 +103,7 @@ class TestFanF36:
         assert fan36.f_vector() == FAN_F_VECTOR
 
     def test_two_bipyramids(self, fan36):
-        bips = {frozenset(c.rays) for c in bipyramid_cones(fan36)}
+        bips = {frozenset(c.rays) for c in bipyramid_cones()}
         assert bips == {frozenset(ray_set(b)) for b in BIPYRAMIDS}
         sizes = sorted(len(c.rays) for c in fan36.maximal_cones)
         assert sizes == [4] * 46 + [5, 5]
@@ -132,8 +132,7 @@ class TestFanF36:
         points = [tuple(rng.randint(-40, 40) for _ in range(4))
                   for _ in range(500)]
         points += fan36.rays
-        faces = {f for c in fan36.maximal_cones
-                 for f in cone_face_ray_sets(c)}
+        faces = fan36.face_ray_sets()
         points += [tuple(map(sum, zip(*f))) for f in sorted(faces, key=sorted)]
         for x in points:
             assert fan36.cones_containing(x) == [
@@ -188,6 +187,17 @@ class TestTropPhi2:
         assert values[(4, 5, 6)] == 5
         assert values[(1, 4, 5)] == 1
 
+    @pytest.mark.parametrize("x", [(1, 2, 3), (1, 2, 3, 4, 5), ()])
+    def test_rejects_wrong_length(self, x):
+        with pytest.raises(ValueError, match="4 int or Fraction"):
+            trop_phi2(x)
+
+    @pytest.mark.parametrize("x", [(0.5, 0, 0, 0), (0, 0, 0, 1.0),
+                                   (0, "1", 0, 0), (0, 0, None, 0)])
+    def test_rejects_non_rational_coordinates(self, x):
+        with pytest.raises(ValueError, match="4 int or Fraction"):
+            trop_phi2(x)
+
     @given(st.tuples(*[st.fractions(-20, 20, max_denominator=12)] * 4))
     def test_matches_fraction_evaluation(self, x):
         minors = all_tropical_minors()
@@ -217,7 +227,7 @@ class TestTropPhi2:
 
 class TestFanJson:
     def test_shape(self, fan36):
-        data = fan_to_json(fan36, LABEL_OF_RAY)
+        data = fan_to_json()
         assert data["f_vector"] == [16, 66, 98, 48]
         assert len(data["rays"]) == 16
         assert len(data["maximal_cones"]) == 48

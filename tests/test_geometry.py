@@ -14,7 +14,6 @@ from tropd4.geometry import (
     Cone,
     Fan,
     NotPointedError,
-    cone_face_ray_sets,
     cone_from_rays,
     cone_rays,
     intersection_dim,
@@ -231,7 +230,7 @@ class TestConeFromRays:
 class TestConeFaceRaySets:
     def test_square_pyramid(self):
         square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
-        faces = cone_face_ray_sets(cone_from_rays(square, 3))
+        faces = Fan(3, (cone_from_rays(square, 3),)).face_ray_sets()
         edges = {frozenset((a, b)) for a, b in zip(square, square[1:] +
                                                    square[:1])}
         assert faces == {frozenset((r,)) for r in square} | edges | \
@@ -247,7 +246,7 @@ class TestConeFaceRaySets:
         cone = cone_from_rays(generators, dim)
         if brute_force_cone_dim(cone.halfspaces, dim) < dim:
             return
-        assert cone_face_ray_sets(cone) == \
+        assert Fan(dim, (cone,)).face_ray_sets() == \
             brute_force_cone_faces(list(cone.rays), dim)
 
 

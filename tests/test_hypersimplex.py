@@ -213,6 +213,12 @@ class TestInducedSubdivision:
         with pytest.raises(NotMatroidalError):
             hx.subdivision_of_point((0, 0, 0, 0))
 
+    @pytest.mark.parametrize("x", [(1, 2, 3), (1, 2, 3, 4, 5),
+                                   (0.5, 0, 0, 0)])
+    def test_subdivision_of_point_rejects_bad_points(self, x):
+        with pytest.raises(ValueError):
+            subdivision_of_point(x)
+
 
 class TestSignature:
     def test_trivial_subdivision(self):
