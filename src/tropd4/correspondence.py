@@ -159,14 +159,15 @@ def verify_cluster_fan_correspondence():
     if len(into_bips) != 4:
         violations.append({"check": "exactly 4 clusters map into bipyramids",
                            "found": len(into_bips)})
+    # the fan's own apex pairs: what the two halves of a split bipyramid
+    # do not share
+    apexes = {}
+    for b in bip_rays:
+        halves = [f for f in split if f < b]
+        if len(halves) == 2:
+            apexes[b] = halves[0] ^ halves[1]
     for b, apex_labels in zip(reference.BIPYRAMIDS, reference.BIPYRAMID_APEXES):
-        brays = reference.ray_set(b)
-        covering = [rs for rs in cluster_ray_sets if rs < brays]
-        apexes = reference.ray_set(apex_labels)
-        ok = (len(covering) == 2
-              and len(covering[0] & covering[1]) == 3
-              and all(len(rs & apexes) == 1 for rs in covering))
-        if not ok:
+        if apexes.get(reference.ray_set(b)) != reference.ray_set(apex_labels):
             violations.append({"check": "bipyramid split structure",
                                "bipyramid": sorted(b)})
 

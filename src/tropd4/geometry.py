@@ -89,12 +89,16 @@ def _distinct_points(points):
 
 
 def _pivot_columns(vectors):
-    """Pivot columns of integer ``vectors`` under fraction-free elimination.
+    """Pivot columns and echelon rows of integer ``vectors`` under
+    fraction-free elimination.
 
     Bareiss elimination (Bareiss 1968, Math. Comp. 22): every update
     ``(p * x - g * y) // prev`` divides exactly, so all entries stay
     integers.  The number of pivots is the rank, and the projection of the
-    row span onto the pivot columns is injective.
+    row span onto the pivot columns is injective.  Row k of the echelon
+    form is zero before column ``pivots[k]``; its entry there is the
+    leading minor of order k + 1 on the pivot columns, so the last pivot
+    entry is +-det of the pivot block.  The rows past the rank are zero.
     """
     rows = [list(v) for v in vectors]
     pivots = []
@@ -114,11 +118,44 @@ def _pivot_columns(vectors):
         pivots.append(c)
         if r + 1 == len(rows):
             break
-    return pivots
+    return pivots, rows
 
 
 def _rank(vectors):
-    return len(_pivot_columns(vectors))
+    return len(_pivot_columns(vectors)[0])
+
+
+def basis_relations(vectors):
+    """The first basis among integer ``vectors``, and the relation that
+    writes each other vector in it.
+
+    Returns ``(pivots, relations)``: ``pivots`` are the indices of the
+    first vectors that span all of them, and ``relations[q]``, for each
+    other index q, is the primitive integer vector c with
+    ``sum(c[i] * vectors[i]) == 0`` that is positive at q and zero off q
+    and the pivots.  The vectors are the columns of the eliminated matrix,
+    so its pivot columns are the basis.  With D the last pivot entry,
+    ``D * vectors[q]`` is an integer combination of the basis by Cramer's
+    rule, and exact back substitution through the echelon rows finds it.
+    """
+    pivots, rows = _pivot_columns(list(zip(*vectors)))
+    det = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    sign = 1 if det > 0 else -1
+    relations = {}
+    for q in sorted(set(range(len(vectors))) - set(pivots)):
+        coeffs = [0] * len(pivots)
+        for k in reversed(range(len(pivots))):
+            row = rows[k]
+            # exact: coeffs is D times the basis coordinates of vectors[q]
+            coeffs[k] = (det * row[q] - sum(
+                row[pivots[m]] * coeffs[m]
+                for m in range(k + 1, len(pivots)))) // row[pivots[k]]
+        c = [0] * len(vectors)
+        c[q] = sign * det
+        for p, x in zip(pivots, coeffs):
+            c[p] = -sign * x
+        relations[q] = _reduce(c)
+    return pivots, relations
 
 
 def _double_description(rows, dim):
@@ -353,7 +390,7 @@ def _affine_frame(points):
     bijection of the span onto ``R^dim`` that keeps lower envelopes.  Kept
     for at most 256 point tuples."""
     diffs, _ = _integer_rows(_minus(p, points[0]) for p in points)
-    pivots = _pivot_columns(diffs)
+    pivots, _ = _pivot_columns(diffs)
     return tuple(tuple(d[c] for c in pivots) for d in diffs), len(pivots)
 
 

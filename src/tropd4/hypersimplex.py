@@ -11,12 +11,14 @@ from one labeled representative cone per type.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from . import reference
 from .fan import trop_phi2
 from .geometry import (
+    basis_relations,
     intersection_dim,
     polytope_f_vector,
     regular_subdivision,
@@ -101,8 +103,8 @@ def _vertex_indices(mask):
     return [i for i in range(len(PLUECKER_TRIPLES)) if mask >> i & 1]
 
 
-# Both caches below are keyed on 20-bit vertex masks, so their keys are
-# subsets of the 20 vertices and the caches are finite.
+# The three caches below are keyed on 20-bit vertex masks, so their keys
+# are subsets of the 20 vertices and the caches are finite.
 @lru_cache(maxsize=None)
 def _span_dim(mask):
     """Dimension of the affine span of the vertices in ``mask`` (-1 if
@@ -138,6 +140,68 @@ def _cell_invariant(mask):
     verts = hypersimplex_vertices()
     f = polytope_f_vector([verts[i] for i in _vertex_indices(mask)])
     return (n, f), False
+
+
+@lru_cache(maxsize=None)
+def _cell_forms(mask):
+    """Equality and strict forms of the full-dimensional cell ``mask``.
+
+    The first six affinely independent vertices of the cell are a basis,
+    and each other vertex p of Delta(3,6) is an affine combination of
+    them.  Its relation (see :func:`basis_relations`; the vertices' sum is
+    always 3, so a linear combination of them is affine) read as a linear
+    form in the heights w is ``D * (w_p - l(p))``, with ``D > 0`` and l the
+    affine function that agrees with w on the basis.  Returns the forms of
+    the vertices in the cell, then of those outside, as 20-entry tuples.
+    """
+    inside = _vertex_indices(mask)
+    order = inside + [i for i in range(len(PLUECKER_TRIPLES))
+                      if not mask >> i & 1]
+    verts = hypersimplex_vertices()
+    pivots, relations = basis_relations([verts[i] for i in order])
+    if len(pivots) != 6 or pivots[-1] >= len(inside):
+        raise ValueError(f"cell {inside} is not full-dimensional")
+    forms = []
+    for q in sorted(relations):
+        form = [0] * len(order)
+        for i, c in zip(order, relations[q]):
+            form[i] = c
+        forms.append(tuple(form))
+    split = len(inside) - len(pivots)
+    return tuple(forms[:split]), tuple(forms[split:])
+
+
+def subdivision_forms(cells):
+    """The secondary-cone certificate of a subdivision of Delta(3,6) into
+    full-dimensional ``cells``: its equality and strict forms.
+
+    Heights w induce exactly these cells when every cell has an affine
+    function that agrees with w on the cell and lies strictly below w at
+    every other vertex (De Loera, Rambau & Santos, *Triangulations*, 2010,
+    ch. 2 and 5): each cell is then a lower facet of the lifted hull, and
+    as the cells cover Delta(3,6) there is no other.  Per cell, that is
+    each equality form vanishing at w and each strict form positive at w.
+    The forms depend only on the cell, so they are built once per cell.
+    """
+    equalities, stricts = [], []
+    for eq, strict in map(_cell_forms, map(_vertex_mask, cells)):
+        equalities += eq
+        stricts += strict
+    return tuple(equalities), tuple(stricts)
+
+
+def certifies(forms, w):
+    """Whether heights ``w`` satisfy the certificate ``forms`` of
+    :func:`subdivision_forms`, and so induce exactly its cells.
+
+    ``w`` is scaled to integers by the lcm of its denominators; the forms
+    are linear, so the signs of their values do not change.
+    """
+    scale = lcm(*(x.denominator for x in w))
+    w = [x.numerator * (scale // x.denominator) for x in w]
+    equalities, stricts = forms
+    return not any(sum(map(operator.mul, f, w)) for f in equalities) and \
+        all(sum(map(operator.mul, f, w)) > 0 for f in stricts)
 
 
 def subdivision_signature(cells):
@@ -182,10 +246,21 @@ def subdivision_of_point(x):
     return cells
 
 
+def canonical_subdivision(rays):
+    """Matroid subdivision at a cone's canonical point, the sum of its
+    ``rays``."""
+    return _subdivision_at(tuple(sum(c) for c in zip(*rays)))
+
+
+# room for the canonical points of the 48 maximal cones
+@lru_cache(maxsize=64)
+def _subdivision_at(point):
+    return subdivision_of_point(point)
+
+
 def _canonical_signature(rays):
     """Signature of the subdivision at the sum of a cone's ``rays``."""
-    point = tuple(sum(c) for c in zip(*rays))
-    return subdivision_signature(subdivision_of_point(point))
+    return subdivision_signature(canonical_subdivision(rays))
 
 
 @lru_cache(maxsize=1)

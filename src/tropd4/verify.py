@@ -10,6 +10,7 @@ depend on the seed at all.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -37,12 +38,19 @@ from .correspondence import (
 from .fan import bipyramid_cones, compute_fan_f36, trop_phi2
 from .geometry import cone_from_rays
 from .hypersimplex import (
+    canonical_subdivision,
+    certifies,
     is_matroid_basis_set,
     induced_subdivision,
     reference_signatures,
+    subdivision_forms,
     subdivision_signature,
 )
-from .webmatrix import all_tropical_minors
+from .webmatrix import PLUECKER_TRIPLES, all_tropical_minors
+
+
+def _dot(a, b):
+    return sum(map(operator.mul, a, b))
 
 
 def check_enumeration():
@@ -157,12 +165,17 @@ def check_interior_point_stability(seed, samples_per_cone=20):
 
     Each cone's base signature is the reference signature of the type
     :func:`classify_all_cones` found at its canonical interior point.
-    Samples share most of their cells, so each distinct cell is checked
-    for basis exchange once per call and its verdict reused.
+    A sample whose heights satisfy the certificate of the cone's canonical
+    subdivision S_C (see :func:`subdivision_forms`) induces exactly S_C's
+    cells; any other sample, on a boundary or with ties, gets its cells
+    from a lower envelope.  Samples share most of their cells, so each
+    distinct cell is checked for basis exchange once per call and its
+    verdict reused, and each distinct subdivision is signed once.
     """
     rng = random.Random(seed)
     violations = []
     verdicts = {}  # cell -> basis-exchange verdict
+    signatures = {}  # cells -> subdivision signature
 
     def matroidal(cell):
         if cell not in verdicts:
@@ -176,21 +189,72 @@ def check_interior_point_stability(seed, samples_per_cone=20):
         rays = sorted(c.rays)
         base_type = cone_types[frozenset(c.rays)]
         base_sig = references[base_type]
+        canonical = canonical_subdivision(c.rays)
+        forms = subdivision_forms(canonical)
         for _ in range(samples_per_cone):
             coeffs = [Fraction(rng.randint(1, 50), rng.randint(1, 8))
                       for _ in rays]
             point = tuple(sum(f * r[i] for f, r in zip(coeffs, rays))
                           for i in range(4))
-            cells = induced_subdivision(trop_phi2(point))
+            w = trop_phi2(point)
+            cells = canonical if certifies(forms, w) \
+                else induced_subdivision(w)
             if not all(map(matroidal, cells)):
                 violations.append({"check": "matroidal cells",
                                    "cone": [list(r) for r in rays],
                                    "point": [str(x) for x in point]})
                 continue
-            if subdivision_signature(cells) != base_sig:
+            if cells not in signatures:
+                signatures[cells] = subdivision_signature(cells)
+            if signatures[cells] != base_sig:
                 violations.append({"check": "signature constant on cone",
                                    "cone": [list(r) for r in rays],
                                    "type": base_type})
+    return violations
+
+
+def check_cone_proofs():
+    """Prove that each cone's canonical subdivision S_C is the subdivision
+    at every interior point of the cone.
+
+    (a) ``trop_phi2`` is linear on the cone C.  At the canonical point,
+    the sum of the rays, each minor has a minimizing form f*.  If f* is
+    also minimal at every ray, it is minimal on all of C: a point of C is
+    ``x = sum(a_r * r)`` with every ``a_r >= 0``, so every form f of the
+    minor has ``f(x) = sum(a_r * f(r)) >= sum(a_r * f*(r)) = f*(x)``.
+    Then the heights at x are ``sum(a_r * trop_phi2(r))``.
+
+    (b) The certificate of S_C (see :func:`subdivision_forms`) holds
+    inside C.  A point x interior to C is a combination of all the rays
+    of C with every ``a_r > 0``.  By (a), an equality form that vanishes
+    at every ray's heights vanishes at x's, and a strict form that is
+    nonnegative at every ray's heights and positive at one or more is
+    positive at x's.  So x satisfies the certificate, and its heights
+    induce exactly the cells of S_C.
+
+    The forms are linear, so (b) reads them at the integer heights of
+    the rays that (a) gives.  Reports one violation per cone where (a) or
+    (b) fails; the sampled sweep of
+    :func:`check_interior_point_stability` is checked as well.
+    """
+    violations = []
+    minors = all_tropical_minors()
+    for c in compute_fan_f36().maximal_cones:
+        rays = sorted(c.rays)
+        point = tuple(sum(col) for col in zip(*rays))
+        active = [min(minors[idx], key=lambda f: _dot(f, point))
+                  for idx in PLUECKER_TRIPLES]
+        heights = [[_dot(f, r) for f in active] for r in rays]
+        if heights != [list(trop_phi2(r)) for r in rays]:
+            violations.append({"check": "trop_phi2 linear on cone",
+                               "cone": [list(r) for r in rays]})
+            continue
+        equalities, stricts = subdivision_forms(canonical_subdivision(c.rays))
+        values = [[_dot(f, h) for h in heights] for f in stricts]
+        if any(_dot(f, h) for f in equalities for h in heights) or \
+                not all(min(v) >= 0 and max(v) > 0 for v in values):
+            violations.append({"check": "subdivision constant on cone",
+                               "cone": [list(r) for r in rays]})
     return violations
 
 
@@ -237,7 +301,7 @@ def full_report(seed=0, samples_per_cone=20, cover_samples=10000):
                   check_symmetry_classes, check_psi_rows,
                   check_compatibility_relations, check_minors, check_fan,
                   check_correspondence, check_table1, check_table2,
-                  check_reflection_theorem):
+                  check_reflection_theorem, check_cone_proofs):
         violations.extend(check())
     violations.extend(check_interior_point_stability(seed, samples_per_cone))
     violations.extend(check_fan_covering(seed, cover_samples))

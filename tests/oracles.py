@@ -10,9 +10,11 @@ takes the facets from it and intersects them, and the facet oracle takes
 the cone's generators from it and ranks the ones tight on each row.  The
 fan oracle cuts a maximal cone out of the differences of the forms that
 are minimal at one of its interior points, as the linearity domains of the
-minors define it, instead of taking a normal fan.  The hull-membership
-oracle solves for barycentric coordinates over the affine bases among the
-vertices, instead of evaluating facet functionals.  The basis-exchange
+minors define it, instead of taking a normal fan.  The secondary-cone
+forms of a cell come from Fraction solves, instead of fraction-free back
+substitution.  The hull-membership oracle solves for barycentric
+coordinates over the affine bases among the vertices, instead of
+evaluating facet functionals.  The basis-exchange
 oracle works on frozensets, and the matroid subdivisions of Delta(3,6) are
 also recognized by their tropical Plücker relations.  The crossing oracle
 realizes chords as exact rational segments and tests proper intersection,
@@ -295,6 +297,44 @@ def brute_force_cone_faces(rays, dim):
             faces.add(frozenset.intersection(*group))
     faces.discard(frozenset())
     return faces
+
+
+# -- secondary-cone forms ------------------------------------------------------
+
+def brute_force_cell_forms(points, cell):
+    """Equality and strict forms of a full-dimensional ``cell`` of a
+    subdivision of ``points``, by Fraction solves.
+
+    The basis is the first point of the cell plus each later cell point
+    that raises the affine rank.  Each other point p is solved for as an
+    affine combination ``sum(l_j * b_j)`` of the basis, and its form in
+    the heights w is ``w_p - sum(l_j * w_{b_j})``, scaled to a primitive
+    integer vector.  Returns the forms of the cell points outside the
+    basis, then of the points outside the cell, each group by index.
+    """
+    pts = [tuple(Fraction(x) for x in p) + (Fraction(1),) for p in points]
+    members = sorted(cell)
+    basis = [members[0]]
+    for i in members[1:]:
+        if _affine_rank([points[j] for j in basis + [i]]) == len(basis):
+            basis.append(i)
+    columns = [pts[b] for b in basis]
+    forms = {}
+    for p in range(len(points)):
+        if p in basis:
+            continue
+        lam = _solve(columns, pts[p])
+        form = [Fraction(0)] * len(points)
+        form[p] = Fraction(1)
+        for b, x in zip(basis, lam):
+            form[b] = -x
+        scale = math.lcm(*(x.denominator for x in form))
+        ints = [int(x * scale) for x in form]
+        g = math.gcd(*ints)
+        forms[p] = tuple(x // g for x in ints)
+    equalities = tuple(forms[p] for p in members if p in forms)
+    stricts = tuple(forms[p] for p in sorted(forms) if p not in cell)
+    return equalities, stricts
 
 
 # -- fan cones from argmin forms ----------------------------------------------

@@ -96,7 +96,8 @@ class TestCorrespondenceTheorem:
     def test_fan_missing_a_cone_fails(self, fan36, monkeypatch, size):
         """With one simplicial cone or one bipyramid removed from the
         cached fan, the split no longer gives the 50 clusters, and only the
-        missing bipyramid fails the fan check's bipyramid comparison."""
+        missing bipyramid fails the fan check's bipyramid comparison and
+        the comparison of the fan's apex pairs with the listed ones."""
         drop = next(c for c in fan36.maximal_cones if len(c.rays) == size)
         broken = Fan(4, tuple(c for c in fan36.maximal_cones
                               if c is not drop))
@@ -105,6 +106,7 @@ class TestCorrespondenceTheorem:
         checks = {v["check"] for v in
                   verify_cluster_fan_correspondence()["violations"]}
         assert "split fan facets biject with the 50 clusters" in checks
+        assert ("bipyramid split structure" in checks) == (size == 5)
         fan_checks = {v["check"] for v in verify.check_fan()}
         assert ("bipyramid cones" in fan_checks) == (size == 5)
 

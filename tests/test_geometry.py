@@ -14,6 +14,7 @@ from tropd4.geometry import (
     Cone,
     Fan,
     NotPointedError,
+    basis_relations,
     cone_from_rays,
     cone_rays,
     intersection_dim,
@@ -540,6 +541,26 @@ class TestIntersectionDim:
         everything = set(range(len(points)))
         assert intersection_dim(points, everything, everything) == \
             _affine_rank(points)
+
+
+class TestBasisRelations:
+    @given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3),
+                    min_size=1, max_size=6))
+    def test_each_vector_in_the_first_basis(self, vectors):
+        """The relations are unique: the pivots are independent, and each
+        relation is primitive and positive at its vector."""
+        pivots, relations = basis_relations(vectors)
+        rank = [_affine_rank([(0, 0, 0)] + vectors[:k])
+                for k in range(len(vectors) + 1)]
+        assert pivots == [k for k in range(len(vectors))
+                          if rank[k + 1] > rank[k]]
+        assert sorted(relations) == sorted(set(range(len(vectors)))
+                                           - set(pivots))
+        for q, c in relations.items():
+            assert all(sum(x * v[i] for x, v in zip(c, vectors)) == 0
+                       for i in range(3))
+            assert c[q] > 0 and gcd(*c) == 1
+            assert {i for i, x in enumerate(c) if x} <= {q, *pivots}
 
 
 @st.composite

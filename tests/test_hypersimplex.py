@@ -12,6 +12,8 @@ from tropd4.fan import trop_phi2
 from tropd4.hypersimplex import (
     NotMatroidalError,
     UnknownTypeError,
+    canonical_subdivision,
+    certifies,
     classify_plane_type,
     classify_signature,
     hypersimplex_vertices,
@@ -19,6 +21,7 @@ from tropd4.hypersimplex import (
     is_matroid_basis_set,
     reference_signatures,
     signature_intersection_dims,
+    subdivision_forms,
     subdivision_of_point,
     subdivision_signature,
     subdivision_to_json,
@@ -35,6 +38,7 @@ from tropd4.webmatrix import PLUECKER_TRIPLES
 from oracles import (
     _affine_coordinates,
     _affine_rank,
+    brute_force_cell_forms,
     brute_force_cone_faces,
     brute_force_lower_cells,
     brute_force_matroid_basis_set,
@@ -351,6 +355,65 @@ class TestClassify:
     def test_unknown_signature(self):
         with pytest.raises(UnknownTypeError):
             classify_signature((('bogus',), ()))
+
+
+class TestCertificate:
+    """The secondary-cone certificate of the 48 canonical subdivisions."""
+
+    @pytest.fixture(scope="class")
+    def canonical(self, fan36):
+        return [(sorted(c.rays), canonical_subdivision(c.rays))
+                for c in fan36.maximal_cones]
+
+    def test_forms_match_fraction_oracle(self, canonical):
+        verts = hypersimplex_vertices()
+        index = {t: i for i, t in enumerate(PLUECKER_TRIPLES)}
+        cells = {frozenset(index[t] for t in cell)
+                 for _, cells in canonical for cell in cells}
+        assert len(cells) == 48
+        for cell in cells:
+            forms = subdivision_forms([{PLUECKER_TRIPLES[i] for i in cell}])
+            assert forms == brute_force_cell_forms(verts, cell)
+
+    def test_certified_iff_envelope_gives_canonical_cells(self, canonical):
+        """Interior points, and points on a facet or a ray of each cone,
+        where ties can coarsen the subdivision."""
+        rng = random.Random(13)
+        verdicts = set()
+        for rays, cells in canonical:
+            forms = subdivision_forms(cells)
+            for zeros in (0, 0, 1, len(rays) - 1):
+                coeffs = [Fraction(rng.randint(1, 30), rng.randint(1, 5))
+                          for _ in rays]
+                for k in rng.sample(range(len(rays)), zeros):
+                    coeffs[k] = 0
+                w = trop_phi2(tuple(sum(a * r[i] for a, r in zip(coeffs, rays))
+                                    for i in range(4)))
+                certified = certifies(forms, w)
+                assert certified == (set(induced_subdivision(w)) == set(cells))
+                verdicts.add(certified)
+        assert verdicts == {False, True}
+
+    def test_neighbour_forms_reject_every_canonical_point(self, canonical):
+        heights = [trop_phi2(tuple(sum(c) for c in zip(*rays)))
+                   for rays, _ in canonical]
+        forms = [subdivision_forms(cells) for _, cells in canonical]
+        assert all(map(certifies, forms, heights))
+        assert not any(map(certifies, forms[1:] + forms[:1], heights))
+
+    def test_one_flipped_strict_form_is_caught(self, canonical):
+        rng = random.Random(5)
+        for rays, cells in canonical:
+            equalities, stricts = subdivision_forms(cells)
+            k = rng.randrange(len(stricts))
+            flipped = stricts[:k] + (tuple(-x for x in stricts[k]),) \
+                + stricts[k + 1:]
+            w = trop_phi2(tuple(sum(c) for c in zip(*rays)))
+            assert not certifies((equalities, flipped), w)
+
+    def test_rejects_lower_dimensional_cell(self):
+        with pytest.raises(ValueError, match="not full-dimensional"):
+            subdivision_forms([set(PLUECKER_TRIPLES[:6])])
 
 
 class TestJson:

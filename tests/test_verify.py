@@ -1,23 +1,26 @@
 from collections import Counter
 
 import tropd4.verify as verify
+from tropd4.hypersimplex import canonical_subdivision, induced_subdivision
 
 
-def test_rejected_cell_fails_every_point_that_has_it(monkeypatch):
-    """Reusing basis-exchange verdicts across samples hides no failure."""
+def _rejected_cell_fails_every_point_that_has_it(monkeypatch):
+    """Reject the most common cell short of all, and expect exactly one
+    "matroidal cells" violation per sampled point whose cells include it.
+
+    Each sample's cells are recorded as the lower envelope of its heights,
+    whichever way the check itself judges the sample.  Returns the
+    rejected cell.
+    """
     samples = []  # [point, cells] per sampled point, in order
-    real_phi, real_induced = verify.trop_phi2, verify.induced_subdivision
+    real_phi = verify.trop_phi2
 
     def phi(x):
-        samples.append([x, None])
-        return real_phi(x)
-
-    def induced(w):
-        samples[-1][1] = cells = real_induced(w)
-        return cells
+        w = real_phi(x)
+        samples.append([x, induced_subdivision(w)])
+        return w
 
     monkeypatch.setattr(verify, "trop_phi2", phi)
-    monkeypatch.setattr(verify, "induced_subdivision", induced)
     assert verify.check_interior_point_stability(3, samples_per_cone=2) == []
     assert len(samples) == 96
 
@@ -36,3 +39,61 @@ def test_rejected_cell_fails_every_point_that_has_it(monkeypatch):
     assert [v["check"] for v in violations] == \
         ["matroidal cells"] * len(expected)
     assert [v["point"] for v in violations] == expected
+    return chosen
+
+
+def test_rejected_cell_fails_every_point_that_has_it(monkeypatch, fan36):
+    """Reusing basis-exchange verdicts across samples hides no failure,
+    with the samples judged by their cones' certificates."""
+    chosen = _rejected_cell_fails_every_point_that_has_it(monkeypatch)
+    assert any(chosen in canonical_subdivision(c.rays)
+               for c in fan36.maximal_cones)
+
+
+def test_rejected_cell_fails_every_point_on_the_envelope_path(monkeypatch):
+    """The same, with every certificate failing, so that every sample
+    takes the lower envelope."""
+    envelopes = []
+
+    def induced(w):
+        envelopes.append(w)
+        return induced_subdivision(w)
+
+    monkeypatch.setattr(verify, "certifies", lambda forms, w: False)
+    monkeypatch.setattr(verify, "induced_subdivision", induced)
+    _rejected_cell_fails_every_point_that_has_it(monkeypatch)
+    assert len(envelopes) == 2 * 96
+
+
+class TestConeProofs:
+    def test_every_cone_is_proved(self):
+        assert verify.check_cone_proofs() == []
+
+    def test_neighbour_subdivisions_fail_every_cone(self, monkeypatch, fan36):
+        cones = [c.rays for c in fan36.maximal_cones]
+        neighbour = dict(zip(cones, cones[1:] + cones[:1]))
+        monkeypatch.setattr(verify, "canonical_subdivision",
+                            lambda rays: canonical_subdivision(neighbour[rays]))
+        violations = verify.check_cone_proofs()
+        assert [v["check"] for v in violations] == \
+            ["subdivision constant on cone"] * 48
+
+    def test_active_form_not_minimal_at_one_ray_fails(self, monkeypatch,
+                                                      fan36):
+        """Lowering one minor's value at one ray leaves the canonical
+        point's active form above the minimum there, in every cone with
+        that ray."""
+        ray = fan36.rays[0]
+        real_phi = verify.trop_phi2
+
+        def phi(x):
+            w = real_phi(x)
+            return w[:3] + (w[3] - 1,) + w[4:] if x == ray else w
+
+        monkeypatch.setattr(verify, "trop_phi2", phi)
+        violations = verify.check_cone_proofs()
+        assert [v["check"] for v in violations] == \
+            ["trop_phi2 linear on cone"] * len(violations)
+        assert [v["cone"] for v in violations] == \
+            [[list(r) for r in c.rays] for c in fan36.maximal_cones
+             if ray in c.rays]
