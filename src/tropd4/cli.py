@@ -29,9 +29,9 @@ from .correspondence import (
 )
 from .fan import compute_fan_f36, fan_to_json
 from .hypersimplex import (
-    classify_signature,
-    subdivision_of_point,
-    subdivision_signature,
+    canonical_point,
+    canonical_subdivision,
+    classify_plane_type,
     subdivision_to_json,
 )
 from .verify import full_report
@@ -135,19 +135,14 @@ def cmd_subdivision(args) -> int:
         print(f"repeated ray labels: {', '.join(repeated)}", file=sys.stderr)
         return 2
     rays = reference.ray_set(labels)
-    fan = compute_fan_f36()
-    match = [c for c in fan.maximal_cones if frozenset(c.rays) == rays]
-    if not match:
+    if all(frozenset(c.rays) != rays for c in compute_fan_f36().maximal_cones):
         print(f"{','.join(labels)} is not a maximal cone of the fan",
               file=sys.stderr)
         return 2
-    cone = match[0]
-    point = cone.interior_point()
-    cells = subdivision_of_point(point)
-    data = subdivision_to_json(cells)
+    data = subdivision_to_json(canonical_subdivision(rays))
     data["cone"] = sorted(labels, key=lambda l: int(l[1:]))
-    data["interior_point"] = list(point)
-    data["plane_type"] = classify_signature(subdivision_signature(cells))
+    data["interior_point"] = list(canonical_point(rays))
+    data["plane_type"] = classify_plane_type(rays)
     _emit(args, _json(data))
     return 0
 

@@ -273,12 +273,6 @@ class Cone:
                 return False
         return True
 
-    def interior_point(self):
-        """Sum of the primitive rays; interior for full-dimensional cones."""
-        if not self.rays:
-            return tuple(0 for _ in range(self.ambient_dim))
-        return tuple(sum(c) for c in zip(*self.rays))
-
 
 def cone_from_rays(rays, dim):
     """Cone spanned by ``rays``, cut out by the sorted extreme rays of its

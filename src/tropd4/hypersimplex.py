@@ -246,10 +246,15 @@ def subdivision_of_point(x):
     return cells
 
 
+def canonical_point(rays):
+    """A cone's canonical point, the sum of its ``rays``: interior to the
+    cone when the rays span it."""
+    return tuple(sum(c) for c in zip(*rays))
+
+
 def canonical_subdivision(rays):
-    """Matroid subdivision at a cone's canonical point, the sum of its
-    ``rays``."""
-    return _subdivision_at(tuple(sum(c) for c in zip(*rays)))
+    """Matroid subdivision at the canonical point of a cone's ``rays``."""
+    return _subdivision_at(canonical_point(rays))
 
 
 # room for the canonical points of the 48 maximal cones

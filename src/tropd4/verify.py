@@ -38,11 +38,11 @@ from .correspondence import (
 from .fan import bipyramid_cones, compute_fan_f36, trop_phi2
 from .geometry import cone_from_rays
 from .hypersimplex import (
+    canonical_point,
     canonical_subdivision,
     certifies,
     is_matroid_basis_set,
     induced_subdivision,
-    reference_signatures,
     subdivision_forms,
     subdivision_signature,
 )
@@ -71,7 +71,7 @@ def check_enumeration():
 
 
 def check_cluster_complex():
-    f_vector, _, facets = cluster_complex()
+    f_vector = cluster_complex()[0]
     if f_vector != reference.CLUSTER_COMPLEX_F_VECTOR:
         return [{"check": "cluster complex f-vector", "got": list(f_vector),
                  "expected": list(reference.CLUSTER_COMPLEX_F_VECTOR)}]
@@ -163,14 +163,14 @@ def check_table2():
 def check_interior_point_stability(seed, samples_per_cone=20):
     """Random interior points of every cone: matroidal cells, one signature.
 
-    Each cone's base signature is the reference signature of the type
-    :func:`classify_all_cones` found at its canonical interior point.
-    A sample whose heights satisfy the certificate of the cone's canonical
-    subdivision S_C (see :func:`subdivision_forms`) induces exactly S_C's
-    cells; any other sample, on a boundary or with ties, gets its cells
-    from a lower envelope.  Samples share most of their cells, so each
-    distinct cell is checked for basis exchange once per call and its
-    verdict reused, and each distinct subdivision is signed once.
+    Each sample's signature is compared with that of its cone's canonical
+    subdivision S_C, whose type :func:`classify_all_cones` reads.  A
+    sample whose heights satisfy the certificate of S_C (see
+    :func:`subdivision_forms`) induces exactly S_C's cells; any other
+    sample, on a boundary or with ties, gets its cells from a lower
+    envelope.  Samples share most of their cells, so each distinct cell is
+    checked for basis exchange once per call and its verdict reused, and
+    each distinct subdivision is signed once.
     """
     rng = random.Random(seed)
     violations = []
@@ -182,13 +182,15 @@ def check_interior_point_stability(seed, samples_per_cone=20):
             verdicts[cell] = is_matroid_basis_set(cell)
         return verdicts[cell]
 
+    def signature(cells):
+        if cells not in signatures:
+            signatures[cells] = subdivision_signature(cells)
+        return signatures[cells]
+
     fan = compute_fan_f36()
     cone_types = classify_all_cones()
-    references = reference_signatures()
     for c in fan.maximal_cones:
         rays = sorted(c.rays)
-        base_type = cone_types[frozenset(c.rays)]
-        base_sig = references[base_type]
         canonical = canonical_subdivision(c.rays)
         forms = subdivision_forms(canonical)
         for _ in range(samples_per_cone):
@@ -204,12 +206,10 @@ def check_interior_point_stability(seed, samples_per_cone=20):
                                    "cone": [list(r) for r in rays],
                                    "point": [str(x) for x in point]})
                 continue
-            if cells not in signatures:
-                signatures[cells] = subdivision_signature(cells)
-            if signatures[cells] != base_sig:
+            if signature(cells) != signature(canonical):
                 violations.append({"check": "signature constant on cone",
                                    "cone": [list(r) for r in rays],
-                                   "type": base_type})
+                                   "type": cone_types[frozenset(c.rays)]})
     return violations
 
 
@@ -241,7 +241,7 @@ def check_cone_proofs():
     minors = all_tropical_minors()
     for c in compute_fan_f36().maximal_cones:
         rays = sorted(c.rays)
-        point = tuple(sum(col) for col in zip(*rays))
+        point = canonical_point(rays)
         active = [min(minors[idx], key=lambda f: _dot(f, point))
                   for idx in PLUECKER_TRIPLES]
         heights = [[_dot(f, r) for f in active] for r in rays]
@@ -273,14 +273,12 @@ def check_fan_covering(seed, n_samples=10000):
         if len(hits) > 1:
             shared = frozenset.intersection(
                 *(frozenset(fan.maximal_cones[i].rays) for i in hits))
-            # the point must lie in the cone spanned by the shared rays
-            if shared:
-                if shared not in spanned:
-                    spanned[shared] = cone_from_rays(sorted(shared), 4)
-                if not spanned[shared].contains(x):
-                    violations.append({"check": "overlap is a common face",
-                                       "point": list(x)})
-            elif any(x):
+            # the point must lie in the cone spanned by the shared rays,
+            # or be the origin when they share none
+            if shared and shared not in spanned:
+                spanned[shared] = cone_from_rays(sorted(shared), 4)
+            ok = spanned[shared].contains(x) if shared else not any(x)
+            if not ok:
                 violations.append({"check": "overlap is a common face",
                                    "point": list(x)})
     return violations

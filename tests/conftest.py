@@ -41,3 +41,25 @@ def sweep_calls(monkeypatch):
         return sweep(*args)
     monkeypatch.setattr(geometry, "_double_description", counted)
     return calls
+
+
+@pytest.fixture
+def swapped_eeff_types(monkeypatch):
+    """The plane types of one EEFFa cone and one EEFFb cone of other
+    symmetry classes swapped, so that two orbits match no row of Table 2.
+    The caches that hold cone types are cleared before and after."""
+    import tropd4.correspondence as correspondence
+    from tropd4.reference import TABLE1, ray_set
+    swap = {ray_set(TABLE1["EEFFa"][3]): "EEFFb",
+            ray_set(TABLE1["EEFFb"][2]): "EEFFa"}
+    real = correspondence.classify_plane_type
+    caches = (correspondence.classify_all_cones,
+              correspondence.cluster_classes)
+    monkeypatch.setattr(correspondence, "classify_plane_type",
+                        lambda rays: swap.get(frozenset(rays)) or real(rays))
+    for cache in caches:
+        cache.cache_clear()
+    yield swap
+    monkeypatch.undo()
+    for cache in caches:
+        cache.cache_clear()

@@ -16,9 +16,11 @@ substitution.  The hull-membership oracle solves for barycentric
 coordinates over the affine bases among the vertices, instead of
 evaluating facet functionals.  The basis-exchange
 oracle works on frozensets, and the matroid subdivisions of Delta(3,6) are
-also recognized by their tropical Plücker relations.  The crossing oracle
-realizes chords as exact rational segments and tests proper intersection,
-instead of applying the combinatorial crossing rules.
+also recognized by their tropical Plücker relations.  The matroid f-vector
+oracle reads a matroid polytope's faces off ordered set partitions and
+their dimensions off connected components, instead of ranking vertices.
+The crossing oracle realizes chords as exact rational segments and tests
+proper intersection, instead of applying the combinatorial crossing rules.
 """
 
 from __future__ import annotations
@@ -376,6 +378,66 @@ def brute_force_matroid_basis_set(bases):
             if not any(frozenset(A - {a} | {b}) in bset for b in B - A):
                 return False
     return True
+
+
+def _matroid_faces(bases, rest, memo):
+    """The faces, as basis sets, that the ordered partitions of the
+    elements ``rest`` reach from the face ``bases``.
+
+    A weight that is constant on each block of an ordered set partition
+    and falls from block to block is largest on one face of the matroid
+    polytope, and every face arises so (Gelfand, Goresky, MacPherson &
+    Serganova, 1987).  That face keeps, block by block, the bases with the
+    most elements in the block: the weight of a basis B is a positive
+    combination of its counts ``|B & F|`` over the unions F of the first
+    blocks, and the greedy basis maximizes them all at once.  The bases
+    left after a block have one count on it, so the faces reached depend
+    only on ``bases`` and ``rest``, and are kept in ``memo``.
+    """
+    if not rest or len(bases) == 1:
+        return {bases}
+    if (bases, rest) not in memo:
+        faces = set()
+        for k in range(1, len(rest) + 1):
+            for block in map(set, itertools.combinations(sorted(rest), k)):
+                best = max(len(b & block) for b in bases)
+                faces |= _matroid_faces(
+                    frozenset(b for b in bases if len(b & block) == best),
+                    rest - block, memo)
+        memo[bases, rest] = faces
+    return memo[bases, rest]
+
+
+def _matroid_components(bases, ground):
+    """Number of connected components of the matroid on ``ground``: e and
+    f are joined when B - e + f is a basis for a basis B holding e and not
+    f, as then the circuit of f in B holds e; a loop or coloop is a
+    component alone."""
+    component = {e: {e} for e in ground}
+    for b in bases:
+        for e, f in itertools.product(b, ground - b):
+            if b - {e} | {f} in bases and component[e] is not component[f]:
+                merged = component[e] | component[f]
+                for x in merged:
+                    component[x] = merged
+    return len({id(c) for c in component.values()})
+
+
+def matroid_f_vector(bases):
+    """Face counts by dimension of the matroid polytope of ``bases``, which
+    must satisfy basis exchange, on the ground set 1..6: the polytope
+    itself left out unless it is a point.
+
+    The faces are reached from the 4,683 ordered partitions of the ground
+    set (see :func:`_matroid_faces`).  Each face is the polytope of a
+    matroid, of dimension 6 minus its number of connected components
+    (Feichtner & Sturmfels, "Matroid polytopes, nested sets and Bergman
+    fans", 2005, Prop. 2.4).
+    """
+    ground = frozenset(range(1, 7))
+    faces = _matroid_faces(frozenset(map(frozenset, bases)), ground, {})
+    dims = [len(ground) - _matroid_components(f, ground) for f in faces]
+    return tuple(dims.count(d) for d in range(max(dims) or 1))
 
 
 def satisfies_tropical_plucker_relations(w):

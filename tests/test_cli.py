@@ -14,6 +14,12 @@ import pytest
 import tropd4
 import tropd4.reference as reference
 from tropd4.cli import build_parser, main
+from tropd4.correspondence import classify_all_cones
+from tropd4.hypersimplex import (
+    canonical_point,
+    canonical_subdivision,
+    subdivision_to_json,
+)
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -125,6 +131,25 @@ class TestSubdivision:
         assert data["plane_type"] == "EEEG"
         assert len(data["cells"]) == 6
 
+    def test_every_cone_reads_its_canonical_subdivision(self, capsys):
+        """For each of the 48 cones the command prints the cached canonical
+        subdivision, the canonical point, and the type of the 48-cone
+        classification."""
+        types = classify_all_cones()
+        for plane_type, cones in reference.TABLE1.items():
+            for labels in cones:
+                rays = reference.ray_set(labels)
+                expected = subdivision_to_json(canonical_subdivision(rays))
+                expected["cone"] = sorted(labels, key=lambda l: int(l[1:]))
+                expected["interior_point"] = list(canonical_point(rays))
+                expected["plane_type"] = types[rays]
+                code, out = run_cli(capsys, "subdivision", "--cone",
+                                    ",".join(labels))
+                assert code == 0
+                assert out == json.dumps(expected, indent=2,
+                                         sort_keys=True) + "\n"
+                assert expected["plane_type"] == plane_type
+
     def test_unknown_label(self, capsys):
         code = main(["subdivision", "--cone", "r99"])
         assert code == 2
@@ -199,6 +224,17 @@ class TestVerifyAll:
         _, first = run_cli(capsys, "--seed", "7", *self.ARGS)
         _, second = run_cli(capsys, "--seed", "7", *self.ARGS)
         assert first == second
+
+    def test_swapped_types_fail_with_a_report(self, capsys,
+                                              swapped_eeff_types):
+        """Two orbits that match no row of Table 2 give a report with exit
+        code 1, not a traceback."""
+        code, out = run_cli(capsys, *self.ARGS)
+        assert code == 1
+        checks = [v["check"] for v in json.loads(out)["violations"]]
+        assert {c: checks.count(c) for c in checks} == {
+            "cone type": 2, "class-type incidence": 8,
+            "reflection preserves plane type": 20}
 
     def test_tampered_dictionary_fails_with_diff(self, capsys, monkeypatch):
         tampered = dict(reference.PSI_TABLE)

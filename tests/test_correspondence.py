@@ -5,7 +5,7 @@ import pytest
 import tropd4.correspondence as correspondence
 import tropd4.fan as fan_mod
 import tropd4.verify as verify
-from tropd4.chords import apply_symmetry, reflect
+from tropd4.chords import SIGMA, apply_symmetry, chord_text, reflect
 from tropd4.clusters import compatibility_degree, snake_pairs
 from tropd4.correspondence import (
     cluster_classes,
@@ -184,6 +184,40 @@ class TestTables:
         assert sorted(labeled) == [f"T{i}" for i in range(1, 8)]
         assert sum(len(o) for o in labeled.values()) == 50
 
+    def test_swapped_types_fail_table2(self, swapped_eeff_types):
+        """Two orbits whose splits match no row are labeled ``?`` and
+        reported, the two rows they no longer match are reported with
+        count 0, and nothing raises."""
+        labels = sorted(cluster_classes())
+        assert [l for l in labels if l.startswith("T")] == \
+            ["T1", "T2", "T3", "T5", "T7"]
+        assert len([l for l in labels if l.startswith("?")]) == 2
+        rows = table2_report()
+        assert sum(r["count"] for r in rows) == 50
+        assert {(r["class"], r["type"]) for r in rows if r["count"] == 0} \
+            == {(c, t) for c in ("T4", "T6") for t in ("EEFFa", "EEFFb")}
+        wrong = [r for r in rows if r["count"] != r["expected"]]
+        assert len(wrong) == 8
+        assert all(r["class"].startswith("?") or r["count"] == 0
+                   for r in wrong)
+        assert [(v["class"], v["type"], v["got"], v["expected"])
+                for v in verify.check_table2()] == \
+            [(r["class"], r["type"], r["count"], r["expected"])
+             for r in wrong]
+
+    def test_a_row_labels_one_orbit(self, monkeypatch):
+        """When every orbit has T7's split, the first takes T7 and the
+        other six are labeled ``?<position>``."""
+        monkeypatch.setattr(correspondence, "plane_type_split",
+                            lambda orbit: {"EEFFa": 2})
+        cluster_classes.cache_clear()
+        try:
+            labels = list(cluster_classes())
+        finally:
+            cluster_classes.cache_clear()
+        assert labels[0] == "T7"
+        assert labels[1:] == [f"?{i}" for i in range(1, 7)]
+
 
 class TestReflectionTheorem:
     def test_snake_reflection_example(self):
@@ -201,6 +235,36 @@ class TestReflectionTheorem:
         ops = parity_preserving_reflections()
         assert [op.axis for op in ops] == [0, 2, 4, 6]
         assert all(op.kind == "reflect" for op in ops)
+
+    def test_one_retyped_cone_fails_only_the_sweep(
+            self, monkeypatch, cone_types, pseudotriangulations4):
+        """With one EEFG cone typed EFFG, the report holds one "reflection
+        preserves plane type" line per (t, op, sigma) whose image leaves or
+        enters that cone, and no other line."""
+        cone = next(c for c, pt in cone_types.items() if pt == "EEFG")
+        retyped = dict(cone_types)
+        retyped[cone] = "EFFG"
+        monkeypatch.setattr(correspondence, "classify_all_cones",
+                            lambda: retyped)
+        inside = {t for t in pseudotriangulations4
+                  if frozenset(cone_of_cluster(t).rays) == cone}
+        expected = []
+        for t in pseudotriangulations4:
+            for op in parity_preserving_reflections():
+                for with_sigma in (False, True):
+                    u = apply_symmetry(op, t, 4)
+                    if with_sigma:
+                        u = apply_symmetry(SIGMA, u, 4)
+                    if (t in inside) != (u in inside):
+                        expected.append((sorted(chord_text(c, 4) for c in t),
+                                         (op.kind, op.axis, with_sigma)))
+        report = verify_parity_reflection_theorem()
+        assert {v["check"] for v in report["violations"]} == \
+            {"reflection preserves plane type"}
+        assert [(v["pseudotriangulation"], v["op"])
+                for v in report["violations"]] == expected
+        assert len(expected) == 16
+        assert report["necessity"] == {"EEEG": True, "FFFGG": True}
 
     def test_finer_classes_union_to_type_fibers(self, pseudotriangulations4):
         classes = finer_equivalence_classes()

@@ -108,3 +108,23 @@ class TestUnsetDefaults:
                             arg in keywords or None in keywords
                             or i is not None and i < positions)}
         assert sorted(set(defaulted) - passed) == []
+
+
+class TestViolationNames:
+    def test_each_check_name_has_one_site(self):
+        """Each ``"check": "<name>"`` literal of a violation occurs at one
+        site in ``src/``, so that a name in a report points at the one
+        place that decides it."""
+        sites = {}
+        for path in sorted(PACKAGE.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Dict):
+                    continue
+                for key, value in zip(node.keys, node.values):
+                    if isinstance(key, ast.Constant) and key.value == "check" \
+                            and isinstance(value, ast.Constant):
+                        sites.setdefault(value.value, []).append(
+                            f"{path.name}:{node.lineno}")
+        assert len(sites) > 1
+        assert {name: where for name, where in sites.items()
+                if len(where) > 1} == {}

@@ -42,6 +42,7 @@ from oracles import (
     brute_force_cone_faces,
     brute_force_lower_cells,
     brute_force_matroid_basis_set,
+    matroid_f_vector,
     satisfies_tropical_plucker_relations,
 )
 
@@ -264,8 +265,17 @@ class TestSignature:
         cells = induced_subdivision(lift_heights(lift))
         assert len(cells) > 1
 
-        invariant = {c: (len(c), oracle_f_vector(tuple(vertex_list(c))))
-                     for c in cells}
+        # the cells of a tropical plane are matroid polytopes, whose faces
+        # come from ordered set partitions; any other cell has its faces
+        # from the extreme rays of its cone
+        matroidal = isinstance(lift, str) and lift != "tied"
+
+        def f_vector(cell):
+            if matroidal:
+                assert brute_force_matroid_basis_set(cell)
+                return matroid_f_vector(cell)
+            return oracle_f_vector(tuple(vertex_list(cell)))
+        invariant = {c: (len(c), f_vector(c)) for c in cells}
         records = []
         for a, b in itertools.combinations(cells, 2):
             shared = vertex_list(a & b)
@@ -328,6 +338,25 @@ class TestSignature:
         sigs = reference_signatures()
         assert len(sigs) == 6
         assert len(set(sigs.values())) == 6
+
+
+class TestMatroidFVectorOracle:
+    def test_known_polytopes(self):
+        assert matroid_f_vector(PLUECKER_TRIPLES) == (20, 90, 120, 60, 12)
+        assert matroid_f_vector([(1, 2, 3)]) == (1,)
+        # U(3,4) on 1..4: a tetrahedron
+        assert matroid_f_vector(itertools.combinations(range(1, 5), 3)) \
+            == (4, 6, 4)
+
+    def test_matches_polytope_f_vector_on_minor_lifts(self):
+        for seed in range(6):
+            rng = random.Random(seed)
+            w = tropical_minors([[rng.randint(0, 60) for _ in range(6)]
+                                 for _ in range(3)])
+            for cell in induced_subdivision(w):
+                assert brute_force_matroid_basis_set(cell)
+                assert matroid_f_vector(cell) == \
+                    polytope_f_vector(vertex_list(cell))
 
 
 class TestClassify:
