@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Time each check of ``tropd4 verify-all`` in fresh processes.
+
+    python scripts/check_times.py --seed 7 --runs 9
+
+Run it from anywhere in a source checkout.  Each run is a new Python
+process, with the checkout's ``src/`` on its path, that times the import
+of ``tropd4.verify`` and then calls ``verify.full_report(seed)`` with
+every ``check_*`` function of ``tropd4.verify`` wrapped in a timer.  So
+the checks run in the report's order and with its caches: a check's time
+includes the set-up it is the first to need, such as the fan build in
+``check_fan``.  ``full_report`` is the whole call, the checks and the
+assembly of the report.  The median of each time over the runs is written
+to ``BENCH_verify_checks.json`` at the root of the checkout, with the
+commit, the seed, the run count and the Python version.  The times are
+wall-clock seconds, unscaled; compare two commits only on one machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+OUTPUT = ROOT / "BENCH_verify_checks.json"
+
+
+def child(seed):
+    """One run: print ``{name: seconds}`` and the violation count as JSON."""
+    start = perf_counter()
+    from tropd4 import verify
+    times = {"import": perf_counter() - start}
+
+    def timed(name, fn):
+        def call(*args, **kwargs):
+            t0 = perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                times[name] = times.get(name, 0.0) + perf_counter() - t0
+        return call
+
+    for name in [n for n in vars(verify) if n.startswith("check_")]:
+        setattr(verify, name, timed(name, getattr(verify, name)))
+    start = perf_counter()
+    report = verify.full_report(seed)
+    times["full_report"] = perf_counter() - start
+    json.dump({"times": times, "violations": len(report["violations"])},
+              sys.stdout)
+
+
+def commit():
+    """The checked-out commit, marked ``-dirty`` when tracked files differ
+    from it, or ``unknown`` outside a git checkout."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                              capture_output=True, text=True).stdout.strip()
+    try:
+        head = git("rev-parse", "--short", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no")
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return head + ("-dirty" if dirty else "")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--runs", type=int, default=9)
+    parser.add_argument("--child", action="store_true",
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        child(args.seed)
+        return 0
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    runs = []
+    for _ in range(args.runs):
+        out = subprocess.run(
+            [sys.executable, __file__, "--child", "--seed", str(args.seed)],
+            check=True, capture_output=True, text=True, env=env).stdout
+        runs.append(json.loads(out))
+    names = runs[0]["times"]
+    record = {
+        "commit": commit(),
+        "seed": args.seed,
+        "runs": args.runs,
+        "python": platform.python_version(),
+        "violations": max(r["violations"] for r in runs),
+        "median_s": {name: round(statistics.median(
+            r["times"][name] for r in runs), 4) for name in names},
+    }
+    OUTPUT.write_text(json.dumps(record, indent=2) + "\n")
+    print(json.dumps(record["median_s"], indent=2))
+    print(f"wrote {OUTPUT}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

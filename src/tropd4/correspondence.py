@@ -14,7 +14,7 @@ from collections import Counter
 from functools import lru_cache
 
 from . import reference
-from .chords import SIGMA, apply_symmetry, chord_text, reflect
+from .chords import SIGMA, apply_symmetry, chord_text, parse_chord, reflect
 from .clusters import (
     N4,
     classify_modulo,
@@ -22,6 +22,7 @@ from .clusters import (
     compatibility_degree,
     enumerate_pseudotriangulations,
     full_symmetry_generators,
+    root_of_pair,
 )
 from .fan import bipyramid_cones, compute_fan_f36
 from .hypersimplex import classify_plane_type
@@ -29,8 +30,13 @@ from .hypersimplex import classify_plane_type
 
 @lru_cache(maxsize=1)
 def _psi_maps():
-    to_root = {coords: reference.PSI_TABLE[label][0]
-               for label, coords in reference.RAY_COORDS.items()}
+    """The ray-to-root dictionary and its inverse.  Each ray's root is
+    computed from its chord pair, so a wrong root column is reported by
+    ``verify.check_psi_rows`` alone and breaks no other check."""
+    to_root = {}
+    for label, coords in reference.RAY_COORDS.items():
+        _, chord = reference.PSI_TABLE[label]
+        to_root[coords] = root_of_pair(parse_chord(chord, N4))
     return to_root, {root: coords for coords, root in to_root.items()}
 
 
@@ -243,27 +249,26 @@ def verify_parity_reflection_theorem():
     finer class lies in one type fiber without a check of its own.
     """
     ts = enumerate_pseudotriangulations(N4)
+    types = {t: plane_type_of_cluster(t) for t in ts}
     violations = []
-    ops = parity_preserving_reflections()
     for t in ts:
-        base = plane_type_of_cluster(t)
-        for op, with_sigma in itertools.product(ops, (False, True)):
-            u = apply_symmetry(op, t, N4)
-            if with_sigma:
-                u = apply_symmetry(SIGMA, u, N4)
-            image_type = plane_type_of_cluster(u)
-            if image_type != base:
-                violations.append({
-                    "check": "reflection preserves plane type",
-                    "pseudotriangulation": sorted(chord_text(c, N4)
-                                                  for c in t),
-                    "op": (op.kind, op.axis, with_sigma),
-                    "types": [base, image_type]})
+        for op in parity_preserving_reflections():
+            image = apply_symmetry(op, t, N4)
+            for with_sigma, u in ((False, image),
+                                  (True, apply_symmetry(SIGMA, image, N4))):
+                image_type = types[u]
+                if image_type != types[t]:
+                    violations.append({
+                        "check": "reflection preserves plane type",
+                        "pseudotriangulation": sorted(chord_text(c, N4)
+                                                      for c in t),
+                        "op": (op.kind, op.axis, with_sigma),
+                        "types": [types[t], image_type]})
 
     classes = finer_equivalence_classes()
     necessity = {}
     for plane_type in ("EEEG", "FFFGG"):
-        fiber = {t for t in ts if plane_type_of_cluster(t) == plane_type}
+        fiber = {t for t in ts if types[t] == plane_type}
         matching = [c for c in classes if c & fiber]
         necessity[plane_type] = (len(matching) == 1
                                  and set(matching[0]) == fiber)

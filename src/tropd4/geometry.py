@@ -16,6 +16,13 @@ primitive rays, each ray paired with the bitmask of the rows it is tight
 on (bit i for input row i).  Public entries scale rational input to
 integer rows once, with :func:`_integer_rows`; callers read incidences off
 the masks and never canonicalize sweep output again.
+
+Beside the sweep sits one evaluation kernel, :class:`PackedForms`: a fixed
+list of integer linear forms, packed one field per form into one exact
+integer per coordinate, so that the signs of all the forms at an integer
+point come from one sum of products and a few masks.  It locates points
+in a :class:`Fan` and tests the secondary-cone certificates of
+``hypersimplex.certifies``.
 """
 
 from __future__ import annotations
@@ -321,6 +328,82 @@ def _faces(rows, labels):
     return result
 
 
+class PackedForms:
+    """Signs of a fixed list of integer linear forms at an integer point,
+    found for all the forms at once.
+
+    Many small fields packed into one word are added and compared with
+    full-word instructions (Lamport, "Multiple byte processing with
+    full-word instructions", *CACM* 18(8), 1975); Python's exact integers
+    serve as words of any length.  For a field width w, let ``high`` have
+    bit ``j*w + w - 1`` set for each form j, and let column k pack the
+    k-th coefficients of the forms, ``sum(f_j[k] << j*w)``.  Then the word
+    ``high + sum(x[k] * column[k])`` equals ``sum(c_j << j*w)`` with
+    ``c_j = f_j(x) + 2**(w-1)``.  The width is the smallest power of two
+    from 16 with ``2**(w-1) > max_j ||f_j||_1 * max_k |x[k]|``.  As
+    ``|f_j(x)| <= ||f_j||_1 * max_k |x[k]|``, every ``c_j`` lies in
+    ``[1, 2**w)``, so the ``c_j`` are the base-``2**w`` digits of the
+    word: bits ``[j*w, (j+1)*w)`` hold ``c_j``, no field carries into the
+    next, and the top bit of field j is set exactly when ``f_j(x) >= 0``.
+    The same uniqueness gives that every form vanishes exactly when the
+    word is ``high``, and, since every ``c_j - 1`` is a digit too, that
+    every form is positive exactly when each top bit of
+    ``word - (high >> w - 1)`` is set.  The columns are built once per
+    width, so large coordinates stay exact and only widen the fields.
+    """
+
+    def __init__(self, forms):
+        forms = tuple(map(tuple, forms))
+        if len(set(map(len, forms))) > 1:
+            raise ValueError("forms must all have the same length")
+        self._count = len(forms)
+        self._columns = tuple(zip(*forms))  # the coefficients, by coordinate
+        self._norm = max((sum(map(abs, f)) for f in forms), default=0)
+        self._layouts = {}  # width -> (packed columns, high)
+
+    def _word(self, x):
+        """``(width, word, high)`` at the integer point ``x``."""
+        if self._columns and len(x) != len(self._columns):
+            raise ValueError(f"point has {len(x)} coordinates, the forms "
+                             f"have {len(self._columns)}")
+        if not all(isinstance(v, int) for v in x):
+            raise ValueError(f"coordinates must be ints, got {x!r}")
+        need = (self._norm * max(map(abs, x), default=0)).bit_length()
+        width = 16
+        while width <= need:  # until 2**(width-1) > the bound
+            width *= 2
+        if width not in self._layouts:
+            self._layouts[width] = (
+                tuple(sum(c << j * width for j, c in enumerate(column))
+                      for column in self._columns),
+                self.top_bits((1 << self._count) - 1, width))
+        columns, high = self._layouts[width]
+        return width, high + sum(map(operator.mul, x, columns)), high
+
+    @staticmethod
+    def top_bits(mask, width):
+        """The top bits of the fields of width ``width`` of the forms
+        whose indices are the set bits of ``mask``."""
+        return sum(1 << j * width + width - 1
+                   for j in range(mask.bit_length()) if mask >> j & 1)
+
+    def nonnegative(self, x):
+        """``(width, bits)``: the field width at ``x``, and the top bits of
+        the fields of the forms that are ``>= 0`` at ``x``."""
+        width, word, high = self._word(x)
+        return width, word & high
+
+    def all_zero(self, x):
+        """Whether every form vanishes at ``x``."""
+        _, word, high = self._word(x)
+        return word == high
+
+    def all_positive(self, x):
+        """Whether every form is positive at ``x``."""
+        width, word, high = self._word(x)
+        return (word - (high >> width - 1)) & high == high
+
+
 @dataclass
 class Fan:
     """A collection of full-dimensional cones with common-face intersections."""
@@ -330,6 +413,12 @@ class Fan:
 
     _normals: tuple = field(init=False, repr=False, compare=False)
     _masks: tuple = field(init=False, repr=False, compare=False)
+    # point location, filled on use: cone masks spread to the top bits of
+    # each field width, and the cones found per (width, sign bits)
+    _spread: dict = field(init=False, repr=False, compare=False,
+                          default_factory=dict)
+    _located: dict = field(init=False, repr=False, compare=False,
+                           default_factory=dict)
 
     def __post_init__(self):
         self.maximal_cones = tuple(sorted(self.maximal_cones,
@@ -367,13 +456,31 @@ class Fan:
         return tuple(len(self._faces_by_dim.get(d, ()))
                      for d in range(1, self.ambient_dim + 1))
 
+    @functools.cached_property
+    def _packed(self):
+        return PackedForms(self._normals)
+
     def cones_containing(self, x):
-        """Indices of the maximal cones that contain ``x``."""
-        violated = 0
-        for j, h in enumerate(self._normals):
-            if _dot(h, x) < 0:
-                violated |= 1 << j
-        return [i for i, m in enumerate(self._masks) if not m & violated]
+        """Indices of the maximal cones that contain the integer point ``x``.
+
+        The normals are evaluated at once by :class:`PackedForms`.  A cone
+        contains ``x`` when its mask, spread to the top bits of the fields,
+        lies inside the top bits of the normals that are ``>= 0`` at ``x``.
+        The answer depends only on the field width and those bits, so it is
+        kept per pair; the word alone would not do, as two widths can give
+        equal words.  Each width has at most one key per sign pattern of
+        the normals, a face of their hyperplane arrangement, so the memo
+        stays finite.
+        """
+        width, signs = self._packed.nonnegative(x)
+        hits = self._located.get((width, signs))
+        if hits is None:
+            if width not in self._spread:
+                self._spread[width] = [self._packed.top_bits(m, width)
+                                       for m in self._masks]
+            hits = self._located[width, signs] = [
+                i for i, m in enumerate(self._spread[width]) if m & signs == m]
+        return list(hits)
 
 
 @functools.lru_cache(maxsize=256)

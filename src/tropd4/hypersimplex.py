@@ -11,13 +11,13 @@ from one labeled representative cone per type.
 from __future__ import annotations
 
 import itertools
-import operator
 from functools import lru_cache
 from math import comb, lcm
 
 from . import reference
 from .fan import trop_phi2
 from .geometry import (
+    PackedForms,
     basis_relations,
     intersection_dim,
     polytope_f_vector,
@@ -195,13 +195,20 @@ def certifies(forms, w):
     :func:`subdivision_forms`, and so induce exactly its cells.
 
     ``w`` is scaled to integers by the lcm of its denominators; the forms
-    are linear, so the signs of their values do not change.
+    are linear, so the signs of their values do not change.  Each kind of
+    form is evaluated at once, packed by :class:`PackedForms`.
     """
     scale = lcm(*(x.denominator for x in w))
     w = [x.numerator * (scale // x.denominator) for x in w]
+    equalities, stricts = _packed_certificate(forms)
+    return equalities.all_zero(w) and stricts.all_positive(w)
+
+
+# room for the certificates of the 48 canonical subdivisions
+@lru_cache(maxsize=64)
+def _packed_certificate(forms):
     equalities, stricts = forms
-    return not any(sum(map(operator.mul, f, w)) for f in equalities) and \
-        all(sum(map(operator.mul, f, w)) > 0 for f in stricts)
+    return PackedForms(equalities), PackedForms(stricts)
 
 
 def subdivision_signature(cells):

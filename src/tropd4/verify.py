@@ -13,6 +13,7 @@ import itertools
 import operator
 import random
 from fractions import Fraction
+from math import lcm
 
 from . import reference
 from .chords import parse_chord
@@ -194,10 +195,13 @@ def check_interior_point_stability(seed, samples_per_cone=20):
         canonical = canonical_subdivision(c.rays)
         forms = subdivision_forms(canonical)
         for _ in range(samples_per_cone):
-            coeffs = [Fraction(rng.randint(1, 50), rng.randint(1, 8))
-                      for _ in rays]
-            point = tuple(sum(f * r[i] for f, r in zip(coeffs, rays))
-                          for i in range(4))
+            # the point sum(a / b * r) over the rays, summed in integers
+            # over the lcm of the b's
+            pairs = [(rng.randint(1, 50), rng.randint(1, 8)) for _ in rays]
+            den = lcm(*(b for _, b in pairs))
+            coeffs = [a * (den // b) for a, b in pairs]
+            point = tuple(Fraction(sum(map(operator.mul, coeffs, column)), den)
+                          for column in zip(*rays))
             w = trop_phi2(point)
             cells = canonical if certifies(forms, w) \
                 else induced_subdivision(w)

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import tropd4
+import tropd4.correspondence as correspondence
 import tropd4.reference as reference
 from tropd4.cli import build_parser, main
 from tropd4.correspondence import classify_all_cones
@@ -237,18 +238,40 @@ class TestVerifyAll:
             "reflection preserves plane type": 20}
 
     def test_tampered_dictionary_fails_with_diff(self, capsys, monkeypatch):
+        """Two swapped roots fail their two dictionary rows and no other
+        check.  The ray-to-root cache is cleared before and after, so the
+        run reads the tampered table and later tests do not."""
         tampered = dict(reference.PSI_TABLE)
         tampered["r1"], tampered["r2"] = (
             (tampered["r2"][0], tampered["r1"][1]),
             (tampered["r1"][0], tampered["r2"][1]))
         monkeypatch.setattr(reference, "PSI_TABLE", tampered)
-        code, out = run_cli(capsys, *self.ARGS)
+        correspondence._psi_maps.cache_clear()
+        try:
+            code, out = run_cli(capsys, *self.ARGS)
+        finally:
+            monkeypatch.undo()
+            correspondence._psi_maps.cache_clear()
         assert code == 1
         report = json.loads(out)
         rows = [v for v in report["violations"]
                 if v["check"] == "ray dictionary row"]
         assert {v["ray"] for v in rows} == {"r1", "r2"}
         assert all("computed_root" in v and "expected_root" in v for v in rows)
+        assert rows == report["violations"]
+
+    def test_tampered_dictionary_first_on_cold_caches(self):
+        """The tampered run, then a clean one, in a fresh process: both
+        pass, so the tampered table reaches no cache a later run reads."""
+        tests = [f"tests/test_cli.py::TestVerifyAll::{name}" for name in
+                 ("test_tampered_dictionary_fails_with_diff", "test_passes")]
+        src = str(pathlib.Path(tropd4.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             *tests], cwd=README.parent, env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True)
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert "2 passed" in run.stdout
 
 
 class TestReadmeCommands:

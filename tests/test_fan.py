@@ -128,16 +128,20 @@ class TestFanF36:
                 assert cone_from_rays(sorted(shared), 4).contains(x)
 
     def test_cones_containing_matches_each_cone(self, fan36):
+        """Also at the same points scaled by 10**20, whose packed fields
+        are wider."""
         rng = random.Random(29)
         points = [tuple(rng.randint(-40, 40) for _ in range(4))
                   for _ in range(500)]
         points += fan36.rays
         faces = fan36.face_ray_sets()
         points += [tuple(map(sum, zip(*f))) for f in sorted(faces, key=sorted)]
-        for x in points:
-            assert fan36.cones_containing(x) == [
-                i for i, c in enumerate(fan36.maximal_cones)
-                if c.contains(x)], x
+        for scale in (1, 10 ** 20):
+            for x in points:
+                x = tuple(scale * v for v in x)
+                assert fan36.cones_containing(x) == [
+                    i for i, c in enumerate(fan36.maximal_cones)
+                    if c.contains(x)], x
         assert fan36.cones_containing(Z) == list(range(48))
 
     def test_cones_and_normals_pinned(self, fan36):

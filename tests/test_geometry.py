@@ -14,6 +14,7 @@ from tropd4.geometry import (
     Cone,
     Fan,
     NotPointedError,
+    PackedForms,
     basis_relations,
     cone_from_rays,
     cone_rays,
@@ -561,6 +562,122 @@ class TestBasisRelations:
                        for i in range(3))
             assert c[q] > 0 and gcd(*c) == 1
             assert {i for i, x in enumerate(c) if x} <= {q, *pivots}
+
+
+def packed_width(forms, x):
+    """The field width :class:`PackedForms` must take: the smallest power
+    of two from 16 with ``2**(w-1) > max ||f||_1 * max |x_k|``."""
+    bound = max((sum(abs(a) for a in f) for f in forms), default=0) * \
+        max((abs(v) for v in x), default=0)
+    w = 16
+    while not 2 ** (w - 1) > bound:
+        w *= 2
+    return w
+
+
+def assert_packed_signs(forms, x):
+    """:class:`PackedForms` against plain sums, form by form."""
+    values = [sum(a * b for a, b in zip(f, x)) for f in forms]
+    packed = PackedForms(forms)
+    width, bits = packed.nonnegative(x)
+    assert width == packed_width(forms, x)
+    assert [bits >> (j * width + width - 1) & 1 for j in range(len(forms))] \
+        == [int(v >= 0) for v in values]
+    assert bits >> len(forms) * width == 0
+    assert packed.all_zero(x) == all(v == 0 for v in values)
+    assert packed.all_positive(x) == all(v > 0 for v in values)
+    # the same forms turned positive at x, with and without the ones that
+    # vanish there
+    positive = [f if v > 0 else tuple(-a for a in f)
+                for f, v in zip(forms, values) if v]
+    vanishing = [f for f, v in zip(forms, values) if not v]
+    assert PackedForms(positive).all_positive(x)
+    assert PackedForms(vanishing).all_zero(x)
+    assert PackedForms(positive + vanishing).all_positive(x) == \
+        (not vanishing)
+    assert PackedForms(positive + vanishing).all_zero(x) == (not positive)
+
+
+@st.composite
+def packed_cases(draw):
+    """Random forms, at a point of small or huge coordinates."""
+    n = draw(st.integers(1, 6))
+    forms = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * n), max_size=30))
+    coordinate = st.one_of(st.integers(-50, 50),
+                           st.integers(-10 ** 40, 10 ** 40))
+    return forms, draw(st.tuples(*[coordinate] * n))
+
+
+@st.composite
+def extreme_packed_cases(draw):
+    """Forms of norm at most 1 at a point whose largest coordinate, ``m``,
+    is ``2**(w-1) - 1`` or ``2**(w-1)``: the forms ``+-e_0`` take the
+    values ``+-m``, the extremes of a field of width w, or one more than
+    that, which needs width 2w.  Returns the case and the width."""
+    w = draw(st.sampled_from([16, 32, 64, 128]))
+    m = 2 ** (w - 1) - draw(st.sampled_from([1, 0]))
+    n = draw(st.integers(1, 4))
+    x = [draw(st.sampled_from([m, -m]))] + draw(st.lists(st.one_of(
+        st.sampled_from([0, 1, -1, m, -m, m - 1, 1 - m]),
+        st.integers(-m, m)), min_size=n - 1, max_size=n - 1))
+    unit = st.tuples(st.integers(0, n - 1), st.sampled_from([-1, 0, 1]))
+    forms = [(1,) + (0,) * (n - 1), (-1,) + (0,) * (n - 1)]
+    for k, sign in draw(st.lists(unit, max_size=8)):
+        forms.insert(draw(st.integers(0, len(forms))),
+                     tuple(sign * (i == k) for i in range(n)))
+    return (forms, tuple(x)), w if m < 2 ** (w - 1) else 2 * w
+
+
+class TestPackedForms:
+    @given(packed_cases())
+    def test_signs_match_plain_sums(self, case):
+        assert_packed_signs(*case)
+
+    @given(extreme_packed_cases())
+    def test_extreme_values_fit_their_fields(self, case_and_width):
+        (forms, x), width = case_and_width
+        assert PackedForms(forms).nonnegative(x)[0] == width
+        assert_packed_signs(forms, x)
+
+    def test_widths_double_from_16(self):
+        packed = PackedForms([(1, -3), (0, 4)])  # norm 4
+        assert [packed.nonnegative((v, 0))[0]
+                for v in (0, 2 ** 13 - 1, 2 ** 13, 10 ** 40)] == \
+            [16, 16, 32, 256]
+
+    def test_rejects_bad_input(self):
+        packed = PackedForms([(1, 1)])
+        for x in ((Fraction(1, 2), 1), (1, 0.5), (Fraction(2), 3)):
+            with pytest.raises(ValueError, match="must be ints"):
+                packed.nonnegative(x)
+        for x in ((1,), (1, 2, 3)):
+            with pytest.raises(ValueError, match="point has"):
+                packed.all_zero(x)
+        with pytest.raises(ValueError, match="same length"):
+            PackedForms([(1, 1), (1,)])
+
+
+class TestFanPointLocation:
+    def test_equal_words_of_two_widths_stay_apart(self):
+        """On the line, a small positive point and a large negative one
+        give one packed word at two widths, so a memo keyed by the word
+        alone would hand the second point the first one's cone."""
+        fan = Fan(1, (Cone(1, ((1,),)), Cone(1, ((-1,),))))
+        packed = PackedForms([c.halfspaces[0] for c in fan.maximal_cones])
+        small, large = (5,), (-2 ** 20,)
+        (w_small, bits), (w_large, bits_large) = map(packed.nonnegative,
+                                                     (small, large))
+        assert w_small != w_large and bits == bits_large
+        for order in ((small, large), (large, small)):
+            fan = Fan(1, fan.maximal_cones)
+            for x in order * 2:
+                assert fan.cones_containing(x) == [
+                    i for i, c in enumerate(fan.maximal_cones)
+                    if c.contains(x)], x
+
+    def test_hits_are_the_callers_copy(self, fan36):
+        fan36.cones_containing((1, 2, 3, 4)).append(99)
+        assert 99 not in fan36.cones_containing((1, 2, 3, 4))
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 from math import comb, lcm
@@ -12,6 +13,7 @@ from tropd4.fan import trop_phi2
 from tropd4.hypersimplex import (
     NotMatroidalError,
     UnknownTypeError,
+    canonical_point,
     canonical_subdivision,
     certifies,
     classify_plane_type,
@@ -42,6 +44,7 @@ from oracles import (
     brute_force_cone_faces,
     brute_force_lower_cells,
     brute_force_matroid_basis_set,
+    certificate_holds,
     matroid_f_vector,
     satisfies_tropical_plucker_relations,
 )
@@ -439,6 +442,31 @@ class TestCertificate:
                 + stricts[k + 1:]
             w = trop_phi2(tuple(sum(c) for c in zip(*rays)))
             assert not certifies((equalities, flipped), w)
+
+    def test_matches_form_by_form_oracle_on_huge_heights(self, canonical):
+        """Heights of size 10**30: each cone's canonical heights scaled,
+        plus a huge affine function of the vertices, which no form sees;
+        the same with one height nudged; each under the cone's own forms
+        and its neighbour's."""
+        rng = random.Random(17)
+        verts = hypersimplex_vertices()
+        forms = [subdivision_forms(cells) for _, cells in canonical]
+        verdicts = set()
+        for k, (rays, _) in enumerate(canonical):
+            scale = Fraction(rng.randint(10 ** 29, 10 ** 30),
+                             rng.randint(1, 10 ** 6))
+            affine = [Fraction(rng.randint(-10 ** 30, 10 ** 30),
+                               rng.randint(1, 99)) for _ in range(7)]
+            lifted = [scale * h + affine[6] + sum(map(operator.mul, affine, v))
+                      for h, v in zip(trop_phi2(canonical_point(rays)), verts)]
+            nudged = list(lifted)
+            nudged[rng.randrange(len(nudged))] += Fraction(1, 10 ** 6)
+            for f, heights in itertools.product((forms[k], forms[k - 1]),
+                                                (lifted, nudged)):
+                verdict = certifies(f, heights)
+                assert verdict == certificate_holds(f, heights)
+                verdicts.add(verdict)
+        assert verdicts == {False, True}
 
     def test_rejects_lower_dimensional_cell(self):
         with pytest.raises(ValueError, match="not full-dimensional"):
