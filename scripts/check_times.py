@@ -12,8 +12,10 @@ includes the set-up it is the first to need, such as the fan build in
 ``check_fan``.  ``full_report`` is the whole call, the checks and the
 assembly of the report.  The median of each time over the runs is written
 to ``BENCH_verify_checks.json`` at the root of the checkout, with the
-commit, the seed, the run count and the Python version.  The times are
-wall-clock seconds, unscaled; compare two commits only on one machine.
+commit, the seed, the run count, the Python version and ``src_lines``,
+the number of lines of ``src/tropd4/*.py``, so that the size of the code
+can be read beside its times.  The times are wall-clock seconds,
+unscaled; compare two commits only on one machine.
 """
 
 from __future__ import annotations
@@ -96,6 +98,8 @@ def main(argv=None):
         "seed": args.seed,
         "runs": args.runs,
         "python": platform.python_version(),
+        "src_lines": sum(len(path.read_text().splitlines())
+                         for path in (ROOT / "src" / "tropd4").glob("*.py")),
         "violations": max(r["violations"] for r in runs),
         "median_s": {name: round(statistics.median(
             r["times"][name] for r in runs), 4) for name in names},

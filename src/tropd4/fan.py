@@ -27,16 +27,30 @@ def trop_phi2(x):
 
     ``x`` is scaled to integers by the lcm of its denominators, so the
     minima are taken over integers; each value is returned as a Fraction.
+    The 42 forms of the minors are evaluated from one flat table; a minor
+    with one form takes its value without ``min``.
     Raises ValueError unless ``x`` has 4 int or Fraction coordinates.
     """
     if len(x) != 4 or not all(isinstance(v, (int, Fraction)) for v in x):
         raise ValueError(f"expected 4 int or Fraction coordinates, got {x!r}")
     scale = lcm(*(v.denominator for v in x))
-    xs = tuple(v.numerator * (scale // v.denominator) for v in x)
-    minors = all_tropical_minors()
-    return tuple(Fraction(min(sum(map(operator.mul, form, xs))
-                              for form in minors[idx]), scale)
-                 for idx in PLUECKER_TRIPLES)
+    a, b, c, d = (v.numerator * (scale // v.denominator) for v in x)
+    forms, spans = _minor_table()
+    values = [p * a + q * b + r * c + s * d for p, q, r, s in forms]
+    return tuple(Fraction(values[i] if j - i == 1 else min(values[i:j]), scale)
+                 for i, j in spans)
+
+
+@lru_cache(maxsize=1)
+def _minor_table():
+    """The forms of the 20 minors in one flat tuple, in triple order, and
+    the ``(start, stop)`` of each minor's forms in it."""
+    forms, spans = [], []
+    for idx in PLUECKER_TRIPLES:
+        minor = all_tropical_minors()[idx]
+        spans.append((len(forms), len(forms) + len(minor)))
+        forms += minor
+    return tuple(forms), tuple(spans)
 
 
 @lru_cache(maxsize=1)

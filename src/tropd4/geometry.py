@@ -293,7 +293,8 @@ def cone_from_rays(rays, dim):
 
 def _members(mask, items):
     """The items whose positions are set bits of ``mask``, as a frozenset."""
-    return frozenset(x for i, x in enumerate(items) if mask >> i & 1)
+    return frozenset(itertools.compress(items, map("1".__eq__,
+                                                   bin(mask)[:1:-1])))
 
 
 def _faces(rows, labels):
@@ -301,11 +302,15 @@ def _faces(rows, labels):
 
     Returns ``{dimension: set of faces}``, each face the frozenset of the
     ``labels`` of its rows.  Independent rows span a simplicial cone.
-    Otherwise the masks of the dual cone's rays mark the facets, the other
-    proper faces are their intersections, and, as the face lattice is
-    graded with the extreme rays as atoms, a face's dimension is one more
-    than the largest among the faces inside it (Ziegler, *Lectures on
-    Polytopes*, Lecture 2).
+    Otherwise the masks of the dual cone's rays mark the facets, and the
+    other proper faces are their intersections (Ziegler, *Lectures on
+    Polytopes*, Lecture 2).  For a face G, each ``G & F`` over the facets
+    F not containing G is a proper face of G, and each facet H of G is
+    one of them: H is the intersection of the facets containing it, one
+    of which, F, does not contain G, and ``G & F`` is then a proper face
+    of G containing H, so H.  So ``dim G = 1 + max dim(G & F)``, the zero
+    face (mask 0) having dimension 0, and grading the faces by row count
+    takes O(faces * facets) steps.
     """
     n = len(rows)
     if _rank(rows) == n:
@@ -319,11 +324,11 @@ def _faces(rows, labels):
         frontier = {f & g for f in frontier for g in facets} - masks
         masks |= frontier
     masks.discard(0)
-    dims = {}
+    dims = {0: 0}
     result = {}
     for mask in sorted(masks, key=int.bit_count):
-        d = dims[mask] = 1 + max((dims[g] for g in dims if g & mask == g),
-                                 default=0)
+        d = dims[mask] = 1 + max([dims[g] for g in map(mask.__and__, facets)
+                                  if g != mask])
         result.setdefault(d, set()).add(_members(mask, labels))
     return result
 
@@ -397,6 +402,11 @@ class PackedForms:
         """Whether every form vanishes at ``x``."""
         _, word, high = self._word(x)
         return word == high
+
+    def all_nonnegative(self, x):
+        """Whether every form is ``>= 0`` at ``x``."""
+        _, word, high = self._word(x)
+        return word & high == high
 
     def all_positive(self, x):
         """Whether every form is positive at ``x``."""

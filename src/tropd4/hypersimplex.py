@@ -103,8 +103,9 @@ def _vertex_indices(mask):
     return [i for i in range(len(PLUECKER_TRIPLES)) if mask >> i & 1]
 
 
-# The three caches below are keyed on 20-bit vertex masks, so their keys
-# are subsets of the 20 vertices and the caches are finite.
+# _span_dim, _cell_invariant, _cell_forms and _is_matroidal are keyed on
+# 20-bit vertex masks, so their keys are subsets of the 20 vertices and
+# the caches are finite.
 @lru_cache(maxsize=None)
 def _span_dim(mask):
     """Dimension of the affine span of the vertices in ``mask`` (-1 if
@@ -196,12 +197,30 @@ def certifies(forms, w):
 
     ``w`` is scaled to integers by the lcm of its denominators; the forms
     are linear, so the signs of their values do not change.  Each kind of
-    form is evaluated at once, packed by :class:`PackedForms`.
+    form is evaluated at once, packed by :func:`packed_certificate`.
     """
     scale = lcm(*(x.denominator for x in w))
     w = [x.numerator * (scale // x.denominator) for x in w]
-    equalities, stricts = _packed_certificate(forms)
+    equalities, stricts = packed_certificate(forms)
     return equalities.all_zero(w) and stricts.all_positive(w)
+
+
+_last_packed = []  # the certificate object packed last, and its packing
+
+
+def packed_certificate(forms):
+    """The equality and strict forms of the certificate ``forms`` of
+    :func:`subdivision_forms`, each packed by :class:`PackedForms`.
+
+    A sweep tests many heights against one certificate, so the last one
+    is kept and recognized by identity, as hashing its ~84 forms cost a
+    third of a :func:`certifies` call.  Any other is looked up by value,
+    which refuses one with mutable parts; so the object kept cannot
+    change, and as it is held its identity is not reused.
+    """
+    if not _last_packed or _last_packed[0] is not forms:
+        _last_packed[:] = forms, _packed_certificate(forms)
+    return _last_packed[1]
 
 
 # room for the certificates of the 48 canonical subdivisions
@@ -244,13 +263,24 @@ def signature_intersection_dims(sig):
 
 
 def subdivision_of_point(x):
-    """Matroid subdivision induced by the minor values at a point of R^4."""
+    """Matroid subdivision induced by the minor values at a point of R^4.
+
+    Subdivisions share most of their cells, so each distinct cell is
+    checked for basis exchange once, by :func:`_is_matroidal`.
+    """
     cells = induced_subdivision(trop_phi2(x))
     for cell in cells:
-        if not is_matroid_basis_set(cell):
+        if not _is_matroidal(_vertex_mask(cell)):
             raise NotMatroidalError(
                 f"cell {sorted(cell)} fails basis exchange at x={tuple(x)}")
     return cells
+
+
+@lru_cache(maxsize=None)
+def _is_matroidal(mask):
+    """Basis-exchange verdict on the cell whose vertices are ``mask``."""
+    return is_matroid_basis_set(
+        frozenset(PLUECKER_TRIPLES[i] for i in _vertex_indices(mask)))
 
 
 def canonical_point(rays):

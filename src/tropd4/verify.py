@@ -44,14 +44,11 @@ from .hypersimplex import (
     certifies,
     is_matroid_basis_set,
     induced_subdivision,
+    packed_certificate,
     subdivision_forms,
     subdivision_signature,
 )
-from .webmatrix import PLUECKER_TRIPLES, all_tropical_minors
-
-
-def _dot(a, b):
-    return sum(map(operator.mul, a, b))
+from .webmatrix import all_tropical_minors
 
 
 def check_enumeration():
@@ -221,12 +218,15 @@ def check_cone_proofs():
     """Prove that each cone's canonical subdivision S_C is the subdivision
     at every interior point of the cone.
 
-    (a) ``trop_phi2`` is linear on the cone C.  At the canonical point,
-    the sum of the rays, each minor has a minimizing form f*.  If f* is
-    also minimal at every ray, it is minimal on all of C: a point of C is
-    ``x = sum(a_r * r)`` with every ``a_r >= 0``, so every form f of the
-    minor has ``f(x) = sum(a_r * f(r)) >= sum(a_r * f*(r)) = f*(x)``.
-    Then the heights at x are ``sum(a_r * trop_phi2(r))``.
+    (a) ``trop_phi2`` is linear on the cone C.  Let p be the canonical
+    point, the sum of the rays, and f* a form of one minor minimal at p.
+    Then ``f*(p) = sum(f*(r)) >= sum(min_f f(r))`` over the rays r, with
+    equality exactly when f* is minimal at every ray.  Then f* is minimal
+    on all of C: a point of C is ``x = sum(a_r * r)`` with every
+    ``a_r >= 0``, so every form f of the minor has
+    ``f(x) = sum(a_r * f(r)) >= sum(a_r * f*(r)) = f*(x)``.  So when each
+    minor's value at p is the sum of its values at the rays, the heights
+    at x are ``sum(a_r * trop_phi2(r))``.
 
     (b) The certificate of S_C (see :func:`subdivision_forms`) holds
     inside C.  A point x interior to C is a combination of all the rays
@@ -234,29 +234,31 @@ def check_cone_proofs():
     at every ray's heights vanishes at x's, and a strict form that is
     nonnegative at every ray's heights and positive at one or more is
     positive at x's.  So x satisfies the certificate, and its heights
-    induce exactly the cells of S_C.
+    induce exactly the cells of S_C.  When every value is ``>= 0``,
+    "positive at some ray" is the same as positive at the sum of the
+    rays' heights, the heights at p, which is how it is tested.
 
-    The forms are linear, so (b) reads them at the integer heights of
-    the rays that (a) gives.  Reports one violation per cone where (a) or
-    (b) fails; the sampled sweep of
-    :func:`check_interior_point_stability` is checked as well.
+    The forms are linear, so (b) reads them, packed by
+    :func:`packed_certificate`, at the integer heights of the rays that
+    (a) gives.  Reports one violation per cone where (a) or (b) fails;
+    the sampled sweep of :func:`check_interior_point_stability` is
+    checked as well.
     """
     violations = []
-    minors = all_tropical_minors()
     for c in compute_fan_f36().maximal_cones:
         rays = sorted(c.rays)
-        point = canonical_point(rays)
-        active = [min(minors[idx], key=lambda f: _dot(f, point))
-                  for idx in PLUECKER_TRIPLES]
-        heights = [[_dot(f, r) for f in active] for r in rays]
-        if heights != [list(trop_phi2(r)) for r in rays]:
+        # integer forms at an integer ray: the heights are integers
+        heights = [[int(v) for v in trop_phi2(r)] for r in rays]
+        total = tuple(map(sum, zip(*heights)))
+        if total != trop_phi2(canonical_point(rays)):
             violations.append({"check": "trop_phi2 linear on cone",
                                "cone": [list(r) for r in rays]})
             continue
-        equalities, stricts = subdivision_forms(canonical_subdivision(c.rays))
-        values = [[_dot(f, h) for h in heights] for f in stricts]
-        if any(_dot(f, h) for f in equalities for h in heights) or \
-                not all(min(v) >= 0 and max(v) > 0 for v in values):
+        equalities, stricts = packed_certificate(
+            subdivision_forms(canonical_subdivision(c.rays)))
+        if not all(map(equalities.all_zero, heights)) or \
+                not all(map(stricts.all_nonnegative, heights)) or \
+                not stricts.all_positive(total):
             violations.append({"check": "subdivision constant on cone",
                                "cone": [list(r) for r in rays]})
     return violations

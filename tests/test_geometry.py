@@ -639,6 +639,23 @@ class TestPackedForms:
         assert PackedForms(forms).nonnegative(x)[0] == width
         assert_packed_signs(forms, x)
 
+    @given(st.one_of(packed_cases(), extreme_packed_cases().map(
+        lambda case_and_width: case_and_width[0])))
+    def test_all_nonnegative_matches_plain_sums(self, case):
+        """On random forms, and on the same forms turned nonnegative at x,
+        then with one form that is positive there negated."""
+        forms, x = case
+        values = [sum(a * b for a, b in zip(f, x)) for f in forms]
+        assert PackedForms(forms).all_nonnegative(x) == \
+            all(v >= 0 for v in values)
+        turned = [f if v >= 0 else tuple(-a for a in f)
+                  for f, v in zip(forms, values)]
+        assert PackedForms(turned).all_nonnegative(x)
+        for k in (k for k, v in enumerate(values) if v):
+            flipped = turned[:k] + [tuple(-a for a in turned[k])] \
+                + turned[k + 1:]
+            assert not PackedForms(flipped).all_nonnegative(x)
+
     def test_widths_double_from_16(self):
         packed = PackedForms([(1, -3), (0, 4)])  # norm 4
         assert [packed.nonnegative((v, 0))[0]

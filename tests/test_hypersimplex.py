@@ -2,6 +2,7 @@ import functools
 import itertools
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb, lcm
 
@@ -362,6 +363,83 @@ class TestMatroidFVectorOracle:
                     polytope_f_vector(vertex_list(cell))
 
 
+class TestFaceGrading:
+    """``polytope_f_vector`` grades faces through facet intersections;
+    the matroid oracle grades them from ordered set partitions."""
+
+    def test_canonical_cells(self, fan36):
+        cells = {cell for c in fan36.maximal_cones
+                 for cell in canonical_subdivision(c.rays)}
+        assert len(cells) == 48
+        for cell in cells:
+            assert polytope_f_vector(vertex_list(cell)) == \
+                matroid_f_vector(cell)
+
+    def test_non_simplex_cells_of_minor_lifts(self):
+        graded = 0
+        for seed in range(6, 10):
+            rng = random.Random(seed)
+            w = tropical_minors([[rng.randint(0, 60) for _ in range(6)]
+                                 for _ in range(3)])
+            for cell in induced_subdivision(w):
+                if not is_simplex(cell):
+                    graded += 1
+                    assert polytope_f_vector(vertex_list(cell)) == \
+                        matroid_f_vector(cell)
+        assert graded >= 10
+
+
+@pytest.fixture
+def cold_verdicts(monkeypatch):
+    """The basis-exchange verdicts and canonical subdivisions cleared
+    before and after, so that the test sees each verdict computed."""
+    import tropd4.hypersimplex as hx
+    caches = (hx._is_matroidal, hx._subdivision_at)
+    for cache in caches:
+        cache.cache_clear()
+    yield hx
+    monkeypatch.undo()
+    for cache in caches:
+        cache.cache_clear()
+
+
+class TestVerdictPerCell:
+    def test_one_verdict_per_distinct_cell(self, cold_verdicts, monkeypatch,
+                                           fan36):
+        judged = []
+        real = cold_verdicts.is_matroid_basis_set
+
+        def counted(cell):
+            judged.append(cell)
+            return real(cell)
+        monkeypatch.setattr(cold_verdicts, "is_matroid_basis_set", counted)
+        cells = [cell for c in fan36.maximal_cones
+                 for cell in canonical_subdivision(c.rays)]
+        assert len(cells) == 288
+        assert len(judged) == len(set(judged)) == len(set(cells)) == 48
+
+    def test_rejected_cell_fails_every_point_that_has_it(
+            self, cold_verdicts, monkeypatch, fan36):
+        points = [canonical_point(sorted(c.rays)) for c in fan36.maximal_cones]
+        cells = [induced_subdivision(trop_phi2(x)) for x in points]
+        counts = Counter(cell for subdivision in cells
+                         for cell in subdivision)
+        chosen = max(counts, key=counts.get)
+        assert 1 < counts[chosen] < len(points)
+        real = cold_verdicts.is_matroid_basis_set
+        monkeypatch.setattr(cold_verdicts, "is_matroid_basis_set",
+                            lambda cell: cell != chosen and real(cell))
+        failed = 0
+        for x, subdivision in zip(points, cells):
+            if chosen in subdivision:
+                with pytest.raises(NotMatroidalError, match="basis exchange"):
+                    subdivision_of_point(x)
+                failed += 1
+            else:
+                assert subdivision_of_point(x) == subdivision
+        assert failed == counts[chosen]
+
+
 class TestClassify:
     @pytest.mark.parametrize("labels,expected", [
         (("r3", "r9", "r10", "r12"), "EEEG"),
@@ -467,6 +545,28 @@ class TestCertificate:
                 assert verdict == certificate_holds(f, heights)
                 verdicts.add(verdict)
         assert verdicts == {False, True}
+
+    def test_memo_answers_each_certificate_by_its_own_forms(self,
+                                                             canonical):
+        """Each cone's heights, under its own certificate and its
+        neighbour's in turn, and under rebuilt copies of both, which are
+        equal to them but not the same objects."""
+        forms = [subdivision_forms(cells) for _, cells in canonical]
+        for k, (rays, cells) in enumerate(canonical):
+            w = trop_phi2(canonical_point(rays))
+            own, neighbour = forms[k], forms[k - 1]
+            rebuilt = subdivision_forms(cells)
+            rebuilt_neighbour = subdivision_forms(canonical[k - 1][1])
+            assert rebuilt == own and rebuilt is not own
+            assert rebuilt_neighbour == neighbour
+            assert rebuilt_neighbour is not neighbour
+            # the oracle's verdicts, which the calls below must repeat
+            assert certificate_holds(own, w)
+            assert not certificate_holds(neighbour, w)
+            for f, holds in ((own, True), (neighbour, False), (own, True),
+                             (rebuilt, True), (rebuilt_neighbour, False),
+                             (rebuilt, True), (neighbour, False)):
+                assert certifies(f, w) == holds
 
     def test_rejects_lower_dimensional_cell(self):
         with pytest.raises(ValueError, match="not full-dimensional"):
