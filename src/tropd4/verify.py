@@ -221,9 +221,9 @@ def check_cone_proofs():
     (a) ``trop_phi2`` is linear on the cone C.  Let p be the canonical
     point, the sum of the rays, and f* a form of one minor minimal at p.
     Then ``f*(p) = sum(f*(r)) >= sum(min_f f(r))`` over the rays r, with
-    equality exactly when f* is minimal at every ray.  Then f* is minimal
-    on all of C: a point of C is ``x = sum(a_r * r)`` with every
-    ``a_r >= 0``, so every form f of the minor has
+    equality exactly when f* is minimal at every ray, and so on all of
+    C: a point of C is ``x = sum(a_r * r)`` with every ``a_r >= 0``, so
+    every form f of the minor has
     ``f(x) = sum(a_r * f(r)) >= sum(a_r * f*(r)) = f*(x)``.  So when each
     minor's value at p is the sum of its values at the rays, the heights
     at x are ``sum(a_r * trop_phi2(r))``.
