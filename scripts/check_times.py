@@ -12,10 +12,15 @@ includes the set-up it is the first to need, such as the fan build in
 ``check_fan``.  ``full_report`` is the whole call, the checks and the
 assembly of the report.  The median of each time over the runs is written
 to ``BENCH_verify_checks.json`` at the root of the checkout, with the
-commit, the seed, the run count, the Python version and ``src_lines``,
-the number of lines of ``src/tropd4/*.py``, so that the size of the code
-can be read beside its times.  The times are wall-clock seconds,
-unscaled; compare two commits only on one machine.
+commit, the seed, the run count, the Python version, ``src_lines``, the
+number of lines of ``src/tropd4/*.py``, so that the size of the code can
+be read beside its times, and ``probe_s``.
+
+The times are wall-clock seconds, unscaled.  The host's speed drifts
+between runs minutes apart, so each run also times the fixed loop of
+``perfbench/hostspeed.probe`` before and after its work, and ``probe_s``
+is the median of those probes.  Two files written minutes apart compare
+after scaling each time by ``hostspeed.REFERENCE_S / probe_s``.
 """
 
 from __future__ import annotations
@@ -32,10 +37,17 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = ROOT / "BENCH_verify_checks.json"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from hostspeed import probe  # noqa: E402
+
+PROBES = 3  # taken before and after the work of each run
 
 
 def child(seed):
-    """One run: print ``{name: seconds}`` and the violation count as JSON."""
+    """One run: print its ``{name: seconds}``, its probes and the
+    violation count as JSON."""
+    probes = [probe() for _ in range(PROBES)]
     start = perf_counter()
     from tropd4 import verify
     times = {"import": perf_counter() - start}
@@ -54,8 +66,9 @@ def child(seed):
     start = perf_counter()
     report = verify.full_report(seed)
     times["full_report"] = perf_counter() - start
-    json.dump({"times": times, "violations": len(report["violations"])},
-              sys.stdout)
+    probes += [probe() for _ in range(PROBES)]
+    json.dump({"times": times, "probes": probes,
+               "violations": len(report["violations"])}, sys.stdout)
 
 
 def commit():
@@ -72,27 +85,30 @@ def commit():
     return head + ("-dirty" if dirty else "")
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def main(script, description, body, summary, output, argv=None):
+    """Run ``script --child --seed SEED`` in ``--runs`` fresh processes
+    and write their header and ``summary(runs)`` to ``output``.
+
+    ``body(seed)`` is one run: it prints a JSON object with its
+    ``probes``.  Shared by the timing scripts of ``scripts/``.
+    """
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--runs", type=int, default=9)
     parser.add_argument("--child", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        child(args.seed)
+        body(args.seed)
         return 0
     if args.runs < 1:
         parser.error("--runs must be at least 1")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    runs = []
-    for _ in range(args.runs):
-        out = subprocess.run(
-            [sys.executable, __file__, "--child", "--seed", str(args.seed)],
-            check=True, capture_output=True, text=True, env=env).stdout
-        runs.append(json.loads(out))
-    names = runs[0]["times"]
+    runs = [json.loads(subprocess.run(
+        [sys.executable, str(script), "--child", "--seed", str(args.seed)],
+        check=True, capture_output=True, text=True, env=env).stdout)
+        for _ in range(args.runs)]
     record = {
         "commit": commit(),
         "seed": args.seed,
@@ -100,15 +116,23 @@ def main(argv=None):
         "python": platform.python_version(),
         "src_lines": sum(len(path.read_text().splitlines())
                          for path in (ROOT / "src" / "tropd4").glob("*.py")),
-        "violations": max(r["violations"] for r in runs),
-        "median_s": {name: round(statistics.median(
-            r["times"][name] for r in runs), 4) for name in names},
+        "probe_s": round(statistics.median(
+            p for r in runs for p in r["probes"]), 6),
+        **summary(runs),
     }
-    OUTPUT.write_text(json.dumps(record, indent=2) + "\n")
-    print(json.dumps(record["median_s"], indent=2))
-    print(f"wrote {OUTPUT}")
+    output.write_text(json.dumps(record, indent=2) + "\n")
+    print(json.dumps(record, indent=2))
+    print(f"wrote {output}")
     return 0
 
 
+def summary(runs):
+    """The violation count and the median of each time over ``runs``."""
+    return {"violations": max(r["violations"] for r in runs),
+            "median_s": {name: round(statistics.median(
+                r["times"][name] for r in runs), 4)
+                for name in runs[0]["times"]}}
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(__file__, __doc__.splitlines()[0], child, summary, OUTPUT))

@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Time each layer of the ``generic-lift`` benchmark op in fresh processes.
+
+    python scripts/lift_times.py --seed 7 --runs 9
+
+Run it from anywhere in a source checkout.  Each run is a new Python
+process, with the checkout's ``src/`` on its path, that makes the
+benchmark's inputs, ``lift_inputs(random.Random(seed), 80)`` of
+``perfbench/run.py``, and its untimed set-up, ``setup`` of
+``perfbench/child.py``.  Then, per height vector, it times the three
+layers of the op in turn: the lower envelope
+(``hypersimplex.induced_subdivision``), the basis-exchange verdict of
+each cell (``is_matroid_basis_set``) and the signature
+(``subdivision_signature``), and the whole op.  The median per-op time of
+each, in milliseconds, is taken per run, and the median over the runs is
+written to ``BENCH_generic_lift.json`` at the root of the checkout, under
+the header of ``scripts/check_times.py``: commit, seed, run count, Python
+version, ``src_lines`` and ``probe_s``.  The layer medians need not add
+up to the op median.  Times are unscaled; scale by
+``hostspeed.REFERENCE_S / probe_s`` to compare files written minutes
+apart.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import statistics
+import sys
+from time import perf_counter
+
+from check_times import PROBES, ROOT, main, probe
+
+OUTPUT = ROOT / "BENCH_generic_lift.json"
+LIFTS = 80  # the op count of perfbench/run.py --workload generic-lift --seconds 24
+LAYERS = ("envelope", "verdicts", "signature", "op")
+
+
+def child(seed):
+    """One run: print the per-op milliseconds of each layer and the probes
+    as JSON."""
+    from child import setup
+    from run import lift_inputs
+    from tropd4.hypersimplex import (
+        induced_subdivision,
+        is_matroid_basis_set,
+        subdivision_signature,
+    )
+    lifts = lift_inputs(random.Random(seed), LIFTS)
+    setup()
+    probes = [probe() for _ in range(PROBES)]
+    times = {name: [] for name in LAYERS}
+    for w in lifts:
+        t0 = perf_counter()
+        cells = induced_subdivision(w)
+        t1 = perf_counter()
+        for cell in cells:
+            is_matroid_basis_set(cell)
+        t2 = perf_counter()
+        subdivision_signature(cells)
+        t3 = perf_counter()
+        for name, seconds in zip(LAYERS, (t1 - t0, t2 - t1, t3 - t2, t3 - t0)):
+            times[name].append(seconds * 1000)
+    probes += [probe() for _ in range(PROBES)]
+    json.dump({"op_ms_p50": {name: statistics.median(ms)
+                             for name, ms in times.items()},
+               "probes": probes}, sys.stdout)
+
+
+def summary(runs):
+    """The median over ``runs`` of each layer's per-op median."""
+    return {"lifts": LIFTS, "op_ms_p50": {
+        name: round(statistics.median(r["op_ms_p50"][name] for r in runs), 3)
+        for name in LAYERS}}
+
+
+if __name__ == "__main__":
+    sys.exit(main(__file__, __doc__.splitlines()[0], child, summary, OUTPUT))

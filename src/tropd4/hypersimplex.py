@@ -10,9 +10,11 @@ from one labeled representative cone per type.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from functools import lru_cache
+from itertools import combinations, groupby, product, starmap
 from math import comb, lcm
+from operator import and_
 
 from . import reference
 from .fan import trop_phi2
@@ -63,7 +65,7 @@ def is_matroid_basis_set(bases) -> bool:
         raise ValueError("empty basis set")
     bit = {e: 1 << i for i, e in enumerate(frozenset().union(*bases))}
     ground = (1 << len(bit)) - 1
-    masks = {sum(bit[e] for e in b) for b in bases}
+    masks = {sum(map(bit.__getitem__, b)) for b in bases}
     for A in masks:
         outside = list(_bits(ground & ~A))
         for a in _bits(A):
@@ -115,11 +117,32 @@ def _span_dim(mask):
 
 
 # Invariant and simplex flag of an (n-1)-simplex, for n = 1, ..., 6.  One
-# shared object per n lets the signature's sorts compare equal invariants
+# shared object per n lets the signature's sort compare equal invariants
 # by identity.
 _SIMPLEX_INVARIANTS = {
     n: ((n, tuple(comb(n, k) for k in range(1, n)) or (1,)), True)
     for n in range(1, 7)}
+
+# Each vertex as a 6-bit mask, bit m - 1 standing for coordinate m.
+_TRIPLE_BITS = tuple(sum(1 << (m - 1) for m in t) for t in PLUECKER_TRIPLES)
+
+
+def _independent_mod2(mask):
+    """Whether the vertices in ``mask``, as 0/1 vectors, are linearly
+    independent over GF(2): XOR elimination on their 6-bit masks, one
+    pivot row per leading bit."""
+    pivots = [0] * 7
+    for low in _bits(mask):
+        row = _TRIPLE_BITS[low.bit_length() - 1]
+        while row:
+            top = row.bit_length()
+            if not pivots[top]:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+        else:
+            return False  # the row reduced to zero
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -130,13 +153,22 @@ def _cell_invariant(mask):
     The faces of a simplex are exactly its nonempty vertex subsets
     (Ziegler, *Lectures on Polytopes*, Lecture 2), so n affinely
     independent vertices have the f-vector ``(C(n,1), ..., C(n,n-1))``, or
-    ``(1,)`` for a single point: one rank, and no face enumeration.  At
-    most six points of the 5-dimensional hypersimplex are affinely
-    independent, so a larger cell is not ranked; it and every other
-    non-simplex are graded by :func:`polytope_f_vector`.
+    ``(1,)`` for a single point, with no face enumeration.  At most six
+    points of the 5-dimensional hypersimplex are affinely independent, so
+    a larger cell is not tested; it and every other non-simplex are graded
+    by :func:`polytope_f_vector`.
+
+    The vertices lie on the hyperplane where the coordinates sum to 3,
+    which misses the origin, so they are affinely independent exactly
+    when they are linearly independent.  If their 0/1 vectors are
+    independent mod 2, some maximal minor is odd, hence nonzero, and the
+    cell is a simplex (:func:`_independent_mod2`).  That test only
+    certifies: a set that is dependent mod 2 may still be independent
+    (the 5-simplex {123, 124, 125, 136, 236, 345} has determinant 6), so
+    it is ranked exactly, and every "not a simplex" comes from that rank.
     """
     n = mask.bit_count()
-    if 0 < n <= 6 and _span_dim(mask) == n - 1:
+    if 0 < n <= 6 and (_independent_mod2(mask) or _span_dim(mask) == n - 1):
         return _SIMPLEX_INVARIANTS[n]
     verts = hypersimplex_vertices()
     f = polytope_f_vector([verts[i] for i in _vertex_indices(mask)])
@@ -239,22 +271,37 @@ def subdivision_signature(cells):
     common face (-1 when the cells do not meet).  Tagging the dimensions
     with the cell invariants is needed to tell all six plane types apart.
 
-    A cell not seen before costs one rank if it has at most six vertices,
-    and a face enumeration only if it is not a simplex.  The vertices a
-    simplex shares with any cell are affinely independent, so a pair that
-    touches a simplex meets in dimension one less than its number of
-    shared vertices, with no rank; only a pair of two non-simplices ranks
-    its shared vertex set, once per distinct set.  Cells are vertex sets
-    of ``PLUECKER_TRIPLES``; an empty cell or a triple outside Delta(3,6)
-    raises ``ValueError``.
+    A cell not seen before costs a parity test if it has at most six
+    vertices, a rank only if that test does not certify a simplex, and a
+    face enumeration only if it is not a simplex (see
+    :func:`_cell_invariant`).  The vertices a simplex shares with any cell
+    are affinely independent, so a pair that touches a simplex meets in
+    dimension one less than its number of shared vertices, with no rank;
+    only a pair of two non-simplices ranks its shared vertex set, once per
+    distinct set.  Cells are vertex sets of ``PLUECKER_TRIPLES``; an empty
+    cell or a triple outside Delta(3,6) raises ``ValueError``.
+
+    The records are counted, not sorted.  The cells are sorted by
+    invariant and grouped into runs of equal invariant; for each pair of
+    runs a <= b, in order, the dimensions are counted and written out in
+    ascending order.  A cell of run a meets every cell of run b when
+    a < b, and only the cells after it when a = b.  That is the order of
+    the sorted records, as each pair's invariants are in order.
     """
-    # sorted once, so that each pair below has its invariants in order
     graded = sorted((*_cell_invariant(m), m) for m in map(_vertex_mask, cells))
-    records = [((ia, ib), (ma & mb).bit_count() - 1 if sa or sb
-                else _span_dim(ma & mb))
-               for (ia, sa, ma), (ib, sb, mb)
-               in itertools.combinations(graded, 2)]
-    return (tuple(inv for inv, _, _ in graded), tuple(sorted(records)))
+    runs = [(inv, simplex, [m for _, _, m in group]) for (inv, simplex), group
+            in groupby(graded, key=lambda g: g[:2])]
+    records = []
+    for a, (ia, sa, cells_a) in enumerate(runs):
+        for b, (ib, sb, cells_b) in enumerate(runs[a:]):
+            shared = starmap(and_, product(cells_a, cells_b) if b
+                             else combinations(cells_a, 2))
+            dims = Counter(map(int.bit_count, shared) if sa or sb
+                           else map(_span_dim, shared))
+            shift = 1 if sa or sb else 0
+            for d in sorted(dims):
+                records += [((ia, ib), d - shift)] * dims[d]
+    return tuple(inv for inv, _, _ in graded), tuple(records)
 
 
 def signature_intersection_dims(sig):

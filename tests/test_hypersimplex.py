@@ -41,6 +41,7 @@ from tropd4.webmatrix import PLUECKER_TRIPLES
 from oracles import (
     _affine_coordinates,
     _affine_rank,
+    _det,
     brute_force_cell_forms,
     brute_force_cone_faces,
     brute_force_lower_cells,
@@ -330,6 +331,56 @@ class TestSignature:
         assert invariant == (6, polytope_f_vector(vertex_list(cell)))
         assert invariant != (6, (6, 15, 20, 15, 6))
 
+    def test_simplex_with_even_determinant_is_a_simplex(self, cold_cells,
+                                                        monkeypatch):
+        # dependent mod 2, so the parity test cannot certify it; the exact
+        # rank must, and a simplex is never graded
+        cell = frozenset([(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 6),
+                          (2, 3, 6), (3, 4, 5)])
+        assert _det(vertex_list(cell)) == 6
+        monkeypatch.setattr(cold_cells, "polytope_f_vector", None)
+        [invariant], _ = subdivision_signature([cell])
+        assert invariant == (6, (6, 15, 20, 15, 6))
+
+    @pytest.mark.parametrize("lift", [41, 47, 48])
+    def test_only_even_determinants_are_ranked(self, lift, cold_cells,
+                                               monkeypatch):
+        # every cell of these lifts is a 5-simplex, so no pair is ranked;
+        # a cell is ranked only when its determinant is even
+        cells = induced_subdivision(lift_heights(lift))
+        assert {len(c) for c in cells} == {6}
+        even = sorted(sorted(map(PLUECKER_TRIPLES.index, c)) for c in cells
+                      if _det(vertex_list(c)) % 2 == 0)
+        ranked = []
+        intersection_dim = cold_cells.intersection_dim
+
+        def counted_intersection_dim(points, cell_a, cell_b):
+            ranked.append(sorted(cell_a))
+            return intersection_dim(points, cell_a, cell_b)
+        monkeypatch.setattr(cold_cells, "intersection_dim",
+                            counted_intersection_dim)
+        per_cell, _ = subdivision_signature(cells)
+        assert set(per_cell) == {(6, (6, 15, 20, 15, 6))}
+        assert sorted(ranked) == even
+        assert len(even) == {41: 0, 47: 1, 48: 6}[lift]
+
+    def test_simplex_flag_on_small_vertex_sets(self):
+        # seeded subsets of 1 to 6 vertices, most of them not cells of a
+        # lift, so that lower-dimensional and dependent sets occur
+        rng = random.Random(2)
+        outcomes = Counter()
+        for _ in range(500):
+            n = rng.randint(1, 6)
+            cell = frozenset(rng.sample(PLUECKER_TRIPLES, n))
+            [invariant], _ = subdivision_signature([cell])
+            simplex = _affine_rank(vertex_list(cell)) == n - 1
+            simplex_invariant = (n, tuple(comb(n, k) for k in range(1, n))
+                                 or (1,))
+            assert (invariant == simplex_invariant) == simplex, cell
+            outcomes[n, simplex] += 1
+        assert {n for n, simplex in outcomes if not simplex} >= {4, 5, 6}
+        assert all(outcomes[n, True] for n in range(1, 7))
+
     @pytest.mark.parametrize("cell,message", [
         (frozenset(), "at least one point"),
         (frozenset({(1, 2, 7)}), r"\(1, 2, 7\) is not a vertex"),
@@ -387,6 +438,20 @@ class TestFaceGrading:
                     assert polytope_f_vector(vertex_list(cell)) == \
                         matroid_f_vector(cell)
         assert graded >= 10
+
+
+@pytest.fixture
+def cold_cells(monkeypatch):
+    """The cell invariants and span dimensions cleared before and after,
+    so that the test sees each cell graded."""
+    import tropd4.hypersimplex as hx
+    caches = (hx._cell_invariant, hx._span_dim)
+    for cache in caches:
+        cache.cache_clear()
+    yield hx
+    monkeypatch.undo()
+    for cache in caches:
+        cache.cache_clear()
 
 
 @pytest.fixture
