@@ -85,7 +85,7 @@ def commit():
     return head + ("-dirty" if dirty else "")
 
 
-def main(script, description, body, summary, output, argv=None):
+def main(script, description, body, summary, output):
     """Run ``script --child --seed SEED`` in ``--runs`` fresh processes
     and write their header and ``summary(runs)`` to ``output``.
 
@@ -97,7 +97,7 @@ def main(script, description, body, summary, output, argv=None):
     parser.add_argument("--runs", type=int, default=9)
     parser.add_argument("--child", action="store_true",
                         help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     if args.child:
         body(args.seed)
         return 0
