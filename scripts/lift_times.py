@@ -15,8 +15,12 @@ each cell (``is_matroid_basis_set``) and the signature
 each, in milliseconds, is taken per run, and the median over the runs is
 written to ``BENCH_generic_lift.json`` at the root of the checkout, under
 the header of ``scripts/check_times.py``: commit, seed, run count, Python
-version, ``src_lines`` and ``probe_s``.  The layer medians need not add
-up to the op median.  Times are unscaled; scale by
+version, ``src_lines`` and ``probe_s``.  The same medians are written
+again for each kind of lift: under ``uniform_ms_p50`` for the lifts
+``k % 3 < 2`` of uniform heights, fine subdivisions that set the
+benchmark's ``op_ms_p50``, and under ``plucker_ms_p50`` for the tropical
+Plücker vectors, whose larger cells set its ``op_ms_p90``.  The layer medians need not add up
+to the op median.  Times are unscaled; scale by
 ``hostspeed.REFERENCE_S / probe_s`` to compare files written minutes
 apart.
 """
@@ -34,6 +38,10 @@ from check_times import PROBES, ROOT, main, probe
 OUTPUT = ROOT / "BENCH_generic_lift.json"
 LIFTS = 80  # the op count of perfbench/run.py --workload generic-lift --seconds 24
 LAYERS = ("envelope", "verdicts", "signature", "op")
+# the lifts of each kind, as in lift_inputs: lift k is uniform when k % 3 < 2
+KINDS = {"op_ms_p50": range(LIFTS),
+         "uniform_ms_p50": [k for k in range(LIFTS) if k % 3 < 2],
+         "plucker_ms_p50": [k for k in range(LIFTS) if k % 3 == 2]}
 
 
 def child(seed):
@@ -62,16 +70,17 @@ def child(seed):
         for name, seconds in zip(LAYERS, (t1 - t0, t2 - t1, t3 - t2, t3 - t0)):
             times[name].append(seconds * 1000)
     probes += [probe() for _ in range(PROBES)]
-    json.dump({"op_ms_p50": {name: statistics.median(ms)
-                             for name, ms in times.items()},
-               "probes": probes}, sys.stdout)
+    json.dump({key: {name: statistics.median(ms[k] for k in ks)
+                     for name, ms in times.items()}
+               for key, ks in KINDS.items()} | {"probes": probes}, sys.stdout)
 
 
 def summary(runs):
-    """The median over ``runs`` of each layer's per-op median."""
-    return {"lifts": LIFTS, "op_ms_p50": {
-        name: round(statistics.median(r["op_ms_p50"][name] for r in runs), 3)
-        for name in LAYERS}}
+    """The median over ``runs`` of each layer's per-op median, over all
+    lifts and over each kind."""
+    return {"lifts": LIFTS, **{key: {
+        name: round(statistics.median(r[key][name] for r in runs), 3)
+        for name in LAYERS} for key in KINDS}}
 
 
 if __name__ == "__main__":

@@ -165,6 +165,11 @@ def basis_relations(vectors):
     return pivots, relations
 
 
+def _combine(s, x, t, y):
+    """The primitive integer vector ``s * x - t * y``."""
+    return _reduce([s * a - t * b for a, b in zip(x, y)])
+
+
 def _double_description(rows, dim):
     """Lines and extreme rays of ``{x : <h, x> >= 0 for h in rows}``.
 
@@ -173,74 +178,71 @@ def _double_description(rows, dim):
     pairs each primitive extreme ray of the pointed part (taken modulo the
     lineality space) with its tight mask, whose bit i is set exactly when
     ``<rows[i], ray> == 0``.  A zero row is tight on every ray.
+
+    The rays are held as two parallel lists, the vectors and the tight
+    masks.  After each row come the zero rays, then the plus rays, each in
+    their earlier order, then one ray per adjacent plus and minus pair, by
+    plus ray and then minus ray; the pairs are found from the minus side,
+    usually the shorter, and sorted.  This is the order the sweep has always
+    returned, and callers may rely on it.
     """
     lines = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-    rays = []  # list of (vector, tight mask)
+    vecs, masks = [], []  # the rays and their tight masks
 
     for idx, a in enumerate(rows):
         bit = 1 << idx
-        if not any(a):
-            rays = [(r, mask | bit) for r, mask in rays]
-            continue
-        line_vals = [_dot(a, l) for l in lines]
+        line_vals = [sum(map(operator.mul, a, l)) for l in lines]
+        vals = [sum(map(operator.mul, a, r)) for r in vecs]
         if any(line_vals):
             k = next(i for i, v in enumerate(line_vals) if v)
             l0, v0 = lines[k], line_vals[k]
             if v0 < 0:
                 l0, v0 = tuple(-x for x in l0), -v0
-            new_lines = []
-            for i, (l, v) in enumerate(zip(lines, line_vals)):
-                if i == k:
-                    continue
-                new_lines.append(l if v == 0 else _reduce(tuple(
-                    v0 * x - v * y for x, y in zip(l, l0))))
-            new_rays = []
-            for r, mask in rays:
-                v = _dot(a, r)
-                if v == 0:
-                    new_rays.append((r, mask | bit))
-                else:
-                    new_rays.append((_reduce(tuple(
-                        v0 * x - v * y for x, y in zip(r, l0))), mask | bit))
+            lines = [l if v == 0 else _combine(v0, l, v, l0)
+                     for i, (l, v) in enumerate(zip(lines, line_vals))
+                     if i != k]
+            vecs = [r if v == 0 else _combine(v0, r, v, l0)
+                    for r, v in zip(vecs, vals)]
             # The consumed line survives as a ray.  It lies in the lineality
             # space of the earlier rows, so it is tight on all of them.
-            new_rays.append((l0, bit - 1))
-            lines, rays = new_lines, new_rays
+            vecs.append(l0)
+            masks = [m | bit for m in masks]
+            masks.append(bit - 1)
             continue
 
-        plus, zero, minus = [], [], []
-        for r, mask in rays:
-            v = _dot(a, r)
-            if v > 0:
-                plus.append((r, mask, v))
-            elif v < 0:
-                minus.append((r, mask, v))
-            else:
-                zero.append((r, mask | bit))
-        if not minus:
-            rays = zero + [(r, m) for r, m, _ in plus]
-            continue
-        complements = [~m for _, m in rays]
-        new_rays = zero + [(r, m) for r, m, _ in plus]
-        # Adjacent rays span a 2-face of the pointed part, whose dimension
-        # is dim - len(lines), so they share at least this many tight
-        # constraints (Fukuda & Prodon 1996).
-        min_common = dim - len(lines) - 2
-        minus_masks = [mm for _, mm, _ in minus]
-        for p, pm, pv in plus:
-            shares_enough = map(min_common.__le__, map(
-                int.bit_count, map(pm.__and__, minus_masks)))
-            for m, mm, mv in itertools.compress(minus, shares_enough):
-                common = pm & mm
-                # Extreme rays have distinct tight sets, so p and m are
-                # adjacent exactly when no third ray is tight on `common`.
-                if operator.countOf(map(common.__and__, complements), 0) > 2:
-                    continue
-                w = _reduce(tuple(pv * y - mv * x for x, y in zip(p, m)))
-                new_rays.append((w, common | bit))
-        rays = new_rays
+        zero = [i for i, v in enumerate(vals) if v == 0]
+        plus = [i for i, v in enumerate(vals) if v > 0]
+        minus = [i for i, v in enumerate(vals) if v < 0]
+        new_vecs = [vecs[i] for i in zero] + [vecs[i] for i in plus]
+        new_masks = [masks[i] | bit for i in zero] + [masks[i] for i in plus]
+        if minus:
+            complements = [~m for m in masks]
+            # Adjacent rays span a 2-face of the pointed part, whose
+            # dimension is dim - len(lines), so they share at least this
+            # many tight constraints (Fukuda & Prodon 1996).
+            min_common = dim - len(lines) - 2
+            plus_masks = [masks[i] for i in plus]
+            adjacent = []
+            for j in minus:
+                mm = masks[j]
+                shares_enough = map(min_common.__le__, map(
+                    int.bit_count, map(mm.__and__, plus_masks)))
+                for i in itertools.compress(plus, shares_enough):
+                    common = mm & masks[i]
+                    # Extreme rays have distinct tight sets, so the rays
+                    # are adjacent exactly when no third one is tight on
+                    # `common`.
+                    if operator.countOf(map(common.__and__, complements),
+                                        0) > 2:
+                        continue
+                    adjacent.append((i, j, common))
+            adjacent.sort()
+            for i, j, common in adjacent:
+                new_vecs.append(_combine(vals[i], vecs[j], vals[j], vecs[i]))
+                new_masks.append(common | bit)
+        vecs, masks = new_vecs, new_masks
 
-    return lines, rays
+    return lines, list(zip(vecs, masks))
 
 
 def cone_rays(halfspaces, dim):
@@ -301,7 +303,8 @@ def _faces(rows, labels):
     """Nonzero faces of the pointed cone spanned by integer ``rows``.
 
     Returns ``{dimension: set of faces}``, each face the frozenset of the
-    ``labels`` of its rows.  Independent rows span a simplicial cone.
+    ``labels`` of its rows.  Independent rows span a simplicial cone; more
+    rows than coordinates are never independent, so they are not ranked.
     Otherwise the masks of the dual cone's rays mark the facets, and the
     other proper faces are their intersections (Ziegler, *Lectures on
     Polytopes*, Lecture 2).  For a face G, each ``G & F`` over the facets
@@ -313,7 +316,7 @@ def _faces(rows, labels):
     takes O(faces * facets) steps.
     """
     n = len(rows)
-    if _rank(rows) == n:
+    if n <= len(rows[0]) and _rank(rows) == n:
         return {k: set(map(frozenset, itertools.combinations(labels, k)))
                 for k in range(1, n + 1)}
     _, normals = _double_description(rows, len(rows[0]))

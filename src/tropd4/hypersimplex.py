@@ -56,16 +56,21 @@ def _bits(mask):
 def is_matroid_basis_set(bases) -> bool:
     """Basis-exchange axiom, checked by brute force over all pairs.
 
-    Bases are bitmasks over the union of the bases.  For every basis A and
-    element a of A, ``partners`` holds the elements b outside A for which
-    A - a + b is a basis; every basis B without a must contain one of them.
+    Bases are bitmasks over the union of the bases, built in one pass: each
+    new element takes the next bit.  For every basis A and element a of A,
+    ``partners`` holds the elements b outside A for which A - a + b is a
+    basis; every basis B without a must contain one of them.
     """
-    bases = [frozenset(b) for b in bases]
-    if not bases:
+    bit = {}
+    masks = set()
+    for b in bases:
+        m = 0
+        for e in b:
+            m |= bit.setdefault(e, 1 << len(bit))
+        masks.add(m)
+    if not masks:
         raise ValueError("empty basis set")
-    bit = {e: 1 << i for i, e in enumerate(frozenset().union(*bases))}
     ground = (1 << len(bit)) - 1
-    masks = {sum(map(bit.__getitem__, b)) for b in bases}
     for A in masks:
         outside = list(_bits(ground & ~A))
         for a in _bits(A):

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropd4.fan import trop_phi2
@@ -29,7 +29,7 @@ from tropd4.hypersimplex import (
     subdivision_signature,
     subdivision_to_json,
 )
-from tropd4.geometry import polytope_f_vector
+from tropd4.geometry import polytope_f_vector, regular_subdivision
 from tropd4.reference import (
     CONES_PER_TYPE,
     TABLE1,
@@ -85,6 +85,21 @@ def lift_heights(lift):
 
 
 @functools.cache
+def hypersimplex_volume(cell):
+    """Three times the normalized volume of a full-dimensional cell of
+    Delta(3,6): the sum of ``|det|`` over the 6x6 vertex matrices of a
+    triangulation.  A non-simplex cell is cut by the oracle's lower
+    envelope of fast-growing heights, a placing triangulation."""
+    pts = vertex_list(cell)
+    simplices = [pts] if len(pts) == 6 else [
+        [pts[i] for i in s]
+        for s in brute_force_lower_cells(pts, [64 ** i for i in
+                                               range(len(pts))])]
+    assert all(len(s) == 6 for s in simplices)
+    return sum(abs(_det(s)) for s in simplices)
+
+
+@functools.cache
 def oracle_f_vector(points):
     """Face counts by dimension of ``conv(points)``, without the polytope
     itself: the faces of the cone over the rows ``(u, 1)``, where ``u`` are
@@ -136,6 +151,38 @@ class TestMatroidCheck:
     def test_matches_frozenset_oracle(self, family):
         assert is_matroid_basis_set(family) == \
             brute_force_matroid_basis_set(family)
+
+    def test_matches_frozenset_oracle_on_mixed_families(self):
+        """Elements of several types, bases of unequal sizes, repeated
+        bases as lists, sets and frozensets, and one-shot generators."""
+        ground = [0, 1, 2, "a", "b", (0,), (1, "a"), frozenset()]
+        shapes = (list, set, frozenset, tuple)
+        rng = random.Random(43)
+        verdicts = Counter()
+        for _ in range(300):
+            r = rng.randint(0, 3)
+            if rng.random() < 0.5:  # a uniform matroid, maybe with a change
+                support = rng.sample(ground, rng.randint(r, len(ground)))
+                family = list(itertools.combinations(support, r))
+                if rng.random() < 0.5:
+                    del family[rng.randrange(len(family))]
+                if rng.random() < 0.3:
+                    family.append(rng.sample(ground, rng.randint(0, 4)))
+            else:
+                family = [rng.sample(ground, rng.choice([r, r, r + 1]))
+                          for _ in range(rng.randint(1, 8))]
+            if not family:
+                continue
+            family += rng.choices(family, k=rng.randint(0, 3))
+            family = [rng.choice(shapes)(b) for b in family]
+            rng.shuffle(family)
+            expected = brute_force_matroid_basis_set(family)
+            assert is_matroid_basis_set(family) == expected
+            assert is_matroid_basis_set(b for b in family) == expected
+            verdicts[expected] += 1
+        assert min(verdicts[True], verdicts[False]) >= 50
+        with pytest.raises(ValueError):
+            is_matroid_basis_set(b for b in ())
 
     def test_matches_frozenset_oracle_on_cells(self):
         rng = random.Random(29)
@@ -228,6 +275,39 @@ class TestInducedSubdivision:
     def test_subdivision_of_point_rejects_bad_points(self, x):
         with pytest.raises(ValueError):
             subdivision_of_point(x)
+
+    def test_uniform_lifts_fill_the_hypersimplex(self):
+        """Seeded heights in 0..1000, as in the benchmark's uniform lifts:
+        the cells' volumes add up to the 66 of Delta(3,6)."""
+        rng = random.Random(61)
+        for _ in range(40):
+            cells = induced_subdivision(
+                [rng.randint(0, 1000) for _ in range(20)])
+            assert sum(map(hypersimplex_volume, cells)) == 3 * 66
+
+    def test_uniform_lift_cells_are_lower_facets(self):
+        """Each cell's secondary-cone certificate holds at the heights, so
+        each cell is a lower facet of the lift; with the volumes above,
+        the cells fill the polytope."""
+        rng = random.Random(61)
+        w = [rng.randint(0, 1000) for _ in range(20)]
+        verts = hypersimplex_vertices()
+        for cell in induced_subdivision(w):
+            forms = brute_force_cell_forms(
+                verts, {PLUECKER_TRIPLES.index(t) for t in cell})
+            assert certificate_holds(forms, w)
+
+    @settings(max_examples=25)
+    @given(st.permutations(range(20)),
+           st.lists(st.integers(0, 2), min_size=20, max_size=20))
+    def test_tied_lift_does_not_depend_on_point_order(self, perm, heights):
+        """Ties are inserted in index order, so a permutation changes the
+        order in which the sweep meets the points, not the cells."""
+        verts = hypersimplex_vertices()
+        cells = regular_subdivision([verts[i] for i in perm],
+                                    [heights[i] for i in perm])
+        assert sorted(sorted(perm[i] for i in cell) for cell in cells) \
+            == list(map(sorted, regular_subdivision(verts, heights)))
 
 
 class TestSignature:
@@ -438,6 +518,31 @@ class TestFaceGrading:
                     assert polytope_f_vector(vertex_list(cell)) == \
                         matroid_f_vector(cell)
         assert graded >= 10
+
+    def test_rank_only_when_rows_can_be_independent(self, monkeypatch,
+                                                    sweep_calls):
+        """The rows ``(v, 1)`` have 7 coordinates: 10 of them are never
+        independent and are not ranked; a simplex still is, and its faces
+        come without a sweep."""
+        import tropd4.geometry as geometry
+        ranked = []
+        rank = geometry._rank
+        monkeypatch.setattr(geometry, "_rank",
+                            lambda rows: ranked.append(len(rows)) or
+                            rank(rows))
+        ten = [t for t in PLUECKER_TRIPLES if 1 in t]
+        assert polytope_f_vector(vertex_list(ten)) == matroid_f_vector(ten)
+        assert ranked == [] and len(sweep_calls) == 1
+        simplex = [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6), (1, 3, 4),
+                   (2, 3, 4)]
+        assert abs(_det(vertex_list(simplex))) == 3
+        assert polytope_f_vector(vertex_list(simplex)) == \
+            oracle_f_vector(tuple(vertex_list(simplex))) == \
+            tuple(comb(6, k + 1) for k in range(5))
+        assert ranked == [6] and len(sweep_calls) == 1
+        four = [(1, 2, k) for k in range(3, 7)]
+        assert polytope_f_vector(vertex_list(four)) == matroid_f_vector(four)
+        assert ranked == [6, 4] and len(sweep_calls) == 1
 
 
 @pytest.fixture
