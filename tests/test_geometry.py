@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import pathlib
 import random
@@ -26,8 +27,13 @@ from tropd4.geometry import (
 )
 
 from tropd4.fan import trop_phi2
-from tropd4.hypersimplex import hypersimplex_vertices, induced_subdivision
+from tropd4.hypersimplex import (
+    canonical_subdivision,
+    hypersimplex_vertices,
+    induced_subdivision,
+)
 from tropd4.reference import FAN_F_VECTOR
+from tropd4.webmatrix import PLUECKER_TRIPLES
 
 from oracles import (
     _affine_coordinates,
@@ -206,6 +212,36 @@ class TestDoubleDescriptionContract:
         else:
             assert cone_rays(fractions, dim) == rays
         assert cone_from_rays(fractions, dim) == cone_from_rays(rows, dim)
+
+
+class TestSweepOrderPinned:
+    """Callers rely on the order of the sweep's lines and rays, so a change
+    to the order must fail here.  The digest is of the sweep that tested
+    every candidate pair by scanning all tight masks."""
+
+    DIGEST = "1c2b75cbda670444ec23f0df5d8998ad"
+
+    def test_digest_of_envelope_and_cell_sweeps(self, fan36, sweep_calls):
+        verts = hypersimplex_vertices()
+        rng = random.Random(1901)
+        lifts = [[rng.randint(0, 1000) for _ in range(20)]
+                 for _ in range(40)]
+        lifts += [[rng.randint(0, 2) for _ in range(20)] for _ in range(20)]
+        for w in lifts:
+            regular_subdivision(verts, w)
+        corpus = list(sweep_calls)
+        assert len(corpus) == 60
+        index = {t: i for i, t in enumerate(PLUECKER_TRIPLES)}
+        cells = {tuple(sorted(index[t] for t in cell))
+                 for c in fan36.maximal_cones
+                 for cell in canonical_subdivision(c.rays)}
+        assert len(cells) == 48
+        corpus += [([verts[i] + (1,) for i in cell], 7)
+                   for cell in sorted(cells)]
+        sweep_calls.clear()
+        outputs = repr([geometry._double_description(rows, dim)
+                        for rows, dim in corpus])
+        assert hashlib.md5(outputs.encode()).hexdigest() == self.DIGEST
 
 
 class TestConeFromRays:
