@@ -185,6 +185,26 @@ def _double_description(rows, dim):
     plus ray and then minus ray; the pairs are found from the minus side,
     usually the shorter, and sorted.  This is the order the sweep has always
     returned, and callers may rely on it.
+
+    Adjacency is decided combinatorially (Fukuda & Prodon, "Double
+    description method revisited", LNCS 1120, 1996).  Before a row is
+    inserted, let the pointed part have dimension ``d = dim - len(lines)``,
+    the rank of the rows so far.  A face of the cone tight on exactly the
+    rows I has dimension ``dim - rank(I)``, so an extreme ray is tight on
+    rows of rank ``d - 1`` and a 2-face on rows of rank ``d - 2``.  Two
+    extreme rays are adjacent when they span a 2-face: then they share at
+    least ``d - 2`` tight rows, and, as extreme rays have distinct tight
+    sets, no third ray is tight on all the rows they share.  A pair that
+    shares fewer rows is never adjacent; otherwise the third-ray test scans
+    every ray's mask, unless one ray of the pair is *simple*, tight on
+    exactly ``d - 1`` rows.  Those rows have rank ``d - 1``, so they are
+    independent: none is zero and none repeats another.  The other ray is
+    not tight on all of them, or it would lie on the same extreme ray, so
+    the pair shares exactly ``d - 2`` of these independent rows.  They cut
+    out a face of dimension at most ``dim - (d - 2)``; it holds both rays,
+    so it is a 2-face of the pointed part, and a pointed 2-dimensional cone
+    has exactly two extreme rays.  So the pair is adjacent with no scan;
+    only pairs of two non-simple rays are scanned.
     """
     lines = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     vecs, masks = [], []  # the rays and their tight masks
@@ -210,30 +230,34 @@ def _double_description(rows, dim):
             masks.append(bit - 1)
             continue
 
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        plus = [i for i, v in enumerate(vals) if v > 0]
-        minus = [i for i, v in enumerate(vals) if v < 0]
+        zero, plus, minus = [], [], []
+        for i, v in enumerate(vals):
+            if v > 0:
+                plus.append(i)
+            elif v:
+                minus.append(i)
+            else:
+                zero.append(i)
         new_vecs = [vecs[i] for i in zero] + [vecs[i] for i in plus]
         new_masks = [masks[i] | bit for i in zero] + [masks[i] for i in plus]
         if minus:
             complements = [~m for m in masks]
-            # Adjacent rays span a 2-face of the pointed part, whose
-            # dimension is dim - len(lines), so they share at least this
-            # many tight constraints (Fukuda & Prodon 1996).
-            min_common = dim - len(lines) - 2
+            simple = dim - len(lines) - 1
+            min_common = simple - 1
             plus_masks = [masks[i] for i in plus]
             adjacent = []
             for j in minus:
                 mm = masks[j]
                 shares_enough = map(min_common.__le__, map(
                     int.bit_count, map(mm.__and__, plus_masks)))
+                if mm.bit_count() == simple:
+                    adjacent += [(i, j, mm & masks[i]) for i in
+                                 itertools.compress(plus, shares_enough)]
+                    continue
                 for i in itertools.compress(plus, shares_enough):
                     common = mm & masks[i]
-                    # Extreme rays have distinct tight sets, so the rays
-                    # are adjacent exactly when no third one is tight on
-                    # `common`.
-                    if operator.countOf(map(common.__and__, complements),
-                                        0) > 2:
+                    if masks[i].bit_count() != simple and operator.countOf(
+                            map(common.__and__, complements), 0) > 2:
                         continue
                     adjacent.append((i, j, common))
             adjacent.sort()
@@ -294,9 +318,14 @@ def cone_from_rays(rays, dim):
 
 
 def _members(mask, items):
-    """The items whose positions are set bits of ``mask``, as a frozenset."""
-    return frozenset(itertools.compress(items, map("1".__eq__,
-                                                   bin(mask)[:1:-1])))
+    """The items whose positions are set bits of ``mask``, as a frozenset;
+    ``mask & -mask`` is the lowest set bit."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(items[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(members)
 
 
 def _faces(rows, labels):

@@ -88,21 +88,22 @@ def induced_subdivision(w):
     cell is returned as a frozenset of index triples.
     """
     cells = regular_subdivision(hypersimplex_vertices(), list(w))
-    return tuple(frozenset(PLUECKER_TRIPLES[i] for i in cell)
+    return tuple(frozenset(map(PLUECKER_TRIPLES.__getitem__, cell))
                  for cell in cells)
 
 
-_TRIPLE_INDEX = {t: i for i, t in enumerate(PLUECKER_TRIPLES)}
+_TRIPLE_BIT = {t: 1 << i for i, t in enumerate(PLUECKER_TRIPLES)}
 
 
 def _vertex_mask(cell):
-    """The cell's vertices as a 20-bit mask: bit i stands for vertex i."""
-    mask = 0
-    for t in frozenset(cell):
-        if t not in _TRIPLE_INDEX:
-            raise ValueError(f"{t!r} is not a vertex of Delta(3,6)")
-        mask |= 1 << _TRIPLE_INDEX[t]
-    return mask
+    """The cell's vertices as a 20-bit mask: bit i stands for vertex i.
+    The bits are summed over the distinct triples, so a repeat adds
+    nothing."""
+    try:
+        return sum(map(_TRIPLE_BIT.__getitem__, frozenset(cell)))
+    except KeyError as exc:
+        raise ValueError(
+            f"{exc.args[0]!r} is not a vertex of Delta(3,6)") from None
 
 
 def _vertex_indices(mask):

@@ -11,8 +11,9 @@ the cone's generators from it and ranks the ones tight on each row.  The
 fan oracle cuts a maximal cone out of the differences of the forms that
 are minimal at one of its interior points, as the linearity domains of the
 minors define it, instead of taking a normal fan.  The secondary-cone
-forms of a cell come from Fraction solves, instead of fraction-free back
-substitution.  The hull-membership oracle solves for barycentric
+forms of a cell come from one square fraction-free solve per point outside
+its affine basis, instead of back substitution through one elimination of
+all the points.  The hull-membership oracle solves for barycentric
 coordinates over the affine bases among the vertices, instead of
 evaluating facet functionals.  The basis-exchange
 oracle works on frozensets, and the matroid subdivisions of Delta(3,6) are
@@ -305,35 +306,45 @@ def brute_force_cone_faces(rays, dim):
 
 def brute_force_cell_forms(points, cell):
     """Equality and strict forms of a full-dimensional ``cell`` of a
-    subdivision of ``points``, by Fraction solves.
+    subdivision of ``points``, by fraction-free solves.
 
     The basis is the first point of the cell plus each later cell point
-    that raises the affine rank.  Each other point p is solved for as an
-    affine combination ``sum(l_j * b_j)`` of the basis, and its form in
-    the heights w is ``w_p - sum(l_j * w_{b_j})``, scaled to a primitive
-    integer vector.  Returns the forms of the cell points outside the
-    basis, then of the points outside the cell, each group by index.
+    that raises the affine rank.  Each other point p is an affine
+    combination ``sum(l_j * b_j)`` of the basis: with every point lifted
+    to ``(p, 1)`` and scaled to integers, the first coordinates on which
+    the lifted basis is independent give a square system, which
+    :func:`_fraction_free_solve` solves for ``D`` and ``D * l``.  The form
+    of p in the heights w is ``D * w_p - sum(D * l_j * w_{b_j})``, scaled
+    to a primitive integer vector positive at p.  Returns the forms of the
+    cell points outside the basis, then of the points outside the cell,
+    each group by index.
     """
-    pts = [tuple(Fraction(x) for x in p) + (Fraction(1),) for p in points]
+    lifted = [tuple(map(Fraction, p)) + (Fraction(1),) for p in points]
+    scale = math.lcm(*(x.denominator for p in lifted for x in p))
+    pts = [tuple(int(x * scale) for x in p) for p in lifted]
     members = sorted(cell)
     basis = [members[0]]
     for i in members[1:]:
         if _affine_rank([points[j] for j in basis + [i]]) == len(basis):
             basis.append(i)
-    columns = [pts[b] for b in basis]
+
+    def system(coords, target):
+        return [[pts[b][k] for b in basis] + [target[k]] for k in coords]
+    zero = (0,) * len(pts[0])
+    coords = next(c for c in itertools.combinations(range(len(zero)),
+                                                    len(basis))
+                  if _fraction_free_solve(system(c, zero)) is not None)
     forms = {}
     for p in range(len(points)):
         if p in basis:
             continue
-        lam = _solve(columns, pts[p])
-        form = [Fraction(0)] * len(points)
-        form[p] = Fraction(1)
-        for b, x in zip(basis, lam):
-            form[b] = -x
-        scale = math.lcm(*(x.denominator for x in form))
-        ints = [int(x * scale) for x in form]
-        g = math.gcd(*ints)
-        forms[p] = tuple(x // g for x in ints)
+        det, x = _fraction_free_solve(system(coords, pts[p]))
+        form = [0] * len(points)
+        form[p] = det
+        for b, v in zip(basis, x):
+            form[b] = -v
+        g = math.gcd(*form) * (1 if det > 0 else -1)
+        forms[p] = tuple(v // g for v in form)
     equalities = tuple(forms[p] for p in members if p in forms)
     stricts = tuple(forms[p] for p in sorted(forms) if p not in cell)
     return equalities, stricts

@@ -214,6 +214,66 @@ class TestDoubleDescriptionContract:
         assert cone_from_rays(fractions, dim) == cone_from_rays(rows, dim)
 
 
+def _cube(d):
+    return list(itertools.product((-1, 1), repeat=d))
+
+
+def _cross(d):
+    return [tuple(s * int(i == j) for j in range(d))
+            for i in range(d) for s in (1, -1)]
+
+
+# Polytopes whose vertices or facets mostly lie on more than dim - 1
+# facets or vertices, so most rays of their cones are not simple.
+POLYTOPES = {
+    "3-cube": _cube(3),
+    "octahedron": _cross(3),
+    "square pyramid": [(1, 1, 0), (1, -1, 0), (-1, -1, 0), (-1, 1, 0),
+                       (0, 0, 1)],
+    "4-cross-polytope": _cross(4),
+}
+
+
+def polytope_cones():
+    """Per polytope, two cones and their rays: the cone over it, cut out by
+    its facet normals, whose rays are the points ``(v, 1)`` of its
+    vertices; and the cone of its affine functionals, cut out by those
+    points, whose rays are its facet normals.  The facet normals come from
+    the brute-force oracle."""
+    cones = []
+    for vertices in POLYTOPES.values():
+        points = [v + (1,) for v in vertices]
+        facets = brute_force_cone_rays(points, len(points[0]))
+        cones += [(facets, sorted(points)), (points, facets)]
+    return cones
+
+
+class TestSimpleRayRule:
+    """A pair with a simple ray, tight on exactly dim - 1 rows of the
+    pointed part, is taken as adjacent without scanning the other rays.
+    On cones whose rays mostly are not simple, with a zero row and a
+    repeated row among the rows in any order, the rays and their tight
+    masks must still be exact."""
+
+    @given(st.sampled_from(polytope_cones()).flatmap(lambda cone: st.tuples(
+        st.just(cone), st.sampled_from(cone[0]),
+        st.permutations(range(len(cone[0]) + 2)))))
+    @settings(max_examples=120)
+    def test_rays_and_masks_match_brute_force_oracle(self, case):
+        (rows, oracle_rays), repeat, order = case
+        dim = len(rows[0])
+        # a zero row and a repeated row leave the cone, and its rays, as
+        # they are
+        rows = rows + [(0,) * dim, repeat]
+        rows = [rows[i] for i in order]
+        lines, rays = geometry._double_description(rows, dim)
+        assert lines == []
+        assert sorted(r for r, _ in rays) == oracle_rays
+        for r, mask in rays:
+            assert mask == sum(1 << i for i, h in enumerate(rows)
+                               if _dot(h, r) == 0)
+
+
 class TestSweepOrderPinned:
     """Callers rely on the order of the sweep's lines and rays, so a change
     to the order must fail here.  The digest is of the sweep that tested

@@ -469,6 +469,22 @@ class TestSignature:
         with pytest.raises(ValueError, match=message):
             subdivision_signature([frozenset(PLUECKER_TRIPLES), cell])
 
+    def test_repeated_triple_counts_once(self):
+        """A cell given as a list with a repeated triple has the vertex
+        mask of its frozenset, so the signature does not change."""
+        import tropd4.hypersimplex as hx
+        rng = random.Random(3)
+        cells = induced_subdivision([rng.randint(0, 2) for _ in range(20)])
+        repeated = []
+        for cell in cells:
+            triples = sorted(cell)
+            triples.append(rng.choice(triples))
+            rng.shuffle(triples)
+            repeated.append(triples)
+            mask = sum(1 << PLUECKER_TRIPLES.index(t) for t in cell)
+            assert hx._vertex_mask(triples) == hx._vertex_mask(cell) == mask
+        assert subdivision_signature(repeated) == subdivision_signature(cells)
+
     def test_reference_signatures_distinct(self):
         sigs = reference_signatures()
         assert len(sigs) == 6
