@@ -223,8 +223,9 @@ def _cross(d):
             for i in range(d) for s in (1, -1)]
 
 
-# Polytopes whose vertices or facets mostly lie on more than dim - 1
-# facets or vertices, so most rays of their cones are not simple.
+# Each polytope has vertices on more facets than its dimension, or facets
+# with more vertices than that, so that most rays of one of its two cones
+# in polytope_cones are not simple.
 POLYTOPES = {
     "3-cube": _cube(3),
     "octahedron": _cross(3),
@@ -249,11 +250,11 @@ def polytope_cones():
 
 
 class TestSimpleRayRule:
-    """A pair with a simple ray, tight on exactly dim - 1 rows of the
-    pointed part, is taken as adjacent without scanning the other rays.
-    On cones whose rays mostly are not simple, with a zero row and a
-    repeated row among the rows in any order, the rays and their tight
-    masks must still be exact."""
+    """A pair with a simple ray, tight on exactly d - 1 rows where d is the
+    dimension of the pointed part, is taken as adjacent without scanning
+    the other rays.  On cones whose rays mostly are not simple, with a
+    zero row and a repeated row among the rows in any order, the rays and
+    their tight masks must still be exact."""
 
     @given(st.sampled_from(polytope_cones()).flatmap(lambda cone: st.tuples(
         st.just(cone), st.sampled_from(cone[0]),
