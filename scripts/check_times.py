@@ -72,14 +72,16 @@ def child(seed):
 
 
 def commit():
-    """The checked-out commit, marked ``-dirty`` when tracked files differ
-    from it, or ``unknown`` outside a git checkout."""
+    """The checked-out commit, marked ``-dirty`` when tracked files other
+    than the ``BENCH_*.json`` files the timing scripts write differ from
+    it, or ``unknown`` outside a git checkout."""
     def git(*args):
         return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                               capture_output=True, text=True).stdout.strip()
     try:
         head = git("rev-parse", "--short", "HEAD")
-        dirty = git("status", "--porcelain", "--untracked-files=no")
+        dirty = git("status", "--porcelain", "--untracked-files=no",
+                    "--", ".", ":(exclude)BENCH_*.json")
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
     return head + ("-dirty" if dirty else "")

@@ -4,8 +4,8 @@ A weight vector on the 20 vertices induces a regular subdivision via the
 exact lower envelope.  For weights coming from the tropical minors the cells
 are matroid polytopes; their face counts together with the dimensions of
 pairwise intersections form a signature that separates the six realized
-combinatorial types of tropical planes.  The classifier is bootstrapped
-from one labeled representative cone per type.
+combinatorial types of tropical planes.  The classifier reads a cone's
+type off the subdivisions at its rays, one letter E, F or G per ray.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import comb, lcm
 from operator import and_
 
 from . import reference
-from .fan import trop_phi2
+from .fan import compute_fan_f36, trop_phi2
 from .geometry import (
     PackedForms,
     basis_relations,
@@ -30,10 +30,6 @@ from .webmatrix import PLUECKER_TRIPLES
 
 class NotMatroidalError(ValueError):
     """A subdivision cell fails the basis-exchange axiom."""
-
-
-class UnknownTypeError(ValueError):
-    """A subdivision signature matches no bootstrapped reference type."""
 
 
 @lru_cache(maxsize=1)
@@ -353,33 +349,66 @@ def _subdivision_at(point):
     return subdivision_of_point(point)
 
 
-def _canonical_signature(rays):
-    """Signature of the subdivision at the sum of a cone's ``rays``."""
-    return subdivision_signature(canonical_subdivision(rays))
-
-
 @lru_cache(maxsize=1)
 def reference_signatures():
-    """Signature of one labeled representative cone per plane type."""
-    sigs = {plane_type: _canonical_signature(rays) for plane_type, rays
-            in reference.representative_cones().items()}
-    values = list(sigs.values())
-    if len(set(values)) != len(values):
-        raise RuntimeError("reference signatures are not pairwise distinct")
+    """Signature of the canonical subdivision of the first maximal cone of
+    each plane type, in fan order, keyed by the type."""
+    sigs = {}
+    for c in compute_fan_f36().maximal_cones:
+        plane_type = classify_plane_type(c.rays)
+        if plane_type not in sigs:
+            sigs[plane_type] = subdivision_signature(
+                canonical_subdivision(c.rays))
     return sigs
 
 
-def classify_signature(sig):
-    for plane_type, ref in reference_signatures().items():
-        if sig == ref:
-            return plane_type
-    raise UnknownTypeError(f"signature matches no reference type: {sig}")
+# A ray's letter by the sorted vertex counts of the cells at the ray.
+_LETTERS = {(10, 19): "E", (16, 16): "F", (14, 14, 14): "G"}
+
+
+# room for the 16 rays of the fan
+@lru_cache(maxsize=16)
+def _ray_letter(ray):
+    """Letter of ``ray``, and for an E its triple T, from the subdivision
+    at the ray.
+
+    An E ray splits Delta(3,6) into a cell of 10 vertices and one of 19,
+    an F ray into two of 16, and a G ray into three of 14.  The small cell
+    of an E ray is {S : |S & T| >= 2} for a triple T, so an element of T
+    lies in 7 of its 10 triples and any other element in 3; T is read off
+    as the elements in more than 5.  Raises ``ValueError`` when the cells
+    match no letter.
+    """
+    cells = sorted(induced_subdivision(trop_phi2(ray)), key=len)
+    letter = _LETTERS.get(tuple(map(len, cells)))
+    if letter is None:
+        raise ValueError(f"cells at {ray} match no ray type")
+    if letter != "E":
+        return letter, None
+    counts = Counter(e for triple in cells[0] for e in triple)
+    return letter, frozenset(e for e, n in counts.items() if n > 5)
 
 
 def classify_plane_type(rays) -> str:
-    """Plane type of a maximal cone, from the canonical interior point of
-    its ``rays``."""
-    return classify_signature(_canonical_signature(rays))
+    """Plane type of a maximal cone, read off the subdivisions at its
+    ``rays``.
+
+    A type is named by the letters of its cone's rays: an EEFG cone has
+    rays of types E, E, F and G (Speyer & Sturmfels, "The tropical
+    Grassmannian", *Adv. Geom.* 4, 2004).  The sorted letters give the
+    type, except that an EEFF cone is EEFFa when the triples of its two E
+    rays are disjoint and EEFFb when they share one element.  That rule is
+    observed on the 18 EEFF cones of the fan, not taken from the paper.
+    Raises ``ValueError`` when the rays name no plane type.
+    """
+    kinds = [_ray_letter(tuple(r)) for r in rays]
+    word = "".join(sorted(letter for letter, _ in kinds))
+    if word == "EEFF":
+        a, b = (triple for _, triple in kinds if triple)
+        word += {0: "a", 1: "b"}.get(len(a & b), "")
+    if word not in reference.PLANE_TYPES:
+        raise ValueError(f"rays {list(rays)} name no plane type: {word}")
+    return word
 
 
 def subdivision_to_json(cells):

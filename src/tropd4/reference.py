@@ -162,8 +162,3 @@ CONES_PER_TYPE = {"EEEG": 4, "EEFFa": 12, "EEFFb": 6,
 def ray_set(labels):
     """Ray coordinate frozenset for a tuple of labels like ("r3", "r9")."""
     return frozenset(RAY_COORDS[l] for l in labels)
-
-
-def representative_cones():
-    """One labeled representative ray set per plane type (first table row)."""
-    return {t: ray_set(cones[0]) for t, cones in TABLE1.items()}

@@ -45,6 +45,7 @@ from .hypersimplex import (
     is_matroid_basis_set,
     induced_subdivision,
     packed_certificate,
+    reference_signatures,
     subdivision_forms,
     subdivision_signature,
 )
@@ -162,10 +163,13 @@ def check_interior_point_stability(seed, samples_per_cone=20):
     """Random interior points of every cone: matroidal cells, one signature.
 
     Each sample's signature is compared with that of its cone's canonical
-    subdivision S_C, whose type :func:`classify_all_cones` reads.  A
-    sample whose heights satisfy the certificate of S_C (see
-    :func:`subdivision_forms`) induces exactly S_C's cells; any other
-    sample, on a boundary or with ties, gets its cells from a lower
+    subdivision S_C.  The signature of S_C must be the one
+    :func:`reference_signatures` gives for the type that
+    :func:`classify_all_cones` reads off the cone's rays, and the six
+    reference signatures must be pairwise distinct, so the signature
+    separates the types.  A sample whose heights satisfy the certificate of
+    S_C (see :func:`subdivision_forms`) induces exactly S_C's cells; any
+    other sample, on a boundary or with ties, gets its cells from a lower
     envelope.  Samples share most of their cells, so each distinct cell is
     checked for basis exchange once per call and its verdict reused, and
     each distinct subdivision is signed once.
@@ -187,9 +191,20 @@ def check_interior_point_stability(seed, samples_per_cone=20):
 
     fan = compute_fan_f36()
     cone_types = classify_all_cones()
+    references = reference_signatures()
+    sigs = list(references.values())
+    clashing = sorted(t for t, s in references.items() if sigs.count(s) > 1)
+    if clashing:
+        violations.append({"check": "type signatures distinct",
+                           "types": clashing})
     for c in fan.maximal_cones:
         rays = sorted(c.rays)
+        plane_type = cone_types[frozenset(c.rays)]
         canonical = canonical_subdivision(c.rays)
+        if signature(canonical) != references.get(plane_type):
+            violations.append({"check": "signature of cone type",
+                               "cone": [list(r) for r in rays],
+                               "type": plane_type})
         forms = subdivision_forms(canonical)
         for _ in range(samples_per_cone):
             # the point sum(a / b * r) over the rays, summed in integers
@@ -210,7 +225,7 @@ def check_interior_point_stability(seed, samples_per_cone=20):
             if signature(cells) != signature(canonical):
                 violations.append({"check": "signature constant on cone",
                                    "cone": [list(r) for r in rays],
-                                   "type": cone_types[frozenset(c.rays)]})
+                                   "type": plane_type})
     return violations
 
 

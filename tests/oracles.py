@@ -22,6 +22,9 @@ oracle reads a matroid polytope's faces off ordered set partitions and
 their dimensions off connected components, instead of ranking vertices.
 The crossing oracle realizes chords as exact rational segments and tests
 proper intersection, instead of applying the combinatorial crossing rules.
+The plane-type oracle looks a subdivision's signature up among the
+signatures of labeled representative cones, instead of reading letters
+off the subdivisions at the rays.
 """
 
 from __future__ import annotations
@@ -502,6 +505,16 @@ _HALF_TURN_DIRECTIONS = {
         (Fraction(3, 5), Fraction(4, 5)), (Fraction(-3, 5), Fraction(4, 5)),
         (Fraction(-15, 17), Fraction(8, 17))],
 }
+
+
+def classify_by_signature(sig, references):
+    """The plane type whose signature in ``references``, a dict from type
+    to the signature of a labeled representative cone, equals ``sig``.
+    Raises ``ValueError`` when none does."""
+    for plane_type, ref in references.items():
+        if sig == ref:
+            return plane_type
+    raise ValueError(f"signature matches no reference type: {sig}")
 
 
 def _vertex_position(v, n):

@@ -229,13 +229,15 @@ class TestVerifyAll:
     def test_swapped_types_fail_with_a_report(self, capsys,
                                               swapped_eeff_types):
         """Two orbits that match no row of Table 2 give a report with exit
-        code 1, not a traceback."""
+        code 1, not a traceback.  The two retyped cones' signatures are
+        not those of their new types."""
         code, out = run_cli(capsys, *self.ARGS)
         assert code == 1
         checks = [v["check"] for v in json.loads(out)["violations"]]
         assert {c: checks.count(c) for c in checks} == {
             "cone type": 2, "class-type incidence": 8,
-            "reflection preserves plane type": 20}
+            "reflection preserves plane type": 20,
+            "signature of cone type": 2}
 
     def test_tampered_dictionary_fails_with_diff(self, capsys, monkeypatch):
         """Two swapped roots fail their two dictionary rows and no other

@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 from tropd4.fan import trop_phi2
 from tropd4.hypersimplex import (
     NotMatroidalError,
-    UnknownTypeError,
     canonical_point,
     canonical_subdivision,
     certifies,
     classify_plane_type,
-    classify_signature,
     hypersimplex_vertices,
     induced_subdivision,
     is_matroid_basis_set,
@@ -32,9 +30,9 @@ from tropd4.hypersimplex import (
 from tropd4.geometry import polytope_f_vector, regular_subdivision
 from tropd4.reference import (
     CONES_PER_TYPE,
+    RAY_COORDS,
     TABLE1,
     ray_set,
-    representative_cones,
 )
 from tropd4.webmatrix import PLUECKER_TRIPLES
 
@@ -47,6 +45,7 @@ from oracles import (
     brute_force_lower_cells,
     brute_force_matroid_basis_set,
     certificate_holds,
+    classify_by_signature,
     matroid_f_vector,
     satisfies_tropical_plucker_relations,
 )
@@ -66,10 +65,11 @@ def is_simplex(triples):
 
 
 def lift_heights(lift):
-    """Heights on the 20 vertices: at the canonical point of a reference
-    cone, named by its plane type; seeded generic heights, for an int;
-    tied heights in 0..2, whose cells mix simplices and other polytopes;
-    or the tropical minors of a seeded integer matrix."""
+    """Heights on the 20 vertices: at the canonical point of the first
+    Table 1 cone of a plane type, named by the type; seeded generic
+    heights, for an int; tied heights in 0..2, whose cells mix simplices
+    and other polytopes; or the tropical minors of a seeded integer
+    matrix."""
     if lift == "tied":
         rng = random.Random(1)
         return [rng.randint(0, 2) for _ in range(20)]
@@ -78,7 +78,7 @@ def lift_heights(lift):
         return tropical_minors([[rng.randint(0, 60) for _ in range(6)]
                                 for _ in range(3)])
     if isinstance(lift, str):
-        rays = representative_cones()[lift]
+        rays = ray_set(TABLE1[lift][0])
         return trop_phi2(tuple(sum(c) for c in zip(*rays)))
     rng = random.Random(lift)
     return [rng.randint(0, 1000) for _ in range(20)]
@@ -649,8 +649,88 @@ class TestClassify:
         assert counts == CONES_PER_TYPE
 
     def test_unknown_signature(self):
-        with pytest.raises(UnknownTypeError):
-            classify_signature((('bogus',), ()))
+        with pytest.raises(ValueError, match="no reference type"):
+            classify_by_signature((('bogus',), ()), table_signatures())
+
+    def test_signature_oracle_agrees_on_all_48(self, fan36):
+        """The classifier that looks signatures up among the first Table 1
+        cone of each type gives every cone the type read off its rays."""
+        references = table_signatures()
+        for c in fan36.maximal_cones:
+            sig = subdivision_signature(canonical_subdivision(c.rays))
+            assert classify_by_signature(sig, references) == \
+                classify_plane_type(c.rays)
+
+    @pytest.mark.parametrize("rays,match", [
+        (("r3", "r9", "r10"), "no plane type: EEG$"),  # a facet
+        (("r2", "r3", "r6", "r9"), "no plane type: EEEE$"),
+        # E triples 456 and 156, which share two elements
+        (("r5", "r6", "r8", "r9"), "no plane type: EEFF$"),
+        ([(0, 0, 0, 0)], "match no ray type"),  # one cell
+        ([(1, 1, 1, 1)], "match no ray type"),  # six cells
+    ], ids=["facet", "EEEE", "EEFF", "origin", "generic"])
+    def test_rejects_ray_sets_that_are_not_maximal_cones(self, rays, match):
+        rays = [RAY_COORDS.get(r, r) for r in rays]
+        with pytest.raises(ValueError, match=match):
+            classify_plane_type(rays)
+
+
+def table_signatures():
+    """Signature of the first Table 1 cone of each type: the references
+    of the signature-lookup oracle."""
+    return {t: subdivision_signature(canonical_subdivision(ray_set(rows[0])))
+            for t, rows in TABLE1.items()}
+
+
+def cells_at(ray):
+    """The cells of the subdivision at ``ray``, smallest first."""
+    return sorted(induced_subdivision(trop_phi2(ray)), key=len)
+
+
+def e_triple(cell):
+    """The elements in more than 5 of the triples of ``cell``."""
+    counts = Counter(e for triple in cell for e in triple)
+    return frozenset(e for e, n in counts.items() if n > 5)
+
+
+class TestRayLetters:
+    """The rules that name the rays' letters and split EEFFa from EEFFb,
+    pinned on the 16 rays and the 48 cones."""
+
+    @pytest.fixture(scope="class")
+    def letters(self, fan36):
+        sizes = {(10, 19): "E", (16, 16): "F", (14, 14, 14): "G"}
+        return {r: sizes[tuple(map(len, cells_at(r)))] for r in fan36.rays}
+
+    def test_six_e_six_f_four_g(self, letters):
+        assert Counter(letters.values()) == {"E": 6, "F": 6, "G": 4}
+
+    def test_e_small_cell_is_two_of_a_triple(self, letters):
+        import tropd4.hypersimplex as hx
+        for ray in (r for r, letter in letters.items() if letter == "E"):
+            small = cells_at(ray)[0]
+            t = e_triple(small)
+            assert len(t) == 3
+            assert small == {s for s in PLUECKER_TRIPLES
+                             if len(t.intersection(s)) >= 2}
+            assert hx._ray_letter(ray) == ("E", t)
+
+    def test_f_cells_split_at_one_four_set(self, letters):
+        for ray in (r for r, letter in letters.items() if letter == "F"):
+            cells = set(cells_at(ray))
+            splits = [q for q in itertools.combinations(range(1, 7), 4)
+                      if cells == {
+                          frozenset(s for s in PLUECKER_TRIPLES
+                                    if cmp(len(set(q) & set(s)), 2))
+                          for cmp in (operator.ge, operator.le)}]
+            assert len(splits) == 1
+
+    def test_eeff_triples_disjoint_in_a_and_share_one_in_b(self, letters):
+        for plane_type, shared in (("EEFFa", 0), ("EEFFb", 1)):
+            for labels in TABLE1[plane_type]:
+                a, b = (e_triple(cells_at(r)[0]) for r in ray_set(labels)
+                        if letters[r] == "E")
+                assert len(a & b) == shared
 
 
 class TestCertificate:

@@ -97,3 +97,58 @@ class TestConeProofs:
         assert [v["cone"] for v in violations] == \
             [[list(r) for r in c.rays] for c in fan36.maximal_cones
              if ray in c.rays]
+
+
+class TestTable1IsDerived:
+    def test_swapped_rows_fail_alone(self, monkeypatch):
+        """With the first EEEG row and the first EEFG row of Table 1
+        swapped, ``check_table1`` fails on exactly those two rows: no type
+        is learned from the table.  The caches that could hold a type read
+        from the table are cleared before and after."""
+        import tropd4.correspondence as correspondence
+        import tropd4.hypersimplex as hypersimplex
+        import tropd4.reference as reference
+        table = dict(reference.TABLE1)
+        eeeg, eefg = table["EEEG"], table["EEFG"]
+        table["EEEG"] = (eefg[0],) + eeeg[1:]
+        table["EEFG"] = (eeeg[0],) + eefg[1:]
+        caches = (correspondence.classify_all_cones,
+                  hypersimplex.reference_signatures)
+        monkeypatch.setattr(reference, "TABLE1", table)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            violations = verify.check_table1()
+        finally:
+            monkeypatch.undo()
+            for cache in caches:
+                cache.cache_clear()
+        assert [(v["rays"], v["got"], v["expected"]) for v in violations] == [
+            (list(eefg[0]), "EEFG", "EEEG"), (list(eeeg[0]), "EEEG", "EEFG")]
+
+
+class TestTypeSignatures:
+    """The signature of each cone's canonical subdivision is its type's,
+    and the types' signatures are distinct."""
+
+    def test_passes(self):
+        assert verify.check_interior_point_stability(3, 0) == []
+
+    def test_swapped_references_fail_the_eeff_cones(self, monkeypatch,
+                                                    cone_types):
+        refs = dict(verify.reference_signatures())
+        refs["EEFFa"], refs["EEFFb"] = refs["EEFFb"], refs["EEFFa"]
+        monkeypatch.setattr(verify, "reference_signatures", lambda: refs)
+        violations = verify.check_interior_point_stability(3, 0)
+        assert {v["check"] for v in violations} == {"signature of cone type"}
+        assert sorted(v["type"] for v in violations) == \
+            sorted(t for t in cone_types.values() if t.startswith("EEFF"))
+
+    def test_equal_references_fail(self, monkeypatch):
+        refs = dict(verify.reference_signatures())
+        refs["EEFFb"] = refs["EEFFa"]
+        monkeypatch.setattr(verify, "reference_signatures", lambda: refs)
+        violations = verify.check_interior_point_stability(3, 0)
+        assert violations[0] == {"check": "type signatures distinct",
+                                 "types": ["EEFFa", "EEFFb"]}
+        assert [v["type"] for v in violations[1:]] == ["EEFFb"] * 6
