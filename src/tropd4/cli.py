@@ -126,6 +126,9 @@ def cmd_fan(args) -> int:
 
 def cmd_subdivision(args) -> int:
     labels = tuple(l.strip() for l in args.cone.split(",") if l.strip())
+    if not labels:
+        print("no ray labels given", file=sys.stderr)
+        return 2
     unknown = [l for l in labels if l not in reference.RAY_COORDS]
     if unknown:
         print(f"unknown ray labels: {', '.join(unknown)}", file=sys.stderr)

@@ -7,9 +7,10 @@ envelopes.  All arithmetic is over the integers / rationals; no floats.
 The workhorse is a double-description sweep (:func:`_double_description`)
 that inserts halfspaces one at a time while maintaining a line basis and the
 extreme rays of the pointed part.  Everything else is phrased as a ray
-enumeration of a suitable cone, by five callers: :class:`Cone`,
-:func:`cone_from_rays`, :func:`_faces` (faces of cones and polytopes),
-:func:`regular_subdivision` and :func:`_hull_functionals`.
+enumeration of a suitable cone, by four callers: :class:`Cone`,
+:func:`cone_from_rays`, :func:`regular_subdivision` and
+:func:`_polytope_facets`.  :func:`_faces` reads face lattices off the
+tight masks of facets and sweeps nothing.
 
 The sweep takes integer rows and returns primitive integer lines and
 primitive rays, each ray paired with the bitmask of the rows it is tight
@@ -126,10 +127,6 @@ def _pivot_columns(vectors):
         if r + 1 == len(rows):
             break
     return pivots, rows
-
-
-def _rank(vectors):
-    return len(_pivot_columns(vectors)[0])
 
 
 def basis_relations(vectors):
@@ -328,29 +325,24 @@ def _members(mask, items):
     return frozenset(members)
 
 
-def _faces(rows, labels):
-    """Nonzero faces of the pointed cone spanned by integer ``rows``.
+def _faces(facets, labels):
+    """Nonzero faces of a pointed cone spanned by one vector per label,
+    from the tight masks ``facets`` of its facets (bit i for vector i).
 
     Returns ``{dimension: set of faces}``, each face the frozenset of the
-    ``labels`` of its rows.  Independent rows span a simplicial cone; more
-    rows than coordinates are never independent, so they are not ranked.
-    Otherwise the masks of the dual cone's rays mark the facets, and the
-    other proper faces are their intersections (Ziegler, *Lectures on
-    Polytopes*, Lecture 2).  For a face G, each ``G & F`` over the facets
-    F not containing G is a proper face of G, and each facet H of G is
-    one of them: H is the intersection of the facets containing it, one
-    of which, F, does not contain G, and ``G & F`` is then a proper face
-    of G containing H, so H.  So ``dim G = 1 + max dim(G & F)``, the zero
-    face (mask 0) having dimension 0, and grading the faces by row count
-    takes O(faces * facets) steps.
+    ``labels`` of its vectors.  Its proper faces are intersections of
+    facets (Ziegler, *Lectures on Polytopes*, Lecture 2).  For a face G,
+    each ``G & F`` over the facets F not containing G is a proper face of
+    G, and each facet H of G is one of them: H is the intersection of the
+    facets containing it, one of which, F, does not contain G, and
+    ``G & F`` is then a proper face of G containing H, so H.  So
+    ``dim G = 1 + max dim(G & F)``, the zero face (mask 0) having
+    dimension 0, and grading the faces by vector count takes
+    O(faces * facets) steps.  A mask of a face that is not a facet may be
+    among ``facets``: it adds no face, and ``G & F`` is still a proper
+    face of G, so no maximum grows.
     """
-    n = len(rows)
-    if n <= len(rows[0]) and _rank(rows) == n:
-        return {k: set(map(frozenset, itertools.combinations(labels, k)))
-                for k in range(1, n + 1)}
-    _, normals = _double_description(rows, len(rows[0]))
-    facets = [mask for _, mask in normals]
-    masks = {(1 << n) - 1, *facets}
+    masks = {(1 << len(labels)) - 1, *facets}
     frontier = set(facets)
     while frontier:
         frontier = {f & g for f in frontier for g in facets} - masks
@@ -482,12 +474,15 @@ class Fan:
 
     @functools.cached_property
     def _faces_by_dim(self):
-        """Faces of the maximal cones by dimension, graded on first use."""
+        """Faces of the maximal cones by dimension, graded on first use.
+        Each facet of a cone is the tight set of one of its halfspaces."""
         faces = {}
         for c in self.maximal_cones:
             if not c.is_pointed:
                 raise NotPointedError(c.lines[0])
-            for d, fs in _faces(c.rays, c.rays).items():
+            masks = [sum(1 << i for i, r in enumerate(c.rays)
+                         if not _dot(h, r)) for h in c.halfspaces]
+            for d, fs in _faces(masks, c.rays).items():
                 faces.setdefault(d, set()).update(fs)
         return faces
 
@@ -579,8 +574,8 @@ def intersection_dim(points, cell_a, cell_b):
     if not shared:
         return -1
     base = points[shared[0]]
-    return _rank(_integer_rows([_minus(points[i], base)
-                                for i in shared[1:]])[0])
+    diffs, _ = _integer_rows(_minus(points[i], base) for i in shared[1:])
+    return len(_pivot_columns(diffs)[0])
 
 
 def polytope_proper_faces(vertices):
@@ -588,12 +583,14 @@ def polytope_proper_faces(vertices):
 
     Returns a dict mapping face dimension to the set of frozensets of vertex
     indices: the faces of the cone over the rows ``(v, 1)``, one dimension
-    lower.  The vertices must be distinct.  The polytope itself is not
-    included, unless it is a single point.
+    lower, graded from the tight masks of :func:`_polytope_facets`.  The
+    vertices must be distinct.  The polytope itself is not included, unless
+    it is a single point.
     """
-    rows, _ = _integer_rows(v + (1,) for v in _distinct_points(vertices))
-    faces = _faces(rows, range(len(rows)))
-    if len(rows) > 1:
+    vertices = _distinct_points(vertices)
+    _, _, masks = _polytope_facets(vertices)
+    faces = _faces(masks, range(len(vertices)))
+    if len(vertices) > 1:
         del faces[max(faces)]
     return {d - 1: fs for d, fs in faces.items()}
 
@@ -609,29 +606,31 @@ def point_in_hull(y, vertices):
 
     By Farkas' lemma, the hull is the set of points at which every affine
     functional that is nonnegative on the vertices is nonnegative
-    (Ziegler, *Lectures on Polytopes*, ch. 1).  Those functionals form the
-    cone ``{a : <(v, 1), a> >= 0}``, and one sweep gives its lines, the
-    equations of the affine span, and its rays, the facet functionals.  The
-    sweep is kept per vertex list in a cache of at most 256 lists, so a
-    repeated list costs one evaluation of each functional at ``y``.
-    Repeated vertices are allowed: they leave the hull as it is.
-    Coordinates must be ints or Fractions, yet a list equal to a cached
-    rational list, floats included, is answered exactly from the cache.
+    (Ziegler, *Lectures on Polytopes*, ch. 1), which
+    :func:`_polytope_facets` gives as the equations of the affine span and
+    the facet functionals.  Its cache makes a repeated list cost one
+    evaluation of each functional at ``y``.  Repeated vertices are allowed:
+    they leave the hull as it is.  Coordinates must be ints or Fractions,
+    yet a list equal to a cached rational list, floats included, is
+    answered exactly from the cache.
     """
     key = _point_tuple(vertices)
     if len(y) != len(key[0]):
         raise ValueError(f"query has {len(y)} coordinates, the vertices "
                          f"have {len(key[0])}")
-    lines, rays = _hull_functionals(key)
+    lines, functionals, _ = _polytope_facets(key)
     [u], _ = _integer_rows([tuple(y) + (1,)])
     return not any(_dot(l, u) for l in lines) and \
-        all(_dot(a, u) >= 0 for a in rays)
+        all(_dot(a, u) >= 0 for a in functionals)
 
 
 @functools.lru_cache(maxsize=256)
-def _hull_functionals(vertices):
+def _polytope_facets(vertices):
     """Lines and rays of the cone of affine functionals ``(a, a_0)`` with
-    ``<v, a> + a_0 >= 0`` on every vertex, as integer vectors."""
+    ``<v, a> + a_0 >= 0`` on every vertex: the equations of the affine
+    span, and the facet functionals as integer vectors, each with the mask
+    of the vertices it is tight on (bit i for vertex i)."""
     rows, _ = _integer_rows(v + (1,) for v in vertices)
     lines, rays = _double_description(rows, len(vertices[0]) + 1)
-    return tuple(lines), tuple(r for r, _ in rays)
+    return (tuple(lines), tuple(r for r, _ in rays),
+            tuple(m for _, m in rays))

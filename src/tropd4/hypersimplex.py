@@ -225,41 +225,29 @@ def subdivision_forms(cells):
     return tuple(equalities), tuple(stricts)
 
 
-def certifies(forms, w):
-    """Whether heights ``w`` satisfy the certificate ``forms`` of
-    :func:`subdivision_forms`, and so induce exactly its cells.
+def certifies(packed, w):
+    """Whether heights ``w`` satisfy the certificate ``packed`` of
+    :func:`packed_certificate`, and so induce exactly its cells.
 
     ``w`` is scaled to integers by the lcm of its denominators; the forms
     are linear, so the signs of their values do not change.  Each kind of
-    form is evaluated at once, packed by :func:`packed_certificate`.
+    form is evaluated at once.
     """
     scale = lcm(*(x.denominator for x in w))
     w = [x.numerator * (scale // x.denominator) for x in w]
-    equalities, stricts = packed_certificate(forms)
+    equalities, stricts = packed
     return equalities.all_zero(w) and stricts.all_positive(w)
-
-
-_last_packed = []  # the certificate object packed last, and its packing
-
-
-def packed_certificate(forms):
-    """The equality and strict forms of the certificate ``forms`` of
-    :func:`subdivision_forms`, each packed by :class:`PackedForms`.
-
-    A sweep tests many heights against one certificate, so the last one
-    is kept and recognized by identity, as hashing its ~84 forms cost a
-    third of a :func:`certifies` call.  Any other is looked up by value,
-    which refuses one with mutable parts; so the object kept cannot
-    change, and as it is held its identity is not reused.
-    """
-    if not _last_packed or _last_packed[0] is not forms:
-        _last_packed[:] = forms, _packed_certificate(forms)
-    return _last_packed[1]
 
 
 # room for the certificates of the 48 canonical subdivisions
 @lru_cache(maxsize=64)
-def _packed_certificate(forms):
+def packed_certificate(forms):
+    """The equality and strict forms of the certificate ``forms`` of
+    :func:`subdivision_forms`, each packed by :class:`PackedForms`.
+
+    A sweep tests many heights against one certificate, so its caller
+    packs it once; the packings are kept by value.
+    """
     equalities, stricts = forms
     return PackedForms(equalities), PackedForms(stricts)
 

@@ -205,7 +205,7 @@ def check_interior_point_stability(seed, samples_per_cone=20):
             violations.append({"check": "signature of cone type",
                                "cone": [list(r) for r in rays],
                                "type": plane_type})
-        forms = subdivision_forms(canonical)
+        packed = packed_certificate(subdivision_forms(canonical))
         for _ in range(samples_per_cone):
             # the point sum(a / b * r) over the rays, summed in integers
             # over the lcm of the b's
@@ -215,7 +215,7 @@ def check_interior_point_stability(seed, samples_per_cone=20):
             point = tuple(Fraction(sum(map(operator.mul, coeffs, column)), den)
                           for column in zip(*rays))
             w = trop_phi2(point)
-            cells = canonical if certifies(forms, w) \
+            cells = canonical if certifies(packed, w) \
                 else induced_subdivision(w)
             if not all(map(matroidal, cells)):
                 violations.append({"check": "matroidal cells",

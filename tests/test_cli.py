@@ -166,6 +166,14 @@ class TestSubdivision:
         assert captured.out == ""
         assert captured.err == "repeated ray labels: r12\n"
 
+    @pytest.mark.parametrize("cone", ["", ",", " , "])
+    def test_no_labels(self, capsys, cone):
+        code = main(["subdivision", "--cone", cone])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "no ray labels given\n"
+
     def test_reader_closing_early_exits_0(self):
         # The test closes its end of the pipe before the command writes,
         # so the write meets a closed pipe, as under ``| head -3``.

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import itertools
+import operator
 import pathlib
 import random
 from fractions import Fraction
@@ -341,36 +342,37 @@ class TestConeFaceRaySets:
                              min_size=d, max_size=d + 4))))
     @settings(max_examples=60)
     def test_matches_brute_force_oracle(self, case):
+        """Each cone as drawn, and rebuilt with the sum of its first two
+        halfspaces, a redundant one, added."""
         dim, generators = case
         cone = cone_from_rays(generators, dim)
         if brute_force_cone_dim(cone.halfspaces, dim) < dim:
             return
-        assert Fan(dim, (cone,)).face_ray_sets() == \
-            brute_force_cone_faces(list(cone.rays), dim)
+        h1, h2 = cone.halfspaces[:2]
+        redundant = Cone(dim, cone.halfspaces + (
+            tuple(map(operator.add, h1, h2)),))
+        assert redundant.rays == cone.rays
+        expected = brute_force_cone_faces(list(cone.rays), dim)
+        for c in (cone, redundant):
+            assert Fan(dim, (c,)).face_ray_sets() == expected
 
 
 class TestFanFaces:
-    def test_graded_once_on_first_use(self, fan36, sweep_calls,
-                                      monkeypatch):
-        """A fan grades its faces on first use, not when it is built, and
-        a second ``f_vector`` or ``face_ray_sets`` call sweeps and ranks
-        nothing."""
-        ranks = []
-        rank = geometry._rank
-        monkeypatch.setattr(geometry, "_rank",
-                            lambda rows: ranks.append(rows) or rank(rows))
+    def test_graded_once_on_first_use(self, fan36, sweep_calls):
+        """A fan grades its faces on first use, not when it is built, from
+        the tight masks of its cones' halfspaces, with no sweep; a second
+        ``f_vector`` or ``face_ray_sets`` call grades nothing again."""
         fan = Fan(4, fan36.maximal_cones)
-        assert sweep_calls == [] and ranks == []
+        assert "_faces_by_dim" not in vars(fan)
         assert fan.f_vector() == FAN_F_VECTOR
-        assert len(sweep_calls) == 2  # the two bipyramids
-        sweep_calls.clear()
-        ranks.clear()
+        assert sweep_calls == []
+        graded = fan._faces_by_dim
         assert fan.f_vector() == FAN_F_VECTOR
         faces = fan.face_ray_sets()
         assert len(faces) == sum(FAN_F_VECTOR)
         faces.clear()  # the caller's copy, not the fan's
         assert len(fan.face_ray_sets()) == sum(FAN_F_VECTOR)
-        assert sweep_calls == [] and ranks == []
+        assert fan._faces_by_dim is graded and sweep_calls == []
 
     def test_not_pointed(self):
         fan = Fan(2, (Cone(2, ((1, 0),)),))
@@ -942,7 +944,7 @@ class TestPointInHull:
         """A float query, or float vertices on a cache miss, raise
         ValueError; a float list equal to a cached rational list is
         answered from the cache, exactly."""
-        geometry._hull_functionals.cache_clear()
+        geometry._polytope_facets.cache_clear()
         triangle = [(0, 0), (2, 0), (0, 2)]
         assert point_in_hull((1, 1), triangle)
         with pytest.raises(ValueError, match="ints or Fractions"):
@@ -960,7 +962,7 @@ class TestPointInHull:
         assert point_in_hull((2, 0), segment)
 
     def test_repeated_vertex_list_sweeps_once(self, sweep_calls):
-        geometry._hull_functionals.cache_clear()
+        geometry._polytope_facets.cache_clear()
         square = [[Fraction(i, 7), Fraction(j, 7), 5]
                   for i in (0, 1) for j in (0, 1)]
         assert point_in_hull((Fraction(1, 14), Fraction(1, 14), 5), square)
@@ -968,8 +970,20 @@ class TestPointInHull:
         assert not point_in_hull((Fraction(1, 7), Fraction(2, 7), 5),
                                  tuple(map(tuple, square)))
         assert len(sweep_calls) == 1
-        maxsize = geometry._hull_functionals.cache_info().maxsize
+        maxsize = geometry._polytope_facets.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0
+
+    def test_faces_then_membership_sweep_once(self, sweep_calls):
+        """The faces of a vertex list and a membership query on it read
+        one cached sweep."""
+        geometry._polytope_facets.cache_clear()
+        square = [(Fraction(i, 3), Fraction(j, 3), 2)
+                  for i in (0, 1) for j in (0, 1)]
+        assert polytope_f_vector(square) == (4, 4)
+        assert len(sweep_calls) == 1
+        assert point_in_hull((Fraction(1, 6), Fraction(1, 3), 2), square)
+        assert not point_in_hull((Fraction(1, 6), Fraction(1, 2), 2), square)
+        assert len(sweep_calls) == 1
 
 
 # Distinct 0/1 points are vertices of the cube, so any set of them is in
@@ -1028,7 +1042,9 @@ class TestPolytopeFaces:
 
     @pytest.mark.parametrize("d", range(1, 6))
     def test_simplices_have_binomial_f_vectors(self, d, sweep_calls):
-        # a d-simplex in R^(d+1), with rational vertices off the origin
+        # a d-simplex in R^(d+1), with rational vertices off the origin;
+        # its f-vector and faces read one cached sweep
+        geometry._polytope_facets.cache_clear()
         simplex = [tuple(Fraction(int(i == j) + 1, 3) for j in range(d + 1))
                    for i in range(d + 1)]
         assert polytope_f_vector(simplex) == \
@@ -1037,10 +1053,11 @@ class TestPolytopeFaces:
         assert {f for fs in faces.values() for f in fs} == {
             frozenset(s) for k in range(1, d + 1)
             for s in itertools.combinations(range(d + 1), k)}
-        assert sweep_calls == []
+        assert len(sweep_calls) == 1
 
     def test_octahedron_in_hypersimplex_goes_through_dd(self, sweep_calls):
         # Delta(2,4) as the face {1 in S, 6 not in S} of Delta(3,6)
+        geometry._polytope_facets.cache_clear()
         octahedron = [v for v in hypersimplex_vertices() if v[0] and not v[5]]
         assert len(octahedron) == 6
         assert polytope_f_vector(octahedron) == (6, 12, 8)

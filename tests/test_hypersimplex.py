@@ -20,6 +20,7 @@ from tropd4.hypersimplex import (
     hypersimplex_vertices,
     induced_subdivision,
     is_matroid_basis_set,
+    packed_certificate,
     reference_signatures,
     signature_intersection_dims,
     subdivision_forms,
@@ -535,30 +536,34 @@ class TestFaceGrading:
                         matroid_f_vector(cell)
         assert graded >= 10
 
-    def test_rank_only_when_rows_can_be_independent(self, monkeypatch,
-                                                    sweep_calls):
-        """The rows ``(v, 1)`` have 7 coordinates: 10 of them are never
-        independent and are not ranked; a simplex still is, and its faces
-        come without a sweep."""
+    def test_one_sweep_per_vertex_set_no_rank(self, monkeypatch,
+                                              sweep_calls):
+        """Each vertex set, a simplex too, is swept once and its faces are
+        read off the facet masks: nothing is ranked, and grading a set
+        again sweeps nothing."""
         import tropd4.geometry as geometry
+        geometry._polytope_facets.cache_clear()
         ranked = []
-        rank = geometry._rank
-        monkeypatch.setattr(geometry, "_rank",
+        pivot_columns = geometry._pivot_columns
+        monkeypatch.setattr(geometry, "_pivot_columns",
                             lambda rows: ranked.append(len(rows)) or
-                            rank(rows))
+                            pivot_columns(rows))
         ten = [t for t in PLUECKER_TRIPLES if 1 in t]
         assert polytope_f_vector(vertex_list(ten)) == matroid_f_vector(ten)
-        assert ranked == [] and len(sweep_calls) == 1
+        assert len(sweep_calls) == 1
         simplex = [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6), (1, 3, 4),
                    (2, 3, 4)]
         assert abs(_det(vertex_list(simplex))) == 3
         assert polytope_f_vector(vertex_list(simplex)) == \
             oracle_f_vector(tuple(vertex_list(simplex))) == \
             tuple(comb(6, k + 1) for k in range(5))
-        assert ranked == [6] and len(sweep_calls) == 1
+        assert len(sweep_calls) == 2
         four = [(1, 2, k) for k in range(3, 7)]
         assert polytope_f_vector(vertex_list(four)) == matroid_f_vector(four)
-        assert ranked == [6, 4] and len(sweep_calls) == 1
+        assert len(sweep_calls) == 3
+        for cell in (ten, simplex, four):
+            polytope_f_vector(vertex_list(cell))
+        assert len(sweep_calls) == 3 and ranked == []
 
 
 @pytest.fixture
@@ -765,7 +770,7 @@ class TestCertificate:
                     coeffs[k] = 0
                 w = trop_phi2(tuple(sum(a * r[i] for a, r in zip(coeffs, rays))
                                     for i in range(4)))
-                certified = certifies(forms, w)
+                certified = certifies(packed_certificate(forms), w)
                 assert certified == (set(induced_subdivision(w)) == set(cells))
                 verdicts.add(certified)
         assert verdicts == {False, True}
@@ -774,8 +779,9 @@ class TestCertificate:
         heights = [trop_phi2(tuple(sum(c) for c in zip(*rays)))
                    for rays, _ in canonical]
         forms = [subdivision_forms(cells) for _, cells in canonical]
-        assert all(map(certifies, forms, heights))
-        assert not any(map(certifies, forms[1:] + forms[:1], heights))
+        packed = list(map(packed_certificate, forms))
+        assert all(map(certifies, packed, heights))
+        assert not any(map(certifies, packed[1:] + packed[:1], heights))
 
     def test_one_flipped_strict_form_is_caught(self, canonical):
         rng = random.Random(5)
@@ -785,7 +791,8 @@ class TestCertificate:
             flipped = stricts[:k] + (tuple(-x for x in stricts[k]),) \
                 + stricts[k + 1:]
             w = trop_phi2(tuple(sum(c) for c in zip(*rays)))
-            assert not certifies((equalities, flipped), w)
+            assert not certifies(packed_certificate((equalities, flipped)),
+                                 w)
 
     def test_matches_form_by_form_oracle_on_huge_heights(self, canonical):
         """Heights of size 10**30: each cone's canonical heights scaled,
@@ -807,7 +814,7 @@ class TestCertificate:
             nudged[rng.randrange(len(nudged))] += Fraction(1, 10 ** 6)
             for f, heights in itertools.product((forms[k], forms[k - 1]),
                                                 (lifted, nudged)):
-                verdict = certifies(f, heights)
+                verdict = certifies(packed_certificate(f), heights)
                 assert verdict == certificate_holds(f, heights)
                 verdicts.add(verdict)
         assert verdicts == {False, True}
@@ -826,13 +833,14 @@ class TestCertificate:
             assert rebuilt == own and rebuilt is not own
             assert rebuilt_neighbour == neighbour
             assert rebuilt_neighbour is not neighbour
+            assert packed_certificate(rebuilt) is packed_certificate(own)
             # the oracle's verdicts, which the calls below must repeat
             assert certificate_holds(own, w)
             assert not certificate_holds(neighbour, w)
             for f, holds in ((own, True), (neighbour, False), (own, True),
                              (rebuilt, True), (rebuilt_neighbour, False),
                              (rebuilt, True), (neighbour, False)):
-                assert certifies(f, w) == holds
+                assert certifies(packed_certificate(f), w) == holds
 
     def test_rejects_lower_dimensional_cell(self):
         with pytest.raises(ValueError, match="not full-dimensional"):
