@@ -447,10 +447,7 @@ class Fan:
 
     _normals: tuple = field(init=False, repr=False, compare=False)
     _masks: tuple = field(init=False, repr=False, compare=False)
-    # point location, filled on use: cone masks spread to the top bits of
-    # each field width, and the cones found per (width, sign bits)
-    _spread: dict = field(init=False, repr=False, compare=False,
-                          default_factory=dict)
+    # point location, filled on use: the cones found per (width, sign bits)
     _located: dict = field(init=False, repr=False, compare=False,
                            default_factory=dict)
 
@@ -501,8 +498,8 @@ class Fan:
         """Indices of the maximal cones that contain the integer point ``x``.
 
         The normals are evaluated at once by :class:`PackedForms`.  A cone
-        contains ``x`` when its mask, spread to the top bits of the fields,
-        lies inside the top bits of the normals that are ``>= 0`` at ``x``.
+        contains ``x`` when its mask lies inside the mask of the normals
+        that are ``>= 0`` at ``x``, read off the top bits of their fields.
         The answer depends only on the field width and those bits, so it is
         kept per pair; the word alone would not do, as two widths can give
         equal words.  Each width has at most one key per sign pattern of
@@ -512,11 +509,12 @@ class Fan:
         width, signs = self._packed.nonnegative(x)
         hits = self._located.get((width, signs))
         if hits is None:
-            if width not in self._spread:
-                self._spread[width] = [self._packed.top_bits(m, width)
-                                       for m in self._masks]
+            # the top bit of field j is bit j * width of the shifted word:
+            # every width-th binary digit from the low end, as bit j
+            digits = format(signs >> width - 1, "b")[::-1][::width]
+            nonnegative = int(digits[::-1], 2)
             hits = self._located[width, signs] = [
-                i for i, m in enumerate(self._spread[width]) if m & signs == m]
+                i for i, m in enumerate(self._masks) if m & nonnegative == m]
         return list(hits)
 
 

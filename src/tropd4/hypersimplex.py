@@ -28,10 +28,6 @@ from .geometry import (
 from .webmatrix import PLUECKER_TRIPLES
 
 
-class NotMatroidalError(ValueError):
-    """A subdivision cell fails the basis-exchange axiom."""
-
-
 @lru_cache(maxsize=1)
 def hypersimplex_vertices():
     """The 20 zero-one vectors with coordinate sum 3, in lex triple order."""
@@ -107,9 +103,9 @@ def _vertex_indices(mask):
     return [i for i in range(len(PLUECKER_TRIPLES)) if mask >> i & 1]
 
 
-# _span_dim, _cell_invariant, _cell_forms and _is_matroidal are keyed on
-# 20-bit vertex masks, so their keys are subsets of the 20 vertices and
-# the caches are finite.
+# _span_dim, _cell_invariant and _cell_forms are keyed on 20-bit vertex
+# masks, so their keys are subsets of the 20 vertices and the caches are
+# finite.
 @lru_cache(maxsize=None)
 def _span_dim(mask):
     """Dimension of the affine span of the vertices in ``mask`` (-1 if
@@ -299,27 +295,6 @@ def signature_intersection_dims(sig):
     return tuple(sorted(d for _, d in sig[1]))
 
 
-def subdivision_of_point(x):
-    """Matroid subdivision induced by the minor values at a point of R^4.
-
-    Subdivisions share most of their cells, so each distinct cell is
-    checked for basis exchange once, by :func:`_is_matroidal`.
-    """
-    cells = induced_subdivision(trop_phi2(x))
-    for cell in cells:
-        if not _is_matroidal(_vertex_mask(cell)):
-            raise NotMatroidalError(
-                f"cell {sorted(cell)} fails basis exchange at x={tuple(x)}")
-    return cells
-
-
-@lru_cache(maxsize=None)
-def _is_matroidal(mask):
-    """Basis-exchange verdict on the cell whose vertices are ``mask``."""
-    return is_matroid_basis_set(
-        frozenset(PLUECKER_TRIPLES[i] for i in _vertex_indices(mask)))
-
-
 def canonical_point(rays):
     """A cone's canonical point, the sum of its ``rays``: interior to the
     cone when the rays span it."""
@@ -327,14 +302,14 @@ def canonical_point(rays):
 
 
 def canonical_subdivision(rays):
-    """Matroid subdivision at the canonical point of a cone's ``rays``."""
+    """Subdivision induced at the canonical point of a cone's ``rays``."""
     return _subdivision_at(canonical_point(rays))
 
 
 # room for the canonical points of the 48 maximal cones
 @lru_cache(maxsize=64)
 def _subdivision_at(point):
-    return subdivision_of_point(point)
+    return induced_subdivision(trop_phi2(point))
 
 
 @lru_cache(maxsize=1)

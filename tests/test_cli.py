@@ -8,12 +8,14 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import tropd4
 import tropd4.correspondence as correspondence
 import tropd4.reference as reference
+import tropd4.verify as verify
 from tropd4.cli import build_parser, main
 from tropd4.correspondence import classify_all_cones
 from tropd4.hypersimplex import (
@@ -246,6 +248,32 @@ class TestVerifyAll:
             "cone type": 2, "class-type incidence": 8,
             "reflection preserves plane type": 20,
             "signature of cone type": 2}
+
+    def test_rejected_canonical_cell_fails_with_a_report(self, capsys,
+                                                         monkeypatch, fan36):
+        """A canonical cell that fails basis exchange gives a report with
+        exit code 1, not a traceback.  Each cone whose canonical
+        subdivision holds the cell fails its proof, and the samples whose
+        cells hold it fail the sweep."""
+        cones = [sorted(c.rays) for c in fan36.maximal_cones]
+        counts = Counter(cell for rays in cones
+                         for cell in canonical_subdivision(rays))
+        chosen = max(counts, key=counts.get)
+        real = verify.is_matroid_basis_set
+        monkeypatch.setattr(verify, "is_matroid_basis_set",
+                            lambda cell: cell != chosen and real(cell))
+        code, out = run_cli(capsys, *self.ARGS)
+        assert code == 1
+        violations = json.loads(out)["violations"]
+        assert {v["check"] for v in violations} == {
+            "canonical cells matroidal", "matroidal cells"}
+        failed = [list(map(list, rays)) for rays in cones
+                  if chosen in canonical_subdivision(rays)]
+        assert len(failed) == counts[chosen] > 1
+        assert [v["cone"] for v in violations
+                if v["check"] == "canonical cells matroidal"] == failed
+        assert all(v["cone"] in failed for v in violations
+                   if v["check"] == "matroidal cells")
 
     def test_tampered_dictionary_fails_with_diff(self, capsys, monkeypatch):
         """Two swapped roots fail their two dictionary rows and no other

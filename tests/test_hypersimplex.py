@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from tropd4.fan import trop_phi2
 from tropd4.hypersimplex import (
-    NotMatroidalError,
     canonical_point,
     canonical_subdivision,
     certifies,
@@ -24,7 +23,6 @@ from tropd4.hypersimplex import (
     reference_signatures,
     signature_intersection_dims,
     subdivision_forms,
-    subdivision_of_point,
     subdivision_signature,
     subdivision_to_json,
 )
@@ -264,19 +262,6 @@ class TestInducedSubdivision:
         cells = induced_subdivision(w)
         assert not all(is_matroid_basis_set(c) for c in cells)
 
-    def test_subdivision_of_point_rejects_non_dressian(self, monkeypatch):
-        import tropd4.hypersimplex as hx
-        monkeypatch.setattr(hx, "trop_phi2",
-                            lambda x: tuple(range(20)))
-        with pytest.raises(NotMatroidalError):
-            hx.subdivision_of_point((0, 0, 0, 0))
-
-    @pytest.mark.parametrize("x", [(1, 2, 3), (1, 2, 3, 4, 5),
-                                   (0.5, 0, 0, 0)])
-    def test_subdivision_of_point_rejects_bad_points(self, x):
-        with pytest.raises(ValueError):
-            subdivision_of_point(x)
-
     def test_uniform_lifts_fill_the_hypersimplex(self):
         """Seeded heights in 0..1000, as in the benchmark's uniform lifts:
         the cells' volumes add up to the 66 of Delta(3,6)."""
@@ -321,9 +306,8 @@ class TestSignature:
 
     def test_two_cones_of_same_type_agree(self):
         rows = TABLE1["EEFFa"]
-        sigs = {subdivision_signature(
-            subdivision_of_point(interior_point(labels)))
-            for labels in rows[:2]}
+        sigs = {subdivision_signature(canonical_subdivision(ray_set(labels)))
+                for labels in rows[:2]}
         assert len(sigs) == 1
 
     def test_types_a_and_b_differ_as_described(self):
@@ -337,8 +321,8 @@ class TestSignature:
         assert -1 not in dims_b
 
     def test_permutation_invariance(self):
-        cells = list(subdivision_of_point(
-            interior_point(("r3", "r9", "r10", "r12"))))
+        cells = list(canonical_subdivision(
+            ray_set(("r3", "r9", "r10", "r12"))))
         rng = random.Random(4)
         base = subdivision_signature(cells)
         for _ in range(5):
@@ -582,21 +566,22 @@ def cold_cells(monkeypatch):
 
 @pytest.fixture
 def cold_verdicts(monkeypatch):
-    """The basis-exchange verdicts and canonical subdivisions cleared
-    before and after, so that the test sees each verdict computed."""
+    """The canonical subdivisions cleared before and after, so that the
+    test sees each one built; yields :mod:`tropd4.verify`, whose
+    :func:`check_cone_proofs` judges their cells."""
     import tropd4.hypersimplex as hx
-    caches = (hx._is_matroidal, hx._subdivision_at)
-    for cache in caches:
-        cache.cache_clear()
-    yield hx
+    import tropd4.verify as verify
+    hx._subdivision_at.cache_clear()
+    yield verify
     monkeypatch.undo()
-    for cache in caches:
-        cache.cache_clear()
+    hx._subdivision_at.cache_clear()
 
 
 class TestVerdictPerCell:
     def test_one_verdict_per_distinct_cell(self, cold_verdicts, monkeypatch,
                                            fan36):
+        """The 288 canonical cells, 48 of them distinct, are judged once
+        each per call of the proof, with no verdict kept between calls."""
         judged = []
         real = cold_verdicts.is_matroid_basis_set
 
@@ -607,28 +592,29 @@ class TestVerdictPerCell:
         cells = [cell for c in fan36.maximal_cones
                  for cell in canonical_subdivision(c.rays)]
         assert len(cells) == 288
-        assert len(judged) == len(set(judged)) == len(set(cells)) == 48
+        for _ in range(2):
+            judged.clear()
+            assert cold_verdicts.check_cone_proofs() == []
+            assert len(judged) == len(set(judged)) == len(set(cells)) == 48
 
     def test_rejected_cell_fails_every_point_that_has_it(
             self, cold_verdicts, monkeypatch, fan36):
-        points = [canonical_point(sorted(c.rays)) for c in fan36.maximal_cones]
-        cells = [induced_subdivision(trop_phi2(x)) for x in points]
+        """Rejecting the most common canonical cell fails exactly the
+        cones whose subdivision at the canonical point holds it, each once
+        and with no other violation."""
+        rays = [sorted(c.rays) for c in fan36.maximal_cones]
+        cells = [induced_subdivision(trop_phi2(canonical_point(r)))
+                 for r in rays]
         counts = Counter(cell for subdivision in cells
                          for cell in subdivision)
         chosen = max(counts, key=counts.get)
-        assert 1 < counts[chosen] < len(points)
+        assert counts[chosen] == 14
         real = cold_verdicts.is_matroid_basis_set
         monkeypatch.setattr(cold_verdicts, "is_matroid_basis_set",
                             lambda cell: cell != chosen and real(cell))
-        failed = 0
-        for x, subdivision in zip(points, cells):
-            if chosen in subdivision:
-                with pytest.raises(NotMatroidalError, match="basis exchange"):
-                    subdivision_of_point(x)
-                failed += 1
-            else:
-                assert subdivision_of_point(x) == subdivision
-        assert failed == counts[chosen]
+        assert cold_verdicts.check_cone_proofs() == [
+            {"check": "canonical cells matroidal", "cone": list(map(list, r))}
+            for r, subdivision in zip(rays, cells) if chosen in subdivision]
 
 
 class TestClassify:
@@ -849,7 +835,7 @@ class TestCertificate:
 
 class TestJson:
     def test_shape_and_stability(self):
-        cells = subdivision_of_point(interior_point(("r3", "r9", "r10", "r12")))
+        cells = canonical_subdivision(ray_set(("r3", "r9", "r10", "r12")))
         data = subdivision_to_json(cells)
         assert sorted(data) == ["cells", "signature"]
         assert data["cells"] == sorted(data["cells"])
