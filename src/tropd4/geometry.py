@@ -325,35 +325,41 @@ def _members(mask, items):
     return frozenset(members)
 
 
-def _faces(facets, labels):
-    """Nonzero faces of a pointed cone spanned by one vector per label,
-    from the tight masks ``facets`` of its facets (bit i for vector i).
+def _faces(facets, n):
+    """Nonzero faces of a pointed cone spanned by ``n`` pairwise
+    non-parallel vectors, from the tight masks ``facets`` of its facets
+    (bit i for vector i).
 
-    Returns ``{dimension: set of faces}``, each face the frozenset of the
-    ``labels`` of its vectors.  Its proper faces are intersections of
-    facets (Ziegler, *Lectures on Polytopes*, Lecture 2).  For a face G,
-    each ``G & F`` over the facets F not containing G is a proper face of
-    G, and each facet H of G is one of them: H is the intersection of the
-    facets containing it, one of which, F, does not contain G, and
-    ``G & F`` is then a proper face of G containing H, so H.  So
-    ``dim G = 1 + max dim(G & F)``, the zero face (mask 0) having
-    dimension 0, and grading the faces by vector count takes
-    O(faces * facets) steps.  A mask of a face that is not a facet may be
-    among ``facets``: it adds no face, and ``G & F`` is still a proper
-    face of G, so no maximum grows.
+    Returns ``{dimension: set of masks}``, each face the mask of its
+    vectors, so a caller that only counts faces builds no vector sets.
+    Its proper faces are intersections of facets (Ziegler, *Lectures on
+    Polytopes*, Lecture 2).  For a face G, each ``G & F`` over the facets
+    F not containing G is a proper face of G, and each facet H of G is one
+    of them: H is the intersection of the facets containing it, one of
+    which, F, does not contain G, and ``G & F`` is then a proper face of G
+    containing H, so H.  So ``dim G = 1 + max dim(G & F)``, the zero face
+    (mask 0) having dimension 0; counted in order of size, each proper
+    ``G & F`` has its dimension before G, and G itself reads -1.  A face
+    of one or two vectors is spanned by them, so its dimension is their
+    number.  Counting takes O(faces * facets) steps.  A mask of a face
+    that is not a facet may be among ``facets``: it adds no face, and
+    ``G & F`` is still a proper face of G, so no maximum grows.
     """
-    masks = {(1 << len(labels)) - 1, *facets}
+    masks = {(1 << n) - 1, *facets}
     frontier = set(facets)
     while frontier:
         frontier = {f & g for f in frontier for g in facets} - masks
         masks |= frontier
     masks.discard(0)
     dims = {0: 0}
+    get = dims.get
     result = {}
     for mask in sorted(masks, key=int.bit_count):
-        d = dims[mask] = 1 + max([dims[g] for g in map(mask.__and__, facets)
-                                  if g != mask])
-        result.setdefault(d, set()).add(_members(mask, labels))
+        d = mask.bit_count()
+        if d > 2:
+            d = 1 + max(get(mask & f, -1) for f in facets)
+        dims[mask] = d
+        result.setdefault(d, set()).add(mask)
     return result
 
 
@@ -479,8 +485,9 @@ class Fan:
                 raise NotPointedError(c.lines[0])
             masks = [sum(1 << i for i, r in enumerate(c.rays)
                          if not _dot(h, r)) for h in c.halfspaces]
-            for d, fs in _faces(masks, c.rays).items():
-                faces.setdefault(d, set()).update(fs)
+            for d, fs in _faces(masks, len(c.rays)).items():
+                faces.setdefault(d, set()).update(
+                    _members(m, c.rays) for m in fs)
         return faces
 
     def face_ray_sets(self):
@@ -576,27 +583,17 @@ def intersection_dim(points, cell_a, cell_b):
     return len(_pivot_columns(diffs)[0])
 
 
-def polytope_proper_faces(vertices):
-    """Vertex sets of all nonempty proper faces of ``conv(vertices)``.
-
-    Returns a dict mapping face dimension to the set of frozensets of vertex
-    indices: the faces of the cone over the rows ``(v, 1)``, one dimension
-    lower, graded from the tight masks of :func:`_polytope_facets`.  The
-    vertices must be distinct.  The polytope itself is not included, unless
-    it is a single point.
+def polytope_f_vector(vertices):
+    """Counts of proper faces by dimension: ``(f_0, ..., f_{dim-1})``, or
+    ``(1,)`` for a single point, from the tight masks of
+    :func:`_polytope_facets`: the faces of the cone over the rows
+    ``(v, 1)``, one dimension lower.  The vertices must be distinct.
     """
     vertices = _distinct_points(vertices)
     _, _, masks = _polytope_facets(vertices)
-    faces = _faces(masks, range(len(vertices)))
-    if len(vertices) > 1:
-        del faces[max(faces)]
-    return {d - 1: fs for d, fs in faces.items()}
-
-
-def polytope_f_vector(vertices):
-    """Counts of proper faces by dimension: ``(f_0, ..., f_{dim-1})``."""
-    faces = polytope_proper_faces(vertices)
-    return tuple(len(faces.get(d, ())) for d in range(max(faces) + 1))
+    faces = _faces(masks, len(vertices))
+    top = max(faces)  # the polytope itself, counted only if it is a point
+    return tuple(len(faces[d]) for d in range(1, top)) or (1,)
 
 
 def point_in_hull(y, vertices):

@@ -151,10 +151,10 @@ def _cell_invariant(mask):
     The faces of a simplex are exactly its nonempty vertex subsets
     (Ziegler, *Lectures on Polytopes*, Lecture 2), so n affinely
     independent vertices have the f-vector ``(C(n,1), ..., C(n,n-1))``, or
-    ``(1,)`` for a single point, with no face enumeration.  At most six
+    ``(1,)`` for a single point, with no faces counted.  At most six
     points of the 5-dimensional hypersimplex are affinely independent, so
-    a larger cell is not tested; it and every other non-simplex are graded
-    by :func:`polytope_f_vector`.
+    a larger cell is not tested; the faces of it and of every other
+    non-simplex are counted by :func:`polytope_f_vector`.
 
     The vertices lie on the hyperplane where the coordinates sum to 3,
     which misses the origin, so they are affinely independent exactly
@@ -259,7 +259,7 @@ def subdivision_signature(cells):
 
     A cell not seen before costs a parity test if it has at most six
     vertices, a rank only if that test does not certify a simplex, and a
-    face enumeration only if it is not a simplex (see
+    count of its faces only if it is not a simplex (see
     :func:`_cell_invariant`).  The vertices a simplex shares with any cell
     are affinely independent, so a pair that touches a simplex meets in
     dimension one less than its number of shared vertices, with no rank;

@@ -23,7 +23,6 @@ from tropd4.geometry import (
     intersection_dim,
     point_in_hull,
     polytope_f_vector,
-    polytope_proper_faces,
     regular_subdivision,
 )
 
@@ -438,14 +437,29 @@ class TestIntersectCones:
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
+def proper_faces(points):
+    """Vertex index sets of the nonempty proper faces of ``conv(points)``,
+    by dimension, read off the masks that ``geometry._faces`` grades from
+    the cached facet sweep.  The polytope itself is left out, unless it is
+    a single point."""
+    points = geometry._distinct_points(points)
+    _, _, facets = geometry._polytope_facets(points)
+    faces = geometry._faces(facets, len(points))
+    if len(points) > 1:
+        del faces[max(faces)]
+    return {d - 1: {frozenset(i for i in range(len(points)) if m >> i & 1)
+                    for m in masks} for d, masks in faces.items()}
+
+
 class TestPointConfiguration:
-    """``regular_subdivision`` and ``polytope_proper_faces`` take a point
-    list that is nonempty, of one length and without repeats."""
+    """``regular_subdivision``, ``polytope_f_vector`` and the face sets
+    take a point list that is nonempty, of one length and without
+    repeats."""
 
     @staticmethod
     def rejected(points, message):
         for entry in (lambda: regular_subdivision(points, [0] * len(points)),
-                      lambda: polytope_proper_faces(points),
+                      lambda: proper_faces(points),
                       lambda: polytope_f_vector(points)):
             with pytest.raises(ValueError, match=message):
                 entry()
@@ -556,7 +570,7 @@ class TestRegularSubdivision:
                     verts = [self.GRID[i] for i in sorted(cell)]
                     local = frozenset(sorted(cell).index(i)
                                       for i in sorted(shared))
-                    faces = polytope_proper_faces(verts)
+                    faces = proper_faces(verts)
                     all_faces = {f for fs in faces.values() for f in fs}
                     all_faces.add(frozenset(range(len(verts))))
                     assert local in all_faces
@@ -1014,10 +1028,16 @@ def zero_one_polytopes(draw):
 class TestPolytopeFaces:
     @given(zero_one_polytopes())
     @example([(Fraction(1, 2), 3, 0)])
+    @example([(1,)])
+    @example([(0, 0), (2, 0), (1, 0), (0, 2)])  # an edge midpoint
+    @example([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)])  # a square's centre
+    @example([(0, 0), (3, 0), (0, 3), (1, 1)])  # inside a triangle
     @settings(max_examples=60)
     def test_matches_brute_force_oracle(self, points):
-        # the faces of the cone over the rows (u, 1), where u are affine
-        # coordinates on the span, scaled to integers
+        # the face sets, and the counts that the cell invariants read, of
+        # the cone over the rows (u, 1), where u are affine coordinates on
+        # the span, scaled to integers; a point that is not a vertex lies
+        # on the faces that hold it
         lifted = [u + (1,) for u in _affine_coordinates(points)]
         scale = lcm(*(x.denominator for row in lifted for x in row))
         rows = [tuple(int(x * scale) for x in row) for row in lifted]
@@ -1028,7 +1048,9 @@ class TestPolytopeFaces:
                 members = frozenset(index[r] for r in face)
                 dim = _affine_rank([points[i] for i in sorted(members)])
                 expected.setdefault(dim, set()).add(members)
-        assert polytope_proper_faces(points) == expected
+        assert proper_faces(points) == expected
+        assert polytope_f_vector(points) == tuple(
+            len(expected[d]) for d in range(len(expected)))
 
     def test_square_f_vector(self):
         assert polytope_f_vector(SQUARE) == (4, 4)
@@ -1049,11 +1071,22 @@ class TestPolytopeFaces:
                    for i in range(d + 1)]
         assert polytope_f_vector(simplex) == \
             tuple(comb(d + 1, k + 1) for k in range(d))
-        faces = polytope_proper_faces(simplex)
+        faces = proper_faces(simplex)
         assert {f for fs in faces.values() for f in fs} == {
             frozenset(s) for k in range(1, d + 1)
             for s in itertools.combinations(range(d + 1), k)}
         assert len(sweep_calls) == 1
+
+    def test_counts_build_no_face_sets(self, monkeypatch):
+        """The f-vector counts the graded masks: no face becomes a set
+        of vertex indices."""
+        members = []
+        monkeypatch.setattr(geometry, "_members",
+                            lambda *args: members.append(args))
+        octahedron = [v for v in hypersimplex_vertices() if v[0] and not v[5]]
+        assert polytope_f_vector(octahedron) == (6, 12, 8)
+        assert polytope_f_vector([(2, 1)]) == (1,)
+        assert members == []
 
     def test_octahedron_in_hypersimplex_goes_through_dd(self, sweep_calls):
         # Delta(2,4) as the face {1 in S, 6 not in S} of Delta(3,6)

@@ -520,6 +520,23 @@ class TestFaceGrading:
                         matroid_f_vector(cell)
         assert graded >= 10
 
+    def test_non_simplex_cells_of_benchmark_sized_lifts(self):
+        # minors of matrices with entries in 0..1000, as in the benchmark's
+        # Plücker lifts, whose non-simplex cells have 10 to 15 vertices;
+        # these seeds give cells of 10, 12, 13 and 14
+        sizes = Counter()
+        for seed in range(16):
+            rng = random.Random(seed)
+            w = tropical_minors([[rng.randint(0, 1000) for _ in range(6)]
+                                 for _ in range(3)])
+            for cell in induced_subdivision(w):
+                if not is_simplex(cell):
+                    sizes[len(cell)] += 1
+                    assert polytope_f_vector(vertex_list(cell)) == \
+                        matroid_f_vector(cell)
+        assert set(sizes) == {10, 12, 13, 14}
+        assert sum(sizes.values()) >= 80
+
     def test_one_sweep_per_vertex_set_no_rank(self, monkeypatch,
                                               sweep_calls):
         """Each vertex set, a simplex too, is swept once and its faces are
