@@ -1009,12 +1009,19 @@ ZERO_ONE_GROUNDS = [list(itertools.product((0, 1), repeat=d))
 
 @st.composite
 def zero_one_polytopes(draw):
-    """Distinct 0/1 points, at most ten of one ground set, sent by an
-    injective rational affine map that scales each coordinate and appends
-    one more coordinate that is an affine function of them."""
+    """Distinct 0/1 points, at most ten of one ground set, and sometimes
+    the midpoint of two of them, sent by an injective rational affine map
+    that scales each coordinate and appends one more coordinate that is an
+    affine function of them.  The midpoint has a coordinate 1/2, so it is
+    not a vertex: it lies on an edge or inside a larger face."""
     ground = draw(st.sampled_from(ZERO_ONE_GROUNDS))
     points = draw(st.lists(st.sampled_from(ground), min_size=1, max_size=10,
                            unique=True))
+    if len(points) > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, len(points) - 1), min_size=2,
+                             max_size=2, unique=True))
+        points.append(tuple(Fraction(a + b, 2)
+                            for a, b in zip(points[i], points[j])))
     d = len(ground[0])
     ratio = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
     scale = draw(st.lists(ratio.filter(bool), min_size=d, max_size=d))

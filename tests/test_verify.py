@@ -1,7 +1,11 @@
+import operator
+import random
 from collections import Counter
 
 import tropd4.verify as verify
+from tropd4.geometry import Fan, cone_from_rays
 from tropd4.hypersimplex import canonical_subdivision, induced_subdivision
+from tropd4.reference import ray_set
 
 
 def _rejected_cell_fails_every_point_that_has_it(monkeypatch):
@@ -152,3 +156,64 @@ class TestTypeSignatures:
         assert violations[0] == {"check": "type signatures distinct",
                                  "types": ["EEFFa", "EEFFb"]}
         assert [v["type"] for v in violations[1:]] == ["EEFFb"] * 6
+
+
+def _cover_points(seed, n_samples):
+    """The points ``check_fan_covering(seed, n_samples)`` draws, in order."""
+    rng = random.Random(seed)
+    return [tuple(rng.randint(-40, 40) for _ in range(4))
+            for _ in range(n_samples)]
+
+
+def _holds(cone, x):
+    """Whether ``x`` satisfies every halfspace of ``cone``."""
+    return all(sum(map(operator.mul, h, x)) >= 0 for h in cone.halfspaces)
+
+
+class TestBrokenFanCovering:
+    """Each covering violation, on a fan broken on purpose, at exactly the
+    points that brute-force halfspace tests name."""
+
+    def test_hole_fails_exactly_the_uncovered_points(self, monkeypatch,
+                                                     fan36):
+        cones = fan36.maximal_cones[1:]
+        monkeypatch.setattr(verify, "compute_fan_f36",
+                            lambda: Fan(4, cones))
+        expected = [list(x) for x in _cover_points(7, 3000)
+                    if not any(_holds(c, x) for c in cones)]
+        assert len(expected) == 91
+        assert verify.check_fan_covering(7, 3000) == [
+            {"check": "fan covers point", "point": x} for x in expected]
+
+    def test_improper_overlap_fails_off_the_shared_cone(self, monkeypatch,
+                                                        fan36):
+        """The cones r2,r5,r7,r14 and r2,r5,r8,r14 share the facet
+        r2,r5,r14.  The pointed cone over their rays but r5 meets each of
+        them, and their neighbours, in more than a common face.  A point
+        in two or more cones fails when it is not in the cone spanned by
+        the rays they all share, or is not the origin when they share
+        none."""
+        rays = {c.rays for c in fan36.maximal_cones}
+        for labels in (("r2", "r5", "r7", "r14"), ("r2", "r5", "r8", "r14")):
+            assert tuple(sorted(ray_set(labels))) in rays
+        extra = cone_from_rays(sorted(ray_set(("r2", "r7", "r8", "r14"))), 4)
+        assert extra.is_pointed and len(extra.rays) == 4
+        cones = fan36.maximal_cones + (extra,)
+        monkeypatch.setattr(verify, "compute_fan_f36",
+                            lambda: Fan(4, cones))
+        spanned = {}
+        expected = []
+        for x in _cover_points(7, 3000):
+            hits = [c for c in cones if _holds(c, x)]
+            assert hits, x
+            shared = frozenset.intersection(*(frozenset(c.rays)
+                                              for c in hits))
+            if shared and shared not in spanned:
+                spanned[shared] = cone_from_rays(sorted(shared), 4)
+            if len(hits) > 1 and not (_holds(spanned[shared], x) if shared
+                                      else not any(x)):
+                expected.append(list(x))
+        assert len(expected) == 285
+        assert verify.check_fan_covering(7, 3000) == [
+            {"check": "overlap is a common face", "point": x}
+            for x in expected]
