@@ -14,7 +14,11 @@ assembly of the report.  The median of each time over the runs is written
 to ``BENCH_verify_checks.json`` at the root of the checkout, with the
 commit, the seed, the run count, the Python version, ``src_lines``, the
 number of lines of ``src/tropd4/*.py``, so that the size of the code can
-be read beside its times, and ``probe_s``.
+be read beside its times, and ``probe_s``.  Beside the medians,
+``sweeps`` gives the number of double-description sweeps
+(``tropd4.geometry._double_description``) made in each check and in
+``full_report``.  The counts do not depend on the host, so every run must
+give the same ones.
 
 The times are wall-clock seconds, unscaled.  The host's speed drifts
 between runs minutes apart, so each run also times the fixed loop of
@@ -49,25 +53,35 @@ def child(seed):
     violation count as JSON."""
     probes = [probe() for _ in range(PROBES)]
     start = perf_counter()
-    from tropd4 import verify
+    from tropd4 import geometry, verify
     times = {"import": perf_counter() - start}
+    made = [0]  # the sweeps made so far
+    sweeps = {}
+    sweep = geometry._double_description
+
+    def counted(*args):
+        made[0] += 1
+        return sweep(*args)
 
     def timed(name, fn):
         def call(*args, **kwargs):
-            t0 = perf_counter()
+            t0, before = perf_counter(), made[0]
             try:
                 return fn(*args, **kwargs)
             finally:
                 times[name] = times.get(name, 0.0) + perf_counter() - t0
+                sweeps[name] = sweeps.get(name, 0) + made[0] - before
         return call
 
+    geometry._double_description = counted
     for name in [n for n in vars(verify) if n.startswith("check_")]:
         setattr(verify, name, timed(name, getattr(verify, name)))
     start = perf_counter()
     report = verify.full_report(seed)
     times["full_report"] = perf_counter() - start
+    sweeps["full_report"] = made[0]
     probes += [probe() for _ in range(PROBES)]
-    json.dump({"times": times, "probes": probes,
+    json.dump({"times": times, "sweeps": sweeps, "probes": probes,
                "violations": len(report["violations"])}, sys.stdout)
 
 
@@ -129,11 +143,17 @@ def main(script, description, body, summary, output):
 
 
 def summary(runs):
-    """The violation count and the median of each time over ``runs``."""
+    """The violation count, the median of each time over ``runs``, and
+    the sweep counts, which must be the same in every run."""
+    sweeps = runs[0]["sweeps"]
+    if any(r["sweeps"] != sweeps for r in runs):
+        raise RuntimeError("the runs made different numbers of sweeps: "
+                           f"{[r['sweeps'] for r in runs]}")
     return {"violations": max(r["violations"] for r in runs),
             "median_s": {name: round(statistics.median(
                 r["times"][name] for r in runs), 4)
-                for name in runs[0]["times"]}}
+                for name in runs[0]["times"]},
+            "sweeps": sweeps}
 
 
 if __name__ == "__main__":

@@ -297,11 +297,23 @@ class Cone:
     def is_pointed(self):
         return not self.lines
 
-    def contains(self, x):
+    def face_containing(self, x):
+        """The rays of the smallest face that holds ``x``, as a frozenset,
+        or None when ``x`` violates a halfspace.
+
+        That face is cut out by the halfspaces tight at ``x`` (Ziegler,
+        *Lectures on Polytopes*, Lecture 2), so its rays are those on all
+        of them.  At the origin of a pointed cone it is the empty face.
+        """
+        tight = []
         for h in self.halfspaces:
-            if _dot(h, x) < 0:
-                return False
-        return True
+            value = _dot(h, x)
+            if value < 0:
+                return None
+            if not value:
+                tight.append(h)
+        return frozenset(r for r in self.rays
+                         if not any(_dot(h, r) for h in tight))
 
 
 def cone_from_rays(rays, dim):
@@ -411,16 +423,9 @@ class PackedForms:
             self._layouts[width] = (
                 tuple(sum(c << j * width for j, c in enumerate(column))
                       for column in self._columns),
-                self.top_bits((1 << self._count) - 1, width))
+                sum(1 << j * width + width - 1 for j in range(self._count)))
         columns, high = self._layouts[width]
         return width, high + sum(map(operator.mul, x, columns)), high
-
-    @staticmethod
-    def top_bits(mask, width):
-        """The top bits of the fields of width ``width`` of the forms
-        whose indices are the set bits of ``mask``."""
-        return sum(1 << j * width + width - 1
-                   for j in range(mask.bit_length()) if mask >> j & 1)
 
     def nonnegative(self, x):
         """``(width, bits)``: the field width at ``x``, and the top bits of

@@ -38,7 +38,6 @@ from .correspondence import (
     verify_parity_reflection_theorem,
 )
 from .fan import bipyramid_cones, compute_fan_f36, trop_phi2
-from .geometry import cone_from_rays
 from .hypersimplex import (
     canonical_point,
     canonical_subdivision,
@@ -168,12 +167,14 @@ def check_interior_point_stability(seed, samples_per_cone=20):
     :func:`reference_signatures` gives for the type that
     :func:`classify_all_cones` reads off the cone's rays, and the six
     reference signatures must be pairwise distinct, so the signature
-    separates the types.  A sample whose heights satisfy the certificate of
-    S_C (see :func:`subdivision_forms`) induces exactly S_C's cells; any
-    other sample, on a boundary or with ties, gets its cells from a lower
-    envelope.  Samples share most of their cells, so each distinct cell is
-    checked for basis exchange once per call and its verdict reused, and
-    each distinct subdivision is signed once.
+    separates the types.  Every sample is interior to its cone, as each
+    ray's coefficient is at least 1/8.  A sample whose heights satisfy the
+    certificate of S_C (see :func:`subdivision_forms`) induces exactly
+    S_C's cells, and where :func:`check_cone_proofs` (a) and (b) hold,
+    every sample does; only a sample whose certificate fails gets its
+    cells from a lower envelope.  Samples share most of their cells, so
+    each distinct cell is checked for basis exchange once per call and
+    its verdict reused, and each distinct subdivision is signed once.
     """
     rng = random.Random(seed)
     violations = []
@@ -286,11 +287,25 @@ def check_cone_proofs():
 
 
 def check_fan_covering(seed, n_samples=10000):
-    """Random integer points: each lies in a cone; overlaps share a face."""
+    """Random integer points: each lies in a cone; overlaps share a face.
+
+    A point x in two or more cones passes when, in each of them, the
+    smallest face that holds x (:meth:`Cone.face_containing`) has exactly
+    the rays that all of them share.  Then x lies in the relative interior
+    of the cone of the shared rays, a face of each; at the origin that
+    face is empty, so the cones must share no ray.  So the test is at
+    least as strict as asking only that x lie in the cone of the shared
+    rays.  On a complete fan whose cones meet in common faces, both tests
+    pass at every point.  The smallest faces that hold x in two cones are
+    faces of the cones' intersection, a face of both, so they are one
+    face G.  No ray r off G lies in every cone that holds x: for small
+    e > 0 the points x - e*r lie in a cone that holds x, and
+    x = (x - e*r) + e*r would put r in G.  The test reads only the cones'
+    halfspaces and rays, and builds no cone.
+    """
     rng = random.Random(seed)
     violations = []
     fan = compute_fan_f36()
-    spanned = {}  # shared ray set -> the cone it spans
     for _ in range(n_samples):
         x = tuple(rng.randint(-40, 40) for _ in range(4))
         hits = fan.cones_containing(x)
@@ -298,14 +313,10 @@ def check_fan_covering(seed, n_samples=10000):
             violations.append({"check": "fan covers point", "point": list(x)})
             continue
         if len(hits) > 1:
-            shared = frozenset.intersection(
-                *(frozenset(fan.maximal_cones[i].rays) for i in hits))
-            # the point must lie in the cone spanned by the shared rays,
-            # or be the origin when they share none
-            if shared and shared not in spanned:
-                spanned[shared] = cone_from_rays(sorted(shared), 4)
-            ok = spanned[shared].contains(x) if shared else not any(x)
-            if not ok:
+            cones = [fan.maximal_cones[i] for i in hits]
+            shared = frozenset.intersection(*(frozenset(c.rays)
+                                              for c in cones))
+            if any(c.face_containing(x) != shared for c in cones):
                 violations.append({"check": "overlap is a common face",
                                    "point": list(x)})
     return violations

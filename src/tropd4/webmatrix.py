@@ -105,7 +105,6 @@ def minor_polynomial(idx) -> Poly:
     return total
 
 
-@lru_cache(maxsize=None)
 def tropical_minor(idx):
     """Linear forms of the tropicalized minor, sorted; coefficients checked.
 

@@ -326,6 +326,14 @@ class TestConeFromRays:
             tuple(brute_force_cone_facets(rows, dim))
 
 
+# (dim, generators): at most dim + 4 integer vectors with last entry >= 1,
+# so the cone they span is pointed.
+CONE_GENERATORS = st.integers(3, 4).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.tuples(*[st.integers(-2, 2)] * (d - 1),
+                                   st.integers(1, 3)),
+                         min_size=d, max_size=d + 4)))
+
+
 class TestConeFaceRaySets:
     def test_square_pyramid(self):
         square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
@@ -335,10 +343,7 @@ class TestConeFaceRaySets:
         assert faces == {frozenset((r,)) for r in square} | edges | \
             {frozenset(square)}
 
-    @given(st.integers(3, 4).flatmap(lambda d: st.tuples(
-        st.just(d), st.lists(st.tuples(*[st.integers(-2, 2)] * (d - 1),
-                                       st.integers(1, 3)),
-                             min_size=d, max_size=d + 4))))
+    @given(CONE_GENERATORS)
     @settings(max_examples=60)
     def test_matches_brute_force_oracle(self, case):
         """Each cone as drawn, and rebuilt with the sum of its first two
@@ -354,6 +359,27 @@ class TestConeFaceRaySets:
         expected = brute_force_cone_faces(list(cone.rays), dim)
         for c in (cone, redundant):
             assert Fan(dim, (c,)).face_ray_sets() == expected
+
+
+class TestFaceContaining:
+    @given(CONE_GENERATORS)
+    @settings(max_examples=60)
+    def test_matches_brute_force_oracle(self, case):
+        """The sum of a face's rays lies in the relative interior of the
+        face, so its smallest face is that face; the origin's is empty, and
+        a point past a facet lies in no face."""
+        dim, generators = case
+        cone = cone_from_rays(generators, dim)
+        if brute_force_cone_dim(cone.halfspaces, dim) < dim:
+            return
+        for face in brute_force_cone_faces(list(cone.rays), dim):
+            assert cone.face_containing(tuple(map(sum, zip(*face)))) == face
+        assert cone.face_containing((0,) * dim) == frozenset()
+        total = tuple(map(sum, zip(*cone.rays)))
+        for h in cone.halfspaces:
+            k = _dot(h, total) // _dot(h, h) + 1  # so that h(total - k h) < 0
+            past = tuple(x - k * c for x, c in zip(total, h))
+            assert cone.face_containing(past) is None
 
 
 class TestFanFaces:
@@ -417,8 +443,9 @@ class TestIntersectCones:
         c = self.meet(a, b)
         assert brute_force_cone_dim(c.halfspaces, 2) == 1
         assert not c.is_pointed
-        assert c.contains((0, 5)) and c.contains((0, -5))
-        assert not c.contains((1, 0))
+        assert c.face_containing((0, 5)) is not None and \
+            c.face_containing((0, -5)) is not None
+        assert c.face_containing((1, 0)) is None
 
     def test_common_facet(self):
         a = cone_from_rays([R[3], R[9], R[10], R[12]], 4)
@@ -803,7 +830,7 @@ class TestFanPointLocation:
             for x in order * 2:
                 assert fan.cones_containing(x) == [
                     i for i, c in enumerate(fan.maximal_cones)
-                    if c.contains(x)], x
+                    if c.face_containing(x) is not None], x
 
     def test_hits_are_the_callers_copy(self, fan36):
         fan36.cones_containing((1, 2, 3, 4)).append(99)

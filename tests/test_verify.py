@@ -170,6 +170,13 @@ def _holds(cone, x):
     return all(sum(map(operator.mul, h, x)) >= 0 for h in cone.halfspaces)
 
 
+def test_covering_builds_no_cone(fan36, sweep_calls):
+    """Once the fan is built, the covering check reads its cones'
+    halfspaces and rays and sweeps nothing."""
+    assert verify.check_fan_covering(7) == []
+    assert sweep_calls == []
+
+
 class TestBrokenFanCovering:
     """Each covering violation, on a fan broken on purpose, at exactly the
     points that brute-force halfspace tests name."""

@@ -104,10 +104,10 @@ class TestTropicalMinors:
         monkeypatch.setattr(wm, "minor_polynomial",
                             lambda idx: {Z: 1, X1: -1})
         with pytest.raises(PositivityError):
-            tropical_minor.__wrapped__((1, 2, 3))
+            tropical_minor((1, 2, 3))
 
     def test_non_unit_coefficients_rejected(self, monkeypatch):
         import tropd4.webmatrix as wm
         monkeypatch.setattr(wm, "minor_polynomial", lambda idx: {Z: 2})
         with pytest.raises(PositivityError):
-            tropical_minor.__wrapped__((1, 2, 3))
+            tropical_minor((1, 2, 3))
