@@ -298,20 +298,13 @@ class Cone:
         return not self.lines
 
     def face_containing(self, x):
-        """The rays of the smallest face that holds ``x``, as a frozenset,
-        or None when ``x`` violates a halfspace.
-
-        That face is cut out by the halfspaces tight at ``x`` (Ziegler,
-        *Lectures on Polytopes*, Lecture 2), so its rays are those on all
-        of them.  At the origin of a pointed cone it is the empty face.
-        """
-        tight = []
-        for h in self.halfspaces:
-            value = _dot(h, x)
-            if value < 0:
-                return None
-            if not value:
-                tight.append(h)
+        """The rays of the smallest face holding ``x``, those on every
+        halfspace tight at ``x`` (Ziegler, *Lectures on Polytopes*,
+        Lecture 2), as a frozenset; None when ``x`` violates a halfspace."""
+        values = [_dot(h, x) for h in self.halfspaces]
+        if any(v < 0 for v in values):
+            return None
+        tight = [h for h, v in zip(self.halfspaces, values) if not v]
         return frozenset(r for r in self.rays
                          if not any(_dot(h, r) for h in tight))
 

@@ -167,14 +167,12 @@ def check_interior_point_stability(seed, samples_per_cone=20):
     :func:`reference_signatures` gives for the type that
     :func:`classify_all_cones` reads off the cone's rays, and the six
     reference signatures must be pairwise distinct, so the signature
-    separates the types.  Every sample is interior to its cone, as each
-    ray's coefficient is at least 1/8.  A sample whose heights satisfy the
-    certificate of S_C (see :func:`subdivision_forms`) induces exactly
-    S_C's cells, and where :func:`check_cone_proofs` (a) and (b) hold,
-    every sample does; only a sample whose certificate fails gets its
-    cells from a lower envelope.  Samples share most of their cells, so
-    each distinct cell is checked for basis exchange once per call and
-    its verdict reused, and each distinct subdivision is signed once.
+    separates the types.  Each ray's coefficient is at least 1/8, so every
+    sample is interior, and by :func:`check_cone_proofs` (a) and (b) its
+    heights satisfy the certificate of S_C (see :func:`subdivision_forms`)
+    and induce S_C's cells; only a sample that fails it takes a lower
+    envelope.  Samples share most of their cells, so each distinct cell is
+    judged for basis exchange and each distinct subdivision signed once.
     """
     rng = random.Random(seed)
     violations = []
@@ -289,19 +287,12 @@ def check_cone_proofs():
 def check_fan_covering(seed, n_samples=10000):
     """Random integer points: each lies in a cone; overlaps share a face.
 
-    A point x in two or more cones passes when, in each of them, the
-    smallest face that holds x (:meth:`Cone.face_containing`) has exactly
-    the rays that all of them share.  Then x lies in the relative interior
-    of the cone of the shared rays, a face of each; at the origin that
-    face is empty, so the cones must share no ray.  So the test is at
-    least as strict as asking only that x lie in the cone of the shared
-    rays.  On a complete fan whose cones meet in common faces, both tests
-    pass at every point.  The smallest faces that hold x in two cones are
-    faces of the cones' intersection, a face of both, so they are one
-    face G.  No ray r off G lies in every cone that holds x: for small
-    e > 0 the points x - e*r lie in a cone that holds x, and
-    x = (x - e*r) + e*r would put r in G.  The test reads only the cones'
-    halfspaces and rays, and builds no cone.
+    A point x in two or more cones passes when in each of them the
+    smallest face holding x (:meth:`Cone.face_containing`) has exactly the
+    rays they all share.  Then x is in the relative interior of the cone
+    of those rays, a face of each and empty at the origin, so the test is
+    at least as strict as asking that x lie in that cone.  On a complete
+    fan whose cones meet in common faces, both pass at every point.
     """
     rng = random.Random(seed)
     violations = []
