@@ -195,11 +195,10 @@ class TestBrokenFanCovering:
     def test_improper_overlap_fails_off_the_shared_cone(self, monkeypatch,
                                                         fan36):
         """The cones r2,r5,r7,r14 and r2,r5,r8,r14 share the facet
-        r2,r5,r14.  The pointed cone over their rays but r5 meets each of
-        them, and their neighbours, in more than a common face.  A point
-        in two or more cones fails when it is not in the cone spanned by
-        the rays they all share, or is not the origin when they share
-        none."""
+        r2,r5,r14.  The pointed cone over their rays but r5 meets both in
+        more than a common face.  A point in two or more cones fails when
+        it is not in the cone spanned by the rays they all share, or is not
+        the origin when they share none."""
         rays = {c.rays for c in fan36.maximal_cones}
         for labels in (("r2", "r5", "r7", "r14"), ("r2", "r5", "r8", "r14")):
             assert tuple(sorted(ray_set(labels))) in rays
