@@ -289,10 +289,12 @@ def check_fan_covering(seed, n_samples=10000):
 
     A point x in two or more cones passes when in each of them the
     smallest face holding x (:meth:`Cone.face_containing`) has exactly the
-    rays they all share.  Then x is in the relative interior of the cone
-    of those rays, a face of each and empty at the origin, so the test is
-    at least as strict as asking that x lie in that cone.  On a complete
-    fan whose cones meet in common faces, both pass at every point.
+    rays they all share, and is a proper face.  Then x is in the relative
+    interior of the cone of those rays, a face of each and empty at the
+    origin, so the test is at least as strict as asking that x lie in that
+    cone.  The interiors of distinct maximal cones are disjoint, so a cone
+    held twice fails at its interior points.  On a complete fan whose
+    cones meet in common faces, both pass at every point.
     """
     rng = random.Random(seed)
     violations = []
@@ -307,7 +309,8 @@ def check_fan_covering(seed, n_samples=10000):
             cones = [fan.maximal_cones[i] for i in hits]
             shared = frozenset.intersection(*(frozenset(c.rays)
                                               for c in cones))
-            if any(c.face_containing(x) != shared for c in cones):
+            if any(c.face_containing(x) != shared
+                   or len(shared) == len(c.rays) for c in cones):
                 violations.append({"check": "overlap is a common face",
                                    "point": list(x)})
     return violations

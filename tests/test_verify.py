@@ -1,9 +1,10 @@
 import operator
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import tropd4.verify as verify
-from tropd4.geometry import Fan, cone_from_rays
+from tropd4.geometry import Cone, Fan, cone_from_rays
 from tropd4.hypersimplex import canonical_subdivision, induced_subdivision
 from tropd4.reference import ray_set
 
@@ -223,3 +224,43 @@ class TestBrokenFanCovering:
         assert verify.check_fan_covering(7, 3000) == [
             {"check": "overlap is a common face", "point": x}
             for x in expected]
+
+    def test_cone_held_twice_fails_inside_it(self, monkeypatch, fan36):
+        """A copy of the first cone overlaps it in its interior, where the
+        smallest face holding a point is the whole cone, not a proper
+        face.  On its boundary both copies and their neighbours meet in a
+        common proper face, so those points pass."""
+        first = fan36.maximal_cones[0]
+        cones = fan36.maximal_cones + (Cone(4, first.halfspaces),)
+        monkeypatch.setattr(verify, "compute_fan_f36",
+                            lambda: Fan(4, cones))
+        expected = [list(x) for x in _cover_points(7, 10000)
+                    if all(sum(map(operator.mul, h, x)) > 0
+                           for h in first.halfspaces)]
+        assert len(expected) == 312
+        assert verify.check_fan_covering(7) == [
+            {"check": "overlap is a common face", "point": x}
+            for x in expected]
+
+    def test_every_hit_cone_is_judged(self, monkeypatch):
+        """The point x = a + c lies on the diagonal of the square face
+        a, b, c, d of a cone over a square pyramid, so that cone's face
+        holding x is the square.  A simplicial cone with the edge a, c,
+        first in fan order, holds x on that edge, which is all the two
+        cones share.  Only the second hit cone shows the overlap."""
+        a, b, c, d = (0, 0, 0, 1), (2, 0, 0, 1), (2, 2, 0, 1), (0, 2, 0, 1)
+        pyramid = cone_from_rays([a, b, c, d, (1, 1, 1, 1)], 4)
+        edge = cone_from_rays([a, c, (-1, 0, 0, 0), (0, -1, 1, 0)], 4)
+        fan = Fan(4, (pyramid, edge))
+        assert fan.maximal_cones == (edge, pyramid)
+        x = tuple(map(operator.add, a, c))
+        assert fan.cones_containing(x) == [0, 1]
+        assert edge.face_containing(x) == {a, c}
+        assert pyramid.face_containing(x) == {a, b, c, d}
+        monkeypatch.setattr(verify, "compute_fan_f36", lambda: fan)
+        draws = iter(x)
+        monkeypatch.setattr(verify, "random", SimpleNamespace(
+            Random=lambda seed: SimpleNamespace(
+                randint=lambda low, high: next(draws))))
+        assert verify.check_fan_covering(7, 1) == [
+            {"check": "overlap is a common face", "point": list(x)}]
