@@ -23,7 +23,10 @@ Plücker vectors, whose larger cells set its ``op_ms_p90``.  Under
 ``op_ms_p90`` is each layer's 90th percentile over all 80 lifts, taken
 as the benchmark takes it (``p90`` of ``perfbench/run.py``), and the
 median of it over the runs.  The layer medians and percentiles need not
-add up to the op's.  Times are unscaled; scale by
+add up to the op's.  Beside them, ``fvectors`` gives the number of
+``polytope_f_vector`` calls that ``hypersimplex`` makes over the 80 lifts,
+after the set-up; the count does not depend on the host, so every run
+must give the same one.  Times are unscaled; scale by
 ``hostspeed.REFERENCE_S / probe_s`` to compare files written minutes
 apart.
 """
@@ -52,6 +55,7 @@ def child(seed):
     as JSON."""
     from child import setup
     from run import lift_inputs, p90
+    from tropd4 import hypersimplex
     from tropd4.hypersimplex import (
         induced_subdivision,
         is_matroid_basis_set,
@@ -59,6 +63,13 @@ def child(seed):
     )
     lifts = lift_inputs(random.Random(seed), LIFTS)
     setup()
+    counted = []
+    f_vector = hypersimplex.polytope_f_vector
+
+    def counted_f_vector(vertices):
+        counted.append(len(vertices))
+        return f_vector(vertices)
+    hypersimplex.polytope_f_vector = counted_f_vector
     probes = [probe() for _ in range(PROBES)]
     times = {name: [] for name in LAYERS}
     for w in lifts:
@@ -77,15 +88,21 @@ def child(seed):
                      for name, ms in times.items()}
                for key, ks in KINDS.items()}
               | {"op_ms_p90": {name: p90(ms) for name, ms in times.items()},
-                 "probes": probes}, sys.stdout)
+                 "fvectors": len(counted), "probes": probes}, sys.stdout)
 
 
 def summary(runs):
     """The median over ``runs`` of each layer's per-op median, over all
-    lifts and over each kind, and of its 90th percentile over all lifts."""
+    lifts and over each kind, and of its 90th percentile over all lifts;
+    and the f-vector count, which must be the same in every run."""
+    fvectors = runs[0]["fvectors"]
+    if any(r["fvectors"] != fvectors for r in runs):
+        raise RuntimeError("the runs counted different numbers of f-vectors: "
+                           f"{[r['fvectors'] for r in runs]}")
     return {"lifts": LIFTS, **{key: {
         name: round(statistics.median(r[key][name] for r in runs), 3)
-        for name in LAYERS} for key in (*KINDS, "op_ms_p90")}}
+        for name in LAYERS} for key in (*KINDS, "op_ms_p90")},
+        "fvectors": fvectors}
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, groupby, product, starmap
+from itertools import combinations, groupby, permutations, product, starmap
 from math import comb, lcm
 from operator import and_
 
@@ -123,6 +123,8 @@ _SIMPLEX_INVARIANTS = {
 
 # Each vertex as a 6-bit mask, bit m - 1 standing for coordinate m.
 _TRIPLE_BITS = tuple(sum(1 << (m - 1) for m in t) for t in PLUECKER_TRIPLES)
+# The inverse: each vertex's bit by its 6-bit mask.
+_VERTEX_BIT = {b: 1 << i for i, b in enumerate(_TRIPLE_BITS)}
 
 
 def _independent_mod2(mask):
@@ -154,7 +156,13 @@ def _cell_invariant(mask):
     ``(1,)`` for a single point, with no faces counted.  At most six
     points of the 5-dimensional hypersimplex are affinely independent, so
     a larger cell is not tested; the faces of it and of every other
-    non-simplex are counted by :func:`polytope_f_vector`.
+    non-simplex are counted by :func:`polytope_f_vector`, at most once
+    per orbit of cells under the permutations of 1..6: on the orbit's key
+    (:func:`_orbit_key`), and kept.  The key tries at most 48 relabellings
+    on every cell of the canonical and ray subdivisions of the fan and of
+    the 240 seeded lifts ``lift_inputs(random.Random(7), 240)`` of
+    ``perfbench/run.py``; all 720 only when the six degrees tie, as for
+    Delta(3,6) itself.
 
     The vertices lie on the hyperplane where the coordinates sum to 3,
     which misses the origin, so they are affinely independent exactly
@@ -168,9 +176,54 @@ def _cell_invariant(mask):
     n = mask.bit_count()
     if 0 < n <= 6 and (_independent_mod2(mask) or _span_dim(mask) == n - 1):
         return _SIMPLEX_INVARIANTS[n]
+    return _orbit_invariant(_orbit_key(mask)), False
+
+
+@lru_cache(maxsize=None)
+def _orbit_invariant(key):
+    """Vertex count and f-vector of the cell whose vertices are ``key``,
+    an orbit's key (:func:`_orbit_key`), counted once per orbit."""
     verts = hypersimplex_vertices()
-    f = polytope_f_vector([verts[i] for i in _vertex_indices(mask)])
-    return (n, f), False
+    return key.bit_count(), polytope_f_vector(
+        [verts[i] for i in _vertex_indices(key)])
+
+
+# one vertex map per order of 1..6, so at most 720 are kept
+@lru_cache(maxsize=None)
+def _relabelling(order):
+    """Vertex map of the relabelling that gives element ``order[p]`` the
+    label ``p + 1``: entry i is the bit of the image of vertex i."""
+    label = [0] * 7  # each element's new label as a 6-bit mask
+    for p, e in enumerate(order):
+        label[e] = 1 << p
+    return tuple(_VERTEX_BIT[label[a] | label[b] | label[c]]
+                 for a, b, c in PLUECKER_TRIPLES)
+
+
+def _orbit_key(mask):
+    """The least image of the cell ``mask`` under the relabellings of
+    1..6 that list the elements by ascending degree, the degree of an
+    element being the number of the cell's triples that contain it.  Each
+    order of the elements within a tie is tried.  The empty cell is its
+    own key, and no relabelling is tried.
+
+    The key is sound: a permutation of the coordinates is a linear
+    automorphism of R^6 that maps the vertices of Delta(3,6) onto
+    themselves, so conv(key) has the vertex count and f-vector of
+    conv(cell), whichever relabellings are tried.  It is canonical: for
+    D = tau(C), an element tau(e) has in D the degree of e in C, so the
+    degree-sorting relabellings of D are sigma o tau^-1 for those sigma of
+    C, and they give the same images.  Every cell of one orbit under the
+    permutations of 1..6 has one key.
+    """
+    if not mask:
+        return mask
+    indices = _vertex_indices(mask)
+    degree = Counter(e for i in indices for e in PLUECKER_TRIPLES[i])
+    ties = [tuple(group) for _, group in groupby(
+        sorted(range(1, 7), key=degree.__getitem__), key=degree.__getitem__)]
+    return min(sum(map(_relabelling(sum(orders, ())).__getitem__, indices))
+               for orders in product(*map(permutations, ties)))
 
 
 @lru_cache(maxsize=None)

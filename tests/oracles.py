@@ -20,6 +20,8 @@ oracle works on frozensets, and the matroid subdivisions of Delta(3,6) are
 also recognized by their tropical Plücker relations.  The matroid f-vector
 oracle reads a matroid polytope's faces off ordered set partitions and
 their dimensions off connected components, instead of ranking vertices.
+The orbit oracle applies all 720 permutations of 1..6 to a cell's
+triples, instead of only those that sort the elements by degree.
 The crossing oracle realizes chords as exact rational segments and tests
 proper intersection, instead of applying the combinatorial crossing rules.
 The plane-type oracle looks a subdivision's signature up among the
@@ -464,6 +466,31 @@ def matroid_f_vector(bases):
     faces = _matroid_faces(frozenset(map(frozenset, bases)), ground, {})
     dims = [len(ground) - _matroid_components(f, ground) for f in faces]
     return tuple(dims.count(d) for d in range(max(dims) or 1))
+
+
+# -- orbits of cells under relabelling ----------------------------------------
+
+_TRIPLES = tuple(itertools.combinations(range(1, 7), 3))
+_TRIPLE_BIT = {t: 1 << i for i, t in enumerate(_TRIPLES)}
+# per permutation p of 1..6, the bit of each triple's image under e -> p[e-1]
+_IMAGE_BITS = tuple(
+    {t: _TRIPLE_BIT[tuple(sorted(p[e - 1] for e in t))] for t in _TRIPLES}
+    for p in itertools.permutations(range(1, 7)))
+
+
+def brute_force_orbit(cell):
+    """The images of ``cell``, a set of triples of 1..6, under all 720
+    permutations of 1..6, each as a 20-bit mask: bit i stands for the i-th
+    triple in lexicographic order."""
+    cell = set(cell)
+    return frozenset(sum(map(image.__getitem__, cell))
+                     for image in _IMAGE_BITS)
+
+
+def brute_force_orbit_key(cell):
+    """The least image of ``cell`` over all 720 relabellings of 1..6, as a
+    20-bit mask (see :func:`brute_force_orbit`)."""
+    return min(brute_force_orbit(cell))
 
 
 def satisfies_tropical_plucker_relations(w):

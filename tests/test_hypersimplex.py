@@ -43,6 +43,8 @@ from oracles import (
     brute_force_cone_faces,
     brute_force_lower_cells,
     brute_force_matroid_basis_set,
+    brute_force_orbit,
+    brute_force_orbit_key,
     certificate_holds,
     classify_by_signature,
     matroid_f_vector,
@@ -67,8 +69,12 @@ def lift_heights(lift):
     """Heights on the 20 vertices: at the canonical point of the first
     Table 1 cone of a plane type, named by the type; seeded generic
     heights, for an int; tied heights in 0..2, whose cells mix simplices
-    and other polytopes; or the tropical minors of a seeded integer
-    matrix."""
+    and other polytopes; the tropical minors of a seeded integer matrix;
+    or at the first G ray of ``RAY_COORDS``, whose three cells of 14
+    vertices lie in one orbit under the permutations of 1..6."""
+    if lift == "G ray":
+        return trop_phi2(next(r for r in RAY_COORDS.values()
+                              if len(induced_subdivision(trop_phi2(r))) == 3))
     if lift == "tied":
         rng = random.Random(1)
         return [rng.randint(0, 2) for _ in range(20)]
@@ -357,15 +363,18 @@ class TestSignature:
         if lift == "tied":
             assert {is_simplex(c) for c in cells} == {True, False}
 
-    @pytest.mark.parametrize("lift", [41, "tied"])
+    @pytest.mark.parametrize("lift", [41, "tied", "G ray"])
     def test_simplices_cost_one_rank(self, lift, monkeypatch):
         # signed with cold caches: a simplex is ranked once and never
-        # graded, and only pairs of two non-simplices rank what they share
+        # graded, one non-simplex per orbit is graded, and only pairs of
+        # two non-simplices rank what they share
         import tropd4.hypersimplex as hx
         cells = induced_subdivision(lift_heights(lift))
         others = [c for c in set(cells) if not is_simplex(c)]
-        hx._cell_invariant.cache_clear()
-        hx._span_dim.cache_clear()
+        orbits = {brute_force_orbit_key(c): len(c) for c in others}
+        for cache in (hx._cell_invariant, hx._span_dim, hx._orbit_invariant,
+                      hx._relabelling):
+            cache.cache_clear()
         graded, ranked = [], []
         f_vector, intersection_dim = hx.polytope_f_vector, hx.intersection_dim
 
@@ -379,7 +388,9 @@ class TestSignature:
         monkeypatch.setattr(hx, "polytope_f_vector", counted_f_vector)
         monkeypatch.setattr(hx, "intersection_dim", counted_intersection_dim)
         hx.subdivision_signature(cells)
-        assert sorted(graded) == sorted(map(len, others))
+        assert sorted(graded) == sorted(orbits.values())
+        if lift == "G ray":
+            assert len(others) == 3 and graded == [14]
         assert len(ranked) <= len(set(cells)) + comb(len(others), 2)
         # at most six points of Delta(3,6) are affinely independent
         spans = {c for c in cells if len(c) <= 6}
@@ -567,12 +578,140 @@ class TestFaceGrading:
         assert len(sweep_calls) == 3 and ranked == []
 
 
+def benchmark_lifts(seed, count):
+    """The heights of ``lift_inputs(random.Random(seed), count)`` in
+    ``perfbench/run.py``: uniform in 0..1000 for the lifts k with
+    ``k % 3 < 2``, the tropical minors of a 3x6 matrix with entries in
+    0..1000 for the others."""
+    rng = random.Random(seed)
+    return [[rng.randint(0, 1000) for _ in range(20)] if k % 3 < 2 else
+            tropical_minors([[rng.randint(0, 1000) for _ in range(6)]
+                             for _ in range(3)])
+            for k in range(count)]
+
+
+def cell_of(mask):
+    """The triples of the vertices whose bits are set in ``mask``."""
+    return frozenset(t for i, t in enumerate(PLUECKER_TRIPLES)
+                     if mask >> i & 1)
+
+
+@pytest.fixture(scope="module")
+def key_cells(fan36):
+    """The distinct non-simplex cells, as vertex masks, of the 240 lifts
+    of the ``generic-lift`` benchmark at seed 7, of 150 seeded lifts tied
+    in 0..2, of the 48 canonical subdivisions and of the 16 ray
+    subdivisions."""
+    import tropd4.hypersimplex as hx
+    rng = random.Random(1)
+    subdivisions = {
+        "lifts": map(induced_subdivision, benchmark_lifts(7, 240)),
+        "tied": [induced_subdivision([rng.randint(0, 2) for _ in range(20)])
+                 for _ in range(150)],
+        "canonical": [canonical_subdivision(c.rays)
+                      for c in fan36.maximal_cones],
+        "rays": [induced_subdivision(trop_phi2(r)) for r in fan36.rays],
+    }
+    return {name: sorted({hx._vertex_mask(c) for cells in subs for c in cells
+                          if len(c) > 6 or not is_simplex(c)})
+            for name, subs in subdivisions.items()}
+
+
+@pytest.fixture(scope="module")
+def oracle_keys(key_cells):
+    """The oracle's key of every image of every tested cell, computed
+    once per orbit: the least image over all 720 relabellings."""
+    keys = {}
+    for mask in sorted(set().union(*key_cells.values())):
+        if mask not in keys:
+            orbit = brute_force_orbit(cell_of(mask))
+            keys.update(dict.fromkeys(orbit, min(orbit)))
+    return keys
+
+
+INPUTS = ("lifts", "tied", "canonical", "rays")
+
+
+class TestOrbitKey:
+    """Non-simplex cells are counted once per orbit under the
+    permutations of 1..6, on the key of :func:`_orbit_key`."""
+
+    @pytest.mark.parametrize("inputs", INPUTS)
+    def test_keys_name_the_oracle_orbits(self, inputs, key_cells,
+                                         oracle_keys, monkeypatch):
+        """Each key is an image of its cell, and two cells have equal keys
+        exactly when they lie in one orbit.  At most 48 relabellings are
+        tried on a cell, except on tied lifts."""
+        import tropd4.hypersimplex as hx
+        tried = []
+        relabelling = hx._relabelling
+        monkeypatch.setattr(hx, "_relabelling",
+                            lambda order: tried.append(order) or
+                            relabelling(order))
+        pairs, most = set(), 0
+        for mask in key_cells[inputs]:
+            tried.clear()
+            key = hx._orbit_key(mask)
+            assert oracle_keys[key] == oracle_keys[mask]
+            pairs.add((key, oracle_keys[mask]))
+            most = max(most, len(tried))
+        assert len(pairs) == len({k for k, _ in pairs}) \
+            == len({o for _, o in pairs})
+        assert (len(key_cells[inputs]), len(pairs)) == {
+            "lifts": (206, 18), "tied": (1939, 395), "canonical": (48, 4),
+            "rays": (36, 5)}[inputs]
+        assert most <= 48 or inputs == "tied"
+
+    @pytest.mark.parametrize("inputs", INPUTS)
+    def test_invariants_match_cold_counts(self, inputs, key_cells,
+                                          cold_cells):
+        for mask in key_cells[inputs]:
+            vertices = vertex_list(cell_of(mask))
+            assert cold_cells._cell_invariant(mask) == (
+                (len(vertices), polytope_f_vector(vertices)), False)
+
+    @pytest.mark.parametrize("inputs", INPUTS)
+    def test_relabelled_cells_keep_their_key(self, inputs, key_cells):
+        import tropd4.hypersimplex as hx
+        rng = random.Random(5)
+        for mask in key_cells[inputs]:
+            key = hx._orbit_key(mask)
+            for _ in range(20):
+                p = rng.sample(range(1, 7), 6)
+                image = [tuple(sorted(p[e - 1] for e in t))
+                         for t in cell_of(mask)]
+                assert hx._orbit_key(hx._vertex_mask(image)) == key
+
+    def test_empty_cell_raises_before_any_relabelling(self, cold_cells,
+                                                      monkeypatch):
+        monkeypatch.setattr(cold_cells, "_relabelling", None)
+        with pytest.raises(ValueError, match="need at least one point"):
+            subdivision_signature([frozenset()])
+
+    def test_whole_hypersimplex_tries_every_relabelling(self, cold_cells,
+                                                        monkeypatch):
+        # its six degrees are equal: each element lies in 10 triples
+        tried = []
+        relabelling = cold_cells._relabelling
+        monkeypatch.setattr(cold_cells, "_relabelling",
+                            lambda order: tried.append(order) or
+                            relabelling(order))
+        whole = (1 << 20) - 1
+        assert cold_cells._orbit_key(whole) == whole == \
+            brute_force_orbit_key(PLUECKER_TRIPLES)
+        assert sorted(tried) == list(itertools.permutations(range(1, 7)))
+        assert cold_cells._cell_invariant(whole) == (
+            (20, (20, 90, 120, 60, 12)), False)
+
+
 @pytest.fixture
 def cold_cells(monkeypatch):
-    """The cell invariants and span dimensions cleared before and after,
-    so that the test sees each cell graded."""
+    """The cell invariants, span dimensions, orbit invariants and
+    relabellings cleared before and after, so that the test sees each
+    orbit graded."""
     import tropd4.hypersimplex as hx
-    caches = (hx._cell_invariant, hx._span_dim)
+    caches = (hx._cell_invariant, hx._span_dim, hx._orbit_invariant,
+              hx._relabelling)
     for cache in caches:
         cache.cache_clear()
     yield hx
