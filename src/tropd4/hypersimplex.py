@@ -103,9 +103,9 @@ def _vertex_indices(mask):
     return [i for i in range(len(PLUECKER_TRIPLES)) if mask >> i & 1]
 
 
-# _span_dim, _cell_invariant and _cell_forms are keyed on 20-bit vertex
-# masks, so their keys are subsets of the 20 vertices and the caches are
-# finite.
+# _span_dim, _cell_invariant, _orbit_invariant and _cell_forms are keyed
+# on 20-bit vertex masks, so their keys are subsets of the 20 vertices and
+# the caches are finite.
 @lru_cache(maxsize=None)
 def _span_dim(mask):
     """Dimension of the affine span of the vertices in ``mask`` (-1 if
@@ -204,8 +204,8 @@ def _orbit_key(mask):
     """The least image of the cell ``mask`` under the relabellings of
     1..6 that list the elements by ascending degree, the degree of an
     element being the number of the cell's triples that contain it.  Each
-    order of the elements within a tie is tried.  The empty cell is its
-    own key, and no relabelling is tried.
+    order of the elements within a tie is tried.  The empty cell, its own
+    only image, is its key, and no relabelling is tried.
 
     The key is sound: a permutation of the coordinates is a linear
     automorphism of R^6 that maps the vertices of Delta(3,6) onto
@@ -312,7 +312,8 @@ def subdivision_signature(cells):
 
     A cell not seen before costs a parity test if it has at most six
     vertices, a rank only if that test does not certify a simplex, and a
-    count of its faces only if it is not a simplex (see
+    count of its faces only if it is not a simplex and no cell of its
+    orbit under the permutations of 1..6 was counted before (see
     :func:`_cell_invariant`).  The vertices a simplex shares with any cell
     are affinely independent, so a pair that touches a simplex meets in
     dimension one less than its number of shared vertices, with no rank;

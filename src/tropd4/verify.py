@@ -288,13 +288,14 @@ def check_fan_covering(seed, n_samples=10000):
     """Random integer points: each lies in a cone; overlaps share a face.
 
     A point x in two or more cones passes when in each of them the
-    smallest face holding x (:meth:`Cone.face_containing`) has exactly the
-    rays they all share, and is a proper face.  Then x is in the relative
+    smallest face holding x (:meth:`Cone.face_containing`) is a proper
+    face with exactly the rays they all share.  Then x is in the relative
     interior of the cone of those rays, a face of each and empty at the
     origin, so the test is at least as strict as asking that x lie in that
-    cone.  The interiors of distinct maximal cones are disjoint, so a cone
-    held twice fails at its interior points.  On a complete fan whose
-    cones meet in common faces, both pass at every point.
+    cone.  A point whose smallest face is the whole cone is interior to
+    it, where no other maximal cone of a fan reaches: a cone held twice
+    fails there.  On a complete fan whose cones meet in common faces, both
+    tests pass at every point.
     """
     rng = random.Random(seed)
     violations = []
