@@ -1,11 +1,15 @@
 """Pseudotriangulations of the disk configuration and their root labels.
 
 A pseudotriangulation is a maximal pairwise-noncrossing set of chord pairs;
-for the 2n-gon model it always has exactly n pairs.  At n = 4 the pairs
-carry labels by almost positive roots of the rank-4 root system with one
-branching node: the four pairs of the snake get the negative simple roots,
-every other pair gets the sum of the simple roots of the snake chords it
-crosses.
+for the 2n-gon model it always has exactly n pairs.  The pseudotriangulations
+are the facets of the clique complex of the compatibility graph, whose
+edges join noncrossing pairs.  One routine, :func:`_cliques`, enumerates
+that complex by common neighbours; the pseudotriangulations and the cluster
+complex are read off it, and a flip finds its entering pair by the same
+step.  At n = 4 the pairs carry labels by almost positive roots of the
+rank-4 root system with one branching node: the four pairs of the snake get
+the negative simple roots, every other pair gets the sum of the simple
+roots of the snake chords it crosses.
 """
 
 from __future__ import annotations
@@ -44,28 +48,30 @@ def _compatibility_graph(n):
     return pairs, adj
 
 
-def _maximal_cliques(vertices, adj):
-    cliques = []
+def _cliques(n):
+    """Every nonempty noncrossing set of pairs, with its common neighbours,
+    level by level: ``levels[k - 1]`` lists the sets of size k as
+    ``(pairs in all_chord_pairs order, set of common neighbours)``.
 
-    def extend(clique, candidates, excluded):
-        if not candidates and not excluded:
-            cliques.append(frozenset(clique))
-            return
-        pivot = max(candidates | excluded, key=lambda v: len(adj[v] & candidates))
-        for v in sorted(candidates - adj[pivot]):
-            extend(clique | {v}, candidates & adj[v], excluded & adj[v])
-            candidates = candidates - {v}
-            excluded = excluded | {v}
-
-    extend(frozenset(), set(vertices), set())
-    return cliques
+    A set of size k + 1 is a set of size k plus a common neighbour that
+    comes after its last pair, so each set is built exactly once.  The sets
+    with no common neighbour are the maximal ones.
+    """
+    pairs, adj = _compatibility_graph(n)
+    levels = []
+    level = [((p,), adj[p]) for p in pairs]
+    while level:
+        levels.append(level)
+        level = [(s + (q,), common & adj[q]) for s, common in level
+                 for q in sorted(common) if q > s[-1]]
+    return levels
 
 
 @lru_cache(maxsize=None)
 def enumerate_pseudotriangulations(n):
     """All pseudotriangulations, canonically sorted; each has n pairs."""
-    pairs, adj = _compatibility_graph(n)
-    cliques = _maximal_cliques(pairs, adj)
+    cliques = [frozenset(s) for level in _cliques(n)
+               for s, common in level if not common]
     for c in cliques:
         if len(c) != n:
             raise RuntimeError(
@@ -84,13 +90,12 @@ def flip(t, p: Chord, n):
                          f"pseudotriangulation {pairs_text(t, n)}")
     rest = frozenset(t) - {p}
     pairs, adj = _compatibility_graph(n)
-    entering = [q for q in pairs
-                if q != p and q not in rest and rest <= adj[q]]
+    entering = set(pairs).intersection(*map(adj.get, rest)) - {p}
     if len(entering) != 1:
         raise RuntimeError(
             f"flip of {chord_text(p, n)} in {pairs_text(t, n)} has "
             f"{len(entering)} completions")
-    q = entering[0]
+    [q] = entering
     return rest | {q}, q
 
 
@@ -190,10 +195,6 @@ def pair_of_root(r):
     return root_pair_bijection()[tuple(r)]
 
 
-def almost_positive_roots():
-    return sorted(root_pair_bijection())
-
-
 def compatibility_degree(a, b):
     """Crossing-count pairing on almost positive roots; -1 on the diagonal."""
     a, b = tuple(a), tuple(b)
@@ -208,19 +209,16 @@ def tau_on_root(r):
 
 @lru_cache(maxsize=1)
 def cluster_complex():
-    """Clique complex of root compatibility: faces by size, plus facets.
+    """The cluster complex: the clique complex of root compatibility, the
+    image under :func:`root_of_pair` of the noncrossing sets that
+    :func:`_cliques` enumerates, so its facets are the clusters of the
+    pseudotriangulations.
 
     Returns ``(f_vector, faces_by_size, facets)`` where faces_by_size[k]
     lists the k-element faces as frozensets of roots.
     """
-    roots = almost_positive_roots()
-    edges = {frozenset((a, b)) for a, b in itertools.combinations(roots, 2)
-             if compatibility_degree(a, b) == 0}
-    faces = {1: {frozenset((r,)) for r in roots}, 2: edges}
-    for k in (3, 4):
-        faces[k] = {
-            frozenset(s) for s in itertools.combinations(roots, k)
-            if all(frozenset(e) in edges for e in itertools.combinations(s, 2))}
+    faces = {k: {frozenset(map(root_of_pair, s)) for s, _ in level}
+             for k, level in enumerate(_cliques(N4), 1)}
     f_vector = tuple(len(faces[k]) for k in (1, 2, 3, 4))
     facets = faces[4]
     return f_vector, faces, facets

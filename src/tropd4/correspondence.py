@@ -18,8 +18,8 @@ from .chords import SIGMA, apply_symmetry, chord_text, parse_chord, reflect
 from .clusters import (
     N4,
     classify_modulo,
+    cluster_complex,
     cluster_of,
-    compatibility_degree,
     enumerate_pseudotriangulations,
     full_symmetry_generators,
     root_of_pair,
@@ -130,11 +130,9 @@ def verify_cluster_fan_correspondence():
     fan_edges = {f for f in faces if len(f) == 2}
     # 2-faces of these pointed cones have exactly two extreme rays, so the
     # ray-pair sets of size 2 are exactly the 2-dimensional cones.
-    roots = [psi(r) for r in fan.rays]
-    compat_pairs = {
-        frozenset((psi_inverse(a), psi_inverse(b)))
-        for a, b in itertools.combinations(roots, 2)
-        if compatibility_degree(a, b) == 0}
+    compatible = cluster_complex()[1][2]
+    compat_pairs = {frozenset(p) for p in itertools.combinations(fan.rays, 2)
+                    if frozenset(map(psi, p)) in compatible}
     if fan_edges != compat_pairs:
         missing = sorted(tuple(sorted(p)) for p in compat_pairs - fan_edges)
         extra = sorted(tuple(sorted(p)) for p in fan_edges - compat_pairs)

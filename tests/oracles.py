@@ -24,6 +24,9 @@ The orbit oracle applies all 720 permutations of 1..6 to a cell's
 triples, instead of only those that sort the elements by degree.
 The crossing oracle realizes chords as exact rational segments and tests
 proper intersection, instead of applying the combinatorial crossing rules.
+The compatible-set oracle tries every k-set of chord pairs, with each pair's
+second chord from its own antipode map and crossings from that realization,
+instead of growing noncrossing sets by common neighbours.
 The plane-type oracle looks a subdivision's signature up among the
 signatures of labeled representative cones, instead of reading letters
 off the subdivisions at the rays.
@@ -31,6 +34,7 @@ off the subdivisions at the rays.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import operator
@@ -600,3 +604,43 @@ def geometric_crossing(c1, c2, n, eps=Fraction(1, 10)):
             return False
     return segments_cross_properly(realize_chord(c1, n, eps),
                                    realize_chord(c2, n, eps))
+
+
+def _antipode(chord, n):
+    """The half-turn image of a chord: each vertex moves by n, and a
+    tangent chord keeps its side."""
+    m = 2 * n
+    if chord.is_tangent:
+        return dataclasses.replace(chord, p=(chord.p + n) % m)
+    p, q = sorted(((chord.p + n) % m, (chord.q + n) % m))
+    return dataclasses.replace(chord, p=p, q=q)
+
+
+def _compatible(a, b, n):
+    """Whether none of the four chords of pairs a and b cross."""
+    return not any(geometric_crossing(c, d, n)
+                   for c in (a, _antipode(a, n))
+                   for d in (b, _antipode(b, n)))
+
+
+def brute_force_compatible_sets(pairs, n, k):
+    """Every k-set of ``pairs`` (one chord standing for each pair) that is
+    pairwise compatible, found by trying all k-subsets."""
+    pairs = list(pairs)
+    ok = {frozenset((a, b)) for a, b in itertools.combinations(pairs, 2)
+          if _compatible(a, b, n)}
+    return {frozenset(s) for s in itertools.combinations(pairs, k)
+            if all(frozenset(e) in ok for e in itertools.combinations(s, 2))}
+
+
+def brute_force_maximal_compatible_sets(pairs, n):
+    """The pairwise compatible sets of ``pairs`` that no further pair
+    extends."""
+    pairs = list(pairs)
+    maximal, k = set(), 1
+    sets = brute_force_compatible_sets(pairs, n, k)
+    while sets:
+        bigger = brute_force_compatible_sets(pairs, n, k + 1)
+        maximal |= {s for s in sets if not any(s < b for b in bigger)}
+        sets, k = bigger, k + 1
+    return maximal

@@ -29,6 +29,11 @@ from tropd4.clusters import (
 )
 from tropd4.reference import PSI_TABLE, RAY_COORDS
 
+from oracles import (
+    brute_force_compatible_sets,
+    brute_force_maximal_compatible_sets,
+)
+
 # the base pseudotriangulation, whose pairs carry -alpha_1..-alpha_4
 SNAKE = frozenset(snake_pairs())
 
@@ -59,6 +64,11 @@ class TestEnumeration:
     def test_deterministic_order(self):
         first = enumerate_pseudotriangulations(3)
         assert list(first) == sorted(first, key=sorted)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_brute_force_oracle(self, n):
+        assert set(enumerate_pseudotriangulations(n)) == \
+            brute_force_maximal_compatible_sets(all_chord_pairs(n), n)
 
 
 class TestFlips:
@@ -207,6 +217,14 @@ class TestClusterComplex:
     def test_f_vector(self):
         f_vector, _, _ = cluster_complex()
         assert f_vector == (16, 66, 100, 50)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_faces_match_brute_force_oracle(self, k):
+        """The k-faces are the roots of the k-sets of pairwise compatible
+        pairs; there are none of size 5."""
+        expected = {frozenset(map(root_of_pair, s)) for s in
+                    brute_force_compatible_sets(all_chord_pairs(4), 4, k)}
+        assert cluster_complex()[1].get(k, set()) == expected
 
     def test_facets_are_clusters(self, pseudotriangulations4):
         _, _, facets = cluster_complex()
