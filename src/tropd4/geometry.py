@@ -312,7 +312,10 @@ class Cone:
 def cone_from_rays(rays, dim):
     """Cone spanned by ``rays``, cut out by the sorted extreme rays of its
     dual cone and by both signs of each dual line."""
-    lines, normals = _double_description(_integer_rows(rays)[0], dim)
+    rows, _ = _integer_rows(rays)
+    if {len(r) for r in rows} - {dim}:
+        raise ValueError(f"rays must have {dim} entries: {rays}")
+    lines, normals = _double_description(rows, dim)
     normals = sorted(r for r, _ in normals)
     for l in lines:
         normals += [l, tuple(-x for x in l)]
@@ -456,6 +459,10 @@ class Fan:
                            default_factory=dict)
 
     def __post_init__(self):
+        dims = {c.ambient_dim for c in self.maximal_cones}
+        if dims - {self.ambient_dim}:
+            raise ValueError(f"cones must have ambient dimension "
+                             f"{self.ambient_dim}: got {sorted(dims)}")
         self.maximal_cones = tuple(sorted(self.maximal_cones,
                                           key=lambda c: c.rays))
         # Cones share most of their facets, so point location evaluates
@@ -572,7 +579,12 @@ def regular_subdivision(points, heights):
 
 
 def intersection_dim(points, cell_a, cell_b):
-    """Dimension of the common face spanned by shared cell vertices (-1 if none)."""
+    """Dimension of the common face spanned by shared cell vertices (-1 if
+    none).  Cells are sets of indices into ``points``."""
+    for i in itertools.chain(cell_a, cell_b):
+        if not isinstance(i, int) or not 0 <= i < len(points):
+            raise ValueError(f"cell index {i!r} is not an int in "
+                             f"range({len(points)})")
     shared = sorted(set(cell_a) & set(cell_b))
     if not shared:
         return -1

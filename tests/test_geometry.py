@@ -325,6 +325,15 @@ class TestConeFromRays:
         assert cone_from_rays(generators, dim).halfspaces == \
             tuple(brute_force_cone_facets(rows, dim))
 
+    @pytest.mark.parametrize("rays,dim", [
+        ([(1, 0, 0)], 2),  # would be cut down to (1, 0)
+        ([(1, 0)], 3),  # would be padded to (1, 0, 0)
+        ([(1, 0, 0), (0, 1)], 3),
+    ])
+    def test_rejects_rays_of_another_dimension(self, rays, dim):
+        with pytest.raises(ValueError, match=f"rays must have {dim} entries"):
+            cone_from_rays(rays, dim)
+
 
 # (dim, generators): at most dim + 4 integer vectors with last entry >= 1,
 # so the cone they span is pointed.
@@ -398,6 +407,15 @@ class TestFanFaces:
         faces.clear()  # the caller's copy, not the fan's
         assert len(fan.face_ray_sets()) == sum(FAN_F_VECTOR)
         assert fan._faces_by_dim is graded and sweep_calls == []
+
+    def test_rejects_cones_of_another_dimension(self):
+        """A 3-dimensional orthant in a fan of dimension 2 would report
+        f-vector (3, 3) and drop its 3-face."""
+        orthant = cone_from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+        with pytest.raises(ValueError, match=r"ambient dimension 2: got \[3\]"):
+            Fan(2, (orthant,))
+        with pytest.raises(ValueError, match="ambient dimension 3"):
+            Fan(3, (orthant, Cone(2, ((1, 0), (0, 1)))))
 
     def test_not_pointed(self):
         fan = Fan(2, (Cone(2, ((1, 0),)),))
@@ -675,6 +693,17 @@ class TestIntersectionDim:
         assert intersection_dim(points, {0, 1, 3}, {0, 1, 2, 3}) == 1
         assert intersection_dim(points, {0, 1, 2}, {0, 1, 2, 3}) == 2
         assert intersection_dim(points, {2}, {2, 3}) == 0
+
+    @pytest.mark.parametrize("cell_a,cell_b", [
+        ({-1, 2}, {-1, 2}),  # would count point 2 twice and give 0
+        ({0, 3}, {0, 3}),  # would raise IndexError
+        ({0, 1.0}, {0, 1.0}),  # would raise TypeError
+        ({0}, {0, 3}),  # would give 0, never reading index 3
+    ])
+    def test_rejects_bad_indices(self, cell_a, cell_b):
+        points = [(0, 0), (1, 0), (0, 1)]
+        with pytest.raises(ValueError, match=r"not an int in range\(3\)"):
+            intersection_dim(points, cell_a, cell_b)
 
     @given(st.lists(st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * 4),
                     min_size=1, max_size=6))
