@@ -90,7 +90,7 @@ def flip(t, p: Chord, n):
                          f"pseudotriangulation {pairs_text(t, n)}")
     rest = frozenset(t) - {p}
     pairs, adj = _compatibility_graph(n)
-    entering = set(pairs).intersection(*map(adj.get, rest)) - {p}
+    entering = set(pairs).intersection(*(adj[r] for r in rest)) - {p}
     if len(entering) != 1:
         raise RuntimeError(
             f"flip of {chord_text(p, n)} in {pairs_text(t, n)} has "
