@@ -25,8 +25,9 @@ as the benchmark takes it (``p90`` of ``perfbench/run.py``), and the
 median of it over the runs.  The layer medians and percentiles need not
 add up to the op's.  Beside them, ``fvectors`` gives the number of
 ``polytope_f_vector`` calls that ``hypersimplex`` makes over the 80 lifts,
-after the set-up; the count does not depend on the host, so every run
-must give the same one.  Times are unscaled; scale by
+after the set-up, and ``matroidal`` the number of their cells judged
+matroidal; the counts do not depend on the host, so every run must give
+the same ones.  Times are unscaled; scale by
 ``hostspeed.REFERENCE_S / probe_s`` to compare files written minutes
 apart.
 """
@@ -44,6 +45,7 @@ from check_times import PROBES, ROOT, main, probe
 OUTPUT = ROOT / "BENCH_generic_lift.json"
 LIFTS = 80  # the op count of perfbench/run.py --workload generic-lift --seconds 24
 LAYERS = ("envelope", "verdicts", "signature", "op")
+COUNTS = ("fvectors", "matroidal")  # the same in every run
 # the lifts of each kind, as in lift_inputs: lift k is uniform when k % 3 < 2
 KINDS = {"op_ms_p50": range(LIFTS),
          "uniform_ms_p50": [k for k in range(LIFTS) if k % 3 < 2],
@@ -72,12 +74,12 @@ def child(seed):
     hypersimplex.polytope_f_vector = counted_f_vector
     probes = [probe() for _ in range(PROBES)]
     times = {name: [] for name in LAYERS}
+    matroidal = 0
     for w in lifts:
         t0 = perf_counter()
         cells = induced_subdivision(w)
         t1 = perf_counter()
-        for cell in cells:
-            is_matroid_basis_set(cell)
+        matroidal += sum(map(is_matroid_basis_set, cells))
         t2 = perf_counter()
         subdivision_signature(cells)
         t3 = perf_counter()
@@ -88,21 +90,22 @@ def child(seed):
                      for name, ms in times.items()}
                for key, ks in KINDS.items()}
               | {"op_ms_p90": {name: p90(ms) for name, ms in times.items()},
-                 "fvectors": len(counted), "probes": probes}, sys.stdout)
+                 "fvectors": len(counted), "matroidal": matroidal,
+                 "probes": probes}, sys.stdout)
 
 
 def summary(runs):
     """The median over ``runs`` of each layer's per-op median, over all
     lifts and over each kind, and of its 90th percentile over all lifts;
-    and the f-vector count, which must be the same in every run."""
-    fvectors = runs[0]["fvectors"]
-    if any(r["fvectors"] != fvectors for r in runs):
-        raise RuntimeError("the runs counted different numbers of f-vectors: "
-                           f"{[r['fvectors'] for r in runs]}")
+    and the counts, which must be the same in every run."""
+    for count in COUNTS:
+        if any(r[count] != runs[0][count] for r in runs):
+            raise RuntimeError(f"the runs disagree on {count}: "
+                               f"{[r[count] for r in runs]}")
     return {"lifts": LIFTS, **{key: {
         name: round(statistics.median(r[key][name] for r in runs), 3)
         for name in LAYERS} for key in (*KINDS, "op_ms_p90")},
-        "fvectors": fvectors}
+        **{count: runs[0][count] for count in COUNTS}}
 
 
 if __name__ == "__main__":

@@ -300,7 +300,11 @@ class Cone:
     def face_containing(self, x):
         """The rays of the smallest face holding ``x``, those on every
         halfspace tight at ``x`` (Ziegler, *Lectures on Polytopes*,
-        Lecture 2), as a frozenset; None when ``x`` violates a halfspace."""
+        Lecture 2), as a frozenset; None when ``x`` violates a halfspace.
+        A point of another length raises ``ValueError``."""
+        if len(x) != self.ambient_dim:
+            raise ValueError(f"points must have {self.ambient_dim} "
+                             f"entries: {x}")
         values = [_dot(h, x) for h in self.halfspaces]
         if any(v < 0 for v in values):
             return None

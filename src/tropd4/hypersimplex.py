@@ -11,10 +11,10 @@ type off the subdivisions at its rays, one letter E, F or G per ray.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, groupby, permutations, product, starmap
 from math import comb, lcm
-from operator import and_
+from operator import and_, or_
 
 from . import reference
 from .fan import compute_fan_f36, trop_phi2
@@ -43,34 +43,6 @@ def _bits(mask):
         low = mask & -mask
         yield low
         mask ^= low
-
-
-def is_matroid_basis_set(bases) -> bool:
-    """Basis-exchange axiom, checked by brute force over all pairs.
-
-    Bases are bitmasks over the union of the bases, built in one pass: each
-    new element takes the next bit.  For every basis A and element a of A,
-    ``partners`` holds the elements b outside A for which A - a + b is a
-    basis; every basis B without a must contain one of them.
-    """
-    bit = {}
-    masks = set()
-    for b in bases:
-        m = 0
-        for e in b:
-            m |= bit.setdefault(e, 1 << len(bit))
-        masks.add(m)
-    if not masks:
-        raise ValueError("empty basis set")
-    ground = (1 << len(bit)) - 1
-    for A in masks:
-        outside = list(_bits(ground & ~A))
-        for a in _bits(A):
-            rest = A ^ a
-            partners = sum(b for b in outside if rest | b in masks)
-            if 0 in map((a | partners).__and__, masks):
-                return False
-    return True
 
 
 def induced_subdivision(w):
@@ -125,6 +97,72 @@ _SIMPLEX_INVARIANTS = {
 _TRIPLE_BITS = tuple(sum(1 << (m - 1) for m in t) for t in PLUECKER_TRIPLES)
 # The inverse: each vertex's bit by its 6-bit mask.
 _VERTEX_BIT = {b: 1 << i for i, b in enumerate(_TRIPLE_BITS)}
+# The vertices inside each 6-bit element set s, as a 20-bit mask.
+_INSIDE = tuple(sum(_VERTEX_BIT[t] for t in _TRIPLE_BITS if not t & ~s)
+                for s in range(64))
+# Per vertex A, per element a of A: the bit b of each element outside A,
+# with the 20-bit bit of the vertex A - a + b.
+_EXCHANGES = tuple(
+    tuple((a, tuple((b, _VERTEX_BIT[t ^ a | b]) for b in _bits(63 ^ t)))
+          for a in _bits(t))
+    for t in _TRIPLE_BITS)
+
+
+def is_matroid_basis_set(bases) -> bool:
+    """Basis-exchange axiom: for every basis A and element a of A, every
+    basis without a contains a partner of (A, a), an element b outside A
+    for which A - a + b is a basis.
+
+    ``bases`` is read once.  When every basis is a sorted triple of 1..6
+    (a key of ``_TRIPLE_BIT``), as every cell of Delta(3,6) is, the family
+    is a 20-bit vertex mask F and two tables built at import judge it:
+    ``_EXCHANGES`` gives, per vertex A and element a of A, each element b
+    outside A with the bit of A - a + b, so the partners P of (A, a) are
+    read off F; and ``_INSIDE[s]`` is the mask of the vertices inside the
+    6-bit element set s, so the bases that avoid a and all of P are
+    ``F & _INSIDE[63 ^ (a | P)]``.  Any other family, with elements of
+    other types, bases of other sizes or shapes, or unsorted triples, is
+    judged on bitmasks over the union of its bases, built in one pass:
+    each new element takes the next bit.  An empty family raises
+    ``ValueError``.
+    """
+    bases = list(bases)
+    try:
+        family = reduce(or_, map(_TRIPLE_BIT.__getitem__, bases), 0)
+    except (KeyError, TypeError):
+        return _is_matroid_on_elements(bases)
+    if not family:
+        raise ValueError("empty basis set")
+    for low in _bits(family):
+        for a, swaps in _EXCHANGES[low.bit_length() - 1]:
+            p = a
+            for b, v in swaps:
+                if family & v:
+                    p |= b
+            if family & _INSIDE[63 ^ p]:
+                return False
+    return True
+
+
+def _is_matroid_on_elements(bases):
+    """:func:`is_matroid_basis_set` on element bitmasks, for a nonempty
+    family of any bases: ``partners`` holds the partners of (A, a)."""
+    bit = {}
+    masks = set()
+    for b in bases:
+        m = 0
+        for e in b:
+            m |= bit.setdefault(e, 1 << len(bit))
+        masks.add(m)
+    ground = (1 << len(bit)) - 1
+    for A in masks:
+        outside = list(_bits(ground & ~A))
+        for a in _bits(A):
+            rest = A ^ a
+            partners = sum(b for b in outside if rest | b in masks)
+            if 0 in map((a | partners).__and__, masks):
+                return False
+    return True
 
 
 def _independent_mod2(mask):

@@ -390,6 +390,12 @@ class TestFaceContaining:
             past = tuple(x - k * c for x, c in zip(total, h))
             assert cone.face_containing(past) is None
 
+    @pytest.mark.parametrize("x", [(1, 0, -5), (1,)])
+    def test_rejects_points_of_another_length(self, x):
+        cone = Cone(2, ((1, 0), (0, 1)))
+        with pytest.raises(ValueError, match="points must have 2 entries"):
+            cone.face_containing(x)
+
 
 class TestFanFaces:
     def test_graded_once_on_first_use(self, fan36, sweep_calls):

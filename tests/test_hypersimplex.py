@@ -203,6 +203,62 @@ class TestMatroidCheck:
                 verdicts.add(verdict)
         assert verdicts == {True, False}
 
+    def test_matches_oracle_on_every_small_or_cofinite_family(
+            self, exchange_families):
+        """All 2,701 families of at most 3 triples of 1..6 or lacking at
+        most 3, on the mask path: 470 of the 2,700 proper families are
+        matroids, and so is the uniform one."""
+        verdicts = Counter()
+        for family in exchange_families:
+            expected = brute_force_matroid_basis_set(family)
+            assert is_matroid_basis_set(family) == expected, family
+            verdicts[expected] += 1
+        assert verdicts == {True: 471, False: 2230}
+
+    @staticmethod
+    def forms(family):
+        """``family`` as given; as reversed tuples, sets and lists, which
+        take the general path; with repeated bases; and as a generator."""
+        family = list(family)
+        return ([family], [[tuple(reversed(b)) for b in family],
+                           [set(b) for b in family],
+                           [list(b) for b in family]],
+                [family + family[::2], (b for b in family)])
+
+    def test_verdict_does_not_depend_on_the_path(
+            self, exchange_families, benchmark_subdivisions, monkeypatch):
+        """Every family of the oracle test and every cell of the 240 lifts
+        of the ``generic-lift`` benchmark at seed 7 gets one verdict in
+        every form, and only the general forms take the general path."""
+        import tropd4.hypersimplex as hx
+        general = []
+        real = hx._is_matroid_on_elements
+
+        def recorded(bases):
+            general.append(bases)
+            return real(bases)
+        monkeypatch.setattr(hx, "_is_matroid_on_elements", recorded)
+        cells = [c for cells in benchmark_subdivisions for c in cells]
+        for family in [*exchange_families, *cells]:
+            given, general_forms, more = self.forms(family)
+            verdict = is_matroid_basis_set(*given)
+            assert general == []
+            for form in general_forms + more:
+                assert is_matroid_basis_set(form) == verdict, (family, form)
+            assert len(general) == len(general_forms)
+            general.clear()
+        for empty in ([], (b for b in ())):
+            with pytest.raises(ValueError):
+                is_matroid_basis_set(empty)
+
+
+@pytest.fixture(scope="module")
+def exchange_families():
+    """Every family of at most 3 triples of 1..6, and every family that
+    lacks at most 3 of the 20, ``PLUECKER_TRIPLES`` itself among them."""
+    return [family for k in (1, 2, 3, 17, 18, 19, 20)
+            for family in itertools.combinations(PLUECKER_TRIPLES, k)]
+
 
 def tropical_minors(matrix):
     """Min-plus 3x3 minors of a 3x6 matrix, in lexicographic triple order."""
@@ -597,7 +653,14 @@ def cell_of(mask):
 
 
 @pytest.fixture(scope="module")
-def key_cells(fan36):
+def benchmark_subdivisions():
+    """The subdivisions of the 240 lifts of the ``generic-lift``
+    benchmark at seed 7."""
+    return [induced_subdivision(w) for w in benchmark_lifts(7, 240)]
+
+
+@pytest.fixture(scope="module")
+def key_cells(fan36, benchmark_subdivisions):
     """The distinct non-simplex cells, as vertex masks, of the 240 lifts
     of the ``generic-lift`` benchmark at seed 7, of 150 seeded lifts tied
     in 0..2, of the 48 canonical subdivisions and of the 16 ray
@@ -605,7 +668,7 @@ def key_cells(fan36):
     import tropd4.hypersimplex as hx
     rng = random.Random(1)
     subdivisions = {
-        "lifts": map(induced_subdivision, benchmark_lifts(7, 240)),
+        "lifts": benchmark_subdivisions,
         "tied": [induced_subdivision([rng.randint(0, 2) for _ in range(20)])
                  for _ in range(150)],
         "canonical": [canonical_subdivision(c.rays)
