@@ -59,9 +59,9 @@ def child(seed):
     sweeps = {}
     sweep = geometry._double_description
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         made[0] += 1
-        return sweep(*args)
+        return sweep(*args, **kwargs)
 
     def timed(name, fn):
         def call(*args, **kwargs):

@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Regenerate every published artifact into ./artifacts.
+"""Regenerate every published artifact into OUTDIR, ./artifacts by default.
+
+    python scripts/reproduce_tables.py [OUTDIR]
 
 Writes the fan description, both type tables, the per-cone subdivisions,
 the flip graph, and the consolidated verification report.  Everything is
 deterministic; rerunning overwrites byte-identical files.
 """
 
+import argparse
 import pathlib
 import sys
 
@@ -39,7 +42,11 @@ def run(outdir):
     print("verification:", "PASS" if code == 0 else "FAIL")
     return code
 
+
 if __name__ == "__main__":
-    target = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 \
-        else pathlib.Path("artifacts")
-    sys.exit(run(target))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", nargs="?", type=pathlib.Path,
+                        default=pathlib.Path("artifacts"),
+                        help="directory for the artifacts "
+                             "(default: artifacts)")
+    sys.exit(run(parser.parse_args().outdir))

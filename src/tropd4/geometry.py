@@ -16,7 +16,9 @@ The sweep takes integer rows and returns primitive integer lines and
 primitive rays, each ray paired with the bitmask of the rows it is tight
 on (bit i for input row i).  Public entries scale rational input to
 integer rows once, with :func:`_integer_rows`; callers read incidences off
-the masks and never canonicalize sweep output again.
+the masks and never canonicalize sweep output again.  Asked for the masks
+alone, as :func:`regular_subdivision` asks, the sweep holds each ray as its
+values on the rows still to come instead of its coordinates.
 
 Beside the sweep sits one evaluation kernel, :class:`PackedForms`: a fixed
 list of integer linear forms, packed one field per form into one exact
@@ -162,12 +164,13 @@ def basis_relations(vectors):
     return pivots, relations
 
 
-def _combine(s, x, t, y):
-    """The primitive integer vector ``s * x - t * y``."""
-    return _reduce([s * a - t * b for a, b in zip(x, y)])
+def _combine(s, x, t, y, n):
+    """The primitive integer vector ``s * x - t * y``, cut to its first
+    ``n`` entries."""
+    return _reduce([s * a - t * b for a, b in zip(x[:n], y)])
 
 
-def _double_description(rows, dim):
+def _double_description(rows, dim, coordinates=True):
     """Lines and extreme rays of ``{x : <h, x> >= 0 for h in rows}``.
 
     ``rows`` are integer vectors.  Returns ``(lines, rays)``: ``lines`` is a
@@ -202,23 +205,56 @@ def _double_description(rows, dim):
     so it is a 2-face of the pointed part, and a pointed 2-dimensional cone
     has exactly two extreme rays.  So the pair is adjacent with no scan;
     only pairs of two non-simple rays are scanned.
+
+    With ``coordinates=False`` the sweep returns ``(len(lines), masks)``,
+    the tight masks of the rays in the same order, and no vectors.  A
+    ray's coordinates enter the sweep only through its values on the rows
+    inserted after it is made.  So each line and ray is held as its values
+    on the rows not yet inserted, last row first and divided by their gcd:
+    the value on row ``idx`` is read from slot ``len(rows) - 1 - idx``
+    with no dot product, and a ray made at row ``idx`` keeps only the
+    slots before that one, its values on later rows.  The rows are linear
+    forms, so the held values of ``s * x - t * y`` are those of x and y
+    combined the same way, and by induction from the unit lines, which
+    hold the columns of the rows, every line and ray holds a positive
+    multiple of the values of the vector the other mode holds.  Every
+    value read has the sign of the true one, so the zero, plus and minus
+    split, the adjacency test, the masks and their order are exactly those
+    of the coordinate sweep.  Only :func:`regular_subdivision` takes this
+    mode, as it reads nothing but masks, from 21 rows on Delta(3,6).  The
+    other callers need the vectors, and the fan build's Minkowski sweeps
+    have about 100 rows, on which most rays are cut soon after they are
+    made: there carrying the values of the rows to come costs more than
+    the dot products it saves.
     """
-    lines = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+    if coordinates:
+        lines = [tuple(1 if j == i else 0 for j in range(dim))
+                 for i in range(dim)]
+    else:
+        lines = [_reduce([row[i] for row in reversed(rows)])
+                 for i in range(dim)]
     vecs, masks = [], []  # the rays and their tight masks
 
     for idx, a in enumerate(rows):
         bit = 1 << idx
-        line_vals = [sum(map(operator.mul, a, l)) for l in lines]
-        vals = [sum(map(operator.mul, a, r)) for r in vecs]
+        if coordinates:
+            keep = dim  # a new ray keeps all its coordinates
+            line_vals = [sum(map(operator.mul, a, l)) for l in lines]
+            vals = [sum(map(operator.mul, a, r)) for r in vecs]
+        else:
+            # the slot of row idx, and the number of later rows
+            keep = len(rows) - 1 - idx
+            line_vals = [l[keep] for l in lines]
+            vals = list(map(operator.itemgetter(keep), vecs))
         if any(line_vals):
             k = next(i for i, v in enumerate(line_vals) if v)
             l0, v0 = lines[k], line_vals[k]
             if v0 < 0:
                 l0, v0 = tuple(-x for x in l0), -v0
-            lines = [l if v == 0 else _combine(v0, l, v, l0)
+            lines = [l if v == 0 else _combine(v0, l, v, l0, keep)
                      for i, (l, v) in enumerate(zip(lines, line_vals))
                      if i != k]
-            vecs = [r if v == 0 else _combine(v0, r, v, l0)
+            vecs = [r if v == 0 else _combine(v0, r, v, l0, keep)
                     for r, v in zip(vecs, vals)]
             # The consumed line survives as a ray.  It lies in the lineality
             # space of the earlier rows, so it is tight on all of them.
@@ -259,10 +295,13 @@ def _double_description(rows, dim):
                     adjacent.append((i, j, common))
             adjacent.sort()
             for i, j, common in adjacent:
-                new_vecs.append(_combine(vals[i], vecs[j], vals[j], vecs[i]))
+                new_vecs.append(
+                    _combine(vals[i], vecs[j], vals[j], vecs[i], keep))
                 new_masks.append(common | bit)
         vecs, masks = new_vecs, new_masks
 
+    if not coordinates:
+        return len(lines), masks
     return lines, list(zip(vecs, masks))
 
 
@@ -574,11 +613,12 @@ def regular_subdivision(points, heights):
     halfspaces = [tuple(0 for _ in range(d + 1)) + (1,)]
     halfspaces += [tuple(-x for x in reduced[i]) + (-1, h_ints[i])
                    for i in order]
-    lines, rays = _double_description(halfspaces, d + 2)
-    if lines:  # cannot happen for a spanning configuration
-        raise NotPointedError(lines[0])
+    n_lines, masks = _double_description(halfspaces, d + 2,
+                                         coordinates=False)
+    if n_lines:  # cannot happen for a spanning configuration
+        raise NotPointedError(_double_description(halfspaces, d + 2)[0][0])
     # Rays tight on t >= 0 are vertical and bound no lower facet.
-    cells = {_members(mask >> 1, order) for _, mask in rays if not mask & 1}
+    cells = {_members(mask >> 1, order) for mask in masks if not mask & 1}
     return sorted(cells, key=sorted)
 
 

@@ -31,14 +31,15 @@ def cone_types(fan36):
 
 @pytest.fixture
 def sweep_calls(monkeypatch):
-    """A list that records each call of the double-description sweep."""
+    """A list that records each call of the double-description sweep, as
+    its positional ``(rows, dim)``; keyword arguments are passed on."""
     import tropd4.geometry as geometry
     calls = []
     sweep = geometry._double_description
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return sweep(*args)
+        return sweep(*args, **kwargs)
     monkeypatch.setattr(geometry, "_double_description", counted)
     return calls
 

@@ -355,3 +355,22 @@ class TestRunOptions:
             main(["verify-all", option, value])
         assert exc.value.code == 2
         assert option in capsys.readouterr().err
+
+
+class TestReproduceTablesScript:
+    SCRIPT = README.parent / "scripts" / "reproduce_tables.py"
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--help"], 0),
+        (["--unknown"], 2),
+        (["a", "b"], 2),
+    ], ids=["help", "unknown-option", "two-directories"])
+    def test_options_make_no_directory(self, tmp_path, argv, code):
+        src = str(pathlib.Path(tropd4.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, str(self.SCRIPT), *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == code
+        assert "usage: reproduce_tables.py" in proc.stdout + proc.stderr
+        assert list(tmp_path.iterdir()) == []

@@ -157,9 +157,13 @@ class TestFanF36:
     def test_two_sweeps_per_minkowski_sum_and_cone(self, fan36, sweep_calls):
         assert compute_fan_f36.__wrapped__() == fan36
         # cone_from_rays sweeps twice: once for the hull of the start point,
-        # once for each of the 20 Minkowski sums, and once for each of the
-        # 48 maximal cones
-        assert len(sweep_calls) == 2 * (1 + 20 + 48)
+        # once for each Minkowski sum with a minor of more than one form
+        # (a single form only translates the sum), and once for each of
+        # the 48 maximal cones
+        minors = all_tropical_minors()
+        sums = sum(len(minors[idx]) > 1 for idx in PLUECKER_TRIPLES)
+        assert sums == 10
+        assert len(sweep_calls) == 2 * (1 + sums + 48)
 
     def test_single_form_minimal_on_each_cone(self, fan36):
         """On every maximal cone each minor selects one linear form."""

@@ -275,6 +275,15 @@ class TestSimpleRayRule:
                                if _dot(h, r) == 0)
 
 
+def assert_masks_match_coordinate_sweep(rows, dim):
+    """The sweep that holds the values on the rows to come returns the
+    number of lines and exactly the masks of the coordinate sweep, in its
+    order."""
+    lines, rays = geometry._double_description(rows, dim)
+    assert geometry._double_description(rows, dim, coordinates=False) == \
+        (len(lines), [mask for _, mask in rays])
+
+
 class TestSweepOrderPinned:
     """Callers rely on the order of the sweep's lines and rays, so a change
     to the order must fail here.  The digest is of the sweep that tested
@@ -282,7 +291,11 @@ class TestSweepOrderPinned:
 
     DIGEST = "1c2b75cbda670444ec23f0df5d8998ad"
 
-    def test_digest_of_envelope_and_cell_sweeps(self, fan36, sweep_calls):
+    @staticmethod
+    def corpus(fan36, sweep_calls):
+        """The rows and dimension of the sweeps of 60 lower envelopes on
+        Delta(3,6), and of the facet sweeps of the 48 distinct cells of
+        the canonical subdivisions."""
         verts = hypersimplex_vertices()
         rng = random.Random(1901)
         lifts = [[rng.randint(0, 1000) for _ in range(20)]
@@ -300,9 +313,24 @@ class TestSweepOrderPinned:
         corpus += [([verts[i] + (1,) for i in cell], 7)
                    for cell in sorted(cells)]
         sweep_calls.clear()
+        return corpus
+
+    def test_digest_of_envelope_and_cell_sweeps(self, fan36, sweep_calls):
         outputs = repr([geometry._double_description(rows, dim)
-                        for rows, dim in corpus])
+                        for rows, dim in self.corpus(fan36, sweep_calls)])
         assert hashlib.md5(outputs.encode()).hexdigest() == self.DIGEST
+
+    def test_mask_sweep_matches_coordinate_sweep(self, fan36, sweep_calls):
+        for rows, dim in self.corpus(fan36, sweep_calls):
+            assert_masks_match_coordinate_sweep(rows, dim)
+
+    @given(SWEEP_INPUTS)
+    @example((2, False, [(0, 0), (1, 0), (0, 0), (1, 0), (0, 1)], []))
+    @example((3, False, [], []))
+    @settings(max_examples=200)
+    def test_mask_sweep_matches_on_any_rows(self, case):
+        dim, rows = sweep_rows(case)
+        assert_masks_match_coordinate_sweep(rows, dim)
 
 
 class TestConeFromRays:
