@@ -12,10 +12,11 @@ import argparse
 import pathlib
 import sys
 
-from tropd4.cli import main as cli_main
-
 
 def run(outdir):
+    # imported here, so that --help and usage errors need no tropd4
+    from tropd4.cli import main as cli_main
+
     outdir.mkdir(parents=True, exist_ok=True)
     jobs = [
         (["fan"], "fan.json"),

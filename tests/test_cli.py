@@ -366,8 +366,8 @@ class TestReproduceTablesScript:
         (["a", "b"], 2),
     ], ids=["help", "unknown-option", "two-directories"])
     def test_options_make_no_directory(self, tmp_path, argv, code):
-        src = str(pathlib.Path(tropd4.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
+        # without tropd4 on the path: usage needs none of it
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         proc = subprocess.run([sys.executable, str(self.SCRIPT), *argv],
                               cwd=tmp_path, env=env, capture_output=True,
                               text=True, timeout=120)
