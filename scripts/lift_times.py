@@ -25,9 +25,11 @@ as the benchmark takes it (``p90`` of ``perfbench/run.py``), and the
 median of it over the runs.  The layer medians and percentiles need not
 add up to the op's.  Beside them, ``fvectors`` gives the number of
 ``polytope_f_vector`` calls that ``hypersimplex`` makes over the 80 lifts,
-after the set-up, and ``matroidal`` the number of their cells judged
-matroidal; the counts do not depend on the host, so every run must give
-the same ones.  Times are unscaled; scale by
+after the set-up, ``ranked`` the number of its ``intersection_dim``
+calls, each an exact rank of a vertex set that no cache or parity test
+settled, and ``matroidal`` the number of their cells judged matroidal;
+the counts do not depend on the host, so every run must give the same
+ones.  Times are unscaled; scale by
 ``hostspeed.REFERENCE_S / probe_s`` to compare files written minutes
 apart.
 """
@@ -45,7 +47,7 @@ from check_times import PROBES, ROOT, main, probe
 OUTPUT = ROOT / "BENCH_generic_lift.json"
 LIFTS = 80  # the op count of perfbench/run.py --workload generic-lift --seconds 24
 LAYERS = ("envelope", "verdicts", "signature", "op")
-COUNTS = ("fvectors", "matroidal")  # the same in every run
+COUNTS = ("fvectors", "ranked", "matroidal")  # the same in every run
 # the lifts of each kind, as in lift_inputs: lift k is uniform when k % 3 < 2
 KINDS = {"op_ms_p50": range(LIFTS),
          "uniform_ms_p50": [k for k in range(LIFTS) if k % 3 < 2],
@@ -65,21 +67,24 @@ def child(seed):
     )
     lifts = lift_inputs(random.Random(seed), LIFTS)
     setup()
-    counted = []
-    f_vector = hypersimplex.polytope_f_vector
+    counts = dict.fromkeys(COUNTS, 0)
 
-    def counted_f_vector(vertices):
-        counted.append(len(vertices))
-        return f_vector(vertices)
-    hypersimplex.polytope_f_vector = counted_f_vector
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+    hypersimplex.polytope_f_vector = counted(
+        "fvectors", hypersimplex.polytope_f_vector)
+    hypersimplex.intersection_dim = counted(
+        "ranked", hypersimplex.intersection_dim)
     probes = [probe() for _ in range(PROBES)]
     times = {name: [] for name in LAYERS}
-    matroidal = 0
     for w in lifts:
         t0 = perf_counter()
         cells = induced_subdivision(w)
         t1 = perf_counter()
-        matroidal += sum(map(is_matroid_basis_set, cells))
+        counts["matroidal"] += sum(map(is_matroid_basis_set, cells))
         t2 = perf_counter()
         subdivision_signature(cells)
         t3 = perf_counter()
@@ -90,8 +95,7 @@ def child(seed):
                      for name, ms in times.items()}
                for key, ks in KINDS.items()}
               | {"op_ms_p90": {name: p90(ms) for name, ms in times.items()},
-                 "fvectors": len(counted), "matroidal": matroidal,
-                 "probes": probes}, sys.stdout)
+                 **counts, "probes": probes}, sys.stdout)
 
 
 def summary(runs):

@@ -8,7 +8,7 @@ The workhorse is a double-description sweep (:func:`_double_description`)
 that inserts halfspaces one at a time while maintaining a line basis and the
 extreme rays of the pointed part.  Everything else is phrased as a ray
 enumeration of a suitable cone, by four callers: :class:`Cone`,
-:func:`cone_from_rays`, :func:`regular_subdivision` and
+:func:`cone_from_rays`, :func:`lower_cell_masks` and
 :func:`_polytope_facets`.  :func:`_faces` reads face lattices off the
 tight masks of facets and sweeps nothing.
 
@@ -17,7 +17,7 @@ primitive rays, each ray paired with the bitmask of the rows it is tight
 on (bit i for input row i).  Public entries scale rational input to
 integer rows once, with :func:`_integer_rows`; callers read incidences off
 the masks and never canonicalize sweep output again.  Asked for the masks
-alone, as :func:`regular_subdivision` asks, the sweep holds each ray as its
+alone, as :func:`lower_cell_masks` asks, the sweep holds each ray as its
 values on the rows still to come instead of its coordinates.
 
 Beside the sweep sits one evaluation kernel, :class:`PackedForms`: a fixed
@@ -170,7 +170,7 @@ def _combine(s, x, t, y, n):
     return _reduce([s * a - t * b for a, b in zip(x[:n], y)])
 
 
-def _double_description(rows, dim, coordinates=True):
+def _double_description(rows, dim, coordinates=True, bits=None):
     """Lines and extreme rays of ``{x : <h, x> >= 0 for h in rows}``.
 
     ``rows`` are integer vectors.  Returns ``(lines, rays)``: ``lines`` is a
@@ -220,13 +220,22 @@ def _double_description(rows, dim, coordinates=True):
     multiple of the values of the vector the other mode holds.  Every
     value read has the sign of the true one, so the zero, plus and minus
     split, the adjacency test, the masks and their order are exactly those
-    of the coordinate sweep.  Only :func:`regular_subdivision` takes this
+    of the coordinate sweep.  Only :func:`lower_cell_masks` takes this
     mode, as it reads nothing but masks, from 21 rows on Delta(3,6).  The
     other callers need the vectors, and the fan build's Minkowski sweeps
     have about 100 rows, on which most rays are cut soon after they are
     made: there carrying the values of the rows to come costs more than
     the dot products it saves.
+
+    ``bits`` gives each row's bit in the masks, distinct single bits; by
+    default row i has bit ``1 << i``.  The sweep never reads where a bit
+    is, only which masks hold it, so other bits give the default masks
+    relabelled, in the same order.  A line consumed at a row survives as
+    a ray tight on exactly the rows inserted before it, so its mask is the
+    OR of their bits.
     """
+    if bits is None:
+        bits = [1 << i for i in range(len(rows))]
     if coordinates:
         lines = [tuple(1 if j == i else 0 for j in range(dim))
                  for i in range(dim)]
@@ -235,8 +244,7 @@ def _double_description(rows, dim, coordinates=True):
                  for i in range(dim)]
     vecs, masks = [], []  # the rays and their tight masks
 
-    for idx, a in enumerate(rows):
-        bit = 1 << idx
+    for idx, (a, bit) in enumerate(zip(rows, bits)):
         if coordinates:
             keep = dim  # a new ray keeps all its coordinates
             line_vals = [sum(map(operator.mul, a, l)) for l in lines]
@@ -260,7 +268,7 @@ def _double_description(rows, dim, coordinates=True):
             # space of the earlier rows, so it is tight on all of them.
             vecs.append(l0)
             masks = [m | bit for m in masks]
-            masks.append(bit - 1)
+            masks.append(functools.reduce(operator.or_, bits[:idx], 0))
             continue
 
         zero, plus, minus = [], [], []
@@ -590,14 +598,29 @@ def regular_subdivision(points, heights):
 
     Each lifted point is ``(p_i, h_i)``; a cell is the frozenset of indices
     of the points lying on one lower facet of the lifted convex hull.  Cells
-    are returned sorted, as frozensets of point indices.  The points must be
-    distinct: a cell could not tell a repeated point from its copy.
+    are returned sorted, as frozensets of point indices, read off the masks
+    of :func:`lower_cell_masks`.  The points must be distinct: a cell could
+    not tell a repeated point from its copy.
+    """
+    points = _distinct_points(points)
+    items = range(len(points))
+    return sorted((_members(mask, items)
+                   for mask in lower_cell_masks(points, heights)), key=sorted)
+
+
+def lower_cell_masks(points, heights):
+    """The maximal cells of :func:`regular_subdivision`, each as a bitmask
+    over the points: bit i stands for point i.  The masks come in the
+    sweep's order, with no repeat.
 
     The sweep inserts ``t >= 0`` first, so it never builds the upper half of
     the lifted hull, and then the points from the lowest height up, so the
     intermediate cones stay close to the lower envelope (ties keep index
     order).  The cells do not depend on this order: they are the tight masks
-    of the final extreme rays, mapped back to the original indices.
+    of the final extreme rays.  Each row carries the bit of its point, and
+    ``t >= 0`` the bit above them all, so a mask needs no mapping back to
+    the original indices.  Distinct extreme rays have distinct tight sets,
+    so no cell comes twice.
     """
     points = _distinct_points(points)
     if len(points) != len(heights):
@@ -613,13 +636,14 @@ def regular_subdivision(points, heights):
     halfspaces = [tuple(0 for _ in range(d + 1)) + (1,)]
     halfspaces += [tuple(-x for x in reduced[i]) + (-1, h_ints[i])
                    for i in order]
-    n_lines, masks = _double_description(halfspaces, d + 2,
-                                         coordinates=False)
+    vertical = 1 << len(points)
+    n_lines, masks = _double_description(
+        halfspaces, d + 2, coordinates=False,
+        bits=[vertical] + [1 << i for i in order])
     if n_lines:  # cannot happen for a spanning configuration
         raise NotPointedError(_double_description(halfspaces, d + 2)[0][0])
     # Rays tight on t >= 0 are vertical and bound no lower facet.
-    cells = {_members(mask >> 1, order) for mask in masks if not mask & 1}
-    return sorted(cells, key=sorted)
+    return [mask for mask in masks if not mask & vertical]
 
 
 def intersection_dim(points, cell_a, cell_b):

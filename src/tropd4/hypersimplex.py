@@ -22,8 +22,8 @@ from .geometry import (
     PackedForms,
     basis_relations,
     intersection_dim,
+    lower_cell_masks,
     polytope_f_vector,
-    regular_subdivision,
 )
 from .webmatrix import PLUECKER_TRIPLES
 
@@ -45,15 +45,42 @@ def _bits(mask):
         mask ^= low
 
 
+class _Cell(frozenset):
+    """A cell of Delta(3,6): a frozenset of triples that also holds its
+    20-bit vertex mask, bit i for ``PLUECKER_TRIPLES[i]``, so that the
+    verdict and the signature read the mask and do not rebuild it."""
+
+    __slots__ = ("mask",)
+
+
+# The triples of each 5-bit chunk of a vertex mask: entry v of table c
+# holds, in lex order, the triples 5c + j of the set bits j of v.
+_CHUNK_TRIPLES = tuple(
+    tuple(tuple(PLUECKER_TRIPLES[5 * c + j] for j in range(5) if v >> j & 1)
+          for v in range(32))
+    for c in range(4))
+
+
 def induced_subdivision(w):
     """Maximal cells of the subdivision of the hypersimplex lifted by w.
 
     ``w`` is the 20-entry weight vector in lexicographic triple order; each
-    cell is returned as a frozenset of index triples.
+    cell is returned as a frozenset of index triples, which holds its
+    vertex mask from :func:`lower_cell_masks` as ``mask`` (``_Cell``).  A
+    mask's triples are read off its four 5-bit chunks, in lex order, and
+    the cells are sorted by them.  ``PLUECKER_TRIPLES`` is in lex order, so
+    that is the order of the index sets of :func:`regular_subdivision`.
     """
-    cells = regular_subdivision(hypersimplex_vertices(), list(w))
-    return tuple(frozenset(map(PLUECKER_TRIPLES.__getitem__, cell))
-                 for cell in cells)
+    t0, t1, t2, t3 = _CHUNK_TRIPLES
+    keyed = sorted(
+        (t0[m & 31] + t1[m >> 5 & 31] + t2[m >> 10 & 31] + t3[m >> 15], m)
+        for m in lower_cell_masks(hypersimplex_vertices(), list(w)))
+    cells = []
+    for triples, mask in keyed:
+        cell = _Cell(triples)
+        cell.mask = mask
+        cells.append(cell)
+    return tuple(cells)
 
 
 _TRIPLE_BIT = {t: 1 << i for i, t in enumerate(PLUECKER_TRIPLES)}
@@ -61,8 +88,11 @@ _TRIPLE_BIT = {t: 1 << i for i, t in enumerate(PLUECKER_TRIPLES)}
 
 def _vertex_mask(cell):
     """The cell's vertices as a 20-bit mask: bit i stands for vertex i.
-    The bits are summed over the distinct triples, so a repeat adds
+    A cell of :func:`induced_subdivision` holds it; for any other family
+    the bits are summed over the distinct triples, so a repeat adds
     nothing."""
+    if type(cell) is _Cell:
+        return cell.mask
     try:
         return sum(map(_TRIPLE_BIT.__getitem__, frozenset(cell)))
     except KeyError as exc:
@@ -115,7 +145,9 @@ def is_matroid_basis_set(bases) -> bool:
 
     ``bases`` is read once.  When every basis is a sorted triple of 1..6
     (a key of ``_TRIPLE_BIT``), as every cell of Delta(3,6) is, the family
-    is a 20-bit vertex mask F and two tables built at import judge it:
+    is a 20-bit vertex mask F, held by a cell of
+    :func:`induced_subdivision` and built for any other family, and two
+    tables built at import judge it:
     ``_EXCHANGES`` gives, per vertex A and element a of A, each element b
     outside A with the bit of A - a + b, so the partners P of (A, a) are
     read off F; and ``_INSIDE[s]`` is the mask of the vertices inside the
@@ -126,11 +158,14 @@ def is_matroid_basis_set(bases) -> bool:
     each new element takes the next bit.  An empty family raises
     ``ValueError``.
     """
-    bases = list(bases)
-    try:
-        family = reduce(or_, map(_TRIPLE_BIT.__getitem__, bases), 0)
-    except (KeyError, TypeError):
-        return _is_matroid_on_elements(bases)
+    if type(bases) is _Cell:
+        family = bases.mask
+    else:
+        bases = list(bases)
+        try:
+            family = reduce(or_, map(_TRIPLE_BIT.__getitem__, bases), 0)
+        except (KeyError, TypeError):
+            return _is_matroid_on_elements(bases)
     if not family:
         raise ValueError("empty basis set")
     for low in _bits(family):
@@ -165,22 +200,37 @@ def _is_matroid_on_elements(bases):
     return True
 
 
-def _independent_mod2(mask):
-    """Whether the vertices in ``mask``, as 0/1 vectors, are linearly
-    independent over GF(2): XOR elimination on their 6-bit masks, one
-    pivot row per leading bit."""
-    pivots = [0] * 7
-    for low in _bits(mask):
-        row = _TRIPLE_BITS[low.bit_length() - 1]
-        while row:
-            top = row.bit_length()
-            if not pivots[top]:
-                pivots[top] = row
-                break
-            row ^= pivots[top]
-        else:
-            return False  # the row reduced to zero
-    return True
+# The positions x of a 64-bit set whose bit k is clear, one set per k.
+_LOW_HALVES = tuple(sum(1 << x for x in range(64) if not x >> k & 1)
+                    for k in range(6))
+
+
+def _span_table(vectors):
+    """Per subset of ``vectors``, 6-bit masks of three bits each, bit j
+    standing for vectors[j]: the GF(2) span of its vectors as a 64-bit
+    set, bit x for the vector x, or 0 when they are dependent.  A vector v
+    outside a span S doubles it to S + (v + S), and v + S is S with the
+    positions that differ in bit k swapped, for each of the three bits k
+    of v."""
+    table = [1]  # the empty subset spans the zero vector
+    for v in vectors:
+        (s1, l1), (s2, l2), (s3, l3) = [
+            (1 << k, _LOW_HALVES[k]) for k in range(6) if v >> k & 1]
+        grown = []
+        for span in table:
+            if not span or span >> v & 1:
+                grown.append(0)
+                continue
+            coset = (span & l1) << s1 | span >> s1 & l1
+            coset = (coset & l2) << s2 | coset >> s2 & l2
+            grown.append(span | (coset & l3) << s3 | coset >> s3 & l3)
+        table += grown
+    return tuple(table)
+
+
+# The spans of the vertices 0-9 and 10-19, by their 10-bit half masks.
+_SPAN_LO = _span_table(_TRIPLE_BITS[:10])
+_SPAN_HI = _span_table(_TRIPLE_BITS[10:])
 
 
 @lru_cache(maxsize=None)
@@ -206,13 +256,22 @@ def _cell_invariant(mask):
     which misses the origin, so they are affinely independent exactly
     when they are linearly independent.  If their 0/1 vectors are
     independent mod 2, some maximal minor is odd, hence nonzero, and the
-    cell is a simplex (:func:`_independent_mod2`).  That test only
-    certifies: a set that is dependent mod 2 may still be independent
-    (the 5-simplex {123, 124, 125, 136, 236, 345} has determinant 6), so
-    it is ranked exactly, and every "not a simplex" comes from that rank.
+    cell is a simplex.  Two tables built at import decide that, one per
+    half of the mask (:func:`_span_table`): ``_SPAN_LO`` for the vertices
+    0-9 and ``_SPAN_HI`` for 10-19.  Say each half is independent, with
+    span U and V.  Then the whole set is independent exactly when
+    dim(U + V) = dim U + dim V.  As dim(U + V) = dim U + dim V minus the
+    dimension of their intersection, that is exactly when U and V share
+    only the zero vector: when ``lo & hi == 1``.  A dependent half reads
+    0, which never gives 1.
+    That test only certifies: a set that is dependent mod 2 may still be
+    independent (the 5-simplex {123, 124, 125, 136, 236, 345} has
+    determinant 6), so it is ranked exactly, and every "not a simplex"
+    comes from that rank.
     """
     n = mask.bit_count()
-    if 0 < n <= 6 and (_independent_mod2(mask) or _span_dim(mask) == n - 1):
+    if 0 < n <= 6 and (_SPAN_LO[mask & 1023] & _SPAN_HI[mask >> 10] == 1
+                       or _span_dim(mask) == n - 1):
         return _SIMPLEX_INVARIANTS[n]
     return _orbit_invariant(_orbit_key(mask)), False
 

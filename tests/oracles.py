@@ -29,7 +29,8 @@ second chord from its own antipode map and crossings from that realization,
 instead of growing noncrossing sets by common neighbours.
 The plane-type oracle looks a subdivision's signature up among the
 signatures of labeled representative cones, instead of reading letters
-off the subdivisions at the rays.
+off the subdivisions at the rays.  The GF(2) rank oracle eliminates 0/1
+vectors as lists, row by row, instead of reading spans off tables.
 """
 
 from __future__ import annotations
@@ -399,6 +400,24 @@ def argmin_region(x, minors):
 
 
 # -- matroid verdicts ---------------------------------------------------------
+
+def gf2_rank(vectors):
+    """Rank over GF(2) of 0/1 ``vectors``, by Gaussian elimination on lists:
+    each pivot row clears its column from every later row."""
+    rows = [[x % 2 for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                rows[i] = [(x + y) % 2 for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
 
 def brute_force_matroid_basis_set(bases):
     """Basis-exchange axiom over frozensets, by brute force over all pairs."""

@@ -284,6 +284,30 @@ def assert_masks_match_coordinate_sweep(rows, dim):
         (len(lines), [mask for _, mask in rays])
 
 
+def assert_bits_relabel_the_masks(rows, dim, bits):
+    """With ``bits`` the sweep returns, in both modes, the masks of the
+    default bits relabelled, in their order; and those are the rows tight
+    on each ray under ``bits``."""
+    def relabel(mask):
+        return sum(b for i, b in enumerate(bits) if mask >> i & 1)
+    lines, rays = geometry._double_description(rows, dim)
+    masks = [relabel(m) for _, m in rays]
+    assert masks == [sum(b for h, b in zip(rows, bits) if _dot(h, r) == 0)
+                     for r, _ in rays]
+    assert geometry._double_description(rows, dim, bits=bits) == \
+        (lines, [(r, m) for (r, _), m in zip(rays, masks)])
+    assert geometry._double_description(
+        rows, dim, coordinates=False, bits=bits) == (len(lines), masks)
+
+
+def shuffled_bits(count, rng):
+    """The bits ``1 << p`` of a shuffled list of ``count`` positions, with
+    room for one more, as the envelope's bit of ``t >= 0``."""
+    positions = list(range(count + 1))
+    rng.shuffle(positions)
+    return [1 << p for p in positions[:count]]
+
+
 class TestSweepOrderPinned:
     """Callers rely on the order of the sweep's lines and rays, so a change
     to the order must fail here.  The digest is of the sweep that tested
@@ -331,6 +355,23 @@ class TestSweepOrderPinned:
     def test_mask_sweep_matches_on_any_rows(self, case):
         dim, rows = sweep_rows(case)
         assert_masks_match_coordinate_sweep(rows, dim)
+
+    def test_bits_relabel_the_masks(self, fan36, sweep_calls):
+        rng = random.Random(2903)
+        for rows, dim in self.corpus(fan36, sweep_calls):
+            assert_bits_relabel_the_masks(
+                rows, dim, shuffled_bits(len(rows), rng))
+
+    @given(SWEEP_INPUTS, st.randoms(use_true_random=False))
+    @example((2, False, [(0, 0), (1, 0), (0, 0), (1, 0), (0, 1)], []),
+             random.Random(0))
+    @example((3, True, [(0, 0, 0)], [(0, True), (2, False)]),
+             random.Random(1))
+    @settings(max_examples=200)
+    def test_bits_relabel_the_masks_on_any_rows(self, case, rng):
+        dim, rows = sweep_rows(case)
+        assert_bits_relabel_the_masks(rows, dim,
+                                      shuffled_bits(len(rows), rng))
 
 
 class TestConeFromRays:

@@ -47,6 +47,7 @@ from oracles import (
     brute_force_orbit_key,
     certificate_holds,
     classify_by_signature,
+    gf2_rank,
     matroid_f_vector,
     satisfies_tropical_plucker_relations,
 )
@@ -219,9 +220,9 @@ class TestMatroidCheck:
             self, exchange_families, benchmark_subdivisions, monkeypatch):
         """Every family of the oracle test and every cell of the 240 lifts
         of the ``generic-lift`` benchmark at seed 7 gets one verdict as
-        given, with repeated bases and as a generator, all on the mask
-        path, and as reversed tuples, sets and lists, on the general
-        path."""
+        given, with repeated bases, as a generator and as a cell that
+        holds its mask, all on the mask path, and as reversed tuples, sets
+        and lists, on the general path."""
         import tropd4.hypersimplex as hx
         general = []
         real = hx._is_matroid_on_elements
@@ -232,10 +233,13 @@ class TestMatroidCheck:
         monkeypatch.setattr(hx, "_is_matroid_on_elements", recorded)
         cells = [c for cells in benchmark_subdivisions for c in cells]
         for family in [*exchange_families, *cells]:
+            held = hx._Cell(family)
+            held.mask = hx._vertex_mask(family)
             family = list(family)
             verdict = is_matroid_basis_set(family)
             assert is_matroid_basis_set(family + family[::2]) == verdict
             assert is_matroid_basis_set(b for b in family) == verdict
+            assert is_matroid_basis_set(held) == verdict
             assert general == []
             for shape in (lambda b: tuple(reversed(b)), set, list):
                 assert is_matroid_basis_set(map(shape, family)) == verdict
@@ -338,6 +342,23 @@ class TestInducedSubdivision:
             forms = brute_force_cell_forms(
                 verts, {PLUECKER_TRIPLES.index(t) for t in cell})
             assert certificate_holds(forms, w)
+
+    def test_cells_hold_their_masks_in_the_order_of_index_sets(self):
+        """On the 240 lifts of the ``generic-lift`` benchmark at seed 7 and
+        on 60 seeded lifts tied in 0..2, the cells, in order, are the index
+        sets of ``regular_subdivision`` read as triples, and each holds the
+        mask of its triples."""
+        import tropd4.hypersimplex as hx
+        rng = random.Random(3)
+        lifts = benchmark_lifts(7, 240)
+        lifts += [[rng.randint(0, 2) for _ in range(20)] for _ in range(60)]
+        for w in lifts:
+            cells = induced_subdivision(w)
+            assert cells == tuple(
+                frozenset(map(PLUECKER_TRIPLES.__getitem__, cell))
+                for cell in regular_subdivision(hypersimplex_vertices(), w))
+            assert [c.mask for c in cells] == \
+                [hx._vertex_mask(frozenset(c)) for c in cells]
 
     @settings(max_examples=25)
     @given(st.permutations(range(20)),
@@ -447,6 +468,30 @@ class TestSignature:
         spans.update(a & b for a, b in itertools.combinations(others, 2))
         assert {frozenset(shared) for _, shared, _ in ranked} <= {
             frozenset(map(PLUECKER_TRIPLES.index, s)) for s in spans}
+
+    def test_span_tables_match_gf2_rank_oracle(self, monkeypatch):
+        """On all 60,459 sets of 1 to 6 vertices, the half tables certify
+        a simplex, with no rank, exactly when its 0/1 vectors have full
+        rank over GF(2).  The invariant is computed past its cache, with
+        the rank and the orbit recorded instead of computed."""
+        import tropd4.hypersimplex as hx
+        ranked = []
+        monkeypatch.setattr(hx, "_span_dim", lambda mask: ranked.append(
+            mask))
+        monkeypatch.setattr(hx, "_orbit_key", lambda mask: mask)
+        monkeypatch.setattr(hx, "_orbit_invariant", lambda key: None)
+        verts = hypersimplex_vertices()
+        verdicts = Counter()
+        for n in range(1, 7):
+            for chosen in itertools.combinations(range(20), n):
+                mask = sum(1 << i for i in chosen)
+                simplex = hx._cell_invariant.__wrapped__(mask)[1]
+                expected = gf2_rank([verts[i] for i in chosen]) == n
+                assert (simplex, ranked == []) == (expected, expected), chosen
+                ranked.clear()
+                verdicts[expected] += 1
+        assert sum(verdicts.values()) == 60459
+        assert min(verdicts.values()) > 10000
 
     def test_dependent_six_vertices_are_graded(self):
         # {1} with each pair of {2, 3, 4, 5}: six vertices on the facet
