@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -42,9 +43,13 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def number(x):
-    """``x`` with four significant digits, or with thousands separators
-    and one decimal from 1,000 up."""
-    return f"{x:,.1f}" if abs(x) >= 1000 else f"{x:.4g}"
+    """``x`` to four significant digits, with no exponent; from 1,000 up,
+    with thousands separators and one decimal."""
+    if abs(x) >= 1000:
+        return f"{x:,.1f}"
+    if not x:
+        return "0"
+    return f"{x:.{max(0, 3 - math.floor(math.log10(abs(x))))}f}"
 
 
 def quartiles(values):

@@ -35,27 +35,36 @@ class TestBenchPairs:
         lines = bench.summarize(records, [("op_ms_p50", "ms", "lower"),
                                           ("ops_per_s", "1/s", "higher")])
         assert lines == [
-            "op_ms_p50 3 [2\N{EN DASH}4] \N{RIGHTWARDS ARROW} 2.5 "
-            "[2\N{EN DASH}3] ms, \N{MINUS SIGN}16.7 %, 4/5; "
-            "gap 0.5, parent quartile distance 2",
-            "ops_per_s 333.3 [250\N{EN DASH}500] \N{RIGHTWARDS ARROW} 400 "
-            "[333.3\N{EN DASH}500] 1/s, +20.0 %, 4/5; "
-            "gap 66.67, parent quartile distance 250",
+            "op_ms_p50 3.000 [2.000\N{EN DASH}4.000] \N{RIGHTWARDS ARROW} "
+            "2.500 [2.000\N{EN DASH}3.000] ms, \N{MINUS SIGN}16.7 %, 4/5; "
+            "gap 0.5000, parent quartile distance 2.000",
+            "ops_per_s 333.3 [250.0\N{EN DASH}500.0] \N{RIGHTWARDS ARROW} "
+            "400.0 [333.3\N{EN DASH}500.0] 1/s, +20.0 %, 4/5; "
+            "gap 66.67, parent quartile distance 250.0",
         ]
 
-    def test_large_values_and_ties(self):
+    def test_large_and_small_values_and_ties(self):
+        """Thousands separators from 1,000 up, no exponent below 0.001,
+        and a tie won by neither side."""
         bench = load_script()
-        records = [record("parent", 0, ops_per_s=16400.0, ok_ratio=1.0),
-                   record("change", 0, ops_per_s=16120.0, ok_ratio=1.0)]
+        records = [record("parent", 0, ops_per_s=16400.0, ok_ratio=1.0,
+                          wall_s=0.05813),
+                   record("change", 0, ops_per_s=16120.0, ok_ratio=1.0,
+                          wall_s=0.0580793)]
         assert bench.summarize(records, [("ops_per_s", "1/s", "higher"),
-                                         ("ok_ratio", "ratio", "higher")]) \
+                                         ("ok_ratio", "ratio", "higher"),
+                                         ("wall_s", "s", "lower")]) \
             == ["ops_per_s 16,400.0 [16,400.0\N{EN DASH}16,400.0] "
                 "\N{RIGHTWARDS ARROW} 16,120.0 [16,120.0\N{EN DASH}16,120.0] "
-                "1/s, \N{MINUS SIGN}1.7 %, 0/1; gap 280, parent quartile "
+                "1/s, \N{MINUS SIGN}1.7 %, 0/1; gap 280.0, parent quartile "
                 "distance 0",
-                "ok_ratio 1 [1\N{EN DASH}1] \N{RIGHTWARDS ARROW} 1 "
-                "[1\N{EN DASH}1] ratio, +0.0 %, 0/1; gap 0, parent "
-                "quartile distance 0"]
+                "ok_ratio 1.000 [1.000\N{EN DASH}1.000] \N{RIGHTWARDS ARROW} "
+                "1.000 [1.000\N{EN DASH}1.000] ratio, +0.0 %, 0/1; gap 0, "
+                "parent quartile distance 0",
+                "wall_s 0.05813 [0.05813\N{EN DASH}0.05813] "
+                "\N{RIGHTWARDS ARROW} 0.05808 [0.05808\N{EN DASH}0.05808] s, "
+                "\N{MINUS SIGN}0.1 %, 1/1; gap 0.00005070, parent quartile "
+                "distance 0"]
 
     def test_help_exits_zero(self):
         out = subprocess.run([sys.executable, str(SCRIPT), "--help"],
