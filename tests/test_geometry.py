@@ -301,8 +301,9 @@ def assert_bits_relabel_the_masks(rows, dim, bits):
 
 
 def shuffled_bits(count, rng):
-    """The bits ``1 << p`` of a shuffled list of ``count`` positions, with
-    room for one more, as the envelope's bit of ``t >= 0``."""
+    """``count`` distinct single bits in shuffled order, drawn from
+    ``count + 1`` positions, so that their positions need not be
+    contiguous."""
     positions = list(range(count + 1))
     rng.shuffle(positions)
     return [1 << p for p in positions[:count]]
