@@ -20,11 +20,15 @@ be read beside its times, and ``probe_s``.  Beside the medians,
 ``full_report``.  The counts do not depend on the host, so every run must
 give the same ones.
 
-The times are wall-clock seconds, unscaled.  The host's speed drifts
-between runs minutes apart, so each run also times the fixed loop of
-``perfbench/hostspeed.probe`` before and after its work, and ``probe_s``
-is the median of those probes.  Two files written minutes apart compare
-after scaling each time by ``hostspeed.REFERENCE_S / probe_s``.
+The times are wall-clock seconds, unscaled.  The host's speed drifts,
+within a run as well as between runs, so each run times the fixed loop of
+``perfbench/hostspeed.probe`` just before each check, outside the check's
+time and outside ``full_report``'s, and before and after its work.
+``check_probe_s`` gives the median over the runs of each check's own
+probe, beside its median time; ``probe_s`` is the median of all the
+probes.  Two files written minutes apart compare after scaling each
+check's time by ``hostspeed.REFERENCE_S`` over its probe, and any other
+time by ``hostspeed.REFERENCE_S / probe_s``.
 """
 
 from __future__ import annotations
@@ -49,14 +53,16 @@ PROBES = 3  # taken before and after the work of each run
 
 
 def child(seed):
-    """One run: print its ``{name: seconds}``, its probes and the
-    violation count as JSON."""
+    """One run: print its ``{name: seconds}``, the probes taken before
+    each check, all its probes and the violation count as JSON."""
     probes = [probe() for _ in range(PROBES)]
     start = perf_counter()
     from tropd4 import geometry, verify
     times = {"import": perf_counter() - start}
     made = [0]  # the sweeps made so far
     sweeps = {}
+    check_probes = {}  # name -> the probes taken just before its calls
+    probing = [0.0]  # the seconds spent in those probes
     sweep = geometry._double_description
 
     def counted(*args, **kwargs):
@@ -65,6 +71,9 @@ def child(seed):
 
     def timed(name, fn):
         def call(*args, **kwargs):
+            t0 = perf_counter()
+            check_probes.setdefault(name, []).append(probe())
+            probing[0] += perf_counter() - t0
             t0, before = perf_counter(), made[0]
             try:
                 return fn(*args, **kwargs)
@@ -78,10 +87,12 @@ def child(seed):
         setattr(verify, name, timed(name, getattr(verify, name)))
     start = perf_counter()
     report = verify.full_report(seed)
-    times["full_report"] = perf_counter() - start
+    times["full_report"] = perf_counter() - start - probing[0]
     sweeps["full_report"] = made[0]
+    probes += [p for ps in check_probes.values() for p in ps]
     probes += [probe() for _ in range(PROBES)]
     json.dump({"times": times, "sweeps": sweeps, "probes": probes,
+               "check_probes": check_probes,
                "violations": len(report["violations"])}, sys.stdout)
 
 
@@ -143,8 +154,9 @@ def main(script, description, body, summary, output):
 
 
 def summary(runs):
-    """The violation count, the median of each time over ``runs``, and
-    the sweep counts, which must be the same in every run."""
+    """The violation count, the median of each time over ``runs``, the
+    median of each check's own probes over ``runs``, and the sweep counts,
+    which must be the same in every run."""
     sweeps = runs[0]["sweeps"]
     if any(r["sweeps"] != sweeps for r in runs):
         raise RuntimeError("the runs made different numbers of sweeps: "
@@ -153,6 +165,9 @@ def summary(runs):
             "median_s": {name: round(statistics.median(
                 r["times"][name] for r in runs), 4)
                 for name in runs[0]["times"]},
+            "check_probe_s": {name: round(statistics.median(
+                p for r in runs for p in r["check_probes"][name]), 6)
+                for name in runs[0]["check_probes"]},
             "sweeps": sweeps}
 
 

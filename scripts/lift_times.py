@@ -4,14 +4,18 @@
     python scripts/lift_times.py --seed 7 --runs 9
 
 Run it from anywhere in a source checkout.  Each run is a new Python
-process, with the checkout's ``src/`` on its path, that makes the
+process, with the checkout's ``src/`` on its path.  It first times the
+benchmark's cold set-up: the import of ``tropd4.fan`` and
+``tropd4.hypersimplex`` and ``setup`` of ``perfbench/child.py``, which
+builds the fan and the reference signatures.  That is timed before
+``perfbench/run.py`` is imported, as ``run.py`` loads standard modules,
+such as ``dataclasses``, that the set-up must not find loaded already;
+the median over the runs is written as ``setup_ms``.  Then it makes the
 benchmark's inputs, ``lift_inputs(random.Random(seed), 80)`` of
-``perfbench/run.py``, and its untimed set-up, ``setup`` of
-``perfbench/child.py``.  Then, per height vector, it times the three
-layers of the op in turn: the lower envelope
-(``hypersimplex.induced_subdivision``), the basis-exchange verdict of
-each cell (``is_matroid_basis_set``) and the signature
-(``subdivision_signature``), and the whole op.  The median per-op time of
+``run.py``, and, per height vector, it times the three layers of the op
+in turn: the lower envelope (``hypersimplex.induced_subdivision``), the
+basis-exchange verdict of each cell (``is_matroid_basis_set``) and the
+signature (``subdivision_signature``), and the whole op.  The median per-op time of
 each, in milliseconds, is taken per run, and the median over the runs is
 written to ``BENCH_generic_lift.json`` at the root of the checkout, under
 the header of ``scripts/check_times.py``: commit, seed, run count, Python
@@ -58,6 +62,11 @@ def child(seed):
     """One run: print the per-op milliseconds of each layer and the probes
     as JSON."""
     from child import setup
+    start = perf_counter()
+    import tropd4.fan  # noqa: F401
+    import tropd4.hypersimplex  # noqa: F401
+    setup()
+    setup_ms = (perf_counter() - start) * 1000
     from run import lift_inputs, p90
     from tropd4 import hypersimplex
     from tropd4.hypersimplex import (
@@ -66,7 +75,6 @@ def child(seed):
         subdivision_signature,
     )
     lifts = lift_inputs(random.Random(seed), LIFTS)
-    setup()
     counts = dict.fromkeys(COUNTS, 0)
 
     def counted(name, fn):
@@ -95,21 +103,26 @@ def child(seed):
                      for name, ms in times.items()}
                for key, ks in KINDS.items()}
               | {"op_ms_p90": {name: p90(ms) for name, ms in times.items()},
-                 **counts, "probes": probes}, sys.stdout)
+                 "setup_ms": setup_ms, **counts, "probes": probes},
+              sys.stdout)
 
 
 def summary(runs):
-    """The median over ``runs`` of each layer's per-op median, over all
-    lifts and over each kind, and of its 90th percentile over all lifts;
-    and the counts, which must be the same in every run."""
+    """The median over ``runs`` of the set-up time, of each layer's per-op
+    median, over all lifts and over each kind, and of its 90th percentile
+    over all lifts; and the counts, which must be the same in every run."""
     for count in COUNTS:
         if any(r[count] != runs[0][count] for r in runs):
             raise RuntimeError(f"the runs disagree on {count}: "
                                f"{[r[count] for r in runs]}")
-    return {"lifts": LIFTS, **{key: {
-        name: round(statistics.median(r[key][name] for r in runs), 3)
-        for name in LAYERS} for key in (*KINDS, "op_ms_p90")},
-        **{count: runs[0][count] for count in COUNTS}}
+
+    def median(values):
+        return round(statistics.median(values), 3)
+    return {"lifts": LIFTS,
+            "setup_ms": median(r["setup_ms"] for r in runs),
+            **{key: {name: median(r[key][name] for r in runs)
+                     for name in LAYERS} for key in (*KINDS, "op_ms_p90")},
+            **{count: runs[0][count] for count in COUNTS}}
 
 
 if __name__ == "__main__":
