@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -321,24 +320,35 @@ def cone_rays(halfspaces, dim):
     return list(cone.rays)
 
 
-@dataclass
 class Cone:
-    """Polyhedral cone ``{x : <h, x> >= 0}`` with cached ray description."""
+    """Polyhedral cone ``{x : <h, x> >= 0}`` with cached ray description.
 
-    ambient_dim: int
-    halfspaces: tuple
-    rays: tuple = field(init=False)
-    lines: tuple = field(init=False)
+    Two cones are equal when their dimensions, halfspaces, rays and lines
+    are; being mutable, a cone is not hashable."""
 
-    def __post_init__(self):
-        if {len(h) for h in self.halfspaces} - {self.ambient_dim}:
-            raise ValueError(f"halfspaces must have {self.ambient_dim} "
-                             f"entries: {self.halfspaces}")
-        rows, _ = _integer_rows([h for h in self.halfspaces if any(h)])
+    __hash__ = None
+
+    def __init__(self, ambient_dim, halfspaces):
+        if {len(h) for h in halfspaces} - {ambient_dim}:
+            raise ValueError(f"halfspaces must have {ambient_dim} "
+                             f"entries: {halfspaces}")
+        self.ambient_dim = ambient_dim
+        rows, _ = _integer_rows([h for h in halfspaces if any(h)])
         self.halfspaces = tuple(map(_reduce, rows))
-        lines, rays = _double_description(self.halfspaces, self.ambient_dim)
+        lines, rays = _double_description(self.halfspaces, ambient_dim)
         self.rays = tuple(sorted(r for r, _ in rays))
         self.lines = tuple(sorted(lines))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ambient_dim, self.halfspaces, self.rays, self.lines) \
+            == (other.ambient_dim, other.halfspaces, other.rays, other.lines)
+
+    def __repr__(self):
+        return (f"Cone(ambient_dim={self.ambient_dim!r}, halfspaces="
+                f"{self.halfspaces!r}, rays={self.rays!r}, "
+                f"lines={self.lines!r})")
 
     @property
     def is_pointed(self):
@@ -496,25 +506,21 @@ class PackedForms:
         return (word - (high >> width - 1)) & high == high
 
 
-@dataclass
 class Fan:
-    """A collection of full-dimensional cones with common-face intersections."""
+    """A collection of full-dimensional cones with common-face intersections.
 
-    ambient_dim: int
-    maximal_cones: tuple
+    Two fans are equal when their dimensions and maximal cones are; being
+    mutable, a fan is not hashable."""
 
-    _normals: tuple = field(init=False, repr=False, compare=False)
-    _masks: tuple = field(init=False, repr=False, compare=False)
-    # point location, filled on use: the cones found per (width, sign bits)
-    _located: dict = field(init=False, repr=False, compare=False,
-                           default_factory=dict)
+    __hash__ = None
 
-    def __post_init__(self):
-        dims = {c.ambient_dim for c in self.maximal_cones}
-        if dims - {self.ambient_dim}:
+    def __init__(self, ambient_dim, maximal_cones):
+        dims = {c.ambient_dim for c in maximal_cones}
+        if dims - {ambient_dim}:
             raise ValueError(f"cones must have ambient dimension "
-                             f"{self.ambient_dim}: got {sorted(dims)}")
-        self.maximal_cones = tuple(sorted(self.maximal_cones,
+                             f"{ambient_dim}: got {sorted(dims)}")
+        self.ambient_dim = ambient_dim
+        self.maximal_cones = tuple(sorted(maximal_cones,
                                           key=lambda c: c.rays))
         # Cones share most of their facets, so point location evaluates
         # each distinct normal once; bit j of a cone's mask stands for
@@ -526,6 +532,18 @@ class Fan:
         self._normals = tuple(bit)
         self._masks = tuple(sum({bit[h] for h in c.halfspaces})
                             for c in self.maximal_cones)
+        # point location, filled on use: the cones found per (width, sign bits)
+        self._located = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ambient_dim, self.maximal_cones) \
+            == (other.ambient_dim, other.maximal_cones)
+
+    def __repr__(self):
+        return (f"Fan(ambient_dim={self.ambient_dim!r}, "
+                f"maximal_cones={self.maximal_cones!r})")
 
     @property
     def rays(self):

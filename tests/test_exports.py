@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import tropd4
 
@@ -131,3 +134,27 @@ class TestViolationNames:
         assert len(sites) > 1
         assert {name: where for name, where in sites.items()
                 if len(where) > 1} == {}
+
+
+class TestImportCost:
+    # the layers of the command line and of verify-all, and the standard
+    # modules that dataclasses pull in
+    NOT_FOR_SETUP = {"tropd4.chords", "tropd4.clusters",
+                     "tropd4.correspondence", "tropd4.verify", "tropd4.cli",
+                     "dataclasses", "inspect"}
+
+    def test_setup_modules_load_no_cli_layers(self):
+        """Importing ``tropd4.fan`` and ``tropd4.hypersimplex``, all that the
+        benchmark's set-up imports, loads none of the modules above, in a
+        fresh interpreter.  Only the modules the imports add count, so a
+        module that a site hook loads at start-up does not."""
+        code = ("import sys; before = set(sys.modules); "
+                "import tropd4.fan, tropd4.hypersimplex; "
+                "print(*sorted(set(sys.modules) - before))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                                check=True, capture_output=True,
+                                text=True).stdout.split()
+        assert "tropd4.hypersimplex" in loaded
+        assert self.NOT_FOR_SETUP & set(loaded) == set()
