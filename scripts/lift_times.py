@@ -15,26 +15,26 @@ benchmark's inputs, ``lift_inputs(random.Random(seed), 80)`` of
 ``run.py``, and, per height vector, it times the three layers of the op
 in turn: the lower envelope (``hypersimplex.induced_subdivision``), the
 basis-exchange verdict of each cell (``is_matroid_basis_set``) and the
-signature (``subdivision_signature``), and the whole op.  The median per-op time of
-each, in milliseconds, is taken per run, and the median over the runs is
-written to ``BENCH_generic_lift.json`` at the root of the checkout, under
-the header of ``scripts/check_times.py``: commit, seed, run count, Python
-version, ``src_lines`` and ``probe_s``.  The same medians are written
-again for each kind of lift: under ``uniform_ms_p50`` for the lifts
-``k % 3 < 2`` of uniform heights, fine subdivisions that set the
-benchmark's ``op_ms_p50``, and under ``plucker_ms_p50`` for the tropical
-Plücker vectors, whose larger cells set its ``op_ms_p90``.  Under
-``op_ms_p90`` is each layer's 90th percentile over all 80 lifts, taken
-as the benchmark takes it (``p90`` of ``perfbench/run.py``), and the
-median of it over the runs.  The layer medians and percentiles need not
-add up to the op's.  Beside them, ``fvectors`` gives the number of
-``polytope_f_vector`` calls that ``hypersimplex`` makes over the 80 lifts,
-after the set-up, ``ranked`` the number of its ``intersection_dim``
-calls, each an exact rank of a vertex set that no cache or parity test
-settled, and ``matroidal`` the number of their cells judged matroidal;
-the counts do not depend on the host, so every run must give the same
-ones.  Times are unscaled; scale by
-``hostspeed.REFERENCE_S / probe_s`` to compare files written minutes
+signature (``subdivision_signature``), and the whole op.  The median
+per-op time of each, in milliseconds, is taken per run, and the median
+over the runs is written to ``BENCH_generic_lift.json`` at the root of
+the checkout, under the header of ``scripts/check_times.py``: commit,
+seed, run count, Python version, ``src_lines`` and ``probe_s``.  The
+same medians are written again for each kind of lift: under
+``uniform_ms_p50`` for the lifts ``k % 3 < 2`` of uniform heights, fine
+subdivisions that set the benchmark's ``op_ms_p50``, and under
+``plucker_ms_p50`` for the tropical Plücker vectors, whose larger cells
+set its ``op_ms_p90``.  Under ``op_ms_p90`` is each layer's 90th
+percentile over all 80 lifts, taken as the benchmark takes it (``p90``
+of ``perfbench/run.py``), and the median of it over the runs.  The layer
+medians and percentiles need not add up to the op's.  Beside them,
+``fvectors`` gives the number of ``polytope_f_vector`` calls that
+``hypersimplex`` makes over the 80 lifts, after the set-up, ``ranked``
+the number of its ``intersection_dim`` calls, each an exact rank of a
+vertex set that no cache or parity test settled, and ``matroidal`` the
+number of their cells judged matroidal; the counts do not depend on the
+host, so every run must give the same ones.  Times are unscaled; scale
+by ``hostspeed.REFERENCE_S / probe_s`` to compare files written minutes
 apart.
 """
 

@@ -20,11 +20,11 @@ def scripts(monkeypatch):
             importlib.import_module("lift_times"))
 
 
-def check_run(probe_of, sweeps=0):
-    """A run of ``check_times`` in which each check took 1 s and had the
-    probe ``probe_of[name]`` before it."""
+def check_run(probe_of):
+    """A run of ``check_times`` in which each check took 1 s, made no
+    sweep and had the probe ``probe_of[name]`` before it."""
     return {"times": dict.fromkeys(probe_of, 1.0),
-            "sweeps": dict.fromkeys(probe_of, sweeps),
+            "sweeps": dict.fromkeys(probe_of, 0),
             "check_probes": {name: [p] for name, p in probe_of.items()},
             "violations": 0}
 
