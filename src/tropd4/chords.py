@@ -13,7 +13,7 @@ the model, the half-turn included, moves vertices by a map
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 L, R = "L", "R"
 
@@ -22,11 +22,11 @@ class SamePairError(ValueError):
     """Both arguments denote the same centrally symmetric pair."""
 
 
-@dataclass(frozen=True, order=True)
-class Chord:
-    p: int
-    q: int = -1        # second vertex for diagonals, -1 for tangents
-    side: str = ""     # "L"/"R" for tangents, "" for diagonals
+class Chord(namedtuple("Chord", "p q side", defaults=(-1, ""))):
+    """A diagonal from vertex p to vertex q, with side "", or a tangent
+    from vertex p to the disk, with q = -1 and side "L" or "R"."""
+
+    __slots__ = ()
 
     @property
     def is_tangent(self):
@@ -141,8 +141,7 @@ def pair_crossing_count(a: Chord, b: Chord, n) -> int:
 
 # -- symmetries --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymmetryOp:
+class SymmetryOp(namedtuple("SymmetryOp", "kind axis", defaults=(0,))):
     """Rigid or combinatorial symmetry of the configuration.
 
     Each kind maps vertex k to ``sign * k + shift (mod 2n)``: "rho" (one-step
@@ -151,8 +150,7 @@ class SymmetryOp:
     Only "reflect" reads ``axis``.
     """
 
-    kind: str
-    axis: int = 0
+    __slots__ = ()
 
 
 RHO = SymmetryOp("rho")

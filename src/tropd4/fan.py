@@ -22,11 +22,17 @@ from .reference import LABEL_OF_RAY
 from .webmatrix import PLUECKER_TRIPLES, all_tropical_minors
 
 
+class Heights(tuple):
+    """The Fractions of :func:`trop_phi2`, holding also ``ints``, the
+    integer minima over the common positive denominator of the point."""
+
+
 def trop_phi2(x):
     """Values of all 20 tropical minors at x, in lexicographic triple order.
 
     ``x`` is scaled to integers by the lcm of its denominators, so the
-    minima are taken over integers; each value is returned as a Fraction.
+    minima are taken over integers; each value is returned as a Fraction,
+    in a :class:`Heights` that keeps the integer minima.
     The 42 forms of the minors are evaluated from one flat table; a minor
     with one form takes its value without ``min``.
     Raises ValueError unless ``x`` has 4 int or Fraction coordinates.
@@ -37,8 +43,10 @@ def trop_phi2(x):
     a, b, c, d = (v.numerator * (scale // v.denominator) for v in x)
     forms, spans = _minor_table()
     values = [p * a + q * b + r * c + s * d for p, q, r, s in forms]
-    return tuple(Fraction(values[i] if j - i == 1 else min(values[i:j]), scale)
-                 for i, j in spans)
+    ints = [values[i] if j - i == 1 else min(values[i:j]) for i, j in spans]
+    heights = Heights(Fraction(m, scale) for m in ints)
+    heights.ints = ints
+    return heights
 
 
 @lru_cache(maxsize=1)

@@ -23,9 +23,9 @@ values on the rows still to come instead of its coordinates.
 Beside the sweep sits one evaluation kernel, :class:`PackedForms`: a fixed
 list of integer linear forms, packed one field per form into one exact
 integer per coordinate, so that the signs of all the forms at an integer
-point come from one sum of products and a few masks.  It locates points
-in a :class:`Fan` and tests the secondary-cone certificates of
-``hypersimplex.certifies``.
+point come from one sum of products and a few masks.  It tests the
+secondary-cone certificates of ``hypersimplex.certifies``;
+:meth:`Fan.locate` packs a batch of points in the same way.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import struct
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -166,7 +167,12 @@ def basis_relations(vectors):
 def _combine(s, x, t, y, n):
     """The primitive integer vector ``s * x - t * y``, cut to its first
     ``n`` entries."""
-    return _reduce([s * a - t * b for a, b in zip(x[:n], y)])
+    return _reduce(_combine_unreduced(s, x, t, y, n))
+
+
+def _combine_unreduced(s, x, t, y, n):
+    """``s * x - t * y``, cut to its first ``n`` entries."""
+    return [s * a - t * b for a, b in zip(x[:n], y)]
 
 
 def _double_description(rows, dim, coordinates=True, bits=None):
@@ -209,18 +215,19 @@ def _double_description(rows, dim, coordinates=True, bits=None):
     the tight masks of the rays in the same order, and no vectors.  A
     ray's coordinates enter the sweep only through its values on the rows
     inserted after it is made.  So each line and ray is held as its values
-    on the rows not yet inserted, last row first and divided by their gcd:
-    the value on row ``idx`` is read from slot ``len(rows) - 1 - idx``
-    with no dot product, and a ray made at row ``idx`` keeps only the
-    slots before that one, its values on later rows.  The rows are linear
-    forms, so the held values of ``s * x - t * y`` are those of x and y
-    combined the same way, and by induction from the unit lines, which
-    hold the columns of the rows, every line and ray holds a positive
-    multiple of the values of the vector the other mode holds.  Every
-    value read has the sign of the true one, so the zero, plus and minus
-    split, the adjacency test, the masks and their order are exactly those
-    of the coordinate sweep.  Only :func:`lower_cell_masks` takes this
-    mode, as it reads nothing but masks, from 21 rows on Delta(3,6).  The
+    on the rows not yet inserted, last row first: the value on row ``idx``
+    is read from slot ``len(rows) - 1 - idx`` with no dot product, and a
+    ray made at row ``idx`` keeps only the slots before that one, its
+    values on later rows.  The rows are linear forms, so the held values
+    of ``s * x - t * y`` are those of x and y combined the same way, and
+    by induction from the unit lines, which hold the columns of the rows,
+    every line and ray holds a positive multiple of the values of the
+    vector the other mode holds; as only signs are read, no gcd is
+    divided out.  Every value
+    read has the sign of the true one, so the zero, plus and minus split,
+    the adjacency test, the masks and their order are exactly those of the
+    coordinate sweep.  Only :func:`lower_cell_masks` takes this mode, as
+    it reads nothing but masks, from 21 rows on Delta(3,6).  The
     other callers need the vectors, and the fan build's Minkowski sweeps
     have about 100 rows, on which most rays are cut soon after they are
     made: there carrying the values of the rows to come costs more than
@@ -236,11 +243,12 @@ def _double_description(rows, dim, coordinates=True, bits=None):
     if bits is None:
         bits = [1 << i for i in range(len(rows))]
     if coordinates:
+        combine = _combine
         lines = [tuple(1 if j == i else 0 for j in range(dim))
                  for i in range(dim)]
     else:
-        lines = [_reduce([row[i] for row in reversed(rows)])
-                 for i in range(dim)]
+        combine = _combine_unreduced
+        lines = [[row[i] for row in reversed(rows)] for i in range(dim)]
     vecs, masks = [], []  # the rays and their tight masks
 
     for idx, (a, bit) in enumerate(zip(rows, bits)):
@@ -258,10 +266,10 @@ def _double_description(rows, dim, coordinates=True, bits=None):
             l0, v0 = lines[k], line_vals[k]
             if v0 < 0:
                 l0, v0 = tuple(-x for x in l0), -v0
-            lines = [l if v == 0 else _combine(v0, l, v, l0, keep)
+            lines = [l if v == 0 else combine(v0, l, v, l0, keep)
                      for i, (l, v) in enumerate(zip(lines, line_vals))
                      if i != k]
-            vecs = [r if v == 0 else _combine(v0, r, v, l0, keep)
+            vecs = [r if v == 0 else combine(v0, r, v, l0, keep)
                     for r, v in zip(vecs, vals)]
             # The consumed line survives as a ray.  It lies in the lineality
             # space of the earlier rows, so it is tight on all of them.
@@ -303,7 +311,7 @@ def _double_description(rows, dim, coordinates=True, bits=None):
             adjacent.sort()
             for i, j, common in adjacent:
                 new_vecs.append(
-                    _combine(vals[i], vecs[j], vals[j], vecs[i], keep))
+                    combine(vals[i], vecs[j], vals[j], vecs[i], keep))
                 new_masks.append(common | bit)
         vecs, masks = new_vecs, new_masks
 
@@ -432,6 +440,18 @@ def _faces(facets, n):
     return result
 
 
+class Blocks(tuple):
+    """A tuple of forms that also holds ``blocks``, the tuples of forms it
+    is the concatenation of, in order.  :class:`PackedForms` packs each
+    block once per field width, whichever lists it is part of."""
+
+    @classmethod
+    def join(cls, blocks):
+        forms = cls(itertools.chain.from_iterable(blocks))
+        forms.blocks = tuple(blocks)
+        return forms
+
+
 class PackedForms:
     """Signs of a fixed list of integer linear forms at an integer point,
     found for all the forms at once.
@@ -453,42 +473,43 @@ class PackedForms:
     word is ``high``, and, since every ``c_j - 1`` is a digit too, that
     every form is positive exactly when each top bit of
     ``word - (high >> w - 1)`` is set.  The columns are built once per
-    width, so large coordinates stay exact and only widen the fields.
+    width, so large coordinates stay exact and only widen the fields: each
+    block's own (:func:`_block_layout`) shifted past the blocks before it,
+    the blocks of a :class:`Blocks` or a plain list as one.
     """
 
     def __init__(self, forms):
-        forms = tuple(map(tuple, forms))
+        self._blocks = forms.blocks if type(forms) is Blocks \
+            else (tuple(map(tuple, forms)),)
+        forms = tuple(itertools.chain.from_iterable(self._blocks))
         if len(set(map(len, forms))) > 1:
             raise ValueError("forms must all have the same length")
-        self._count = len(forms)
-        self._columns = tuple(zip(*forms))  # the coefficients, by coordinate
+        self._dim = len(forms[0]) if forms else 0
         self._norm = max((sum(map(abs, f)) for f in forms), default=0)
         self._layouts = {}  # width -> (packed columns, high)
 
+    def _layout(self, width):
+        """The packed columns and ``high`` at field ``width``."""
+        columns, high, shift = [0] * self._dim, 0, 0
+        for block in filter(None, self._blocks):
+            cols, block_high = _block_layout(block, width)
+            columns = [c + (b << shift) for c, b in zip(columns, cols)]
+            high += block_high << shift
+            shift += len(block) * width
+        return tuple(columns), high
+
     def _word(self, x):
         """``(width, word, high)`` at the integer point ``x``."""
-        if self._columns and len(x) != len(self._columns):
+        if self._dim and len(x) != self._dim:
             raise ValueError(f"point has {len(x)} coordinates, the forms "
-                             f"have {len(self._columns)}")
-        if not all(isinstance(v, int) for v in x):
+                             f"have {self._dim}")
+        if not all(map(isinstance, x, itertools.repeat(int))):
             raise ValueError(f"coordinates must be ints, got {x!r}")
-        need = (self._norm * max(map(abs, x), default=0)).bit_length()
-        width = 16
-        while width <= need:  # until 2**(width-1) > the bound
-            width *= 2
+        width = _field_width(self._norm * max(map(abs, x), default=0))
         if width not in self._layouts:
-            self._layouts[width] = (
-                tuple(sum(c << j * width for j, c in enumerate(column))
-                      for column in self._columns),
-                sum(1 << j * width + width - 1 for j in range(self._count)))
+            self._layouts[width] = self._layout(width)
         columns, high = self._layouts[width]
         return width, high + sum(map(operator.mul, x, columns)), high
-
-    def nonnegative(self, x):
-        """``(width, bits)``: the field width at ``x``, and the top bits of
-        the fields of the forms that are ``>= 0`` at ``x``."""
-        width, word, high = self._word(x)
-        return width, word & high
 
     def all_zero(self, x):
         """Whether every form vanishes at ``x``."""
@@ -504,6 +525,20 @@ class PackedForms:
         """Whether every form is positive at ``x``."""
         width, word, high = self._word(x)
         return (word - (high >> width - 1)) & high == high
+
+
+def _field_width(bound):
+    """The smallest power of two w from 16 with ``2**(w-1) > bound``."""
+    return max(16, 1 << bound.bit_length().bit_length())
+
+
+# room for both kinds of form of the 48 canonical cells at a few widths
+@functools.lru_cache(maxsize=512)
+def _block_layout(forms, width):
+    """The columns and ``high`` of :class:`PackedForms` of ``forms``."""
+    return (tuple(sum(c << j * width for j, c in enumerate(column))
+                  for column in zip(*forms)),
+            sum(1 << j * width + width - 1 for j in range(len(forms))))
 
 
 class Fan:
@@ -523,17 +558,16 @@ class Fan:
         self.maximal_cones = tuple(sorted(maximal_cones,
                                           key=lambda c: c.rays))
         # Cones share most of their facets, so point location evaluates
-        # each distinct normal once; bit j of a cone's mask stands for
-        # ``_normals[j]``.
-        bit = {}
+        # each distinct normal once; a cone lists its normals' positions.
+        index = {}
         for c in self.maximal_cones:
             for h in c.halfspaces:
-                bit.setdefault(h, 1 << len(bit))
-        self._normals = tuple(bit)
-        self._masks = tuple(sum({bit[h] for h in c.halfspaces})
-                            for c in self.maximal_cones)
-        # point location, filled on use: the cones found per (width, sign bits)
-        self._located = {}
+                index.setdefault(h, len(index))
+        self._normals = tuple(index)
+        self._cone_normals = tuple(tuple(map(index.__getitem__, c.halfspaces))
+                                   for c in self.maximal_cones)
+        # with no normal, the coordinates must still fit their fields
+        self._norm = max((sum(map(abs, h)) for h in self._normals), default=1)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -571,32 +605,50 @@ class Fan:
         return tuple(len(self._faces_by_dim.get(d, ()))
                      for d in range(1, self.ambient_dim + 1))
 
-    @functools.cached_property
-    def _packed(self):
-        return PackedForms(self._normals)
+    def locate(self, points):
+        """``(width, held, zero)``, bitsets in which bit ``p * width``
+        stands for ``points[p]``: ``held[i]`` holds the points in cone i,
+        and ``zero[j]`` those where ``_normals[j]`` vanishes.  The integer
+        points are packed as :class:`PackedForms` packs forms, w by its
+        rule: column k is ``sum(x_p[k] << p*w)``, so for a normal h field
+        p of ``high + sum(h[k] * column[k])`` is ``c = h(x_p) + 2**(w-1)``,
+        whose top bit is set when ``h(x_p) >= 0`` and is not that of
+        ``c - 1`` when ``h(x_p) == 0``.  Packed as w-bit two's complement,
+        a negative coordinate has its top bit set and reads ``2**w`` more.
+        """
+        points = _point_tuple(points)
+        flat = list(itertools.chain.from_iterable(points))
+        if len(points[0]) != self.ambient_dim or \
+                not all(map(isinstance, flat, itertools.repeat(int))):
+            raise ValueError(f"points must have {self.ambient_dim} int "
+                             f"coordinates, got {points!r}")
+        width = _field_width(self._norm * max(max(flat), -min(flat)))
+        ones = ((1 << width * len(points)) - 1) // ((1 << width) - 1)
+        high = ones << width - 1
+        # struct packs fields of 16, 32 or 64 bits, to_bytes of any width
+        code = {16: "h", 32: "i", 64: "q"}.get(width)
+        columns = []
+        for column in zip(*points):
+            word = int.from_bytes(
+                struct.pack(f"<{len(column)}{code}", *column) if code
+                else b"".join(v.to_bytes(width // 8, "little", signed=True)
+                              for v in column), "little")
+            columns.append(word - ((word & high) << 1))
+        nonnegative, zero = [], []
+        for h in self._normals:
+            word = high + sum(map(operator.mul, h, columns))
+            nonnegative.append(word & high)
+            zero.append((word ^ word - ones) & high)
+        held = [functools.reduce(operator.and_,
+                                 map(nonnegative.__getitem__, normals),
+                                 high) >> width - 1
+                for normals in self._cone_normals]
+        return width, held, [z >> width - 1 for z in zero]
 
     def cones_containing(self, x):
-        """Indices of the maximal cones that contain the integer point ``x``.
-
-        The normals are evaluated at once by :class:`PackedForms`.  A cone
-        contains ``x`` when its mask lies inside the mask of the normals
-        that are ``>= 0`` at ``x``, read off the top bits of their fields.
-        The answer depends only on the field width and those bits, so it is
-        kept per pair; the word alone would not do, as two widths can give
-        equal words.  Each width has at most one key per sign pattern of
-        the normals, a face of their hyperplane arrangement, so the memo
-        stays finite.
-        """
-        width, signs = self._packed.nonnegative(x)
-        hits = self._located.get((width, signs))
-        if hits is None:
-            # the top bit of field j is bit j * width of the shifted word:
-            # every width-th binary digit from the low end, as bit j
-            digits = format(signs >> width - 1, "b")[::-1][::width]
-            nonnegative = int(digits[::-1], 2)
-            hits = self._located[width, signs] = [
-                i for i, m in enumerate(self._masks) if m & nonnegative == m]
-        return list(hits)
+        """Indices of the maximal cones that hold the integer point x."""
+        _, held, _ = self.locate([x])
+        return [i for i, h in enumerate(held) if h]
 
 
 @functools.lru_cache(maxsize=256)

@@ -17,8 +17,9 @@ from math import comb, lcm
 from operator import and_, or_
 
 from . import reference
-from .fan import compute_fan_f36, trop_phi2
+from .fan import Heights, compute_fan_f36, trop_phi2
 from .geometry import (
+    Blocks,
     PackedForms,
     basis_relations,
     intersection_dim,
@@ -362,25 +363,30 @@ def subdivision_forms(cells):
     ch. 2 and 5): each cell is then a lower facet of the lifted hull, and
     as the cells cover Delta(3,6) there is no other.  Per cell, that is
     each equality form vanishing at w and each strict form positive at w.
-    The forms depend only on the cell, so they are built once per cell.
+    The forms depend only on the cell, so they are built once per cell,
+    and each kind is returned as a :class:`Blocks` of one block per cell.
     """
     equalities, stricts = [], []
     for eq, strict in map(_cell_forms, map(_vertex_mask, cells)):
-        equalities += eq
-        stricts += strict
-    return tuple(equalities), tuple(stricts)
+        equalities.append(eq)
+        stricts.append(strict)
+    return Blocks.join(equalities), Blocks.join(stricts)
 
 
 def certifies(packed, w):
     """Whether heights ``w`` satisfy the certificate ``packed`` of
     :func:`packed_certificate`, and so induce exactly its cells.
 
-    ``w`` is scaled to integers by the lcm of its denominators; the forms
-    are linear, so the signs of their values do not change.  Each kind of
-    form is evaluated at once.
+    The integers held by :class:`Heights` are read as they are; any
+    other ``w`` is scaled to integers by the lcm of its denominators.  The
+    forms are linear, so the signs of their values do not change.  Each
+    kind of form is evaluated at once.
     """
-    scale = lcm(*(x.denominator for x in w))
-    w = [x.numerator * (scale // x.denominator) for x in w]
+    if type(w) is Heights:
+        w = w.ints
+    else:
+        scale = lcm(*(x.denominator for x in w))
+        w = [x.numerator * (scale // x.denominator) for x in w]
     equalities, stricts = packed
     return equalities.all_zero(w) and stricts.all_positive(w)
 

@@ -296,22 +296,56 @@ def check_fan_covering(seed, n_samples=10000):
     it, where no other maximal cone of a fan reaches: a cone held twice
     fails there.  On a complete fan whose cones meet in common faces, both
     tests pass at every point.
+
+    The points are located in batches (:meth:`Fan.locate`), and only
+    those in no cone or in two or more are visited.  A hit cone's normals
+    that vanish at x cut out its face holding x, so the overlap test is
+    made once per set of hit cones and vanishing normals.
     """
-    rng = random.Random(seed)
+    randint = random.Random(seed).randint
     violations = []
     fan = compute_fan_f36()
-    for _ in range(n_samples):
-        x = tuple(rng.randint(-40, 40) for _ in range(4))
-        hits = fan.cones_containing(x)
-        if not hits:
-            violations.append({"check": "fan covers point", "point": list(x)})
-            continue
-        if len(hits) > 1:
-            cones = [fan.maximal_cones[i] for i in hits]
-            shared = frozenset.intersection(*(frozenset(c.rays)
-                                              for c in cones))
-            if any(c.face_containing(x) != shared
-                   or len(shared) == len(c.rays) for c in cones):
+    verdicts = {}  # a point's pattern -> its overlap passes
+    batch = 512  # the points located at once
+    for start in range(0, n_samples, batch):
+        draws = [randint(-40, 40)
+                 for _ in range(4 * min(batch, n_samples - start))]
+        points = list(zip(*[iter(draws)] * 4))
+        width, held, zero = fan.locate(points)
+        once = twice = 0  # the points in one or more cones, two or more
+        for h in held:
+            twice |= once & h
+            once |= h
+        # bit p * width for every point p
+        every = ((1 << width * len(points)) - 1) // ((1 << width) - 1)
+        odd = every ^ once | twice
+        # Bit i of a point's pattern is bitset i of held + zero at it: word
+        # k sums the bitsets from k * width on, the i-th shifted by i, so
+        # its field p holds point p's bits from k * width on.
+        flags = held + zero
+        words = [sum(b << i for i, b in enumerate(flags[k:k + width]))
+                 for k in range(0, len(flags), width)]
+        field = (1 << width) - 1
+        while odd:
+            bit = odd & -odd
+            odd ^= bit
+            shift = bit.bit_length() - 1
+            x = points[shift // width]
+            if not once & bit:
+                violations.append({"check": "fan covers point",
+                                   "point": list(x)})
+                continue
+            pattern = sum((w >> shift & field) << k * width
+                          for k, w in enumerate(words))
+            if pattern not in verdicts:
+                cones = [c for i, c in enumerate(fan.maximal_cones)
+                         if pattern >> i & 1]
+                shared = frozenset.intersection(*(frozenset(c.rays)
+                                                  for c in cones))
+                verdicts[pattern] = not any(
+                    c.face_containing(x) != shared
+                    or len(shared) == len(c.rays) for c in cones)
+            if not verdicts[pattern]:
                 violations.append({"check": "overlap is a common face",
                                    "point": list(x)})
     return violations

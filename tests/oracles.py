@@ -35,7 +35,6 @@ vectors as lists, row by row, instead of reading spans off tables.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import operator
@@ -630,9 +629,9 @@ def _antipode(chord, n):
     tangent chord keeps its side."""
     m = 2 * n
     if chord.is_tangent:
-        return dataclasses.replace(chord, p=(chord.p + n) % m)
+        return chord._replace(p=(chord.p + n) % m)
     p, q = sorted(((chord.p + n) % m, (chord.q + n) % m))
-    return dataclasses.replace(chord, p=p, q=q)
+    return chord._replace(p=p, q=q)
 
 
 def _compatible(a, b, n):

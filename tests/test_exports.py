@@ -136,6 +136,21 @@ class TestViolationNames:
                 if len(where) > 1} == {}
 
 
+def loaded_by(imports):
+    """The modules that the statement ``import <imports>`` adds to
+    ``sys.modules`` in a fresh interpreter with ``src/`` on the path,
+    compared before and after, so a module that a site hook loads at
+    start-up does not count."""
+    code = ("import sys; before = set(sys.modules); "
+            f"import {imports}; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return set(subprocess.run([sys.executable, "-c", code], env=env,
+                              check=True, capture_output=True,
+                              text=True).stdout.split())
+
+
 class TestImportCost:
     # the layers of the command line and of verify-all, and the standard
     # modules that dataclasses pull in
@@ -145,16 +160,15 @@ class TestImportCost:
 
     def test_setup_modules_load_no_cli_layers(self):
         """Importing ``tropd4.fan`` and ``tropd4.hypersimplex``, all that the
-        benchmark's set-up imports, loads none of the modules above, in a
-        fresh interpreter.  Only the modules the imports add count, so a
-        module that a site hook loads at start-up does not."""
-        code = ("import sys; before = set(sys.modules); "
-                "import tropd4.fan, tropd4.hypersimplex; "
-                "print(*sorted(set(sys.modules) - before))")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-            str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-        loaded = subprocess.run([sys.executable, "-c", code], env=env,
-                                check=True, capture_output=True,
-                                text=True).stdout.split()
+        benchmark's set-up imports, loads none of the modules above."""
+        loaded = loaded_by("tropd4.fan, tropd4.hypersimplex")
         assert "tropd4.hypersimplex" in loaded
-        assert self.NOT_FOR_SETUP & set(loaded) == set()
+        assert self.NOT_FOR_SETUP & loaded == set()
+
+    def test_cli_loads_no_dataclasses(self):
+        """Importing ``tropd4.cli``, which every command and so every
+        ``verify-all`` run does, loads every layer but neither
+        ``dataclasses`` nor ``inspect``."""
+        loaded = loaded_by("tropd4.cli")
+        assert {"tropd4.chords", "tropd4.verify", "tropd4.cli"} <= loaded
+        assert {"dataclasses", "inspect"} & loaded == set()

@@ -12,7 +12,7 @@ from tropd4.fan import (
     fan_to_json,
     trop_phi2,
 )
-from tropd4.geometry import cone_from_rays
+from tropd4.geometry import Cone, Fan, cone_from_rays
 from tropd4.reference import (
     BIPYRAMIDS,
     FAN_F_VECTOR,
@@ -184,6 +184,104 @@ class TestFanF36:
                     if _dot(f, x) == min(_dot(g, x) for g in forms))
                     for x in samples]
                 assert frozenset.intersection(*argmins), (idx, rays)
+
+
+def located(bitset, width, n):
+    """The indices p < n whose bit ``p * width`` is set in ``bitset``,
+    which must have no other bit set."""
+    found = [p for p in range(n) if bitset >> p * width & 1]
+    assert bitset == sum(1 << p * width for p in found)
+    return found
+
+
+def assert_locate_matches_sums(fan, points):
+    """``fan.locate(points)`` against plain halfspace sums: the smallest
+    power-of-two width from 16 with ``2**(w-1) > max ||h||_1 * max |x|``,
+    each cone's points, and each normal's zeros."""
+    width, held, zero = fan.locate(points)
+    bound = max(sum(abs(a) for a in h) for h in fan._normals) * \
+        max(abs(v) for x in points for v in x)
+    expected_width = 16
+    while not 2 ** (expected_width - 1) > bound:
+        expected_width *= 2
+    assert width == expected_width
+    assert [located(h, width, len(points)) for h in held] == [
+        [p for p, x in enumerate(points)
+         if all(_dot(h, x) >= 0 for h in cone.halfspaces)]
+        for cone in fan.maximal_cones]
+    assert [located(z, width, len(points)) for z in zero] == [
+        [p for p, x in enumerate(points) if _dot(h, x) == 0]
+        for h in fan._normals]
+    return width
+
+
+def broken_fans(fan):
+    """The three broken fans of ``TestBrokenFanCovering``: one cone left
+    out, a cone that overlaps two others improperly, the first cone
+    twice."""
+    cones = fan.maximal_cones
+    extra = cone_from_rays(sorted(ray_set(("r2", "r7", "r8", "r14"))), 4)
+    return [Fan(4, cones[1:]), Fan(4, cones + (extra,)),
+            Fan(4, cones + (Cone(4, cones[0].halfspaces),))]
+
+
+class TestBatchLocator:
+    """``Fan.locate`` against plain halfspace sums, sharing no code."""
+
+    def points(self, n, seed=41, size=40):
+        rng = random.Random(seed)
+        return [tuple(rng.randint(-size, size) for _ in range(4))
+                for _ in range(n)]
+
+    def test_batches_of_every_size(self, fan36):
+        points = self.points(2000)
+        start = 0
+        for size in (1, 511, 512, 513, 463):
+            assert assert_locate_matches_sums(
+                fan36, points[start:start + size]) == 16
+            start += size
+        assert start == len(points)
+
+    def test_large_coordinates_widen_the_fields(self, fan36):
+        """Points near 10**6 and 10**12, beside small ones."""
+        small = self.points(300)
+        for size, width in ((10 ** 6, 32), (10 ** 12, 64)):
+            large = self.points(300, seed=width, size=size)
+            assert assert_locate_matches_sums(fan36, large) == width
+            assert assert_locate_matches_sums(
+                fan36, small[:150] + large[:150]) == width
+
+    def test_extreme_values_fit_their_fields(self, fan36):
+        """At ``x = m * sign(h)`` the normal h of largest norm N takes
+        ``m * N``, the largest value a field must hold; m is the largest
+        that fits a width and the smallest that needs the next."""
+        norm = max(sum(abs(a) for a in h) for h in fan36._normals)
+        signs = [tuple((a > 0) - (a < 0) for a in h) for h in fan36._normals
+                 if sum(abs(a) for a in h) == norm]
+        for width in (16, 32, 64):
+            m = (2 ** (width - 1) - 1) // norm
+            for k, w in ((m, width), (m + 1, 2 * width)):
+                points = [tuple(k * s for s in h) for h in signs]
+                points += [tuple(-v for v in x) for x in points]
+                assert assert_locate_matches_sums(
+                    fan36, points + self.points(20)) == w
+
+    def test_zero_is_in_every_cone(self, fan36):
+        width, held, zero = fan36.locate([Z])
+        assert held == [1] * 48 and zero == [1] * len(fan36._normals)
+        assert fan36.cones_containing(Z) == list(range(48))
+
+    def test_broken_fans(self, fan36):
+        points = self.points(1500, seed=7)
+        for fan in broken_fans(fan36):
+            for start in range(0, len(points), 512):
+                assert_locate_matches_sums(fan, points[start:start + 512])
+
+    def test_rejects_bad_points(self, fan36):
+        for points in ([(1, 2, 3)], [(1, 2, 3, Fraction(1, 2))],
+                       [(1, 2, 3, 4.0)], []):
+            with pytest.raises(ValueError):
+                fan36.locate(points)
 
 
 class TestTropPhi2:

@@ -820,11 +820,18 @@ def packed_width(forms, x):
     return w
 
 
+def nonnegative(packed, x):
+    """The field width of :class:`PackedForms` at ``x``, and the top bits
+    of the fields of the forms that are ``>= 0`` there."""
+    width, word, high = packed._word(x)
+    return width, word & high
+
+
 def assert_packed_signs(forms, x):
     """:class:`PackedForms` against plain sums, form by form."""
     values = [sum(a * b for a, b in zip(f, x)) for f in forms]
     packed = PackedForms(forms)
-    width, bits = packed.nonnegative(x)
+    width, bits = nonnegative(packed, x)
     assert width == packed_width(forms, x)
     assert [bits >> (j * width + width - 1) & 1 for j in range(len(forms))] \
         == [int(v >= 0) for v in values]
@@ -881,7 +888,7 @@ class TestPackedForms:
     @given(extreme_packed_cases())
     def test_extreme_values_fit_their_fields(self, case_and_width):
         (forms, x), width = case_and_width
-        assert PackedForms(forms).nonnegative(x)[0] == width
+        assert nonnegative(PackedForms(forms), x)[0] == width
         assert_packed_signs(forms, x)
 
     @given(st.one_of(packed_cases(), extreme_packed_cases().map(
@@ -903,7 +910,7 @@ class TestPackedForms:
 
     def test_widths_double_from_16(self):
         packed = PackedForms([(1, -3), (0, 4)])  # norm 4
-        assert [packed.nonnegative((v, 0))[0]
+        assert [nonnegative(packed, (v, 0))[0]
                 for v in (0, 2 ** 13 - 1, 2 ** 13, 10 ** 40)] == \
             [16, 16, 32, 256]
 
@@ -911,7 +918,7 @@ class TestPackedForms:
         packed = PackedForms([(1, 1)])
         for x in ((Fraction(1, 2), 1), (1, 0.5), (Fraction(2), 3)):
             with pytest.raises(ValueError, match="must be ints"):
-                packed.nonnegative(x)
+                nonnegative(packed, x)
         for x in ((1,), (1, 2, 3)):
             with pytest.raises(ValueError, match="point has"):
                 packed.all_zero(x)
@@ -927,8 +934,8 @@ class TestFanPointLocation:
         fan = Fan(1, (Cone(1, ((1,),)), Cone(1, ((-1,),))))
         packed = PackedForms([c.halfspaces[0] for c in fan.maximal_cones])
         small, large = (5,), (-2 ** 20,)
-        (w_small, bits), (w_large, bits_large) = map(packed.nonnegative,
-                                                     (small, large))
+        (w_small, bits), (w_large, bits_large) = (
+            nonnegative(packed, x) for x in (small, large))
         assert w_small != w_large and bits == bits_large
         for order in ((small, large), (large, small)):
             fan = Fan(1, fan.maximal_cones)

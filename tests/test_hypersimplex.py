@@ -26,7 +26,11 @@ from tropd4.hypersimplex import (
     subdivision_signature,
     subdivision_to_json,
 )
-from tropd4.geometry import polytope_f_vector, regular_subdivision
+from tropd4.geometry import (
+    PackedForms,
+    polytope_f_vector,
+    regular_subdivision,
+)
 from tropd4.reference import (
     CONES_PER_TYPE,
     RAY_COORDS,
@@ -1089,6 +1093,63 @@ class TestCertificate:
     def test_rejects_lower_dimensional_cell(self):
         with pytest.raises(ValueError, match="not full-dimensional"):
             subdivision_forms([set(PLUECKER_TRIPLES[:6])])
+
+    def test_block_layouts_match_flat_packing(self, canonical):
+        """Each kind of form of every canonical certificate, packed from
+        its cells' blocks and as one plain tuple, has the columns and
+        ``high`` packed form by form, at widths 16 to 128."""
+        for _, cells in canonical:
+            for forms in subdivision_forms(cells):
+                assert len(forms.blocks) == len(cells)
+                assert tuple(forms) == sum(forms.blocks, ())
+                for width in (16, 32, 64, 128):
+                    flat = (tuple(sum(f[k] << j * width
+                                      for j, f in enumerate(forms))
+                                  for k in range(20)) if forms else (),
+                            sum(2 ** (j * width + width - 1)
+                                for j in range(len(forms))))
+                    assert PackedForms(forms)._layout(width) == flat
+                    assert PackedForms(tuple(forms))._layout(width) == flat
+
+    def test_integer_heights_give_the_fraction_verdict(self, canonical):
+        """``certifies`` reads the integers of ``trop_phi2``'s heights and
+        rescales a plain tuple of the same Fractions.  Both give the same
+        verdict, under each cone's certificate and its neighbour's, at the
+        960 interior samples of ``check_interior_point_stability(7)``, which
+        their own cone certifies and no neighbour; and the oracle's at points
+        with negative coordinates and common factors."""
+        packed = [packed_certificate(subdivision_forms(cells))
+                  for _, cells in canonical]
+        rng = random.Random(7)
+        verdicts = []
+        for k, (rays, _) in enumerate(canonical):
+            for _ in range(20):
+                pairs = [(rng.randint(1, 50), rng.randint(1, 8))
+                         for _ in rays]
+                w = trop_phi2(tuple(
+                    sum(Fraction(a, b) * r[i] for (a, b), r in
+                        zip(pairs, rays)) for i in range(4)))
+                scale = next(m / h for m, h in zip(w.ints, w) if h)
+                assert scale > 0 and w.ints == [h * scale for h in w]
+                for certificate in (packed[k], packed[k - 1]):
+                    verdicts.append(certifies(certificate, w))
+                    assert certifies(certificate, tuple(w)) == verdicts[-1]
+        assert verdicts == [True, False] * 960
+        forms = [subdivision_forms(cells) for _, cells in canonical]
+        rng = random.Random(23)
+        verdicts = set()
+        for k, (rays, _) in enumerate(canonical):
+            point = canonical_point(rays)
+            for x in (tuple(6 * v for v in point),
+                      tuple(Fraction(rng.randint(-40, 40), 6 * d) for d in
+                            (1, 2, 3, 4)),
+                      tuple(Fraction(v, 4) - 3 for v in point)):
+                w = trop_phi2(x)
+                holds = certificate_holds(forms[k], w)
+                assert certifies(packed[k], w) == holds
+                assert certifies(packed[k], tuple(w)) == holds
+                verdicts.add(holds)
+        assert verdicts == {False, True}
 
 
 class TestJson:

@@ -22,29 +22,56 @@ def scripts(monkeypatch):
 
 def check_run(probe_of):
     """A run of ``check_times`` in which each check took 1 s, made no
-    sweep and had the probe ``probe_of[name]`` before it."""
+    sweep and no layout and had the probe ``probe_of[name]`` before it."""
     return {"times": dict.fromkeys(probe_of, 1.0),
             "sweeps": dict.fromkeys(probe_of, 0),
+            "layouts": dict.fromkeys(probe_of, 0),
             "check_probes": {name: [p] for name, p in probe_of.items()},
             "violations": 0}
 
 
+@pytest.fixture(scope="module")
+def child_run():
+    """One run of ``check_times.py --child --seed 7``, as JSON."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return json.loads(subprocess.run(
+        [sys.executable, str(SCRIPTS / "check_times.py"), "--child",
+         "--seed", "7"], env=env, check=True, capture_output=True,
+        text=True).stdout)
+
+
 class TestCheckTimes:
-    def test_each_check_records_its_own_probe(self):
+    def test_each_check_records_its_own_probe(self, child_run):
         """One run of the child gives every timed check the probe taken
         just before it, and counts those probes among the run's."""
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-            str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-        run = json.loads(subprocess.run(
-            [sys.executable, str(SCRIPTS / "check_times.py"), "--child",
-             "--seed", "7"], env=env, check=True, capture_output=True,
-            text=True).stdout)
+        run = child_run
         checks = set(run["times"]) - {"import", "full_report"}
         assert "check_fan" in checks
         assert set(run["check_probes"]) == checks
         for probes in run["check_probes"].values():
             assert len(probes) == 1 and probes[0] > 0
             assert probes[0] in run["probes"]
+
+    def test_layouts_are_counted_per_check(self, child_run):
+        """Only the two certificate checks build packed layouts: the
+        proofs one per canonical certificate and kind of form at one
+        width, and ``full_report``'s count is the checks' sum."""
+        layouts = dict(child_run["layouts"])
+        total = layouts.pop("full_report")
+        assert set(layouts) == set(child_run["check_probes"])
+        assert total == sum(layouts.values())
+        assert layouts.pop("check_cone_proofs") == 2 * 48
+        assert layouts.pop("check_interior_point_stability") > 0
+        assert set(layouts.values()) == {0}
+
+    def test_summary_requires_equal_layout_counts(self, scripts):
+        check_times, _ = scripts
+        runs = [check_run({"check_fan": 0.001}) for _ in range(3)]
+        assert check_times.summary(runs)["layouts"] == {"check_fan": 0}
+        runs[1]["layouts"]["check_fan"] = 1
+        with pytest.raises(RuntimeError, match="numbers of layouts"):
+            check_times.summary(runs)
 
     def test_summary_keeps_each_checks_probe(self, scripts):
         """Each check's probe is the median of its own probes over the

@@ -264,3 +264,24 @@ class TestBrokenFanCovering:
                 randint=lambda low, high: next(draws))))
         assert verify.check_fan_covering(7, 1) == [
             {"check": "overlap is a common face", "point": list(x)}]
+
+    def test_overlap_verdict_is_kept_per_sign_pattern(self, monkeypatch):
+        """The cone Q over e1, e1 + e2, e3, e4 lies inside the orthant P.
+        Both hold (1, 0, 1, 1) and (2, 1, 1, 1).  At the first, the face
+        of each holding it is e1, e3, e4, all the rays they share, so it
+        passes; the second is interior to both, so it fails.  Only the
+        normal x2 that vanishes at the first tells the two apart: a
+        verdict kept per set of hit cones alone would pass the second."""
+        e = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+        fan = Fan(4, (cone_from_rays(e, 4),
+                      cone_from_rays([e[0], (1, 1, 0, 0), e[2], e[3]], 4)))
+        first, second = (1, 0, 1, 1), (2, 1, 1, 1)
+        assert fan.cones_containing(first) == [0, 1]
+        assert fan.cones_containing(second) == [0, 1]
+        monkeypatch.setattr(verify, "compute_fan_f36", lambda: fan)
+        draws = iter(first + second)
+        monkeypatch.setattr(verify, "random", SimpleNamespace(
+            Random=lambda seed: SimpleNamespace(
+                randint=lambda low, high: next(draws))))
+        assert verify.check_fan_covering(7, 2) == [
+            {"check": "overlap is a common face", "point": list(second)}]
