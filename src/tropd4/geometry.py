@@ -167,7 +167,7 @@ def basis_relations(vectors):
 def _combine(s, x, t, y, n):
     """The primitive integer vector ``s * x - t * y``, cut to its first
     ``n`` entries."""
-    return _reduce(_combine_unreduced(s, x, t, y, n))
+    return _reduce([s * a - t * b for a, b in zip(x[:n], y)])
 
 
 def _combine_unreduced(s, x, t, y, n):
