@@ -319,9 +319,9 @@ def check_fan_covering(seed, n_samples=10000):
         # bit p * width for every point p
         every = ((1 << width * len(points)) - 1) // ((1 << width) - 1)
         odd = every ^ once | twice
-        # Bit i of a point's pattern is bitset i of held + zero at it: word
-        # k sums the bitsets from k * width on, the i-th shifted by i, so
-        # its field p holds point p's bits from k * width on.
+        # Bit i of a point's pattern is whether bitset i of held + zero
+        # holds it.  Word k sums bitsets k * width + j shifted by j, so its
+        # field p holds the bits of point p's pattern from k * width on.
         flags = held + zero
         words = [sum(b << i for i, b in enumerate(flags[k:k + width]))
                  for k in range(0, len(flags), width)]
