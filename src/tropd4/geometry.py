@@ -20,12 +20,12 @@ the masks and never canonicalize sweep output again.  Asked for the masks
 alone, as :func:`lower_cell_masks` asks, the sweep holds each ray as its
 values on the rows still to come instead of its coordinates.
 
-Beside the sweep sits one evaluation kernel, :class:`PackedForms`: a fixed
-list of integer linear forms, packed one field per form into one exact
-integer per coordinate, so that the signs of all the forms at an integer
-point come from one sum of products and a few masks.  It tests the
-secondary-cone certificates of ``hypersimplex.certifies``;
-:meth:`Fan.locate` packs a batch of points in the same way.
+Beside the sweep sits one evaluation kernel, :class:`PackedForms`, a fixed
+list of integer linear forms with two evaluations: at one integer point it
+packs the forms, one field per form, and at a batch of points it packs the
+points, one field per point.  Either way one sum of products and a few
+masks give the signs of all the forms.  The first tests the certificates
+of ``hypersimplex.certifies``; the second locates points in a :class:`Fan`.
 """
 
 from __future__ import annotations
@@ -440,76 +440,95 @@ def _faces(facets, n):
     return result
 
 
-class Blocks(tuple):
-    """A tuple of forms that also holds ``blocks``, the tuples of forms it
-    is the concatenation of, in order.  :class:`PackedForms` packs each
-    block once per field width, whichever lists it is part of."""
-
-    @classmethod
-    def join(cls, blocks):
-        forms = cls(itertools.chain.from_iterable(blocks))
-        forms.blocks = tuple(blocks)
-        return forms
+def _pack(vectors, width):
+    """``(columns, high)`` of integer ``vectors``, each entry in a signed
+    field of ``width`` bits: column k is ``sum(v_j[k] << j*width)`` and
+    ``high`` holds each field's top bit.  A column is read as one word of
+    two's complement fields (``struct`` at 16, 32 or 64 bits, ``to_bytes``
+    wider), in which a negative entry reads ``2**width`` more."""
+    high = ((1 << width * len(vectors)) - 1) // ((1 << width) - 1) << width - 1
+    code = {16: "h", 32: "i", 64: "q"}.get(width)
+    columns = []
+    for column in zip(*vectors):
+        word = int.from_bytes(
+            struct.pack(f"<{len(column)}{code}", *column) if code
+            else b"".join(v.to_bytes(width // 8, "little", signed=True)
+                          for v in column), "little")
+        columns.append(word - ((word & high) << 1))
+    return tuple(columns), high
 
 
 class PackedForms:
-    """Signs of a fixed list of integer linear forms at an integer point,
-    found for all the forms at once.
+    """Signs of a fixed list of integer linear forms, at one integer point
+    or at a batch of points, for all the forms at once.
 
     Many small fields packed into one word are added and compared with
     full-word instructions (Lamport, "Multiple byte processing with
     full-word instructions", *CACM* 18(8), 1975); Python's exact integers
-    serve as words of any length.  For a field width w, let ``high`` have
-    bit ``j*w + w - 1`` set for each form j, and let column k pack the
-    k-th coefficients of the forms, ``sum(f_j[k] << j*w)``.  Then the word
+    serve as words of any length.  At one point x the forms are packed by
+    :func:`_pack`, one field of width w per form, and the word
     ``high + sum(x[k] * column[k])`` equals ``sum(c_j << j*w)`` with
     ``c_j = f_j(x) + 2**(w-1)``.  The width is the smallest power of two
-    from 16 with ``2**(w-1) > max_j ||f_j||_1 * max_k |x[k]|``.  As
+    from 16 with
+    ``2**(w-1) > max(1, max_j ||f_j||_1) * max(1, max_k |x[k]|)``.  As
     ``|f_j(x)| <= ||f_j||_1 * max_k |x[k]|``, every ``c_j`` lies in
     ``[1, 2**w)``, so the ``c_j`` are the base-``2**w`` digits of the
-    word: bits ``[j*w, (j+1)*w)`` hold ``c_j``, no field carries into the
-    next, and the top bit of field j is set exactly when ``f_j(x) >= 0``.
-    The same uniqueness gives that every form vanishes exactly when the
-    word is ``high``, and, since every ``c_j - 1`` is a digit too, that
-    every form is positive exactly when each top bit of
-    ``word - (high >> w - 1)`` is set.  The columns are built once per
-    width, so large coordinates stay exact and only widen the fields: each
-    block's own (:func:`_block_layout`) shifted past the blocks before it,
-    the blocks of a :class:`Blocks` or a plain list as one.
+    word: no field carries into the next, and the top bit of field j is
+    set exactly when ``f_j(x) >= 0``.  The same uniqueness gives that
+    every form vanishes exactly when the word is ``high``, and, since
+    every ``c_j - 1`` is a digit too, that every form is positive exactly
+    when each top bit of ``word - (high >> w - 1)`` is set.  The bound is
+    at least every coefficient and coordinate, so each packed entry fits
+    its field.  The columns are built once per width.
+
+    At a batch of points (:meth:`at_points`) the points are packed instead,
+    one field per point, and no layout is kept: field p of
+    ``high + sum(f[k] * column[k])`` is ``f(x_p) + 2**(w-1)``, whose top
+    bit differs from that of the field less one when ``f(x_p) == 0``.
     """
 
     def __init__(self, forms):
-        self._blocks = forms.blocks if type(forms) is Blocks \
-            else (tuple(map(tuple, forms)),)
-        forms = tuple(itertools.chain.from_iterable(self._blocks))
-        if len(set(map(len, forms))) > 1:
+        self._forms = tuple(map(tuple, forms))
+        if len(set(map(len, self._forms))) > 1:
             raise ValueError("forms must all have the same length")
-        self._dim = len(forms[0]) if forms else 0
-        self._norm = max((sum(map(abs, f)) for f in forms), default=0)
+        self._dim = len(self._forms[0]) if self._forms else 0
+        self._norm = max([1] + [sum(map(abs, f)) for f in self._forms])
         self._layouts = {}  # width -> (packed columns, high)
 
-    def _layout(self, width):
-        """The packed columns and ``high`` at field ``width``."""
-        columns, high, shift = [0] * self._dim, 0, 0
-        for block in filter(None, self._blocks):
-            cols, block_high = _block_layout(block, width)
-            columns = [c + (b << shift) for c, b in zip(columns, cols)]
-            high += block_high << shift
-            shift += len(block) * width
-        return tuple(columns), high
-
-    def _word(self, x):
-        """``(width, word, high)`` at the integer point ``x``."""
-        if self._dim and len(x) != self._dim:
-            raise ValueError(f"point has {len(x)} coordinates, the forms "
+    def _width(self, dim, x):
+        """The field width at int coordinates ``x``, of points of ``dim``."""
+        if self._dim and dim != self._dim:
+            raise ValueError(f"point has {dim} coordinates, the forms "
                              f"have {self._dim}")
         if not all(map(isinstance, x, itertools.repeat(int))):
             raise ValueError(f"coordinates must be ints, got {x!r}")
-        width = _field_width(self._norm * max(map(abs, x), default=0))
+        bound = self._norm * max(1, max(map(abs, x), default=0))
+        return max(16, 1 << bound.bit_length().bit_length())
+
+    def _word(self, x):
+        """``(width, word, high)`` at the integer point ``x``."""
+        width = self._width(len(x), x)
         if width not in self._layouts:
-            self._layouts[width] = self._layout(width)
+            self._layouts[width] = _pack(self._forms, width)
         columns, high = self._layouts[width]
         return width, high + sum(map(operator.mul, x, columns)), high
+
+    def at_points(self, points):
+        """``(width, every, nonnegative, zero)``, bitsets in which bit
+        ``p * width`` stands for ``points[p]``: ``every`` holds them all,
+        ``nonnegative[j]`` those where form j is ``>= 0`` and ``zero[j]``
+        those where it vanishes."""
+        points = _point_tuple(points)
+        width = self._width(len(points[0]),
+                            list(itertools.chain.from_iterable(points)))
+        columns, high = _pack(points, width)
+        every = high >> width - 1
+        nonnegative, zero = [], []
+        for f in self._forms:
+            word = high + sum(map(operator.mul, f, columns))
+            nonnegative.append((word & high) >> width - 1)
+            zero.append(((word ^ word - every) & high) >> width - 1)
+        return width, every, nonnegative, zero
 
     def all_zero(self, x):
         """Whether every form vanishes at ``x``."""
@@ -525,20 +544,6 @@ class PackedForms:
         """Whether every form is positive at ``x``."""
         width, word, high = self._word(x)
         return (word - (high >> width - 1)) & high == high
-
-
-def _field_width(bound):
-    """The smallest power of two w from 16 with ``2**(w-1) > bound``."""
-    return max(16, 1 << bound.bit_length().bit_length())
-
-
-# room for both kinds of form of the 48 canonical cells at a few widths
-@functools.lru_cache(maxsize=512)
-def _block_layout(forms, width):
-    """The columns and ``high`` of :class:`PackedForms` of ``forms``."""
-    return (tuple(sum(c << j * width for j, c in enumerate(column))
-                  for column in zip(*forms)),
-            sum(1 << j * width + width - 1 for j in range(len(forms))))
 
 
 class Fan:
@@ -566,8 +571,7 @@ class Fan:
         self._normals = tuple(index)
         self._cone_normals = tuple(tuple(map(index.__getitem__, c.halfspaces))
                                    for c in self.maximal_cones)
-        # with no normal, the coordinates must still fit their fields
-        self._norm = max((sum(map(abs, h)) for h in self._normals), default=1)
+        self._packed = PackedForms(self._normals)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -607,43 +611,18 @@ class Fan:
 
     def locate(self, points):
         """``(width, held, zero)``, bitsets in which bit ``p * width``
-        stands for ``points[p]``: ``held[i]`` holds the points in cone i,
-        and ``zero[j]`` those where ``_normals[j]`` vanishes.  The integer
-        points are packed as :class:`PackedForms` packs forms, w by its
-        rule: column k is ``sum(x_p[k] << p*w)``, so for a normal h field
-        p of ``high + sum(h[k] * column[k])`` is ``c = h(x_p) + 2**(w-1)``,
-        whose top bit is set when ``h(x_p) >= 0`` and is not that of
-        ``c - 1`` when ``h(x_p) == 0``.  Packed as w-bit two's complement,
-        a negative coordinate has its top bit set and reads ``2**w`` more.
-        """
+        stands for ``points[p]``: ``held[i]`` holds the integer points in
+        cone i, and ``zero[j]`` those where ``_normals[j]`` vanishes, in
+        the format of :meth:`PackedForms.at_points`."""
         points = _point_tuple(points)
-        flat = list(itertools.chain.from_iterable(points))
-        if len(points[0]) != self.ambient_dim or \
-                not all(map(isinstance, flat, itertools.repeat(int))):
-            raise ValueError(f"points must have {self.ambient_dim} int "
+        if len(points[0]) != self.ambient_dim:
+            raise ValueError(f"points must have {self.ambient_dim} "
                              f"coordinates, got {points!r}")
-        width = _field_width(self._norm * max(max(flat), -min(flat)))
-        ones = ((1 << width * len(points)) - 1) // ((1 << width) - 1)
-        high = ones << width - 1
-        # struct packs fields of 16, 32 or 64 bits, to_bytes of any width
-        code = {16: "h", 32: "i", 64: "q"}.get(width)
-        columns = []
-        for column in zip(*points):
-            word = int.from_bytes(
-                struct.pack(f"<{len(column)}{code}", *column) if code
-                else b"".join(v.to_bytes(width // 8, "little", signed=True)
-                              for v in column), "little")
-            columns.append(word - ((word & high) << 1))
-        nonnegative, zero = [], []
-        for h in self._normals:
-            word = high + sum(map(operator.mul, h, columns))
-            nonnegative.append(word & high)
-            zero.append((word ^ word - ones) & high)
+        width, every, nonnegative, zero = self._packed.at_points(points)
         held = [functools.reduce(operator.and_,
-                                 map(nonnegative.__getitem__, normals),
-                                 high) >> width - 1
+                                 map(nonnegative.__getitem__, normals), every)
                 for normals in self._cone_normals]
-        return width, held, [z >> width - 1 for z in zero]
+        return width, held, zero
 
     def cones_containing(self, x):
         """Indices of the maximal cones that hold the integer point x."""

@@ -11,6 +11,7 @@ type off the subdivisions at its rays, one letter E, F or G per ray.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, groupby, permutations, product, starmap
 from math import comb, lcm
@@ -19,7 +20,6 @@ from operator import and_, or_
 from . import reference
 from .fan import Heights, compute_fan_f36, trop_phi2
 from .geometry import (
-    Blocks,
     PackedForms,
     basis_relations,
     intersection_dim,
@@ -355,7 +355,8 @@ def _cell_forms(mask):
 
 def subdivision_forms(cells):
     """The secondary-cone certificate of a subdivision of Delta(3,6) into
-    full-dimensional ``cells``: its equality and strict forms.
+    full-dimensional ``cells``: its equality and strict forms, as two
+    plain tuples of 20-entry tuples.
 
     Heights w induce exactly these cells when every cell has an affine
     function that agrees with w on the cell and lies strictly below w at
@@ -363,28 +364,28 @@ def subdivision_forms(cells):
     ch. 2 and 5): each cell is then a lower facet of the lifted hull, and
     as the cells cover Delta(3,6) there is no other.  Per cell, that is
     each equality form vanishing at w and each strict form positive at w.
-    The forms depend only on the cell, so they are built once per cell,
-    and each kind is returned as a :class:`Blocks` of one block per cell.
+    The forms depend only on the cell, so they are built once per cell.
     """
     equalities, stricts = [], []
     for eq, strict in map(_cell_forms, map(_vertex_mask, cells)):
-        equalities.append(eq)
-        stricts.append(strict)
-    return Blocks.join(equalities), Blocks.join(stricts)
+        equalities += eq
+        stricts += strict
+    return tuple(equalities), tuple(stricts)
 
 
 def certifies(packed, w):
     """Whether heights ``w`` satisfy the certificate ``packed`` of
     :func:`packed_certificate`, and so induce exactly its cells.
 
-    The integers held by :class:`Heights` are read as they are; any
-    other ``w`` is scaled to integers by the lcm of its denominators.  The
-    forms are linear, so the signs of their values do not change.  Each
-    kind of form is evaluated at once.
+    The integers held by :class:`Heights` are read as they are; any other
+    ``w`` must hold ints or Fractions, and is scaled to integers by the lcm
+    of its denominators, which keeps the signs of the linear forms.
     """
     if type(w) is Heights:
         w = w.ints
     else:
+        if not all(isinstance(x, (int, Fraction)) for x in w):
+            raise ValueError("coordinates must be ints or Fractions")
         scale = lcm(*(x.denominator for x in w))
         w = [x.numerator * (scale // x.denominator) for x in w]
     equalities, stricts = packed

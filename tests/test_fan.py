@@ -277,6 +277,13 @@ class TestBatchLocator:
             for start in range(0, len(points), 512):
                 assert_locate_matches_sums(fan, points[start:start + 512])
 
+    def test_fan_without_normals_holds_large_points(self):
+        """A cone with no halfspace holds every point; the point still
+        sets the width, as no normal does."""
+        fan = Fan(1, (Cone(1, ()),))
+        assert fan.locate([(10 ** 6,)]) == (32, [1], [])
+        assert fan.locate([(0,), (-5,)]) == (16, [1 | 1 << 16], [])
+
     def test_rejects_bad_points(self, fan36):
         for points in ([(1, 2, 3)], [(1, 2, 3, Fraction(1, 2))],
                        [(1, 2, 3, 4.0)], []):

@@ -811,9 +811,10 @@ class TestBasisRelations:
 
 def packed_width(forms, x):
     """The field width :class:`PackedForms` must take: the smallest power
-    of two from 16 with ``2**(w-1) > max ||f||_1 * max |x_k|``."""
-    bound = max((sum(abs(a) for a in f) for f in forms), default=0) * \
-        max((abs(v) for v in x), default=0)
+    of two from 16 with
+    ``2**(w-1) > max(1, max ||f||_1) * max(1, max |x_k|)``."""
+    bound = max(1, max((sum(abs(a) for a in f) for f in forms), default=0)) \
+        * max(1, max((abs(v) for v in x), default=0))
     w = 16
     while not 2 ** (w - 1) > bound:
         w *= 2
@@ -924,6 +925,72 @@ class TestPackedForms:
                 packed.all_zero(x)
         with pytest.raises(ValueError, match="same length"):
             PackedForms([(1, 1), (1,)])
+
+    def test_zero_point_still_fits_the_coefficients(self):
+        """A coefficient of 40000 needs 32 bits even where x is zero."""
+        packed = PackedForms([(40000,)])
+        assert packed.all_zero((0,)) and nonnegative(packed, (0,))[0] == 32
+
+    @given(packed_cases(), st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                    min_size=1, max_size=40))
+    def test_batches_match_plain_sums(self, case, entries):
+        """``at_points`` at a batch of points: the point of the case,
+        then points made of ``entries``, cycled to its length."""
+        forms, x = case
+        cycle = itertools.cycle(entries)
+        points = [x] + [tuple(next(cycle) for _ in x)
+                        for _ in range(len(entries))]
+        width, every, nonnegative_bits, zero = \
+            PackedForms(forms).at_points(points)
+        assert width == max(packed_width(forms, p) for p in points)
+        assert every == sum(1 << p * width for p in range(len(points)))
+        values = [[sum(a * b for a, b in zip(f, p)) for p in points]
+                  for f in forms]
+        assert nonnegative_bits == [sum(1 << p * width for p, v in
+                                        enumerate(row) if v >= 0)
+                                    for row in values]
+        assert zero == [sum(1 << p * width for p, v in enumerate(row)
+                            if v == 0) for row in values]
+
+    def test_batches_reject_bad_points(self):
+        packed = PackedForms([(1, 1)])
+        for points in ([(1, 2, 3)], [(1, Fraction(1, 2))], [(1, 2.0)], [],
+                       [(1, 2), (1,)]):
+            with pytest.raises(ValueError):
+                packed.at_points(points)
+
+
+def packed_exactly(vectors, width):
+    """The columns ``sum(v[k] << j*width)`` and ``high``, by shifts and
+    sums alone."""
+    columns = tuple(sum(v[k] << j * width for j, v in enumerate(vectors))
+                    for k in range(len(vectors[0]))) if vectors else ()
+    return columns, sum(1 << j * width + width - 1
+                        for j in range(len(vectors)))
+
+
+class TestPack:
+    """``geometry._pack`` against exact shift-and-add packing: fields of
+    16 to 64 bits take ``struct``, wider ones ``int.to_bytes``."""
+
+    @pytest.mark.parametrize("width", [16, 32, 64, 128, 256])
+    def test_random_vectors_at_the_extremes(self, width):
+        rng = random.Random(width)
+        top = 2 ** (width - 1)
+        entries = [top - 1, -top, 0, 1, -1, top - 2, 1 - top]
+        for count in (0, 1, 511, 512, 513):
+            vectors = [tuple(rng.choice(entries) if rng.random() < 0.5
+                             else rng.randint(-top, top - 1)
+                             for _ in range(3)) for _ in range(count)]
+            assert geometry._pack(vectors, width) == \
+                packed_exactly(vectors, width)
+
+    def test_every_field_at_its_extremes(self):
+        for width in (16, 32, 64, 128, 256):
+            top = 2 ** (width - 1)
+            vectors = [(top - 1, -top), (-top, top - 1), (-1, 0), (0, -1)]
+            assert geometry._pack(vectors, width) == \
+                packed_exactly(vectors, width)
 
 
 class TestFanPointLocation:

@@ -26,6 +26,7 @@ from tropd4.hypersimplex import (
     subdivision_signature,
     subdivision_to_json,
 )
+import tropd4.geometry as geometry
 from tropd4.geometry import (
     PackedForms,
     polytope_f_vector,
@@ -1095,21 +1096,24 @@ class TestCertificate:
             subdivision_forms([set(PLUECKER_TRIPLES[:6])])
 
     def test_block_layouts_match_flat_packing(self, canonical):
-        """Each kind of form of every canonical certificate, packed from
-        its cells' blocks and as one plain tuple, has the columns and
-        ``high`` packed form by form, at widths 16 to 128."""
+        """Each kind of form of every canonical certificate, a plain
+        tuple, is packed with the columns and ``high`` packed form by form,
+        at widths 16 to 128, and its :class:`PackedForms` keeps that
+        layout at the width it evaluates at."""
         for _, cells in canonical:
             for forms in subdivision_forms(cells):
-                assert len(forms.blocks) == len(cells)
-                assert tuple(forms) == sum(forms.blocks, ())
+                assert type(forms) is tuple
                 for width in (16, 32, 64, 128):
                     flat = (tuple(sum(f[k] << j * width
                                       for j, f in enumerate(forms))
                                   for k in range(20)) if forms else (),
                             sum(2 ** (j * width + width - 1)
                                 for j in range(len(forms))))
-                    assert PackedForms(forms)._layout(width) == flat
-                    assert PackedForms(tuple(forms))._layout(width) == flat
+                    assert geometry._pack(forms, width) == flat
+                    packed = PackedForms(forms)
+                    x = (0,) * 19 + (2 ** (width // 2 - 1),)
+                    packed.all_zero(x)
+                    assert packed._layouts == {width: flat}
 
     def test_integer_heights_give_the_fraction_verdict(self, canonical):
         """``certifies`` reads the integers of ``trop_phi2``'s heights and
@@ -1150,6 +1154,21 @@ class TestCertificate:
                 assert certifies(packed[k], tuple(w)) == holds
                 verdicts.add(holds)
         assert verdicts == {False, True}
+
+
+class TestCertifiesRejectsBadHeights:
+    """``certifies`` takes ints and Fractions only, as
+    ``induced_subdivision`` does."""
+
+    @pytest.mark.parametrize("w", [[0.5] * 20, ["1"] * 20,
+                                   [Fraction(1, 2)] * 19 + [0.5]])
+    def test_rejects_heights_that_are_not_rational(self, w):
+        packed = packed_certificate(subdivision_forms(
+            canonical_subdivision(ray_set(("r3", "r9", "r10", "r12")))))
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            certifies(packed, w)
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            induced_subdivision(w)
 
 
 class TestJson:
