@@ -23,7 +23,7 @@ values on the rows still to come instead of its coordinates.
 Beside the sweep sits one evaluation kernel, :class:`PackedForms`, a fixed
 list of integer linear forms with two evaluations: at one integer point it
 packs the forms, one field per form, and at a batch of points it packs the
-points, one field per point.  Either way one sum of products and a few
+points, one field per point.  Either way a few sums of products and
 masks give the signs of all the forms.  The first tests the certificates
 of ``hypersimplex.certifies``; the second locates points in a :class:`Fan`.
 """
