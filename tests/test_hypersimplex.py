@@ -1111,6 +1111,8 @@ class TestCertificate:
                                 for j in range(len(forms))))
                     assert geometry._pack(forms, width) == flat
                     packed = PackedForms(forms)
+                    # evaluated at exactly this width while the forms'
+                    # norm is from 1 to 2**(width // 2) - 1
                     x = (0,) * 19 + (2 ** (width // 2 - 1),)
                     packed.all_zero(x)
                     assert packed._layouts == {width: flat}
