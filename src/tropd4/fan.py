@@ -15,9 +15,8 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
-from .geometry import Fan, cone_from_rays
+from .geometry import Fan, cone_from_rays, integer_rows
 from .reference import LABEL_OF_RAY
 from .webmatrix import PLUECKER_TRIPLES, all_tropical_minors
 
@@ -39,8 +38,7 @@ def trop_phi2(x):
     """
     if len(x) != 4 or not all(isinstance(v, (int, Fraction)) for v in x):
         raise ValueError(f"expected 4 int or Fraction coordinates, got {x!r}")
-    scale = lcm(*(v.denominator for v in x))
-    a, b, c, d = (v.numerator * (scale // v.denominator) for v in x)
+    [(a, b, c, d)], scale = integer_rows([x])
     forms, spans = _minor_table()
     values = [p * a + q * b + r * c + s * d for p, q, r, s in forms]
     ints = [values[i] if j - i == 1 else min(values[i:j]) for i, j in spans]

@@ -14,18 +14,20 @@ tight masks of facets and sweeps nothing.
 
 The sweep takes integer rows and returns primitive integer lines and
 primitive rays, each ray paired with the bitmask of the rows it is tight
-on (bit i for input row i).  Public entries scale rational input to
-integer rows once, with :func:`_integer_rows`; callers read incidences off
-the masks and never canonicalize sweep output again.  Asked for the masks
-alone, as :func:`lower_cell_masks` asks, the sweep holds each ray as its
-values on the rows still to come instead of its coordinates.
+on (bit i for input row i).  Public entries, ``fan`` and ``hypersimplex``
+scale rational input to integer rows once, with :func:`integer_rows`;
+callers read incidences off the masks and never canonicalize sweep output
+again.  Asked for the masks alone, as :func:`lower_cell_masks` asks, the
+sweep holds each ray as its values on the rows still to come instead of
+its coordinates.
 
 Beside the sweep sits one evaluation kernel, :class:`PackedForms`, a fixed
 list of integer linear forms with two evaluations: at one integer point it
 packs the forms, one field per form, and at a batch of points it packs the
 points, one field per point.  Either way a few sums of products and
 masks give the signs of all the forms.  The first tests the certificates
-of ``hypersimplex.certifies``; the second locates points in a :class:`Fan`.
+of ``hypersimplex.certifies``; the second locates points in a :class:`Fan`,
+which hands its callers cones, not words (:meth:`Fan.odd_points`).
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _minus(p, q):
     return tuple(x - y for x, y in zip(p, q))
 
 
-def _integer_rows(rows):
+def integer_rows(rows):
     """Rational ``rows`` scaled to integers by the lcm of all denominators.
 
     Ints and Fractions both carry ``denominator``, so integer input is
@@ -341,7 +343,7 @@ class Cone:
             raise ValueError(f"halfspaces must have {ambient_dim} "
                              f"entries: {halfspaces}")
         self.ambient_dim = ambient_dim
-        rows, _ = _integer_rows([h for h in halfspaces if any(h)])
+        rows, _ = integer_rows([h for h in halfspaces if any(h)])
         self.halfspaces = tuple(map(_reduce, rows))
         lines, rays = _double_description(self.halfspaces, ambient_dim)
         self.rays = tuple(sorted(r for r, _ in rays))
@@ -381,7 +383,7 @@ class Cone:
 def cone_from_rays(rays, dim):
     """Cone spanned by ``rays``, cut out by the sorted extreme rays of its
     dual cone and by both signs of each dual line."""
-    rows, _ = _integer_rows(rays)
+    rows, _ = integer_rows(rays)
     if {len(r) for r in rows} - {dim}:
         raise ValueError(f"rays must have {dim} entries: {rays}")
     lines, normals = _double_description(rows, dim)
@@ -391,15 +393,18 @@ def cone_from_rays(rays, dim):
     return Cone(dim, tuple(normals))
 
 
-def _members(mask, items):
-    """The items whose positions are set bits of ``mask``, as a frozenset;
+def set_bits(mask):
+    """The set bits of ``mask``, lowest first, each as a one-bit mask;
     ``mask & -mask`` is the lowest set bit."""
-    members = []
     while mask:
         low = mask & -mask
-        members.append(items[low.bit_length() - 1])
+        yield low
         mask ^= low
-    return frozenset(members)
+
+
+def _members(mask, items):
+    """The items whose positions are set bits of ``mask``, as a frozenset."""
+    return frozenset(items[b.bit_length() - 1] for b in set_bits(mask))
 
 
 def _faces(facets, n):
@@ -610,10 +615,10 @@ class Fan:
                      for d in range(1, self.ambient_dim + 1))
 
     def locate(self, points):
-        """``(width, held, zero)``, bitsets in which bit ``p * width``
-        stands for ``points[p]``: ``held[i]`` holds the integer points in
-        cone i, and ``zero[j]`` those where ``_normals[j]`` vanishes, in
-        the format of :meth:`PackedForms.at_points`."""
+        """``(width, every, held, zero)``, bitsets in which bit
+        ``p * width`` stands for ``points[p]``: ``every`` holds them all,
+        ``held[i]`` those in cone i, and ``zero[j]`` those where
+        ``_normals[j]`` vanishes, as :meth:`PackedForms.at_points` gives."""
         points = _point_tuple(points)
         if len(points[0]) != self.ambient_dim:
             raise ValueError(f"points must have {self.ambient_dim} "
@@ -622,11 +627,35 @@ class Fan:
         held = [functools.reduce(operator.and_,
                                  map(nonnegative.__getitem__, normals), every)
                 for normals in self._cone_normals]
-        return width, held, zero
+        return width, every, held, zero
+
+    def odd_points(self, points):
+        """Yield ``(p, cones, zero)`` for each integer point ``points[p]``
+        in no cone or in two or more, in order: bit i of ``cones`` is set
+        when cone i holds it, and bit j of ``zero`` when ``_normals[j]``
+        vanishes there."""
+        width, every, held, zero = self.locate(points)
+        once = twice = 0  # the points in one or more cones, two or more
+        for h in held:
+            twice |= once & h
+            once |= h
+        # Bit i of a point's pattern is whether bitset i of held + zero
+        # holds it.  Word k sums bitsets k * width + j shifted by j, so its
+        # field p holds the bits of point p's pattern from k * width on.
+        flags = held + zero
+        words = [sum(b << i for i, b in enumerate(flags[k:k + width]))
+                 for k in range(0, len(flags), width)]
+        field = (1 << width) - 1
+        cones = (1 << len(held)) - 1
+        for bit in set_bits(every ^ once | twice):
+            shift = bit.bit_length() - 1
+            pattern = sum((w >> shift & field) << k * width
+                          for k, w in enumerate(words))
+            yield shift // width, pattern & cones, pattern >> len(held)
 
     def cones_containing(self, x):
         """Indices of the maximal cones that hold the integer point x."""
-        _, held, _ = self.locate([x])
+        _, _, held, _ = self.locate([x])
         return [i for i, h in enumerate(held) if h]
 
 
@@ -637,7 +666,7 @@ def _affine_frame(points):
     projected onto the pivot columns of their elimination, an affine
     bijection of the span onto ``R^dim`` that keeps lower envelopes.  Kept
     for at most 256 point tuples."""
-    diffs, _ = _integer_rows(_minus(p, points[0]) for p in points)
+    diffs, _ = integer_rows(_minus(p, points[0]) for p in points)
     pivots, _ = _pivot_columns(diffs)
     return tuple(tuple(d[c] for c in pivots) for d in diffs), len(pivots)
 
@@ -677,7 +706,7 @@ def lower_cell_masks(points, heights):
     reduced, d = _affine_frame(points)
     if d < 1:
         raise ValueError("points must affinely span dimension >= 1")
-    [h_ints], _ = _integer_rows([heights])
+    [h_ints], _ = integer_rows([heights])
 
     # Affine supports (c, c0, t):  t >= 0,  <u_i, c> + c0 <= t * h_i.
     # Row 0 is t >= 0; row j + 1 is the point order[j].
@@ -706,7 +735,7 @@ def intersection_dim(points, cell_a, cell_b):
     if not shared:
         return -1
     base = points[shared[0]]
-    diffs, _ = _integer_rows(_minus(points[i], base) for i in shared[1:])
+    diffs, _ = integer_rows(_minus(points[i], base) for i in shared[1:])
     return len(_pivot_columns(diffs)[0])
 
 
@@ -741,7 +770,7 @@ def point_in_hull(y, vertices):
         raise ValueError(f"query has {len(y)} coordinates, the vertices "
                          f"have {len(key[0])}")
     lines, functionals, _ = _polytope_facets(key)
-    [u], _ = _integer_rows([tuple(y) + (1,)])
+    [u], _ = integer_rows([tuple(y) + (1,)])
     return not any(_dot(l, u) for l in lines) and \
         all(_dot(a, u) >= 0 for a in functionals)
 
@@ -752,7 +781,7 @@ def _polytope_facets(vertices):
     ``<v, a> + a_0 >= 0`` on every vertex: the equations of the affine
     span, and the facet functionals as integer vectors, each with the mask
     of the vertices it is tight on (bit i for vertex i)."""
-    rows, _ = _integer_rows(v + (1,) for v in vertices)
+    rows, _ = integer_rows(v + (1,) for v in vertices)
     lines, rays = _double_description(rows, len(vertices[0]) + 1)
     return (tuple(lines), tuple(r for r, _ in rays),
             tuple(m for _, m in rays))

@@ -11,10 +11,9 @@ type off the subdivisions at its rays, one letter E, F or G per ray.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, groupby, permutations, product, starmap
-from math import comb, lcm
+from math import comb
 from operator import and_, or_
 
 from . import reference
@@ -22,9 +21,11 @@ from .fan import Heights, compute_fan_f36, trop_phi2
 from .geometry import (
     PackedForms,
     basis_relations,
+    integer_rows,
     intersection_dim,
     lower_cell_masks,
     polytope_f_vector,
+    set_bits,
 )
 from .webmatrix import PLUECKER_TRIPLES
 
@@ -36,14 +37,6 @@ def hypersimplex_vertices():
     for (i, j, k) in PLUECKER_TRIPLES:
         verts.append(tuple(1 if m + 1 in (i, j, k) else 0 for m in range(6)))
     return tuple(verts)
-
-
-def _bits(mask):
-    """The set bits of ``mask``, lowest first, each as a one-bit mask."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
 
 
 class _Cell(frozenset):
@@ -103,7 +96,7 @@ def _vertex_mask(cell):
 
 def _vertex_indices(mask):
     """Indices of the vertices whose bits are set in ``mask``, ascending."""
-    return [i for i in range(len(PLUECKER_TRIPLES)) if mask >> i & 1]
+    return [b.bit_length() - 1 for b in set_bits(mask)]
 
 
 # _span_dim, _cell_invariant, _orbit_invariant and _cell_forms are keyed
@@ -134,8 +127,8 @@ _INSIDE = tuple(sum(_VERTEX_BIT[t] for t in _TRIPLE_BITS if not t & ~s)
 # Per vertex A, per element a of A: the bit b of each element outside A,
 # with the 20-bit bit of the vertex A - a + b.
 _EXCHANGES = tuple(
-    tuple((a, tuple((b, _VERTEX_BIT[t ^ a | b]) for b in _bits(63 ^ t)))
-          for a in _bits(t))
+    tuple((a, tuple((b, _VERTEX_BIT[t ^ a | b]) for b in set_bits(63 ^ t)))
+          for a in set_bits(t))
     for t in _TRIPLE_BITS)
 
 
@@ -169,7 +162,7 @@ def is_matroid_basis_set(bases) -> bool:
             return _is_matroid_on_elements(bases)
     if not family:
         raise ValueError("empty basis set")
-    for low in _bits(family):
+    for low in set_bits(family):
         for a, swaps in _EXCHANGES[low.bit_length() - 1]:
             p = a
             for b, v in swaps:
@@ -192,8 +185,8 @@ def _is_matroid_on_elements(bases):
         masks.add(m)
     ground = (1 << len(bit)) - 1
     for A in masks:
-        outside = list(_bits(ground & ~A))
-        for a in _bits(A):
+        outside = list(set_bits(ground & ~A))
+        for a in set_bits(A):
             rest = A ^ a
             partners = sum(b for b in outside if rest | b in masks)
             if 0 in map((a | partners).__and__, masks):
@@ -384,10 +377,7 @@ def certifies(packed, w):
     if type(w) is Heights:
         w = w.ints
     else:
-        if not all(isinstance(x, (int, Fraction)) for x in w):
-            raise ValueError("coordinates must be ints or Fractions")
-        scale = lcm(*(x.denominator for x in w))
-        w = [x.numerator * (scale // x.denominator) for x in w]
+        [w], _ = integer_rows([w])
     equalities, stricts = packed
     return equalities.all_zero(w) and stricts.all_positive(w)
 

@@ -197,14 +197,15 @@ def located(bitset, width, n):
 def assert_locate_matches_sums(fan, points):
     """``fan.locate(points)`` against plain halfspace sums: the smallest
     power-of-two width from 16 with ``2**(w-1) > max ||h||_1 * max |x|``,
-    each cone's points, and each normal's zeros."""
-    width, held, zero = fan.locate(points)
+    every point, each cone's points, and each normal's zeros."""
+    width, every, held, zero = fan.locate(points)
     bound = max(sum(abs(a) for a in h) for h in fan._normals) * \
         max(abs(v) for x in points for v in x)
     expected_width = 16
     while not 2 ** (expected_width - 1) > bound:
         expected_width *= 2
     assert width == expected_width
+    assert every == sum(1 << p * width for p in range(len(points)))
     assert [located(h, width, len(points)) for h in held] == [
         [p for p, x in enumerate(points)
          if all(_dot(h, x) >= 0 for h in cone.halfspaces)]
@@ -225,16 +226,18 @@ def broken_fans(fan):
             Fan(4, cones + (Cone(4, cones[0].halfspaces),))]
 
 
+def random_points(n, seed=41, size=40):
+    """``n`` seeded points of ``[-size, size]^4``."""
+    rng = random.Random(seed)
+    return [tuple(rng.randint(-size, size) for _ in range(4))
+            for _ in range(n)]
+
+
 class TestBatchLocator:
     """``Fan.locate`` against plain halfspace sums, sharing no code."""
 
-    def points(self, n, seed=41, size=40):
-        rng = random.Random(seed)
-        return [tuple(rng.randint(-size, size) for _ in range(4))
-                for _ in range(n)]
-
     def test_batches_of_every_size(self, fan36):
-        points = self.points(2000)
+        points = random_points(2000)
         start = 0
         for size in (1, 511, 512, 513, 463):
             assert assert_locate_matches_sums(
@@ -244,9 +247,9 @@ class TestBatchLocator:
 
     def test_large_coordinates_widen_the_fields(self, fan36):
         """Points near 10**6 and 10**12, beside small ones."""
-        small = self.points(300)
+        small = random_points(300)
         for size, width in ((10 ** 6, 32), (10 ** 12, 64)):
-            large = self.points(300, seed=width, size=size)
+            large = random_points(300, seed=width, size=size)
             assert assert_locate_matches_sums(fan36, large) == width
             assert assert_locate_matches_sums(
                 fan36, small[:150] + large[:150]) == width
@@ -264,15 +267,16 @@ class TestBatchLocator:
                 points = [tuple(k * s for s in h) for h in signs]
                 points += [tuple(-v for v in x) for x in points]
                 assert assert_locate_matches_sums(
-                    fan36, points + self.points(20)) == w
+                    fan36, points + random_points(20)) == w
 
     def test_zero_is_in_every_cone(self, fan36):
-        width, held, zero = fan36.locate([Z])
-        assert held == [1] * 48 and zero == [1] * len(fan36._normals)
+        width, every, held, zero = fan36.locate([Z])
+        assert every == 1 and held == [1] * 48
+        assert zero == [1] * len(fan36._normals)
         assert fan36.cones_containing(Z) == list(range(48))
 
     def test_broken_fans(self, fan36):
-        points = self.points(1500, seed=7)
+        points = random_points(1500, seed=7)
         for fan in broken_fans(fan36):
             for start in range(0, len(points), 512):
                 assert_locate_matches_sums(fan, points[start:start + 512])
@@ -281,14 +285,85 @@ class TestBatchLocator:
         """A cone with no halfspace holds every point; the point still
         sets the width, as no normal does."""
         fan = Fan(1, (Cone(1, ()),))
-        assert fan.locate([(10 ** 6,)]) == (32, [1], [])
-        assert fan.locate([(0,), (-5,)]) == (16, [1 | 1 << 16], [])
+        assert fan.locate([(10 ** 6,)]) == (32, 1, [1], [])
+        assert fan.locate([(0,), (-5,)]) == \
+            (16, 1 | 1 << 16, [1 | 1 << 16], [])
 
     def test_rejects_bad_points(self, fan36):
         for points in ([(1, 2, 3)], [(1, 2, 3, Fraction(1, 2))],
                        [(1, 2, 3, 4.0)], []):
             with pytest.raises(ValueError):
                 fan36.locate(points)
+
+
+def odd_points_by_sums(fan, points):
+    """``(p, cones, zero)`` for each point ``points[p]`` in no cone or in
+    two or more, in order, from plain halfspace sums: the bitmask of the
+    cones that hold it and of the normals that vanish at it."""
+    odd = []
+    for p, x in enumerate(points):
+        cones = sum(1 << i for i, c in enumerate(fan.maximal_cones)
+                    if all(_dot(h, x) >= 0 for h in c.halfspaces))
+        if bin(cones).count("1") != 1:
+            odd.append((p, cones, sum(1 << j for j, h in
+                                      enumerate(fan._normals)
+                                      if _dot(h, x) == 0)))
+    return odd
+
+
+def wall_points(fan):
+    """The sum of the rays of each facet of each cone, sorted: points on
+    the walls between cones, each in two cones or more."""
+    return sorted({tuple(map(sum, zip(*(r for r in c.rays if not _dot(h, r)))))
+                   for c in fan.maximal_cones for h in c.halfspaces})
+
+
+class TestOddPoints:
+    """``Fan.odd_points`` against plain halfspace sums, sharing no code:
+    every point in no cone or in two or more comes once, in order, with
+    its masks, and no other point comes."""
+
+    def test_batches_of_every_size(self, fan36):
+        points = random_points(1537, seed=43)
+        start = 0
+        for size in (1, 511, 512, 513):
+            batch = points[start:start + size]
+            assert list(fan36.odd_points(batch)) == \
+                odd_points_by_sums(fan36, batch)
+            start += size
+        assert start == len(points)
+
+    def test_zero_and_walls_at_every_width(self, fan36):
+        """The origin is in every cone and on every normal; the walls,
+        scaled to need fields of 16, 32 and 64 bits, are among random
+        points."""
+        assert list(fan36.odd_points([Z])) == [
+            (0, (1 << 48) - 1, (1 << len(fan36._normals)) - 1)]
+        walls = wall_points(fan36)
+        widths = set()
+        for scale in (1, 10 ** 4, 10 ** 9):
+            batch = [tuple(scale * v for v in x) for x in walls]
+            batch = random_points(150, seed=scale) + batch + [Z]
+            odd = list(fan36.odd_points(batch))
+            assert odd == odd_points_by_sums(fan36, batch)
+            assert [p for p, _, _ in odd][-len(walls) - 1:] == \
+                list(range(150, len(batch)))
+            widths.add(fan36.locate(batch)[0])
+        assert widths == {16, 32, 64}
+
+    def test_broken_fans(self, fan36):
+        """A point in no cone and a point in two cones off a wall each
+        show up on some broken fan."""
+        points = random_points(1500, seed=7)
+        found = set()
+        for fan in broken_fans(fan36):
+            for start in range(0, len(points), 512):
+                batch = points[start:start + 512]
+                odd = list(fan.odd_points(batch))
+                assert odd == odd_points_by_sums(fan, batch)
+                found |= {(bin(cones).count("1"), zero == 0)
+                          for _, cones, zero in odd}
+        assert {(0, True), (2, True)} <= found
 
 
 class TestTropPhi2:

@@ -24,6 +24,7 @@ from tropd4.geometry import (
     point_in_hull,
     polytope_f_vector,
     regular_subdivision,
+    set_bits,
 )
 
 from tropd4.fan import trop_phi2
@@ -991,6 +992,32 @@ class TestPack:
             vectors = [(top - 1, -top), (-top, top - 1), (-1, 0), (0, -1)]
             assert geometry._pack(vectors, width) == \
                 packed_exactly(vectors, width)
+
+
+def bits_by_position(mask):
+    """The one-bit masks of ``mask``, read one position at a time."""
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+class TestSetBits:
+    """``set_bits`` against the bits read one position at a time."""
+
+    def test_zero_and_single_bits(self):
+        assert list(set_bits(0)) == []
+        for i in (0, 1, 19, 20, 63, 64, 200, 1000):
+            assert list(set_bits(1 << i)) == [1 << i]
+
+    def test_every_10_bit_mask(self):
+        for mask in range(1 << 10):
+            assert list(set_bits(mask)) == bits_by_position(mask)
+
+    @given(st.integers(0, 2 ** 20 - 1))
+    def test_20_bit_masks(self, mask):
+        assert list(set_bits(mask)) == bits_by_position(mask)
+
+    @given(st.integers(2 ** 200 + 1, 2 ** 320))
+    def test_masks_above_2_to_the_200(self, mask):
+        assert list(set_bits(mask)) == bits_by_position(mask)
 
 
 class TestFanPointLocation:
