@@ -646,12 +646,12 @@ class Fan:
         words = [sum(b << i for i, b in enumerate(flags[k:k + width]))
                  for k in range(0, len(flags), width)]
         field = (1 << width) - 1
-        cones = (1 << len(held)) - 1
+        cone_bits = (1 << len(held)) - 1
         for bit in set_bits(every ^ once | twice):
             shift = bit.bit_length() - 1
             pattern = sum((w >> shift & field) << k * width
                           for k, w in enumerate(words))
-            yield shift // width, pattern & cones, pattern >> len(held)
+            yield shift // width, pattern & cone_bits, pattern >> len(held)
 
     def cones_containing(self, x):
         """Indices of the maximal cones that hold the integer point x."""

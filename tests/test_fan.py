@@ -304,7 +304,7 @@ def odd_points_by_sums(fan, points):
     for p, x in enumerate(points):
         cones = sum(1 << i for i, c in enumerate(fan.maximal_cones)
                     if all(_dot(h, x) >= 0 for h in c.halfspaces))
-        if bin(cones).count("1") != 1:
+        if cones.bit_count() != 1:
             odd.append((p, cones, sum(1 << j for j, h in
                                       enumerate(fan._normals)
                                       if _dot(h, x) == 0)))
@@ -361,7 +361,7 @@ class TestOddPoints:
                 batch = points[start:start + 512]
                 odd = list(fan.odd_points(batch))
                 assert odd == odd_points_by_sums(fan, batch)
-                found |= {(bin(cones).count("1"), zero == 0)
+                found |= {(cones.bit_count(), zero == 0)
                           for _, cones, zero in odd}
         assert {(0, True), (2, True)} <= found
 
