@@ -21,30 +21,30 @@ from .reference import LABEL_OF_RAY
 from .webmatrix import PLUECKER_TRIPLES, all_tropical_minors
 
 
-class Heights(tuple):
-    """The Fractions of :func:`trop_phi2`, holding also ``ints``, the
-    integer minima over the common positive denominator of the point."""
+def integer_heights(x):
+    """Values of all 20 tropical minors at the integer point x, in
+    lexicographic triple order, as a tuple of ints.  The 42 forms of the
+    minors are evaluated from one flat table; a minor with one form takes
+    its value without ``min``.  Raises ValueError unless ``x`` has 4 int
+    coordinates."""
+    if len(x) != 4 or not all(isinstance(v, int) for v in x):
+        raise ValueError(f"expected 4 int coordinates, got {x!r}")
+    a, b, c, d = x
+    forms, spans = _minor_table()
+    values = [p * a + q * b + r * c + s * d for p, q, r, s in forms]
+    return tuple(values[i] if j - i == 1 else min(values[i:j])
+                 for i, j in spans)
 
 
 def trop_phi2(x):
-    """Values of all 20 tropical minors at x, in lexicographic triple order.
-
-    ``x`` is scaled to integers by the lcm of its denominators, so the
-    minima are taken over integers; each value is returned as a Fraction,
-    in a :class:`Heights` that keeps the integer minima.
-    The 42 forms of the minors are evaluated from one flat table; a minor
-    with one form takes its value without ``min``.
-    Raises ValueError unless ``x`` has 4 int or Fraction coordinates.
-    """
+    """Values of all 20 tropical minors at x, in lexicographic triple order,
+    as a tuple of Fractions: :func:`integer_heights` at x scaled to
+    integers by the lcm of its denominators, divided by that scale.
+    Raises ValueError unless ``x`` has 4 int or Fraction coordinates."""
     if len(x) != 4 or not all(isinstance(v, (int, Fraction)) for v in x):
         raise ValueError(f"expected 4 int or Fraction coordinates, got {x!r}")
-    [(a, b, c, d)], scale = integer_rows([x])
-    forms, spans = _minor_table()
-    values = [p * a + q * b + r * c + s * d for p, q, r, s in forms]
-    ints = [values[i] if j - i == 1 else min(values[i:j]) for i, j in spans]
-    heights = Heights(Fraction(m, scale) for m in ints)
-    heights.ints = ints
-    return heights
+    [row], scale = integer_rows([x])
+    return tuple(Fraction(m, scale) for m in integer_heights(row))
 
 
 @lru_cache(maxsize=1)

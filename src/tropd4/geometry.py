@@ -653,11 +653,6 @@ class Fan:
                           for k, w in enumerate(words))
             yield shift // width, pattern & cone_bits, pattern >> len(held)
 
-    def cones_containing(self, x):
-        """Indices of the maximal cones that hold the integer point x."""
-        _, _, held, _ = self.locate([x])
-        return [i for i, h in enumerate(held) if h]
-
 
 @functools.lru_cache(maxsize=256)
 def _affine_frame(points):

@@ -17,7 +17,7 @@ from math import comb
 from operator import and_, or_
 
 from . import reference
-from .fan import Heights, compute_fan_f36, trop_phi2
+from .fan import compute_fan_f36, integer_heights
 from .geometry import (
     PackedForms,
     basis_relations,
@@ -370,14 +370,10 @@ def certifies(packed, w):
     """Whether heights ``w`` satisfy the certificate ``packed`` of
     :func:`packed_certificate`, and so induce exactly its cells.
 
-    The integers held by :class:`Heights` are read as they are; any other
     ``w`` must hold ints or Fractions, and is scaled to integers by the lcm
-    of its denominators, which keeps the signs of the linear forms.
+    of its denominators (1 for ints), which keeps the forms' signs.
     """
-    if type(w) is Heights:
-        w = w.ints
-    else:
-        [w], _ = integer_rows([w])
+    [w], _ = integer_rows([w])
     equalities, stricts = packed
     return equalities.all_zero(w) and stricts.all_positive(w)
 
@@ -457,7 +453,7 @@ def canonical_subdivision(rays):
 # room for the canonical points of the 48 maximal cones
 @lru_cache(maxsize=64)
 def _subdivision_at(point):
-    return induced_subdivision(trop_phi2(point))
+    return induced_subdivision(integer_heights(point))
 
 
 @lru_cache(maxsize=1)
@@ -490,7 +486,7 @@ def _ray_letter(ray):
     as the elements in more than 5.  Raises ``ValueError`` when the cells
     match no letter.
     """
-    cells = sorted(induced_subdivision(trop_phi2(ray)), key=len)
+    cells = sorted(induced_subdivision(integer_heights(ray)), key=len)
     letter = _LETTERS.get(tuple(map(len, cells)))
     if letter is None:
         raise ValueError(f"cells at {ray} match no ray type")

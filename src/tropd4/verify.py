@@ -14,7 +14,7 @@ import itertools
 import operator
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import reference
 from .chords import parse_chord
@@ -37,7 +37,7 @@ from .correspondence import (
     verify_cluster_fan_correspondence,
     verify_parity_reflection_theorem,
 )
-from .fan import bipyramid_cones, compute_fan_f36, trop_phi2
+from .fan import bipyramid_cones, compute_fan_f36, integer_heights
 from .hypersimplex import (
     canonical_point,
     canonical_subdivision,
@@ -171,8 +171,10 @@ def check_interior_point_stability(seed, samples_per_cone=20):
     sample is interior, and by :func:`check_cone_proofs` (a) and (b) its
     heights satisfy the certificate of S_C (see :func:`subdivision_forms`)
     and induce S_C's cells; only a sample that fails it takes a lower
-    envelope.  Samples share most of their cells, so each distinct cell is
-    judged for basis exchange and each distinct subdivision signed once.
+    envelope.  A sample is judged at its integer multiple x, the point
+    times its common denominator: a positive scale of the heights keeps
+    the cells.  Samples share most of their cells, so each distinct cell
+    is judged for basis exchange and each distinct subdivision signed once.
     """
     rng = random.Random(seed)
     violations = []
@@ -197,20 +199,23 @@ def check_interior_point_stability(seed, samples_per_cone=20):
                                "type": plane_type})
         packed = packed_certificate(subdivision_forms(canonical))
         for _ in range(samples_per_cone):
-            # the point sum(a / b * r) over the rays, summed in integers
-            # over the lcm of the b's
+            # the point sum(a / b * r) over the rays is x / den, summed in
+            # integers over the lcm of the b's, in lowest terms
             pairs = [(rng.randint(1, 50), rng.randint(1, 8)) for _ in rays]
             den = lcm(*(b for _, b in pairs))
             coeffs = [a * (den // b) for a, b in pairs]
-            point = tuple(Fraction(sum(map(operator.mul, coeffs, column)), den)
-                          for column in zip(*rays))
-            w = trop_phi2(point)
+            x = [sum(map(operator.mul, coeffs, column))
+                 for column in zip(*rays)]
+            g = gcd(den, *x)
+            x, den = tuple(v // g for v in x), den // g
+            w = integer_heights(x)
             cells = canonical if certifies(packed, w) \
                 else induced_subdivision(w)
             if not all(map(matroidal, cells)):
                 violations.append({"check": "matroidal cells",
                                    "cone": [list(r) for r in rays],
-                                   "point": [str(x) for x in point]})
+                                   "point": [str(Fraction(v, den))
+                                             for v in x]})
                 continue
             if signature(cells) != signature(canonical):
                 violations.append({"check": "signature constant on cone",
@@ -223,7 +228,7 @@ def check_cone_proofs():
     """Prove that each cone's canonical subdivision S_C is the subdivision
     at every interior point of the cone, and that it is matroidal.
 
-    (a) ``trop_phi2`` is linear on the cone C.  Let p be the canonical
+    (a) The heights are linear on the cone C.  Let p be the canonical
     point, the sum of the rays, and f* a form of one minor minimal at p.
     Then ``f*(p) = sum(f*(r)) >= sum(min_f f(r))`` over the rays r, with
     equality exactly when f* is minimal at every ray, and so on all of
@@ -231,7 +236,8 @@ def check_cone_proofs():
     every form f of the minor has
     ``f(x) = sum(a_r * f(r)) >= sum(a_r * f*(r)) = f*(x)``.  So when each
     minor's value at p is the sum of its values at the rays, the heights
-    at x are ``sum(a_r * trop_phi2(r))``.
+    at x are ``sum(a_r * h(r))``, where h is :func:`integer_heights`: the
+    rays and p are integer points, so their heights are integers.
 
     (b) The certificate of S_C (see :func:`subdivision_forms`) holds
     inside C.  A point x interior to C is a combination of all the rays
@@ -268,10 +274,9 @@ def check_cone_proofs():
         if not all(map(matroidal, canonical)):
             violations.append({"check": "canonical cells matroidal",
                                "cone": cone})
-        # integer forms at an integer ray: the heights are integers
-        heights = [[int(v) for v in trop_phi2(r)] for r in rays]
+        heights = [integer_heights(r) for r in rays]
         total = tuple(map(sum, zip(*heights)))
-        if total != trop_phi2(canonical_point(rays)):
+        if total != integer_heights(canonical_point(rays)):
             violations.append({"check": "trop_phi2 linear on cone",
                                "cone": cone})
             continue

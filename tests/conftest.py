@@ -18,6 +18,16 @@ def fan36():
 
 
 @pytest.fixture(scope="session")
+def cones_holding():
+    """``cones_holding(fan, x)``: the indices of the maximal cones of
+    ``fan`` that hold the integer point x, read off ``fan.locate([x])``."""
+    def held_by(fan, x):
+        _, _, held, _ = fan.locate([x])
+        return [i for i, h in enumerate(held) if h]
+    return held_by
+
+
+@pytest.fixture(scope="session")
 def pseudotriangulations4():
     from tropd4.clusters import enumerate_pseudotriangulations
     return enumerate_pseudotriangulations(4)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from tropd4.fan import (
     bipyramid_cones,
     compute_fan_f36,
     fan_to_json,
+    integer_heights,
     trop_phi2,
 )
 from tropd4.geometry import Cone, Fan, cone_from_rays
@@ -115,11 +117,11 @@ class TestFanF36:
                    brute_force_cone_dim(c.halfspaces, 4) == 4
                    for c in fan36.maximal_cones)
 
-    def test_complete_and_face_to_face(self, fan36):
+    def test_complete_and_face_to_face(self, fan36, cones_holding):
         rng = random.Random(101)
         for _ in range(10000):
             x = tuple(rng.randint(-50, 50) for _ in range(4))
-            hits = fan36.cones_containing(x)
+            hits = cones_holding(fan36, x)
             assert hits, x
             if len(hits) > 1 and any(x):
                 shared = frozenset.intersection(
@@ -128,7 +130,7 @@ class TestFanF36:
                 assert cone_from_rays(sorted(shared), 4).face_containing(
                     x) is not None
 
-    def test_cones_containing_matches_each_cone(self, fan36):
+    def test_cones_containing_matches_each_cone(self, fan36, cones_holding):
         """Also at the same points scaled by 10**20, whose packed fields
         are wider."""
         rng = random.Random(29)
@@ -140,10 +142,10 @@ class TestFanF36:
         for scale in (1, 10 ** 20):
             for x in points:
                 x = tuple(scale * v for v in x)
-                assert fan36.cones_containing(x) == [
+                assert cones_holding(fan36, x) == [
                     i for i, c in enumerate(fan36.maximal_cones)
                     if c.face_containing(x) is not None], x
-        assert fan36.cones_containing(Z) == list(range(48))
+        assert cones_holding(fan36, Z) == list(range(48))
 
     def test_cones_and_normals_pinned(self, fan36):
         """The cones' halfspaces and rays, and the point-location normals in
@@ -269,11 +271,11 @@ class TestBatchLocator:
                 assert assert_locate_matches_sums(
                     fan36, points + random_points(20)) == w
 
-    def test_zero_is_in_every_cone(self, fan36):
+    def test_zero_is_in_every_cone(self, fan36, cones_holding):
         width, every, held, zero = fan36.locate([Z])
         assert every == 1 and held == [1] * 48
         assert zero == [1] * len(fan36._normals)
-        assert fan36.cones_containing(Z) == list(range(48))
+        assert cones_holding(fan36, Z) == list(range(48))
 
     def test_broken_fans(self, fan36):
         points = random_points(1500, seed=7)
@@ -412,6 +414,30 @@ class TestTropPhi2:
                 expected = tuple(t * a + (1 - t) * b for a, b in
                                  zip(trop_phi2(x), trop_phi2(y)))
                 assert trop_phi2(mid) == expected
+
+
+class TestIntegerHeights:
+    @given(st.tuples(*[st.fractions(-20, 20, max_denominator=12)] * 4),
+           st.sampled_from([1, 2, 7]))
+    def test_scales_the_fraction_heights(self, x, k):
+        """At ``s * x``, with s the lcm of the denominators times k, the
+        heights are s times those of ``trop_phi2`` and of the plain minima
+        at x, as ints."""
+        s = k * lcm(*(v.denominator for v in x))
+        minors = all_tropical_minors()
+        expected = tuple(s * min(_dot(form, x) for form in minors[idx])
+                         for idx in PLUECKER_TRIPLES)
+        got = integer_heights(tuple(int(s * v) for v in x))
+        assert got == tuple(s * v for v in trop_phi2(x)) == expected
+        assert all(type(v) is int for v in got)
+
+    @pytest.mark.parametrize("x", [
+        (0.5, 0, 0, 0), (0, 0, 0, 1.0), (Fraction(1, 2), 0, 0, 0),
+        (0, Fraction(3), 0, 0), (0, "1", 0, 0), (0, 0, None, 0),
+        (1, 2, 3), (1, 2, 3, 4, 5), ()])
+    def test_rejects_all_but_4_ints(self, x):
+        with pytest.raises(ValueError, match="4 int coordinates"):
+            integer_heights(x)
 
 
 class TestFanJson:

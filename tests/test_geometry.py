@@ -1021,7 +1021,7 @@ class TestSetBits:
 
 
 class TestFanPointLocation:
-    def test_equal_words_of_two_widths_stay_apart(self):
+    def test_equal_words_of_two_widths_stay_apart(self, cones_holding):
         """On the line, a small positive point and a large negative one
         give one packed word at two widths, so a memo keyed by the word
         alone would hand the second point the first one's cone."""
@@ -1034,13 +1034,9 @@ class TestFanPointLocation:
         for order in ((small, large), (large, small)):
             fan = Fan(1, fan.maximal_cones)
             for x in order * 2:
-                assert fan.cones_containing(x) == [
+                assert cones_holding(fan, x) == [
                     i for i, c in enumerate(fan.maximal_cones)
                     if c.face_containing(x) is not None], x
-
-    def test_hits_are_the_callers_copy(self, fan36):
-        fan36.cones_containing((1, 2, 3, 4)).append(99)
-        assert 99 not in fan36.cones_containing((1, 2, 3, 4))
 
 
 @st.composite

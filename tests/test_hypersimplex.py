@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropd4.fan import trop_phi2
+from tropd4.fan import integer_heights, trop_phi2
 from tropd4.hypersimplex import (
     canonical_point,
     canonical_subdivision,
@@ -1118,12 +1118,17 @@ class TestCertificate:
                     assert packed._layouts == {width: flat}
 
     def test_integer_heights_give_the_fraction_verdict(self, canonical):
-        """``certifies`` reads the integers of ``trop_phi2``'s heights and
-        rescales a plain tuple of the same Fractions.  Both give the same
-        verdict, under each cone's certificate and its neighbour's, at the
-        960 interior samples of ``check_interior_point_stability(7)``, which
-        their own cone certifies and no neighbour; and the oracle's at points
-        with negative coordinates and common factors."""
+        """``certifies`` reads ints at scale 1 and rescales Fractions.  The
+        ``integer_heights`` at a point scaled to integers and the
+        ``trop_phi2`` Fractions at the point give the same verdict, under
+        each cone's certificate and its neighbour's, at the 960 interior
+        samples of ``check_interior_point_stability(7)``, which their own
+        cone certifies and no neighbour; and the oracle's at points with
+        negative coordinates and common factors."""
+        def scaled(x):
+            scale = lcm(*(v.denominator for v in x))
+            return scale, integer_heights(tuple(int(v * scale) for v in x))
+
         packed = [packed_certificate(subdivision_forms(cells))
                   for _, cells in canonical]
         rng = random.Random(7)
@@ -1132,14 +1137,14 @@ class TestCertificate:
             for _ in range(20):
                 pairs = [(rng.randint(1, 50), rng.randint(1, 8))
                          for _ in rays]
-                w = trop_phi2(tuple(
-                    sum(Fraction(a, b) * r[i] for (a, b), r in
-                        zip(pairs, rays)) for i in range(4)))
-                scale = next(m / h for m, h in zip(w.ints, w) if h)
-                assert scale > 0 and w.ints == [h * scale for h in w]
+                x = tuple(sum(Fraction(a, b) * r[i] for (a, b), r in
+                              zip(pairs, rays)) for i in range(4))
+                w = trop_phi2(x)
+                scale, ints = scaled(x)
+                assert ints == tuple(h * scale for h in w)
                 for certificate in (packed[k], packed[k - 1]):
-                    verdicts.append(certifies(certificate, w))
-                    assert certifies(certificate, tuple(w)) == verdicts[-1]
+                    verdicts.append(certifies(certificate, ints))
+                    assert certifies(certificate, w) == verdicts[-1]
         assert verdicts == [True, False] * 960
         forms = [subdivision_forms(cells) for _, cells in canonical]
         rng = random.Random(23)
@@ -1153,7 +1158,7 @@ class TestCertificate:
                 w = trop_phi2(x)
                 holds = certificate_holds(forms[k], w)
                 assert certifies(packed[k], w) == holds
-                assert certifies(packed[k], tuple(w)) == holds
+                assert certifies(packed[k], scaled(x)[1]) == holds
                 verdicts.add(holds)
         assert verdicts == {False, True}
 

@@ -1,45 +1,77 @@
 import operator
 import random
 from collections import Counter
+from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
 import tropd4.verify as verify
+from tropd4.fan import compute_fan_f36, trop_phi2
 from tropd4.geometry import Cone, Fan, cone_from_rays
 from tropd4.hypersimplex import canonical_subdivision, induced_subdivision
 from tropd4.reference import ray_set
+
+
+def _interior_points(seed, samples_per_cone):
+    """The rational points ``check_interior_point_stability(seed,
+    samples_per_cone)`` samples, in order."""
+    rng = random.Random(seed)
+    points = []
+    for c in compute_fan_f36().maximal_cones:
+        rays = sorted(c.rays)
+        for _ in range(samples_per_cone):
+            coeffs = [Fraction(rng.randint(1, 50), rng.randint(1, 8))
+                      for _ in rays]
+            points.append(tuple(sum(a * r[i] for a, r in zip(coeffs, rays))
+                                for i in range(4)))
+    return points
+
+
+def _record_heights(monkeypatch):
+    """A list that records each call of ``verify.integer_heights`` as its
+    ``(x, heights)``."""
+    calls = []
+    real_heights = verify.integer_heights
+
+    def heights(x):
+        calls.append((x, real_heights(x)))
+        return calls[-1][1]
+    monkeypatch.setattr(verify, "integer_heights", heights)
+    return calls
 
 
 def _rejected_cell_fails_every_point_that_has_it(monkeypatch):
     """Reject the most common cell short of all, and expect exactly one
     "matroidal cells" violation per sampled point whose cells include it.
 
-    Each sample's cells are recorded as the lower envelope of its heights,
-    whichever way the check itself judges the sample.  Returns the
-    rejected cell.
+    Each sample's cells are recorded as the lower envelope of its integer
+    heights, whichever way the check itself judges the sample; the integer
+    point they are taken at must be a positive integer multiple of the
+    sample's rational point.  Returns the rejected cell.
     """
-    samples = []  # [point, cells] per sampled point, in order
-    real_phi = verify.trop_phi2
-
-    def phi(x):
-        w = real_phi(x)
-        samples.append([x, induced_subdivision(w)])
-        return w
-
-    monkeypatch.setattr(verify, "trop_phi2", phi)
+    points = _interior_points(3, 2)
+    calls = _record_heights(monkeypatch)
     assert verify.check_interior_point_stability(3, samples_per_cone=2) == []
-    assert len(samples) == 96
+    assert len(calls) == len(points) == 96
+    for (x, _), point in zip(calls, points):
+        k = next(Fraction(v) / p for v, p in zip(x, point) if p)
+        assert k > 0 and k.denominator == 1
+        assert x == tuple(k * p for p in point)
+    cells_of = [induced_subdivision(w) for _, w in calls]
 
-    counts = Counter(c for _, cells in samples for c in cells)
-    chosen = max((c for c in counts if counts[c] < len(samples)),
+    counts = Counter(c for cells in cells_of for c in cells)
+    chosen = max((c for c in counts if counts[c] < len(points)),
                  key=counts.get)
     assert counts[chosen] >= 2
     real_verdict = verify.is_matroid_basis_set
     monkeypatch.setattr(verify, "is_matroid_basis_set",
                         lambda cell: cell != chosen and real_verdict(cell))
-    samples.clear()
+    calls.clear()
     violations = verify.check_interior_point_stability(3, samples_per_cone=2)
 
-    expected = [[str(v) for v in x] for x, cells in samples if chosen in cells]
+    assert [induced_subdivision(w) for _, w in calls] == cells_of
+    expected = [[str(v) for v in point]
+                for point, cells in zip(points, cells_of) if chosen in cells]
     assert len(expected) == counts[chosen]
     assert [v["check"] for v in violations] == \
         ["matroidal cells"] * len(expected)
@@ -70,6 +102,19 @@ def test_rejected_cell_fails_every_point_on_the_envelope_path(monkeypatch):
     assert len(envelopes) == 2 * 96
 
 
+def test_samples_are_judged_at_reduced_integer_heights(monkeypatch):
+    """At the 960 seed-7 samples, the heights the check reads are the
+    ``trop_phi2`` heights at the sample times the lcm of its reduced
+    denominators: each sample is judged at its point in lowest terms."""
+    points = _interior_points(7, 20)
+    calls = _record_heights(monkeypatch)
+    assert verify.check_interior_point_stability(7) == []
+    assert len(calls) == len(points) == 960
+    for (_, w), point in zip(calls, points):
+        scale = lcm(*(v.denominator for v in point))
+        assert w == tuple(h * scale for h in trop_phi2(point))
+
+
 class TestConeProofs:
     def test_every_cone_is_proved(self):
         assert verify.check_cone_proofs() == []
@@ -89,13 +134,13 @@ class TestConeProofs:
         point's active form above the minimum there, in every cone with
         that ray."""
         ray = fan36.rays[0]
-        real_phi = verify.trop_phi2
+        real_heights = verify.integer_heights
 
-        def phi(x):
-            w = real_phi(x)
+        def heights(x):
+            w = real_heights(x)
             return w[:3] + (w[3] - 1,) + w[4:] if x == ray else w
 
-        monkeypatch.setattr(verify, "trop_phi2", phi)
+        monkeypatch.setattr(verify, "integer_heights", heights)
         violations = verify.check_cone_proofs()
         assert [v["check"] for v in violations] == \
             ["trop_phi2 linear on cone"] * len(violations)
@@ -242,7 +287,7 @@ class TestBrokenFanCovering:
             {"check": "overlap is a common face", "point": x}
             for x in expected]
 
-    def test_every_hit_cone_is_judged(self, monkeypatch):
+    def test_every_hit_cone_is_judged(self, monkeypatch, cones_holding):
         """The point x = a + c lies on the diagonal of the square face
         a, b, c, d of a cone over a square pyramid, so that cone's face
         holding x is the square.  A simplicial cone with the edge a, c,
@@ -254,7 +299,7 @@ class TestBrokenFanCovering:
         fan = Fan(4, (pyramid, edge))
         assert fan.maximal_cones == (edge, pyramid)
         x = tuple(map(operator.add, a, c))
-        assert fan.cones_containing(x) == [0, 1]
+        assert cones_holding(fan, x) == [0, 1]
         assert edge.face_containing(x) == {a, c}
         assert pyramid.face_containing(x) == {a, b, c, d}
         monkeypatch.setattr(verify, "compute_fan_f36", lambda: fan)
@@ -265,7 +310,8 @@ class TestBrokenFanCovering:
         assert verify.check_fan_covering(7, 1) == [
             {"check": "overlap is a common face", "point": list(x)}]
 
-    def test_overlap_verdict_is_kept_per_sign_pattern(self, monkeypatch):
+    def test_overlap_verdict_is_kept_per_sign_pattern(self, monkeypatch,
+                                                      cones_holding):
         """The cone Q over e1, e1 + e2, e3, e4 lies inside the orthant P.
         Both hold (1, 0, 1, 1) and (2, 1, 1, 1).  At the first, the face
         of each holding it is e1, e3, e4, all the rays they share, so it
@@ -276,8 +322,8 @@ class TestBrokenFanCovering:
         fan = Fan(4, (cone_from_rays(e, 4),
                       cone_from_rays([e[0], (1, 1, 0, 0), e[2], e[3]], 4)))
         first, second = (1, 0, 1, 1), (2, 1, 1, 1)
-        assert fan.cones_containing(first) == [0, 1]
-        assert fan.cones_containing(second) == [0, 1]
+        assert cones_holding(fan, first) == [0, 1]
+        assert cones_holding(fan, second) == [0, 1]
         monkeypatch.setattr(verify, "compute_fan_f36", lambda: fan)
         draws = iter(first + second)
         monkeypatch.setattr(verify, "random", SimpleNamespace(
