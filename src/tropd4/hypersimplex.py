@@ -351,7 +351,7 @@ def subdivision_forms(cells):
     full-dimensional ``cells``: its equality and strict forms, as two
     plain tuples of 20-entry tuples.
 
-    Heights w induce exactly these cells when every cell has an affine
+    The heights w induce exactly these cells when every cell has an affine
     function that agrees with w on the cell and lies strictly below w at
     every other vertex (De Loera, Rambau & Santos, *Triangulations*, 2010,
     ch. 2 and 5): each cell is then a lower facet of the lifted hull, and

@@ -200,7 +200,8 @@ def check_interior_point_stability(seed, samples_per_cone=20):
         packed = packed_certificate(subdivision_forms(canonical))
         for _ in range(samples_per_cone):
             # the point sum(a / b * r) over the rays is x / den, summed in
-            # integers over the lcm of the b's, in lowest terms
+            # integers over the lcm of the b's; lowest terms keep x, and so
+            # the fields the certificates are packed in, small
             pairs = [(rng.randint(1, 50), rng.randint(1, 8)) for _ in rays]
             den = lcm(*(b for _, b in pairs))
             coeffs = [a * (den // b) for a, b in pairs]
