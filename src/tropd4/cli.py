@@ -125,9 +125,10 @@ def cmd_fan(args) -> int:
 
 
 def cmd_subdivision(args) -> int:
-    labels = tuple(l.strip() for l in args.cone.split(",") if l.strip())
-    if not labels:
-        print("no ray labels given", file=sys.stderr)
+    labels = tuple(l.strip() for l in args.cone.split(","))
+    if not all(labels):
+        print(f"empty ray label in {args.cone!r}" if any(labels)
+              else "no ray labels given", file=sys.stderr)
         return 2
     unknown = [l for l in labels if l not in reference.RAY_COORDS]
     if unknown:

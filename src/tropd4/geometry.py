@@ -17,9 +17,9 @@ primitive rays, each ray paired with the bitmask of the rows it is tight
 on (bit i for input row i).  Public entries, ``fan`` and ``hypersimplex``
 scale rational input to integer rows once, with :func:`integer_rows`;
 callers read incidences off the masks and never canonicalize sweep output
-again.  Asked for the masks alone, as :func:`lower_cell_masks` asks, the
-sweep holds each ray as its values on the rows still to come instead of
-its coordinates.
+again.  Given ``bits``, as only :func:`lower_cell_masks` gives them, the
+sweep holds each ray as its values on the rows still to come, not its
+coordinates, and returns the masks alone.
 
 Beside the sweep sits one evaluation kernel, :class:`PackedForms`, a fixed
 list of integer linear forms with two evaluations: at one integer point it
@@ -177,14 +177,15 @@ def _combine_unreduced(s, x, t, y, n):
     return [s * a - t * b for a, b in zip(x[:n], y)]
 
 
-def _double_description(rows, dim, coordinates=True, bits=None):
+def _double_description(rows, dim, bits=None):
     """Lines and extreme rays of ``{x : <h, x> >= 0 for h in rows}``.
 
-    ``rows`` are integer vectors.  Returns ``(lines, rays)``: ``lines`` is a
-    basis of the lineality space of primitive integer vectors, and ``rays``
-    pairs each primitive extreme ray of the pointed part (taken modulo the
-    lineality space) with its tight mask, whose bit i is set exactly when
-    ``<rows[i], ray> == 0``.  A zero row is tight on every ray.
+    ``rows`` are integer vectors.  Without ``bits`` it returns ``(lines,
+    rays)``: ``lines`` is a basis of the lineality space of primitive
+    integer vectors, and ``rays`` pairs each primitive extreme ray of the
+    pointed part (taken modulo the lineality space) with its tight mask,
+    whose bit i is set exactly when ``<rows[i], ray> == 0``.  A zero row
+    is tight on every ray.
 
     The rays are held as two parallel lists, the vectors and the tight
     masks.  After each row come the zero rays, then the plus rays, each in
@@ -213,8 +214,8 @@ def _double_description(rows, dim, coordinates=True, bits=None):
     has exactly two extreme rays.  So the pair is adjacent with no scan;
     only pairs of two non-simple rays are scanned.
 
-    With ``coordinates=False`` the sweep returns ``(len(lines), masks)``,
-    the tight masks of the rays in the same order, and no vectors.  A
+    Given ``bits``, the sweep is the mask sweep: it returns the tight masks
+    of the rays alone, in the same order, and no lines or vectors.  A
     ray's coordinates enter the sweep only through its values on the rows
     inserted after it is made.  So each line and ray is held as its values
     on the rows not yet inserted, last row first: the value on row ``idx``
@@ -224,27 +225,26 @@ def _double_description(rows, dim, coordinates=True, bits=None):
     of ``s * x - t * y`` are those of x and y combined the same way, and
     by induction from the unit lines, which hold the columns of the rows,
     every line and ray holds a positive multiple of the values of the
-    vector the other mode holds; as only signs are read, no gcd is
-    divided out.  Every value
-    read has the sign of the true one, so the zero, plus and minus split,
-    the adjacency test, the masks and their order are exactly those of the
-    coordinate sweep.  Only :func:`lower_cell_masks` takes this mode, as
-    it reads nothing but masks, from 21 rows on Delta(3,6).  The
+    vector the coordinate sweep holds; as only signs are read, no gcd is
+    divided out.  Every value read has the sign of the true one, so the
+    zero, plus and minus split, the adjacency test, the masks and their
+    order are exactly those of the coordinate sweep.  Only
+    :func:`lower_cell_masks` takes this mode, as it reads nothing but
+    masks, from 21 rows on Delta(3,6), of a cone it knows is pointed.  The
     other callers need the vectors, and the fan build's Minkowski sweeps
     have about 100 rows, on which most rays are cut soon after they are
     made: there carrying the values of the rows to come costs more than
     the dot products it saves.
 
-    ``bits`` gives each row's bit in the masks, distinct single bits; by
-    default row i has bit ``1 << i``.  The sweep never reads where a bit
-    is, only which masks hold it, so other bits give the default masks
-    relabelled, in the same order.  A line consumed at a row survives as
-    a ray tight on exactly the rows inserted before it, so its mask is the
-    OR of their bits.
+    ``bits`` gives each row's bit in the masks, distinct single bits.  The
+    sweep never reads where a bit is, only which masks hold it, so the
+    mask sweep returns the coordinate sweep's masks relabelled, in order.
+    A line consumed at a row survives as a ray tight on exactly the rows
+    inserted before it, so its mask is the OR of their bits.
     """
-    if bits is None:
-        bits = [1 << i for i in range(len(rows))]
+    coordinates = bits is None
     if coordinates:
+        bits = [1 << i for i in range(len(rows))]
         combine = _combine
         lines = [tuple(1 if j == i else 0 for j in range(dim))
                  for i in range(dim)]
@@ -318,7 +318,7 @@ def _double_description(rows, dim, coordinates=True, bits=None):
         vecs, masks = new_vecs, new_masks
 
     if not coordinates:
-        return len(lines), masks
+        return masks
     return lines, list(zip(vecs, masks))
 
 
@@ -640,18 +640,16 @@ class Fan:
             twice |= once & h
             once |= h
         # Bit i of a point's pattern is whether bitset i of held + zero
-        # holds it.  Word k sums bitsets k * width + j shifted by j, so its
-        # field p holds the bits of point p's pattern from k * width on.
-        flags = held + zero
-        words = [sum(b << i for i, b in enumerate(flags[k:k + width]))
-                 for k in range(0, len(flags), width)]
-        field = (1 << width) - 1
+        # holds it.  Patterns are keyed, in point order, by the length of
+        # the point's bit, a small int that hashes faster than the bit.
+        odd = every ^ once | twice
+        patterns = dict.fromkeys(map(int.bit_length, set_bits(odd)), 0)
+        for i, flags in enumerate(held + zero):
+            for end in map(int.bit_length, set_bits(flags & odd)):
+                patterns[end] |= 1 << i
         cone_bits = (1 << len(held)) - 1
-        for bit in set_bits(every ^ once | twice):
-            shift = bit.bit_length() - 1
-            pattern = sum((w >> shift & field) << k * width
-                          for k, w in enumerate(words))
-            yield shift // width, pattern & cone_bits, pattern >> len(held)
+        for end, pattern in patterns.items():
+            yield (end - 1) // width, pattern & cone_bits, pattern >> len(held)
 
 
 @functools.lru_cache(maxsize=256)
@@ -709,12 +707,11 @@ def lower_cell_masks(points, heights):
     halfspaces = [tuple(0 for _ in range(d + 1)) + (1,)]
     halfspaces += [tuple(-x for x in reduced[i]) + (-1, h_ints[i])
                    for i in order]
+    # The cone is pointed: if (c, c0, t) is tight on every row, t = 0 and
+    # <u_i, c> + c0 = 0 on the u_i, which affinely span R^d: c = 0, c0 = 0.
     vertical = 1 << len(points)
-    n_lines, masks = _double_description(
-        halfspaces, d + 2, coordinates=False,
-        bits=[vertical] + [1 << i for i in order])
-    if n_lines:  # cannot happen for a spanning configuration
-        raise NotPointedError(_double_description(halfspaces, d + 2)[0][0])
+    masks = _double_description(halfspaces, d + 2,
+                                bits=[vertical] + [1 << i for i in order])
     # Rays tight on t >= 0 are vertical and bound no lower facet.
     return [mask for mask in masks if not mask & vertical]
 

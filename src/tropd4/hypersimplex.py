@@ -11,10 +11,10 @@ type off the subdivisions at its rays, one letter E, F or G per ray.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations, groupby, permutations, product, starmap
 from math import comb
-from operator import and_, or_
+from operator import and_
 
 from . import reference
 from .fan import compute_fan_f36, integer_heights
@@ -140,8 +140,8 @@ def is_matroid_basis_set(bases) -> bool:
     ``bases`` is read once.  When every basis is a sorted triple of 1..6
     (a key of ``_TRIPLE_BIT``), as every cell of Delta(3,6) is, the family
     is a 20-bit vertex mask F, held by a cell of
-    :func:`induced_subdivision` and built for any other family, and two
-    tables built at import judge it:
+    :func:`induced_subdivision` and built by :func:`_vertex_mask` for any
+    other family, and two tables built at import judge it:
     ``_EXCHANGES`` gives, per vertex A and element a of A, each element b
     outside A with the bit of A - a + b, so the partners P of (A, a) are
     read off F; and ``_INSIDE[s]`` is the mask of the vertices inside the
@@ -157,8 +157,8 @@ def is_matroid_basis_set(bases) -> bool:
     else:
         bases = list(bases)
         try:
-            family = reduce(or_, map(_TRIPLE_BIT.__getitem__, bases), 0)
-        except (KeyError, TypeError):
+            family = _vertex_mask(bases)
+        except (ValueError, TypeError):
             return _is_matroid_on_elements(bases)
     if not family:
         raise ValueError("empty basis set")

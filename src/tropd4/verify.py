@@ -190,9 +190,9 @@ def check_interior_point_stability(seed, samples_per_cone=20):
         violations.append({"check": "type signatures distinct",
                            "types": clashing})
     for c in fan.maximal_cones:
-        rays = sorted(c.rays)
-        plane_type = cone_types[frozenset(c.rays)]
-        canonical = canonical_subdivision(c.rays)
+        rays = c.rays
+        plane_type = cone_types[frozenset(rays)]
+        canonical = canonical_subdivision(rays)
         if signature(canonical) != references.get(plane_type):
             violations.append({"check": "signature of cone type",
                                "cone": [list(r) for r in rays],
@@ -269,9 +269,9 @@ def check_cone_proofs():
     violations = []
     matroidal = functools.cache(is_matroid_basis_set)
     for c in compute_fan_f36().maximal_cones:
-        rays = sorted(c.rays)
+        rays = c.rays
         cone = [list(r) for r in rays]
-        canonical = canonical_subdivision(c.rays)
+        canonical = canonical_subdivision(rays)
         if not all(map(matroidal, canonical)):
             violations.append({"check": "canonical cells matroidal",
                                "cone": cone})

@@ -168,6 +168,15 @@ class TestSubdivision:
         assert captured.out == ""
         assert captured.err == "repeated ray labels: r12\n"
 
+    @pytest.mark.parametrize("cone", ["r3,r9,,r10,r12", "r3,r9,r10,r12,",
+                                      ",r3,r9,r10,r12", "r3, ,r9,r10,r12"])
+    def test_empty_label(self, capsys, cone):
+        code = main(["subdivision", "--cone", cone])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"empty ray label in {cone!r}\n"
+
     @pytest.mark.parametrize("cone", ["", ",", " , "])
     def test_no_labels(self, capsys, cone):
         code = main(["subdivision", "--cone", cone])

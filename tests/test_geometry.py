@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import tropd4.geometry as geometry
@@ -277,28 +277,25 @@ class TestSimpleRayRule:
 
 
 def assert_masks_match_coordinate_sweep(rows, dim):
-    """The sweep that holds the values on the rows to come returns the
-    number of lines and exactly the masks of the coordinate sweep, in its
-    order."""
-    lines, rays = geometry._double_description(rows, dim)
-    assert geometry._double_description(rows, dim, coordinates=False) == \
-        (len(lines), [mask for _, mask in rays])
+    """The mask sweep, given the coordinate sweep's bits, returns exactly
+    the masks of the coordinate sweep, in its order."""
+    _, rays = geometry._double_description(rows, dim)
+    bits = [1 << i for i in range(len(rows))]
+    assert geometry._double_description(rows, dim, bits=bits) == \
+        [mask for _, mask in rays]
 
 
 def assert_bits_relabel_the_masks(rows, dim, bits):
-    """With ``bits`` the sweep returns, in both modes, the masks of the
-    default bits relabelled, in their order; and those are the rows tight
-    on each ray under ``bits``."""
+    """With ``bits`` the mask sweep returns the masks of the coordinate
+    sweep relabelled, in their order; and those are the rows tight on each
+    ray under ``bits``."""
     def relabel(mask):
         return sum(b for i, b in enumerate(bits) if mask >> i & 1)
-    lines, rays = geometry._double_description(rows, dim)
+    _, rays = geometry._double_description(rows, dim)
     masks = [relabel(m) for _, m in rays]
     assert masks == [sum(b for h, b in zip(rows, bits) if _dot(h, r) == 0)
                      for r, _ in rays]
-    assert geometry._double_description(rows, dim, bits=bits) == \
-        (lines, [(r, m) for (r, _), m in zip(rays, masks)])
-    assert geometry._double_description(
-        rows, dim, coordinates=False, bits=bits) == (len(lines), masks)
+    assert geometry._double_description(rows, dim, bits=bits) == masks
 
 
 def shuffled_bits(count, rng):
@@ -747,6 +744,56 @@ class TestLowerEnvelopeOrder:
         relabelled = sorted((frozenset(perm[j] for j in c) for c in cells),
                             key=sorted)
         assert relabelled == regular_subdivision(DELTA_2_5, heights)
+
+
+@st.composite
+def lifted_configurations(draw):
+    """Distinct integer points in R^n, n <= 4, and integer heights from 0
+    to 2, so that many tie.  The points are drawn on a k-dimensional
+    lattice, k <= n, and mapped into R^n by an integer affine map, so that
+    many do not span R^n."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    coords = st.integers(-2, 2)
+    origin, *frame = draw(st.lists(st.tuples(*[coords] * n),
+                                   min_size=k + 1, max_size=k + 1))
+    params = draw(st.lists(st.tuples(*[coords] * k), min_size=2,
+                           max_size=8, unique=True))
+    points = list(dict.fromkeys(
+        tuple(o + sum(c * v[j] for c, v in zip(p, frame))
+              for j, o in enumerate(origin)) for p in params))
+    assume(len(points) >= 2)
+    heights = draw(st.lists(st.integers(0, 2), min_size=len(points),
+                            max_size=len(points)))
+    return points, heights
+
+
+class TestLowerEnvelopeIsPointed:
+    """``lower_cell_masks`` sweeps once, in the mask sweep, and checks for
+    no line: after the affine frame the cone of affine supports is
+    pointed.  The coordinate sweep of the rows it sweeps must find no line
+    and the same masks."""
+
+    @given(lifted_configurations())
+    @example(([(0, 0), (1, 1), (2, 2)], [0, 0, 0]))
+    @example(([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], [1, 0, 1]))
+    @settings(max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_coordinate_sweep_finds_no_line(self, sweep_calls, case):
+        points, heights = case
+        sweep_calls.clear()
+        masks = geometry.lower_cell_masks(points, heights)
+        [(rows, dim)] = sweep_calls
+        lines, rays = geometry._double_description(rows, dim)
+        assert lines == []
+        # row 0 is t >= 0, with the bit above the points; row j + 1 is the
+        # j-th point from the lowest height up, ties in index order
+        vertical = 1 << len(points)
+        order = sorted(range(len(points)), key=heights.__getitem__)
+        bits = [vertical] + [1 << i for i in order]
+        relabelled = [sum(b for i, b in enumerate(bits) if m >> i & 1)
+                      for _, m in rays]
+        assert masks == [m for m in relabelled if not m & vertical]
 
 
 class TestIntersectionDim:
