@@ -1,13 +1,14 @@
-"""The complete rank-4 fan cut out by the tropical minors.
+"""The complete fan cut out by the tropical minors of a web.
 
 Each tropicalized minor is a minimum of linear forms, linear on the regions
 where one fixed form attains the minimum.  Those regions are the cones of
 the inner normal fan of the minor's Newton polytope, the convex hull of its
-forms.  The fan is the common refinement of these linearity domains over
-the 20 minors, and the common refinement of normal fans is the normal fan
-of the Minkowski sum (Gritzmann & Sturmfels, "Minkowski addition of
-polytopes", SIAM J. Discrete Math. 6, 1993): the inner normal fan of the
-Newton polytope of the product of the minors.
+forms.  Their common refinement over the minors is the inner normal fan of
+the Minkowski sum of these polytopes, the Newton polytope of the product
+of the minors (Gritzmann & Sturmfels, "Minkowski addition of polytopes",
+SIAM J. Discrete Math. 6, 1993).  :func:`_normal_fan` builds it from the
+minors' forms and their dimension, the number of web variables, and
+:func:`compute_fan_f36` from the 20 minors of Gr(3, 6).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 from .geometry import Fan, cone_from_rays, integer_rows
 from .reference import LABEL_OF_RAY
-from .webmatrix import PLUECKER_TRIPLES, all_tropical_minors
+from .webmatrix import all_tropical_minors
 
 
 def integer_heights(x):
@@ -52,41 +53,41 @@ def _minor_table():
     """The forms of the 20 minors in one flat tuple, in triple order, and
     the ``(start, stop)`` of each minor's forms in it."""
     forms, spans = [], []
-    for idx in PLUECKER_TRIPLES:
-        minor = all_tropical_minors()[idx]
+    for minor in all_tropical_minors().values():
         spans.append((len(forms), len(forms) + len(minor)))
         forms += minor
     return tuple(forms), tuple(spans)
 
 
-@lru_cache(maxsize=1)
-def compute_fan_f36() -> Fan:
-    """Inner normal fan of the Newton polytope of the product of the minors.
+def _normal_fan(minors, dim) -> Fan:
+    """Inner normal fan of the Newton polytope of the product of
+    ``minors``, each a tuple of forms of ``dim`` entries, in order.
 
     The Minkowski sum is kept as the cone over the rows ``(p, 1)``, whose
     rays are the sum's vertices and whose halfspaces ``(a, a_0)`` are its
     facets, with inner normal ``a``; each minor's forms are added to the
-    vertices and the hull is taken again.  By Gritzmann & Sturmfels (SIAM
-    J. Discrete Math. 6, 1993) the normal fan of the sum is the common
-    refinement of the minors' linearity domains.  A vertex's maximal cone
-    is spanned by the inner normals of the facets through it.  A minor
-    with a single form is skipped: adding one point translates the sum,
-    which moves no facet normal and leaves the normal fan as it is, and
-    ten of the 20 minors have one form.
+    vertices and the hull is taken again.  A vertex's maximal cone is
+    spanned by the inner normals of the facets through it.  A minor with a
+    single form is skipped: adding one point translates the sum, which
+    moves no facet normal and leaves the normal fan as it is.
     """
-    dim = 4
-    minors = all_tropical_minors()
     newton = cone_from_rays([(0,) * dim + (1,)], dim + 1)
-    for idx in PLUECKER_TRIPLES:
-        if len(minors[idx]) == 1:
+    for forms in minors:
+        if len(forms) == 1:
             continue
         newton = cone_from_rays(sorted(
             {tuple(map(operator.add, v, form + (0,)))
-             for v in newton.rays for form in minors[idx]}), dim + 1)
+             for v in newton.rays for form in forms}), dim + 1)
     return Fan(dim, tuple(
         cone_from_rays([h[:-1] for h in newton.halfspaces
                         if not sum(map(operator.mul, h, v))], dim)
         for v in newton.rays))
+
+
+@lru_cache(maxsize=1)
+def compute_fan_f36() -> Fan:
+    """:func:`_normal_fan` of the 20 minors of Gr(3, 6), in triple order."""
+    return _normal_fan(all_tropical_minors().values(), 4)
 
 
 def bipyramid_cones():

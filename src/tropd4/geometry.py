@@ -593,15 +593,20 @@ class Fan:
         return sorted({r for c in self.maximal_cones for r in c.rays})
 
     @functools.cached_property
+    def _facet_masks(self):
+        """Per maximal cone, the mask of the rays tight on each halfspace,
+        bit i for ray i: a facet of the cone when it is pointed."""
+        return tuple([sum(1 << i for i, r in enumerate(c.rays)
+                          if not _dot(h, r)) for h in c.halfspaces]
+                     for c in self.maximal_cones)
+
+    @functools.cached_property
     def _faces_by_dim(self):
-        """Faces of the maximal cones by dimension, graded on first use.
-        Each facet of a cone is the tight set of one of its halfspaces."""
+        """Faces of the maximal cones by dimension, graded on first use."""
         faces = {}
-        for c in self.maximal_cones:
+        for c, masks in zip(self.maximal_cones, self._facet_masks):
             if not c.is_pointed:
                 raise NotPointedError(c.lines[0])
-            masks = [sum(1 << i for i, r in enumerate(c.rays)
-                         if not _dot(h, r)) for h in c.halfspaces]
             for d, fs in _faces(masks, len(c.rays)).items():
                 faces.setdefault(d, set()).update(
                     _members(m, c.rays) for m in fs)

@@ -11,10 +11,10 @@ type off the subdivisions at its rays, one letter E, F or G per ray.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, groupby, permutations, product, starmap
 from math import comb
-from operator import and_
+from operator import and_, or_
 
 from . import reference
 from .fan import compute_fan_f36, integer_heights
@@ -83,12 +83,11 @@ _TRIPLE_BIT = {t: 1 << i for i, t in enumerate(PLUECKER_TRIPLES)}
 def _vertex_mask(cell):
     """The cell's vertices as a 20-bit mask: bit i stands for vertex i.
     A cell of :func:`induced_subdivision` holds it; for any other family
-    the bits are summed over the distinct triples, so a repeat adds
-    nothing."""
+    the bit of each triple is ORed in, so a repeat adds nothing."""
     if type(cell) is _Cell:
         return cell.mask
     try:
-        return sum(map(_TRIPLE_BIT.__getitem__, frozenset(cell)))
+        return reduce(or_, map(_TRIPLE_BIT.__getitem__, cell), 0)
     except KeyError as exc:
         raise ValueError(
             f"{exc.args[0]!r} is not a vertex of Delta(3,6)") from None

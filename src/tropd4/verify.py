@@ -143,7 +143,28 @@ def check_fan():
     sizes = sorted(len(c.rays) for c in fan.maximal_cones)
     if sizes != [4] * 46 + [5, 5]:
         violations.append({"check": "maximal cone ray counts", "sizes": sizes})
-    return violations
+    return violations + _wall_violations(fan, (1, 3, 7, 29))
+
+
+def _wall_violations(fan, point):
+    """Each wall of ``fan``, pointed cones, the rays of a cone tight on a
+    facet normal, read off its facet masks, must be in exactly two cones
+    with opposite normals, and the generic ``point`` in one cone, on no
+    normal: then they cover space once (De Loera, Rambau & Santos, ch. 4)."""
+    walls = {}
+    for c, masks in zip(fan.maximal_cones, fan._facet_masks):
+        for h, m in zip(c.halfspaces, masks):
+            walls.setdefault(tuple(r for i, r in enumerate(c.rays)
+                                   if m >> i & 1), []).append(h)
+    bad = [{"check": "fan wall in two cones", "wall": wall, "normals": hs}
+           for wall, hs in walls.items()
+           if len(hs) != 2 or any(map(operator.add, *hs))]
+    _, _, held, zero = fan.locate([point])
+    cones = [i for i, h in enumerate(held) if h]
+    if len(cones) != 1 or any(zero):
+        bad.append({"check": "generic point in one cone", "point": point,
+                    "cones": cones})
+    return bad
 
 
 def check_table1():

@@ -39,16 +39,22 @@ def cone_types(fan36):
     return classify_all_cones()
 
 
+class SweepCall(tuple):
+    """The positional ``(rows, dim)`` of one sweep, with the ``bits`` it
+    was given beside them: None for the coordinate sweep."""
+
+
 @pytest.fixture
 def sweep_calls(monkeypatch):
     """A list that records each call of the double-description sweep, as
-    its positional ``(rows, dim)``; keyword arguments are passed on."""
+    a :class:`SweepCall`; keyword arguments are passed on."""
     import tropd4.geometry as geometry
     calls = []
     sweep = geometry._double_description
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(SweepCall(args))
+        calls[-1].bits = kwargs.get("bits")
         return sweep(*args, **kwargs)
     monkeypatch.setattr(geometry, "_double_description", counted)
     return calls

@@ -30,7 +30,11 @@ instead of growing noncrossing sets by common neighbours.
 The plane-type oracle looks a subdivision's signature up among the
 signatures of labeled representative cones, instead of reading letters
 off the subdivisions at the rays.  The GF(2) rank oracle eliminates 0/1
-vectors as lists, row by row, instead of reading spans off tables.
+vectors as lists, row by row, instead of reading spans off tables.  The
+type-A oracle counts the sets of pairwise noncrossing diagonals of an
+n-gon by trying every set of each size, the faces of the associahedron's
+normal fan, which the fan of the web of Gr(2, n) must be (Speyer &
+Williams, J. Algebraic Combin. 22, 2005), instead of taking a normal fan.
 """
 
 from __future__ import annotations
@@ -662,3 +666,21 @@ def brute_force_maximal_compatible_sets(pairs, n):
         maximal |= {s for s in sets if not any(s < b for b in bigger)}
         sets, k = bigger, k + 1
     return maximal
+
+
+def noncrossing_diagonal_counts(n):
+    """The numbers of sets of 1, 2, ... pairwise noncrossing diagonals of a
+    convex n-gon, found by trying every set of each size up to the first
+    size with none.  Diagonals (a, b) and (c, d), a < c, cross exactly
+    when a < c < b < d."""
+    diagonals = [(a, b) for a, b in itertools.combinations(range(n), 2)
+                 if 1 < b - a < n - 1]
+    crossing = {(d, e) for d, e in itertools.combinations(diagonals, 2)
+                if d[0] < e[0] < d[1] < e[1]}
+    counts = []
+    for size in itertools.count(1):
+        count = sum(crossing.isdisjoint(itertools.combinations(s, 2))
+                    for s in itertools.combinations(diagonals, size))
+        if not count:
+            return tuple(counts)
+        counts.append(count)

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tropd4.fan import (
+    _normal_fan,
     bipyramid_cones,
     compute_fan_f36,
     fan_to_json,
@@ -21,13 +22,19 @@ from tropd4.reference import (
     RAY_COORDS,
     ray_set,
 )
-from tropd4.webmatrix import PLUECKER_TRIPLES, all_tropical_minors
+from tropd4.verify import _wall_violations
+from tropd4.webmatrix import (
+    PLUECKER_TRIPLES,
+    _tropical_minors,
+    all_tropical_minors,
+)
 
 from oracles import (
     argmin_halfspaces,
     argmin_region,
     brute_force_cone_dim,
     brute_force_cone_rays,
+    noncrossing_diagonal_counts,
 )
 
 Z = (0, 0, 0, 0)
@@ -166,6 +173,15 @@ class TestFanF36:
         sums = sum(len(minors[idx]) > 1 for idx in PLUECKER_TRIPLES)
         assert sums == 10
         assert len(sweep_calls) == 2 * (1 + sums + 48)
+        # the same count for the 15 minors of Gr(2, 6) in R^3, 14 cones
+        minors = list(_tropical_minors(2, 6).values())
+        sums = sum(len(forms) > 1 for forms in minors)
+        assert (len(minors), sums) == (15, 6)
+        sweep_calls.clear()
+        fan = _normal_fan(minors, 3)
+        assert len(fan.maximal_cones) == 14
+        assert len(sweep_calls) == 2 * (1 + sums + 14)
+        assert all(call.bits is None for call in sweep_calls)
 
     def test_single_form_minimal_on_each_cone(self, fan36):
         """On every maximal cone each minor selects one linear form."""
@@ -186,6 +202,25 @@ class TestFanF36:
                     if _dot(f, x) == min(_dot(g, x) for g in forms))
                     for x in samples]
                 assert frozenset.intersection(*argmins), (idx, rays)
+
+
+class TestTypeAFans:
+    """The whole fan build on data that shares nothing with Gr(3, 6): the
+    web of Gr(2, n) in R^(n-3), whose fan is the normal fan of the
+    associahedron, the cluster fan of type A_(n-3) (Speyer & Williams,
+    J. Algebraic Combin. 22, 2005).  Its faces are the sets of pairwise
+    noncrossing diagonals of the n-gon."""
+
+    F_VECTORS = {5: (5, 5), 6: (9, 21, 14), 7: (14, 56, 84, 42),
+                 8: (20, 120, 300, 330, 132)}
+
+    @pytest.mark.parametrize("n", sorted(F_VECTORS))
+    def test_f_vector_counts_noncrossing_diagonals(self, n):
+        assert noncrossing_diagonal_counts(n) == self.F_VECTORS[n]
+        fan = _normal_fan(_tropical_minors(2, n).values(), n - 3)
+        assert fan.f_vector() == self.F_VECTORS[n]
+        assert len(fan.maximal_cones) == self.F_VECTORS[n][-1]
+        assert _wall_violations(fan, (1, 3, 7, 29, 31)[:n - 3]) == []
 
 
 def located(bitset, width, n):

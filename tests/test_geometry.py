@@ -783,15 +783,16 @@ class TestLowerEnvelopeIsPointed:
         points, heights = case
         sweep_calls.clear()
         masks = geometry.lower_cell_masks(points, heights)
-        [(rows, dim)] = sweep_calls
+        [call] = sweep_calls
+        rows, dim = call
         lines, rays = geometry._double_description(rows, dim)
         assert lines == []
-        # row 0 is t >= 0, with the bit above the points; row j + 1 is the
-        # j-th point from the lowest height up, ties in index order
+        # row 0 is t >= 0, given the bit above the points; each point has
+        # its own bit
         vertical = 1 << len(points)
-        order = sorted(range(len(points)), key=heights.__getitem__)
-        bits = [vertical] + [1 << i for i in order]
-        relabelled = [sum(b for i, b in enumerate(bits) if m >> i & 1)
+        assert call.bits[0] == vertical
+        assert sorted(call.bits) == [1 << i for i in range(len(points) + 1)]
+        relabelled = [sum(b for i, b in enumerate(call.bits) if m >> i & 1)
                       for _, m in rays]
         assert masks == [m for m in relabelled if not m & vertical]
 

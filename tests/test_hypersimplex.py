@@ -2,6 +2,7 @@ import functools
 import itertools
 import operator
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import comb, lcm
@@ -194,6 +195,50 @@ class TestMatroidCheck:
         assert min(verdicts[True], verdicts[False]) >= 50
         with pytest.raises(ValueError):
             is_matroid_basis_set(b for b in ())
+
+    def test_plain_families_of_triples(self, monkeypatch):
+        """Tuples and lists of triples with repeats, each with at most one
+        unsorted, non-vertex or list triple: ``_vertex_mask`` gives the
+        mask of the distinct vertices, or raises ``ValueError`` naming the
+        triple that is not a vertex, or ``TypeError`` for a list, which is
+        unhashable; ``is_matroid_basis_set`` gives the oracle's verdict,
+        on the general path exactly when the mask raises."""
+        import tropd4.hypersimplex as hx
+        general = []
+        real = hx._is_matroid_on_elements
+        monkeypatch.setattr(hx, "_is_matroid_on_elements",
+                            lambda bases: general.append(bases) or real(bases))
+        index = {t: i for i, t in enumerate(PLUECKER_TRIPLES)}
+        rng = random.Random(61)
+        kinds = Counter()
+        for _ in range(400):
+            family = rng.sample(PLUECKER_TRIPLES, rng.randint(1, 6))
+            family += rng.choices(family, k=rng.randint(0, 3))
+            kind = rng.choice(["vertex", "unsorted", "outside", "list"])
+            bad = {"unsorted": tuple(reversed(rng.choice(PLUECKER_TRIPLES))),
+                   "outside": rng.choice([(0, 1, 2), (1, 2, 7), (1, 2),
+                                          (1, 1, 2)]),
+                   "list": list(rng.choice(PLUECKER_TRIPLES))}.get(kind)
+            if bad is not None:
+                family.insert(rng.randrange(len(family) + 1), bad)
+            family = rng.choice([tuple, list])(family)
+            if kind == "vertex":
+                assert hx._vertex_mask(family) == \
+                    sum(1 << index[t] for t in set(family))
+            elif kind == "list":
+                with pytest.raises(TypeError):
+                    hx._vertex_mask(family)
+            else:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"{bad!r} is not a vertex of Delta(3,6)")):
+                    hx._vertex_mask(family)
+            general.clear()
+            verdict = is_matroid_basis_set(family)
+            assert verdict == brute_force_matroid_basis_set(family), family
+            assert len(general) == (kind != "vertex")
+            kinds[kind] += 1
+            kinds[verdict] += 1
+        assert min(kinds.values()) >= 50 and len(kinds) == 6
 
     def test_matches_frozenset_oracle_on_cells(self):
         rng = random.Random(29)

@@ -331,3 +331,69 @@ class TestBrokenFanCovering:
                 randint=lambda low, high: next(draws))))
         assert verify.check_fan_covering(7, 2) == [
             {"check": "overlap is a common face", "point": list(second)}]
+
+
+class TestFanWalls:
+    """``_wall_violations`` on the fan and on fans broken on purpose: each
+    wall in exactly two cones with opposite normals, and the generic point
+    (1, 3, 7, 29) in the interior of one cone."""
+
+    POINT = (1, 3, 7, 29)
+
+    @staticmethod
+    def walls(violations):
+        return [v for v in violations if v["check"] == "fan wall in two cones"]
+
+    def test_fan_passes(self, fan36):
+        assert verify._wall_violations(fan36, self.POINT) == []
+        assert verify.check_fan() == []
+
+    def test_dropped_or_duplicated_cone_fails_its_four_walls(self, fan36):
+        first = fan36.maximal_cones[0]
+        assert len(first.rays) == 4
+        for cones, holding in ((fan36.maximal_cones[1:], 1),
+                               (fan36.maximal_cones
+                                + (Cone(4, first.halfspaces),), 3)):
+            walls = self.walls(verify._wall_violations(Fan(4, cones),
+                                                       self.POINT))
+            assert len(walls) == 4
+            assert {tuple(r for r in first.rays if r not in v["wall"])
+                    for v in walls} == {(r,) for r in first.rays}
+            assert all(len(v["normals"]) == holding for v in walls)
+
+    def test_negated_normal_fails_its_wall(self, fan36):
+        """A cone that keeps its rays but has one facet normal negated: the
+        wall is still in two cones, with the same normal twice."""
+        cones = list(fan36.maximal_cones)
+        bad = Cone(4, cones[0].halfspaces)
+        h = bad.halfspaces[0]
+        bad.halfspaces = (tuple(-a for a in h),) + bad.halfspaces[1:]
+        cones[0] = bad
+        [wall] = self.walls(verify._wall_violations(Fan(4, cones), self.POINT))
+        assert wall["normals"] == [tuple(-a for a in h)] * 2
+        assert wall["wall"] == tuple(
+            r for r in bad.rays if not sum(map(operator.mul, h, r)))
+
+    def test_point_on_a_wall_or_in_a_hole_fails(self, fan36, cones_holding):
+        """The point fails on a ray, in two or more cones; in a hole left
+        by a dropped cone, in none; and on the wall that a dropped cone
+        shared with a neighbour, in one cone but on its normal."""
+        [one] = cones_holding(fan36, self.POINT)
+        first = fan36.maximal_cones[one]
+        ray = first.rays[0]
+        assert [v["check"] for v in verify._wall_violations(fan36, ray)] == \
+            ["generic point in one cone"]
+        fan = Fan(4, fan36.maximal_cones[:one] + fan36.maximal_cones[one + 1:])
+        on_wall = tuple(map(sum, zip(*first.rays[1:])))
+        for point, cones in ((self.POINT, []),
+                             (on_wall, cones_holding(fan, on_wall))):
+            assert verify._wall_violations(fan, point)[-1] == {
+                "check": "generic point in one cone", "point": point,
+                "cones": cones}
+        assert len(cones_holding(fan, on_wall)) == 1
+
+    def test_check_fan_reports_the_walls(self, monkeypatch, fan36):
+        cones = fan36.maximal_cones[1:]
+        monkeypatch.setattr(verify, "compute_fan_f36", lambda: Fan(4, cones))
+        checks = Counter(v["check"] for v in verify.check_fan())
+        assert checks["fan wall in two cones"] == 4

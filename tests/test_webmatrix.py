@@ -1,8 +1,13 @@
+import itertools
+
 import pytest
 
 from tropd4.webmatrix import (
     PLUECKER_TRIPLES,
     PositivityError,
+    _minor,
+    _tropical_minors,
+    _web,
     all_tropical_minors,
     minor_polynomial,
     tropical_minor,
@@ -99,6 +104,11 @@ class TestTropicalMinors:
         with pytest.raises(ValueError):
             tropical_minor((3, 2, 5))
 
+    @pytest.mark.parametrize("idx", [(1, 2), (1, 2, 3, 4)])
+    def test_minor_takes_one_column_per_row(self, idx):
+        with pytest.raises(ValueError):
+            minor_polynomial(idx)
+
     def test_mixed_signs_rejected(self, monkeypatch):
         import tropd4.webmatrix as wm
         monkeypatch.setattr(wm, "minor_polynomial",
@@ -111,3 +121,31 @@ class TestTropicalMinors:
         monkeypatch.setattr(wm, "minor_polynomial", lambda idx: {Z: 2})
         with pytest.raises(PositivityError):
             tropical_minor((1, 2, 3))
+
+
+class TestWebOfAnyGrassmannian:
+    """The web of Gr(k, n) from the one rule of ``_web``."""
+
+    def test_gr36_is_the_public_web(self):
+        assert _web(3, 6) == web_matrix() == EXPECTED_MATRIX
+        assert _tropical_minors(3, 6) == all_tropical_minors()
+
+    @pytest.mark.parametrize("k,n,minors,forms", [
+        (2, 5, 10, 14), (2, 6, 15, 25), (2, 7, 21, 41), (2, 8, 28, 63),
+        (3, 7, 35, 110)])
+    def test_every_minor_is_sign_coherent(self, k, n, minors, forms):
+        """Each maximal minor of the k x n web has one coefficient, +1 or
+        -1, with no repeated form; Gr(3, 7) has 35 minors with 110 forms
+        in 6 variables."""
+        web = _web(k, n)
+        assert len(web) == k and {len(row) for row in web} == {n}
+        tropical = _tropical_minors(k, n)
+        assert list(tropical) == list(itertools.combinations(
+            range(1, n + 1), k))
+        assert sum(map(len, tropical.values())) == forms
+        assert len(tropical) == minors
+        for idx, terms in tropical.items():
+            poly = _minor(web, idx)
+            assert set(poly.values()) in ({1}, {-1}), idx
+            assert terms == tuple(sorted(poly))
+            assert {len(t) for t in terms} == {(k - 1) * (n - k - 1)}
