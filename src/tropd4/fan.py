@@ -6,9 +6,12 @@ the inner normal fan of the minor's Newton polytope, the convex hull of its
 forms.  Their common refinement over the minors is the inner normal fan of
 the Minkowski sum of these polytopes, the Newton polytope of the product
 of the minors (Gritzmann & Sturmfels, "Minkowski addition of polytopes",
-SIAM J. Discrete Math. 6, 1993).  :func:`_normal_fan` builds it from the
-minors' forms and their dimension, the number of web variables, and
-:func:`compute_fan_f36` from the 20 minors of Gr(3, 6).
+SIAM J. Discrete Math. 6, 1993): its maximal cones are the regions on
+which every minor keeps one minimal form.  :func:`_normal_fan` walks these
+regions from a generic start point, crossing one wall at a time, as Gfan
+walks a Groebner fan (Fukuda, Jensen & Thomas, "Computing Groebner fans",
+Math. Comp. 76, 2007), and :func:`compute_fan_f36` walks the 20 minors of
+Gr(3, 6) from :data:`GENERIC_POINT`.
 """
 
 from __future__ import annotations
@@ -17,9 +20,13 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .geometry import Fan, cone_from_rays, integer_rows
+from .geometry import Fan, cone_from_rays, cone_rays, integer_rows
 from .reference import LABEL_OF_RAY
 from .webmatrix import all_tropical_minors
+
+# The start of the walk over the fan of Gr(3, 6): a point on no wall,
+# which ``verify.check_fan`` proves lies in exactly one maximal cone.
+GENERIC_POINT = (1, 3, 7, 29)
 
 
 def integer_heights(x):
@@ -59,35 +66,52 @@ def _minor_table():
     return tuple(forms), tuple(spans)
 
 
-def _normal_fan(minors, dim) -> Fan:
-    """Inner normal fan of the Newton polytope of the product of
-    ``minors``, each a tuple of forms of ``dim`` entries, in order.
+def _dot(a, b):
+    return sum(map(operator.mul, a, b))
 
-    The Minkowski sum is kept as the cone over the rows ``(p, 1)``, whose
-    rays are the sum's vertices and whose halfspaces ``(a, a_0)`` are its
-    facets, with inner normal ``a``; each minor's forms are added to the
-    vertices and the hull is taken again.  A vertex's maximal cone is
-    spanned by the inner normals of the facets through it.  A minor with a
-    single form is skipped: adding one point translates the sum, which
-    moves no facet normal and leaves the normal fan as it is.
+
+def _normal_fan(minors, start) -> Fan:
+    """The fan of the regions on which each of ``minors``, tuples of
+    forms, keeps one minimal form, walked from the region of ``start``.
+
+    A region is known by each minor's selected form f, and cut out by the
+    rows ``g - f`` for the minor's other forms g.  Each wall, a facet of a
+    region with inner normal h, is crossed once, at the sum s of its rays,
+    where each minor selects the form least at ``s - eps * h`` for small
+    ``eps > 0``: the least ``(f(s), -f(h))``.  A minor with a single form
+    selects it everywhere and is skipped.
     """
-    newton = cone_from_rays([(0,) * dim + (1,)], dim + 1)
-    for forms in minors:
-        if len(forms) == 1:
+    dim = len(start)
+    minors = [forms for forms in minors if len(forms) > 1]
+
+    def select(point, normal):
+        return tuple(min(forms, key=lambda f: (_dot(f, point),
+                                               -_dot(f, normal)))
+                     for forms in minors)
+
+    cones, crossed = {}, set()
+    todo = [select(start, (0,) * dim)]
+    while todo:
+        selection = todo.pop()
+        if selection in cones:
             continue
-        newton = cone_from_rays(sorted(
-            {tuple(map(operator.add, v, form + (0,)))
-             for v in newton.rays for form in forms}), dim + 1)
-    return Fan(dim, tuple(
-        cone_from_rays([h[:-1] for h in newton.halfspaces
-                        if not sum(map(operator.mul, h, v))], dim)
-        for v in newton.rays))
+        rows = [tuple(map(operator.sub, g, f))
+                for f, forms in zip(selection, minors) for g in forms]
+        cone = cone_from_rays(cone_rays(rows, dim), dim)
+        cones[selection] = cone
+        for h in cone.halfspaces:
+            wall = tuple(r for r in cone.rays if not _dot(h, r))
+            if wall not in crossed:
+                crossed.add(wall)
+                todo.append(select(tuple(map(sum, zip(*wall))), h))
+    return Fan(dim, tuple(cones.values()))
 
 
 @lru_cache(maxsize=1)
 def compute_fan_f36() -> Fan:
-    """:func:`_normal_fan` of the 20 minors of Gr(3, 6), in triple order."""
-    return _normal_fan(all_tropical_minors().values(), 4)
+    """:func:`_normal_fan` of the 20 minors of Gr(3, 6), walked from
+    :data:`GENERIC_POINT`."""
+    return _normal_fan(all_tropical_minors().values(), GENERIC_POINT)
 
 
 def bipyramid_cones():

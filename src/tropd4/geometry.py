@@ -231,10 +231,7 @@ def _double_description(rows, dim, bits=None):
     order are exactly those of the coordinate sweep.  Only
     :func:`lower_cell_masks` takes this mode, as it reads nothing but
     masks, from 21 rows on Delta(3,6), of a cone it knows is pointed.  The
-    other callers need the vectors, and the fan build's Minkowski sweeps
-    have about 100 rows, on which most rays are cut soon after they are
-    made: there carrying the values of the rows to come costs more than
-    the dot products it saves.
+    other callers need the vectors.
 
     ``bits`` gives each row's bit in the masks, distinct single bits.  The
     sweep never reads where a bit is, only which masks hold it, so the

@@ -37,7 +37,12 @@ from .correspondence import (
     verify_cluster_fan_correspondence,
     verify_parity_reflection_theorem,
 )
-from .fan import bipyramid_cones, compute_fan_f36, integer_heights
+from .fan import (
+    GENERIC_POINT,
+    bipyramid_cones,
+    compute_fan_f36,
+    integer_heights,
+)
 from .hypersimplex import (
     canonical_point,
     canonical_subdivision,
@@ -143,7 +148,7 @@ def check_fan():
     sizes = sorted(len(c.rays) for c in fan.maximal_cones)
     if sizes != [4] * 46 + [5, 5]:
         violations.append({"check": "maximal cone ray counts", "sizes": sizes})
-    return violations + _wall_violations(fan, (1, 3, 7, 29))
+    return violations + _wall_violations(fan, GENERIC_POINT)
 
 
 def _wall_violations(fan, point):

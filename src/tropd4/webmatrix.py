@@ -85,16 +85,18 @@ def web_matrix():
 
 def minor_polynomial(idx) -> dict:
     """Expanded 3x3 minor on the given column triple (1-based), as an
-    exponent -> coefficient dict."""
+    exponent -> coefficient dict.  Raises ValueError unless ``idx`` is an
+    increasing triple in 1..6."""
+    idx = tuple(idx)
+    if idx not in PLUECKER_TRIPLES:
+        raise ValueError(f"{idx} is not an increasing triple in 1..6")
     return _minor(web_matrix(), idx)
 
 
 def tropical_minor(idx):
-    """Linear forms of the tropicalized minor, sorted; coefficients checked
-    by :func:`_forms`."""
+    """Linear forms of the tropicalized minor, sorted; the triple checked
+    by :func:`minor_polynomial`, the coefficients by :func:`_forms`."""
     idx = tuple(idx)
-    if idx not in PLUECKER_TRIPLES:
-        raise ValueError(f"{idx} is not an increasing triple in 1..6")
     return _forms(idx, minor_polynomial(idx))
 
 

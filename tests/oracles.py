@@ -10,7 +10,8 @@ takes the facets from it and intersects them, and the facet oracle takes
 the cone's generators from it and ranks the ones tight on each row.  The
 fan oracle cuts a maximal cone out of the differences of the forms that
 are minimal at one of its interior points, as the linearity domains of the
-minors define it, instead of taking a normal fan.  The secondary-cone
+minors define it, instead of walking the regions with the
+double-description sweep.  The secondary-cone
 forms of a cell come from one square fraction-free solve per point outside
 its affine basis, instead of back substitution through one elimination of
 all the points.  The hull-membership oracle solves for barycentric
@@ -34,7 +35,7 @@ vectors as lists, row by row, instead of reading spans off tables.  The
 type-A oracle counts the sets of pairwise noncrossing diagonals of an
 n-gon by trying every set of each size, the faces of the associahedron's
 normal fan, which the fan of the web of Gr(2, n) must be (Speyer &
-Williams, J. Algebraic Combin. 22, 2005), instead of taking a normal fan.
+Williams, J. Algebraic Combin. 22, 2005), instead of walking a fan.
 """
 
 from __future__ import annotations

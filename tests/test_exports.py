@@ -9,13 +9,10 @@ import tropd4
 ROOT = pathlib.Path(tropd4.__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "tropd4"
 
-# Acceptance criterion 12 round-trips sampled cones through cone_rays, the
-# package's halfspace-to-ray conversion for pointed cones; the pipeline
-# itself reads rays off Cone, so only the tests call it.  Likewise
 # regular_subdivision is the package's lower envelope of any point
 # configuration, as index sets; on Delta(3,6) the pipeline reads the masks
 # of lower_cell_masks, which it is built on, so only the tests call it.
-ALLOWED = {"cone_rays", "regular_subdivision"}
+ALLOWED = {"regular_subdivision"}
 
 
 def _references(node, inside=frozenset()):

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import random
 from fractions import Fraction
@@ -163,24 +164,16 @@ class TestFanF36:
         assert hashlib.md5(key.encode()).hexdigest() == \
             "518fa7a97b8d3779df086f2615b006f3"
 
-    def test_two_sweeps_per_minkowski_sum_and_cone(self, fan36, sweep_calls):
+    def test_three_sweeps_per_region(self, fan36, sweep_calls):
         assert compute_fan_f36.__wrapped__() == fan36
-        # cone_from_rays sweeps twice: once for the hull of the start point,
-        # once for each Minkowski sum with a minor of more than one form
-        # (a single form only translates the sum), and once for each of
-        # the 48 maximal cones
-        minors = all_tropical_minors()
-        sums = sum(len(minors[idx]) > 1 for idx in PLUECKER_TRIPLES)
-        assert sums == 10
-        assert len(sweep_calls) == 2 * (1 + sums + 48)
+        # each region of the walk sweeps three times: once for its rays,
+        # from the rows of its selected forms, and twice in cone_from_rays
+        assert len(sweep_calls) == 3 * 48
         # the same count for the 15 minors of Gr(2, 6) in R^3, 14 cones
-        minors = list(_tropical_minors(2, 6).values())
-        sums = sum(len(forms) > 1 for forms in minors)
-        assert (len(minors), sums) == (15, 6)
         sweep_calls.clear()
-        fan = _normal_fan(minors, 3)
+        fan = _normal_fan(_tropical_minors(2, 6).values(), (1, 3, 7))
         assert len(fan.maximal_cones) == 14
-        assert len(sweep_calls) == 2 * (1 + sums + 14)
+        assert len(sweep_calls) == 3 * 14
         assert all(call.bits is None for call in sweep_calls)
 
     def test_single_form_minimal_on_each_cone(self, fan36):
@@ -217,10 +210,27 @@ class TestTypeAFans:
     @pytest.mark.parametrize("n", sorted(F_VECTORS))
     def test_f_vector_counts_noncrossing_diagonals(self, n):
         assert noncrossing_diagonal_counts(n) == self.F_VECTORS[n]
-        fan = _normal_fan(_tropical_minors(2, n).values(), n - 3)
+        start = (1, 3, 7, 29, 31)[:n - 3]
+        fan = _normal_fan(_tropical_minors(2, n).values(), start)
         assert fan.f_vector() == self.F_VECTORS[n]
         assert len(fan.maximal_cones) == self.F_VECTORS[n][-1]
-        assert _wall_violations(fan, (1, 3, 7, 29, 31)[:n - 3]) == []
+        assert _wall_violations(fan, start) == []
+
+
+class TestGr37Fan:
+    """The walk one rank up: Trop+Gr(3, 7) in its 6 web variables, from
+    the 35 minors of the Gr(3, 7) web.  Its 42 rays match the 42 cluster
+    variables of Gr(3, 7), of finite type E6 (Scott, Proc. London Math.
+    Soc. 92, 2006)."""
+
+    START = (1, 3, 7, 29, 31, 97)
+
+    def test_f_vector_cone_sizes_and_walls(self):
+        fan = _normal_fan(_tropical_minors(3, 7).values(), self.START)
+        assert fan.f_vector() == (42, 392, 1463, 2583, 2163, 693)
+        sizes = collections.Counter(len(c.rays) for c in fan.maximal_cones)
+        assert sizes == {6: 595, 7: 63, 8: 28, 9: 7}
+        assert _wall_violations(fan, self.START) == []
 
 
 def located(bitset, width, n):

@@ -375,8 +375,8 @@ class TestSweepOrderPinned:
 
 class TestConeFromRays:
     """``cone_from_rays`` cuts a cone out by exactly its facets, with no
-    redundant halfspace: the fan build reads the facets of a Minkowski sum
-    off it."""
+    redundant halfspace: the fan walk reads each region's walls off it
+    and crosses each once."""
 
     @given(SWEEP_INPUTS)
     @example((2, False, [(1, 0), (0, 0), (2, 0), (1, 1), (1, 0)], []))

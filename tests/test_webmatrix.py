@@ -104,7 +104,8 @@ class TestTropicalMinors:
         with pytest.raises(ValueError):
             tropical_minor((3, 2, 5))
 
-    @pytest.mark.parametrize("idx", [(1, 2), (1, 2, 3, 4)])
+    @pytest.mark.parametrize("idx", [(1, 2), (1, 2, 3, 4), (0, 1, 2),
+                                     (1, 2, 7), (3, 2, 5)])
     def test_minor_takes_one_column_per_row(self, idx):
         with pytest.raises(ValueError):
             minor_polynomial(idx)
