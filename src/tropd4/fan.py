@@ -20,7 +20,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .geometry import Fan, cone_from_rays, cone_rays, integer_rows
+from .geometry import Cone, Fan, NotPointedError, integer_rows
 from .reference import LABEL_OF_RAY
 from .webmatrix import all_tropical_minors
 
@@ -74,36 +74,40 @@ def _normal_fan(minors, start) -> Fan:
     """The fan of the regions on which each of ``minors``, tuples of
     forms, keeps one minimal form, walked from the region of ``start``.
 
-    A region is known by each minor's selected form f, and cut out by the
-    rows ``g - f`` for the minor's other forms g.  Each wall, a facet of a
-    region with inner normal h, is crossed once, at the sum s of its rays,
-    where each minor selects the form least at ``s - eps * h`` for small
-    ``eps > 0``: the least ``(f(s), -f(h))``.  A minor with a single form
-    selects it everywhere and is skipped.
+    A region is known by each minor's selected form f: it is the one-sweep
+    :class:`Cone` of the rows ``g - f`` for the minor's other forms g.
+    Each wall, a facet of a region with inner normal h, read off its tight
+    mask, is crossed once, at the sum s of its rays, where each minor
+    selects the form least at ``s - eps * h`` for small ``eps > 0``: the
+    least ``(f(s), -f(h))``.  A minor with a single form is skipped.  A
+    region with a line raises NotPointedError, and one of lower dimension
+    ValueError, naming the point it was selected at.
     """
     dim = len(start)
     minors = [forms for forms in minors if len(forms) > 1]
-
-    def select(point, normal):
-        return tuple(min(forms, key=lambda f: (_dot(f, point),
-                                               -_dot(f, normal)))
-                     for forms in minors)
-
     cones, crossed = {}, set()
-    todo = [select(start, (0,) * dim)]
+    todo = [(start, (0,) * dim)]
     while todo:
-        selection = todo.pop()
+        point, normal = todo.pop()
+        selection = tuple(min(forms, key=lambda f: (_dot(f, point),
+                                                    -_dot(f, normal)))
+                          for forms in minors)
         if selection in cones:
             continue
-        rows = [tuple(map(operator.sub, g, f))
-                for f, forms in zip(selection, minors) for g in forms]
-        cone = cone_from_rays(cone_rays(rows, dim), dim)
+        cone = Cone(dim, sorted({tuple(map(operator.sub, g, f))
+                                 for f, forms in zip(selection, minors)
+                                 for g in forms}))
+        if cone.lines:
+            raise NotPointedError(cone.lines[0])
+        if (1 << len(cone.rays)) - 1 in cone.tight:
+            raise ValueError(f"the region selected at {point} is not "
+                             f"full-dimensional")
         cones[selection] = cone
-        for h in cone.halfspaces:
-            wall = tuple(r for r in cone.rays if not _dot(h, r))
+        for h, mask in zip(cone.halfspaces, cone.tight):
+            wall = tuple(r for i, r in enumerate(cone.rays) if mask >> i & 1)
             if wall not in crossed:
                 crossed.add(wall)
-                todo.append(select(tuple(map(sum, zip(*wall))), h))
+                todo.append((tuple(map(sum, zip(*wall))), h))
     return Fan(dim, tuple(cones.values()))
 
 

@@ -9,8 +9,8 @@ that inserts halfspaces one at a time while maintaining a line basis and the
 extreme rays of the pointed part.  Everything else is phrased as a ray
 enumeration of a suitable cone, by four callers: :class:`Cone`,
 :func:`cone_from_rays`, :func:`lower_cell_masks` and
-:func:`_polytope_facets`.  :func:`_faces` reads face lattices off the
-tight masks of facets and sweeps nothing.
+:func:`_polytope_facets`.  A :class:`Cone` keeps the tight mask of each
+facet, and :func:`_faces` reads face lattices off them and sweeps nothing.
 
 The sweep takes integer rows and returns primitive integer lines and
 primitive rays, each ray paired with the bitmask of the rows it is tight
@@ -330,6 +330,13 @@ def cone_rays(halfspaces, dim):
 class Cone:
     """Polyhedral cone ``{x : <h, x> >= 0}`` with cached ray description.
 
+    ``halfspaces`` are the nonzero rows as primitive integer vectors, and
+    ``tight[k]`` masks the sorted ``rays`` that ``halfspaces[k]`` vanishes
+    on, bit j for ray j, all read off one sweep.  A pointed cone with no
+    row tight on every ray, so full-dimensional, keeps only its facets,
+    sorted and unrepeated: the rows whose mask no other row's strictly
+    contains, as each face lies in a facet.
+
     Two cones are equal when their dimensions, halfspaces, rays and lines
     are; being mutable, a cone is not hashable."""
 
@@ -341,10 +348,18 @@ class Cone:
                              f"entries: {halfspaces}")
         self.ambient_dim = ambient_dim
         rows, _ = integer_rows([h for h in halfspaces if any(h)])
-        self.halfspaces = tuple(map(_reduce, rows))
-        lines, rays = _double_description(self.halfspaces, ambient_dim)
-        self.rays = tuple(sorted(r for r, _ in rays))
+        rows = tuple(map(_reduce, rows))
+        lines, rays = _double_description(rows, ambient_dim)
+        rays.sort()
+        self.rays = tuple(r for r, _ in rays)
         self.lines = tuple(sorted(lines))
+        tight = [sum(1 << j for j, (_, m) in enumerate(rays) if m >> k & 1)
+                 for k in range(len(rows))]
+        if not lines and (1 << len(rays)) - 1 not in tight:
+            kept = dict(sorted((h, m) for h, m in zip(rows, tight) if not any(
+                m != o and m & o == m for o in tight)))
+            rows, tight = tuple(kept), kept.values()
+        self.halfspaces, self.tight = rows, tuple(tight)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -372,9 +387,9 @@ class Cone:
         values = [_dot(h, x) for h in self.halfspaces]
         if any(v < 0 for v in values):
             return None
-        tight = [h for h, v in zip(self.halfspaces, values) if not v]
-        return frozenset(r for r in self.rays
-                         if not any(_dot(h, r) for h in tight))
+        return _members(functools.reduce(
+            operator.and_, (m for m, v in zip(self.tight, values) if not v),
+            (1 << len(self.rays)) - 1), self.rays)
 
 
 def cone_from_rays(rays, dim):
@@ -590,21 +605,14 @@ class Fan:
         return sorted({r for c in self.maximal_cones for r in c.rays})
 
     @functools.cached_property
-    def _facet_masks(self):
-        """Per maximal cone, the mask of the rays tight on each halfspace,
-        bit i for ray i: a facet of the cone when it is pointed."""
-        return tuple([sum(1 << i for i, r in enumerate(c.rays)
-                          if not _dot(h, r)) for h in c.halfspaces]
-                     for c in self.maximal_cones)
-
-    @functools.cached_property
     def _faces_by_dim(self):
-        """Faces of the maximal cones by dimension, graded on first use."""
+        """Faces of the maximal cones by dimension, graded on first use
+        from their tight masks."""
         faces = {}
-        for c, masks in zip(self.maximal_cones, self._facet_masks):
+        for c in self.maximal_cones:
             if not c.is_pointed:
                 raise NotPointedError(c.lines[0])
-            for d, fs in _faces(masks, len(c.rays)).items():
+            for d, fs in _faces(c.tight, len(c.rays)).items():
                 faces.setdefault(d, set()).update(
                     _members(m, c.rays) for m in fs)
         return faces

@@ -153,12 +153,12 @@ def check_fan():
 
 def _wall_violations(fan, point):
     """Each wall of ``fan``, pointed cones, the rays of a cone tight on a
-    facet normal, read off its facet masks, must be in exactly two cones
+    facet normal, read off its tight masks, must be in exactly two cones
     with opposite normals, and the generic ``point`` in one cone, on no
     normal: then they cover space once (De Loera, Rambau & Santos, ch. 4)."""
     walls = {}
-    for c, masks in zip(fan.maximal_cones, fan._facet_masks):
-        for h, m in zip(c.halfspaces, masks):
+    for c in fan.maximal_cones:
+        for h, m in zip(c.halfspaces, c.tight):
             walls.setdefault(tuple(r for i, r in enumerate(c.rays)
                                    if m >> i & 1), []).append(h)
     bad = [{"check": "fan wall in two cones", "wall": wall, "normals": hs}

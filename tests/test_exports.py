@@ -12,7 +12,10 @@ PACKAGE = ROOT / "src" / "tropd4"
 # regular_subdivision is the package's lower envelope of any point
 # configuration, as index sets; on Delta(3,6) the pipeline reads the masks
 # of lower_cell_masks, which it is built on, so only the tests call it.
-ALLOWED = {"regular_subdivision"}
+# cone_rays and cone_from_rays convert between the two descriptions of a
+# cone; the fan walk reads both off one Cone, so only the tests, among
+# them the round trip of acceptance criterion 12, call them.
+ALLOWED = {"cone_from_rays", "cone_rays", "regular_subdivision"}
 
 
 def _references(node, inside=frozenset()):

@@ -16,7 +16,7 @@ from tropd4.fan import (
     integer_heights,
     trop_phi2,
 )
-from tropd4.geometry import Cone, Fan, cone_from_rays
+from tropd4.geometry import Cone, Fan, NotPointedError, cone_from_rays
 from tropd4.reference import (
     BIPYRAMIDS,
     FAN_F_VECTOR,
@@ -164,16 +164,16 @@ class TestFanF36:
         assert hashlib.md5(key.encode()).hexdigest() == \
             "518fa7a97b8d3779df086f2615b006f3"
 
-    def test_three_sweeps_per_region(self, fan36, sweep_calls):
+    def test_one_sweep_per_region(self, fan36, sweep_calls):
         assert compute_fan_f36.__wrapped__() == fan36
-        # each region of the walk sweeps three times: once for its rays,
-        # from the rows of its selected forms, and twice in cone_from_rays
-        assert len(sweep_calls) == 3 * 48
+        # each region of the walk sweeps once, the rows of its selected
+        # forms, for its rays, facets and tight masks
+        assert len(sweep_calls) == 48
         # the same count for the 15 minors of Gr(2, 6) in R^3, 14 cones
         sweep_calls.clear()
         fan = _normal_fan(_tropical_minors(2, 6).values(), (1, 3, 7))
         assert len(fan.maximal_cones) == 14
-        assert len(sweep_calls) == 3 * 14
+        assert len(sweep_calls) == 14
         assert all(call.bits is None for call in sweep_calls)
 
     def test_single_form_minimal_on_each_cone(self, fan36):
@@ -215,6 +215,32 @@ class TestTypeAFans:
         assert fan.f_vector() == self.F_VECTORS[n]
         assert len(fan.maximal_cones) == self.F_VECTORS[n][-1]
         assert _wall_violations(fan, start) == []
+
+
+class TestDegenerateRegions:
+    """min(0, x, -x) and min(0, y) on R^2: the form 0 of the first minor
+    is minimal only on the line x = 0, so it selects no full-dimensional
+    region."""
+
+    MINORS = [((0, 0), (1, 0), (-1, 0)), ((0, 0), (0, 1))]
+
+    def test_generic_start_gives_the_quadrants(self):
+        fan = _normal_fan(self.MINORS, (1, 3))
+        assert [c.rays for c in fan.maximal_cones] == [
+            ((-1, 0), (0, -1)), ((-1, 0), (0, 1)),
+            ((0, -1), (1, 0)), ((0, 1), (1, 0))]
+
+    def test_start_on_a_wall_is_rejected(self):
+        """At (0, 1) all three forms of the first minor tie, and the
+        first, 0, is selected: its region is the ray through (0, 1)."""
+        with pytest.raises(ValueError, match=r"region selected at \(0, 1\) "
+                                             "is not full-dimensional"):
+            _normal_fan(self.MINORS, (0, 1))
+
+    def test_region_with_a_line_is_rejected(self):
+        """min(0, x) alone leaves y free: its regions are half-planes."""
+        with pytest.raises(NotPointedError):
+            _normal_fan([((0, 0), (1, 0))], (1, 3))
 
 
 class TestGr37Fan:

@@ -375,8 +375,7 @@ class TestSweepOrderPinned:
 
 class TestConeFromRays:
     """``cone_from_rays`` cuts a cone out by exactly its facets, with no
-    redundant halfspace: the fan walk reads each region's walls off it
-    and crosses each once."""
+    redundant halfspace."""
 
     @given(SWEEP_INPUTS)
     @example((2, False, [(1, 0), (0, 0), (2, 0), (1, 1), (1, 0)], []))
@@ -409,6 +408,43 @@ CONE_GENERATORS = st.integers(3, 4).flatmap(lambda d: st.tuples(
     st.just(d), st.lists(st.tuples(*[st.integers(-2, 2)] * (d - 1),
                                    st.integers(1, 3)),
                          min_size=d, max_size=d + 4)))
+
+
+class TestConeKeepsItsFacets:
+    """A pointed, full-dimensional cone keeps its facets alone, sorted,
+    whatever redundant rows it is cut out by, each with the mask of the
+    rays it is tight on."""
+
+    @given(CONE_GENERATORS, st.randoms(use_true_random=False))
+    @settings(max_examples=60)
+    def test_redundant_rows_give_the_same_cone(self, case, rng):
+        """Beside the facets: the sum of two facets, tight on a smaller
+        face; a positive multiple of one; a repeat of another; and the sum
+        of them all, tight on no ray."""
+        dim, generators = case
+        cone = cone_from_rays(generators, dim)
+        if brute_force_cone_dim(cone.halfspaces, dim) < dim:
+            return
+        h1, h2 = cone.halfspaces[:2]
+        rows = list(cone.halfspaces) + [
+            tuple(map(operator.add, h1, h2)), tuple(3 * a for a in h1), h2,
+            tuple(map(sum, zip(*cone.halfspaces)))]
+        rng.shuffle(rows)
+        redundant = Cone(dim, rows)
+        assert redundant == cone
+        assert redundant.halfspaces == tuple(brute_force_cone_facets(rows,
+                                                                     dim))
+        assert redundant.tight == tuple(
+            sum(1 << j for j, r in enumerate(redundant.rays) if not _dot(h, r))
+            for h in redundant.halfspaces)
+
+    def test_lower_dimensional_cone_keeps_its_rows(self):
+        """The ray x = 0, y >= 0 is pointed, but +-x are tight on its one
+        ray: every row stays, in its order, with its mask."""
+        cone = Cone(2, [(2, 0), (0, 1), (1, 1), (-1, 0)])
+        assert cone.rays == ((0, 1),) and cone.lines == ()
+        assert cone.halfspaces == ((1, 0), (0, 1), (1, 1), (-1, 0))
+        assert cone.tight == (1, 0, 0, 1)
 
 
 class TestConeFaceRaySets:

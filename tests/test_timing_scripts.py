@@ -65,6 +65,18 @@ class TestCheckTimes:
         assert layouts.pop("check_interior_point_stability") > 0
         assert set(layouts.values()) == {0}
 
+    def test_sweeps_are_counted_per_check(self, child_run):
+        """The report's sweep budget, the same on any host: one per fan
+        region in the fan build, the lower envelopes of Table 1 and of
+        the cone proofs, four hulls of the interior samples, none in any
+        other check, and ``full_report``'s count is their sum."""
+        sweeps = dict(child_run["sweeps"])
+        assert sweeps.pop("full_report") == 116
+        assert set(sweeps) == set(child_run["check_probes"])
+        assert {name: n for name, n in sweeps.items() if n} == {
+            "check_fan": 48, "check_table1": 16, "check_cone_proofs": 48,
+            "check_interior_point_stability": 4}
+
     def test_summary_requires_equal_layout_counts(self, scripts):
         check_times, _ = scripts
         runs = [check_run({"check_fan": 0.001}) for _ in range(3)]
