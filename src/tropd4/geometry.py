@@ -204,15 +204,18 @@ def _double_description(rows, dim, bits=None):
     least ``d - 2`` tight rows, and, as extreme rays have distinct tight
     sets, no third ray is tight on all the rows they share.  A pair that
     shares fewer rows is never adjacent; otherwise the third-ray test scans
-    every ray's mask, unless one ray of the pair is *simple*, tight on
-    exactly ``d - 1`` rows.  Those rows have rank ``d - 1``, so they are
-    independent: none is zero and none repeats another.  The other ray is
-    not tight on all of them, or it would lie on the same extreme ray, so
-    the pair shares exactly ``d - 2`` of these independent rows.  They cut
-    out a face of dimension at most ``dim - (d - 2)``; it holds both rays,
-    so it is a 2-face of the pointed part, and a pointed 2-dimensional cone
-    has exactly two extreme rays.  So the pair is adjacent with no scan;
-    only pairs of two non-simple rays are scanned.
+    every ray's mask m and counts those that hold all the shared rows,
+    ``m & common == common``; the pair's own two masks always do, so a
+    third makes more than two.  The scan is skipped when one ray of the
+    pair is *simple*, tight on exactly ``d - 1`` rows.  Those rows have
+    rank ``d - 1``, so they are independent: none is zero and none repeats
+    another.  The other ray is not tight on all of them, or it would lie
+    on the same extreme ray, so the pair shares exactly ``d - 2`` of these
+    independent rows.  They cut out a face of dimension at most
+    ``dim - (d - 2)``; it holds both rays, so it is a 2-face of the pointed
+    part, and a pointed 2-dimensional cone has exactly two extreme rays.
+    So the pair is adjacent with no scan; only pairs of two non-simple
+    rays are scanned.
 
     Given ``bits``, the sweep is the mask sweep: it returns the tight masks
     of the rays alone, in the same order, and no lines or vectors.  A
@@ -288,7 +291,6 @@ def _double_description(rows, dim, bits=None):
         new_vecs = [vecs[i] for i in zero] + [vecs[i] for i in plus]
         new_masks = [masks[i] | bit for i in zero] + [masks[i] for i in plus]
         if minus:
-            complements = [~m for m in masks]
             simple = dim - len(lines) - 1
             min_common = simple - 1
             plus_masks = [masks[i] for i in plus]
@@ -304,7 +306,7 @@ def _double_description(rows, dim, bits=None):
                 for i in itertools.compress(plus, shares_enough):
                     common = mm & masks[i]
                     if masks[i].bit_count() != simple and operator.countOf(
-                            map(common.__and__, complements), 0) > 2:
+                            map(common.__and__, masks), common) > 2:
                         continue
                     adjacent.append((i, j, common))
             adjacent.sort()

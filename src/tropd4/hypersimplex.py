@@ -104,7 +104,18 @@ def _vertex_indices(mask):
 @lru_cache(maxsize=None)
 def _span_dim(mask):
     """Dimension of the affine span of the vertices in ``mask`` (-1 if
-    none).  Pairs of cells that share a vertex set share this value."""
+    none).  Pairs of cells that share a vertex set share this value.
+
+    When the vertices are the bases of a matroid on 1..6, their hull is
+    its matroid polytope, of dimension 6 minus the number of connected
+    components (Feichtner & Sturmfels, "Matroid polytopes, nested sets and
+    Bergman fans", 2005, Prop. 2.4), read off :func:`_exchange_classes`
+    with no rank.  Every other set, the empty one too, is ranked by
+    :func:`intersection_dim`.
+    """
+    classes = _exchange_classes(mask)
+    if mask and classes is not None:
+        return 6 - len(set(classes.values()))
     shared = _vertex_indices(mask)
     return intersection_dim(hypersimplex_vertices(), shared, shared)
 
@@ -138,18 +149,23 @@ def is_matroid_basis_set(bases) -> bool:
 
     ``bases`` is read once.  When every basis is a sorted triple of 1..6
     (a key of ``_TRIPLE_BIT``), as every cell of Delta(3,6) is, the family
-    is a 20-bit vertex mask F, held by a cell of
-    :func:`induced_subdivision` and built by :func:`_vertex_mask` for any
-    other family, and two tables built at import judge it:
-    ``_EXCHANGES`` gives, per vertex A and element a of A, each element b
-    outside A with the bit of A - a + b, so the partners P of (A, a) are
-    read off F; and ``_INSIDE[s]`` is the mask of the vertices inside the
-    6-bit element set s, so the bases that avoid a and all of P are
-    ``F & _INSIDE[63 ^ (a | P)]``.  Any other family, with elements of
-    other types, bases of other sizes or shapes, or unsorted triples, is
-    judged on bitmasks over the union of its bases, built in one pass:
+    is a 20-bit vertex mask, held by a cell of :func:`induced_subdivision`
+    and built by :func:`_vertex_mask` for any other family, and
+    :func:`_exchange_classes` judges it.  Any other family, with elements
+    of other types, bases of other sizes or shapes, or unsorted triples,
+    is judged on bitmasks over the union of its bases, built in one pass:
     each new element takes the next bit.  An empty family raises
     ``ValueError``.
+
+    Five or six bases that are affinely independent are never a matroid,
+    and are rejected with no walk.  By the edge theorem of Gelfand,
+    Goresky, MacPherson & Serganova ("Combinatorial geometries, convex
+    polyhedra, and Schubert cells", *Adv. Math.* 63, 1987), a family is a
+    matroid exactly when every edge of its hull joins two bases that
+    differ by one exchange, so share two elements.  Every two vertices of
+    a simplex are joined by an edge.  But triples that pairwise share two
+    elements either all hold one pair or all lie in one 4-set, and there
+    are only four of either kind.
     """
     if type(bases) is _Cell:
         family = bases.mask
@@ -161,15 +177,7 @@ def is_matroid_basis_set(bases) -> bool:
             return _is_matroid_on_elements(bases)
     if not family:
         raise ValueError("empty basis set")
-    for low in set_bits(family):
-        for a, swaps in _EXCHANGES[low.bit_length() - 1]:
-            p = a
-            for b, v in swaps:
-                if family & v:
-                    p |= b
-            if family & _INSIDE[63 ^ p]:
-                return False
-    return True
+    return _exchange_classes(family) is not None
 
 
 def _is_matroid_on_elements(bases):
@@ -226,6 +234,37 @@ _SPAN_LO = _span_table(_TRIPLE_BITS[:10])
 _SPAN_HI = _span_table(_TRIPLE_BITS[10:])
 
 
+def _exchange_classes(family):
+    """The basis-exchange walk over the vertex mask ``family``: per
+    element bit e of 1..6, the mask of the elements that e can be
+    exchanged with, e included; None when basis exchange fails.
+
+    ``_EXCHANGES`` gives, per vertex A and element a of A, each element b
+    outside A with the bit of A - a + b, so the partners P of (A, a) are
+    read off the family; the bases that avoid a and all of P are
+    ``family & _INSIDE[63 ^ (a | P)]``.  In a matroid, a and b can be
+    exchanged exactly when a circuit holds both, an equivalence relation
+    (Oxley, *Matroid Theory*, 2nd ed., 2011, Sect. 4.1), so the masks are
+    the connected components; a loop or coloop stays alone.  Five or six
+    vertices that ``_SPAN_LO`` and ``_SPAN_HI`` certify independent return
+    None with no walk (see :func:`is_matroid_basis_set`).
+    """
+    if (5 <= family.bit_count() <= 6
+            and _SPAN_LO[family & 1023] & _SPAN_HI[family >> 10] == 1):
+        return None
+    classes = {e: e for e in (1, 2, 4, 8, 16, 32)}
+    for low in set_bits(family):
+        for a, swaps in _EXCHANGES[low.bit_length() - 1]:
+            p = a
+            for b, v in swaps:
+                if family & v:
+                    p |= b
+            if family & _INSIDE[63 ^ p]:
+                return None
+            classes[a] |= p
+    return classes
+
+
 @lru_cache(maxsize=None)
 def _cell_invariant(mask):
     """Vertex count and f-vector of the cell whose vertices are ``mask``,
@@ -259,8 +298,9 @@ def _cell_invariant(mask):
     0, which never gives 1.
     That test only certifies: a set that is dependent mod 2 may still be
     independent (the 5-simplex {123, 124, 125, 136, 236, 345} has
-    determinant 6), so it is ranked exactly, and every "not a simplex"
-    comes from that rank.
+    determinant 6), so its dimension is read exactly, by :func:`_span_dim`:
+    off its exchange classes when it is a matroid, and otherwise by a
+    rank.  Every "not a simplex" comes from that dimension.
     """
     n = mask.bit_count()
     if 0 < n <= 6 and (_SPAN_LO[mask & 1023] & _SPAN_HI[mask >> 10] == 1
@@ -400,15 +440,18 @@ def subdivision_signature(cells):
     with the cell invariants is needed to tell all six plane types apart.
 
     A cell not seen before costs a parity test if it has at most six
-    vertices, a rank only if that test does not certify a simplex, and a
-    count of its faces only if it is not a simplex and no cell of its
-    orbit under the permutations of 1..6 was counted before (see
-    :func:`_cell_invariant`).  The vertices a simplex shares with any cell
-    are affinely independent, so a pair that touches a simplex meets in
-    dimension one less than its number of shared vertices, with no rank;
-    only a pair of two non-simplices ranks its shared vertex set, once per
-    distinct set.  Cells are vertex sets of ``PLUECKER_TRIPLES``; an empty
-    cell or a triple outside Delta(3,6) raises ``ValueError``.
+    vertices, a dimension (:func:`_span_dim`) only if that test does not
+    certify a simplex, and a count of its faces only if it is not a
+    simplex and no cell of its orbit under the permutations of 1..6 was
+    counted before (see :func:`_cell_invariant`).  The vertices a simplex
+    shares with any cell are affinely independent, so a pair that touches
+    a simplex meets in dimension one less than its number of shared
+    vertices.  Only a pair of two non-simplices reads the dimension of its
+    shared vertex set, once per distinct set.  Two cells of a matroid
+    subdivision share a face, itself a matroid polytope, whose dimension
+    is read off its exchange classes; only a shared set that is no
+    matroid is ranked.  Cells are vertex sets of ``PLUECKER_TRIPLES``; an
+    empty cell or a triple outside Delta(3,6) raises ``ValueError``.
 
     The records are counted, not sorted.  The cells are sorted by
     invariant and grouped into runs of equal invariant; for each pair of

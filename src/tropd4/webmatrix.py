@@ -3,13 +3,15 @@
 The web of Gr(k, n) is a k x (n - k) grid of left/down lanes, sources 1..k
 entering on the right, sinks k+1..n leaving at the bottom with sink n on
 the left.  Its (k - 1)(n - k - 1) bounded regions are the variables, by
-column strip from the right, then by row strip from the bottom.  Entry
-(i, j) is ``(-1)^(k-i)`` times the sum, over staircase paths from source i
-to sink j, of the products of the variables below them (Postnikov,
-arXiv:math/0609764; Speyer & Williams, J. Algebraic Combin. 22, 2005).  A
-maximal minor, one permutation expansion, must have one coefficient, +1 or
--1; its exponents are the forms of its tropicalization, their minimum.
-The public functions are those of Gr(3, 6), in x1..x4.
+column strip from the right, then by row strip from the bottom.  The
+first k columns are the identity, and entry (i, j), for a sink j, is
+``(-1)^(k-i)`` times the sum, over staircase paths from source i to sink
+j, of the products of the variables below them (Postnikov,
+arXiv:math/0609764; Speyer & Williams, J. Algebraic Combin. 22, 2005).
+The web is positive: each maximal minor, one permutation expansion, must
+have the single coefficient +1; its exponents are the forms of its
+tropicalization, their minimum.  The public functions are those of
+Gr(3, 6), in x1..x4.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import prod
 
 
 class PositivityError(ValueError):
-    """A minor expansion has mixed signs or a coefficient other than +-1."""
+    """A minor expansion vanishes or has a coefficient other than +1."""
 
 
 PLUECKER_TRIPLES = tuple(itertools.combinations(range(1, 7), 3))
@@ -28,7 +30,8 @@ PLUECKER_TRIPLES = tuple(itertools.combinations(range(1, 7), 3))
 
 @lru_cache(maxsize=None)
 def _web(k, n):
-    """The k x n matrix of signed path sums of the web of Gr(k, n).
+    """The k x n matrix of the web of Gr(k, n): the identity, then the
+    signed path sums to the sinks.
 
     A path from source i to sink j > k drops from row k - 1 - b at lane
     ``drops[b]`` from the left, for b < k - i, nondecreasing in b and not
@@ -37,7 +40,7 @@ def _web(k, n):
     def entry(i, j):
         sign = (-1) ** (k - i)
         if j <= k:
-            return {(0,) * ((k - 1) * (n - k - 1)): sign} if i == j else {}
+            return {(0,) * ((k - 1) * (n - k - 1)): 1} if i == j else {}
         return {tuple(int(b < k - i and a + drops[b] < n - k - 1)
                       for a in range(n - k - 1) for b in range(k - 1)): sign
                 for drops in itertools.combinations_with_replacement(
@@ -61,13 +64,14 @@ def _minor(matrix, cols):
 
 
 def _forms(idx, poly):
-    """The sorted exponents of ``poly``, the minor on ``idx``, if +-1."""
+    """The sorted exponents of ``poly``, the minor on ``idx``, if every
+    coefficient is +1."""
     if not poly:
         raise PositivityError(f"minor {idx} vanishes identically")
     coeffs = set(poly.values())
-    if coeffs not in ({1}, {-1}):
+    if coeffs != {1}:
         raise PositivityError(
-            f"minor {idx} has non-unit or mixed coefficients {sorted(coeffs)}")
+            f"minor {idx} has coefficients {sorted(coeffs)}, not all +1")
     return tuple(sorted(poly))
 
 
@@ -79,7 +83,7 @@ def _tropical_minors(k, n):
 
 
 def web_matrix():
-    """The 3x6 matrix of signed path sums, entries as exponent->coeff dicts."""
+    """The 3x6 web matrix of Gr(3, 6), entries as exponent->coeff dicts."""
     return _web(3, 6)
 
 

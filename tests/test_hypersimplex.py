@@ -632,6 +632,120 @@ class TestSignature:
         assert len(set(sigs.values())) == 6
 
 
+def matrix_families(count, seed):
+    """The base families, as vertex masks, of ``count`` seeded 3x6 integer
+    matrices of rank 3, and of two faces of each one's matroid polytope.
+    Entries in -1..1 and a zero column now and then make loops and
+    coloops; a face keeps the bases of most weight under seeded weights
+    in 0..2 on the elements."""
+    rng = random.Random(seed)
+    families = set()
+    for _ in range(count):
+        rows = [[rng.randint(-1, 1) for _ in range(6)] for _ in range(3)]
+        for e in rng.sample(range(6), rng.choice([0, 0, 1])):
+            for row in rows:
+                row[e] = 0
+        bases = [t for t in PLUECKER_TRIPLES
+                 if _det([[row[e - 1] for e in t] for row in rows])]
+        if not bases:
+            continue
+        families.add(sum(1 << PLUECKER_TRIPLES.index(t) for t in bases))
+        for _ in range(2):
+            weight = [rng.randint(0, 2) for _ in range(6)]
+            worth = {t: sum(weight[e - 1] for e in t) for t in bases}
+            top = max(worth.values())
+            families.add(sum(1 << PLUECKER_TRIPLES.index(t) for t in bases
+                             if worth[t] == top))
+    return sorted(families)
+
+
+@pytest.fixture
+def ranks(monkeypatch):
+    """A list that records the vertex sets that ``hypersimplex`` ranks
+    with ``intersection_dim``, with ``_span_dim``'s cache cleared before
+    and after."""
+    import tropd4.hypersimplex as hx
+    ranked = []
+    intersection_dim = hx.intersection_dim
+
+    def counted(points, cell_a, cell_b):
+        ranked.append(tuple(cell_a))
+        return intersection_dim(points, cell_a, cell_b)
+    hx._span_dim.cache_clear()
+    monkeypatch.setattr(hx, "intersection_dim", counted)
+    yield ranked
+    monkeypatch.undo()
+    hx._span_dim.cache_clear()
+
+
+class TestExchangeClasses:
+    """One basis-exchange walk gives both the matroid verdict and, from
+    the connected components, the dimension of a matroid polytope."""
+
+    def test_span_dim_of_shared_faces_and_matrix_matroids(
+            self, fan36, benchmark_subdivisions, ranks):
+        """Every vertex set that two cells share, in the 48 canonical
+        subdivisions, the 16 ray subdivisions and the Plücker lifts of the
+        ``generic-lift`` benchmark at seed 7, is a face of both, and so a
+        matroid; so is the base family of a matrix and each face of it.
+        On all of them ``_span_dim`` is the oracle's affine rank, read
+        off the exchange classes with no rank."""
+        import tropd4.hypersimplex as hx
+        subdivisions = [canonical_subdivision(c.rays)
+                        for c in fan36.maximal_cones]
+        subdivisions += [induced_subdivision(trop_phi2(r)) for r in fan36.rays]
+        subdivisions += benchmark_subdivisions[2::3]
+        shared = {hx._vertex_mask(a) & hx._vertex_mask(b) for cells in
+                  subdivisions for a, b in itertools.combinations(cells, 2)}
+        shared.discard(0)
+        families = matrix_families(3000, 17)
+        for mask in sorted(shared) + families:
+            assert brute_force_matroid_basis_set(cell_of(mask)), mask
+            vertices = vertex_list(cell_of(mask))
+            assert hx._span_dim(mask) == _affine_rank(vertices), mask
+        assert ranks == []
+        assert (len(shared), len(families)) == (310, 1654)
+        # loops and coloops: elements in no basis and in every basis
+        elements = [Counter(e for t in cell_of(m) for e in t)
+                    for m in families]
+        assert any(len(c) < 6 for c in elements)
+        assert any(n == sum(c.values()) // 3 for c in elements
+                   for n in c.values())
+        assert {hx._span_dim(m) for m in families} == set(range(6))
+
+    def test_span_dim_ranks_only_non_matroids(self, ranks):
+        """The empty set and a family that fails basis exchange go to
+        ``intersection_dim``."""
+        import tropd4.hypersimplex as hx
+        two = hx._vertex_mask([(1, 2, 3), (4, 5, 6)])
+        assert (hx._span_dim(0), hx._span_dim(two)) == (-1, 1)
+        assert ranks == [(), (0, 19)]
+
+    def test_every_set_of_four_to_six_vertices(self, monkeypatch):
+        """On all 4,845 four-sets, 15,504 five-sets and 38,760 six-sets of
+        vertices, the verdict is the oracle's.  The five- and six-sets
+        that are independent mod 2, 12,864 and 19,200 of them, are
+        rejected before the walk; no four-set is."""
+        import tropd4.hypersimplex as hx
+        walked = []
+        exchanges = hx._EXCHANGES
+        monkeypatch.setattr(hx, "_EXCHANGES", type(
+            "Walked", (), {"__getitem__": lambda _, i: walked.append(i) or
+                           exchanges[i]})())
+        verts = hypersimplex_vertices()
+        unwalked = Counter()
+        for n in (4, 5, 6):
+            for chosen in itertools.combinations(range(20), n):
+                cell = [PLUECKER_TRIPLES[i] for i in chosen]
+                walked.clear()
+                verdict = is_matroid_basis_set(cell)
+                assert verdict == brute_force_matroid_basis_set(cell), cell
+                independent = gf2_rank([verts[i] for i in chosen]) == n
+                assert (walked == []) == (n > 4 and independent), cell
+                unwalked[n] += walked == []
+        assert unwalked == {4: 0, 5: 12864, 6: 19200}
+
+
 class TestMatroidFVectorOracle:
     def test_known_polytopes(self):
         assert matroid_f_vector(PLUECKER_TRIPLES) == (20, 90, 120, 60, 12)

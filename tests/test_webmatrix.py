@@ -5,6 +5,7 @@ import pytest
 from tropd4.webmatrix import (
     PLUECKER_TRIPLES,
     PositivityError,
+    _forms,
     _minor,
     _tropical_minors,
     _web,
@@ -27,7 +28,7 @@ EXPECTED_MATRIX = (
      _poly((1, 1, 1, 0, 0), (1, 1, 0, 0, 0), (1, 0, 0, 0, 0)),
      _poly((1, 1, 1, 1, 1), (1, 1, 1, 1, 0), (1, 1, 0, 1, 0),
            (1, 1, 1, 0, 0), (1, 1, 0, 0, 0), (1, 0, 0, 0, 0))),
-    ({}, _poly((-1, 0, 0, 0, 0)), {}, _poly((-1, 0, 0, 0, 0)),
+    ({}, ONE, {}, _poly((-1, 0, 0, 0, 0)),
      _poly((-1, 1, 0, 0, 0), (-1, 0, 0, 0, 0)),
      _poly((-1, 1, 0, 1, 0), (-1, 1, 0, 0, 0), (-1, 0, 0, 0, 0))),
     ({}, {}, ONE, ONE, ONE, ONE),
@@ -95,10 +96,10 @@ class TestTropicalMinors:
         assert tropical_minor((4, 5, 6)) == (XX1234,)
 
     def test_uniform_sign_expansion(self):
-        """Every minor expands with a single repeated coefficient sign."""
+        """Every minor expands with coefficient +1."""
         for idx in PLUECKER_TRIPLES:
             values = set(minor_polynomial(idx).values())
-            assert values in ({1}, {-1}), idx
+            assert values == {1}, idx
 
     def test_invalid_triple(self):
         with pytest.raises(ValueError):
@@ -150,3 +151,23 @@ class TestWebOfAnyGrassmannian:
             assert set(poly.values()) in ({1}, {-1}), idx
             assert terms == tuple(sorted(poly))
             assert {len(t) for t in terms} == {(k - 1) * (n - k - 1)}
+
+
+class TestPositivity:
+    """The web is positive: every maximal minor expands with coefficient
+    +1, and a sign flip anywhere in it is caught."""
+
+    @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (2, 6), (2, 7),
+                                     (2, 8), (3, 7)])
+    def test_every_minor_expands_with_plus_one(self, k, n):
+        web = _web(k, n)
+        for idx in itertools.combinations(range(1, n + 1), k):
+            assert set(_minor(web, idx).values()) == {1}, idx
+
+    @pytest.mark.parametrize("col", range(1, 7))
+    def test_negated_column_is_rejected(self, col):
+        web = [[{t: -c for t, c in e.items()} if j == col else e
+                for j, e in enumerate(row, 1)] for row in _web(3, 6)]
+        with pytest.raises(PositivityError, match="not all \\+1"):
+            for idx in PLUECKER_TRIPLES:
+                _forms(idx, _minor(web, idx))
