@@ -17,10 +17,8 @@ number of lines of ``src/tropd4/*.py``, so that the size of the code can
 be read beside its times, and ``probe_s``.  Beside the medians,
 ``sweeps`` gives the number of double-description sweeps
 (``tropd4.geometry._double_description``) made in each check and in
-``full_report``, and ``layouts`` the number of packed layouts that
-``tropd4.geometry.PackedForms`` objects built, one per object and field
-width (the entries of their ``_layouts``).  The counts do not depend on
-the host, so every run must give the same ones.
+``full_report``.  The counts do not depend on the host, so every run
+must give the same ones.
 
 The times are wall-clock seconds, unscaled.  The host's speed drifts,
 within a run as well as between runs, so each run times the fixed loop of
@@ -62,53 +60,38 @@ def child(seed):
     from tropd4 import geometry, verify
     times = {"import": perf_counter() - start}
     made = [0]  # the sweeps made so far
-    sweeps, layouts = {}, {}
-    packings = []  # every PackedForms made so far
+    sweeps = {}
     check_probes = {}  # name -> the probes taken just before its calls
     probing = [0.0]  # the seconds spent in those probes
     sweep = geometry._double_description
 
-    init = geometry.PackedForms.__init__
-
     def counted(*args, **kwargs):
         made[0] += 1
         return sweep(*args, **kwargs)
-
-    def kept(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        packings.append(self)
-
-    def built():
-        return sum(len(p._layouts) for p in packings)
 
     def timed(name, fn):
         def call(*args, **kwargs):
             t0 = perf_counter()
             check_probes.setdefault(name, []).append(probe())
             probing[0] += perf_counter() - t0
-            packed = built()
             t0, before = perf_counter(), made[0]
             try:
                 return fn(*args, **kwargs)
             finally:
                 times[name] = times.get(name, 0.0) + perf_counter() - t0
                 sweeps[name] = sweeps.get(name, 0) + made[0] - before
-                layouts[name] = layouts.get(name, 0) + built() - packed
         return call
 
     geometry._double_description = counted
-    geometry.PackedForms.__init__ = kept
     for name in [n for n in vars(verify) if n.startswith("check_")]:
         setattr(verify, name, timed(name, getattr(verify, name)))
     start = perf_counter()
     report = verify.full_report(seed)
     times["full_report"] = perf_counter() - start - probing[0]
     sweeps["full_report"] = made[0]
-    layouts["full_report"] = built()
     probes += [p for ps in check_probes.values() for p in ps]
     probes += [probe() for _ in range(PROBES)]
-    json.dump({"times": times, "sweeps": sweeps, "layouts": layouts,
-               "probes": probes,
+    json.dump({"times": times, "sweeps": sweeps, "probes": probes,
                "check_probes": check_probes,
                "violations": len(report["violations"])}, sys.stdout)
 
@@ -172,12 +155,11 @@ def main(script, description, body, summary, output):
 
 def summary(runs):
     """The violation count, the median of each time over ``runs``, the
-    median of each check's own probes over ``runs``, and the sweep and
-    layout counts, which must be the same in every run."""
-    for count in ("sweeps", "layouts"):
-        if any(r[count] != runs[0][count] for r in runs):
-            raise RuntimeError(f"the runs made different numbers of "
-                               f"{count}: {[r[count] for r in runs]}")
+    median of each check's own probes over ``runs``, and the sweep
+    counts, which must be the same in every run."""
+    if any(r["sweeps"] != runs[0]["sweeps"] for r in runs):
+        raise RuntimeError(f"the runs made different numbers of sweeps: "
+                           f"{[r['sweeps'] for r in runs]}")
     return {"violations": max(r["violations"] for r in runs),
             "median_s": {name: round(statistics.median(
                 r["times"][name] for r in runs), 4)
@@ -185,8 +167,7 @@ def summary(runs):
             "check_probe_s": {name: round(statistics.median(
                 p for r in runs for p in r["check_probes"][name]), 6)
                 for name in runs[0]["check_probes"]},
-            "sweeps": runs[0]["sweeps"],
-            "layouts": runs[0]["layouts"]}
+            "sweeps": runs[0]["sweeps"]}
 
 
 if __name__ == "__main__":

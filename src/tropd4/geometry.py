@@ -21,13 +21,12 @@ again.  Given ``bits``, as only :func:`lower_cell_masks` gives them, the
 sweep holds each ray as its values on the rows still to come, not its
 coordinates, and returns the masks alone.
 
-Beside the sweep sits one evaluation kernel, :class:`PackedForms`, a fixed
-list of integer linear forms with two evaluations: at one integer point it
-packs the forms, one field per form, and at a batch of points it packs the
-points, one field per point.  Either way a few sums of products and
-masks give the signs of all the forms.  The first tests the certificates
-of ``hypersimplex.certifies``; the second locates points in a :class:`Fan`,
-which hands its callers cones, not words (:meth:`Fan.odd_points`).
+Beside the sweep sits one evaluation kernel, :func:`form_signs`: it packs
+a batch of integer points, one field per point, so that one sum of
+products and a few masks per form give that form's signs at every point.
+It tests the certificates of ``hypersimplex.certified`` on a cone's
+samples at once, and locates points in a :class:`Fan`, which hands its
+callers cones, not words (:meth:`Fan.odd_points`).
 """
 
 from __future__ import annotations
@@ -477,92 +476,50 @@ def _pack(vectors, width):
     return tuple(columns), high
 
 
-class PackedForms:
-    """Signs of a fixed list of integer linear forms, at one integer point
-    or at a batch of points, for all the forms at once.
+def form_signs(forms, points):
+    """Signs of integer linear ``forms`` at a batch of integer ``points``,
+    for all the forms and points at once: ``(width, every, nonnegative,
+    zero)``, bitsets in which bit ``p * width`` stands for ``points[p]``.
+    ``every`` holds them all, ``nonnegative[j]`` those where form j is
+    ``>= 0`` and ``zero[j]`` those where it vanishes.
 
     Many small fields packed into one word are added and compared with
     full-word instructions (Lamport, "Multiple byte processing with
     full-word instructions", *CACM* 18(8), 1975); Python's exact integers
-    serve as words of any length.  At one point x the forms are packed by
-    :func:`_pack`, one field of width w per form, and the word
-    ``high + sum(x[k] * column[k])`` equals ``sum(c_j << j*w)`` with
-    ``c_j = f_j(x) + 2**(w-1)``.  The width is the smallest power of two
-    from 16 with
-    ``2**(w-1) > max(1, max_j ||f_j||_1) * max(1, max_k |x[k]|)``.  As
-    ``|f_j(x)| <= ||f_j||_1 * max_k |x[k]|``, every ``c_j`` lies in
-    ``[1, 2**w)``, so the ``c_j`` are the base-``2**w`` digits of the
-    word: no field carries into the next, and the top bit of field j is
-    set exactly when ``f_j(x) >= 0``.  The same uniqueness gives that
-    every form vanishes exactly when the word is ``high``, and, since
-    every ``c_j - 1`` is a digit too, that every form is positive exactly
-    when each top bit of ``word - (high >> w - 1)`` is set.  The bound is
-    at least every coefficient and coordinate, so each packed entry fits
-    its field.  The columns are built once per width.
-
-    At a batch of points (:meth:`at_points`) the points are packed instead,
-    one field per point, and no layout is kept: field p of
-    ``high + sum(f[k] * column[k])`` is ``f(x_p) + 2**(w-1)``, whose top
-    bit differs from that of the field less one when ``f(x_p) == 0``.
+    serve as words of any length.  The points are packed by :func:`_pack`,
+    one field of width w per point, and field p of the word
+    ``high + sum(f[k] * column[k])`` is ``c_p = f(x_p) + 2**(w-1)``.  The
+    width is the smallest power of two from 16 with
+    ``2**(w-1) > max(1, max_j ||f_j||_1) * max(1, max_p,k |x_p[k]|)``.  As
+    ``|f(x_p)| <= ||f||_1 * max_k |x_p[k]|``, every ``c_p`` lies in
+    ``[1, 2**w)``, so the ``c_p`` are the base-``2**w`` digits of the
+    word: no field carries into the next, and the top bit of field p is
+    set exactly when ``f(x_p) >= 0``.  Every ``c_p - 1`` is a digit too,
+    and its top bit differs from that of ``c_p`` exactly when
+    ``f(x_p) == 0``.  The bound is at least every coordinate, so each
+    packed entry fits its field.
     """
-
-    def __init__(self, forms):
-        self._forms = tuple(map(tuple, forms))
-        if len(set(map(len, self._forms))) > 1:
-            raise ValueError("forms must all have the same length")
-        self._dim = len(self._forms[0]) if self._forms else 0
-        self._norm = max([1] + [sum(map(abs, f)) for f in self._forms])
-        self._layouts = {}  # width -> (packed columns, high)
-
-    def _width(self, dim, x):
-        """The field width at int coordinates ``x``, of points of ``dim``."""
-        if self._dim and dim != self._dim:
-            raise ValueError(f"point has {dim} coordinates, the forms "
-                             f"have {self._dim}")
-        if not all(map(isinstance, x, itertools.repeat(int))):
-            raise ValueError(f"coordinates must be ints, got {x!r}")
-        bound = self._norm * max(1, max(map(abs, x), default=0))
-        return max(16, 1 << bound.bit_length().bit_length())
-
-    def _word(self, x):
-        """``(width, word, high)`` at the integer point ``x``."""
-        width = self._width(len(x), x)
-        if width not in self._layouts:
-            self._layouts[width] = _pack(self._forms, width)
-        columns, high = self._layouts[width]
-        return width, high + sum(map(operator.mul, x, columns)), high
-
-    def at_points(self, points):
-        """``(width, every, nonnegative, zero)``, bitsets in which bit
-        ``p * width`` stands for ``points[p]``: ``every`` holds them all,
-        ``nonnegative[j]`` those where form j is ``>= 0`` and ``zero[j]``
-        those where it vanishes."""
-        points = _point_tuple(points)
-        width = self._width(len(points[0]),
-                            list(itertools.chain.from_iterable(points)))
-        columns, high = _pack(points, width)
-        every = high >> width - 1
-        nonnegative, zero = [], []
-        for f in self._forms:
-            word = high + sum(map(operator.mul, f, columns))
-            nonnegative.append((word & high) >> width - 1)
-            zero.append(((word ^ word - every) & high) >> width - 1)
-        return width, every, nonnegative, zero
-
-    def all_zero(self, x):
-        """Whether every form vanishes at ``x``."""
-        _, word, high = self._word(x)
-        return word == high
-
-    def all_nonnegative(self, x):
-        """Whether every form is ``>= 0`` at ``x``."""
-        _, word, high = self._word(x)
-        return word & high == high
-
-    def all_positive(self, x):
-        """Whether every form is positive at ``x``."""
-        width, word, high = self._word(x)
-        return (word - (high >> width - 1)) & high == high
+    forms = tuple(map(tuple, forms))
+    if len(set(map(len, forms))) > 1:
+        raise ValueError("forms must all have the same length")
+    points = _point_tuple(points)
+    if forms and len(points[0]) != len(forms[0]):
+        raise ValueError(f"point has {len(points[0])} coordinates, the "
+                         f"forms have {len(forms[0])}")
+    coordinates = list(itertools.chain.from_iterable(points))
+    if not all(map(isinstance, coordinates, itertools.repeat(int))):
+        raise ValueError(f"coordinates must be ints, got {points!r}")
+    bound = max([1] + [sum(map(abs, f)) for f in forms]) \
+        * max(1, max(map(abs, coordinates), default=0))
+    width = max(16, 1 << bound.bit_length().bit_length())
+    columns, high = _pack(points, width)
+    every = high >> width - 1
+    nonnegative, zero = [], []
+    for f in forms:
+        word = high + sum(map(operator.mul, f, columns))
+        nonnegative.append((word & high) >> width - 1)
+        zero.append(((word ^ word - every) & high) >> width - 1)
+    return width, every, nonnegative, zero
 
 
 class Fan:
@@ -590,7 +547,6 @@ class Fan:
         self._normals = tuple(index)
         self._cone_normals = tuple(tuple(map(index.__getitem__, c.halfspaces))
                                    for c in self.maximal_cones)
-        self._packed = PackedForms(self._normals)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -630,12 +586,12 @@ class Fan:
         """``(width, every, held, zero)``, bitsets in which bit
         ``p * width`` stands for ``points[p]``: ``every`` holds them all,
         ``held[i]`` those in cone i, and ``zero[j]`` those where
-        ``_normals[j]`` vanishes, as :meth:`PackedForms.at_points` gives."""
+        ``_normals[j]`` vanishes, as :func:`form_signs` gives."""
         points = _point_tuple(points)
         if len(points[0]) != self.ambient_dim:
             raise ValueError(f"points must have {self.ambient_dim} "
                              f"coordinates, got {points!r}")
-        width, every, nonnegative, zero = self._packed.at_points(points)
+        width, every, nonnegative, zero = form_signs(self._normals, points)
         held = [functools.reduce(operator.and_,
                                  map(nonnegative.__getitem__, normals), every)
                 for normals in self._cone_normals]

@@ -19,8 +19,8 @@ from operator import and_, or_
 from . import reference
 from .fan import compute_fan_f36, integer_heights
 from .geometry import (
-    PackedForms,
     basis_relations,
+    form_signs,
     integer_rows,
     intersection_dim,
     lower_cell_masks,
@@ -405,29 +405,26 @@ def subdivision_forms(cells):
     return tuple(equalities), tuple(stricts)
 
 
-def certifies(packed, w):
-    """Whether heights ``w`` satisfy the certificate ``packed`` of
-    :func:`packed_certificate`, and so induce exactly its cells.
+def certified(forms, heights):
+    """``(width, ok)`` of the certificate ``forms`` of
+    :func:`subdivision_forms` at a batch of ``heights``: bit ``p * width``
+    of ``ok`` is set when ``heights[p]`` satisfies it, and so induces
+    exactly its cells.
 
-    ``w`` must hold ints or Fractions, and is scaled to integers by the lcm
-    of its denominators (1 for ints), which keeps the forms' signs.
-    """
-    [w], _ = integer_rows([w])
-    equalities, stricts = packed
-    return equalities.all_zero(w) and stricts.all_positive(w)
-
-
-# room for the certificates of the 48 canonical subdivisions
-@lru_cache(maxsize=64)
-def packed_certificate(forms):
-    """The equality and strict forms of the certificate ``forms`` of
-    :func:`subdivision_forms`, each packed by :class:`PackedForms`.
-
-    A sweep tests many heights against one certificate, so its caller
-    packs it once; the packings are kept by value.
+    The heights must hold ints or Fractions, and the batch is scaled to
+    integers once, by the lcm of all its denominators (1 for ints), which
+    keeps the forms' signs.  The equality and strict forms are evaluated
+    in one call of :func:`form_signs`, so their bitsets share one width.
     """
     equalities, stricts = forms
-    return PackedForms(equalities), PackedForms(stricts)
+    rows, _ = integer_rows(heights)
+    width, ok, nonnegative, zero = form_signs((*equalities, *stricts), rows)
+    split = len(equalities)
+    for z in zero[:split]:
+        ok &= z
+    for n, z in zip(nonnegative[split:], zero[split:]):
+        ok &= n ^ z  # the zeros are among the nonnegatives
+    return width, ok
 
 
 def subdivision_signature(cells):

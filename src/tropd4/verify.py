@@ -43,13 +43,13 @@ from .fan import (
     compute_fan_f36,
     integer_heights,
 )
+from .geometry import form_signs
 from .hypersimplex import (
     canonical_point,
     canonical_subdivision,
-    certifies,
+    certified,
     is_matroid_basis_set,
     induced_subdivision,
-    packed_certificate,
     reference_signatures,
     subdivision_forms,
     subdivision_signature,
@@ -199,8 +199,10 @@ def check_interior_point_stability(seed, samples_per_cone=20):
     and induce S_C's cells; only a sample that fails it takes a lower
     envelope.  A sample is judged at its integer multiple x, the point
     times its common denominator: a positive scale of the heights keeps
-    the cells.  Samples share most of their cells, so each distinct cell
-    is judged for basis exchange and each distinct subdivision signed once.
+    the cells.  A cone's samples are certified as one batch
+    (:func:`certified`), then judged in order.  Samples share most of
+    their cells, so each distinct cell is judged for basis exchange and
+    each distinct subdivision signed once.
     """
     rng = random.Random(seed)
     violations = []
@@ -223,20 +225,24 @@ def check_interior_point_stability(seed, samples_per_cone=20):
             violations.append({"check": "signature of cone type",
                                "cone": [list(r) for r in rays],
                                "type": plane_type})
-        packed = packed_certificate(subdivision_forms(canonical))
+        samples = []
         for _ in range(samples_per_cone):
             # the point sum(a / b * r) over the rays is x / den, summed in
             # integers over the lcm of the b's; lowest terms keep x, and so
-            # the fields the certificates are packed in, small
+            # the fields the certificate is evaluated in, small
             pairs = [(rng.randint(1, 50), rng.randint(1, 8)) for _ in rays]
             den = lcm(*(b for _, b in pairs))
             coeffs = [a * (den // b) for a, b in pairs]
             x = [sum(map(operator.mul, coeffs, column))
                  for column in zip(*rays)]
             g = gcd(den, *x)
-            x, den = tuple(v // g for v in x), den // g
-            w = integer_heights(x)
-            cells = canonical if certifies(packed, w) \
+            samples.append((tuple(v // g for v in x), den // g))
+        if not samples:
+            continue  # a batch needs a point
+        heights = [integer_heights(x) for x, _ in samples]
+        width, ok = certified(subdivision_forms(canonical), heights)
+        for p, ((x, den), w) in enumerate(zip(samples, heights)):
+            cells = canonical if ok >> p * width & 1 \
                 else induced_subdivision(w)
             if not all(map(matroidal, cells)):
                 violations.append({"check": "matroidal cells",
@@ -276,9 +282,9 @@ def check_cone_proofs():
     "positive at some ray" is the same as positive at the sum of the
     rays' heights, the heights at p, which is how it is tested.
 
-    The forms are linear, so (b) reads them, packed by
-    :func:`packed_certificate`, at the integer heights of the rays that
-    (a) gives.
+    The forms are linear, so (b) reads them at the integer heights of
+    the rays that (a) gives and at their sum, one batch of
+    :func:`form_signs`.
 
     (c) Every cell of S_C satisfies the basis-exchange axiom.  With (a)
     and (b), the heights at every interior point of C induce exactly
@@ -307,10 +313,14 @@ def check_cone_proofs():
             violations.append({"check": "trop_phi2 linear on cone",
                                "cone": cone})
             continue
-        equalities, stricts = packed_certificate(subdivision_forms(canonical))
-        if not all(map(equalities.all_zero, heights)) or \
-                not all(map(stricts.all_nonnegative, heights)) or \
-                not stricts.all_positive(total):
+        equalities, stricts = subdivision_forms(canonical)
+        width, every, nonnegative, zero = form_signs(
+            (*equalities, *stricts), [*heights, total])
+        at_total = 1 << len(heights) * width
+        split = len(equalities)
+        if any(z != every for z in zero[:split]) or \
+                any(n != every or z & at_total
+                    for n, z in zip(nonnegative[split:], zero[split:])):
             violations.append({"check": "subdivision constant on cone",
                                "cone": cone})
     return violations

@@ -233,6 +233,17 @@ class TestVerifyAll:
                                       "cluster_complex": [16, 66, 100, 50]}
         assert len(report["tables"]["table1"]) == 48
 
+    def test_no_samples_per_cone(self, capsys):
+        """``--samples-per-cone 0`` draws no sample and certifies no
+        batch; the run passes with the default run's tables and
+        f-vectors."""
+        code, out = run_cli(capsys, "verify-all", "--samples-per-cone", "0")
+        _, default = run_cli(capsys, "verify-all")
+        report, expected = json.loads(out), json.loads(default)
+        assert code == 0 and report["violations"] == []
+        assert (report["tables"], report["fvectors"]) == \
+            (expected["tables"], expected["fvectors"])
+
     def test_seed_does_not_change_tables(self, capsys):
         _, out7 = run_cli(capsys, "--seed", "7", *self.ARGS)
         _, out8 = run_cli(capsys, "--seed", "8", *self.ARGS)
@@ -322,12 +333,16 @@ class TestVerifyAll:
 
 
 class TestReadmeCommands:
-    COMMANDS = readme_command_lines()
+    # The README's commands, in order, pinned: they are read off its
+    # prose, where a rewritten paragraph could drop one unseen.
+    COMMANDS = [line.split() for line in (
+        "enumerate -n 4", "enumerate -n 4 --format dot", "fan",
+        "subdivision --cone r3,r9,r10,r12", "table1 --format csv",
+        "table2 --format csv", "classify-clusters", "verify-all --seed 7",
+        "--seed 7 verify-all", "verify-all --seed 7", "--seed 11 verify-all")]
 
     def test_readme_lists_commands(self):
-        assert len(self.COMMANDS) >= 9
-        assert ["verify-all", "--seed", "7"] in self.COMMANDS
-        assert ["--seed", "7", "verify-all"] in self.COMMANDS
+        assert readme_command_lines() == self.COMMANDS
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
     def test_parses_with_its_seed(self, argv):

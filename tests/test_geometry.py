@@ -16,10 +16,10 @@ from tropd4.geometry import (
     Cone,
     Fan,
     NotPointedError,
-    PackedForms,
     basis_relations,
     cone_from_rays,
     cone_rays,
+    form_signs,
     intersection_dim,
     point_in_hull,
     polytope_f_vector,
@@ -895,8 +895,8 @@ class TestBasisRelations:
 
 
 def packed_width(forms, x):
-    """The field width :class:`PackedForms` must take: the smallest power
-    of two from 16 with
+    """The field width :func:`form_signs` must take at the point ``x``:
+    the smallest power of two from 16 with
     ``2**(w-1) > max(1, max ||f||_1) * max(1, max |x_k|)``."""
     bound = max(1, max((sum(abs(a) for a in f) for f in forms), default=0)) \
         * max(1, max((abs(v) for v in x), default=0))
@@ -906,34 +906,22 @@ def packed_width(forms, x):
     return w
 
 
-def nonnegative(packed, x):
-    """The field width of :class:`PackedForms` at ``x``, and the top bits
-    of the fields of the forms that are ``>= 0`` there."""
-    width, word, high = packed._word(x)
-    return width, word & high
-
-
 def assert_packed_signs(forms, x):
-    """:class:`PackedForms` against plain sums, form by form."""
+    """:func:`form_signs` at the batch of the one point ``x`` against
+    plain sums, form by form."""
     values = [sum(a * b for a, b in zip(f, x)) for f in forms]
-    packed = PackedForms(forms)
-    width, bits = nonnegative(packed, x)
-    assert width == packed_width(forms, x)
-    assert [bits >> (j * width + width - 1) & 1 for j in range(len(forms))] \
-        == [int(v >= 0) for v in values]
-    assert bits >> len(forms) * width == 0
-    assert packed.all_zero(x) == all(v == 0 for v in values)
-    assert packed.all_positive(x) == all(v > 0 for v in values)
-    # the same forms turned positive at x, with and without the ones that
-    # vanish there
+    width, every, nonnegative, zero = form_signs(forms, [x])
+    assert width == packed_width(forms, x) and every == 1
+    assert nonnegative == [int(v >= 0) for v in values]
+    assert zero == [int(v == 0) for v in values]
+    # the same forms turned positive at x, then with the ones that vanish
+    # there
     positive = [f if v > 0 else tuple(-a for a in f)
                 for f, v in zip(forms, values) if v]
     vanishing = [f for f, v in zip(forms, values) if not v]
-    assert PackedForms(positive).all_positive(x)
-    assert PackedForms(vanishing).all_zero(x)
-    assert PackedForms(positive + vanishing).all_positive(x) == \
-        (not vanishing)
-    assert PackedForms(positive + vanishing).all_zero(x) == (not positive)
+    _, _, nonnegative, zero = form_signs(positive + vanishing, [x])
+    assert nonnegative == [1] * len(forms)
+    assert zero == [0] * len(positive) + [1] * len(vanishing)
 
 
 @st.composite
@@ -967,6 +955,8 @@ def extreme_packed_cases(draw):
 
 
 class TestPackedForms:
+    """:func:`form_signs`, at batches of one point and of many."""
+
     @given(packed_cases())
     def test_signs_match_plain_sums(self, case):
         assert_packed_signs(*case)
@@ -974,7 +964,7 @@ class TestPackedForms:
     @given(extreme_packed_cases())
     def test_extreme_values_fit_their_fields(self, case_and_width):
         (forms, x), width = case_and_width
-        assert nonnegative(PackedForms(forms), x)[0] == width
+        assert form_signs(forms, [x])[0] == width
         assert_packed_signs(forms, x)
 
     @given(st.one_of(packed_cases(), extreme_packed_cases().map(
@@ -984,49 +974,47 @@ class TestPackedForms:
         then with one form that is positive there negated."""
         forms, x = case
         values = [sum(a * b for a, b in zip(f, x)) for f in forms]
-        assert PackedForms(forms).all_nonnegative(x) == \
-            all(v >= 0 for v in values)
+        assert form_signs(forms, [x])[2] == [int(v >= 0) for v in values]
         turned = [f if v >= 0 else tuple(-a for a in f)
                   for f, v in zip(forms, values)]
-        assert PackedForms(turned).all_nonnegative(x)
+        assert form_signs(turned, [x])[2] == [1] * len(forms)
         for k in (k for k, v in enumerate(values) if v):
             flipped = turned[:k] + [tuple(-a for a in turned[k])] \
                 + turned[k + 1:]
-            assert not PackedForms(flipped).all_nonnegative(x)
+            assert form_signs(flipped, [x])[2] == \
+                [int(j != k) for j in range(len(forms))]
 
     def test_widths_double_from_16(self):
-        packed = PackedForms([(1, -3), (0, 4)])  # norm 4
-        assert [nonnegative(packed, (v, 0))[0]
+        forms = [(1, -3), (0, 4)]  # norm 4
+        assert [form_signs(forms, [(v, 0)])[0]
                 for v in (0, 2 ** 13 - 1, 2 ** 13, 10 ** 40)] == \
             [16, 16, 32, 256]
+        assert form_signs(forms, [(0, 0), (2 ** 13, 0)])[0] == 32
 
     def test_rejects_bad_input(self):
-        packed = PackedForms([(1, 1)])
         for x in ((Fraction(1, 2), 1), (1, 0.5), (Fraction(2), 3)):
             with pytest.raises(ValueError, match="must be ints"):
-                nonnegative(packed, x)
+                form_signs([(1, 1)], [x])
         for x in ((1,), (1, 2, 3)):
             with pytest.raises(ValueError, match="point has"):
-                packed.all_zero(x)
+                form_signs([(1, 1)], [x])
         with pytest.raises(ValueError, match="same length"):
-            PackedForms([(1, 1), (1,)])
+            form_signs([(1, 1), (1,)], [(1, 1)])
 
     def test_zero_point_still_fits_the_coefficients(self):
         """A coefficient of 40000 needs 32 bits even where x is zero."""
-        packed = PackedForms([(40000,)])
-        assert packed.all_zero((0,)) and nonnegative(packed, (0,))[0] == 32
+        assert form_signs([(40000,)], [(0,)]) == (32, 1, [1], [1])
 
     @given(packed_cases(), st.lists(st.integers(-10 ** 6, 10 ** 6),
                                     min_size=1, max_size=40))
     def test_batches_match_plain_sums(self, case, entries):
-        """``at_points`` at a batch of points: the point of the case,
-        then points made of ``entries``, cycled to its length."""
+        """A batch of points: the point of the case, then points made of
+        ``entries``, cycled to its length."""
         forms, x = case
         cycle = itertools.cycle(entries)
         points = [x] + [tuple(next(cycle) for _ in x)
                         for _ in range(len(entries))]
-        width, every, nonnegative_bits, zero = \
-            PackedForms(forms).at_points(points)
+        width, every, nonnegative_bits, zero = form_signs(forms, points)
         assert width == max(packed_width(forms, p) for p in points)
         assert every == sum(1 << p * width for p in range(len(points)))
         values = [[sum(a * b for a, b in zip(f, p)) for p in points]
@@ -1038,11 +1026,10 @@ class TestPackedForms:
                             if v == 0) for row in values]
 
     def test_batches_reject_bad_points(self):
-        packed = PackedForms([(1, 1)])
         for points in ([(1, 2, 3)], [(1, Fraction(1, 2))], [(1, 2.0)], [],
                        [(1, 2), (1,)]):
             with pytest.raises(ValueError):
-                packed.at_points(points)
+                form_signs([(1, 1)], points)
 
 
 def packed_exactly(vectors, width):
@@ -1105,22 +1092,23 @@ class TestSetBits:
 
 
 class TestFanPointLocation:
-    def test_equal_words_of_two_widths_stay_apart(self, cones_holding):
-        """On the line, a small positive point and a large negative one
-        give one packed word at two widths, so a memo keyed by the word
-        alone would hand the second point the first one's cone."""
+    def test_equal_words_of_two_widths_stay_apart(self):
+        """On the line, the batch of a small positive and a small negative
+        point packs at width 16 into the word that one large negative
+        point packs into at width 32, so a memo keyed by the word alone
+        would hand one batch the other's cones."""
         fan = Fan(1, (Cone(1, ((1,),)), Cone(1, ((-1,),))))
-        packed = PackedForms([c.halfspaces[0] for c in fan.maximal_cones])
-        small, large = (5,), (-2 ** 20,)
-        (w_small, bits), (w_large, bits_large) = (
-            nonnegative(packed, x) for x in (small, large))
-        assert w_small != w_large and bits == bits_large
-        for order in ((small, large), (large, small)):
+        pair, single = [(5,), (-16,)], [(5 - 16 * 2 ** 16,)]
+        assert geometry._pack(pair, 16)[0] == geometry._pack(single, 32)[0]
+        for order in ((pair, single), (single, pair)):
             fan = Fan(1, fan.maximal_cones)
-            for x in order * 2:
-                assert cones_holding(fan, x) == [
-                    i for i, c in enumerate(fan.maximal_cones)
-                    if c.face_containing(x) is not None], x
+            for points in order * 2:
+                width, _, held, _ = fan.locate(points)
+                assert width == (16 if points is pair else 32)
+                assert held == [sum(1 << p * width
+                                    for p, x in enumerate(points)
+                                    if c.face_containing(x) is not None)
+                                for c in fan.maximal_cones], points
 
 
 @st.composite

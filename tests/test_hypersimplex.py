@@ -8,19 +8,18 @@ from fractions import Fraction
 from math import comb, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropd4.fan import integer_heights, trop_phi2
 from tropd4.hypersimplex import (
     canonical_point,
     canonical_subdivision,
-    certifies,
+    certified,
     classify_plane_type,
     hypersimplex_vertices,
     induced_subdivision,
     is_matroid_basis_set,
-    packed_certificate,
     reference_signatures,
     signature_intersection_dims,
     subdivision_forms,
@@ -28,11 +27,7 @@ from tropd4.hypersimplex import (
     subdivision_to_json,
 )
 import tropd4.geometry as geometry
-from tropd4.geometry import (
-    PackedForms,
-    polytope_f_vector,
-    regular_subdivision,
-)
+from tropd4.geometry import polytope_f_vector, regular_subdivision
 from tropd4.reference import (
     CONES_PER_TYPE,
     RAY_COORDS,
@@ -1146,6 +1141,50 @@ class TestRayLetters:
                 assert len(a & b) == shared
 
 
+def verdicts(forms, heights):
+    """The verdict of :func:`certified` at each of the batch ``heights``,
+    in order; no bit is set outside the points' fields."""
+    width, ok = certified(forms, heights)
+    bits = [ok >> p * width & 1 for p in range(len(heights))]
+    assert ok == sum(b << p * width for p, b in enumerate(bits))
+    return [bool(b) for b in bits]
+
+
+@st.composite
+def certificate_batches(draw):
+    """A certificate of small equality forms and strict forms of large
+    norm, and a batch of heights of which some satisfy it, as ints or as
+    Fractions.
+
+    The equality forms are multiples of ``e_0``, so a point satisfies
+    them when its coordinate 0 is 0.  Each strict form has nonnegative
+    coefficients on the other coordinates, one of them at least 2**16,
+    so its norm needs a field of 32 bits or more where the equality
+    forms alone need 16: the two kinds evaluated apart would give
+    bitsets of two widths.  Points whose other coordinates are positive
+    then satisfy it, and a zero or a negative one may break it."""
+    n = draw(st.integers(2, 5))
+    equalities = [tuple(c * (i == 0) for i in range(n)) for c in draw(
+        st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=3))]
+    stricts = []
+    for _ in range(draw(st.integers(1, 4))):
+        coefficients = [draw(st.integers(-3, 3))] + draw(st.lists(
+            st.integers(0, 2 ** 20), min_size=n - 1, max_size=n - 1))
+        coefficients[draw(st.integers(1, n - 1))] = draw(
+            st.integers(2 ** 16, 2 ** 20))
+        stricts.append(tuple(coefficients))
+    points = draw(st.lists(st.tuples(
+        st.sampled_from([0, 0, 0, 1, -2]),
+        *[st.one_of(st.integers(1, 9), st.integers(-2, 50))] * (n - 1)),
+        min_size=1, max_size=12))
+    if draw(st.booleans()):
+        points = [tuple(Fraction(v, d) for v in p)
+                  for p, d in zip(points, draw(st.lists(
+                      st.integers(1, 12), min_size=len(points),
+                      max_size=len(points))))]
+    return (tuple(equalities), tuple(stricts)), points
+
+
 class TestCertificate:
     """The secondary-cone certificate of the 48 canonical subdivisions."""
 
@@ -1164,32 +1203,46 @@ class TestCertificate:
             forms = subdivision_forms([{PLUECKER_TRIPLES[i] for i in cell}])
             assert forms == brute_force_cell_forms(verts, cell)
 
+    @given(certificate_batches())
+    @example(((((1, 0),), ((0, 2 ** 16),)), [(0, 1), (1, 1), (0, -1),
+                                             (0, 1)]))
+    def test_batch_matches_plain_sums(self, case):
+        """Each point's verdict in the batch is the one its forms' plain
+        sums give, whichever points beside it fail."""
+        forms, points = case
+        assert verdicts(forms, points) == \
+            [certificate_holds(forms, w) for w in points]
+
     def test_certified_iff_envelope_gives_canonical_cells(self, canonical):
         """Interior points, and points on a facet or a ray of each cone,
-        where ties can coarsen the subdivision."""
+        where ties can coarsen the subdivision, certified as one batch
+        per cone."""
         rng = random.Random(13)
-        verdicts = set()
+        seen = set()
         for rays, cells in canonical:
-            forms = subdivision_forms(cells)
+            batch = []
             for zeros in (0, 0, 1, len(rays) - 1):
                 coeffs = [Fraction(rng.randint(1, 30), rng.randint(1, 5))
                           for _ in rays]
                 for k in rng.sample(range(len(rays)), zeros):
                     coeffs[k] = 0
-                w = trop_phi2(tuple(sum(a * r[i] for a, r in zip(coeffs, rays))
-                                    for i in range(4)))
-                certified = certifies(packed_certificate(forms), w)
-                assert certified == (set(induced_subdivision(w)) == set(cells))
-                verdicts.add(certified)
-        assert verdicts == {False, True}
+                batch.append(trop_phi2(tuple(
+                    sum(a * r[i] for a, r in zip(coeffs, rays))
+                    for i in range(4))))
+            got = verdicts(subdivision_forms(cells), batch)
+            assert got == [set(induced_subdivision(w)) == set(cells)
+                           for w in batch]
+            seen.update(got)
+        assert seen == {False, True}
 
     def test_neighbour_forms_reject_every_canonical_point(self, canonical):
+        """At the batch of the 48 canonical points, each certificate holds
+        at its own cone's point alone."""
         heights = [trop_phi2(tuple(sum(c) for c in zip(*rays)))
                    for rays, _ in canonical]
-        forms = [subdivision_forms(cells) for _, cells in canonical]
-        packed = list(map(packed_certificate, forms))
-        assert all(map(certifies, packed, heights))
-        assert not any(map(certifies, packed[1:] + packed[:1], heights))
+        for k, (_, cells) in enumerate(canonical):
+            assert verdicts(subdivision_forms(cells), heights) == \
+                [j == k for j in range(len(heights))]
 
     def test_one_flipped_strict_form_is_caught(self, canonical):
         rng = random.Random(5)
@@ -1199,18 +1252,17 @@ class TestCertificate:
             flipped = stricts[:k] + (tuple(-x for x in stricts[k]),) \
                 + stricts[k + 1:]
             w = trop_phi2(tuple(sum(c) for c in zip(*rays)))
-            assert not certifies(packed_certificate((equalities, flipped)),
-                                 w)
+            assert verdicts((equalities, flipped), [w]) == [False]
 
     def test_matches_form_by_form_oracle_on_huge_heights(self, canonical):
         """Heights of size 10**30: each cone's canonical heights scaled,
         plus a huge affine function of the vertices, which no form sees;
-        the same with one height nudged; each under the cone's own forms
-        and its neighbour's."""
+        the same with one height nudged; both in one batch, under the
+        cone's own forms and its neighbour's."""
         rng = random.Random(17)
         verts = hypersimplex_vertices()
         forms = [subdivision_forms(cells) for _, cells in canonical]
-        verdicts = set()
+        seen = set()
         for k, (rays, _) in enumerate(canonical):
             scale = Fraction(rng.randint(10 ** 29, 10 ** 30),
                              rng.randint(1, 10 ** 6))
@@ -1220,18 +1272,19 @@ class TestCertificate:
                       for h, v in zip(trop_phi2(canonical_point(rays)), verts)]
             nudged = list(lifted)
             nudged[rng.randrange(len(nudged))] += Fraction(1, 10 ** 6)
-            for f, heights in itertools.product((forms[k], forms[k - 1]),
-                                                (lifted, nudged)):
-                verdict = certifies(packed_certificate(f), heights)
-                assert verdict == certificate_holds(f, heights)
-                verdicts.add(verdict)
-        assert verdicts == {False, True}
+            for f in (forms[k], forms[k - 1]):
+                got = verdicts(f, [lifted, nudged])
+                assert got == [certificate_holds(f, w)
+                               for w in (lifted, nudged)]
+                seen.update(got)
+        assert seen == {False, True}
 
     def test_memo_answers_each_certificate_by_its_own_forms(self,
                                                              canonical):
         """Each cone's heights, under its own certificate and its
         neighbour's in turn, and under rebuilt copies of both, which are
-        equal to them but not the same objects."""
+        equal to them but not the same objects: no verdict is carried
+        from one certificate to the next."""
         forms = [subdivision_forms(cells) for _, cells in canonical]
         for k, (rays, cells) in enumerate(canonical):
             w = trop_phi2(canonical_point(rays))
@@ -1241,100 +1294,82 @@ class TestCertificate:
             assert rebuilt == own and rebuilt is not own
             assert rebuilt_neighbour == neighbour
             assert rebuilt_neighbour is not neighbour
-            assert packed_certificate(rebuilt) is packed_certificate(own)
             # the oracle's verdicts, which the calls below must repeat
             assert certificate_holds(own, w)
             assert not certificate_holds(neighbour, w)
             for f, holds in ((own, True), (neighbour, False), (own, True),
                              (rebuilt, True), (rebuilt_neighbour, False),
                              (rebuilt, True), (neighbour, False)):
-                assert certifies(packed_certificate(f), w) == holds
+                assert verdicts(f, [w]) == [holds]
 
     def test_rejects_lower_dimensional_cell(self):
         with pytest.raises(ValueError, match="not full-dimensional"):
             subdivision_forms([set(PLUECKER_TRIPLES[:6])])
 
-    def test_block_layouts_match_flat_packing(self, canonical):
-        """Each kind of form of every canonical certificate, a plain
-        tuple, is packed with the columns and ``high`` packed form by form,
-        at widths 16 to 128, and its :class:`PackedForms` keeps that
-        layout at the width it evaluates at."""
-        for _, cells in canonical:
-            for forms in subdivision_forms(cells):
-                assert type(forms) is tuple
-                for width in (16, 32, 64, 128):
-                    flat = (tuple(sum(f[k] << j * width
-                                      for j, f in enumerate(forms))
-                                  for k in range(20)) if forms else (),
-                            sum(2 ** (j * width + width - 1)
-                                for j in range(len(forms))))
-                    assert geometry._pack(forms, width) == flat
-                    packed = PackedForms(forms)
-                    # evaluated at exactly this width while the forms'
-                    # norm is from 1 to 2**(width // 2) - 1
-                    x = (0,) * 19 + (2 ** (width // 2 - 1),)
-                    packed.all_zero(x)
-                    assert packed._layouts == {width: flat}
-
     def test_integer_heights_give_the_fraction_verdict(self, canonical):
-        """``certifies`` reads ints at scale 1 and rescales Fractions.  The
-        ``integer_heights`` at a point scaled to integers and the
-        ``trop_phi2`` Fractions at the point give the same verdict, under
-        each cone's certificate and its neighbour's, at the 960 interior
-        samples of ``check_interior_point_stability(7)``, which their own
-        cone certifies and no neighbour; and the oracle's at points with
-        negative coordinates and common factors."""
+        """``certified`` reads ints at scale 1 and rescales Fractions.  The
+        ``integer_heights`` at points scaled to integers and the
+        ``trop_phi2`` Fractions at the points give the same verdicts,
+        under each cone's certificate and its neighbour's, at the 960
+        interior samples of ``check_interior_point_stability(7)``, a
+        batch of 20 per cone, which their own cone certifies and no
+        neighbour; and the oracle's at points with negative coordinates
+        and common factors."""
         def scaled(x):
             scale = lcm(*(v.denominator for v in x))
             return scale, integer_heights(tuple(int(v * scale) for v in x))
 
-        packed = [packed_certificate(subdivision_forms(cells))
-                  for _, cells in canonical]
+        forms = [subdivision_forms(cells) for _, cells in canonical]
         rng = random.Random(7)
-        verdicts = []
         for k, (rays, _) in enumerate(canonical):
+            batch, ints = [], []
             for _ in range(20):
                 pairs = [(rng.randint(1, 50), rng.randint(1, 8))
                          for _ in rays]
                 x = tuple(sum(Fraction(a, b) * r[i] for (a, b), r in
                               zip(pairs, rays)) for i in range(4))
-                w = trop_phi2(x)
-                scale, ints = scaled(x)
-                assert ints == tuple(h * scale for h in w)
-                for certificate in (packed[k], packed[k - 1]):
-                    verdicts.append(certifies(certificate, ints))
-                    assert certifies(certificate, w) == verdicts[-1]
-        assert verdicts == [True, False] * 960
-        forms = [subdivision_forms(cells) for _, cells in canonical]
+                batch.append(trop_phi2(x))
+                scale, heights = scaled(x)
+                assert heights == tuple(h * scale for h in batch[-1])
+                ints.append(heights)
+            for f, holds in ((forms[k], True), (forms[k - 1], False)):
+                assert verdicts(f, ints) == [holds] * 20
+                assert verdicts(f, batch) == [holds] * 20
         rng = random.Random(23)
-        verdicts = set()
+        seen = set()
         for k, (rays, _) in enumerate(canonical):
             point = canonical_point(rays)
-            for x in (tuple(6 * v for v in point),
-                      tuple(Fraction(rng.randint(-40, 40), 6 * d) for d in
-                            (1, 2, 3, 4)),
-                      tuple(Fraction(v, 4) - 3 for v in point)):
-                w = trop_phi2(x)
-                holds = certificate_holds(forms[k], w)
-                assert certifies(packed[k], w) == holds
-                assert certifies(packed[k], scaled(x)[1]) == holds
-                verdicts.add(holds)
-        assert verdicts == {False, True}
+            xs = (tuple(6 * v for v in point),
+                  tuple(Fraction(rng.randint(-40, 40), 6 * d) for d in
+                        (1, 2, 3, 4)),
+                  tuple(Fraction(v, 4) - 3 for v in point))
+            holds = [certificate_holds(forms[k], trop_phi2(x)) for x in xs]
+            assert verdicts(forms[k], [trop_phi2(x) for x in xs]) == holds
+            assert verdicts(forms[k], [scaled(x)[1] for x in xs]) == holds
+            seen.update(holds)
+        assert seen == {False, True}
 
 
 class TestCertifiesRejectsBadHeights:
-    """``certifies`` takes ints and Fractions only, as
-    ``induced_subdivision`` does."""
+    """``certified`` takes ints and Fractions only, as
+    ``induced_subdivision`` does, and a batch of one point or more."""
+
+    @pytest.fixture(scope="class")
+    def forms(self):
+        return subdivision_forms(canonical_subdivision(
+            ray_set(("r3", "r9", "r10", "r12"))))
 
     @pytest.mark.parametrize("w", [[0.5] * 20, ["1"] * 20,
                                    [Fraction(1, 2)] * 19 + [0.5]])
-    def test_rejects_heights_that_are_not_rational(self, w):
-        packed = packed_certificate(subdivision_forms(
-            canonical_subdivision(ray_set(("r3", "r9", "r10", "r12")))))
+    def test_rejects_heights_that_are_not_rational(self, forms, w):
         with pytest.raises(ValueError, match="ints or Fractions"):
-            certifies(packed, w)
+            certified(forms, [w])
         with pytest.raises(ValueError, match="ints or Fractions"):
             induced_subdivision(w)
+
+    def test_rejects_an_empty_batch(self, forms):
+        with pytest.raises(ValueError, match="at least one point"):
+            certified(forms, [])
 
 
 class TestJson:

@@ -22,10 +22,9 @@ def scripts(monkeypatch):
 
 def check_run(probe_of):
     """A run of ``check_times`` in which each check took 1 s, made no
-    sweep and no layout and had the probe ``probe_of[name]`` before it."""
+    sweep and had the probe ``probe_of[name]`` before it."""
     return {"times": dict.fromkeys(probe_of, 1.0),
             "sweeps": dict.fromkeys(probe_of, 0),
-            "layouts": dict.fromkeys(probe_of, 0),
             "check_probes": {name: [p] for name, p in probe_of.items()},
             "violations": 0}
 
@@ -58,18 +57,6 @@ class TestCheckTimes:
             assert len(probes) == 1 and probes[0] > 0
             assert probes[0] in run["probes"]
 
-    def test_layouts_are_counted_per_check(self, child_run):
-        """Only the two certificate checks build packed layouts: the
-        proofs one per canonical certificate and kind of form at one
-        width, and ``full_report``'s count is the checks' sum."""
-        layouts = dict(child_run["layouts"])
-        total = layouts.pop("full_report")
-        assert set(layouts) == set(child_run["check_probes"])
-        assert total == sum(layouts.values())
-        assert layouts.pop("check_cone_proofs") == 2 * 48
-        assert layouts.pop("check_interior_point_stability") > 0
-        assert set(layouts.values()) == {0}
-
     def test_sweeps_are_counted_per_check(self, child_run):
         """The report's sweep budget, the same on any host: one per fan
         region in the fan build, the lower envelopes of Table 1 and of
@@ -82,12 +69,12 @@ class TestCheckTimes:
             "check_fan": 48, "check_table1": 16, "check_cone_proofs": 48,
             "check_interior_point_stability": 4}
 
-    def test_summary_requires_equal_layout_counts(self, scripts):
+    def test_summary_requires_equal_sweep_counts(self, scripts):
         check_times, _ = scripts
         runs = [check_run({"check_fan": 0.001}) for _ in range(3)]
-        assert check_times.summary(runs)["layouts"] == {"check_fan": 0}
-        runs[1]["layouts"]["check_fan"] = 1
-        with pytest.raises(RuntimeError, match="numbers of layouts"):
+        assert check_times.summary(runs)["sweeps"] == {"check_fan": 0}
+        runs[1]["sweeps"]["check_fan"] = 1
+        with pytest.raises(RuntimeError, match="numbers of sweeps"):
             check_times.summary(runs)
 
     def test_summary_keeps_each_checks_probe(self, scripts):

@@ -96,10 +96,35 @@ def test_rejected_cell_fails_every_point_on_the_envelope_path(monkeypatch):
         envelopes.append(w)
         return induced_subdivision(w)
 
-    monkeypatch.setattr(verify, "certifies", lambda forms, w: False)
+    monkeypatch.setattr(verify, "certified", lambda forms, heights: (16, 0))
     monkeypatch.setattr(verify, "induced_subdivision", induced)
     _rejected_cell_fails_every_point_that_has_it(monkeypatch)
     assert len(envelopes) == 2 * 96
+
+
+def test_one_failing_sample_alone_takes_the_envelope(monkeypatch):
+    """With the middle sample of each cone's batch of 20 failing its
+    certificate, that sample alone takes a lower envelope, at its own
+    heights, and the check still passes: the envelope gives the
+    canonical cells."""
+    batches, envelopes = [], []
+    real_certified = verify.certified
+
+    def certified(forms, heights):
+        width, ok = real_certified(forms, heights)
+        assert ok == sum(1 << p * width for p in range(len(heights)))
+        batches.append(heights)
+        return width, ok & ~(1 << 10 * width)
+
+    def induced(w):
+        envelopes.append(w)
+        return induced_subdivision(w)
+
+    monkeypatch.setattr(verify, "certified", certified)
+    monkeypatch.setattr(verify, "induced_subdivision", induced)
+    assert verify.check_interior_point_stability(7) == []
+    assert [len(b) for b in batches] == [20] * 48
+    assert envelopes == [b[10] for b in batches]
 
 
 def test_samples_are_judged_at_reduced_integer_heights(monkeypatch):
