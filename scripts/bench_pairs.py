@@ -22,7 +22,10 @@ At the end it prints, per end-to-end metric of ``BENCHMARK.json``, each
 side's median [quartiles] over the pairs, the change of the medians in
 percent, and the pairs the working tree won, that is read better than the
 parent of the same seed; then the distance between the medians and the
-parent's quartile distance.
+parent's quartile distance.  Last, per metric, the median ratio of the
+change to the parent over the pairs where the parent ran first and over
+those where the change ran first, so that a side that reads slower
+whenever it runs second shows.
 """
 
 from __future__ import annotations
@@ -60,16 +63,22 @@ def quartiles(values):
     return q2, q1, q3
 
 
+def paired(records):
+    """The metrics of ``records`` by side and pair, and the pairs that
+    both sides ran, ascending."""
+    sides = {"parent": {}, "change": {}}
+    for r in records:
+        sides[r["side"]][r["pair"]] = r["metrics"]
+    return sides, sorted(set(sides["parent"]) & set(sides["change"]))
+
+
 def summarize(records, metrics):
     """One line per metric in ``metrics``, a list of ``(name, unit,
     better)``, over ``records`` of both sides: the parent's median
     [quartiles] → the change's, the change of the medians, the pairs the
     change won, and the distance of the medians against the parent's
     quartile distance."""
-    sides = {"parent": {}, "change": {}}
-    for r in records:
-        sides[r["side"]][r["pair"]] = r["metrics"]
-    pairs = sorted(set(sides["parent"]) & set(sides["change"]))
+    sides, pairs = paired(records)
     lines = []
     for name, unit, better in metrics:
         parent = [sides["parent"][k][name]["value"] for k in pairs]
@@ -86,6 +95,27 @@ def summarize(records, metrics):
             f"{sign}{abs(pct):.1f} %, {won}/{len(pairs)}; "
             f"gap {number(abs(c - p))}, parent quartile distance "
             f"{number(p3 - p1)}")
+    return lines
+
+
+def by_order(records, metrics):
+    """One line per metric in ``metrics`` over ``records`` of both sides:
+    the median ratio change/parent over the even pairs, where the parent
+    ran first, and over the odd pairs, where the change ran first, each
+    with its number of pairs.  A pair whose parent reads 0 has no ratio
+    and is left out."""
+    sides, pairs = paired(records)
+    lines = []
+    for name, _, _ in metrics:
+        ratios = ([], [])
+        for k in pairs:
+            p = sides["parent"][k][name]["value"]
+            if p:
+                ratios[k % 2].append(sides["change"][k][name]["value"] / p)
+        lines.append(f"{name} change/parent: " + ", ".join(
+            f"{first} first {statistics.median(r):.3f} ({len(r)})" if r
+            else f"{first} first none (0)"
+            for first, r in zip(("parent", "change"), ratios)))
     return lines
 
 
@@ -155,6 +185,9 @@ def main(argv=None):
           f"{args.seed + args.pairs - 1}, {parent} \N{RIGHTWARDS ARROW} "
           f"{sides['change'][1]}:")
     for line in summarize(new, metrics):
+        print("  " + line)
+    print("by the side that ran first:")
+    for line in by_order(new, metrics):
         print("  " + line)
     print(f"wrote {output}")
     return 0

@@ -1,11 +1,11 @@
 """The (3,6)-hypersimplex: matroid subdivisions and plane-type classification.
 
-A weight vector on the 20 vertices induces a regular subdivision via the
-exact lower envelope.  For weights coming from the tropical minors the cells
-are matroid polytopes; their face counts together with the dimensions of
-pairwise intersections form a signature that separates the six realized
-combinatorial types of tropical planes.  The classifier reads a cone's
-type off the subdivisions at its rays, one letter E, F or G per ray.
+A weight vector on the 20 vertices induces a regular subdivision via the exact
+lower envelope.  For weights coming from the tropical minors the cells are
+matroid polytopes, which one basis-exchange walk checks; their face counts and
+the dimensions of pairwise intersections form a signature that separates the
+six realized combinatorial types of tropical planes.  The classifier reads a
+cone's type off the subdivisions at its rays, one letter E, F or G per ray.
 """
 
 from __future__ import annotations
@@ -106,16 +106,16 @@ def _span_dim(mask):
     """Dimension of the affine span of the vertices in ``mask`` (-1 if
     none).  Pairs of cells that share a vertex set share this value.
 
-    When the vertices are the bases of a matroid on 1..6, their hull is
-    its matroid polytope, of dimension 6 minus the number of connected
-    components (Feichtner & Sturmfels, "Matroid polytopes, nested sets and
-    Bergman fans", 2005, Prop. 2.4), read off :func:`_exchange_classes`
-    with no rank.  Every other set, the empty one too, is ranked by
-    :func:`intersection_dim`.
+    When the vertices are the bases of a matroid on n elements, here the
+    6 of 1..6, their hull is its matroid polytope, of dimension n minus
+    the number of connected components (Feichtner & Sturmfels, "Matroid
+    polytopes, nested sets and Bergman fans", 2005, Prop. 2.4): the keys
+    and the classes of :func:`_exchange_classes`, with no rank.  Every
+    other set, the empty one too, is ranked by :func:`intersection_dim`.
     """
     classes = _exchange_classes(mask)
     if mask and classes is not None:
-        return 6 - len(set(classes.values()))
+        return len(classes) - len(set(classes.values()))
     shared = _vertex_indices(mask)
     return intersection_dim(hypersimplex_vertices(), shared, shared)
 
@@ -129,17 +129,34 @@ _SIMPLEX_INVARIANTS = {
 
 # Each vertex as a 6-bit mask, bit m - 1 standing for coordinate m.
 _TRIPLE_BITS = tuple(sum(1 << (m - 1) for m in t) for t in PLUECKER_TRIPLES)
-# The inverse: each vertex's bit by its 6-bit mask.
-_VERTEX_BIT = {b: 1 << i for i, b in enumerate(_TRIPLE_BITS)}
+
+
+def _exchange_tables(bases, ground):
+    """Tables of :func:`_exchange_classes` for ``bases``, distinct element
+    masks over ``ground``: each basis's bit by its mask, basis i taking bit
+    i; and per basis A, per element a of A, ``(b, bit of A - a + b)`` for
+    each b of ``ground`` outside A, 0 when that set is no basis."""
+    bit = {m: 1 << i for i, m in enumerate(bases)}
+    return bit, tuple(
+        tuple((a, tuple((b, bit.get(m ^ a | b, 0))
+                        for b in set_bits(ground & ~m)))
+              for a in set_bits(m))
+        for m in bases)
+
+
+class _BasesInside(dict):
+    """Bases' bits by their element masks, as ``inside`` of
+    :func:`_exchange_classes`: at any other element set, the bits of the
+    bases inside it; so it is nonzero exactly when some basis is inside."""
+
+    def __missing__(self, elements):
+        return sum(b for m, b in self.items() if not m & ~elements)
+
+
+# Each vertex's bit by its 6-bit mask, and the exchanges of Delta(3,6).
+_VERTEX_BIT, _EXCHANGES = _exchange_tables(_TRIPLE_BITS, 63)
 # The vertices inside each 6-bit element set s, as a 20-bit mask.
-_INSIDE = tuple(sum(_VERTEX_BIT[t] for t in _TRIPLE_BITS if not t & ~s)
-                for s in range(64))
-# Per vertex A, per element a of A: the bit b of each element outside A,
-# with the 20-bit bit of the vertex A - a + b.
-_EXCHANGES = tuple(
-    tuple((a, tuple((b, _VERTEX_BIT[t ^ a | b]) for b in set_bits(63 ^ t)))
-          for a in set_bits(t))
-    for t in _TRIPLE_BITS)
+_INSIDE = tuple(map(_BasesInside(_VERTEX_BIT).__missing__, range(64)))
 
 
 def is_matroid_basis_set(bases) -> bool:
@@ -147,58 +164,41 @@ def is_matroid_basis_set(bases) -> bool:
     basis without a contains a partner of (A, a), an element b outside A
     for which A - a + b is a basis.
 
-    ``bases`` is read once.  When every basis is a sorted triple of 1..6
-    (a key of ``_TRIPLE_BIT``), as every cell of Delta(3,6) is, the family
-    is a 20-bit vertex mask, held by a cell of :func:`induced_subdivision`
-    and built by :func:`_vertex_mask` for any other family, and
-    :func:`_exchange_classes` judges it.  Any other family, with elements
-    of other types, bases of other sizes or shapes, or unsorted triples,
-    is judged on bitmasks over the union of its bases, built in one pass:
-    each new element takes the next bit.  An empty family raises
-    ``ValueError``.
+    ``bases`` is read once, and :func:`_exchange_classes` judges it.  A
+    cell of :func:`induced_subdivision` holds its vertex mask, walked on
+    the tables of Delta(3,6).  Any other family is read as element masks,
+    each new element taking the next bit (a repeat adds nothing), and
+    walked on tables of its own (:func:`_exchange_tables`).  Bases of
+    mixed sizes fail the walk itself: the axiom makes all bases equally
+    large.  An empty family raises ``ValueError``.
 
-    Five or six bases that are affinely independent are never a matroid,
-    and are rejected with no walk.  By the edge theorem of Gelfand,
-    Goresky, MacPherson & Serganova ("Combinatorial geometries, convex
-    polyhedra, and Schubert cells", *Adv. Math.* 63, 1987), a family is a
-    matroid exactly when every edge of its hull joins two bases that
-    differ by one exchange, so share two elements.  Every two vertices of
-    a simplex are joined by an edge.  But triples that pairwise share two
-    elements either all hold one pair or all lie in one 4-set, and there
-    are only four of either kind.
+    A cell of five or six vertices that the mod-2 tables certify affinely
+    independent (see :func:`_cell_invariant`) is no matroid, and is
+    rejected with no walk.  By the edge theorem of Gelfand, Goresky,
+    MacPherson & Serganova ("Combinatorial geometries, convex polyhedra,
+    and Schubert cells", *Adv. Math.* 63, 1987), a family is a matroid
+    exactly when every edge of its hull joins two bases that differ by one
+    exchange, so share two elements.  Every two vertices of a simplex are
+    joined by an edge.  But triples that pairwise share two elements
+    either all hold one pair or all lie in one 4-set, and there are only
+    four of either kind.
     """
     if type(bases) is _Cell:
-        family = bases.mask
+        family, tables = bases.mask, ()
+        if (5 <= family.bit_count() <= 6
+                and _SPAN_LO[family & 1023] & _SPAN_HI[family >> 10] == 1):
+            return False
     else:
-        bases = list(bases)
-        try:
-            family = _vertex_mask(bases)
-        except (ValueError, TypeError):
-            return _is_matroid_on_elements(bases)
+        bit = {}
+        masks = dict.fromkeys(
+            reduce(or_, (bit.setdefault(e, 1 << len(bit)) for e in base), 0)
+            for base in bases)
+        family, ground = (1 << len(masks)) - 1, (1 << len(bit)) - 1
+        basis_bit, exchanges = _exchange_tables(masks, ground)
+        tables = exchanges, _BasesInside(basis_bit), ground
     if not family:
         raise ValueError("empty basis set")
-    return _exchange_classes(family) is not None
-
-
-def _is_matroid_on_elements(bases):
-    """:func:`is_matroid_basis_set` on element bitmasks, for a nonempty
-    family of any bases: ``partners`` holds the partners of (A, a)."""
-    bit = {}
-    masks = set()
-    for b in bases:
-        m = 0
-        for e in b:
-            m |= bit.setdefault(e, 1 << len(bit))
-        masks.add(m)
-    ground = (1 << len(bit)) - 1
-    for A in masks:
-        outside = list(set_bits(ground & ~A))
-        for a in set_bits(A):
-            rest = A ^ a
-            partners = sum(b for b in outside if rest | b in masks)
-            if 0 in map((a | partners).__and__, masks):
-                return False
-    return True
+    return _exchange_classes(family, *tables) is not None
 
 
 # The positions x of a 64-bit set whose bit k is clear, one set per k.
@@ -234,32 +234,30 @@ _SPAN_LO = _span_table(_TRIPLE_BITS[:10])
 _SPAN_HI = _span_table(_TRIPLE_BITS[10:])
 
 
-def _exchange_classes(family):
-    """The basis-exchange walk over the vertex mask ``family``: per
-    element bit e of 1..6, the mask of the elements that e can be
-    exchanged with, e included; None when basis exchange fails.
+def _exchange_classes(family, exchanges=_EXCHANGES, inside=_INSIDE,
+                      ground=63):
+    """The basis-exchange walk over the bases set in ``family``: per
+    element bit e of ``ground``, the mask of the elements that e can be
+    exchanged with, e included; None when basis exchange fails.  The
+    default tables are Delta(3,6)'s, 20 vertices over 1..6.
 
-    ``_EXCHANGES`` gives, per vertex A and element a of A, each element b
-    outside A with the bit of A - a + b, so the partners P of (A, a) are
-    read off the family; the bases that avoid a and all of P are
-    ``family & _INSIDE[63 ^ (a | P)]``.  In a matroid, a and b can be
-    exchanged exactly when a circuit holds both, an equivalence relation
-    (Oxley, *Matroid Theory*, 2nd ed., 2011, Sect. 4.1), so the masks are
-    the connected components; a loop or coloop stays alone.  Five or six
-    vertices that ``_SPAN_LO`` and ``_SPAN_HI`` certify independent return
-    None with no walk (see :func:`is_matroid_basis_set`).
+    ``exchanges`` (:func:`_exchange_tables`) gives, per basis A and element
+    a of A, each element b of ``ground`` outside A with the bit of
+    A - a + b, so the partners P of (A, a) are read off the family; some
+    basis avoids a and all of P when ``family & inside[ground ^ (a | P)]``.
+    In a matroid, a and b can be exchanged exactly when a circuit holds
+    both, an equivalence relation (Oxley, *Matroid Theory*, 2nd ed., 2011,
+    Sect. 4.1), so the masks are the connected components; a loop or
+    coloop stays alone.
     """
-    if (5 <= family.bit_count() <= 6
-            and _SPAN_LO[family & 1023] & _SPAN_HI[family >> 10] == 1):
-        return None
-    classes = {e: e for e in (1, 2, 4, 8, 16, 32)}
+    classes = {e: e for e in set_bits(ground)}
     for low in set_bits(family):
-        for a, swaps in _EXCHANGES[low.bit_length() - 1]:
+        for a, swaps in exchanges[low.bit_length() - 1]:
             p = a
             for b, v in swaps:
                 if family & v:
                     p |= b
-            if family & _INSIDE[63 ^ p]:
+            if family & inside[ground ^ p]:
                 return None
             classes[a] |= p
     return classes

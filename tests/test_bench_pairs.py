@@ -72,3 +72,34 @@ class TestBenchPairs:
         assert out.returncode == 0
         assert out.stdout.startswith("usage:")
         assert "--parent" in out.stdout
+
+
+class TestByOrder:
+    def test_ratios_split_by_the_side_that_ran_first(self):
+        """Even pairs ran the parent first and odd pairs the change: the
+        median change/parent ratio of each, its pair count, an unpaired
+        run left out, and a parent of 0 giving no ratio."""
+        bench = load_script()
+        parent = [1.0, 2.0, 4.0, 1.0, 2.0, 0.0]
+        change = [1.1, 1.8, 4.8, 0.9, 2.4, 3.0]
+        records = [record("parent", k, wall_s=p, ok_ratio=1.0)
+                   for k, p in enumerate(parent)]
+        records += [record("change", k, wall_s=c, ok_ratio=1.0)
+                    for k, c in enumerate(change)]
+        records.append(record("change", 6, wall_s=9.0, ok_ratio=1.0))
+        lines = bench.by_order(records, [("wall_s", "s", "lower"),
+                                         ("ok_ratio", "ratio", "higher")])
+        assert lines == [
+            "wall_s change/parent: parent first 1.200 (3), "
+            "change first 0.900 (2)",
+            "ok_ratio change/parent: parent first 1.000 (3), "
+            "change first 1.000 (3)",
+        ]
+
+    def test_one_pair_has_no_change_first_ratio(self):
+        bench = load_script()
+        records = [record("parent", 0, op_ms_p50=2.0),
+                   record("change", 0, op_ms_p50=1.0)]
+        assert bench.by_order(records, [("op_ms_p50", "ms", "lower")]) == [
+            "op_ms_p50 change/parent: parent first 0.500 (1), "
+            "change first none (0)"]

@@ -191,18 +191,15 @@ class TestMatroidCheck:
         with pytest.raises(ValueError):
             is_matroid_basis_set(b for b in ())
 
-    def test_plain_families_of_triples(self, monkeypatch):
+    def test_plain_families_of_triples(self, tables_built):
         """Tuples and lists of triples with repeats, each with at most one
         unsorted, non-vertex or list triple: ``_vertex_mask`` gives the
         mask of the distinct vertices, or raises ``ValueError`` naming the
         triple that is not a vertex, or ``TypeError`` for a list, which is
         unhashable; ``is_matroid_basis_set`` gives the oracle's verdict,
-        on the general path exactly when the mask raises."""
+        and builds the family's own exchange tables exactly once, whether
+        or not the mask exists."""
         import tropd4.hypersimplex as hx
-        general = []
-        real = hx._is_matroid_on_elements
-        monkeypatch.setattr(hx, "_is_matroid_on_elements",
-                            lambda bases: general.append(bases) or real(bases))
         index = {t: i for i, t in enumerate(PLUECKER_TRIPLES)}
         rng = random.Random(61)
         kinds = Counter()
@@ -227,10 +224,10 @@ class TestMatroidCheck:
                 with pytest.raises(ValueError, match=re.escape(
                         f"{bad!r} is not a vertex of Delta(3,6)")):
                     hx._vertex_mask(family)
-            general.clear()
+            tables_built.clear()
             verdict = is_matroid_basis_set(family)
             assert verdict == brute_force_matroid_basis_set(family), family
-            assert len(general) == (kind != "vertex")
+            assert len(tables_built) == 1
             kinds[kind] += 1
             kinds[verdict] += 1
         assert min(kinds.values()) >= 50 and len(kinds) == 6
@@ -262,37 +259,95 @@ class TestMatroidCheck:
         assert verdicts == {True: 471, False: 2230}
 
     def test_verdict_does_not_depend_on_the_path(
-            self, exchange_families, benchmark_subdivisions, monkeypatch):
+            self, exchange_families, benchmark_subdivisions, tables_built):
         """Every family of the oracle test and every cell of the 240 lifts
-        of the ``generic-lift`` benchmark at seed 7 gets one verdict as
-        given, with repeated bases, as a generator and as a cell that
-        holds its mask, all on the mask path, and as reversed tuples, sets
-        and lists, on the general path."""
+        of the ``generic-lift`` benchmark at seed 7 gets one verdict as a
+        cell that holds its mask, on the tables of Delta(3,6), building
+        none; and as given, with repeated bases, as a generator, and as
+        reversed tuples, sets and lists, each building its own tables
+        exactly once."""
         import tropd4.hypersimplex as hx
-        general = []
-        real = hx._is_matroid_on_elements
-
-        def recorded(bases):
-            general.append(bases)
-            return real(bases)
-        monkeypatch.setattr(hx, "_is_matroid_on_elements", recorded)
         cells = [c for cells in benchmark_subdivisions for c in cells]
         for family in [*exchange_families, *cells]:
             held = hx._Cell(family)
             held.mask = hx._vertex_mask(family)
+            verdict = is_matroid_basis_set(held)
+            assert tables_built == []
             family = list(family)
-            verdict = is_matroid_basis_set(family)
-            assert is_matroid_basis_set(family + family[::2]) == verdict
-            assert is_matroid_basis_set(b for b in family) == verdict
-            assert is_matroid_basis_set(held) == verdict
-            assert general == []
-            for shape in (lambda b: tuple(reversed(b)), set, list):
-                assert is_matroid_basis_set(map(shape, family)) == verdict
-            assert len(general) == 3, family
-            general.clear()
+            shapes = [family, family + family[::2], (b for b in family)]
+            shapes += [map(shape, family) for shape in
+                       (lambda b: tuple(reversed(b)), set, list)]
+            for k, bases in enumerate(shapes, 1):
+                assert is_matroid_basis_set(bases) == verdict, family
+                assert len(tables_built) == k
+            tables_built.clear()
         for empty in ([], (b for b in ())):
             with pytest.raises(ValueError):
                 is_matroid_basis_set(empty)
+
+    def test_repeated_elements_of_a_basis_count_once(self):
+        """A basis is the set of its elements: (1, 1, 2) is {1, 2}, so
+        ``[(1, 1, 2), (1, 2, 2)]`` is one basis, and bases of U(2,3) and
+        of U(3,5) written with repeats are still uniform matroids."""
+        assert is_matroid_basis_set([(1, 1, 2), (1, 2, 2)])
+        assert is_matroid_basis_set([("a", "a", "b"), ("a", "c"),
+                                     ("c", "b", "b")])
+        rng = random.Random(11)
+        for _ in range(50):
+            family = [list(t) + rng.sample(t, rng.randint(0, 3))
+                      for t in itertools.combinations(range(5), 3)]
+            for b in family:
+                rng.shuffle(b)
+            assert brute_force_matroid_basis_set(map(tuple, family))
+            assert is_matroid_basis_set(family)
+
+    def test_families_of_delta_2_5_and_cells_of_delta_3_7(self):
+        """The families other hypersimplices give, on tables of their own:
+        all 1,023 nonempty vertex sets of Delta(2,5), 171 of them
+        matroids; and the 4,390 cells of 30 lifts of the 35 vertices of
+        Delta(3,7), 140 of them matroidal, the even lifts with uniform
+        heights in 0..1000 and the odd ones with the min-plus 3x3 minors
+        of a 3x7 matrix with entries in 0..60."""
+        pairs = list(itertools.combinations(range(1, 6), 2))
+        verdicts = Counter()
+        for mask in range(1, 1 << len(pairs)):
+            family = [t for i, t in enumerate(pairs) if mask >> i & 1]
+            verdict = is_matroid_basis_set(family)
+            assert verdict == brute_force_matroid_basis_set(family), family
+            verdicts["Delta(2,5)", verdict] += 1
+        triples = list(itertools.combinations(range(1, 8), 3))
+        points = [tuple(int(e in t) for e in range(1, 8)) for t in triples]
+        rng = random.Random(5)
+        for lift in range(30):
+            if lift % 2:
+                matrix = [[rng.randint(0, 60) for _ in range(7)]
+                          for _ in range(3)]
+                heights = [min(sum(matrix[r][c - 1] for r, c in enumerate(p))
+                               for p in itertools.permutations(t))
+                           for t in triples]
+            else:
+                heights = [rng.randint(0, 1000) for _ in triples]
+            for mask in geometry.lower_cell_masks(points, heights):
+                cell = [t for i, t in enumerate(triples) if mask >> i & 1]
+                verdict = is_matroid_basis_set(cell)
+                assert verdict == brute_force_matroid_basis_set(cell), cell
+                verdicts["Delta(3,7)", verdict] += 1
+        assert verdicts == {("Delta(2,5)", True): 171,
+                            ("Delta(2,5)", False): 852,
+                            ("Delta(3,7)", True): 140,
+                            ("Delta(3,7)", False): 4250}
+
+
+@pytest.fixture
+def tables_built(monkeypatch):
+    """A list that records each call of ``_exchange_tables``, the builder
+    of a family's own exchange tables."""
+    import tropd4.hypersimplex as hx
+    built = []
+    exchange_tables = hx._exchange_tables
+    monkeypatch.setattr(hx, "_exchange_tables", lambda bases, ground: (
+        built.append(ground) or exchange_tables(bases, ground)))
+    return built
 
 
 @pytest.fixture(scope="module")
@@ -718,26 +773,28 @@ class TestExchangeClasses:
 
     def test_every_set_of_four_to_six_vertices(self, monkeypatch):
         """On all 4,845 four-sets, 15,504 five-sets and 38,760 six-sets of
-        vertices, the verdict is the oracle's.  The five- and six-sets
-        that are independent mod 2, 12,864 and 19,200 of them, are
-        rejected before the walk; no four-set is."""
+        vertices, the verdict is the oracle's, as a cell and as a plain
+        list.  The cells of five or six vertices that are independent mod
+        2, 12,864 and 19,200 of them, are rejected before the walk; no
+        four-set is."""
         import tropd4.hypersimplex as hx
         walked = []
-        exchanges = hx._EXCHANGES
-        monkeypatch.setattr(hx, "_EXCHANGES", type(
-            "Walked", (), {"__getitem__": lambda _, i: walked.append(i) or
-                           exchanges[i]})())
+        exchange_classes = hx._exchange_classes
+        monkeypatch.setattr(hx, "_exchange_classes", lambda *args: (
+            walked.append(args) or exchange_classes(*args)))
         verts = hypersimplex_vertices()
         unwalked = Counter()
         for n in (4, 5, 6):
             for chosen in itertools.combinations(range(20), n):
-                cell = [PLUECKER_TRIPLES[i] for i in chosen]
+                cell = hx._Cell(PLUECKER_TRIPLES[i] for i in chosen)
+                cell.mask = sum(1 << i for i in chosen)
                 walked.clear()
                 verdict = is_matroid_basis_set(cell)
                 assert verdict == brute_force_matroid_basis_set(cell), cell
                 independent = gf2_rank([verts[i] for i in chosen]) == n
                 assert (walked == []) == (n > 4 and independent), cell
                 unwalked[n] += walked == []
+                assert is_matroid_basis_set(sorted(cell)) == verdict
         assert unwalked == {4: 0, 5: 12864, 6: 19200}
 
 
