@@ -24,8 +24,8 @@ coordinates, and returns the masks alone.
 Beside the sweep sits one evaluation kernel, :func:`form_signs`: it packs
 a batch of integer points, one field per point, so that one sum of
 products and a few masks per form give that form's signs at every point.
-It tests the certificates of ``hypersimplex.certified`` on a cone's
-samples at once, and locates points in a :class:`Fan`, which hands its
+It tests the certificates of ``hypersimplex.certified`` on a batch of
+heights at once, and locates points in a :class:`Fan`, which hands its
 callers cones, not words (:meth:`Fan.odd_points`).
 """
 

@@ -404,10 +404,12 @@ def subdivision_forms(cells):
 
 
 def certified(forms, heights):
-    """``(width, ok)`` of the certificate ``forms`` of
-    :func:`subdivision_forms` at a batch of ``heights``: bit ``p * width``
-    of ``ok`` is set when ``heights[p]`` satisfies it, and so induces
-    exactly its cells.
+    """``(width, weak, ok)`` of the certificate ``forms`` of
+    :func:`subdivision_forms` at a batch of ``heights``, bit ``p * width``
+    of each standing for ``heights[p]``.  It is set in ``weak`` when every
+    equality form vanishes there and every strict form is ``>= 0``, and in
+    ``ok`` when, besides, every strict form is positive: then the heights
+    satisfy the certificate, and so induce exactly its cells.
 
     The heights must hold ints or Fractions, and the batch is scaled to
     integers once, by the lcm of all its denominators (1 for ints), which
@@ -416,13 +418,15 @@ def certified(forms, heights):
     """
     equalities, stricts = forms
     rows, _ = integer_rows(heights)
-    width, ok, nonnegative, zero = form_signs((*equalities, *stricts), rows)
+    width, weak, nonnegative, zero = form_signs((*equalities, *stricts), rows)
     split = len(equalities)
     for z in zero[:split]:
-        ok &= z
+        weak &= z
+    ok = weak
     for n, z in zip(nonnegative[split:], zero[split:]):
+        weak &= n
         ok &= n ^ z  # the zeros are among the nonnegatives
-    return width, ok
+    return width, weak, ok
 
 
 def subdivision_signature(cells):

@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import reference
-from .chords import parse_chord
 from .clusters import (
     N4,
     classify_modulo,
@@ -27,11 +26,11 @@ from .clusters import (
     flip_graph,
     full_symmetry_generators,
     graph_is_connected,
-    root_of_pair,
     tau_on_root,
 )
 from .correspondence import (
     classify_all_cones,
+    psi,
     table1_report,
     table2_report,
     verify_cluster_fan_correspondence,
@@ -43,7 +42,6 @@ from .fan import (
     compute_fan_f36,
     integer_heights,
 )
-from .geometry import form_signs
 from .hypersimplex import (
     canonical_point,
     canonical_subdivision,
@@ -93,11 +91,12 @@ def check_symmetry_classes():
 
 
 def check_psi_rows():
-    """The three-column dictionary, one violation per mismatching row."""
+    """The three-column dictionary, one violation per row whose typed root
+    is not the one :func:`psi` derives from its chord."""
     violations = []
     for label, coords in reference.RAY_COORDS.items():
         root, chord = reference.PSI_TABLE[label]
-        computed = root_of_pair(parse_chord(chord, N4))
+        computed = psi(coords)
         if computed != root:
             violations.append({"check": "ray dictionary row", "ray": label,
                                "chord": chord, "computed_root": computed,
@@ -107,7 +106,7 @@ def check_psi_rows():
 
 def check_compatibility_relations():
     violations = []
-    roots = sorted({reference.PSI_TABLE[l][0] for l in reference.RAY_COORDS})
+    roots = sorted(set(map(psi, reference.RAY_COORDS.values())))
     for i in range(4):
         neg = tuple(-1 if j == i else 0 for j in range(4))
         for beta in roots:
@@ -240,7 +239,7 @@ def check_interior_point_stability(seed, samples_per_cone=20):
         if not samples:
             continue  # a batch needs a point
         heights = [integer_heights(x) for x, _ in samples]
-        width, ok = certified(subdivision_forms(canonical), heights)
+        width, _, ok = certified(subdivision_forms(canonical), heights)
         for p, ((x, den), w) in enumerate(zip(samples, heights)):
             cells = canonical if ok >> p * width & 1 \
                 else induced_subdivision(w)
@@ -284,7 +283,8 @@ def check_cone_proofs():
 
     The forms are linear, so (b) reads them at the integer heights of
     the rays that (a) gives and at their sum, one batch of
-    :func:`form_signs`.
+    :func:`certified`: it passes when every ray's heights are in its
+    ``weak`` bits and their sum is in its ``ok`` bits.
 
     (c) Every cell of S_C satisfies the basis-exchange axiom.  With (a)
     and (b), the heights at every interior point of C induce exactly
@@ -313,14 +313,10 @@ def check_cone_proofs():
             violations.append({"check": "trop_phi2 linear on cone",
                                "cone": cone})
             continue
-        equalities, stricts = subdivision_forms(canonical)
-        width, every, nonnegative, zero = form_signs(
-            (*equalities, *stricts), [*heights, total])
-        at_total = 1 << len(heights) * width
-        split = len(equalities)
-        if any(z != every for z in zero[:split]) or \
-                any(n != every or z & at_total
-                    for n, z in zip(nonnegative[split:], zero[split:])):
+        width, weak, ok = certified(subdivision_forms(canonical),
+                                    [*heights, total])
+        if not all(weak >> p * width & 1 for p in range(len(heights))) \
+                or not ok >> len(heights) * width & 1:
             violations.append({"check": "subdivision constant on cone",
                                "cone": cone})
     return violations

@@ -10,8 +10,8 @@ j, of the products of the variables below them (Postnikov,
 arXiv:math/0609764; Speyer & Williams, J. Algebraic Combin. 22, 2005).
 The web is positive: each maximal minor, one permutation expansion, must
 have the single coefficient +1; its exponents are the forms of its
-tropicalization, their minimum.  The public functions are those of
-Gr(3, 6), in x1..x4.
+tropicalization, their minimum.  :func:`all_tropical_minors` gives those
+of Gr(3, 6), in x1..x4.
 """
 
 from __future__ import annotations
@@ -82,29 +82,6 @@ def _tropical_minors(k, n):
             for idx in itertools.combinations(range(1, n + 1), k)}
 
 
-def web_matrix():
-    """The 3x6 web matrix of Gr(3, 6), entries as exponent->coeff dicts."""
-    return _web(3, 6)
-
-
-def minor_polynomial(idx) -> dict:
-    """Expanded 3x3 minor on the given column triple (1-based), as an
-    exponent -> coefficient dict.  Raises ValueError unless ``idx`` is an
-    increasing triple in 1..6."""
-    idx = tuple(idx)
-    if idx not in PLUECKER_TRIPLES:
-        raise ValueError(f"{idx} is not an increasing triple in 1..6")
-    return _minor(web_matrix(), idx)
-
-
-def tropical_minor(idx):
-    """Linear forms of the tropicalized minor, sorted; the triple checked
-    by :func:`minor_polynomial`, the coefficients by :func:`_forms`."""
-    idx = tuple(idx)
-    return _forms(idx, minor_polynomial(idx))
-
-
-@lru_cache(maxsize=1)
 def all_tropical_minors():
-    """dict triple -> tuple of linear forms, for all 20 column triples."""
-    return {idx: tropical_minor(idx) for idx in PLUECKER_TRIPLES}
+    """dict triple -> tuple of linear forms, for all 20 minors of Gr(3, 6)."""
+    return _tropical_minors(3, 6)

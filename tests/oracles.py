@@ -364,16 +364,17 @@ def brute_force_cell_forms(points, cell):
     return equalities, stricts
 
 
-def certificate_holds(forms, w):
+def certificate_holds(forms, w, weak=False):
     """Whether heights ``w`` satisfy the secondary-cone certificate
     ``(equalities, stricts)``, read form by form in Fractions: each
-    equality form vanishes at w and each strict form is positive there."""
+    equality form vanishes at w and each strict form is positive there,
+    or, when ``weak``, ``>= 0`` there."""
     equalities, stricts = forms
 
     def value(form):
         return sum(Fraction(a) * Fraction(h) for a, h in zip(form, w))
     return all(value(f) == 0 for f in equalities) and \
-        all(value(f) > 0 for f in stricts)
+        all(value(f) >= 0 if weak else value(f) > 0 for f in stricts)
 
 
 # -- fan cones from argmin forms ----------------------------------------------

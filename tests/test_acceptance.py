@@ -59,7 +59,7 @@ from tropd4.reference import (
     TABLE2,
     ray_set,
 )
-from tropd4.webmatrix import PLUECKER_TRIPLES, all_tropical_minors, web_matrix
+from tropd4.webmatrix import PLUECKER_TRIPLES, _web, all_tropical_minors
 
 from test_webmatrix import EXPECTED_MATRIX, EXPECTED_MINORS
 
@@ -128,7 +128,7 @@ def test_criterion_04_root_dictionary_and_relations():
 
 
 def test_criterion_05_web_matrix_and_minors():
-    m = web_matrix()
+    m = _web(3, 6)
     for i in range(3):
         for j in range(6):
             assert m[i][j] == EXPECTED_MATRIX[i][j], (i + 1, j + 1)

@@ -297,26 +297,34 @@ class TestVerifyAll:
 
     def test_tampered_dictionary_fails_with_diff(self, capsys, monkeypatch):
         """Two swapped roots fail their two dictionary rows and no other
-        check.  The ray-to-root cache is cleared before and after, so the
-        run reads the tampered table and later tests do not."""
-        tampered = dict(reference.PSI_TABLE)
-        tampered["r1"], tampered["r2"] = (
-            (tampered["r2"][0], tampered["r1"][1]),
-            (tampered["r1"][0], tampered["r2"][1]))
-        monkeypatch.setattr(reference, "PSI_TABLE", tampered)
-        correspondence._psi_maps.cache_clear()
-        try:
-            code, out = run_cli(capsys, *self.ARGS)
-        finally:
-            monkeypatch.undo()
+        check, and so does r16's root typed as ``(1, 2, 2, 1)``, which is
+        no root, on its one row.  The ray-to-root cache is cleared before
+        and after each run, so the run reads the tampered table and later
+        tests do not."""
+        swapped = dict(reference.PSI_TABLE)
+        swapped["r1"], swapped["r2"] = (
+            (swapped["r2"][0], swapped["r1"][1]),
+            (swapped["r1"][0], swapped["r2"][1]))
+        not_a_root = dict(reference.PSI_TABLE)
+        not_a_root["r16"] = ((1, 2, 2, 1), not_a_root["r16"][1])
+        for tampered, rays in ((swapped, {"r1", "r2"}),
+                               (not_a_root, {"r16"})):
+            monkeypatch.setattr(reference, "PSI_TABLE", tampered)
             correspondence._psi_maps.cache_clear()
-        assert code == 1
-        report = json.loads(out)
-        rows = [v for v in report["violations"]
-                if v["check"] == "ray dictionary row"]
-        assert {v["ray"] for v in rows} == {"r1", "r2"}
-        assert all("computed_root" in v and "expected_root" in v for v in rows)
-        assert rows == report["violations"]
+            try:
+                code, out = run_cli(capsys, *self.ARGS)
+            finally:
+                monkeypatch.undo()
+                correspondence._psi_maps.cache_clear()
+            assert code == 1
+            report = json.loads(out)
+            rows = [v for v in report["violations"]
+                    if v["check"] == "ray dictionary row"]
+            assert {v["ray"] for v in rows} == rays
+            assert len(rows) == len(rays)
+            assert all("computed_root" in v and "expected_root" in v
+                       for v in rows)
+            assert rows == report["violations"]
 
     def test_tampered_dictionary_first_on_cold_caches(self):
         """The tampered run, then a clean one, in a fresh process: both

@@ -1198,13 +1198,20 @@ class TestRayLetters:
                 assert len(a & b) == shared
 
 
-def verdicts(forms, heights):
+def verdicts(forms, heights, weak=False):
     """The verdict of :func:`certified` at each of the batch ``heights``,
-    in order; no bit is set outside the points' fields."""
-    width, ok = certified(forms, heights)
-    bits = [ok >> p * width & 1 for p in range(len(heights))]
-    assert ok == sum(b << p * width for p, b in enumerate(bits))
-    return [bool(b) for b in bits]
+    in order: its ``ok`` bits, or its ``weak`` bits when ``weak``.  No bit
+    is set outside the points' fields, and every ``ok`` bit is a ``weak``
+    bit."""
+    width, *bitsets = certified(forms, heights)
+    fields = []
+    for bitset in bitsets:
+        bits = [bitset >> p * width & 1 for p in range(len(heights))]
+        assert bitset == sum(b << p * width for p, b in enumerate(bits))
+        fields.append([bool(b) for b in bits])
+    weak_bits, ok_bits = fields
+    assert all(map(operator.le, ok_bits, weak_bits))
+    return weak_bits if weak else ok_bits
 
 
 @st.composite
@@ -1263,12 +1270,16 @@ class TestCertificate:
     @given(certificate_batches())
     @example(((((1, 0),), ((0, 2 ** 16),)), [(0, 1), (1, 1), (0, -1),
                                              (0, 1)]))
+    @example(((((1, 0),), ((0, 2 ** 16),)), [(0, 0), (1, 0), (0, 1)]))
     def test_batch_matches_plain_sums(self, case):
-        """Each point's verdict in the batch is the one its forms' plain
-        sums give, whichever points beside it fail."""
+        """Each point's verdicts in the batch, ``ok`` and ``weak``, are the
+        ones its forms' plain sums give, whichever points beside it
+        fail."""
         forms, points = case
         assert verdicts(forms, points) == \
             [certificate_holds(forms, w) for w in points]
+        assert verdicts(forms, points, weak=True) == \
+            [certificate_holds(forms, w, weak=True) for w in points]
 
     def test_certified_iff_envelope_gives_canonical_cells(self, canonical):
         """Interior points, and points on a facet or a ray of each cone,

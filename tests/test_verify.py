@@ -96,7 +96,8 @@ def test_rejected_cell_fails_every_point_on_the_envelope_path(monkeypatch):
         envelopes.append(w)
         return induced_subdivision(w)
 
-    monkeypatch.setattr(verify, "certified", lambda forms, heights: (16, 0))
+    monkeypatch.setattr(verify, "certified",
+                        lambda forms, heights: (16, 0, 0))
     monkeypatch.setattr(verify, "induced_subdivision", induced)
     _rejected_cell_fails_every_point_that_has_it(monkeypatch)
     assert len(envelopes) == 2 * 96
@@ -111,10 +112,10 @@ def test_one_failing_sample_alone_takes_the_envelope(monkeypatch):
     real_certified = verify.certified
 
     def certified(forms, heights):
-        width, ok = real_certified(forms, heights)
-        assert ok == sum(1 << p * width for p in range(len(heights)))
+        width, weak, ok = real_certified(forms, heights)
+        assert weak == ok == sum(1 << p * width for p in range(len(heights)))
         batches.append(heights)
-        return width, ok & ~(1 << 10 * width)
+        return width, weak, ok & ~(1 << 10 * width)
 
     def induced(w):
         envelopes.append(w)

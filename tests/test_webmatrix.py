@@ -10,9 +10,6 @@ from tropd4.webmatrix import (
     _tropical_minors,
     _web,
     all_tropical_minors,
-    minor_polynomial,
-    tropical_minor,
-    web_matrix,
 )
 
 
@@ -68,16 +65,16 @@ EXPECTED_MINORS = {
 
 class TestWebMatrix:
     def test_entry_15(self):
-        assert web_matrix()[0][4] == EXPECTED_MATRIX[0][4]
+        assert _web(3, 6)[0][4] == EXPECTED_MATRIX[0][4]
 
     def test_entry_26(self):
-        assert web_matrix()[1][5] == EXPECTED_MATRIX[1][5]
+        assert _web(3, 6)[1][5] == EXPECTED_MATRIX[1][5]
 
     def test_entry_12_is_zero(self):
-        assert web_matrix()[0][1] == {}
+        assert _web(3, 6)[0][1] == {}
 
     def test_full_matrix(self):
-        m = web_matrix()
+        m = _web(3, 6)
         for i in range(3):
             for j in range(6):
                 assert m[i][j] == EXPECTED_MATRIX[i][j], (i + 1, j + 1)
@@ -91,45 +88,35 @@ class TestTropicalMinors:
             assert set(minors[idx]) == EXPECTED_MINORS[idx], idx
 
     def test_examples(self):
-        assert set(tropical_minor((2, 3, 5))) == {Z, X1, X12}
-        assert tropical_minor((1, 2, 3)) == (Z,)
-        assert tropical_minor((4, 5, 6)) == (XX1234,)
+        minors = all_tropical_minors()
+        assert set(minors[2, 3, 5]) == {Z, X1, X12}
+        assert minors[1, 2, 3] == (Z,)
+        assert minors[4, 5, 6] == (XX1234,)
 
     def test_uniform_sign_expansion(self):
         """Every minor expands with coefficient +1."""
         for idx in PLUECKER_TRIPLES:
-            values = set(minor_polynomial(idx).values())
+            values = set(_minor(_web(3, 6), idx).values())
             assert values == {1}, idx
 
-    def test_invalid_triple(self):
-        with pytest.raises(ValueError):
-            tropical_minor((3, 2, 5))
+    def test_mixed_signs_rejected(self):
+        with pytest.raises(PositivityError, match="not all \\+1"):
+            _forms((1, 2, 3), {Z: 1, X1: -1})
 
-    @pytest.mark.parametrize("idx", [(1, 2), (1, 2, 3, 4), (0, 1, 2),
-                                     (1, 2, 7), (3, 2, 5)])
-    def test_minor_takes_one_column_per_row(self, idx):
-        with pytest.raises(ValueError):
-            minor_polynomial(idx)
+    def test_non_unit_coefficients_rejected(self):
+        with pytest.raises(PositivityError, match="not all \\+1"):
+            _forms((1, 2, 3), {Z: 2})
 
-    def test_mixed_signs_rejected(self, monkeypatch):
-        import tropd4.webmatrix as wm
-        monkeypatch.setattr(wm, "minor_polynomial",
-                            lambda idx: {Z: 1, X1: -1})
-        with pytest.raises(PositivityError):
-            tropical_minor((1, 2, 3))
-
-    def test_non_unit_coefficients_rejected(self, monkeypatch):
-        import tropd4.webmatrix as wm
-        monkeypatch.setattr(wm, "minor_polynomial", lambda idx: {Z: 2})
-        with pytest.raises(PositivityError):
-            tropical_minor((1, 2, 3))
+    def test_vanishing_minor_rejected(self):
+        with pytest.raises(PositivityError, match="vanishes identically"):
+            _forms((1, 2, 3), {})
 
 
 class TestWebOfAnyGrassmannian:
     """The web of Gr(k, n) from the one rule of ``_web``."""
 
     def test_gr36_is_the_public_web(self):
-        assert _web(3, 6) == web_matrix() == EXPECTED_MATRIX
+        assert _web(3, 6) == EXPECTED_MATRIX
         assert _tropical_minors(3, 6) == all_tropical_minors()
 
     @pytest.mark.parametrize("k,n,minors,forms", [
@@ -171,3 +158,20 @@ class TestPositivity:
         with pytest.raises(PositivityError, match="not all \\+1"):
             for idx in PLUECKER_TRIPLES:
                 _forms(idx, _minor(web, idx))
+
+    def test_gr36_minors_are_checked(self, monkeypatch):
+        """:func:`all_tropical_minors` expands the web it reads through
+        :func:`_forms`: with column 6 negated, it raises.  Its cache is
+        cleared before and after, so later tests read the true web."""
+        import tropd4.webmatrix as wm
+        web = [[{t: -c for t, c in e.items()} if j == 6 else e
+                for j, e in enumerate(row, 1)] for row in _web(3, 6)]
+        monkeypatch.setattr(wm, "_web", lambda k, n: web)
+        _tropical_minors.cache_clear()
+        try:
+            with pytest.raises(PositivityError, match="not all \\+1"):
+                all_tropical_minors()
+        finally:
+            monkeypatch.undo()
+            _tropical_minors.cache_clear()
+        assert set(all_tropical_minors()[4, 5, 6]) == EXPECTED_MINORS[4, 5, 6]
