@@ -89,27 +89,32 @@ def plane_type_split(orbit):
     return dict(sorted(counts.items()))
 
 
-def split_bipyramid_facets():
-    """Maximal cells after cutting each bipyramid along its equator.
-
-    Returns the 50 ray sets: each other cone whole, plus equator and one
-    apex twice per bipyramid.  The apexes are its one ray pair spanning no
-    2-face of the fan; the fan is face to face, so a 2-face spanned by two
-    of its rays lies in a common face with it and is one of its 2-faces.
-    """
-    fan = compute_fan_f36()
-    bipyramids = bipyramid_cones()
-    faces = fan.face_ray_sets()
-    facets = [frozenset(c.rays) for c in fan.maximal_cones
-              if c not in bipyramids]
-    for c in bipyramids:
+def _apex_pairs():
+    """Each bipyramid's apexes, keyed by its ray set: its one ray pair
+    spanning no 2-face of the fan.  The fan is face to face, so a 2-face
+    spanned by two of its rays lies in a common face with it and is one
+    of its 2-faces.  Raises RuntimeError unless there is one such pair."""
+    faces = compute_fan_f36().face_ray_sets()
+    apexes = {}
+    for c in bipyramid_cones():
         non_edges = [frozenset(p) for p in itertools.combinations(c.rays, 2)
                      if frozenset(p) not in faces]
         if len(non_edges) != 1:
             raise RuntimeError(
                 f"cone {list(c.rays)} has {len(non_edges)} missing diagonals")
-        equator = frozenset(c.rays) - non_edges[0]
-        facets += [equator | {a} for a in sorted(non_edges[0])]
+        apexes[frozenset(c.rays)] = non_edges[0]
+    return apexes
+
+
+def split_bipyramid_facets():
+    """Maximal cells after cutting each bipyramid along its equator: the
+    50 ray sets, each other cone whole, plus equator and one apex twice
+    per bipyramid, its apexes read from :func:`_apex_pairs`."""
+    apexes = _apex_pairs()
+    facets = [frozenset(c.rays) for c in compute_fan_f36().maximal_cones
+              if frozenset(c.rays) not in apexes]
+    for rays, pair in apexes.items():
+        facets += [(rays - pair) | {a} for a in sorted(pair)]
     return facets
 
 
@@ -161,13 +166,7 @@ def verify_cluster_fan_correspondence():
                 "clusters_only": sorted(map(sorted,
                                             set(cluster_ray_sets) - set(split)))}})
 
-    # the fan's own apex pairs: what the two halves of a split bipyramid
-    # do not share
-    apexes = {}
-    for b in (frozenset(c.rays) for c in bipyramid_cones()):
-        halves = [f for f in split if f < b]
-        if len(halves) == 2:
-            apexes[b] = halves[0] ^ halves[1]
+    apexes = _apex_pairs()
     for b, apex_labels in zip(reference.BIPYRAMIDS, reference.BIPYRAMID_APEXES):
         if apexes.get(reference.ray_set(b)) != reference.ray_set(apex_labels):
             violations.append({"check": "bipyramid split structure",

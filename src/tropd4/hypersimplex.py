@@ -21,7 +21,6 @@ from .fan import compute_fan_f36, integer_heights
 from .geometry import (
     basis_relations,
     form_signs,
-    integer_rows,
     intersection_dim,
     lower_cell_masks,
     polytope_f_vector,
@@ -30,13 +29,15 @@ from .geometry import (
 from .webmatrix import PLUECKER_TRIPLES
 
 
+# Each vertex as a 6-bit mask, bit m - 1 standing for coordinate m.
+_TRIPLE_BITS = tuple(sum(1 << (m - 1) for m in t) for t in PLUECKER_TRIPLES)
+
+
 @lru_cache(maxsize=1)
 def hypersimplex_vertices():
-    """The 20 zero-one vectors with coordinate sum 3, in lex triple order."""
-    verts = []
-    for (i, j, k) in PLUECKER_TRIPLES:
-        verts.append(tuple(1 if m + 1 in (i, j, k) else 0 for m in range(6)))
-    return tuple(verts)
+    """The 20 zero-one vectors with coordinate sum 3, in lex triple order:
+    each vertex's 6-bit mask of ``_TRIPLE_BITS`` read bit by bit."""
+    return tuple(tuple(t >> m & 1 for m in range(6)) for t in _TRIPLE_BITS)
 
 
 class _Cell(frozenset):
@@ -126,9 +127,6 @@ def _span_dim(mask):
 _SIMPLEX_INVARIANTS = {
     n: ((n, tuple(comb(n, k) for k in range(1, n)) or (1,)), True)
     for n in range(1, 7)}
-
-# Each vertex as a 6-bit mask, bit m - 1 standing for coordinate m.
-_TRIPLE_BITS = tuple(sum(1 << (m - 1) for m in t) for t in PLUECKER_TRIPLES)
 
 
 def _exchange_tables(bases, ground):
@@ -411,14 +409,14 @@ def certified(forms, heights):
     ``ok`` when, besides, every strict form is positive: then the heights
     satisfy the certificate, and so induce exactly its cells.
 
-    The heights must hold ints or Fractions, and the batch is scaled to
-    integers once, by the lcm of all its denominators (1 for ints), which
-    keeps the forms' signs.  The equality and strict forms are evaluated
-    in one call of :func:`form_signs`, so their bitsets share one width.
+    The heights are ints, as :func:`integer_heights` gives them at integer
+    points; :func:`form_signs` rejects anything else.  The equality and
+    strict forms are evaluated in one call of it, so their bitsets share
+    one width.
     """
     equalities, stricts = forms
-    rows, _ = integer_rows(heights)
-    width, weak, nonnegative, zero = form_signs((*equalities, *stricts), rows)
+    width, weak, nonnegative, zero = form_signs((*equalities, *stricts),
+                                                heights)
     split = len(equalities)
     for z in zero[:split]:
         weak &= z
@@ -491,9 +489,10 @@ def canonical_subdivision(rays):
     return _subdivision_at(canonical_point(rays))
 
 
-# room for the canonical points of the 48 maximal cones
+# room for the 16 rays and the canonical points of the 48 maximal cones
 @lru_cache(maxsize=64)
 def _subdivision_at(point):
+    """Subdivision induced at an integer point of the fan by its heights."""
     return induced_subdivision(integer_heights(point))
 
 
@@ -518,7 +517,7 @@ _LETTERS = {(10, 19): "E", (16, 16): "F", (14, 14, 14): "G"}
 @lru_cache(maxsize=16)
 def _ray_letter(ray):
     """Letter of ``ray``, and for an E its triple T, from the subdivision
-    at the ray.
+    at the ray, read from :func:`_subdivision_at`.
 
     An E ray splits Delta(3,6) into a cell of 10 vertices and one of 19,
     an F ray into two of 16, and a G ray into three of 14.  The small cell
@@ -527,7 +526,7 @@ def _ray_letter(ray):
     as the elements in more than 5.  Raises ``ValueError`` when the cells
     match no letter.
     """
-    cells = sorted(induced_subdivision(integer_heights(ray)), key=len)
+    cells = sorted(_subdivision_at(ray), key=len)
     letter = _LETTERS.get(tuple(map(len, cells)))
     if letter is None:
         raise ValueError(f"cells at {ray} match no ray type")

@@ -4,6 +4,7 @@ import pytest
 
 import tropd4.correspondence as correspondence
 import tropd4.fan as fan_mod
+import tropd4.reference as reference
 import tropd4.verify as verify
 from tropd4.chords import SIGMA, apply_symmetry, chord_text, reflect
 from tropd4.clusters import compatibility_degree, snake_pairs
@@ -24,7 +25,9 @@ from tropd4.correspondence import (
 )
 from tropd4.geometry import Fan
 from tropd4.reference import (
+    BIPYRAMID_APEXES,
     BIPYRAMIDS,
+    LABEL_OF_RAY,
     RAY_COORDS,
     SECOND_CHART_EDGES,
     TABLE2,
@@ -143,6 +146,55 @@ class TestCorrespondenceTheorem:
                   for a, b in itertools.combinations(roots, 2)
                   if compatibility_degree(a, b) == 0}
         assert fan_edges == compat - excluded
+
+
+def _without_compatible(monkeypatch, labels):
+    """Patch ``cluster_complex`` to drop the pair of rays ``labels`` from
+    the compatible pairs; returns the pair's sorted ray tuple."""
+    f_vector, faces, facets = correspondence.cluster_complex()
+    pair = frozenset(RAY_COORDS[label] for label in labels)
+    faces = {**faces, 2: faces[2] - {frozenset(map(psi, pair))}}
+    monkeypatch.setattr(correspondence, "cluster_complex",
+                        lambda: (f_vector, faces, facets))
+    return tuple(sorted(pair))
+
+
+class TestEdgeComparisonsFire:
+    """Each comparison of the fan's 2-cones with the compatible pairs and
+    with the listed second-chart pairs reports its own violation."""
+
+    def test_pair_dropped_from_the_compatible_ones(self, monkeypatch,
+                                                   fan36):
+        """A 2-cone of the fan that is not listed in the second chart."""
+        listed = {ray_set(p) for p in SECOND_CHART_EDGES}
+        edge = next(f for f in sorted(map(sorted, fan36.face_ray_sets()))
+                    if len(f) == 2 and frozenset(f) not in listed)
+        labels = [LABEL_OF_RAY[r] for r in edge]
+        pair = _without_compatible(monkeypatch, labels)
+        report = verify_cluster_fan_correspondence()
+        assert report["violations"] == [{
+            "check": "fan 2-cones equal compatible pairs",
+            "missing_from_fan": [], "not_compatible": [pair]}]
+        assert report["compatible_pair_count"] == 65
+
+    def test_listed_pair_dropped_from_the_compatible_ones(self,
+                                                          monkeypatch):
+        pair = _without_compatible(monkeypatch, SECOND_CHART_EDGES[0])
+        assert verify_cluster_fan_correspondence()["violations"] == [
+            {"check": "fan 2-cones equal compatible pairs",
+             "missing_from_fan": [], "not_compatible": [pair]},
+            {"check": "listed second-chart pairs compatible",
+             "detail": "some listed pair is not compatible"}]
+
+    def test_apex_pair_listed_in_the_second_chart(self, monkeypatch):
+        """An apex pair spans no 2-cone and is not compatible."""
+        monkeypatch.setattr(reference, "SECOND_CHART_EDGES",
+                            SECOND_CHART_EDGES + (BIPYRAMID_APEXES[0],))
+        assert verify_cluster_fan_correspondence()["violations"] == [
+            {"check": "listed second-chart pairs compatible",
+             "detail": "some listed pair is not compatible"},
+            {"check": "listed second-chart pairs are 2-cones",
+             "detail": "some listed pair spans no 2-cone"}]
 
 
 class TestPlaneTypesOfClusters:
@@ -278,3 +330,31 @@ class TestReflectionTheorem:
         for fiber in fibers.values():
             covering = [c for c in classes if c <= fiber]
             assert set().union(*covering) == fiber
+
+    @pytest.mark.parametrize("wrong, meeting", [
+        ("split", 2), ("merged", 1), ("overlapping", 2)])
+    def test_wrong_finer_class_fails_necessity(self, monkeypatch, wrong,
+                                               meeting):
+        """The finer class of the EEEG fiber split in two; merged with a
+        class of neither fiber; or kept whole, with one of its members
+        also put in a class of neither fiber, listed after it: the EEEG
+        fiber alone fails."""
+        classes = finer_equivalence_classes()
+        types = [{plane_type_of_cluster(t) for t in c} for c in classes]
+        k = types.index({"EEEG"})
+        other = next(i for i, ts in enumerate(types)
+                     if not ts & {"EEEG", "FFFGG"})
+        t = min(classes[k], key=sorted)
+        drop, changed = {
+            "split": ({k}, [classes[k] - {t}, frozenset({t})]),
+            "merged": ({k, other}, [classes[k] | classes[other]]),
+            "overlapping": ({k, other}, [classes[k], classes[other] | {t}]),
+        }[wrong]
+        rest = [c for i, c in enumerate(classes) if i not in drop]
+        monkeypatch.setattr(correspondence, "finer_equivalence_classes",
+                            lambda: rest + changed)
+        report = verify_parity_reflection_theorem()
+        assert report["violations"] == [{
+            "check": "necessity for type fiber", "type": "EEEG",
+            "classes_meeting_fiber": meeting}]
+        assert report["necessity"] == {"EEEG": False, "FFFGG": True}

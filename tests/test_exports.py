@@ -116,24 +116,46 @@ class TestUnsetDefaults:
         assert sorted(set(defaulted) - passed) == []
 
 
+def _check_sites():
+    """Each ``"check": "<name>"`` literal of a violation in ``src/``, by
+    name, with the ``file:line`` of its sites."""
+    sites = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Dict):
+                continue
+            for key, value in zip(node.keys, node.values):
+                if isinstance(key, ast.Constant) and key.value == "check" \
+                        and isinstance(value, ast.Constant):
+                    sites.setdefault(value.value, []).append(
+                        f"{path.name}:{node.lineno}")
+    return sites
+
+
 class TestViolationNames:
     def test_each_check_name_has_one_site(self):
         """Each ``"check": "<name>"`` literal of a violation occurs at one
         site in ``src/``, so that a name in a report points at the one
         place that decides it."""
-        sites = {}
-        for path in sorted(PACKAGE.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if not isinstance(node, ast.Dict):
-                    continue
-                for key, value in zip(node.keys, node.values):
-                    if isinstance(key, ast.Constant) and key.value == "check" \
-                            and isinstance(value, ast.Constant):
-                        sites.setdefault(value.value, []).append(
-                            f"{path.name}:{node.lineno}")
+        sites = _check_sites()
         assert len(sites) > 1
         assert {name: where for name, where in sites.items()
                 if len(where) > 1} == {}
+
+    def test_each_check_name_is_named_by_a_test(self):
+        """Each violation name of ``src/`` is a string constant of some
+        test module other than this one, so that no check goes without a
+        test that names what it reports when it fails."""
+        named = set()
+        for path in sorted((ROOT / "tests").glob("test_*.py")):
+            if path.name != pathlib.Path(__file__).name:
+                named |= {node.value for node in ast.walk(
+                    ast.parse(path.read_text(), str(path)))
+                    if isinstance(node, ast.Constant)}
+        sites = _check_sites()
+        assert len(sites) > 1
+        assert {name: where for name, where in sites.items()
+                if name not in named} == {}
 
 
 def loaded_by(imports):

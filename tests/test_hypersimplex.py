@@ -1214,6 +1214,14 @@ def verdicts(forms, heights, weak=False):
     return weak_bits if weak else ok_bits
 
 
+def integer_batch(rows):
+    """Rational ``rows`` times the lcm of all their denominators: a
+    positive scale, which keeps the sign of every linear form at every
+    row, so ``certified``, which takes ints, gives each row its verdict."""
+    scale = lcm(*(Fraction(v).denominator for row in rows for v in row))
+    return [tuple(int(v * scale) for v in row) for row in rows]
+
+
 @st.composite
 def certificate_batches(draw):
     """A certificate of small equality forms and strict forms of large
@@ -1274,17 +1282,18 @@ class TestCertificate:
     def test_batch_matches_plain_sums(self, case):
         """Each point's verdicts in the batch, ``ok`` and ``weak``, are the
         ones its forms' plain sums give, whichever points beside it
-        fail."""
+        fail.  A batch of Fractions is certified scaled to integers."""
         forms, points = case
-        assert verdicts(forms, points) == \
+        rows = integer_batch(points)
+        assert verdicts(forms, rows) == \
             [certificate_holds(forms, w) for w in points]
-        assert verdicts(forms, points, weak=True) == \
+        assert verdicts(forms, rows, weak=True) == \
             [certificate_holds(forms, w, weak=True) for w in points]
 
     def test_certified_iff_envelope_gives_canonical_cells(self, canonical):
         """Interior points, and points on a facet or a ray of each cone,
         where ties can coarsen the subdivision, certified as one batch
-        per cone."""
+        per cone, each at the integer heights of its integer multiple."""
         rng = random.Random(13)
         seen = set()
         for rays, cells in canonical:
@@ -1294,9 +1303,9 @@ class TestCertificate:
                           for _ in rays]
                 for k in rng.sample(range(len(rays)), zeros):
                     coeffs[k] = 0
-                batch.append(trop_phi2(tuple(
-                    sum(a * r[i] for a, r in zip(coeffs, rays))
-                    for i in range(4))))
+                x = tuple(sum(a * r[i] for a, r in zip(coeffs, rays))
+                          for i in range(4))
+                batch.append(integer_heights(integer_batch([x])[0]))
             got = verdicts(subdivision_forms(cells), batch)
             assert got == [set(induced_subdivision(w)) == set(cells)
                            for w in batch]
@@ -1306,7 +1315,7 @@ class TestCertificate:
     def test_neighbour_forms_reject_every_canonical_point(self, canonical):
         """At the batch of the 48 canonical points, each certificate holds
         at its own cone's point alone."""
-        heights = [trop_phi2(tuple(sum(c) for c in zip(*rays)))
+        heights = [integer_heights(canonical_point(rays))
                    for rays, _ in canonical]
         for k, (_, cells) in enumerate(canonical):
             assert verdicts(subdivision_forms(cells), heights) == \
@@ -1319,14 +1328,15 @@ class TestCertificate:
             k = rng.randrange(len(stricts))
             flipped = stricts[:k] + (tuple(-x for x in stricts[k]),) \
                 + stricts[k + 1:]
-            w = trop_phi2(tuple(sum(c) for c in zip(*rays)))
+            w = integer_heights(canonical_point(rays))
             assert verdicts((equalities, flipped), [w]) == [False]
 
     def test_matches_form_by_form_oracle_on_huge_heights(self, canonical):
         """Heights of size 10**30: each cone's canonical heights scaled,
         plus a huge affine function of the vertices, which no form sees;
-        the same with one height nudged; both in one batch, under the
-        cone's own forms and its neighbour's."""
+        the same with one height nudged; both in one batch, scaled to
+        integers, under the cone's own forms and its neighbour's, in
+        fields wider than 64 bits."""
         rng = random.Random(17)
         verts = hypersimplex_vertices()
         forms = [subdivision_forms(cells) for _, cells in canonical]
@@ -1337,11 +1347,14 @@ class TestCertificate:
             affine = [Fraction(rng.randint(-10 ** 30, 10 ** 30),
                                rng.randint(1, 99)) for _ in range(7)]
             lifted = [scale * h + affine[6] + sum(map(operator.mul, affine, v))
-                      for h, v in zip(trop_phi2(canonical_point(rays)), verts)]
+                      for h, v in zip(integer_heights(canonical_point(rays)),
+                                      verts)]
             nudged = list(lifted)
             nudged[rng.randrange(len(nudged))] += Fraction(1, 10 ** 6)
+            rows = integer_batch([lifted, nudged])
             for f in (forms[k], forms[k - 1]):
-                got = verdicts(f, [lifted, nudged])
+                assert certified(f, rows)[0] > 64
+                got = verdicts(f, rows)
                 assert got == [certificate_holds(f, w)
                                for w in (lifted, nudged)]
                 seen.update(got)
@@ -1355,7 +1368,7 @@ class TestCertificate:
         from one certificate to the next."""
         forms = [subdivision_forms(cells) for _, cells in canonical]
         for k, (rays, cells) in enumerate(canonical):
-            w = trop_phi2(canonical_point(rays))
+            w = integer_heights(canonical_point(rays))
             own, neighbour = forms[k], forms[k - 1]
             rebuilt = subdivision_forms(cells)
             rebuilt_neighbour = subdivision_forms(canonical[k - 1][1])
@@ -1374,53 +1387,11 @@ class TestCertificate:
         with pytest.raises(ValueError, match="not full-dimensional"):
             subdivision_forms([set(PLUECKER_TRIPLES[:6])])
 
-    def test_integer_heights_give_the_fraction_verdict(self, canonical):
-        """``certified`` reads ints at scale 1 and rescales Fractions.  The
-        ``integer_heights`` at points scaled to integers and the
-        ``trop_phi2`` Fractions at the points give the same verdicts,
-        under each cone's certificate and its neighbour's, at the 960
-        interior samples of ``check_interior_point_stability(7)``, a
-        batch of 20 per cone, which their own cone certifies and no
-        neighbour; and the oracle's at points with negative coordinates
-        and common factors."""
-        def scaled(x):
-            scale = lcm(*(v.denominator for v in x))
-            return scale, integer_heights(tuple(int(v * scale) for v in x))
-
-        forms = [subdivision_forms(cells) for _, cells in canonical]
-        rng = random.Random(7)
-        for k, (rays, _) in enumerate(canonical):
-            batch, ints = [], []
-            for _ in range(20):
-                pairs = [(rng.randint(1, 50), rng.randint(1, 8))
-                         for _ in rays]
-                x = tuple(sum(Fraction(a, b) * r[i] for (a, b), r in
-                              zip(pairs, rays)) for i in range(4))
-                batch.append(trop_phi2(x))
-                scale, heights = scaled(x)
-                assert heights == tuple(h * scale for h in batch[-1])
-                ints.append(heights)
-            for f, holds in ((forms[k], True), (forms[k - 1], False)):
-                assert verdicts(f, ints) == [holds] * 20
-                assert verdicts(f, batch) == [holds] * 20
-        rng = random.Random(23)
-        seen = set()
-        for k, (rays, _) in enumerate(canonical):
-            point = canonical_point(rays)
-            xs = (tuple(6 * v for v in point),
-                  tuple(Fraction(rng.randint(-40, 40), 6 * d) for d in
-                        (1, 2, 3, 4)),
-                  tuple(Fraction(v, 4) - 3 for v in point))
-            holds = [certificate_holds(forms[k], trop_phi2(x)) for x in xs]
-            assert verdicts(forms[k], [trop_phi2(x) for x in xs]) == holds
-            assert verdicts(forms[k], [scaled(x)[1] for x in xs]) == holds
-            seen.update(holds)
-        assert seen == {False, True}
-
 
 class TestCertifiesRejectsBadHeights:
-    """``certified`` takes ints and Fractions only, as
-    ``induced_subdivision`` does, and a batch of one point or more."""
+    """``certified`` takes ints only, as ``integer_heights`` gives them,
+    where ``induced_subdivision`` also takes Fractions, and a batch of one
+    point or more."""
 
     @pytest.fixture(scope="class")
     def forms(self):
@@ -1430,10 +1401,22 @@ class TestCertifiesRejectsBadHeights:
     @pytest.mark.parametrize("w", [[0.5] * 20, ["1"] * 20,
                                    [Fraction(1, 2)] * 19 + [0.5]])
     def test_rejects_heights_that_are_not_rational(self, forms, w):
-        with pytest.raises(ValueError, match="ints or Fractions"):
+        with pytest.raises(ValueError, match="must be ints"):
             certified(forms, [w])
         with pytest.raises(ValueError, match="ints or Fractions"):
             induced_subdivision(w)
+
+    def test_rejects_fraction_heights(self, forms):
+        """A batch of Fractions, whole ones too, and a batch that holds
+        one row of Fractions beside integer heights, are rejected: the
+        caller scales rational heights to integers."""
+        w = integer_heights(canonical_point(ray_set(("r3", "r9", "r10",
+                                                     "r12"))))
+        for batch in ([[Fraction(1, 2)] * 20], [list(map(Fraction, w))],
+                      [w, [Fraction(h, 2) for h in w]]):
+            with pytest.raises(ValueError, match="must be ints"):
+                certified(forms, batch)
+        assert certified(forms, [w])[2] == 1
 
     def test_rejects_an_empty_batch(self, forms):
         with pytest.raises(ValueError, match="at least one point"):

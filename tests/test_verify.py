@@ -5,7 +5,11 @@ from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
 
+import pytest
+
+import tropd4.reference as reference
 import tropd4.verify as verify
+from tropd4.correspondence import psi
 from tropd4.fan import compute_fan_f36, trop_phi2
 from tropd4.geometry import Cone, Fan, cone_from_rays
 from tropd4.hypersimplex import canonical_subdivision, induced_subdivision
@@ -423,3 +427,172 @@ class TestFanWalls:
         monkeypatch.setattr(verify, "compute_fan_f36", lambda: Fan(4, cones))
         checks = Counter(v["check"] for v in verify.check_fan())
         assert checks["fan wall in two cones"] == 4
+
+
+def _rewired(adj, drop, add=None):
+    """A copy of the adjacency ``adj`` without the edge ``drop``, and with
+    the edge ``add`` when one is given."""
+    out = {u: set(vs) for u, vs in adj.items()}
+    a, b = drop
+    out[a].discard(b)
+    out[b].discard(a)
+    if add:
+        a, b = add
+        out[a].add(b)
+        out[b].add(a)
+    return out
+
+
+def _circulant(n, start=0):
+    """Vertices ``start`` to ``start + n - 1`` on a cycle, each joined to
+    the two before it and the two after it."""
+    return {start + i: {start + (i + d) % n for d in (1, 2, -1, -2)}
+            for i in range(n)}
+
+
+class TestSmallChecksFire:
+    """Each check below reports its own violation when one of its inputs
+    is wrong, so an empty list shows that its comparison was made."""
+
+    def test_dropped_pseudotriangulation(self, monkeypatch):
+        real = verify.enumerate_pseudotriangulations
+        monkeypatch.setattr(verify, "enumerate_pseudotriangulations",
+                            lambda n: real(n)[1:] if n == 4 else real(n))
+        assert verify.check_enumeration() == [{
+            "check": "pseudotriangulation count", "n": 4, "got": 49,
+            "expected": 50}]
+
+    @pytest.mark.parametrize("shape, edges", [
+        ("dropped", 99), ("moved", 100), ("disconnected", 100),
+        ("small", 98)])
+    def test_wrong_flip_graph(self, monkeypatch, shape, edges):
+        """A flip edge dropped; one moved to a non-neighbour (degrees 3
+        and 5); two disjoint circulant graphs on 25 vertices, each vertex
+        joined to the two before and after it (every degree 4,
+        disconnected); and one such graph on 49 vertices (every degree 4,
+        connected, too few edges)."""
+        adj = verify.flip_graph(4)
+        b = min(adj[0])
+        c = min(set(adj) - adj[0] - {0})
+        graph = {
+            "dropped": _rewired(adj, (0, b)),
+            "moved": _rewired(adj, (0, b), (0, c)),
+            "disconnected": {**_circulant(25), **_circulant(25, 25)},
+            "small": _circulant(49),
+        }[shape]
+        monkeypatch.setattr(verify, "flip_graph", lambda n: graph)
+        assert verify.check_enumeration() == [{
+            "check": "flip graph shape", "edges": edges}]
+
+    def test_wrong_cluster_complex_f_vector(self, monkeypatch):
+        real = verify.cluster_complex
+        monkeypatch.setattr(verify, "cluster_complex",
+                            lambda: ((16, 66, 99, 50),) + real()[1:])
+        assert verify.check_cluster_complex() == [{
+            "check": "cluster complex f-vector", "got": [16, 66, 99, 50],
+            "expected": [16, 66, 100, 50]}]
+
+    @pytest.mark.parametrize("wrong", ["dropped", "moved"])
+    def test_wrong_symmetry_classes(self, monkeypatch, wrong):
+        """An orbit dropped (six orbits), or one pseudotriangulation moved
+        to another orbit (seven orbits of the wrong sizes)."""
+        real = verify.classify_modulo
+
+        def classify(ts, generators, n):
+            orbits = real(ts, generators, n)
+            if wrong == "dropped":
+                return orbits[1:]
+            t = min(orbits[0], key=sorted)
+            return [orbits[0] - {t}, orbits[1] | {t}, *orbits[2:]]
+        monkeypatch.setattr(verify, "classify_modulo", classify)
+        orbits = classify(verify.enumerate_pseudotriangulations(4),
+                          verify.full_symmetry_generators(), 4)
+        assert verify.check_symmetry_classes() == [{
+            "check": "symmetry classes", "orbits": len(orbits),
+            "sizes": sorted(map(len, orbits), reverse=True)}]
+        assert (len(orbits), wrong) in ((6, "dropped"), (7, "moved"))
+
+    def test_degree_against_negative_simple(self, monkeypatch):
+        """The degree raised by one on the orbit under tau of the pair
+        (-alpha_1, alpha_2), so that it is still invariant under tau: the
+        pairs of that orbit that hold a negative simple root fail."""
+        real = verify.compatibility_degree
+        pair, orbit = ((-1, 0, 0, 0), (0, 1, 0, 0)), set()
+        while pair not in orbit:
+            orbit.add(pair)
+            pair = tuple(map(verify.tau_on_root, pair))
+        monkeypatch.setattr(verify, "compatibility_degree",
+                            lambda a, b: real(a, b) + ((a, b) in orbit))
+        roots = sorted(set(map(psi, reference.RAY_COORDS.values())))
+        expected = [{"check": "degree against negative simple", "i": i + 1,
+                     "beta": beta}
+                    for i in range(4) for beta in roots
+                    if (tuple(-(j == i) for j in range(4)), beta) in orbit]
+        assert {"check": "degree against negative simple", "i": 1,
+                "beta": (0, 1, 0, 0)} in expected
+        assert verify.check_compatibility_relations() == expected
+
+    def test_degree_rotation_invariance(self, monkeypatch):
+        """tau with the images of -alpha_1 and alpha_1 swapped: every
+        failing pair holds one of the two, and the degrees against the
+        negative simple roots, which tau does not enter, still pass."""
+        real = verify.tau_on_root
+        swap = {(-1, 0, 0, 0): (1, 0, 0, 0), (1, 0, 0, 0): (-1, 0, 0, 0)}
+        monkeypatch.setattr(verify, "tau_on_root",
+                            lambda r: real(swap.get(r, r)))
+        violations = verify.check_compatibility_relations()
+        assert violations
+        assert {v["check"] for v in violations} == \
+            {"degree rotation invariance"}
+        assert all(set(v["pair"]) & set(swap) for v in violations)
+
+    def test_dropped_minor(self, monkeypatch):
+        real = verify.all_tropical_minors
+        monkeypatch.setattr(verify, "all_tropical_minors",
+                            lambda: dict(list(real().items())[1:]))
+        assert verify.check_minors() == [{"check": "minor count", "got": 19}]
+
+    def test_wrong_ray_coordinates(self, monkeypatch, fan36):
+        """r2, in no bipyramid, listed at a point that is no ray."""
+        monkeypatch.setitem(reference.RAY_COORDS, "r2", (9, 9, 9, 9))
+        assert verify.check_fan() == [{
+            "check": "fan ray set", "got": sorted(map(list, fan36.rays))}]
+
+    def test_wrong_fan_f_vector(self, monkeypatch):
+        monkeypatch.setattr(reference, "FAN_F_VECTOR", (16, 66, 98, 49))
+        assert verify.check_fan() == [{
+            "check": "fan f-vector", "got": [16, 66, 98, 48],
+            "expected": [16, 66, 98, 49]}]
+
+    def test_dropped_cone(self, monkeypatch, fan36):
+        """Without its first cone, a simplex, the fan has 47 maximal
+        cones, 45 of them with four rays."""
+        broken = Fan(4, fan36.maximal_cones[1:])
+        monkeypatch.setattr(verify, "compute_fan_f36", lambda: broken)
+        violations = verify.check_fan()
+        assert violations[:2] == [
+            {"check": "fan f-vector", "got": [16, 66, 98, 47],
+             "expected": [16, 66, 98, 48]},
+            {"check": "maximal cone ray counts",
+             "sizes": [4] * 45 + [5, 5]}]
+        assert {v["check"] for v in violations[2:]} == \
+            {"fan wall in two cones"}
+
+    def test_samples_off_their_cone_subdivision(self, monkeypatch, fan36,
+                                                 cone_types):
+        """Every certificate failing and every lower envelope giving the
+        canonical cells of the first EEEG cone: matroidal cells, so each
+        cone of another type fails once per sample, and only on its
+        signature."""
+        eeeg = next(c for c in fan36.maximal_cones
+                    if cone_types[frozenset(c.rays)] == "EEEG")
+        cells = canonical_subdivision(eeeg.rays)
+        monkeypatch.setattr(verify, "certified",
+                            lambda forms, heights: (16, 0, 0))
+        monkeypatch.setattr(verify, "induced_subdivision", lambda w: cells)
+        assert verify.check_interior_point_stability(7, 1) == [
+            {"check": "signature constant on cone",
+             "cone": [list(r) for r in c.rays],
+             "type": cone_types[frozenset(c.rays)]}
+            for c in fan36.maximal_cones
+            if cone_types[frozenset(c.rays)] != "EEEG"]
