@@ -6,6 +6,8 @@ matroid polytopes, which one basis-exchange walk checks; their face counts and
 the dimensions of pairwise intersections form a signature that separates the
 six realized combinatorial types of tropical planes.  The classifier reads a
 cone's type off the subdivisions at its rays, one letter E, F or G per ray.
+The subdivisions at the fan's rays and canonical points are enveloped once
+per orbit of the fan's symmetries and moved to the rest of the orbit.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache, reduce
 from itertools import combinations, groupby, permutations, product, starmap
-from math import comb
+from math import comb, gcd
 from operator import and_, or_
 
 from . import reference
@@ -61,15 +63,21 @@ def induced_subdivision(w):
 
     ``w`` is the 20-entry weight vector in lexicographic triple order; each
     cell is returned as a frozenset of index triples, which holds its
-    vertex mask from :func:`lower_cell_masks` as ``mask`` (``_Cell``).  A
-    mask's triples are read off its four 5-bit chunks, in lex order, and
-    the cells are sorted by them.  ``PLUECKER_TRIPLES`` is in lex order, so
-    that is the order of the index sets of :func:`regular_subdivision`.
+    vertex mask from :func:`lower_cell_masks` as ``mask`` (``_Cell``), in
+    the order of :func:`_cells`.
     """
+    return _cells(lower_cell_masks(hypersimplex_vertices(), list(w)))
+
+
+def _cells(masks):
+    """The cells of the 20-bit vertex ``masks`` as ``_Cell``s, sorted by
+    their triples.  A mask's triples are read off its four 5-bit chunks, in
+    lex order.  ``PLUECKER_TRIPLES`` is in lex order, so that is the order
+    of the index sets of :func:`regular_subdivision`."""
     t0, t1, t2, t3 = _CHUNK_TRIPLES
     keyed = sorted(
         (t0[m & 31] + t1[m >> 5 & 31] + t2[m >> 10 & 31] + t3[m >> 15], m)
-        for m in lower_cell_masks(hypersimplex_vertices(), list(w)))
+        for m in masks)
     cells = []
     for triples, mask in keyed:
         cell = _Cell(triples)
@@ -352,6 +360,87 @@ def _orbit_key(mask):
                for orders in product(*map(permutations, ties)))
 
 
+# The vertex maps of three symmetries of the positive fan: the cyclic shift
+# of the columns, their reversal, and the alternating-sign duality, which
+# takes each triple to its complement, vertex i to 19 - i in lex order
+# (Postnikov, "Total positivity, Grassmannians, and networks",
+# arXiv:math/0609764, 2006).
+_FAN_SYMMETRIES = (_relabelling((6, 1, 2, 3, 4, 5)),
+                   _relabelling((6, 5, 4, 3, 2, 1)),
+                   tuple(1 << 19 - i for i in range(20)))
+
+
+# Both pairings of each 3-term Plücker relation: for an element s and
+# i < j < k < l apart from it, sik + sjl - sij - skl and sik + sjl - sil - sjk,
+# as the vertex indices (a, b, c, d) of w_a + w_b - w_c - w_d.  These 60
+# forms vanish exactly on the lineality space of heights x_i + x_j + x_k.
+_PAIRINGS = tuple(
+    tuple(_VERTEX_BIT[1 << s - 1 | 1 << a - 1 | 1 << b - 1].bit_length() - 1
+          for a, b in ((i, k), (j, l), c, d))
+    for s in range(1, 7)
+    for i, j, k, l in combinations([e for e in range(1, 7) if e != s], 4)
+    for c, d in (((i, j), (k, l)), ((i, l), (j, k))))
+
+
+def _lineality_key(w):
+    """The heights ``w`` modulo lineality and positive scale: the values of
+    the forms of ``_PAIRINGS`` at w, divided by their gcd.  Two heights
+    share a key exactly when one is a positive multiple of the other plus
+    a lineality vector."""
+    values = [w[a] + w[b] - w[c] - w[d] for a, b, c, d in _PAIRINGS]
+    g = gcd(*values) or 1
+    return tuple(v // g for v in values)
+
+
+@lru_cache(maxsize=1)
+def _fan_orbits():
+    """Per ray and per canonical point of a maximal cone of the fan that is
+    not its orbit's representative, under the group generated by
+    ``_FAN_SYMMETRIES``: the representative's point, and the vertex map
+    that carries the representative's cells onto its own.
+
+    A vertex map g moves heights w to g.w, which has w_i at the image of
+    vertex i, and the cells that g.w induces are those of w moved by g.
+    A generator takes a ray r to the ray whose heights equal g.h(r) modulo
+    lineality and positive scale (:func:`_lineality_key`), and a cone to
+    the cone of its rays' images; ``ValueError`` is raised when there is
+    none.  Each orbit is walked from its first ray or cone in fan order,
+    its representative, composing the generators' maps.
+    """
+    fan = compute_fan_f36()
+    heights = {r: integer_heights(r) for r in fan.rays}
+    ray_of = {_lineality_key(w): r for r, w in heights.items()}
+    cone_of = {frozenset(c.rays): c.rays for c in fan.maximal_cones}
+    points = {**{r: r for r in fan.rays},
+              **{c: canonical_point(c) for c in cone_of.values()}}
+    moves = []  # per generator, its vertex map and its image of each key
+    for g in _FAN_SYMMETRIES:
+        source = sorted(range(len(g)), key=g.__getitem__)  # preimages
+        move = {r: ray_of.get(_lineality_key([w[i] for i in source]))
+                for r, w in heights.items()}
+        move.update((c, cone_of.get(frozenset(map(move.get, c))))
+                    for c in cone_of.values())
+        if None in move.values():
+            raise ValueError("a symmetry maps a ray or cone of the fan to "
+                             "no ray or cone")
+        moves.append((g, move))
+    maps, orbits = {}, {}
+    for first in points:
+        if first in maps:
+            continue
+        maps[first] = tuple(1 << i for i in range(20))
+        todo = [first]
+        while todo:
+            x = todo.pop()
+            for g, move in moves:
+                y = move[x]
+                if y not in maps:
+                    maps[y] = tuple(g[b.bit_length() - 1] for b in maps[x])
+                    orbits[points[y]] = points[first], maps[y]
+                    todo.append(y)
+    return orbits
+
+
 @lru_cache(maxsize=None)
 def _cell_forms(mask):
     """Equality and strict forms of the full-dimensional cell ``mask``.
@@ -485,15 +574,29 @@ def canonical_point(rays):
 
 
 def canonical_subdivision(rays):
-    """Subdivision induced at the canonical point of a cone's ``rays``."""
+    """Subdivision induced at the canonical point of a cone's ``rays``, by
+    :func:`_subdivision_at`: for a maximal cone of the fan, its orbit
+    representative's cells moved by the vertex map of :func:`_fan_orbits`
+    unless it is the representative."""
     return _subdivision_at(canonical_point(rays))
 
 
-# room for the 16 rays and the canonical points of the 48 maximal cones
+# room for the 16 rays and the canonical points of the 48 maximal cones:
+# 3 and 7 orbit representatives, the rest moved from them
 @lru_cache(maxsize=64)
 def _subdivision_at(point):
-    """Subdivision induced at an integer point of the fan by its heights."""
-    return induced_subdivision(integer_heights(point))
+    """Subdivision induced at an integer point of the fan by its heights.
+
+    At a ray or canonical point that :func:`_fan_orbits` reaches from its
+    orbit's representative, it is the representative's subdivision moved
+    by the vertex map, with the cells built as :func:`induced_subdivision`
+    builds them; at any other point, the lower envelope of its heights.
+    """
+    rep, g = _fan_orbits().get(point, (point, None))
+    if g is None:
+        return induced_subdivision(integer_heights(point))
+    return _cells(sum(map(g.__getitem__, _vertex_indices(cell.mask)))
+                  for cell in _subdivision_at(rep))
 
 
 @lru_cache(maxsize=1)
@@ -517,7 +620,9 @@ _LETTERS = {(10, 19): "E", (16, 16): "F", (14, 14, 14): "G"}
 @lru_cache(maxsize=16)
 def _ray_letter(ray):
     """Letter of ``ray``, and for an E its triple T, from the subdivision
-    at the ray, read from :func:`_subdivision_at`.
+    at the ray, read from :func:`_subdivision_at`: for a ray of the fan,
+    its orbit representative's cells moved by the vertex map of
+    :func:`_fan_orbits` unless it is the representative.
 
     An E ray splits Delta(3,6) into a cell of 10 vertices and one of 19,
     an F ray into two of 16, and a G ray into three of 14.  The small cell

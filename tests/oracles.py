@@ -521,6 +521,44 @@ def brute_force_orbit_key(cell):
     return min(brute_force_orbit(cell))
 
 
+# -- the symmetries of the positive fan ------------------------------------
+
+# The cyclic shift of 1..6, the reversal, and the complement, on triples.
+_FAN_MOVES = (
+    lambda t: tuple(sorted(e % 6 + 1 for e in t)),
+    lambda t: tuple(sorted(7 - e for e in t)),
+    lambda t: tuple(e for e in range(1, 7) if e not in t),
+)
+
+
+def fan_symmetry_group(cells_of):
+    """The group that the cyclic shift, the reversal and the complement
+    generate on the rays, as permutations of ``sorted(cells_of)``, tuples
+    whose entry i is the index of ray i's image.
+
+    ``cells_of`` gives each ray's subdivision as sets of triples.  A move
+    takes a ray to the ray whose cells are its own cells with every triple
+    moved; that ray must be unique, so the rays' subdivisions must differ.
+    """
+    rays = sorted(cells_of)
+    index = {frozenset(map(frozenset, cells_of[r])): i
+             for i, r in enumerate(rays)}
+    assert len(index) == len(rays)
+    generators = [tuple(index[frozenset(frozenset(map(move, cell))
+                                        for cell in cells_of[r])]
+                        for r in rays) for move in _FAN_MOVES]
+    group = {tuple(range(len(rays)))}
+    todo = list(group)
+    while todo:
+        p = todo.pop()
+        for g in generators:
+            q = tuple(g[i] for i in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group
+
+
 def satisfies_tropical_plucker_relations(w):
     """Min-convention 3-term tropical Plücker relations for heights ``w``.
 

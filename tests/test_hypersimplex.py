@@ -48,6 +48,7 @@ from oracles import (
     brute_force_orbit_key,
     certificate_holds,
     classify_by_signature,
+    fan_symmetry_group,
     gf2_rank,
     matroid_f_vector,
     satisfies_tropical_plucker_relations,
@@ -1196,6 +1197,121 @@ class TestRayLetters:
                 a, b = (e_triple(cells_at(r)[0]) for r in ray_set(labels)
                         if letters[r] == "E")
                 assert len(a & b) == shared
+
+
+@pytest.fixture
+def cold_orbits(monkeypatch):
+    """The orbit maps, the subdivisions at the fan's points and what is
+    read from them cleared before and after, so that the test sees them
+    built; yields :mod:`tropd4.hypersimplex`."""
+    import tropd4.correspondence as correspondence
+    import tropd4.hypersimplex as hx
+    caches = (hx._fan_orbits, hx._subdivision_at, hx._ray_letter,
+              hx.reference_signatures, correspondence.classify_all_cones,
+              correspondence.cluster_classes)
+    for cache in caches:
+        cache.cache_clear()
+    yield hx
+    monkeypatch.undo()
+    for cache in caches:
+        cache.cache_clear()
+
+
+class TestFanOrbits:
+    """The subdivisions at the 16 rays and the 48 canonical points, read
+    from orbit representatives, against the lower envelope; the orbits
+    against the group that :func:`oracles.fan_symmetry_group` builds on
+    triples."""
+
+    @pytest.fixture(scope="class")
+    def group(self, fan36):
+        return fan_symmetry_group(
+            {r: induced_subdivision(integer_heights(r)) for r in fan36.rays})
+
+    def test_cells_are_the_envelopes(self, cold_orbits, monkeypatch, fan36):
+        """Cold, the 64 points take 10 lower envelopes, at the heights of
+        the 3 ray and 7 canonical representatives, in fan order; every
+        point's cells, and their masks, are its own envelope's."""
+        envelopes = []
+        real = cold_orbits.induced_subdivision
+
+        def counted(w):
+            envelopes.append(w)
+            return real(w)
+        monkeypatch.setattr(cold_orbits, "induced_subdivision", counted)
+        points = [*fan36.rays,
+                  *(canonical_point(c.rays) for c in fan36.maximal_cones)]
+        subdivisions = [cold_orbits._subdivision_at(r) for r in fan36.rays]
+        subdivisions += [canonical_subdivision(c.rays)
+                         for c in fan36.maximal_cones]
+        moved = cold_orbits._fan_orbits()
+        assert envelopes == [integer_heights(p) for p in points
+                             if p not in moved]
+        assert len(envelopes) == 10
+        for point, cells in zip(points, subdivisions):
+            envelope = real(integer_heights(point))
+            assert cells == envelope
+            assert [c.mask for c in cells] == [c.mask for c in envelope]
+
+    def test_orbit_sizes_and_group_order(self, group, fan36):
+        """The group has order 24 on the 16 ray classes, maps cones to
+        cones, and has orbits of sizes 6, 6, 4 on the rays and 12, 12, 6,
+        6, 6, 4, 2 on the 48 cones."""
+        rays = sorted(fan36.rays)
+        cones = {frozenset(map(rays.index, c.rays))
+                 for c in fan36.maximal_cones}
+        assert len(group) == 24
+        ray_orbits = {frozenset(p[i] for p in group) for i in range(16)}
+        cone_orbits = {frozenset(frozenset(p[i] for i in c) for p in group)
+                       for c in cones}
+        assert set().union(*cone_orbits) == cones
+        assert sorted(map(len, ray_orbits)) == [4, 6, 6]
+        assert sorted(map(len, cone_orbits)) == [2, 4, 6, 6, 6, 12, 12]
+
+    def test_each_point_is_moved_from_the_first_of_its_orbit(self, group,
+                                                            fan36):
+        """A ray or canonical point is moved from the first ray or cone of
+        its orbit in fan order, and only the 10 firsts are not moved."""
+        import tropd4.hypersimplex as hx
+        moved = hx._fan_orbits()
+        rays = sorted(fan36.rays)
+        cones = [(frozenset(map(rays.index, c.rays)), canonical_point(c.rays))
+                 for c in fan36.maximal_cones]
+        firsts = []
+        for r in fan36.rays:
+            orbit = {rays[p[rays.index(r)]] for p in group}
+            firsts.append(next(s for s in fan36.rays if s in orbit))
+            assert moved.get(r, (r,))[0] == firsts[-1]
+        for c, point in cones:
+            orbit = {frozenset(p[i] for i in c) for p in group}
+            firsts.append(next(q for d, q in cones if d in orbit))
+            assert moved.get(point, (point,))[0] == firsts[-1]
+        assert len(set(firsts)) == 10
+        assert len(moved) == 54 and not set(firsts) & set(moved)
+
+    @pytest.mark.parametrize("generator, i, j", [
+        (0, 5, 6), (2, 5, 6), (0, 0, 1), (1, 2, 10), (2, 3, 4)])
+    def test_swapped_vertices_do_not_pass(self, cold_orbits, monkeypatch,
+                                          generator, i, j):
+        """Two vertices swapped in one generator's vertex map.  The
+        vertices 0-4 and 10 (123, 124, 125, 126, 134, 234) have height 0
+        at every ray, so a swap among them moves every ray as before and
+        only the cells go wrong: the cone proofs of ``full_report(7)``
+        fail.  Any other swap sends some ray to no ray, and the orbit maps
+        raise ``ValueError``."""
+        maps = list(cold_orbits._FAN_SYMMETRIES)
+        g = list(maps[generator])
+        g[i], g[j] = g[j], g[i]
+        maps[generator] = tuple(g)
+        monkeypatch.setattr(cold_orbits, "_FAN_SYMMETRIES", tuple(maps))
+        import tropd4.verify as verify
+        if {i, j} <= {0, 1, 2, 3, 4, 10}:
+            violations = verify.full_report(7)["violations"]
+            assert "subdivision constant on cone" in {
+                v["check"] for v in violations}
+        else:
+            with pytest.raises(ValueError, match="to no ray"):
+                verify.full_report(7)
 
 
 def verdicts(forms, heights, weak=False):

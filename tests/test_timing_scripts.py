@@ -59,14 +59,17 @@ class TestCheckTimes:
 
     def test_sweeps_are_counted_per_check(self, child_run):
         """The report's sweep budget, the same on any host: one per fan
-        region in the fan build, the lower envelopes of Table 1 and of
-        the cone proofs, four hulls of the interior samples, none in any
-        other check, and ``full_report``'s count is their sum."""
+        region in the fan build, the lower envelopes of the 3 ray orbits'
+        representatives in Table 1 and of the 7 cone orbits'
+        representatives in the cone proofs, every other ray and cone
+        moved from its representative, four hulls of the interior
+        samples, none in any other check, and ``full_report``'s count is
+        their sum."""
         sweeps = dict(child_run["sweeps"])
-        assert sweeps.pop("full_report") == 116
+        assert sweeps.pop("full_report") == 62
         assert set(sweeps) == set(child_run["check_probes"])
         assert {name: n for name, n in sweeps.items() if n} == {
-            "check_fan": 48, "check_table1": 16, "check_cone_proofs": 48,
+            "check_fan": 48, "check_table1": 3, "check_cone_proofs": 7,
             "check_interior_point_stability": 4}
 
     def test_summary_requires_equal_sweep_counts(self, scripts):

@@ -1,9 +1,10 @@
+import hashlib
+import itertools
 import operator
 import random
 from collections import Counter
 from fractions import Fraction
 from math import lcm
-from types import SimpleNamespace
 
 import pytest
 
@@ -173,7 +174,7 @@ class TestConeProofs:
         monkeypatch.setattr(verify, "integer_heights", heights)
         violations = verify.check_cone_proofs()
         assert [v["check"] for v in violations] == \
-            ["trop_phi2 linear on cone"] * len(violations)
+            ["heights linear on cone"] * len(violations)
         assert [v["cone"] for v in violations] == \
             [[list(r) for r in c.rays] for c in fan36.maximal_cones
              if ray in c.rays]
@@ -333,10 +334,7 @@ class TestBrokenFanCovering:
         assert edge.face_containing(x) == {a, c}
         assert pyramid.face_containing(x) == {a, b, c, d}
         monkeypatch.setattr(verify, "compute_fan_f36", lambda: fan)
-        draws = iter(x)
-        monkeypatch.setattr(verify, "random", SimpleNamespace(
-            Random=lambda seed: SimpleNamespace(
-                randint=lambda low, high: next(draws))))
+        monkeypatch.setattr(verify, "_draws", lambda rng, low, high: iter(x))
         assert verify.check_fan_covering(7, 1) == [
             {"check": "overlap is a common face", "point": list(x)}]
 
@@ -355,12 +353,61 @@ class TestBrokenFanCovering:
         assert cones_holding(fan, first) == [0, 1]
         assert cones_holding(fan, second) == [0, 1]
         monkeypatch.setattr(verify, "compute_fan_f36", lambda: fan)
-        draws = iter(first + second)
-        monkeypatch.setattr(verify, "random", SimpleNamespace(
-            Random=lambda seed: SimpleNamespace(
-                randint=lambda low, high: next(draws))))
+        monkeypatch.setattr(verify, "_draws",
+                            lambda rng, low, high: iter(first + second))
         assert verify.check_fan_covering(7, 2) == [
             {"check": "overlap is a common face", "point": list(second)}]
+
+
+class TestDraws:
+    """``_draws`` against ``randint``, and the points the two sampled
+    checks hand on, pinned."""
+
+    @pytest.mark.parametrize("low, high",
+                             [(-40, 40), (1, 50), (1, 8), (3, 3), (-8, 7)])
+    def test_stream_is_randints(self, low, high):
+        """The three ranges in use, a range of one value and one of 16, a
+        power of two, over 100 seeds: on a Python whose ``randint``
+        draws another stream, this fails."""
+        for seed in range(100):
+            rng = random.Random(seed)
+            expected = [rng.randint(low, high) for _ in range(300)]
+            draws = verify._draws(random.Random(seed), low, high)
+            assert list(itertools.islice(draws, 300)) == expected
+
+    def test_two_streams_on_one_random_keep_their_order(self):
+        """A numerator, then a denominator, from two generators on one
+        ``Random``, as the interior check draws them."""
+        for seed in range(50):
+            rng = random.Random(seed)
+            expected = [rng.randint(low, high) for _ in range(150)
+                        for low, high in ((1, 50), (1, 8))]
+            rng = random.Random(seed)
+            streams = verify._draws(rng, 1, 50), verify._draws(rng, 1, 8)
+            assert [next(s) for _ in range(150) for s in streams] == expected
+
+    @pytest.mark.parametrize("seed, digest", [
+        (7, "7a6c88d9764a0d499d21b6ff1dc52f75"),
+        (0, "d479633c3fa1fd3f78f7c2f1dc06f890"),
+        (3, "0e4d6bd747f24f411005eec0a6605a89"),
+        (11, "3e88fca56ca6f600b8616fd57f22e2a6")])
+    def test_points_handed_on_are_pinned(self, seed, digest, monkeypatch):
+        """The 960 sample points handed to ``integer_heights`` by the
+        interior check and the 20 batches handed to ``Fan.odd_points`` by
+        the covering check, in order: the md5 of their repr is the one
+        the checks gave when they drew with ``randint``."""
+        heights, batches = _record_heights(monkeypatch), []
+        real = Fan.odd_points
+
+        def odd_points(fan, points):
+            batches.append(points)
+            return real(fan, points)
+        monkeypatch.setattr(Fan, "odd_points", odd_points)
+        verify.check_interior_point_stability(seed)
+        verify.check_fan_covering(seed)
+        calls = [x for x, _ in heights] + batches
+        assert (len(heights), len(batches)) == (960, 20)
+        assert hashlib.md5(repr(calls).encode()).hexdigest() == digest
 
 
 class TestFanWalls:
