@@ -17,8 +17,10 @@ number of lines of ``src/tropd4/*.py``, so that the size of the code can
 be read beside its times, and ``probe_s``.  Beside the medians,
 ``sweeps`` gives the number of double-description sweeps
 (``tropd4.geometry._double_description``) made in each check and in
-``full_report``.  The counts do not depend on the host, so every run
-must give the same ones.
+``full_report``, and ``packs`` the number of packings of vectors into
+words (``tropd4.geometry._pack``): a batch of points located in the fan,
+or a certificate's forms, which are packed once and kept.  The counts do
+not depend on the host, so every run must give the same ones.
 
 The times are wall-clock seconds, unscaled.  The host's speed drifts,
 within a run as well as between runs, so each run times the fixed loop of
@@ -59,39 +61,45 @@ def child(seed):
     start = perf_counter()
     from tropd4 import geometry, verify
     times = {"import": perf_counter() - start}
-    made = [0]  # the sweeps made so far
-    sweeps = {}
+    made = {"sweeps": 0, "packs": 0}  # the calls counted so far
+    counts = {kind: {} for kind in made}  # kind -> {name: calls}
     check_probes = {}  # name -> the probes taken just before its calls
     probing = [0.0]  # the seconds spent in those probes
-    sweep = geometry._double_description
 
-    def counted(*args, **kwargs):
-        made[0] += 1
-        return sweep(*args, **kwargs)
+    def counted(kind, fn):
+        def call(*args, **kwargs):
+            made[kind] += 1
+            return fn(*args, **kwargs)
+        return call
 
     def timed(name, fn):
         def call(*args, **kwargs):
             t0 = perf_counter()
             check_probes.setdefault(name, []).append(probe())
             probing[0] += perf_counter() - t0
-            t0, before = perf_counter(), made[0]
+            t0, before = perf_counter(), dict(made)
             try:
                 return fn(*args, **kwargs)
             finally:
                 times[name] = times.get(name, 0.0) + perf_counter() - t0
-                sweeps[name] = sweeps.get(name, 0) + made[0] - before
+                for kind, n in made.items():
+                    counts[kind][name] = counts[kind].get(name, 0) \
+                        + n - before[kind]
         return call
 
-    geometry._double_description = counted
+    geometry._double_description = counted(
+        "sweeps", geometry._double_description)
+    geometry._pack = counted("packs", geometry._pack)
     for name in [n for n in vars(verify) if n.startswith("check_")]:
         setattr(verify, name, timed(name, getattr(verify, name)))
     start = perf_counter()
     report = verify.full_report(seed)
     times["full_report"] = perf_counter() - start - probing[0]
-    sweeps["full_report"] = made[0]
+    for kind, n in made.items():
+        counts[kind]["full_report"] = n
     probes += [p for ps in check_probes.values() for p in ps]
     probes += [probe() for _ in range(PROBES)]
-    json.dump({"times": times, "sweeps": sweeps, "probes": probes,
+    json.dump({"times": times, **counts, "probes": probes,
                "check_probes": check_probes,
                "violations": len(report["violations"])}, sys.stdout)
 
@@ -155,11 +163,12 @@ def main(script, description, body, summary, output):
 
 def summary(runs):
     """The violation count, the median of each time over ``runs``, the
-    median of each check's own probes over ``runs``, and the sweep
-    counts, which must be the same in every run."""
-    if any(r["sweeps"] != runs[0]["sweeps"] for r in runs):
-        raise RuntimeError(f"the runs made different numbers of sweeps: "
-                           f"{[r['sweeps'] for r in runs]}")
+    median of each check's own probes over ``runs``, and the sweep and
+    pack counts, which must be the same in every run."""
+    for kind in ("sweeps", "packs"):
+        if any(r[kind] != runs[0][kind] for r in runs):
+            raise RuntimeError(f"the runs made different numbers of "
+                               f"{kind}: {[r[kind] for r in runs]}")
     return {"violations": max(r["violations"] for r in runs),
             "median_s": {name: round(statistics.median(
                 r["times"][name] for r in runs), 4)
@@ -167,7 +176,7 @@ def summary(runs):
             "check_probe_s": {name: round(statistics.median(
                 p for r in runs for p in r["check_probes"][name]), 6)
                 for name in runs[0]["check_probes"]},
-            "sweeps": runs[0]["sweeps"]}
+            "sweeps": runs[0]["sweeps"], "packs": runs[0]["packs"]}
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from functools import lru_cache
 
 L, R = "L", "R"
 
@@ -175,8 +176,25 @@ def apply_to_chord(op: SymmetryOp, c: Chord, n) -> Chord:
 
 
 def apply_symmetry(op: SymmetryOp, pairs, n):
-    """Image of a set of chord pairs, re-canonicalized."""
-    return frozenset(pair_rep(apply_to_chord(op, c, n), n) for c in pairs)
+    """Image of a set of chord pairs, re-canonicalized: each chord's
+    ``pair_rep(apply_to_chord(op, c, n), n)``, read off the table of
+    :func:`_pair_images`.  A chord outside the model raises ValueError,
+    as an unknown kind of ``op`` does."""
+    images = _pair_images(op, n)
+    try:
+        return frozenset(map(images.__getitem__, pairs))
+    except KeyError as missing:
+        raise ValueError(f"{missing.args[0]!r} is not a chord of the "
+                         f"2*{n}-gon model") from None
+
+
+@lru_cache(maxsize=128)
+def _pair_images(op, n):
+    """``{chord: pair image under op}`` over :func:`all_chords` of n, the
+    finite set of chords; built once per ``(op, n)``, so the check of the
+    symmetry classes and the reflection theorem move no chord twice.
+    Kept for at most 128 pairs ``(op, n)``."""
+    return {c: pair_rep(apply_to_chord(op, c, n), n) for c in all_chords(n)}
 
 
 # -- text form ---------------------------------------------------------------

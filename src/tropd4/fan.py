@@ -31,17 +31,17 @@ GENERIC_POINT = (1, 3, 7, 29)
 
 def integer_heights(x):
     """Values of all 20 tropical minors at the integer point x, in
-    lexicographic triple order, as a tuple of ints.  The 42 forms of the
-    minors are evaluated from one flat table; a minor with one form takes
-    its value without ``min``.  Raises ValueError unless ``x`` has 4 int
-    coordinates."""
+    lexicographic triple order, as a tuple of ints.  The minors' 42 forms
+    are only 7 distinct ones: each is evaluated once, and each minor takes
+    the ``min`` of its forms' values, or the value of its one form.
+    Raises ValueError unless ``x`` has 4 int coordinates."""
     if len(x) != 4 or not all(isinstance(v, int) for v in x):
         raise ValueError(f"expected 4 int coordinates, got {x!r}")
     a, b, c, d = x
-    forms, spans = _minor_table()
+    forms, minors = _minor_table()
     values = [p * a + q * b + r * c + s * d for p, q, r, s in forms]
-    return tuple(values[i] if j - i == 1 else min(values[i:j])
-                 for i, j in spans)
+    return tuple([values[i] if get is None else min(get(values))
+                  for i, get in minors])
 
 
 def trop_phi2(x):
@@ -57,13 +57,16 @@ def trop_phi2(x):
 
 @lru_cache(maxsize=1)
 def _minor_table():
-    """The forms of the 20 minors in one flat tuple, in triple order, and
-    the ``(start, stop)`` of each minor's forms in it."""
-    forms, spans = [], []
+    """The distinct forms of the 20 minors, in order of first use, and
+    per minor, in triple order, ``(i, get)``: ``i`` indexes its first form
+    among them, and ``get``, None for a minor of one form, picks its
+    forms' values out of the list of the distinct forms' values."""
+    index, minors = {}, []
     for minor in all_tropical_minors().values():
-        spans.append((len(forms), len(forms) + len(minor)))
-        forms += minor
-    return tuple(forms), tuple(spans)
+        positions = [index.setdefault(f, len(index)) for f in minor]
+        minors.append((positions[0], operator.itemgetter(*positions)
+                       if len(positions) > 1 else None))
+    return tuple(index), tuple(minors)
 
 
 def _dot(a, b):

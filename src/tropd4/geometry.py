@@ -21,12 +21,16 @@ again.  Given ``bits``, as only :func:`lower_cell_masks` gives them, the
 sweep holds each ray as its values on the rows still to come, not its
 coordinates, and returns the masks alone.
 
-Beside the sweep sits one evaluation kernel, :func:`form_signs`: it packs
-a batch of integer points, one field per point, so that one sum of
-products and a few masks per form give that form's signs at every point.
-It tests the certificates of ``hypersimplex.certified`` on a batch of
-heights at once, and locates points in a :class:`Fan`, which hands its
-callers cones, not words (:meth:`Fan.odd_points`).
+Beside the sweep sits one evaluation kernel of integer linear forms in
+packed words, with one packer, one sign rule and one width rule, read
+from either side.  :func:`form_signs` packs a batch of points, one field
+per point, so that one sum of products per form gives that form's signs
+at every point: it locates fresh batches of points in a :class:`Fan`,
+which hands its callers cones, not words (:meth:`Fan.odd_points`).
+:func:`point_signs` packs the forms, one field per form, once per tuple
+of forms, so that one sum of products per point gives its signs on every
+form: it tests the certificates of ``hypersimplex.certified``, each met
+again and again at a few heights at a time.
 """
 
 from __future__ import annotations
@@ -466,14 +470,46 @@ def _pack(vectors, width):
     wider), in which a negative entry reads ``2**width`` more."""
     high = ((1 << width * len(vectors)) - 1) // ((1 << width) - 1) << width - 1
     code = {16: "h", 32: "i", 64: "q"}.get(width)
+    fields = code and struct.Struct(f"<{len(vectors)}{code}")
     columns = []
     for column in zip(*vectors):
         word = int.from_bytes(
-            struct.pack(f"<{len(column)}{code}", *column) if code
+            fields.pack(*column) if fields
             else b"".join(v.to_bytes(width // 8, "little", signed=True)
                           for v in column), "little")
         columns.append(word - ((word & high) << 1))
     return tuple(columns), high
+
+
+def _signs(vectors, columns, high, width):
+    """For each of ``vectors`` v, the top bits of the fields of
+    ``high + sum(v[k] * columns[k])`` that hold a value ``>= 0``, and of
+    those that hold 0 (see :func:`form_signs`)."""
+    every = high >> width - 1
+    for v in vectors:
+        word = high + sum(map(operator.mul, v, columns))
+        yield word & high, (word ^ word - every) & high
+
+
+def _width(bound, least):
+    """The least power of two w from ``least`` with ``2**(w-1) > bound``."""
+    return max(least, 1 << bound.bit_length().bit_length())
+
+
+def _forms_and_points(forms, points):
+    """``forms`` and ``points`` as tuples of tuples: forms of one length
+    and a batch of one point or more, with as many int coordinates."""
+    forms = tuple(map(tuple, forms))
+    if len(set(map(len, forms))) > 1:
+        raise ValueError("forms must all have the same length")
+    points = _point_tuple(points)
+    if forms and len(points[0]) != len(forms[0]):
+        raise ValueError(f"point has {len(points[0])} coordinates, the "
+                         f"forms have {len(forms[0])}")
+    if not all(map(isinstance, itertools.chain.from_iterable(points),
+                   itertools.repeat(int))):
+        raise ValueError(f"coordinates must be ints, got {points!r}")
+    return forms, points
 
 
 def form_signs(forms, points):
@@ -497,29 +533,60 @@ def form_signs(forms, points):
     set exactly when ``f(x_p) >= 0``.  Every ``c_p - 1`` is a digit too,
     and its top bit differs from that of ``c_p`` exactly when
     ``f(x_p) == 0``.  The bound is at least every coordinate, so each
-    packed entry fits its field.
+    packed entry fits its field.  Packing the points pays for fresh
+    batches of many points, as :meth:`Fan.locate` evaluates the fan's 24
+    normals at 512 points a batch; forms met again and again at a few
+    points are packed once instead (:func:`point_signs`).
     """
-    forms = tuple(map(tuple, forms))
-    if len(set(map(len, forms))) > 1:
-        raise ValueError("forms must all have the same length")
-    points = _point_tuple(points)
-    if forms and len(points[0]) != len(forms[0]):
-        raise ValueError(f"point has {len(points[0])} coordinates, the "
-                         f"forms have {len(forms[0])}")
-    coordinates = list(itertools.chain.from_iterable(points))
-    if not all(map(isinstance, coordinates, itertools.repeat(int))):
-        raise ValueError(f"coordinates must be ints, got {points!r}")
+    forms, points = _forms_and_points(forms, points)
     bound = max([1] + [sum(map(abs, f)) for f in forms]) \
-        * max(1, max(map(abs, coordinates), default=0))
-    width = max(16, 1 << bound.bit_length().bit_length())
+        * max(1, max(map(abs, itertools.chain.from_iterable(points)),
+                     default=0))
+    width = _width(bound, 16)
     columns, high = _pack(points, width)
-    every = high >> width - 1
     nonnegative, zero = [], []
-    for f in forms:
-        word = high + sum(map(operator.mul, f, columns))
-        nonnegative.append((word & high) >> width - 1)
-        zero.append(((word ^ word - every) & high) >> width - 1)
-    return width, every, nonnegative, zero
+    for n, z in _signs(forms, columns, high, width):
+        nonnegative.append(n >> width - 1)
+        zero.append(z >> width - 1)
+    return width, high >> width - 1, nonnegative, zero
+
+
+@functools.lru_cache(maxsize=128)
+def _packed_forms(forms):
+    """``(top, width, columns, high)``: the largest ``|coefficient|`` of
+    ``forms`` and their :func:`_pack` at ``width = _width(top, 32)``.
+    Kept for at most 128 form tuples; the fan's 48 certificates fit."""
+    top = max(map(abs, set().union(*forms)), default=0)
+    width = _width(top, 32)
+    return top, width, *_pack(forms, width)
+
+
+def point_signs(forms, points):
+    """Signs of integer linear ``forms`` at each of a batch of integer
+    ``points``: ``(width, high, signs)``, where ``signs[p]`` is
+    ``(nonnegative, zero)`` at ``points[p]``, bitsets in which the top bit
+    of field j, bit ``(j + 1) * width - 1`` of ``high``, stands for
+    ``forms[j]``.
+
+    :func:`form_signs` with the roles swapped, as ``f(x) = x(f)``: the
+    forms are packed, one field per form, and each point is one sum of
+    products.  So the width is the smallest power of two from 32 with
+    ``2**(w-1) > max(1, max_j,k |f_j[k]|) * max(1, max_p ||x_p||_1)``.
+    The packing depends on the forms alone, so it is kept per tuple of
+    forms (:func:`_packed_forms`); a batch that needs wider fields than it
+    has is packed for itself.  A certificate of
+    ``hypersimplex.certified`` is thus packed once for both of its checks:
+    its cone proof would fit 16 bits, its interior samples need 32, and a
+    packing per width would pack it twice.
+    """
+    forms, points = _forms_and_points(forms, points)
+    top, width, columns, high = _packed_forms(forms)
+    needed = _width(max(1, top) * max(sum(map(abs, x)) for x in points),
+                    width)
+    if needed > width:
+        width = needed
+        columns, high = _pack(forms, width)
+    return width, high, list(_signs(points, columns, high, width))
 
 
 class Fan:

@@ -22,9 +22,9 @@ from . import reference
 from .fan import compute_fan_f36, integer_heights
 from .geometry import (
     basis_relations,
-    form_signs,
     intersection_dim,
     lower_cell_masks,
+    point_signs,
     polytope_f_vector,
     set_bits,
 )
@@ -499,20 +499,23 @@ def certified(forms, heights):
     satisfy the certificate, and so induce exactly its cells.
 
     The heights are ints, as :func:`integer_heights` gives them at integer
-    points; :func:`form_signs` rejects anything else.  The equality and
-    strict forms are evaluated in one call of it, so their bitsets share
-    one width.
+    points; :func:`point_signs` rejects anything else.  A certificate is
+    met at a few heights a call, by both certificate checks of
+    ``verify``, so it packs the forms, not the heights: once per
+    certificate, one field per form, and each height vector's signs on
+    all of them are read off one word, the equality forms' top bits
+    ``eq`` and the strict forms' ``strict``.
     """
     equalities, stricts = forms
-    width, weak, nonnegative, zero = form_signs((*equalities, *stricts),
-                                                heights)
-    split = len(equalities)
-    for z in zero[:split]:
-        weak &= z
-    ok = weak
-    for n, z in zip(nonnegative[split:], zero[split:]):
-        weak &= n
-        ok &= n ^ z  # the zeros are among the nonnegatives
+    width, high, signs = point_signs((*equalities, *stricts), heights)
+    eq = high & (1 << len(equalities) * width) - 1
+    strict = high ^ eq
+    weak = ok = 0
+    for p, (nonnegative, zero) in enumerate(signs):
+        if zero & eq == eq and nonnegative & strict == strict:
+            weak |= 1 << p * width
+            if not zero & strict:
+                ok |= 1 << p * width
     return width, weak, ok
 
 

@@ -190,8 +190,11 @@ def _draws(rng, low, high):
     (``Random._randbelow_with_getrandbits``), which draws the bit length of
     the range's size until the value is below the size.  ``random`` does
     not promise that rule across versions; ``tests/test_verify.py`` pins
-    the stream against ``randint``."""
+    the stream against ``randint``.  A range with no value raises
+    ValueError at the first draw, as ``randint`` does."""
     size = high - low + 1
+    if size < 1:
+        raise ValueError(f"empty range for randint({low}, {high})")
     bits, getrandbits = size.bit_length(), rng.getrandbits
     while True:
         r = getrandbits(bits)
@@ -285,7 +288,9 @@ def check_cone_proofs():
     ``f(x) = sum(a_r * f(r)) >= sum(a_r * f*(r)) = f*(x)``.  So when each
     minor's value at p is the sum of its values at the rays, the heights
     at x are ``sum(a_r * h(r))``, where h is :func:`integer_heights`: the
-    rays and p are integer points, so their heights are integers.
+    rays and p are integer points, so their heights are integers.  Each
+    ray's heights are evaluated once, for all its cones, and each cone's
+    p on its own, so the sum is compared with an evaluation of its own.
 
     (b) The certificate of S_C (see :func:`subdivision_forms`) holds
     inside C.  A point x interior to C is a combination of all the rays
@@ -324,14 +329,16 @@ def check_cone_proofs():
     """
     violations = []
     matroidal = functools.cache(is_matroid_basis_set)
-    for c in compute_fan_f36().maximal_cones:
+    fan = compute_fan_f36()
+    ray_heights = {r: integer_heights(r) for r in fan.rays}
+    for c in fan.maximal_cones:
         rays = c.rays
         cone = [list(r) for r in rays]
         canonical = canonical_subdivision(rays)
         if not all(map(matroidal, canonical)):
             violations.append({"check": "canonical cells matroidal",
                                "cone": cone})
-        heights = [integer_heights(r) for r in rays]
+        heights = [ray_heights[r] for r in rays]
         total = tuple(map(sum, zip(*heights)))
         if total != integer_heights(canonical_point(rays)):
             violations.append({"check": "heights linear on cone",

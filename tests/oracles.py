@@ -36,6 +36,9 @@ type-A oracle counts the sets of pairwise noncrossing diagonals of an
 n-gon by trying every set of each size, the faces of the associahedron's
 normal fan, which the fan of the web of Gr(2, n) must be (Speyer &
 Williams, J. Algebraic Combin. 22, 2005), instead of walking a fan.
+The minor-value oracle takes each minor's minimum over all its forms,
+repeated ones included, each summed term by term, instead of evaluating
+the distinct forms once.
 """
 
 from __future__ import annotations
@@ -375,6 +378,13 @@ def certificate_holds(forms, w, weak=False):
         return sum(Fraction(a) * Fraction(h) for a, h in zip(form, w))
     return all(value(f) == 0 for f in equalities) and \
         all(value(f) >= 0 if weak else value(f) > 0 for f in stricts)
+
+
+def minor_values(minors, x):
+    """Each of ``minors``, a sequence of its linear forms, at the point
+    ``x``: the least value of its forms there."""
+    return tuple(min(sum(a * v for a, v in zip(form, x)) for form in forms)
+                 for forms in minors)
 
 
 # -- fan cones from argmin forms ----------------------------------------------

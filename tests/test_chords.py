@@ -8,6 +8,7 @@ from tropd4.chords import (
     RHO,
     SIGMA,
     TAU,
+    Chord,
     SamePairError,
     SymmetryOp,
     all_chord_pairs,
@@ -197,6 +198,37 @@ class TestSymmetries:
         image = apply_symmetry(RHO, t, n)
         assert all(c == pair_rep(c, n) for c in image)
         assert len(image) == 4
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_apply_symmetry_is_the_per_chord_rule(self, n):
+        """``apply_symmetry``, read off one table per symmetry, against
+        ``pair_rep(apply_to_chord(op, c, n), n)`` chord by chord, for rho,
+        tau, sigma and the reflection at every axis: on every set of the
+        9 pairs at n = 3; at n = 4, on every set of at most two of the 16
+        pairs and on all of them; and on each chord alone, so partners of
+        the representatives too."""
+        pairs = all_chord_pairs(n)
+        sizes = range(len(pairs) + 1) if n == 3 else (0, 1, 2, len(pairs))
+        sets = [frozenset(s) for k in sizes
+                for s in itertools.combinations(pairs, k)]
+        sets += [frozenset([c]) for c in all_chords(n)]
+        for op in [RHO, TAU, SIGMA, *map(reflect, range(2 * n))]:
+            for s in sets:
+                assert apply_symmetry(op, s, n) == frozenset(
+                    pair_rep(apply_to_chord(op, c, n), n) for c in s)
+
+    def test_apply_symmetry_rejects_what_the_rule_rejects(self):
+        """An unknown kind, and a chord outside the model (adjacent
+        vertices, a long diagonal, a vertex past the last, a side that is
+        neither L nor R), raise ValueError; no KeyError of the table
+        escapes."""
+        t = frozenset([arc(0, 2, 4)])
+        with pytest.raises(ValueError, match="unknown symmetry kind 'spin'"):
+            apply_symmetry(SymmetryOp("spin"), t, 4)
+        for c in (Chord(0, 1), Chord(0, 4), Chord(8, -1, "L"),
+                  Chord(0, -1, "X")):
+            with pytest.raises(ValueError, match="not a chord of the 2\\*4"):
+                apply_symmetry(RHO, t | {c}, 4)
 
 
 class TestTextForm:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tropd4.fan import (
@@ -35,6 +35,7 @@ from oracles import (
     argmin_region,
     brute_force_cone_dim,
     brute_force_cone_rays,
+    minor_values,
     noncrossing_diagonal_counts,
 )
 
@@ -501,6 +502,23 @@ class TestIntegerHeights:
         got = integer_heights(tuple(int(s * v) for v in x))
         assert got == tuple(s * v for v in trop_phi2(x)) == expected
         assert all(type(v) is int for v in got)
+
+    def test_the_42_forms_have_7_distinct_members(self):
+        forms = [f for minor in all_tropical_minors().values()
+                 for f in minor]
+        assert (len(forms), len(set(forms))) == (42, 7)
+
+    @given(st.tuples(*[st.one_of(st.integers(-50, 50),
+                                 st.integers(-2 ** 70, 2 ** 70))] * 4))
+    @example((0, 0, 0, 0))
+    @example((-1, -2 ** 64, 2 ** 64 + 1, -3))
+    @example((2 ** 65, 2 ** 65, -2 ** 66, 2 ** 64 - 1))
+    def test_matches_the_minima_of_all_42_forms(self, x):
+        """At int points, negative ones and ones beyond 2**64 included,
+        the heights are each minor's least value over all its forms in
+        ``all_tropical_minors()``, evaluated one by one."""
+        assert integer_heights(x) == \
+            minor_values(all_tropical_minors().values(), x)
 
     @pytest.mark.parametrize("x", [
         (0.5, 0, 0, 0), (0, 0, 0, 1.0), (Fraction(1, 2), 0, 0, 0),

@@ -22,6 +22,7 @@ from tropd4.geometry import (
     form_signs,
     intersection_dim,
     point_in_hull,
+    point_signs,
     polytope_f_vector,
     regular_subdivision,
     set_bits,
@@ -1030,6 +1031,104 @@ class TestPackedForms:
                        [(1, 2), (1,)]):
             with pytest.raises(ValueError):
                 form_signs([(1, 1)], points)
+
+
+def kept_width(forms, points):
+    """The field width :func:`point_signs` must take: the smallest power
+    of two from 32 with ``2**(w-1) > max(1, max |f_j[k]|) * max(1,
+    max ||x_p||_1)``."""
+    bound = max(1, max((abs(a) for f in forms for a in f), default=0)) \
+        * max(1, max(sum(abs(v) for v in x) for x in points))
+    w = 32
+    while not 2 ** (w - 1) > bound:
+        w *= 2
+    return w
+
+
+def assert_point_signs(forms, points):
+    """:func:`point_signs` against plain sums, point by point and form by
+    form: the top bit of field j of each point's bitsets stands for form
+    j."""
+    width, high, signs = point_signs(forms, points)
+    assert width == kept_width(forms, points)
+    tops = [(j + 1) * width - 1 for j in range(len(forms))]
+    assert high == sum(1 << t for t in tops)
+    assert len(signs) == len(points)
+    for x, (nonnegative, zero) in zip(points, signs):
+        values = [sum(a * b for a, b in zip(f, x)) for f in forms]
+        assert nonnegative == sum(1 << t for t, v in zip(tops, values)
+                                  if v >= 0)
+        assert zero == sum(1 << t for t, v in zip(tops, values) if v == 0)
+
+
+class TestPointSigns:
+    """:func:`point_signs`, the forms packed once, one field per form."""
+
+    @given(packed_cases(), st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                    min_size=1, max_size=40))
+    def test_batches_match_plain_sums(self, case, entries):
+        forms, x = case
+        cycle = itertools.cycle(entries)
+        assert_point_signs(forms, [x] + [tuple(next(cycle) for _ in x)
+                                         for _ in range(len(entries))])
+
+    @given(extreme_packed_cases())
+    def test_extreme_values_fit_their_fields(self, case_and_width):
+        """The cases of :func:`form_signs` with the roles swapped: one form
+        whose largest coefficient is ``2**(w-1) - 1`` or ``2**(w-1)``, at
+        points of norm 1, which reach the extremes of a field of width w
+        or one more."""
+        (units, x), width = case_and_width
+        assert point_signs([x], units)[0] == max(32, width)
+        assert_point_signs([x], units)
+
+    def test_widths_double_from_32_on_the_norm_of_the_points(self):
+        forms = [(1, -1), (0, 1)]
+        points = [(0, 0), (2 ** 30, 2 ** 30 - 1), (2 ** 30, 2 ** 30),
+                  (-10 ** 40, 1)]
+        assert [point_signs(forms, [x])[0] for x in points] == \
+            [32, 32, 64, 256]
+        assert point_signs(forms, points)[0] == 256
+        # a coefficient of 2**31 needs 64 bits even where x is zero
+        assert point_signs([(2 ** 31, 0)], [(0, 0)]) == (64, 1 << 63, [(
+            1 << 63, 1 << 63)])
+
+    def test_forms_are_packed_once_and_kept(self, monkeypatch):
+        """A tuple of forms is packed once, at 32 bits, for every batch
+        that fits, whether the forms come as tuples or lists; a batch
+        that needs wider fields packs its own, and the kept packing still
+        serves the batches after it."""
+        widths, real = [], geometry._pack
+
+        def pack(vectors, width):
+            widths.append(width)
+            return real(vectors, width)
+        monkeypatch.setattr(geometry, "_pack", pack)
+        forms = ((3, -1, 0), (0, 2, 5), (-7, 0, 1))
+        geometry._packed_forms.cache_clear()
+        for points in ([(1, 2, 3)], [(0, 0, 0), (7, -7, 1)], [(1, 2, 3)]):
+            for f in (forms, [list(g) for g in forms]):
+                assert_point_signs(f, points)
+        assert widths == [32]
+        for _ in range(2):
+            assert_point_signs(forms, [(2 ** 40, 0, 0)])
+        assert widths == [32, 64, 64]
+        assert_point_signs(forms, [(1, 1, 1)])
+        assert widths == [32, 64, 64]
+
+    def test_rejects_bad_input(self):
+        forms = [(1, 1), (2, -1)]
+        for points in ([(Fraction(1, 2), 1)], [(1, 0.5)], [(Fraction(2), 3)],
+                       [(1, 2), (1, Fraction(1, 3))]):
+            with pytest.raises(ValueError, match="must be ints"):
+                point_signs(forms, points)
+        for points in ([(1,)], [(1, 2, 3)]):
+            with pytest.raises(ValueError, match="point has"):
+                point_signs(forms, points)
+        with pytest.raises(ValueError, match="at least one point"):
+            point_signs(forms, [])
+        with pytest.raises(ValueError, match="same length"):
+            point_signs([(1, 1), (1,)], [(1, 1)])
 
 
 def packed_exactly(vectors, width):

@@ -22,9 +22,10 @@ def scripts(monkeypatch):
 
 def check_run(probe_of):
     """A run of ``check_times`` in which each check took 1 s, made no
-    sweep and had the probe ``probe_of[name]`` before it."""
+    sweep and no pack and had the probe ``probe_of[name]`` before it."""
     return {"times": dict.fromkeys(probe_of, 1.0),
             "sweeps": dict.fromkeys(probe_of, 0),
+            "packs": dict.fromkeys(probe_of, 0),
             "check_probes": {name: [p] for name, p in probe_of.items()},
             "violations": 0}
 
@@ -72,12 +73,33 @@ class TestCheckTimes:
             "check_fan": 48, "check_table1": 3, "check_cone_proofs": 7,
             "check_interior_point_stability": 4}
 
+    def test_packs_are_counted_per_check(self, child_run):
+        """The report's packings, the same on any host: the point located
+        in the fan check, the 20 batches of the covering check, and each
+        of the 48 cones' certificates once, in the cone proofs, where
+        each cone is certified once.  The interior check certifies the
+        same 48 certificates and packs none of them again."""
+        packs = dict(child_run["packs"])
+        assert packs.pop("full_report") == 69
+        assert set(packs) == set(child_run["check_probes"])
+        assert {name: n for name, n in packs.items() if n} == {
+            "check_fan": 1, "check_cone_proofs": 48,
+            "check_fan_covering": 20}
+
     def test_summary_requires_equal_sweep_counts(self, scripts):
         check_times, _ = scripts
         runs = [check_run({"check_fan": 0.001}) for _ in range(3)]
         assert check_times.summary(runs)["sweeps"] == {"check_fan": 0}
         runs[1]["sweeps"]["check_fan"] = 1
         with pytest.raises(RuntimeError, match="numbers of sweeps"):
+            check_times.summary(runs)
+
+    def test_summary_requires_equal_pack_counts(self, scripts):
+        check_times, _ = scripts
+        runs = [check_run({"check_fan": 0.001}) for _ in range(3)]
+        assert check_times.summary(runs)["packs"] == {"check_fan": 0}
+        runs[2]["packs"]["check_fan"] = 1
+        with pytest.raises(RuntimeError, match="numbers of packs"):
             check_times.summary(runs)
 
     def test_summary_keeps_each_checks_probe(self, scripts):

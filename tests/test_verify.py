@@ -375,6 +375,15 @@ class TestDraws:
             draws = verify._draws(random.Random(seed), low, high)
             assert list(itertools.islice(draws, 300)) == expected
 
+    @pytest.mark.parametrize("low, high", [(5, 1), (1, 0), (0, -40)])
+    def test_empty_range_raises_as_randint_does(self, low, high):
+        """A range with no value raises ValueError at the first draw, as
+        ``randint`` does, where the rejection loop would never end."""
+        with pytest.raises(ValueError):
+            random.Random(7).randint(low, high)
+        with pytest.raises(ValueError, match="empty range"):
+            next(verify._draws(random.Random(7), low, high))
+
     def test_two_streams_on_one_random_keep_their_order(self):
         """A numerator, then a denominator, from two generators on one
         ``Random``, as the interior check draws them."""
