@@ -17,10 +17,13 @@ number of lines of ``src/tropd4/*.py``, so that the size of the code can
 be read beside its times, and ``probe_s``.  Beside the medians,
 ``sweeps`` gives the number of double-description sweeps
 (``tropd4.geometry._double_description``) made in each check and in
-``full_report``, and ``packs`` the number of packings of vectors into
-words (``tropd4.geometry._pack``): a batch of points located in the fan,
-or a certificate's forms, which are packed once and kept.  The counts do
-not depend on the host, so every run must give the same ones.
+``full_report``, ``packs`` the number of packings of vectors into words
+(``tropd4.geometry._pack``): a batch of points located in the fan, or a
+certificate's forms, which are packed once and kept, and
+``eliminations`` the number of exact fraction-free eliminations
+(``tropd4.geometry._pivot_columns``): a rank, an affine frame, or the
+relations of a cell's vertices.  The counts do not depend on the host,
+so every run must give the same ones.
 
 The times are wall-clock seconds, unscaled.  The host's speed drifts,
 within a run as well as between runs, so each run times the fixed loop of
@@ -52,6 +55,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from hostspeed import probe  # noqa: E402
 
 PROBES = 3  # taken before and after the work of each run
+COUNTED = {"sweeps": "_double_description", "packs": "_pack",
+           "eliminations": "_pivot_columns"}  # kind -> geometry function
 
 
 def child(seed):
@@ -61,7 +66,7 @@ def child(seed):
     start = perf_counter()
     from tropd4 import geometry, verify
     times = {"import": perf_counter() - start}
-    made = {"sweeps": 0, "packs": 0}  # the calls counted so far
+    made = dict.fromkeys(COUNTED, 0)  # the calls counted so far
     counts = {kind: {} for kind in made}  # kind -> {name: calls}
     check_probes = {}  # name -> the probes taken just before its calls
     probing = [0.0]  # the seconds spent in those probes
@@ -87,9 +92,8 @@ def child(seed):
                         + n - before[kind]
         return call
 
-    geometry._double_description = counted(
-        "sweeps", geometry._double_description)
-    geometry._pack = counted("packs", geometry._pack)
+    for kind, name in COUNTED.items():
+        setattr(geometry, name, counted(kind, getattr(geometry, name)))
     for name in [n for n in vars(verify) if n.startswith("check_")]:
         setattr(verify, name, timed(name, getattr(verify, name)))
     start = perf_counter()
@@ -163,9 +167,9 @@ def main(script, description, body, summary, output):
 
 def summary(runs):
     """The violation count, the median of each time over ``runs``, the
-    median of each check's own probes over ``runs``, and the sweep and
-    pack counts, which must be the same in every run."""
-    for kind in ("sweeps", "packs"):
+    median of each check's own probes over ``runs``, and the sweep, pack
+    and elimination counts, which must be the same in every run."""
+    for kind in COUNTED:
         if any(r[kind] != runs[0][kind] for r in runs):
             raise RuntimeError(f"the runs made different numbers of "
                                f"{kind}: {[r[kind] for r in runs]}")
@@ -176,7 +180,7 @@ def summary(runs):
             "check_probe_s": {name: round(statistics.median(
                 p for r in runs for p in r["check_probes"][name]), 6)
                 for name in runs[0]["check_probes"]},
-            "sweeps": runs[0]["sweeps"], "packs": runs[0]["packs"]}
+            **{kind: runs[0][kind] for kind in COUNTED}}
 
 
 if __name__ == "__main__":

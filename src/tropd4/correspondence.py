@@ -63,7 +63,12 @@ def rays_of_cluster(t):
 
 def cone_of_cluster(t):
     """The unique maximal cone whose rays contain the cluster's rays."""
-    rays = rays_of_cluster(t)
+    return _cone_of_rays(rays_of_cluster(t))
+
+
+@lru_cache(maxsize=None)
+def _cone_of_rays(rays):
+    """:func:`cone_of_cluster` by ray set, found once per set."""
     hits = [c for c in compute_fan_f36().maximal_cones if rays <= set(c.rays)]
     if len(hits) != 1:
         raise RuntimeError(

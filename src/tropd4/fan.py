@@ -55,22 +55,31 @@ def trop_phi2(x):
     return tuple(Fraction(m, scale) for m in integer_heights(row))
 
 
+def _distinct_forms(minors):
+    """The distinct forms of ``minors``, tuples of forms, in order of
+    first use, and per minor the positions of its forms among them."""
+    at = {}
+    positions = [tuple(at.setdefault(f, len(at)) for f in m) for m in minors]
+    return tuple(at), positions
+
+
 @lru_cache(maxsize=1)
 def _minor_table():
-    """The distinct forms of the 20 minors, in order of first use, and
-    per minor, in triple order, ``(i, get)``: ``i`` indexes its first form
-    among them, and ``get``, None for a minor of one form, picks its
+    """The distinct forms of the 20 minors (:func:`_distinct_forms`), and
+    per minor, in triple order, ``(i, get)``: ``i`` is the position of its
+    first form, and ``get``, None for a minor of one form, picks its
     forms' values out of the list of the distinct forms' values."""
-    index, minors = {}, []
-    for minor in all_tropical_minors().values():
-        positions = [index.setdefault(f, len(index)) for f in minor]
-        minors.append((positions[0], operator.itemgetter(*positions)
-                       if len(positions) > 1 else None))
-    return tuple(index), tuple(minors)
+    forms, positions = _distinct_forms(all_tropical_minors().values())
+    return forms, tuple((at[0], operator.itemgetter(*at) if len(at) > 1
+                         else None) for at in positions)
 
 
-def _dot(a, b):
-    return sum(map(operator.mul, a, b))
+def _selection(forms, positions, point, normal):
+    """Per minor, the position among ``forms`` of its first form f least
+    in ``(f(point), -f(normal))``, each distinct form evaluated once."""
+    keys = [(sum(map(operator.mul, f, point)),
+             -sum(map(operator.mul, f, normal))) for f in forms]
+    return tuple(min(at, key=keys.__getitem__) for at in positions)
 
 
 def _normal_fan(minors, start) -> Fan:
@@ -82,24 +91,22 @@ def _normal_fan(minors, start) -> Fan:
     Each wall, a facet of a region with inner normal h, read off its tight
     mask, is crossed once, at the sum s of its rays, where each minor
     selects the form least at ``s - eps * h`` for small ``eps > 0``: the
-    least ``(f(s), -f(h))``.  A minor with a single form is skipped.  A
-    region with a line raises NotPointedError, and one of lower dimension
-    ValueError, naming the point it was selected at.
+    least ``(f(s), -f(h))`` (:func:`_selection`).  A minor of one form is
+    skipped.  A region with a line raises NotPointedError, and one of
+    lower dimension ValueError, naming the point it was selected at.
     """
     dim = len(start)
-    minors = [forms for forms in minors if len(forms) > 1]
+    forms, positions = _distinct_forms(m for m in minors if len(m) > 1)
     cones, crossed = {}, set()
     todo = [(start, (0,) * dim)]
     while todo:
         point, normal = todo.pop()
-        selection = tuple(min(forms, key=lambda f: (_dot(f, point),
-                                                    -_dot(f, normal)))
-                          for forms in minors)
+        selection = _selection(forms, positions, point, normal)
         if selection in cones:
             continue
-        cone = Cone(dim, sorted({tuple(map(operator.sub, g, f))
-                                 for f, forms in zip(selection, minors)
-                                 for g in forms}))
+        cone = Cone(dim, sorted({tuple(map(operator.sub, forms[g], forms[f]))
+                                 for f, at in zip(selection, positions)
+                                 for g in at}))
         if cone.lines:
             raise NotPointedError(cone.lines[0])
         if (1 << len(cone.rays)) - 1 in cone.tight:

@@ -104,20 +104,20 @@ def _distinct_points(points):
 
 
 def _pivot_columns(vectors):
-    """Pivot columns and echelon rows of integer ``vectors`` under
-    fraction-free elimination.
+    """Pivot columns and reduced rows of integer ``vectors`` under
+    fraction-free Gauss-Jordan elimination.
 
-    Bareiss elimination (Bareiss 1968, Math. Comp. 22): every update
-    ``(p * x - g * y) // prev`` divides exactly, so all entries stay
-    integers.  The number of pivots is the rank, and the projection of the
-    row span onto the pivot columns is injective.  Row k of the echelon
-    form is zero before column ``pivots[k]``; its entry there is the
-    leading minor of order k + 1 on the pivot columns, so the last pivot
-    entry is +-det of the pivot block.  The rows past the rank are zero.
+    Each pivot step updates every other row, above the pivot as well as
+    below, by ``(p * x - g * y) // prev``, which divides exactly (Bareiss,
+    Math. Comp. 22, 1968; Nakos, Turner & Williams, ACM SIGSAM Bull.
+    31(3), 1997), so all entries stay integers.  The number of pivots is
+    the rank.  Row k is zero in every pivot column but ``pivots[k]``, and
+    its entry there is D, the same for every k: +-det of the pivot columns
+    on the rows taken as pivot rows.  So the rows up to the rank are D
+    times the reduced row echelon form; the rows past the rank are zero.
     """
     rows = [list(v) for v in vectors]
-    pivots = []
-    prev = 1
+    pivots, prev = [], 1
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
@@ -126,7 +126,7 @@ def _pivot_columns(vectors):
         rows[r], rows[piv] = rows[piv], rows[r]
         head = rows[r]
         p = head[c]
-        for i in range(r + 1, len(rows)):
+        for i in itertools.chain(range(r), range(r + 1, len(rows))):
             g = rows[i][c]
             rows[i] = [(p * x - g * y) // prev for x, y in zip(rows[i], head)]
         prev = p
@@ -142,30 +142,23 @@ def basis_relations(vectors):
 
     Returns ``(pivots, relations)``: ``pivots`` are the indices of the
     first vectors that span all of them, and ``relations[q]``, for each
-    other index q, is the primitive integer vector c with
-    ``sum(c[i] * vectors[i]) == 0`` that is positive at q and zero off q
-    and the pivots.  The vectors are the columns of the eliminated matrix,
-    so its pivot columns are the basis.  With D the last pivot entry,
-    ``D * vectors[q]`` is an integer combination of the basis by Cramer's
-    rule, and exact back substitution through the echelon rows finds it.
+    other index q, in ascending order, is the primitive integer vector c
+    with ``sum(c[i] * vectors[i]) == 0`` that is positive at q and zero
+    off q and the pivots.  The vectors are the columns of the eliminated
+    matrix, so its pivot columns are the basis, and reduced column q holds
+    D times the basis coordinates of ``vectors[q]``, D the common pivot
+    entry: c is read off it, ``D`` at q and ``-rows[k][q]`` at
+    ``pivots[k]``, turned positive at q and divided by its gcd.
     """
     pivots, rows = _pivot_columns(list(zip(*vectors)))
-    det = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
-    sign = 1 if det > 0 else -1
+    det = rows[0][pivots[0]] if pivots else 1
     relations = {}
     for q in sorted(set(range(len(vectors))) - set(pivots)):
-        coeffs = [0] * len(pivots)
-        for k in reversed(range(len(pivots))):
-            row = rows[k]
-            # exact: coeffs is D times the basis coordinates of vectors[q]
-            coeffs[k] = (det * row[q] - sum(
-                row[pivots[m]] * coeffs[m]
-                for m in range(k + 1, len(pivots)))) // row[pivots[k]]
         c = [0] * len(vectors)
-        c[q] = sign * det
-        for p, x in zip(pivots, coeffs):
-            c[p] = -sign * x
-        relations[q] = _reduce(c)
+        c[q] = det
+        for p, row in zip(pivots, rows):
+            c[p] = -row[q]
+        relations[q] = _reduce(c if det > 0 else [-x for x in c])
     return pivots, relations
 
 

@@ -446,26 +446,20 @@ def _cell_forms(mask):
     """Equality and strict forms of the full-dimensional cell ``mask``.
 
     The first six affinely independent vertices of the cell are a basis,
-    and each other vertex p of Delta(3,6) is an affine combination of
-    them.  Its relation (see :func:`basis_relations`; the vertices' sum is
-    always 3, so a linear combination of them is affine) read as a linear
-    form in the heights w is ``D * (w_p - l(p))``, with ``D > 0`` and l the
-    affine function that agrees with w on the basis.  Returns the forms of
-    the vertices in the cell, then of those outside, as 20-entry tuples.
+    and one elimination (:func:`basis_relations`) writes each other
+    vertex p of Delta(3,6) in it.  As the vertices' sum is always 3, the
+    relation is affine; read as a linear form in the heights w it is
+    ``D * (w_p - l(p))``, with ``D > 0`` and l the affine function that
+    agrees with w on the basis.  Returns the forms of the vertices in the
+    cell, then of those outside, as 20-entry tuples.
     """
-    inside = _vertex_indices(mask)
-    order = inside + [i for i in range(len(PLUECKER_TRIPLES))
-                      if not mask >> i & 1]
-    verts = hypersimplex_vertices()
+    inside, verts = _vertex_indices(mask), hypersimplex_vertices()
+    order = sorted(range(len(verts)), key=lambda i: not mask >> i & 1)
     pivots, relations = basis_relations([verts[i] for i in order])
     if len(pivots) != 6 or pivots[-1] >= len(inside):
         raise ValueError(f"cell {inside} is not full-dimensional")
-    forms = []
-    for q in sorted(relations):
-        form = [0] * len(order)
-        for i, c in zip(order, relations[q]):
-            form[i] = c
-        forms.append(tuple(form))
+    where = sorted(range(len(order)), key=order.__getitem__)
+    forms = [tuple(map(c.__getitem__, where)) for c in relations.values()]
     split = len(inside) - len(pivots)
     return tuple(forms[:split]), tuple(forms[split:])
 

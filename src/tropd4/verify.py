@@ -107,16 +107,16 @@ def check_psi_rows():
 def check_compatibility_relations():
     violations = []
     roots = sorted(set(map(psi, reference.RAY_COORDS.values())))
+    degree = functools.cache(compatibility_degree)  # once per root pair
     for i in range(4):
         neg = tuple(-1 if j == i else 0 for j in range(4))
         for beta in roots:
             expected = beta[i] if beta != neg else -1
-            if compatibility_degree(neg, beta) != expected:
+            if degree(neg, beta) != expected:
                 violations.append({"check": "degree against negative simple",
                                    "i": i + 1, "beta": beta})
     for a, b in itertools.product(roots, repeat=2):
-        if compatibility_degree(a, b) != \
-                compatibility_degree(tau_on_root(a), tau_on_root(b)):
+        if degree(a, b) != degree(tau_on_root(a), tau_on_root(b)):
             violations.append({"check": "degree rotation invariance",
                                "pair": [a, b]})
     return violations

@@ -30,12 +30,15 @@ second chord from its own antipode map and crossings from that realization,
 instead of growing noncrossing sets by common neighbours.
 The plane-type oracle looks a subdivision's signature up among the
 signatures of labeled representative cones, instead of reading letters
-off the subdivisions at the rays.  The GF(2) rank oracle eliminates 0/1
-vectors as lists, row by row, instead of reading spans off tables.  The
-type-A oracle counts the sets of pairwise noncrossing diagonals of an
-n-gon by trying every set of each size, the faces of the associahedron's
-normal fan, which the fan of the web of Gr(2, n) must be (Speyer &
-Williams, J. Algebraic Combin. 22, 2005), instead of walking a fan.
+off the subdivisions at the rays.  The pivot-column oracle takes the
+reduced row echelon form over Fractions, dividing each pivot row by its
+pivot, instead of keeping integers by exact fraction-free updates.  The
+GF(2) rank oracle eliminates 0/1 vectors as lists, row by row, instead
+of reading spans off tables.  The type-A oracle counts the sets of
+pairwise noncrossing diagonals of an n-gon by trying every set of each
+size, the faces of the associahedron's normal fan, which the fan of the
+web of Gr(2, n) must be (Speyer & Williams, J. Algebraic Combin. 22,
+2005), instead of walking a fan.
 The minor-value oracle takes each minor's minimum over all its forms,
 repeated ones included, each summed term by term, instead of evaluating
 the distinct forms once.
@@ -132,32 +135,41 @@ def _affine_rank(pts):
     return r
 
 
+def fraction_rref(rows):
+    """``(pivots, reduced)``: the pivot columns of the integer ``rows`` and
+    their reduced row echelon form over Fractions, its nonzero rows only,
+    by Gauss-Jordan elimination that divides each pivot row by its pivot.
+    """
+    rows = [list(map(Fraction, row)) for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots, rows[:len(pivots)]
+
+
 def _solve(columns, target):
     """Exact x with ``sum x_j * columns[j] == target``, or None if none.
 
-    Fraction Gauss-Jordan elimination on the augmented matrix; free
-    variables are set to zero.
+    :func:`fraction_rref` of the augmented matrix: there is no solution
+    when its last column is a pivot; free variables are set to zero.
     """
     n = len(columns)
-    aug = [[Fraction(col[i]) for col in columns] + [Fraction(t)]
-           for i, t in enumerate(target)]
-    pivots = []
-    for c in range(n):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        aug[r] = [x / aug[r][c] for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-    if any(row[n] for row in aug[len(pivots):]):
+    pivots, reduced = fraction_rref(
+        [[col[i] for col in columns] + [t] for i, t in enumerate(target)])
+    if n in pivots:
         return None
     x = [Fraction(0)] * n
-    for row, c in zip(aug, pivots):
+    for row, c in zip(reduced, pivots):
         x[c] = row[n]
     return x
 

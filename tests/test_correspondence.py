@@ -81,6 +81,37 @@ class TestConeOfCluster:
             assert len(covering) == 2
             assert len(covering[0] & covering[1]) == 3
 
+    def test_each_ray_set_is_looked_up_once(self, pseudotriangulations4):
+        """The 50 clusters have 50 ray sets, and each scans the fan once,
+        however often its cone is asked for."""
+        correspondence._cone_of_rays.cache_clear()
+        for t in pseudotriangulations4 * 4:
+            cone_of_cluster(t)
+        info = correspondence._cone_of_rays.cache_info()
+        assert (info.misses, info.hits) == (50, 150)
+
+    @pytest.mark.parametrize("copies, count", [(0, 0), (2, 2)])
+    def test_cluster_in_no_cone_or_two(self, fan36, monkeypatch, copies,
+                                       count):
+        """With the snake's bipyramid dropped from the fan, or listed
+        twice, the snake's cluster is in 0 or 2 maximal cones: every
+        lookup raises, as an error is not kept."""
+        cone = cone_of_cluster(SNAKE)
+        cones = [c for c in fan36.maximal_cones if c != cone]
+        broken = Fan(4, tuple(cones + [cone] * copies))
+        monkeypatch.setattr(correspondence, "compute_fan_f36",
+                            lambda: broken)
+        correspondence._cone_of_rays.cache_clear()
+        try:
+            for _ in range(2):
+                with pytest.raises(RuntimeError,
+                                   match=f"into {count} maximal cones"):
+                    cone_of_cluster(SNAKE)
+        finally:
+            monkeypatch.undo()
+            correspondence._cone_of_rays.cache_clear()
+        assert cone_of_cluster(SNAKE) == cone
+
     def test_split_facets_biject_with_clusters(
             self, pseudotriangulations4):
         split = split_bipyramid_facets()
@@ -106,11 +137,16 @@ class TestCorrespondenceTheorem:
                               if c is not drop))
         for module in (fan_mod, correspondence, verify):
             monkeypatch.setattr(module, "compute_fan_f36", lambda: broken)
-        checks = {v["check"] for v in
-                  verify_cluster_fan_correspondence()["violations"]}
+        correspondence._cone_of_rays.cache_clear()
+        try:
+            checks = {v["check"] for v in
+                      verify_cluster_fan_correspondence()["violations"]}
+            fan_checks = {v["check"] for v in verify.check_fan()}
+        finally:
+            monkeypatch.undo()
+            correspondence._cone_of_rays.cache_clear()
         assert "split fan facets biject with the 50 clusters" in checks
         assert ("bipyramid split structure" in checks) == (size == 5)
-        fan_checks = {v["check"] for v in verify.check_fan()}
         assert ("bipyramid cones" in fan_checks) == (size == 5)
 
     def test_negative_simple_neighborhood(self):

@@ -9,7 +9,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tropd4.fan import (
+    _distinct_forms,
     _normal_fan,
+    _selection,
     bipyramid_cones,
     compute_fan_f36,
     fan_to_json,
@@ -216,6 +218,28 @@ class TestTypeAFans:
         assert fan.f_vector() == self.F_VECTORS[n]
         assert len(fan.maximal_cones) == self.F_VECTORS[n][-1]
         assert _wall_violations(fan, start) == []
+
+
+class TestSelection:
+    """Each minor's selected form, read off the distinct forms, is the
+    first of its forms least in ``(f(s), -f(h))``, as ``min`` over its
+    forms picks it, ties included."""
+
+    FORM = st.tuples(*[st.integers(-1, 1)] * 3)
+    POINT = st.tuples(*[st.integers(-2, 2)] * 3)
+
+    @given(st.lists(st.lists(FORM, min_size=1, max_size=4), min_size=1,
+                    max_size=5), POINT, POINT)
+    @example([[(1, 0, 0), (0, 1, 0)], [(0, 1, 0), (1, 0, 0)]], (0, 0, 0),
+             (1, 1, 0))  # every form ties: each minor keeps its first
+    def test_first_least_form_per_minor(self, minors, point, normal):
+        forms, positions = _distinct_forms(minors)
+        assert len(set(forms)) == len(forms)
+        assert [[forms[i] for i in at] for at in positions] == minors
+        selection = _selection(forms, positions, point, normal)
+        assert [forms[i] for i in selection] == [
+            min(m, key=lambda f: (_dot(f, point), -_dot(f, normal)))
+            for m in minors]
 
 
 class TestDegenerateRegions:

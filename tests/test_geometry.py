@@ -40,12 +40,14 @@ from tropd4.webmatrix import PLUECKER_TRIPLES
 from oracles import (
     _affine_coordinates,
     _affine_rank,
+    _det,
     brute_force_cone_dim,
     brute_force_cone_faces,
     brute_force_cone_facets,
     brute_force_cone_rays,
     brute_force_lower_cells,
     brute_force_point_in_hull,
+    fraction_rref,
 )
 
 R = {  # the sixteen fan rays, by conventional label number
@@ -873,6 +875,29 @@ class TestIntersectionDim:
         everything = set(range(len(points)))
         assert intersection_dim(points, everything, everything) == \
             _affine_rank(points)
+
+
+class TestPivotColumns:
+    @given(st.integers(0, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=5)))
+    @example([[0, 2, 1], [0, 4, 2]])  # a zero column, rank 1 of 2 rows
+    @example([[1, 2, 0, 3], [2, 1, 0, 3], [0, 1, 0, 1]])
+    def test_rows_are_det_times_the_fraction_rref(self, matrix):
+        """The pivots are the oracle's; every pivot entry is one D, +-det
+        of the pivot columns on some rows; each row up to the rank is D
+        times the oracle's reduced row, and the rows past it are zero."""
+        pivots, rows = geometry._pivot_columns(matrix)
+        want, reduced = fraction_rref(matrix)
+        assert pivots == want
+        rank = len(pivots)
+        det = rows[0][pivots[0]] if pivots else 1
+        assert [rows[k][c] for k, c in enumerate(pivots)] == [det] * rank
+        assert abs(det) in {abs(_det([[row[c] for c in pivots]
+                                      for row in chosen]))
+                            for chosen in itertools.combinations(matrix,
+                                                                 rank)}
+        assert rows[:rank] == [[det * x for x in row] for row in reduced]
+        assert not any(map(any, rows[rank:]))
 
 
 class TestBasisRelations:

@@ -22,10 +22,12 @@ def scripts(monkeypatch):
 
 def check_run(probe_of):
     """A run of ``check_times`` in which each check took 1 s, made no
-    sweep and no pack and had the probe ``probe_of[name]`` before it."""
+    sweep, no pack and no elimination and had the probe
+    ``probe_of[name]`` before it."""
     return {"times": dict.fromkeys(probe_of, 1.0),
             "sweeps": dict.fromkeys(probe_of, 0),
             "packs": dict.fromkeys(probe_of, 0),
+            "eliminations": dict.fromkeys(probe_of, 0),
             "check_probes": {name: [p] for name, p in probe_of.items()},
             "violations": 0}
 
@@ -86,6 +88,18 @@ class TestCheckTimes:
             "check_fan": 1, "check_cone_proofs": 48,
             "check_fan_covering": 20}
 
+    def test_eliminations_are_counted_per_check(self, child_run):
+        """The report's exact eliminations, the same on any host: the
+        affine frame of Delta(3, 6)'s vertices, kept for every later
+        envelope, in Table 1, and one per distinct cell of the canonical
+        subdivisions in the cone proofs, 48; the ranks and frames of every
+        other check are cached or settled without one."""
+        eliminations = dict(child_run["eliminations"])
+        assert eliminations.pop("full_report") == 49
+        assert set(eliminations) == set(child_run["check_probes"])
+        assert {name: n for name, n in eliminations.items() if n} == {
+            "check_table1": 1, "check_cone_proofs": 48}
+
     def test_summary_requires_equal_sweep_counts(self, scripts):
         check_times, _ = scripts
         runs = [check_run({"check_fan": 0.001}) for _ in range(3)]
@@ -100,6 +114,14 @@ class TestCheckTimes:
         assert check_times.summary(runs)["packs"] == {"check_fan": 0}
         runs[2]["packs"]["check_fan"] = 1
         with pytest.raises(RuntimeError, match="numbers of packs"):
+            check_times.summary(runs)
+
+    def test_summary_requires_equal_elimination_counts(self, scripts):
+        check_times, _ = scripts
+        runs = [check_run({"check_fan": 0.001}) for _ in range(3)]
+        assert check_times.summary(runs)["eliminations"] == {"check_fan": 0}
+        runs[0]["eliminations"]["check_fan"] = 1
+        with pytest.raises(RuntimeError, match="numbers of eliminations"):
             check_times.summary(runs)
 
     def test_summary_keeps_each_checks_probe(self, scripts):

@@ -588,6 +588,15 @@ class TestSmallChecksFire:
                 "beta": (0, 1, 0, 0)} in expected
         assert verify.check_compatibility_relations() == expected
 
+    def test_each_degree_computed_once(self, monkeypatch):
+        """The two relations read one table: each ordered pair of the 16
+        roots is paired once, 256 pairings where the two loops ask 576."""
+        real, pairs = verify.compatibility_degree, []
+        monkeypatch.setattr(verify, "compatibility_degree",
+                            lambda a, b: pairs.append((a, b)) or real(a, b))
+        assert verify.check_compatibility_relations() == []
+        assert len(pairs) == len(set(pairs)) == 256
+
     def test_degree_rotation_invariance(self, monkeypatch):
         """tau with the images of -alpha_1 and alpha_1 swapped: every
         failing pair holds one of the two, and the degrees against the
